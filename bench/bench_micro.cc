@@ -228,5 +228,55 @@ void BM_CsvRoundTrip(::benchmark::State& state) {
 }
 BENCHMARK(BM_CsvRoundTrip);
 
+// --- csv_ingest / csv_emit: the byte-span CSV layer on 20K hosp rows ---
+//
+// Reported only, not gated. bytes_per_second is CSV MB/s and ns_per_cell
+// the time per field. Ingest tokenizes an in-memory copy of the dirty
+// table's CSV and interns it into a fresh pool (parse + intern, no file
+// IO); emit renders the table back into a reused string (render only).
+
+const std::string& HospCsv() {
+  static const std::string* text = [] {
+    auto* out = new std::string();
+    AppendCsv(HospWorkload().dirty, out);
+    return out;
+  }();
+  return *text;
+}
+
+void SetCsvCounters(::benchmark::State& state, size_t bytes) {
+  const Table& table = HospWorkload().dirty;
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * bytes));
+  state.counters["ns_per_cell"] = ::benchmark::Counter(
+      static_cast<double>(state.iterations() * table.num_rows() *
+                          table.num_columns()) / 1e9,
+      ::benchmark::Counter::kIsRate | ::benchmark::Counter::kInvert);
+}
+
+void BM_CsvIngest(::benchmark::State& state) {
+  const std::string& text = HospCsv();
+  for (auto _ : state) {
+    StatusOr<Table> table =
+        ReadCsvBytesLenient(text, "hosp", std::make_shared<ValuePool>());
+    ::benchmark::DoNotOptimize(table->num_rows());
+  }
+  SetCsvCounters(state, text.size());
+}
+BENCHMARK(BM_CsvIngest)->Unit(::benchmark::kMillisecond);
+
+void BM_CsvEmit(::benchmark::State& state) {
+  const Table& table = HospWorkload().dirty;
+  std::string out;
+  out.reserve(HospCsv().size());
+  for (auto _ : state) {
+    out.clear();
+    AppendCsv(table, &out);
+    ::benchmark::DoNotOptimize(out.data());
+    ::benchmark::ClobberMemory();
+  }
+  SetCsvCounters(state, HospCsv().size());
+}
+BENCHMARK(BM_CsvEmit)->Unit(::benchmark::kMillisecond);
+
 }  // namespace
 }  // namespace fixrep::bench

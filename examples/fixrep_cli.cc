@@ -157,6 +157,7 @@
 
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <atomic>
 #include <csignal>
 #include <fstream>
@@ -1182,21 +1183,27 @@ int Submit(const Args& args) {
               << "' (want abort|skip|quarantine)\n";
     return 2;
   }
-  std::ifstream in(args.Require("in"), std::ios::binary);
+  std::ifstream in(args.Require("in"), std::ios::binary | std::ios::ate);
   if (!in.good()) {
     std::cerr << "error reading --in: cannot open " << args.Get("in")
               << "\n";
     return 1;
   }
-  std::ostringstream csv;
-  csv << in.rdbuf();
+  std::string csv(static_cast<size_t>(std::max<std::streamoff>(in.tellg(), 0)),
+                  '\0');
+  in.seekg(0);
+  if (!in.read(csv.data(), static_cast<std::streamsize>(csv.size()))) {
+    std::cerr << "error reading --in: short read from " << args.Get("in")
+              << "\n";
+    return 1;
+  }
 
   StatusOr<serve::Client> client = ConnectOrExplain(args);
   if (!client.ok()) return 1;
   Timer timer;
   const StatusOr<serve::RepairResult> result = client->Submit(
       args.Require("tenant"),
-      FormatRepairConfig(ConfigFromArgs(args, *policy)), csv.str());
+      FormatRepairConfig(ConfigFromArgs(args, *policy)), csv);
   if (!result.ok()) {
     std::cerr << "submit failed: " << result.status() << "\n";
     return 1;

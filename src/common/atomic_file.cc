@@ -3,9 +3,11 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <string>
 #include <utility>
 
 #include "common/fault.h"
@@ -13,13 +15,44 @@
 
 namespace fixrep {
 
+namespace {
+
+// The directory holding `path`, for the post-rename fsync.
+std::string ParentDir(const std::string& path) {
+  const size_t slash = path.find_last_of('/');
+  if (slash == std::string::npos) return ".";
+  if (slash == 0) return "/";
+  return path.substr(0, slash);
+}
+
+}  // namespace
+
 StatusOr<AtomicFile> AtomicFile::Create(const std::string& path) {
+  // pid + a process-wide counter makes the name unique among live
+  // writers; O_EXCL turns any leftover from a crashed process that
+  // reused the pid into a retry instead of a shared file. Unlike
+  // mkstemp, open(2) applies the umask to 0666, so the published file
+  // keeps the permissions a plain ofstream would have given it.
+  static std::atomic<uint64_t> sequence{0};
   AtomicFile file;
   file.path_ = path;
-  file.tmp_path_ = path + ".tmp";
+  int fd = -1;
+  for (int attempt = 0; attempt < 100 && fd < 0; ++attempt) {
+    file.tmp_path_ = path + ".tmp." + std::to_string(::getpid()) + "." +
+                     std::to_string(sequence.fetch_add(1));
+    fd = ::open(file.tmp_path_.c_str(),
+                O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0666);
+    if (fd < 0 && errno != EEXIST) break;
+  }
+  if (fd < 0) {
+    return Status::IoError("cannot create a temp file for '" + path +
+                           "': " + std::strerror(errno));
+  }
+  ::close(fd);
   file.stream_.open(file.tmp_path_,
                     std::ios::binary | std::ios::out | std::ios::trunc);
   if (!file.stream_.is_open() || FIXREP_FAULT("atomic_file.open")) {
+    std::remove(file.tmp_path_.c_str());
     return Status::IoError("cannot open '" + file.tmp_path_ +
                            "' for writing");
   }
@@ -83,6 +116,21 @@ Status AtomicFile::Commit() {
                            "': " + error);
   }
   committed_ = true;
+  // The rename is only durable once the directory entry is: fsync the
+  // parent. Filesystems that cannot sync a directory report EINVAL;
+  // there is nothing more to do on those.
+  const std::string dir = ParentDir(path_);
+  const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (dir_fd < 0) {
+    return Status::IoError("cannot open directory '" + dir +
+                           "' to sync: " + std::strerror(errno));
+  }
+  const bool synced = ::fsync(dir_fd) == 0 || errno == EINVAL;
+  const std::string error = synced ? "" : std::strerror(errno);
+  ::close(dir_fd);
+  if (!synced) {
+    return Status::IoError("cannot sync directory '" + dir + "': " + error);
+  }
   return Status::Ok();
 }
 

@@ -8,11 +8,16 @@
 
 // Crash-atomic file replacement. Output written in place becomes a
 // truncated-but-valid-looking file if the process dies mid-write; an
-// AtomicFile stages everything in `path.tmp` and only a successful
-// Commit() — flush, fsync, rename(2) — makes it visible under the final
-// name. A crash at any earlier point leaves the previous version of
-// `path` (or its absence) untouched, and the destructor unlinks an
-// uncommitted temp file.
+// AtomicFile stages everything in a temp file beside `path` and only a
+// successful Commit() — flush, fsync, rename(2), fsync of the directory
+// — makes it visible, durably, under the final name. A crash at any
+// earlier point leaves the previous version of `path` (or its absence)
+// untouched, and the destructor unlinks an uncommitted temp file.
+//
+// Each AtomicFile stages at its own unique name (`path.tmp.<pid>.<n>`,
+// created with O_EXCL), so concurrent writers to one target never touch
+// each other's staging file: every Commit succeeds and the target ends
+// up holding exactly one writer's bytes (the last rename wins).
 //
 //   auto out = AtomicFile::Create(path);
 //   if (!out.ok()) return out.status();
@@ -23,7 +28,7 @@ namespace fixrep {
 
 class AtomicFile {
  public:
-  // Opens `path`.tmp for writing (truncating any stale temp file).
+  // Creates a fresh, uniquely named temp file beside `path` for writing.
   static StatusOr<AtomicFile> Create(const std::string& path);
 
   AtomicFile(AtomicFile&& other) noexcept;
@@ -36,8 +41,10 @@ class AtomicFile {
   std::ofstream& stream() { return stream_; }
   const std::string& path() const { return path_; }
 
-  // Flushes, fsyncs, and renames the temp file onto `path`. After a
-  // failed Commit the temp file is removed and `path` is unchanged.
+  // Flushes, fsyncs, and renames the temp file onto `path`, then fsyncs
+  // the parent directory so the rename itself survives a power cut.
+  // After a failed write, fsync or rename the temp file is removed and
+  // `path` is unchanged.
   Status Commit();
 
  private:

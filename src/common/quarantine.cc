@@ -1,25 +1,11 @@
 #include "common/quarantine.h"
 
+#include <ostream>
+#include <string>
+
+#include "common/string_util.h"
+
 namespace fixrep {
-
-namespace {
-
-void WriteCsvField(std::ostream& out, std::string_view field) {
-  const bool needs_quotes =
-      field.find_first_of(",\"\n\r") != std::string_view::npos;
-  if (!needs_quotes) {
-    out << field;
-    return;
-  }
-  out << '"';
-  for (const char ch : field) {
-    if (ch == '"') out << '"';
-    out << ch;
-  }
-  out << '"';
-}
-
-}  // namespace
 
 std::optional<OnErrorPolicy> TryParseOnErrorPolicy(std::string_view text) {
   if (text == "abort") return OnErrorPolicy::kAbort;
@@ -46,13 +32,18 @@ void WriteQuarantineHeader(std::ostream& out) {
 
 void WriteQuarantineRecord(std::ostream& out, std::string_view source,
                            const Diagnostic& diagnostic) {
-  WriteCsvField(out, source);
-  out << ',' << diagnostic.line << ',' << StatusCodeName(diagnostic.code)
-      << ',';
-  WriteCsvField(out, diagnostic.message);
-  out << ',';
-  WriteCsvField(out, diagnostic.raw_text);
-  out << '\n';
+  std::string record;
+  AppendCsvField(source, &record);
+  record += ',';
+  record += std::to_string(diagnostic.line);
+  record += ',';
+  record += StatusCodeName(diagnostic.code);
+  record += ',';
+  AppendCsvField(diagnostic.message, &record);
+  record += ',';
+  AppendCsvField(diagnostic.raw_text, &record);
+  record += '\n';
+  out.write(record.data(), static_cast<std::streamsize>(record.size()));
 }
 
 }  // namespace fixrep

@@ -115,4 +115,21 @@ std::string MakeTypo(std::string_view s, Rng* rng) {
   return out;
 }
 
+char* WriteQuotedCsvField(std::string_view field, char* out) {
+  *out++ = '"';
+  for (const char ch : field) {
+    if (ch == '"') *out++ = '"';
+    *out++ = ch;
+  }
+  *out++ = '"';
+  return out;
+}
+
+void AppendCsvField(std::string_view field, std::string* out) {
+  const size_t size = out->size();
+  out->resize(size + CsvFieldBound(field));
+  char* const end = WriteCsvField(field, out->data() + size);
+  out->resize(static_cast<size_t>(end - out->data()));
+}
+
 }  // namespace fixrep

@@ -1,9 +1,11 @@
 #ifndef FIXREP_RELATION_CSV_H_
 #define FIXREP_RELATION_CSV_H_
 
+#include <deque>
 #include <iosfwd>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/quarantine.h"
@@ -30,6 +32,10 @@ namespace fixrep {
 // incrementally: open once (header -> schema), then pull fixed-size row
 // chunks — the input side of the streaming repair pipeline
 // (repair/streaming.h, docs/storage.md).
+//
+// The exact dialect (mid-field quotes, text after a closing quote, bare
+// '\r', quarantine raw_text) is pinned in docs/formats.md and by the
+// differential fuzzer in tests/csv_fuzz_test.cc.
 
 struct CsvReadOptions {
   OnErrorPolicy on_error = OnErrorPolicy::kAbort;
@@ -76,15 +82,29 @@ struct ColumnSidecar {
 // lenient error policy as ReadCsvLenient. Record ordinals (and thus
 // quarantine Diagnostic::line values) are global across chunks, so a
 // chunked read of a file is indistinguishable from a whole-file read.
-// The stream must outlive the reader.
+//
+// The reader tokenizes contiguous bytes: a stream is pulled through a
+// refill buffer in blocks of kReadBlockBytes (grown only to hold a record
+// longer than that), an in-memory payload is read in place. Plain fields
+// are interned straight from views into those bytes; only fields holding
+// a quote or a bare '\r' are unescaped through scratch storage.
 class CsvChunkReader {
  public:
+  static constexpr size_t kReadBlockBytes = size_t{1} << 20;
+
   // Reads and validates the header. Header problems are fatal (same
-  // policy as ReadCsvLenient).
+  // policy as ReadCsvLenient). The stream must outlive the reader, which
+  // reads ahead of the records it has handed out.
   static StatusOr<CsvChunkReader> Open(std::istream& in,
                                        const std::string& relation_name,
                                        std::shared_ptr<ValuePool> pool,
                                        const CsvReadOptions& options = {});
+  // The same over an in-memory payload, tokenized in place with no copy.
+  // `bytes` must outlive the reader.
+  static StatusOr<CsvChunkReader> OpenBytes(std::string_view bytes,
+                                            const std::string& relation_name,
+                                            std::shared_ptr<ValuePool> pool,
+                                            const CsvReadOptions& options = {});
 
   const std::shared_ptr<const Schema>& schema() const { return schema_; }
   const std::shared_ptr<ValuePool>& pool() const { return pool_; }
@@ -120,27 +140,59 @@ class CsvChunkReader {
     options_.quarantine = sink;
     return previous;
   }
-  // Stream position in bytes (tellg), for input-progress reporting; 0
-  // when the stream cannot tell (pipes, failed state at EOF).
-  uint64_t bytes_read() const {
-    const auto pos = in_->tellg();
-    return pos < 0 ? 0 : static_cast<uint64_t>(pos);
-  }
+  // Input bytes consumed by the records read so far (header included),
+  // for input-progress reporting.
+  uint64_t bytes_read() const { return consumed_; }
 
  private:
-  CsvChunkReader(std::istream* in, std::shared_ptr<const Schema> schema,
-                 std::shared_ptr<ValuePool> pool,
-                 const CsvReadOptions& options);
+  friend struct CsvReaderTestPeer;  // tiny refill blocks for the fuzzer
 
-  std::istream* in_;
+  enum class Tokenized { kRecord, kNeedMore, kEnd };
+  enum class FieldEnd { kComma, kRecord, kNeedMore };
+
+  CsvChunkReader(std::istream* in, std::string_view bytes,
+                 const CsvReadOptions& options, size_t block_bytes);
+
+  static StatusOr<CsvChunkReader> OpenImpl(CsvChunkReader reader,
+                                           const std::string& relation_name,
+                                           std::shared_ptr<ValuePool> pool);
+
+  const char* data() const {
+    return in_ != nullptr ? buffer_.data() : bytes_.data();
+  }
+  // Tokenizes the next record into fields_, refilling as needed; false
+  // at end of input.
+  bool NextRecord();
+  Tokenized Tokenize();
+  FieldEnd UnescapeField(const char* p, const char* end, const char** next);
+  void Refill();
+  // The consumed record's text, terminator excluded.
+  std::string_view RecordText() const {
+    return std::string_view(data() + record_begin_, record_size_);
+  }
+
+  std::istream* in_;          // null when reading an in-memory payload
+  std::string_view bytes_;    // the in-memory payload
+  std::string buffer_;        // refill buffer (stream input)
+  size_t block_bytes_;
+  size_t pos_ = 0;            // first unconsumed byte of data()
+  size_t end_ = 0;            // end of the bytes available in data()
+  bool input_done_ = false;   // nothing left past end_
+  uint64_t consumed_ = 0;
   std::shared_ptr<const Schema> schema_;
   std::shared_ptr<ValuePool> pool_;
   CsvReadOptions options_;
   size_t record_ = 0;
   bool at_end_ = false;
-  // Per-record scratch, reused across the whole read.
-  std::vector<std::string> fields_;
-  std::string raw_;
+  // Per-record scratch, reused across the whole read: field views into
+  // data() or into unescaped_ (a deque, so growing it moves no string a
+  // view points into), and the last record's span.
+  std::vector<std::string_view> fields_;
+  std::deque<std::string> unescaped_;
+  size_t unescaped_used_ = 0;
+  bool unterminated_ = false;
+  size_t record_begin_ = 0;
+  size_t record_size_ = 0;
 };
 
 // Reads a table from a stream. `relation_name` names the schema. Every
@@ -150,6 +202,12 @@ StatusOr<Table> ReadCsvLenient(std::istream& in,
                                std::shared_ptr<ValuePool> pool,
                                const CsvReadOptions& options = {});
 
+// Reads a table from an in-memory CSV payload, tokenized in place.
+StatusOr<Table> ReadCsvBytesLenient(std::string_view bytes,
+                                    const std::string& relation_name,
+                                    std::shared_ptr<ValuePool> pool,
+                                    const CsvReadOptions& options = {});
+
 // Reads a table from a file path. Pre-sizes the value pool and row store
 // from the file size so bulk ingestion avoids rehash/reallocation.
 StatusOr<Table> ReadCsvFileLenient(const std::string& path,
@@ -158,7 +216,12 @@ StatusOr<Table> ReadCsvFileLenient(const std::string& path,
                                    const CsvReadOptions& options = {});
 
 // Writes header + rows; fields containing comma/quote/newline are quoted.
+// Every writer renders into one reused byte buffer and hands it to the
+// stream with ostream::write in blocks of about 1 MiB.
 void WriteCsv(const Table& table, std::ostream& out);
+
+// WriteCsv rendered straight onto the end of *out, with no stream.
+void AppendCsv(const Table& table, std::string* out);
 
 // Streaming-friendly pieces of WriteCsv: the header line alone, and a
 // row range [begin_row, table.num_rows()) with no header. WriteCsv ==

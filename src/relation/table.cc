@@ -28,8 +28,16 @@ void Table::AppendRowStrings(const std::vector<std::string>& fields) {
   }
 }
 
-void Table::AppendRowStringsMasked(const std::vector<std::string>& fields,
-                                   AttrSet materialize) {
+void Table::AppendRowFields(std::span<const std::string_view> fields) {
+  FIXREP_CHECK_EQ(fields.size(), schema_->arity());
+  const TupleSpan row = store_.AppendRowUninit();
+  for (size_t i = 0; i < fields.size(); ++i) {
+    row[i] = pool_->Intern(fields[i]);
+  }
+}
+
+void Table::AppendRowFieldsMasked(std::span<const std::string_view> fields,
+                                  AttrSet materialize) {
   FIXREP_CHECK_EQ(fields.size(), schema_->arity());
   const TupleSpan row = store_.AppendRowUninit();
   for (size_t i = 0; i < fields.size(); ++i) {

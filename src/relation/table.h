@@ -2,6 +2,7 @@
 #define FIXREP_RELATION_TABLE_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -55,11 +56,15 @@ class Table {
   // Interns each field and appends the resulting tuple.
   void AppendRowStrings(const std::vector<std::string>& fields);
 
+  // Span-based append for ingest: interns each field straight from its
+  // view (relation/csv.cc hands out views into its read buffer).
+  void AppendRowFields(std::span<const std::string_view> fields);
+
   // Column-pruned append: interns only the fields whose attribute is in
   // `materialize`; every other cell is stored as kNullValue and its raw
   // field text is the caller's to carry (relation/csv.h ColumnSidecar).
-  void AppendRowStringsMasked(const std::vector<std::string>& fields,
-                              AttrSet materialize);
+  void AppendRowFieldsMasked(std::span<const std::string_view> fields,
+                             AttrSet materialize);
 
   // Cell accessors by interned id and by string.
   ValueId cell(size_t row, AttrId attr) const {

@@ -13,6 +13,7 @@
 #include "common/metrics.h"
 #include "common/quarantine.h"
 #include "common/thread_pool.h"
+#include "common/trace.h"
 #include "relation/csv.h"
 #include "repair/config.h"
 #include "repair/session.h"
@@ -26,16 +27,6 @@ void TickServeCounter(const char* name, uint64_t n = 1) {
     MetricsRegistry::Global().GetCounter(name)->Add(n);
   }
 }
-
-// Read-only streambuf over a request's CSV bytes: ReadCsvLenient takes
-// an istream, and an istringstream would copy the multi-MB batch first.
-class ViewBuf : public std::streambuf {
- public:
-  explicit ViewBuf(const std::string& s) {
-    char* p = const_cast<char*>(s.data());
-    setg(p, p, p + s.size());
-  }
-};
 
 }  // namespace
 
@@ -297,14 +288,14 @@ Response RepairDaemon::HandleRepair(const RepairRequest& request) {
   // Parse the request batch into the tenant's pool. Interning mutates
   // the pool (single-writer rule), so parsing takes the writer side
   // while concurrent chases hold the reader side.
-  ViewBuf csv_buf(request.csv);
-  std::istream csv_in(&csv_buf);
   CsvReadOptions csv_options;
   csv_options.on_error = config.on_error;
   csv_options.quarantine = quarantining ? &row_sink : nullptr;
   StatusOr<Table> table_or = [&] {
+    FIXREP_TRACE_SPAN("serve.decode");
     std::unique_lock<std::shared_mutex> writer(snapshot->pool_mutex());
-    return ReadCsvLenient(csv_in, "data", snapshot->pool(), csv_options);
+    return ReadCsvBytesLenient(request.csv, "data", snapshot->pool(),
+                               csv_options);
   }();
   if (!table_or.ok()) {
     return ErrorResponse(Verb::kRepair,
@@ -334,9 +325,15 @@ Response RepairDaemon::HandleRepair(const RepairRequest& request) {
   response.repair.rows = report.rows;
   response.repair.cells_changed = report.cells_changed;
   response.repair.tuples_quarantined = report.tuples_quarantined;
-  std::ostringstream out;
-  WriteCsv(table, out);
-  response.repair.csv = std::move(out).str();
+  {
+    FIXREP_TRACE_SPAN("serve.encode");
+    // Rendering reads the shared pool, which another request's decode
+    // may be interning into: hold the reader side.
+    std::shared_lock<std::shared_mutex> reader(snapshot->pool_mutex());
+    // Repaired output is about the size of the request: reserve once.
+    response.repair.csv.reserve(request.csv.size() + request.csv.size() / 8);
+    AppendCsv(table, &response.repair.csv);
+  }
   if (quarantining &&
       (!row_sink.diagnostics().empty() || !tuple_sink.diagnostics().empty())) {
     std::ostringstream quarantine;

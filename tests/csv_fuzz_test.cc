@@ -1,0 +1,568 @@
+// Differential mutation fuzzer for the CSV tokenizer and emitter
+// (relation/csv.cc). The reference oracle is the char-at-a-time reader
+// and per-field ostream writer the byte-span implementation replaced,
+// kept here verbatim. Seeded PRNG mutations of generated hosp, travel and
+// uis CSV plus a hostile corpus are read under every --on-error policy,
+// whole (stream, file, in-memory payload), chunked at {1, 7, 1024} rows,
+// and through tiny refill blocks so records straddle block boundaries at
+// every offset. Fields, ValueIds, quarantine diagnostics, rendered bytes
+// and consumed-byte counts must all match the oracle.
+
+#include <fstream>
+#include <istream>
+#include <memory>
+#include <ostream>
+#include <sstream>
+#include <string>
+#include <unordered_set>
+#include <utility>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "common/quarantine.h"
+#include "common/random.h"
+#include "datagen/hosp.h"
+#include "datagen/travel.h"
+#include "datagen/uis.h"
+#include "relation/csv.h"
+#include "testing_util.h"
+
+namespace fixrep {
+
+// Opens readers with a chosen refill block size (the production reader
+// always uses CsvChunkReader::kReadBlockBytes).
+struct CsvReaderTestPeer {
+  static StatusOr<CsvChunkReader> Open(std::istream& in, size_t block_bytes,
+                                       std::shared_ptr<ValuePool> pool,
+                                       const CsvReadOptions& options) {
+    return CsvChunkReader::OpenImpl(
+        CsvChunkReader(&in, {}, options, block_bytes), "fuzz",
+        std::move(pool));
+  }
+};
+
+namespace {
+
+// --- Reference oracle: the reader and writer before the byte-span rewrite.
+
+bool OracleReadRecord(std::istream& in, std::vector<std::string>* fields,
+                      std::string* raw, bool* unterminated) {
+  fields->clear();
+  if (raw != nullptr) raw->clear();
+  *unterminated = false;
+  std::string field;
+  bool in_quotes = false;
+  bool saw_any = false;
+  int c;
+  while ((c = in.get()) != EOF) {
+    saw_any = true;
+    const char ch = static_cast<char>(c);
+    if (raw != nullptr && ch != '\n' && ch != '\r') raw->push_back(ch);
+    if (in_quotes) {
+      if (raw != nullptr && (ch == '\n' || ch == '\r')) raw->push_back(ch);
+      if (ch == '"') {
+        if (in.peek() == '"') {
+          in.get();
+          field.push_back('"');
+          if (raw != nullptr) raw->push_back('"');
+        } else {
+          in_quotes = false;
+        }
+      } else {
+        field.push_back(ch);
+      }
+      continue;
+    }
+    switch (ch) {
+      case '"':
+        in_quotes = true;
+        break;
+      case ',':
+        fields->push_back(std::move(field));
+        field.clear();
+        break;
+      case '\r':
+        break;  // tolerate CRLF
+      case '\n':
+        fields->push_back(std::move(field));
+        return true;
+      default:
+        field.push_back(ch);
+        break;
+    }
+  }
+  if (!saw_any) return false;
+  *unterminated = in_quotes;
+  fields->push_back(std::move(field));
+  return true;
+}
+
+void OracleWriteField(const std::string& field, std::ostream& out) {
+  const bool needs_quotes =
+      field.find_first_of(",\"\n\r") != std::string::npos;
+  if (!needs_quotes) {
+    out << field;
+    return;
+  }
+  out << '"';
+  for (const char ch : field) {
+    if (ch == '"') out << '"';
+    out << ch;
+  }
+  out << '"';
+}
+
+void OracleWriteRow(const std::vector<std::string>& fields,
+                    std::ostream& out) {
+  for (size_t a = 0; a < fields.size(); ++a) {
+    if (a > 0) out << ',';
+    OracleWriteField(fields[a], out);
+  }
+  out << '\n';
+}
+
+std::string OracleQuarantineRecord(const Diagnostic& d) {
+  std::ostringstream out;
+  OracleWriteField("csv", out);
+  out << ',' << d.line << ',' << StatusCodeName(d.code) << ',';
+  OracleWriteField(d.message, out);
+  out << ',';
+  OracleWriteField(d.raw_text, out);
+  out << '\n';
+  return out.str();
+}
+
+// What a read produces: a fatal status, or the header, appended rows
+// (strings and ids) and dropped-record diagnostics, plus the rendering.
+struct ReadResult {
+  Status status = Status::Ok();
+  std::vector<std::string> header;
+  std::vector<std::vector<std::string>> rows;
+  std::vector<std::vector<ValueId>> ids;
+  std::vector<Diagnostic> diagnostics;
+  std::string rendered;
+  uint64_t bytes_read = 0;
+};
+
+ReadResult OracleRead(const std::string& text, OnErrorPolicy policy) {
+  ReadResult result;
+  std::istringstream in(text);
+  bool unterminated = false;
+  if (!OracleReadRecord(in, &result.header, nullptr, &unterminated)) {
+    result.status = Status::MalformedInput("empty CSV input");
+    return result;
+  }
+  if (unterminated) {
+    result.status = Status::MalformedInput(
+        "unterminated quoted field at EOF in CSV header");
+    return result;
+  }
+  std::unordered_set<std::string> seen;
+  for (const std::string& name : result.header) {
+    if (!seen.insert(name).second) {
+      result.status = Status::MalformedInput(
+          "duplicate CSV header column '" + name + "'");
+      return result;
+    }
+  }
+  ValuePool pool;
+  std::vector<std::string> fields;
+  std::string raw;
+  for (size_t record = 0;
+       OracleReadRecord(in, &fields, &raw, &unterminated); ++record) {
+    Status problem = Status::Ok();
+    if (unterminated) {
+      problem = Status::MalformedInput("unterminated quoted field at EOF");
+    } else if (fields.size() != result.header.size()) {
+      problem = Status::MalformedInput(
+          "CSV record arity mismatch at row " + std::to_string(record) +
+          " (got " + std::to_string(fields.size()) + ", want " +
+          std::to_string(result.header.size()) + ")");
+    }
+    if (!problem.ok()) {
+      if (policy == OnErrorPolicy::kAbort) {
+        result.status = problem;
+        return result;
+      }
+      if (policy == OnErrorPolicy::kQuarantine) {
+        result.diagnostics.push_back(
+            Diagnostic{record, problem.code(), problem.message(), raw});
+      }
+      continue;
+    }
+    std::vector<ValueId> ids;
+    for (const std::string& field : fields) ids.push_back(pool.Intern(field));
+    result.ids.push_back(std::move(ids));
+    result.rows.push_back(fields);
+  }
+  std::ostringstream out;
+  OracleWriteRow(result.header, out);
+  for (const auto& row : result.rows) OracleWriteRow(row, out);
+  result.rendered = out.str();
+  result.bytes_read = text.size();
+  return result;
+}
+
+// --- The implementation under test, read every way it can be.
+
+void CollectRows(const Table& table, ReadResult* result) {
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    std::vector<std::string> row;
+    std::vector<ValueId> ids;
+    for (size_t a = 0; a < table.num_columns(); ++a) {
+      row.push_back(table.CellString(r, static_cast<AttrId>(a)));
+      ids.push_back(table.cell(r, static_cast<AttrId>(a)));
+    }
+    result->rows.push_back(std::move(row));
+    result->ids.push_back(std::move(ids));
+  }
+}
+
+// A whole-table read (ReadCsvLenient and friends).
+ReadResult FromTable(StatusOr<Table> table, VectorQuarantineSink* sink) {
+  ReadResult result;
+  if (!table.ok()) {
+    result.status = table.status();
+    return result;
+  }
+  result.header = table->schema().attribute_names();
+  CollectRows(*table, &result);
+  result.diagnostics = sink->diagnostics();
+  std::ostringstream out;
+  WriteCsv(*table, out);
+  result.rendered = out.str();
+  std::string appended = "prefix";
+  AppendCsv(*table, &appended);
+  EXPECT_EQ(appended, "prefix" + result.rendered) << "AppendCsv";
+  return result;
+}
+
+// A chunked read through CsvChunkReader, rendered chunk by chunk as the
+// streaming driver does. `prune` keeps only the even columns interned
+// and carries the rest in a ColumnSidecar.
+ReadResult FromReader(StatusOr<CsvChunkReader> reader_or, size_t chunk_rows,
+                      bool prune, VectorQuarantineSink* sink) {
+  ReadResult result;
+  if (!reader_or.ok()) {
+    result.status = reader_or.status();
+    return result;
+  }
+  CsvChunkReader& reader = reader_or.value();
+  const size_t arity = reader.schema()->arity();
+  result.header = reader.schema()->attribute_names();
+  AttrSet even;
+  for (size_t a = 0; a < arity && a < 64; a += 2) {
+    even.Add(static_cast<AttrId>(a));
+  }
+  ColumnSidecar sidecar;
+  sidecar.Init(arity, even);
+  const bool pruning = prune && arity <= 64 && sidecar.num_pruned() > 0;
+  std::ostringstream out;
+  WriteCsvHeader(*reader.schema(), out);
+  Table chunk = reader.MakeChunkTable();
+  while (true) {
+    chunk.Clear();
+    sidecar.Clear();
+    StatusOr<size_t> read =
+        reader.ReadChunk(&chunk, chunk_rows, pruning ? &sidecar : nullptr);
+    if (!read.ok()) {
+      result.status = read.status();
+      return result;
+    }
+    EXPECT_EQ(read.value(), chunk.num_rows());
+    EXPECT_LE(read.value(), chunk_rows);
+    if (read.value() == 0 && reader.at_end()) break;
+    if (pruning) {
+      WriteCsvRowsPruned(chunk, sidecar, out);
+      for (size_t r = 0; r < chunk.num_rows(); ++r) {
+        std::vector<std::string> row;
+        for (size_t a = 0; a < arity; ++a) {
+          const AttrId attr = static_cast<AttrId>(a);
+          row.push_back(sidecar.pruned(attr) ? sidecar.columns[a][r]
+                                             : chunk.CellString(r, attr));
+        }
+        result.rows.push_back(std::move(row));
+      }
+    } else {
+      WriteCsvRows(chunk, out);
+      CollectRows(chunk, &result);
+    }
+  }
+  result.diagnostics = sink->diagnostics();
+  result.rendered = out.str();
+  result.bytes_read = reader.bytes_read();
+  return result;
+}
+
+void ExpectSame(const ReadResult& want, const ReadResult& got,
+                bool compare_ids, const std::string& context) {
+  SCOPED_TRACE(context);
+  ASSERT_EQ(want.status.code(), got.status.code()) << got.status.message();
+  EXPECT_EQ(want.status.message(), got.status.message());
+  if (!want.status.ok()) return;
+  EXPECT_EQ(want.header, got.header);
+  ASSERT_EQ(want.rows, got.rows);
+  if (compare_ids) {
+    EXPECT_EQ(want.ids, got.ids);
+  }
+  ASSERT_EQ(want.diagnostics.size(), got.diagnostics.size());
+  for (size_t i = 0; i < want.diagnostics.size(); ++i) {
+    const Diagnostic& w = want.diagnostics[i];
+    const Diagnostic& g = got.diagnostics[i];
+    EXPECT_EQ(w.line, g.line) << "diagnostic " << i;
+    EXPECT_EQ(w.code, g.code) << "diagnostic " << i;
+    EXPECT_EQ(w.message, g.message) << "diagnostic " << i;
+    EXPECT_EQ(w.raw_text, g.raw_text) << "diagnostic " << i;
+    std::ostringstream rendered;
+    WriteQuarantineRecord(rendered, "csv", g);
+    EXPECT_EQ(OracleQuarantineRecord(w), rendered.str()) << "diagnostic " << i;
+  }
+  EXPECT_EQ(want.rendered, got.rendered);
+  if (got.bytes_read != 0) {
+    EXPECT_EQ(want.bytes_read, got.bytes_read);
+  }
+}
+
+class CsvFuzz : public ::testing::Test {
+ protected:
+  // Reads `text` every way under every policy and compares each against
+  // the oracle.
+  void CheckAllWays(const std::string& text, const std::string& label) {
+    for (const OnErrorPolicy policy :
+         {OnErrorPolicy::kAbort, OnErrorPolicy::kSkip,
+          OnErrorPolicy::kQuarantine}) {
+      const ReadResult want = OracleRead(text, policy);
+      const std::string context =
+          label + " policy=" + OnErrorPolicyName(policy);
+      auto options = [&](VectorQuarantineSink* sink) {
+        CsvReadOptions o;
+        o.on_error = policy;
+        o.quarantine = sink;
+        return o;
+      };
+      {
+        VectorQuarantineSink sink;
+        std::istringstream in(text);
+        ExpectSame(want,
+                   FromTable(ReadCsvLenient(in, "fuzz",
+                                            std::make_shared<ValuePool>(),
+                                            options(&sink)),
+                             &sink),
+                   true, context + " stream");
+      }
+      {
+        VectorQuarantineSink sink;
+        ExpectSame(want,
+                   FromTable(ReadCsvBytesLenient(text, "fuzz",
+                                                 std::make_shared<ValuePool>(),
+                                                 options(&sink)),
+                             &sink),
+                   true, context + " bytes");
+      }
+      {
+        VectorQuarantineSink sink;
+        {
+          std::ofstream file(file_path_, std::ios::binary | std::ios::trunc);
+          file.write(text.data(), static_cast<std::streamsize>(text.size()));
+        }
+        ExpectSame(want,
+                   FromTable(ReadCsvFileLenient(file_path_, "fuzz",
+                                                std::make_shared<ValuePool>(),
+                                                options(&sink)),
+                             &sink),
+                   true, context + " file");
+      }
+      for (const size_t chunk_rows : {size_t{1}, size_t{7}, size_t{1024}}) {
+        for (const bool prune : {false, true}) {
+          VectorQuarantineSink sink;
+          std::istringstream in(text);
+          ExpectSame(
+              want,
+              FromReader(CsvChunkReader::Open(in, "fuzz",
+                                              std::make_shared<ValuePool>(),
+                                              options(&sink)),
+                         chunk_rows, prune, &sink),
+              !prune,
+              context + " chunk_rows=" + std::to_string(chunk_rows) +
+                  (prune ? " pruned" : ""));
+        }
+        VectorQuarantineSink sink;
+        ExpectSame(want,
+                   FromReader(CsvChunkReader::OpenBytes(
+                                  text, "fuzz", std::make_shared<ValuePool>(),
+                                  options(&sink)),
+                              chunk_rows, false, &sink),
+                   true,
+                   context + " bytes chunk_rows=" + std::to_string(chunk_rows));
+      }
+      for (const size_t block : {size_t{1}, size_t{2}, size_t{3}, size_t{7},
+                                 size_t{64}}) {
+        VectorQuarantineSink sink;
+        std::istringstream in(text);
+        ExpectSame(want,
+                   FromReader(CsvReaderTestPeer::Open(
+                                  in, block, std::make_shared<ValuePool>(),
+                                  options(&sink)),
+                              7, false, &sink),
+                   true, context + " block=" + std::to_string(block));
+      }
+      if (HasFatalFailure()) return;
+    }
+  }
+
+  // Seeded structural mutations: insert, delete or replace a byte drawn
+  // mostly from the dialect's structural characters, duplicate a range,
+  // or truncate.
+  static std::string Mutate(const std::string& base, Rng* rng) {
+    static constexpr char kBytes[] = ",\"\r\n\"\",a \n";
+    std::string s = base;
+    const size_t edits = 1 + rng->Uniform(6);
+    for (size_t e = 0; e < edits; ++e) {
+      const size_t pos = s.empty() ? 0 : rng->Uniform(s.size() + 1);
+      const char byte = kBytes[rng->Uniform(sizeof(kBytes) - 1)];
+      switch (rng->Uniform(10)) {
+        case 0:
+        case 1:
+        case 2:
+          s.insert(s.begin() + static_cast<std::ptrdiff_t>(pos), byte);
+          break;
+        case 3:
+        case 4:
+          if (pos < s.size()) s.erase(pos, 1);
+          break;
+        case 5:
+        case 6:
+        case 7:
+          if (pos < s.size()) s[pos] = byte;
+          break;
+        case 8: {
+          const size_t len = rng->Uniform(40);
+          const std::string range = s.substr(std::min(pos, s.size()), len);
+          s.insert(rng->Uniform(s.size() + 1), range);
+          break;
+        }
+        default:
+          if (rng->Bernoulli(0.3)) s.resize(pos);
+          break;
+      }
+    }
+    return s;
+  }
+
+  void FuzzCorpus(const std::string& base, uint64_t seed, size_t cases) {
+    CheckAllWays(base, "unmutated");
+    Rng rng(seed);
+    for (size_t i = 0; i < cases && !HasFatalFailure(); ++i) {
+      CheckAllWays(Mutate(base, &rng), "seed=" + std::to_string(seed) +
+                                           " case=" + std::to_string(i));
+    }
+  }
+
+  static std::string Render(const Table& table, size_t max_rows) {
+    std::ostringstream out;
+    OracleWriteRow(table.schema().attribute_names(), out);
+    for (size_t r = 0; r < table.num_rows() && r < max_rows; ++r) {
+      std::vector<std::string> row;
+      for (size_t a = 0; a < table.num_columns(); ++a) {
+        row.push_back(table.CellString(r, static_cast<AttrId>(a)));
+      }
+      OracleWriteRow(row, out);
+    }
+    return out.str();
+  }
+
+  const std::string file_path_ = testing::TestTempPath("case.csv");
+};
+
+TEST_F(CsvFuzz, HospMutationsMatchOracle) {
+  HospOptions options;
+  options.rows = 40;
+  FuzzCorpus(Render(GenerateHosp(options).clean, 40), 0x4051, 120);
+}
+
+TEST_F(CsvFuzz, TravelMutationsMatchOracle) {
+  const TravelExample example;
+  FuzzCorpus(Render(example.dirty, 100), 0x7a, 200);
+}
+
+TEST_F(CsvFuzz, UisMutationsMatchOracle) {
+  UisOptions options;
+  options.rows = 40;
+  FuzzCorpus(Render(GenerateUis(options).clean, 40), 0x0715, 120);
+}
+
+TEST_F(CsvFuzz, HostileCorpusMatchesOracle) {
+  const std::vector<std::string> corpus = {
+      "",
+      "\n",
+      "a",
+      "a\n",
+      "a,b",
+      "a,b\n1,2",
+      "a,b\n1,2\n",
+      "a,b\r\n1,2\r\n3,4",
+      // Quotes in the middle of a field open quoting; text after a
+      // closing quote is kept.
+      "a,b\nx\"y,z\"w,2\n",
+      "a,b\n\"quoted\"tail,2\n",
+      "a,b\n\"q\"\"x\"\"\"after,\"\"\n",
+      "a,b\nmid\"dle\"\"quote\",2\n",
+      // Bare '\r' outside and inside quotes, and CR-only line ends.
+      "a,b\n1\r2,3\n",
+      "a,b\n\"1\r2\",3\n",
+      "a,b\r1,2\r3,4\r",
+      "a,b\n1,2\r",
+      "a,b\n1,2\r\r\n",
+      // Newlines inside quotes.
+      "a,b\n\"line1\nline2\",z\n\"x\r\ny\",w\n",
+      // Unterminated quotes at EOF.
+      "a,b\n1,\"open",
+      "a,b\n1,2\n\"open,\n\n3,4\n",
+      "\"unterminated header",
+      "a,b\n1,\"ends on quote\"",
+      "a,b\n1,\"\"",
+      "a,b\n1,\"",
+      // Ragged rows and empty lines.
+      "a,b,c\n1,2\n1,2,3\n1,2,3,4\n\n\n5,6,7\n",
+      "a\n\n\n",
+      "a,b\n\n1,2\n\r\n",
+      // Header problems.
+      "a,a\n1,2\n",
+      "\"a\",\"a\"\n",
+      ",\n1,2\n",
+      // Quoting that survives a round trip of hostile content.
+      "a,b\n\",\",\"\"\"\"\n\" \",\"\n\"\n",
+  };
+  for (size_t i = 0; i < corpus.size() && !HasFatalFailure(); ++i) {
+    CheckAllWays(corpus[i], "corpus[" + std::to_string(i) + "]");
+  }
+}
+
+TEST_F(CsvFuzz, RecordsLongerThanTheRefillBlockMatchOracle) {
+  // A quoted field of 300 bytes with embedded quotes and newlines,
+  // repeated: every tiny block size splits it at a different offset.
+  std::string big = "\"";
+  for (int i = 0; i < 60; ++i) big += "ab\"\"\n,";
+  big += "\"";
+  std::string text = "k,v\n";
+  for (int r = 0; r < 5; ++r) text += std::to_string(r) + "," + big + "\n";
+  text += "tail,\"unterminated " + big;
+  CheckAllWays(text, "long records");
+}
+
+TEST_F(CsvFuzz, RecordLongerThanDefaultBlockGrowsTheBuffer) {
+  // One record larger than CsvChunkReader::kReadBlockBytes forces the
+  // production refill to grow past its block size.
+  const std::string field(CsvChunkReader::kReadBlockBytes * 2 + 17, 'x');
+  const std::string text = "k,v\n1,\"" + field + "\"\n2,short\n";
+  std::istringstream in(text);
+  VectorQuarantineSink sink;
+  const ReadResult got = FromReader(
+      CsvChunkReader::Open(in, "fuzz", std::make_shared<ValuePool>()), 1024,
+      false, &sink);
+  ExpectSame(OracleRead(text, OnErrorPolicy::kAbort), got, true, "2 MiB");
+}
+
+}  // namespace
+}  // namespace fixrep

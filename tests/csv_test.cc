@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
 #include "relation/csv.h"
 
 namespace fixrep {
@@ -80,6 +81,21 @@ TEST(CsvTest, WriterQuotesOnlyWhenNeeded) {
   Table table(schema, pool);
   table.AppendRowStrings({"plain", "with,comma"});
   EXPECT_EQ(WriteToString(table), "a,b\nplain,\"with,comma\"\n");
+}
+
+TEST(CsvTest, ByteCountersTrackParsedAndEmittedBytes) {
+  if (!kMetricsEnabled) GTEST_SKIP() << "built with FIXREP_DISABLE_METRICS";
+  auto value = [](const char* name) {
+    return MetricsRegistry::Global().GetCounter(name)->Value();
+  };
+  const std::string text = "a,b\r\n\"x,y\",2\n3,4";
+  const uint64_t parsed_before = value("fixrep.csv.bytes_parsed");
+  const Table table = ReadFromString(text);
+  EXPECT_EQ(value("fixrep.csv.bytes_parsed") - parsed_before, text.size());
+  const uint64_t emitted_before = value("fixrep.csv.bytes_emitted");
+  const std::string written = WriteToString(table);
+  EXPECT_EQ(value("fixrep.csv.bytes_emitted") - emitted_before,
+            written.size());
 }
 
 TEST(CsvDeathTest, ArityMismatchAborts) {

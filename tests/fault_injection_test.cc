@@ -24,6 +24,7 @@
 #include "repair/parallel.h"
 #include "repair/recovery.h"
 #include "rules/rule_io.h"
+#include "testing_util.h"
 
 namespace fixrep {
 namespace {
@@ -40,7 +41,7 @@ class FaultInjectionTest : public ::testing::Test {
   void TearDown() override { FaultRegistry::Global().DisarmAll(); }
 
   std::string TempPath(const std::string& name) {
-    return ::testing::TempDir() + "fixrep_fault_" + name;
+    return testing::TestTempPath(name);
   }
 
   std::shared_ptr<ValuePool> pool_ = std::make_shared<ValuePool>();
@@ -185,9 +186,11 @@ TEST_F(FaultInjectionTest, CsvWriteFaults) {
   FaultRegistry::Global().Arm("csv.write_flush", FaultPlan{});
   status = TryWriteCsvFile(table, path);
   EXPECT_EQ(status.code(), StatusCode::kIoError);
-  // Writes stage through path.tmp (common/atomic_file.h): the failure
-  // names the staging file and the final path never appears.
-  EXPECT_NE(status.message().find(".tmp' failed"), std::string::npos);
+  // Writes stage through a unique path.tmp.* (common/atomic_file.h):
+  // the failure names the staging file and the final path never appears.
+  EXPECT_NE(status.message().find("write.csv.tmp."), std::string::npos)
+      << status.message();
+  EXPECT_NE(status.message().find("' failed"), std::string::npos);
   EXPECT_FALSE(std::ifstream(path).good());
   FaultRegistry::Global().Disarm("csv.write_flush");
   EXPECT_TRUE(TryWriteCsvFile(table, path).ok());

@@ -32,6 +32,7 @@
 #include "repair/session.h"
 #include "rulegen/rulegen.h"
 #include "rules/rule_io.h"
+#include "testing_util.h"
 
 namespace fixrep {
 namespace {
@@ -117,16 +118,13 @@ class RecoveryTest : public ::testing::Test {
   }
   void TearDown() override {
     if (kFaultInjectionEnabled) FaultRegistry::Global().DisarmAll();
-    for (const std::string& path : cleanup_) std::remove(path.c_str());
   }
 
+  // Files live in the test's own directory, removed (staging files of
+  // killed children included) when the test ends.
   std::string TempPath(const std::string& name) {
-    const std::string path = ::testing::TempDir() + "fixrep_recovery_" + name;
-    cleanup_.push_back(path);
-    return path;
+    return testing::TestTempPath(name);
   }
-
-  std::vector<std::string> cleanup_;
 };
 
 // ----------------------------------------------------------- fingerprint --
@@ -352,8 +350,6 @@ TEST_F(RecoveryTest, RollbackThenRepairRestoresTheRepairedBytes) {
   const std::string wal = TempPath("rollback.wal");
   const std::string repaired_path = TempPath("rollback_repaired.csv");
   const std::string rolled_path = TempPath("rollback_rolled.csv");
-  cleanup_.push_back(repaired_path + ".tmp");
-  cleanup_.push_back(rolled_path + ".tmp");
   const std::string dirty_csv = ToCsv(example.dirty);
   const StatusOr<DurableRun> run =
       RunDurable(dirty_csv, example.pool, example.rules,
@@ -391,7 +387,6 @@ TEST_F(RecoveryTest, RollbackRefusesWrongRulesEditedFilesAndBadIndices) {
   const std::string wal = TempPath("refuse.wal");
   const std::string repaired_path = TempPath("refuse_repaired.csv");
   const std::string out_path = TempPath("refuse_out.csv");
-  cleanup_.push_back(out_path + ".tmp");
   const StatusOr<DurableRun> run =
       RunDurable(ToCsv(example.dirty), example.pool, example.rules,
                  {.chunk_rows = 2, .wal_path = wal});
@@ -822,8 +817,6 @@ TEST_F(RecoveryTest, SigkilledChildResumesToIdenticalBytes) {
   const std::string ref_path = TempPath("e2e_ref.csv");
   const std::string out_path = TempPath("e2e_out.csv");
   const std::string wal_path = TempPath("e2e.wal");
-  cleanup_.push_back(ref_path + ".tmp");
-  cleanup_.push_back(out_path + ".tmp");
 
   const auto run_cli = [&](const std::string& env,
                            const std::string& flags) {

@@ -5,6 +5,7 @@
 
 #include "datagen/travel.h"
 #include "rules/rule_io.h"
+#include "testing_util.h"
 
 namespace fixrep {
 namespace {
@@ -127,7 +128,7 @@ TEST_F(RuleIoTest, RejectsUnknownAttribute) {
 }
 
 TEST_F(RuleIoTest, FileRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/rules.txt";
+  const std::string path = testing::TestTempPath("rules.txt");
   WriteRulesFile(example_.rules, path);
   const RuleSet again = ParseRulesFile(path, example_.schema, example_.pool);
   ASSERT_EQ(again.size(), example_.rules.size());

@@ -34,7 +34,7 @@ namespace {
 using ::fixrep::testing::RandomRuleUniverse;
 
 std::string TestPath(const std::string& name) {
-  return ::testing::TempDir() + "fixrep_ruledict_" + name;
+  return testing::TestTempPath(name);
 }
 
 std::string ReadFileBytes(const std::string& path) {

@@ -44,12 +44,19 @@
 #include "serve/daemon.h"
 #include "serve/protocol.h"
 #include "serve/registry.h"
+#include "testing_util.h"
 
 namespace fixrep::serve {
 namespace {
 
+// Per-test files (sockets, port files) live in the test's own
+// directory; the workloads below are built once per process and live in
+// the process directory so every test in the binary can load them.
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "fixrep_serve_" + name;
+  return ::fixrep::testing::TestTempPath(name);
+}
+std::string SharedPath(const std::string& name) {
+  return ::fixrep::testing::ProcessTempPath(name);
 }
 
 std::string ToCsv(const Table& table) {
@@ -144,7 +151,7 @@ Workload MakeTravelWorkload() {
   w.pool = example.pool;
   w.schema = example.schema;
   w.csv = ToCsv(example.dirty);
-  w.rules_path = TempPath("travel_rules.txt");
+  w.rules_path = SharedPath("travel_rules.txt");
   EXPECT_TRUE(TryWriteRulesFile(example.rules, w.rules_path).ok());
   w.spec = w.rules_path + "@" + JoinAttrs(*example.schema);
   w.rules.emplace(example.rules);
@@ -165,7 +172,7 @@ Workload MakeGeneratedWorkload(const std::string& name, GeneratedData data,
   w.pool = data.pool;
   w.schema = data.schema;
   w.csv = ToCsv(dirty);
-  w.rules_path = TempPath(name + "_rules.txt");
+  w.rules_path = SharedPath(name + "_rules.txt");
   EXPECT_TRUE(TryWriteRulesFile(rules, w.rules_path).ok());
   w.spec = w.rules_path + "@" + JoinAttrs(*data.schema);
   w.rules.emplace(rules);
@@ -191,7 +198,7 @@ Workload MakeUisWorkload() {
 Workload MakeHospDictWorkload(const Workload& hosp) {
   Workload w = hosp;
   w.name = "hospdict";
-  const std::string dict_path = TempPath("hosp_rules.frd");
+  const std::string dict_path = SharedPath("hosp_rules.frd");
   EXPECT_TRUE(CompileRuleDict(*hosp.rules, dict_path).ok());
   w.spec = dict_path;  // dictionaries are schema-self-describing
   return w;
@@ -414,13 +421,10 @@ class ServeDaemonTest : public ::testing::Test {
   void StartDaemon(DaemonOptions options = {},
                    const std::vector<size_t>& workload_indices = {0, 1, 2,
                                                                   3}) {
-    // Keyed by test name AND pid: concurrent serve_test processes (CI,
-    // sanitizer reruns) must not unlink or bind over each other's
-    // sockets.
-    socket_path_ = TempPath(
-        std::string(
-            ::testing::UnitTest::GetInstance()->current_test_info()->name()) +
-        "." + std::to_string(getpid()) + ".sock");
+    // The test's own directory is keyed by test name and pid:
+    // concurrent serve_test processes (CI, sanitizer reruns) must not
+    // unlink or bind over each other's sockets.
+    socket_path_ = TempPath("d.sock");
     std::remove(socket_path_.c_str());
     for (const size_t index : workload_indices) {
       const Workload& w = AllWorkloads()[index];
@@ -481,6 +485,32 @@ TEST_F(ServeDaemonTest, SubmitMatchesDirectRepairPerTenant) {
     EXPECT_EQ(result->csv, w.expected) << w.name;
     EXPECT_GT(result->cells_changed, 0u) << w.name;
   }
+}
+
+TEST_F(ServeDaemonTest, RequestsRecordDecodeEncodeSpansAndCsvBytes) {
+  if (!kMetricsEnabled) GTEST_SKIP() << "built with FIXREP_DISABLE_METRICS";
+  StartDaemon();
+  StatusOr<Client> client = Connect();
+  ASSERT_TRUE(client.ok()) << client.status();
+  const Workload& travel = AllWorkloads()[0];
+  StatusOr<RepairResult> result = client->Submit(travel.name, {}, travel.csv);
+  ASSERT_TRUE(result.ok()) << result.status();
+  // The request ran under the tenant's scope, so its stage spans and CSV
+  // byte counts are attributed there: exactly one decode and one encode,
+  // parsing the whole request and emitting the whole response.
+  const MetricsRegistry& tenant = registry_.Scope(travel.name)->registry();
+  for (const char* span :
+       {"fixrep.span.serve.decode_ns", "fixrep.span.serve.encode_ns"}) {
+    const Histogram* histogram = tenant.FindHistogram(span);
+    ASSERT_NE(histogram, nullptr) << span;
+    EXPECT_EQ(histogram->Count(), 1u) << span;
+  }
+  const Counter* parsed = tenant.FindCounter("fixrep.csv.bytes_parsed");
+  const Counter* emitted = tenant.FindCounter("fixrep.csv.bytes_emitted");
+  ASSERT_NE(parsed, nullptr);
+  ASSERT_NE(emitted, nullptr);
+  EXPECT_EQ(parsed->Value(), travel.csv.size());
+  EXPECT_EQ(emitted->Value(), result->csv.size());
 }
 
 TEST_F(ServeDaemonTest, ConfigHeadersSelectEngineAndThreads) {

@@ -37,7 +37,7 @@ namespace {
 using ::fixrep::testing::RandomRuleUniverse;
 
 std::string TestPath(const std::string& name) {
-  return ::testing::TempDir() + "fixrep_sharded_" + name;
+  return testing::TestTempPath(name);
 }
 
 std::string ToCsv(const Table& table) {

@@ -386,7 +386,7 @@ TEST(MetricsServerTest, RequiresExactlyOneListener) {
   EXPECT_EQ(MetricsServer::Start(neither).status().code(),
             StatusCode::kMalformedInput);
   MetricsServerOptions both;
-  both.unix_socket_path = "/tmp/fixrep-test.sock";
+  both.unix_socket_path = testing::TestTempPath("both.sock");
   both.tcp_port = 0;
   EXPECT_EQ(MetricsServer::Start(both).status().code(),
             StatusCode::kMalformedInput);
@@ -427,7 +427,7 @@ TEST(MetricsServerTest, ServesMetricsOverUnixSocket) {
   MetricsRegistry registry;
   registry.GetCounter("fixrep.test.scrapes")->Add(7);
 
-  const std::string path = ::testing::TempDir() + "fixrep-metrics-test.sock";
+  const std::string path = testing::TestTempPath("m.sock");
   MetricsServerOptions options;
   options.unix_socket_path = path;
   options.registry = &registry;

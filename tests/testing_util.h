@@ -1,10 +1,17 @@
 #ifndef FIXREP_TESTS_TESTING_UTIL_H_
 #define FIXREP_TESTS_TESTING_UTIL_H_
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <filesystem>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
+
+#include <gtest/gtest.h>
 
 #include "common/random.h"
 #include "relation/schema.h"
@@ -169,6 +176,77 @@ class JsonChecker {
   const std::string& text_;
   size_t pos_ = 0;
 };
+
+// Names each test's private directory when the test starts and removes
+// it with its contents when the test ends. Registered before main (see
+// kTestTempDirRegistered), so the name is fixed in the test's own
+// process: a death-test child forked from it writes into the same
+// directory, which the parent then cleans up.
+class TestTempDirListener : public ::testing::EmptyTestEventListener {
+ public:
+  static TestTempDirListener& Get() {
+    static TestTempDirListener* const listener = [] {
+      auto* created = new TestTempDirListener;  // owned by gtest
+      ::testing::UnitTest::GetInstance()->listeners().Append(created);
+      return created;
+    }();
+    return *listener;
+  }
+
+  void OnTestStart(const ::testing::TestInfo& info) override {
+    std::string name = "fixrep_" + std::string(info.test_suite_name()) + "_" +
+                       info.name() + "_" + std::to_string(::getpid());
+    std::replace(name.begin(), name.end(), '/', '_');
+    dir = ::testing::TempDir() + name;
+  }
+  void OnTestEnd(const ::testing::TestInfo&) override {
+    std::error_code ignored;
+    std::filesystem::remove_all(dir, ignored);
+    dir.clear();
+  }
+
+  std::string dir;
+};
+
+inline const bool kTestTempDirRegistered =
+    (TestTempDirListener::Get(), true);
+
+// The running test's private directory,
+// TempDir()/fixrep_<suite>_<test>_<pid>: created on first use and
+// removed with its contents when the test ends. Suites that write files
+// put them here instead of at fixed paths, so test processes running
+// side by side under `ctest -j` (or one test repeated) never share one.
+inline std::string TestTempDir() {
+  const std::string& dir = TestTempDirListener::Get().dir;
+  EXPECT_FALSE(dir.empty()) << "TestTempDir() used outside a test";
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+// `name` inside TestTempDir().
+inline std::string TestTempPath(std::string_view name) {
+  return TestTempDir() + "/" + std::string(name);
+}
+
+// `name` inside a directory private to this test process,
+// TempDir()/fixrep_<pid>, for fixtures built once and shared by every
+// test in the process. The directory is removed at exit by the process
+// that created it (not by forked children).
+inline std::string ProcessTempPath(std::string_view name) {
+  struct ProcessDir {
+    pid_t owner = ::getpid();
+    std::string path =
+        ::testing::TempDir() + "fixrep_" + std::to_string(::getpid());
+    ProcessDir() { std::filesystem::create_directories(path); }
+    ~ProcessDir() {
+      if (::getpid() != owner) return;
+      std::error_code ignored;
+      std::filesystem::remove_all(path, ignored);
+    }
+  };
+  static const ProcessDir dir;
+  return dir.path + "/" + std::string(name);
+}
 
 }  // namespace fixrep::testing
 

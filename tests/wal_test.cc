@@ -4,11 +4,14 @@
 // injected IO faults the durability suite leans on. Atomic output
 // finalization (common/atomic_file.h) is covered here too.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,6 +20,7 @@
 #include "common/fault.h"
 #include "common/status.h"
 #include "common/wal.h"
+#include "testing_util.h"
 
 namespace fixrep {
 namespace {
@@ -40,16 +44,21 @@ class WalTest : public ::testing::Test {
   }
   void TearDown() override {
     if (kFaultInjectionEnabled) FaultRegistry::Global().DisarmAll();
-    for (const std::string& path : cleanup_) std::remove(path.c_str());
   }
 
   std::string TempPath(const std::string& name) {
-    const std::string path = ::testing::TempDir() + "fixrep_wal_" + name;
-    cleanup_.push_back(path);
-    return path;
+    return testing::TestTempPath(name);
   }
 
-  std::vector<std::string> cleanup_;
+  // Names in the test directory, to prove no staging file is left over.
+  std::vector<std::string> DirEntries() const {
+    std::vector<std::string> names;
+    for (const auto& entry :
+         std::filesystem::directory_iterator(testing::TestTempDir())) {
+      names.push_back(entry.path().filename().string());
+    }
+    return names;
+  }
 };
 
 // ------------------------------------------------------------- checksum --
@@ -328,16 +337,21 @@ TEST_F(WalTest, InjectedOpenFailureSurfacesAsIoError) {
 
 TEST_F(WalTest, AtomicFileCommitRenamesAndDiscardLeavesTargetAlone) {
   const std::string path = TempPath("atomic.csv");
-  cleanup_.push_back(path + ".tmp");
   WriteFileBytes(path, "previous contents\n");
   {
     StatusOr<AtomicFile> out = AtomicFile::Create(path);
     ASSERT_TRUE(out.ok()) << out.status().message();
     out->stream() << "half-written";
+    // Staged beside the target, under a name of its own.
+    const std::vector<std::string> staged = DirEntries();
+    ASSERT_EQ(staged.size(), 2u);
+    const std::string& temp = staged[0] == "atomic.csv" ? staged[1]
+                                                        : staged[0];
+    EXPECT_EQ(temp.rfind("atomic.csv.tmp.", 0), 0u) << temp;
     // No Commit: destructor discards the temp file, target untouched.
   }
   EXPECT_EQ(ReadFileBytes(path), "previous contents\n");
-  EXPECT_TRUE(ReadFileBytes(path + ".tmp").empty());
+  EXPECT_EQ(DirEntries(), std::vector<std::string>{"atomic.csv"});
   {
     StatusOr<AtomicFile> out = AtomicFile::Create(path);
     ASSERT_TRUE(out.ok());
@@ -345,6 +359,44 @@ TEST_F(WalTest, AtomicFileCommitRenamesAndDiscardLeavesTargetAlone) {
     ASSERT_TRUE(out->Commit().ok());
   }
   EXPECT_EQ(ReadFileBytes(path), "new contents\n");
+  EXPECT_EQ(DirEntries(), std::vector<std::string>{"atomic.csv"});
+}
+
+TEST_F(WalTest, AtomicFileConcurrentWritersEachCommitOneWholeFile) {
+  // Two writers race to publish different bytes at one path. Each stages
+  // at its own name, so both commits succeed and the target is exactly
+  // one writer's output, never a mix or a truncation.
+  const std::string path = TempPath("shared.csv");
+  constexpr int kRounds = 20;
+  for (int round = 0; round < kRounds; ++round) {
+    const std::string bytes_a(256 * 1024 + round, 'a');
+    const std::string bytes_b(128 * 1024 + round, 'b');
+    Status status_a = Status::Ok();
+    Status status_b = Status::Ok();
+    auto writer = [&path](const std::string& bytes, Status* status) {
+      StatusOr<AtomicFile> out = AtomicFile::Create(path);
+      if (!out.ok()) {
+        *status = out.status();
+        return;
+      }
+      for (size_t i = 0; i < bytes.size(); i += 4096) {
+        out->stream().write(bytes.data() + i,
+                            static_cast<std::streamsize>(
+                                std::min<size_t>(4096, bytes.size() - i)));
+      }
+      *status = out->Commit();
+    };
+    std::thread a(writer, std::cref(bytes_a), &status_a);
+    std::thread b(writer, std::cref(bytes_b), &status_b);
+    a.join();
+    b.join();
+    ASSERT_TRUE(status_a.ok()) << status_a.message();
+    ASSERT_TRUE(status_b.ok()) << status_b.message();
+    const std::string published = ReadFileBytes(path);
+    EXPECT_TRUE(published == bytes_a || published == bytes_b)
+        << "round " << round << ": " << published.size() << " bytes";
+    EXPECT_EQ(DirEntries(), std::vector<std::string>{"shared.csv"});
+  }
 }
 
 TEST_F(WalTest, AtomicFileFaultsLeaveTheTargetUntouched) {
@@ -352,7 +404,6 @@ TEST_F(WalTest, AtomicFileFaultsLeaveTheTargetUntouched) {
     GTEST_SKIP() << "built without FIXREP_ENABLE_FAULT_INJECTION";
   }
   const std::string path = TempPath("atomic_fault.csv");
-  cleanup_.push_back(path + ".tmp");
   WriteFileBytes(path, "survives\n");
   for (const char* site :
        {"atomic_file.open", "atomic_file.write", "atomic_file.fsync"}) {
@@ -366,6 +417,8 @@ TEST_F(WalTest, AtomicFileFaultsLeaveTheTargetUntouched) {
     }
     FaultRegistry::Global().DisarmAll();
     EXPECT_EQ(ReadFileBytes(path), "survives\n") << site;
+    EXPECT_EQ(DirEntries(), std::vector<std::string>{"atomic_fault.csv"})
+        << site;
   }
 }
 
