@@ -1,5 +1,9 @@
 #include "common/metric_scope.h"
 
+#include <algorithm>
+#include <mutex>
+#include <vector>
+
 #include "common/logging.h"
 
 namespace fixrep {
@@ -8,6 +12,16 @@ namespace {
 
 // Innermost active scope's registry for this thread; nullptr = global.
 thread_local MetricsRegistry* tls_current_registry = nullptr;
+
+// The ExportLive scopes. The lock also covers their final flush.
+std::mutex& LiveScopesMutex() {
+  static std::mutex* mu = new std::mutex;
+  return *mu;
+}
+std::vector<const MetricScope*>& LiveScopes() {
+  static auto* scopes = new std::vector<const MetricScope*>;
+  return *scopes;
+}
 
 }  // namespace
 
@@ -22,7 +36,33 @@ MetricScope::MetricScope(MetricsRegistry* parent)
   FIXREP_CHECK(parent_ != registry_.get());
 }
 
-MetricScope::~MetricScope() { Flush(); }
+MetricScope::~MetricScope() {
+  if (!live_) {
+    Flush();
+    return;
+  }
+  const std::lock_guard<std::mutex> lock(LiveScopesMutex());
+  std::vector<const MetricScope*>& scopes = LiveScopes();
+  scopes.erase(std::find(scopes.begin(), scopes.end(), this));
+  Flush();
+}
+
+void MetricScope::ExportLive() {
+  if (live_) return;
+  const std::lock_guard<std::mutex> lock(LiveScopesMutex());
+  LiveScopes().push_back(this);
+  live_ = true;
+}
+
+bool MergeLiveMetrics(MetricsRegistry* view) {
+  const std::lock_guard<std::mutex> lock(LiveScopesMutex());
+  if (LiveScopes().empty()) return false;
+  MetricsRegistry::Global().MergeInto(view);
+  for (const MetricScope* scope : LiveScopes()) {
+    scope->registry().MergeInto(view);
+  }
+  return true;
+}
 
 void MetricScope::Flush() { registry_->FlushInto(parent_); }
 

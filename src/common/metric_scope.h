@@ -46,6 +46,13 @@ class MetricScope {
   // ones; repeated flushes never double-count.
   void Flush();
 
+  // Shows this scope's values to live exports (GET /metrics) while it
+  // accumulates, for scopes that flush only when they are destroyed (the
+  // daemon's per-tenant scopes). MergeLiveMetrics reads the scope with
+  // the non-destructive MergeInto, and the destructor's final flush runs
+  // under the same lock, so a scrape sees every value exactly once.
+  void ExportLive();
+
   // While an Activation lives, CurrentMetrics() on its thread resolves
   // to the scope's registry. Nests (inner scope wins) and restores the
   // previous registry on destruction; must be destroyed on the thread
@@ -65,7 +72,14 @@ class MetricScope {
  private:
   MetricsRegistry* parent_;
   std::unique_ptr<MetricsRegistry> registry_;
+  bool live_ = false;
 };
+
+// Merges the global registry and every ExportLive scope into `view` (an
+// empty registry) and returns true; returns false and leaves `view`
+// alone when no scope is exported live, so the global registry by
+// itself is the view.
+bool MergeLiveMetrics(MetricsRegistry* view);
 
 }  // namespace fixrep
 

@@ -9,6 +9,8 @@
 #include <sstream>
 #include <utility>
 
+#include "common/metric_scope.h"
+
 namespace fixrep {
 
 namespace {
@@ -125,7 +127,13 @@ net::SocketServer::ReadResult MetricsServer::OnReadable(int fd) {
   std::string header;
   if (std::strncmp(request, "GET /metrics", 12) == 0) {
     std::ostringstream out;
-    ExportPrometheus(out, *options_.registry);
+    // The global view also shows the scopes that flush into it only when
+    // they end (the daemon's tenants), merged without resetting them.
+    MetricsRegistry live;
+    const bool global = options_.registry == &MetricsRegistry::Global();
+    ExportPrometheus(out, global && MergeLiveMetrics(&live)
+                              ? live
+                              : *options_.registry);
     body = out.str();
     header =
         "HTTP/1.1 200 OK\r\n"

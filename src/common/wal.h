@@ -70,6 +70,9 @@ class WalCursor {
 
   bool ok() const { return ok_; }
   bool at_end() const { return ok_ && pos_ == data_.size(); }
+  // Bytes left to decode: an upper bound on what a length or count read
+  // from the payload can honestly describe.
+  size_t remaining() const { return ok_ ? data_.size() - pos_ : 0; }
 
  private:
   std::string_view data_;

@@ -346,6 +346,7 @@ StatusOr<size_t> CsvChunkReader::ReadChunk(Table* chunk, size_t max_rows,
   FIXREP_CHECK_EQ(chunk->num_columns(), schema_->arity());
   if (sidecar != nullptr) {
     FIXREP_CHECK_EQ(sidecar->columns.size(), schema_->arity());
+    FIXREP_CHECK(overlay_ == nullptr) << "column pruning has no overlay path";
   }
   const bool lenient = options_.on_error != OnErrorPolicy::kAbort;
   Counter* quarantined_rows =
@@ -383,7 +384,9 @@ StatusOr<size_t> CsvChunkReader::ReadChunk(Table* chunk, size_t max_rows,
       ++record_;
       continue;
     }
-    if (sidecar == nullptr) {
+    if (overlay_ != nullptr) {
+      chunk->AppendRowFields(fields_, overlay_);
+    } else if (sidecar == nullptr) {
       chunk->AppendRowFields(fields_);
     } else {
       chunk->AppendRowFieldsMasked(fields_, sidecar->materialized);
@@ -434,6 +437,18 @@ StatusOr<Table> ReadCsvBytesLenient(std::string_view bytes,
       CsvChunkReader::OpenBytes(bytes, relation_name, std::move(pool),
                                 options),
       /*expected_rows=*/0);
+}
+
+StatusOr<Table> ReadCsvBytesResolved(std::string_view bytes,
+                                     const std::string& relation_name,
+                                     std::shared_ptr<ValuePool> pool,
+                                     ValueOverlay* overlay,
+                                     const CsvReadOptions& options) {
+  StatusOr<CsvChunkReader> reader =
+      CsvChunkReader::OpenBytes(bytes, relation_name, std::move(pool),
+                                options);
+  if (reader.ok()) reader.value().ResolveThrough(overlay);
+  return ReadAll(std::move(reader), /*expected_rows=*/0);
 }
 
 StatusOr<Table> ReadCsvFileLenient(const std::string& path,

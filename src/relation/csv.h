@@ -140,6 +140,11 @@ class CsvChunkReader {
     options_.quarantine = sink;
     return previous;
   }
+  // Resolves data fields through *overlay instead of interning them, for
+  // a pool other threads read (relation/value_pool.h ValueOverlay; null
+  // goes back to interning). Only the resolve step changes: tokenizing,
+  // error policy and diagnostics are the same either way.
+  void ResolveThrough(ValueOverlay* overlay) { overlay_ = overlay; }
   // Input bytes consumed by the records read so far (header included),
   // for input-progress reporting.
   uint64_t bytes_read() const { return consumed_; }
@@ -182,6 +187,7 @@ class CsvChunkReader {
   std::shared_ptr<const Schema> schema_;
   std::shared_ptr<ValuePool> pool_;
   CsvReadOptions options_;
+  ValueOverlay* overlay_ = nullptr;
   size_t record_ = 0;
   bool at_end_ = false;
   // Per-record scratch, reused across the whole read: field views into
@@ -207,6 +213,17 @@ StatusOr<Table> ReadCsvBytesLenient(std::string_view bytes,
                                     const std::string& relation_name,
                                     std::shared_ptr<ValuePool> pool,
                                     const CsvReadOptions& options = {});
+
+// ReadCsvBytesLenient for a pool other threads read concurrently: the
+// caller holds only read access to `pool`, and data fields are resolved
+// through `overlay` (built over that pool) instead of interned. Cells of
+// values the pool lacked hold provisional ids until the caller commits
+// the overlay under exclusive access and calls Table::ApplyOverlay.
+StatusOr<Table> ReadCsvBytesResolved(std::string_view bytes,
+                                     const std::string& relation_name,
+                                     std::shared_ptr<ValuePool> pool,
+                                     ValueOverlay* overlay,
+                                     const CsvReadOptions& options = {});
 
 // Reads a table from a file path. Pre-sizes the value pool and row store
 // from the file size so bulk ingestion avoids rehash/reallocation.

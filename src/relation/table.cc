@@ -36,6 +36,22 @@ void Table::AppendRowFields(std::span<const std::string_view> fields) {
   }
 }
 
+void Table::AppendRowFields(std::span<const std::string_view> fields,
+                            ValueOverlay* overlay) {
+  FIXREP_CHECK_EQ(fields.size(), schema_->arity());
+  const TupleSpan row = store_.AppendRowUninit();
+  for (size_t i = 0; i < fields.size(); ++i) {
+    row[i] = overlay->Resolve(fields[i]);
+  }
+}
+
+void Table::ApplyOverlay(const ValueOverlay& overlay) {
+  for (size_t r = 0; r < num_rows(); ++r) {
+    const TupleSpan row = store_.WriteRow(r);
+    for (size_t i = 0; i < row.size(); ++i) row[i] = overlay.Final(row[i]);
+  }
+}
+
 void Table::AppendRowFieldsMasked(std::span<const std::string_view> fields,
                                   AttrSet materialize) {
   FIXREP_CHECK_EQ(fields.size(), schema_->arity());

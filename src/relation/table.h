@@ -60,6 +60,15 @@ class Table {
   // view (relation/csv.cc hands out views into its read buffer).
   void AppendRowFields(std::span<const std::string_view> fields);
 
+  // Append for a pool other threads read: resolves each field through
+  // `overlay` (relation/value_pool.h) instead of interning it, so cells
+  // of values the pool lacks hold provisional ids until ApplyOverlay.
+  void AppendRowFields(std::span<const std::string_view> fields,
+                       ValueOverlay* overlay);
+  // Rewrites every provisional cell to its committed id; call once
+  // overlay.Commit() has run.
+  void ApplyOverlay(const ValueOverlay& overlay);
+
   // Column-pruned append: interns only the fields whose attribute is in
   // `materialize`; every other cell is stored as kNullValue and its raw
   // field text is the caller's to carry (relation/csv.h ColumnSidecar).

@@ -53,4 +53,13 @@ const std::string& ValuePool::GetString(ValueId id) const {
   return strings_[static_cast<size_t>(id)];
 }
 
+size_t ValueOverlay::Commit() {
+  const size_t before = pool_->size();
+  committed_.resize(staged_.size());
+  for (size_t i = 0; i < staged_.size(); ++i) {
+    committed_[i] = pool_->Intern(staged_.GetString(static_cast<ValueId>(i)));
+  }
+  return pool_->size() - before;
+}
+
 }  // namespace fixrep

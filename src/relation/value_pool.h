@@ -7,6 +7,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <vector>
 
 namespace fixrep {
 
@@ -59,6 +60,53 @@ class ValuePool {
   // lock: it aborts on overlap instead of serializing it.
   mutable std::atomic<bool> interning_{false};
 #endif
+};
+
+// Resolves values against a pool that other threads read concurrently,
+// without interning into it. The caller holds read access to the pool
+// while it calls Resolve: a value the pool knows gets its id, a value it
+// lacks gets a provisional id (always < kNullValue) from this
+// request-local overlay, deduplicated and numbered in first-occurrence
+// order. Commit then interns the staged values into the pool in that
+// order, under the caller's exclusive access, and Final maps each
+// provisional id to its committed one. Without a concurrent Intern in
+// between, the committed ids are exactly the ids interning each value on
+// first sight would have given (docs/serving.md, "Pool lock discipline").
+class ValueOverlay {
+ public:
+  explicit ValueOverlay(ValuePool* pool) : pool_(pool) {}
+
+  ValueOverlay(const ValueOverlay&) = delete;
+  ValueOverlay& operator=(const ValueOverlay&) = delete;
+
+  ValueId Resolve(std::string_view s) {
+    const ValueId id = pool_->Find(s);
+    return id != kNullValue ? id : kNullValue - 1 - staged_.Intern(s);
+  }
+
+  // Distinct values Resolve found missing from the pool.
+  size_t size() const { return staged_.size(); }
+  bool empty() const { return size() == 0; }
+
+  // Interns every staged value into the pool, in first-occurrence order.
+  // Needs exclusive access to the pool. Returns how many values were new
+  // to it (fewer than size() when another writer interned some of them
+  // after Resolve saw them missing).
+  size_t Commit();
+
+  // The committed id of a provisional id; any other id is returned as is.
+  ValueId Final(ValueId id) const {
+    return IsProvisional(id)
+               ? committed_[static_cast<size_t>(kNullValue - 1 - id)]
+               : id;
+  }
+
+ private:
+  static bool IsProvisional(ValueId id) { return id < kNullValue; }
+
+  ValuePool* pool_;
+  ValuePool staged_;
+  std::vector<ValueId> committed_;
 };
 
 }  // namespace fixrep

@@ -285,34 +285,19 @@ Response RepairDaemon::HandleRepair(const RepairRequest& request) {
   VectorQuarantineSink tuple_sink;
   if (quarantining) config.quarantine = &tuple_sink;
 
-  // Parse the request batch into the tenant's pool. Interning mutates
-  // the pool (single-writer rule), so parsing takes the writer side
-  // while concurrent chases hold the reader side.
   CsvReadOptions csv_options;
   csv_options.on_error = config.on_error;
   csv_options.quarantine = quarantining ? &row_sink : nullptr;
   StatusOr<Table> table_or = [&] {
     FIXREP_TRACE_SPAN("serve.decode");
-    std::unique_lock<std::shared_mutex> writer(snapshot->pool_mutex());
-    return ReadCsvBytesLenient(request.csv, "data", snapshot->pool(),
-                               csv_options);
+    return snapshot->DecodeCsv(request.csv, csv_options);
   }();
-  if (!table_or.ok()) {
-    return ErrorResponse(Verb::kRepair,
-                         table_or.status().WithContext("request csv"));
-  }
+  if (!table_or.ok()) return ErrorResponse(Verb::kRepair, table_or.status());
   Table table = std::move(table_or).value();
-  if (table.schema().attribute_names() !=
-      snapshot->schema()->attribute_names()) {
-    return ErrorResponse(
-        Verb::kRepair,
-        Status::MalformedInput("request csv header does not match rule set '" +
-                               request.tenant + "' schema"));
-  }
 
   RepairReport report;
   {
-    std::shared_lock<std::shared_mutex> reader(snapshot->pool_mutex());
+    const std::shared_lock<std::shared_mutex> reader = snapshot->ReadPool();
     RepairSession session(snapshot->repository(), config);
     StatusOr<RepairReport> report_or = session.Repair(&table);
     if (!report_or.ok()) return ErrorResponse(Verb::kRepair,
@@ -329,7 +314,7 @@ Response RepairDaemon::HandleRepair(const RepairRequest& request) {
     FIXREP_TRACE_SPAN("serve.encode");
     // Rendering reads the shared pool, which another request's decode
     // may be interning into: hold the reader side.
-    std::shared_lock<std::shared_mutex> reader(snapshot->pool_mutex());
+    const std::shared_lock<std::shared_mutex> reader = snapshot->ReadPool();
     // Repaired output is about the size of the request: reserve once.
     response.repair.csv.reserve(request.csv.size() + request.csv.size() / 8);
     AppendCsv(table, &response.repair.csv);

@@ -3,6 +3,7 @@
 #include <sys/socket.h>
 #include <sys/uio.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <string_view>
@@ -245,7 +246,10 @@ StatusOr<Request> DecodeRequestCore(std::string_view payload,
           !cursor.GetU32(&pairs)) {
         return Truncated("repair request");
       }
-      request.repair.config.reserve(pairs);
+      // The count is untrusted: reserve no more pairs than the payload
+      // could hold (each needs at least two 4-byte length prefixes).
+      request.repair.config.reserve(
+          std::min<size_t>(pairs, cursor.remaining() / 8));
       for (uint32_t i = 0; i < pairs; ++i) {
         std::string key;
         std::string value;
@@ -366,6 +370,9 @@ StatusOr<Response> DecodeResponseCore(std::string_view payload,
     return Status::MalformedInput("unknown response status code " +
                                   std::to_string(code));
   }
+  if (code == 0 && !message.empty()) {
+    return Status::MalformedInput("ok response carries a status message");
+  }
   Response response;
   if (code != 0) {
     response.status = Status(static_cast<StatusCode>(code),
@@ -414,13 +421,18 @@ StatusOr<Response> DecodeResponseCore(std::string_view payload,
     case Verb::kList: {
       uint32_t count = 0;
       if (!cursor.GetU32(&count)) return Truncated("list response");
-      response.rule_sets.reserve(count);
+      // Untrusted count: each entry is at least 21 bytes on the wire.
+      response.rule_sets.reserve(
+          std::min<size_t>(count, cursor.remaining() / 21));
       for (uint32_t i = 0; i < count; ++i) {
         RuleSetInfo info;
         uint8_t dict_backed = 0;
         if (!cursor.GetString(&info.name) || !cursor.GetU64(&info.num_rules) ||
             !cursor.GetU64(&info.generation) || !cursor.GetU8(&dict_backed)) {
           return Truncated("list response");
+        }
+        if (dict_backed > 1) {
+          return Status::MalformedInput("list response flag is not 0 or 1");
         }
         info.dict_backed = dict_backed != 0;
         response.rule_sets.push_back(std::move(info));

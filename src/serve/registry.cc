@@ -4,6 +4,8 @@
 #include <fstream>
 #include <utility>
 
+#include "common/metric_scope.h"
+#include "common/trace.h"
 #include "rules/rule_io.h"
 
 namespace fixrep::serve {
@@ -111,6 +113,48 @@ StatusOr<std::shared_ptr<TenantSnapshot>> TenantSnapshot::Load(
   return snapshot;
 }
 
+namespace {
+
+// Takes `mu` on the side `Lock` names; the serve.pool_wait span ends once
+// the lock is held, so it measures the wait and nothing else.
+template <typename Lock>
+Lock AcquirePool(std::shared_mutex& mu) {
+  FIXREP_TRACE_SPAN("serve.pool_wait");
+  return Lock(mu);
+}
+
+}  // namespace
+
+std::shared_lock<std::shared_mutex> TenantSnapshot::ReadPool() const {
+  return AcquirePool<std::shared_lock<std::shared_mutex>>(pool_mutex_);
+}
+
+StatusOr<Table> TenantSnapshot::DecodeCsv(
+    std::string_view csv, const CsvReadOptions& options) const {
+  ValueOverlay overlay(pool_.get());
+  StatusOr<Table> table = [&] {
+    const std::shared_lock<std::shared_mutex> reader = ReadPool();
+    return ReadCsvBytesResolved(csv, "data", pool_, &overlay, options);
+  }();
+  if (!table.ok()) return table.status().WithContext("request csv");
+  if (table->schema().attribute_names() != schema_->attribute_names()) {
+    return Status::MalformedInput("request csv header does not match rule "
+                                  "set '" + name_ + "' schema");
+  }
+  size_t interned = 0;
+  if (!overlay.empty()) {
+    {
+      const std::unique_lock<std::shared_mutex> writer =
+          AcquirePool<std::unique_lock<std::shared_mutex>>(pool_mutex_);
+      interned = overlay.Commit();
+    }
+    // The table is request-local: patching needs no lock.
+    table->ApplyOverlay(overlay);
+  }
+  CurrentMetrics().GetCounter("fixrep.serve.values_interned")->Add(interned);
+  return table;
+}
+
 Status TenantRegistry::Load(const std::string& name, const std::string& spec) {
   if (name.empty()) {
     return Status::MalformedInput("rule set name must be non-empty");
@@ -137,6 +181,7 @@ Status TenantRegistry::Load(const std::string& name, const std::string& spec) {
   Tenant& tenant = tenants_[name];
   if (tenant.scope == nullptr) {
     tenant.scope = std::make_unique<MetricScope>();
+    tenant.scope->ExportLive();
   }
   // In-flight requests keep their pinned shared_ptr; this just redirects
   // future Find() calls.

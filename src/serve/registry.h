@@ -7,10 +7,12 @@
 #include <optional>
 #include <shared_mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/metric_scope.h"
 #include "common/status.h"
+#include "relation/csv.h"
 #include "relation/schema.h"
 #include "relation/value_pool.h"
 #include "repair/rule_index.h"
@@ -63,9 +65,28 @@ class TenantSnapshot {
   const std::shared_ptr<ValuePool>& pool() const { return pool_; }
 
   // The snapshot's pool keeps interning request values for as long as
-  // the snapshot serves: CSV parsing takes the writer side (the pool's
-  // single-writer rule), concurrent chases take the reader side.
+  // the snapshot serves (docs/serving.md, "Pool lock discipline"). Every
+  // step of a request reads the pool under the reader side: decoding
+  // resolves fields with ValuePool::Find, the chase and the render read
+  // it. Only the interning of values a request brought new takes the
+  // writer side (the pool's single-writer rule), once per request and
+  // never around tokenizing.
   std::shared_mutex& pool_mutex() const { return pool_mutex_; }
+
+  // The reader side of pool_mutex(), acquired under a serve.pool_wait
+  // span that covers the wait alone.
+  std::shared_lock<std::shared_mutex> ReadPool() const;
+
+  // Decodes a request batch into a table over the snapshot's pool. The
+  // batch is tokenized and resolved under the reader side; values the
+  // pool lacks are staged in a request-local ValueOverlay and interned
+  // under the writer side afterwards, in first-occurrence order, so the
+  // ValueIds match what ReadCsvBytesLenient under the writer side gives
+  // when no other request interns in between. A batch that fails to
+  // parse, or whose header is not the snapshot's schema, interns
+  // nothing. Ticks fixrep.serve.values_interned by the values added.
+  StatusOr<Table> DecodeCsv(std::string_view csv,
+                            const CsvReadOptions& options) const;
 
  private:
   TenantSnapshot() = default;

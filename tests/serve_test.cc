@@ -1,12 +1,17 @@
 // The multi-tenant repair daemon (src/serve/, docs/serving.md): wire
 // protocol round trips and corruption handling, tenant registry load /
-// hot-reload semantics, and a live daemon exercised by concurrent
+// hot-reload semantics, request decoding under the shared pool lock
+// (ValueIds and diagnostics against a direct parse, fresh values
+// interned once under concurrency), tenant metrics on a live /metrics
+// scrape, and a live daemon exercised by concurrent
 // clients — byte-identity against direct RepairSession runs on the
 // travel/hosp/uis workloads, admission rejection under a full queue,
 // reload under load with zero dropped requests, and graceful drain
 // (including a real fixrep_cli child on SIGTERM).
 
 #include <signal.h>
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -15,10 +20,13 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
+#include <shared_mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -27,6 +35,7 @@
 #include <gtest/gtest.h>
 
 #include "common/metrics.h"
+#include "common/metrics_server.h"
 #include "common/quarantine.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
@@ -414,6 +423,108 @@ TEST(ServeRegistryTest, DictTenantIsSelfDescribing) {
   EXPECT_FALSE(registry.Load("bad", hospdict.spec + "@a,b").ok());
 }
 
+// --- decode under the shared pool lock ---
+
+std::vector<std::string> PoolStrings(const ValuePool& pool) {
+  std::vector<std::string> out;
+  out.reserve(pool.size());
+  for (size_t id = 0; id < pool.size(); ++id) {
+    out.push_back(pool.GetString(static_cast<ValueId>(id)));
+  }
+  return out;
+}
+
+std::shared_ptr<const TenantSnapshot> LoadFresh(TenantRegistry* registry,
+                                                const Workload& w) {
+  EXPECT_TRUE(registry->Load(w.name, w.spec).ok()) << w.name;
+  return registry->Find(w.name);
+}
+
+// A hosp-arity record whose fields need the tokenizer's slow path (quotes
+// with commas, an embedded newline, a bare '\r') and hold values no
+// tenant pool has seen.
+std::string SlowPathRecord(const Workload& w) {
+  std::string record = "\"fresh, quoted\",\"two\nlines\",bare\rcr";
+  for (size_t a = 3; a < w.schema->arity(); ++a) {
+    record += ",fresh" + std::to_string(a % 4);
+  }
+  return record + "\n";
+}
+
+TEST(ServeDecodeTest, FreshTenantDecodesLikeWriterLockedRead) {
+  const Workload& hosp = AllWorkloads()[1];
+  const size_t header_end = hosp.csv.find('\n') + 1;
+  const size_t middle = hosp.csv.find('\n', hosp.csv.size() / 2) + 1;
+  const std::vector<std::pair<std::string, std::string>> batches = {
+      {"clean", hosp.csv},
+      {"slow path", hosp.csv + SlowPathRecord(hosp)},
+      {"torn middle row",
+       hosp.csv.substr(0, middle) + "too,few\n" + SlowPathRecord(hosp) +
+           hosp.csv.substr(middle)},
+      {"unterminated quote", hosp.csv + "\"never closed,x\n"},
+      {"header only", hosp.csv.substr(0, header_end)},
+  };
+  for (const OnErrorPolicy policy :
+       {OnErrorPolicy::kAbort, OnErrorPolicy::kSkip,
+        OnErrorPolicy::kQuarantine}) {
+    for (const auto& [label, csv] : batches) {
+      SCOPED_TRACE(label + " / policy " +
+                   std::to_string(static_cast<int>(policy)));
+      TenantRegistry shared_registry;
+      TenantRegistry reference_registry;
+      const auto shared = LoadFresh(&shared_registry, hosp);
+      const auto reference = LoadFresh(&reference_registry, hosp);
+      ASSERT_NE(shared, nullptr);
+      ASSERT_NE(reference, nullptr);
+      const std::vector<std::string> loaded = PoolStrings(*shared->pool());
+      ASSERT_EQ(loaded, PoolStrings(*reference->pool()));
+
+      VectorQuarantineSink shared_sink;
+      VectorQuarantineSink reference_sink;
+      CsvReadOptions options;
+      options.on_error = policy;
+      options.quarantine = &shared_sink;
+      StatusOr<Table> decoded = shared->DecodeCsv(csv, options);
+      options.quarantine = &reference_sink;
+      StatusOr<Table> read = [&] {
+        std::unique_lock<std::shared_mutex> writer(reference->pool_mutex());
+        return ReadCsvBytesLenient(csv, "data", reference->pool(), options);
+      }();
+
+      EXPECT_EQ(shared_sink.diagnostics(), reference_sink.diagnostics());
+      if (!read.ok()) {
+        // Same failure; the rejected batch left the shared pool alone
+        // (the writer-locked read interned the records before it).
+        ASSERT_FALSE(decoded.ok());
+        EXPECT_EQ(decoded.status().code(), read.status().code());
+        EXPECT_EQ(decoded.status().message(),
+                  read.status().WithContext("request csv").message());
+        EXPECT_EQ(PoolStrings(*shared->pool()), loaded);
+        continue;
+      }
+      ASSERT_TRUE(decoded.ok()) << decoded.status();
+      EXPECT_TRUE(decoded->RowsEqual(read.value()));
+      EXPECT_EQ(PoolStrings(*shared->pool()), PoolStrings(*reference->pool()));
+      EXPECT_EQ(ToCsv(decoded.value()), ToCsv(read.value()));
+    }
+  }
+}
+
+TEST(ServeDecodeTest, MismatchedHeaderInternsNothing) {
+  const Workload& hosp = AllWorkloads()[1];
+  TenantRegistry registry;
+  const auto snapshot = LoadFresh(&registry, hosp);
+  ASSERT_NE(snapshot, nullptr);
+  const size_t before = snapshot->pool()->size();
+  StatusOr<Table> decoded =
+      snapshot->DecodeCsv("wrong,header\nnever,seen\n", CsvReadOptions{});
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kMalformedInput);
+  EXPECT_NE(decoded.status().message().find("does not match rule set"),
+            std::string::npos);
+  EXPECT_EQ(snapshot->pool()->size(), before);
+}
+
 // --- daemon ---
 
 class ServeDaemonTest : public ::testing::Test {
@@ -781,6 +892,184 @@ TEST_F(ServeDaemonTest, EphemeralTcpPortServes) {
                                                  travel.csv);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->csv, travel.expected);
+}
+
+TEST_F(ServeDaemonTest, KnownValuesSkipTheWriterSide) {
+  if (!kMetricsEnabled) GTEST_SKIP() << "built with FIXREP_DISABLE_METRICS";
+  StartDaemon({}, {1});
+  StatusOr<Client> client = Connect();
+  ASSERT_TRUE(client.ok()) << client.status();
+  const Workload& hosp = AllWorkloads()[1];
+  const auto snapshot = registry_.Find(hosp.name);
+  const MetricsRegistry& tenant = registry_.Scope(hosp.name)->registry();
+
+  StatusOr<RepairResult> first = client->Submit(hosp.name, {}, hosp.csv);
+  ASSERT_TRUE(first.ok()) << first.status();
+  EXPECT_EQ(first->csv, hosp.expected);
+  const Counter* interned =
+      tenant.FindCounter("fixrep.serve.values_interned");
+  ASSERT_NE(interned, nullptr);
+  const uint64_t new_values = interned->Value();
+  EXPECT_GT(new_values, 0u);
+  const size_t pool_size = snapshot->pool()->size();
+
+  // Every value of the second request is already interned: the pool
+  // does not grow and the writer side is never taken.
+  StatusOr<RepairResult> second = client->Submit(hosp.name, {}, hosp.csv);
+  ASSERT_TRUE(second.ok()) << second.status();
+  EXPECT_EQ(second->csv, hosp.expected);
+  EXPECT_EQ(snapshot->pool()->size(), pool_size);
+  EXPECT_EQ(interned->Value(), new_values);
+
+  // One wait per lock acquisition: decode, chase and encode take the
+  // reader side, and only the first request also took the writer side.
+  const Histogram* waits =
+      tenant.FindHistogram("fixrep.span.serve.pool_wait_ns");
+  ASSERT_NE(waits, nullptr);
+  EXPECT_EQ(waits->Count(), 4u + 3u);
+}
+
+// Rewrites every third row of `w`'s batch to carry values no pool has
+// seen: half of those rows get values every client shares in `round`,
+// the other half values private to `client`.
+std::string FreshValuesBatch(const Workload& w, size_t client, size_t round) {
+  auto pool = std::make_shared<ValuePool>();
+  std::istringstream in(w.csv);
+  Table table = ReadCsv(in, "data", pool);
+  const AttrId last = static_cast<AttrId>(table.num_columns() - 1);
+  for (size_t r = 0; r < table.num_rows(); r += 3) {
+    const std::string value =
+        r % 2 == 0 ? "shared-" + std::to_string(round) + "-" + std::to_string(r)
+                   : "c" + std::to_string(client) + "-" +
+                         std::to_string(round) + "-" + std::to_string(r);
+    table.WriteCell(r, last, pool->Intern(value));
+    table.WriteCell(r, 0, pool->Intern(value + "-first"));
+  }
+  return ToCsv(table);
+}
+
+TEST_F(ServeDaemonTest, ConcurrentFreshValuesInternOnceAndMatchDirect) {
+  StartDaemon({}, {1});
+  const Workload& hosp = AllWorkloads()[1];
+  constexpr size_t kClients = 8;
+  constexpr size_t kRounds = 3;
+  // Inputs and their direct repairs, built before any client starts.
+  std::vector<std::vector<Workload>> batches(kClients);
+  for (size_t c = 0; c < kClients; ++c) {
+    for (size_t r = 0; r < kRounds; ++r) {
+      Workload w = hosp;
+      w.csv = FreshValuesBatch(hosp, c, r);
+      w.expected = DirectRepair(w, {}).csv;
+      ASSERT_FALSE(w.expected.empty());
+      batches[c].push_back(std::move(w));
+    }
+  }
+
+  std::atomic<size_t> failures{0};
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      StatusOr<Client> client = Connect();
+      if (!client.ok()) {
+        ++failures;
+        return;
+      }
+      for (const Workload& w : batches[c]) {
+        StatusOr<RepairResult> result = client->Submit(w.name, {}, w.csv);
+        if (!result.ok() || result->csv != w.expected) ++failures;
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  EXPECT_EQ(failures.load(), 0u);
+
+  // Every distinct string is in the pool exactly once, fresh ones included.
+  const auto snapshot = registry_.Find(hosp.name);
+  const std::vector<std::string> strings = PoolStrings(*snapshot->pool());
+  const std::set<std::string> distinct(strings.begin(), strings.end());
+  EXPECT_EQ(distinct.size(), strings.size());
+  EXPECT_EQ(distinct.count("shared-0-0"), 1u);
+  EXPECT_EQ(distinct.count("c7-2-3"), 1u);
+  EXPECT_EQ(distinct.count("c7-2-3-first"), 1u);
+}
+
+// GET /metrics over a unix socket, body only.
+std::string Scrape(const std::string& path) {
+  const int fd = socket(AF_UNIX, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  sockaddr_un addr = {};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+  EXPECT_EQ(connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                    sizeof(addr)),
+            0);
+  const std::string request = "GET /metrics HTTP/1.0\r\n\r\n";
+  EXPECT_EQ(send(fd, request.data(), request.size(), 0),
+            static_cast<ssize_t>(request.size()));
+  std::string response;
+  char buf[4096];
+  ssize_t n;
+  while ((n = read(fd, buf, sizeof(buf))) > 0) {
+    response.append(buf, static_cast<size_t>(n));
+  }
+  close(fd);
+  return response;
+}
+
+// The value of the first exposition line `name value`, or -1.
+double ScrapedValue(const std::string& text, const std::string& name) {
+  const std::string key = "\n" + name + " ";
+  const size_t at = text.find(key);
+  if (at == std::string::npos) return -1;
+  return std::stod(text.substr(at + key.size()));
+}
+
+TEST(ServeMetricsTest, TenantMetricsAreScrapeableWhileServing) {
+  if (!kMetricsEnabled) GTEST_SKIP() << "built with FIXREP_DISABLE_METRICS";
+  const Workload& travel = AllWorkloads()[0];
+  MetricsServerOptions metrics_options;
+  metrics_options.unix_socket_path = TempPath("m.sock");
+  StatusOr<std::unique_ptr<MetricsServer>> metrics =
+      MetricsServer::Start(metrics_options);
+  ASSERT_TRUE(metrics.ok()) << metrics.status();
+
+  const Counter* global_parsed =
+      MetricsRegistry::Global().GetCounter("fixrep.csv.bytes_parsed");
+  const uint64_t parsed_before = global_parsed->Value();
+  const double decodes_before = static_cast<double>(
+      MetricsRegistry::Global()
+          .GetHistogram("fixrep.span.serve.decode_ns", "ns")
+          ->Count());
+  {
+    auto registry = std::make_unique<TenantRegistry>();
+    ASSERT_TRUE(registry->Load(travel.name, travel.spec).ok());
+    DaemonOptions options;
+    options.unix_socket_path = TempPath("d.sock");
+    StatusOr<std::unique_ptr<RepairDaemon>> daemon =
+        RepairDaemon::Start(registry.get(), options);
+    ASSERT_TRUE(daemon.ok()) << daemon.status();
+    ClientOptions client_options;
+    client_options.unix_socket_path = options.unix_socket_path;
+    StatusOr<Client> client = Client::Connect(client_options);
+    ASSERT_TRUE(client.ok()) << client.status();
+    ASSERT_TRUE(client->Submit(travel.name, {}, travel.csv).ok());
+
+    // Served, not yet flushed: the tenant's values are in the scrape.
+    const std::string live = Scrape(metrics_options.unix_socket_path);
+    EXPECT_EQ(ScrapedValue(live, "fixrep_csv_bytes_parsed"),
+              static_cast<double>(parsed_before + travel.csv.size()));
+    EXPECT_EQ(ScrapedValue(live, "fixrep_span_serve_decode_ns_count"),
+              decodes_before + 1);
+    EXPECT_EQ(global_parsed->Value(), parsed_before);  // nothing flushed
+    (*daemon)->Shutdown();
+  }  // the registry flushes its tenant scopes into the global registry
+
+  const std::string after = Scrape(metrics_options.unix_socket_path);
+  EXPECT_EQ(ScrapedValue(after, "fixrep_csv_bytes_parsed"),
+            static_cast<double>(parsed_before + travel.csv.size()));
+  EXPECT_EQ(ScrapedValue(after, "fixrep_span_serve_decode_ns_count"),
+            decodes_before + 1);
+  (*metrics)->Stop();
 }
 
 // --- the real CLI child: SIGTERM drain + --port-file discovery ---
