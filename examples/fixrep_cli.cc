@@ -640,8 +640,10 @@ int RepairStream(const Args& args, OnErrorPolicy policy) {
   CsvReadOptions csv_options;
   csv_options.on_error = policy;
   csv_options.quarantine = quarantining ? &row_sink : nullptr;
-  StatusOr<CsvChunkReader> reader_or =
-      CsvChunkReader::Open(in, "data", pool, csv_options);
+  StatusOr<CsvChunkReader> reader_or = [&] {
+    FIXREP_TRACE_SPAN("csv.ingest");
+    return CsvChunkReader::Open(in, "data", pool, csv_options);
+  }();
   if (!reader_or.ok()) {
     std::cerr << "error reading --in: " << reader_or.status() << "\n";
     return 1;
@@ -649,6 +651,7 @@ int RepairStream(const Args& args, OnErrorPolicy policy) {
   CsvChunkReader reader = std::move(reader_or).value();
   std::optional<RuleSet> rules;
   if (!args.Has("rules-dict")) {
+    FIXREP_TRACE_SPAN("rules.parse");
     RuleParseOptions rule_options;
     rule_options.on_error = policy;
     rule_options.quarantine = quarantining ? &rule_sink : nullptr;
@@ -764,8 +767,10 @@ int RepairLenient(const Args& args, OnErrorPolicy policy) {
   CsvReadOptions csv_options;
   csv_options.on_error = policy;
   csv_options.quarantine = quarantining ? &row_sink : nullptr;
-  StatusOr<Table> table_or = ReadCsvFileLenient(args.Require("in"), "data",
-                                               pool, csv_options);
+  StatusOr<Table> table_or = [&] {
+    FIXREP_TRACE_SPAN("csv.ingest");
+    return ReadCsvFileLenient(args.Require("in"), "data", pool, csv_options);
+  }();
   if (!table_or.ok()) {
     std::cerr << "error reading --in: " << table_or.status() << "\n";
     return 1;
@@ -773,6 +778,7 @@ int RepairLenient(const Args& args, OnErrorPolicy policy) {
   Table table = std::move(table_or).value();
   std::optional<RuleSet> rules;
   if (!args.Has("rules-dict")) {
+    FIXREP_TRACE_SPAN("rules.parse");
     RuleParseOptions rule_options;
     rule_options.on_error = policy;
     rule_options.quarantine = quarantining ? &rule_sink : nullptr;
@@ -863,9 +869,13 @@ int Repair(const Args& args) {
   // the engines — together they cover essentially the whole command, so
   // the dumped timeline accounts for the total wall time.
   auto load = std::make_unique<TraceSpan>("cli.load");
-  Table table = ReadCsvFile(args.Require("in"), "data", pool);
+  Table table = [&] {
+    FIXREP_TRACE_SPAN("csv.ingest");
+    return ReadCsvFile(args.Require("in"), "data", pool);
+  }();
   std::optional<RuleSet> rules;
   if (!args.Has("rules-dict")) {
+    FIXREP_TRACE_SPAN("rules.parse");
     rules.emplace(
         ParseRulesFile(args.Require("rules"), table.schema_ptr(), pool));
   }

@@ -46,6 +46,9 @@ bool DecodeHeader(std::string_view payload, WalRunHeader* header) {
       !cursor.GetU32(&num_attrs)) {
     return false;
   }
+  // Every name carries at least its 4-byte length, so a count the payload
+  // cannot hold is refused before anything is allocated for it.
+  if (num_attrs > cursor.remaining() / 4) return false;
   header->attribute_names.resize(num_attrs);
   for (uint32_t a = 0; a < num_attrs; ++a) {
     if (!cursor.GetString(&header->attribute_names[a])) return false;

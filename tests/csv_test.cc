@@ -5,7 +5,12 @@
 #include <gtest/gtest.h>
 
 #include "common/metrics.h"
+#include "common/string_util.h"
 #include "relation/csv.h"
+#include "rules/fixing_rule.h"
+#include "rules/rule_dict.h"
+#include "rules/rule_set.h"
+#include "testing_util.h"
 
 namespace fixrep {
 namespace {
@@ -110,6 +115,75 @@ TEST(CsvDeathTest, MissingFileAborts) {
   EXPECT_DEATH(
       ReadCsvFile("/nonexistent/p.csv", "x", std::make_shared<ValuePool>()),
       "cannot open");
+}
+
+// The emit path renders cells from ValuePool::GetView. For every id,
+// however it was interned, the view must be the stored string itself
+// and its quote flag the structural-byte scan WriteCsvField would do.
+void ExpectViewsMatchStrings(const ValuePool& pool) {
+  for (size_t i = 0; i < pool.size(); ++i) {
+    const ValueId id = static_cast<ValueId>(i);
+    const std::string& text = pool.GetString(id);
+    const ValueView& view = pool.GetView(id);
+    EXPECT_EQ(view.text.data(), text.data()) << "id " << id;
+    EXPECT_EQ(view.text, text) << "id " << id;
+    EXPECT_EQ(view.csv_quoted,
+              FindCsvSpecial(text.data(), text.data() + text.size()) !=
+                  text.data() + text.size())
+        << "id " << id << " '" << text << "'";
+  }
+}
+
+TEST(ValuePoolViewTest, AgreesWithGetStringForInternedIds) {
+  ValuePool pool;
+  for (const char* text : {"", "plain", "with,comma", "say \"hi\"", "cr\r",
+                           "lf\n", "spaces are plain", "0123456789abcdef"}) {
+    pool.Intern(text);
+  }
+  // Enough values that the deque behind GetString spans many blocks.
+  for (int i = 0; i < 2000; ++i) {
+    pool.Intern(i % 3 == 0 ? "q\"" + std::to_string(i) : std::to_string(i));
+  }
+  ExpectViewsMatchStrings(pool);
+}
+
+TEST(ValuePoolViewTest, AgreesWithGetStringForOverlayCommits) {
+  ValuePool pool;
+  pool.Intern("known");
+  ValueOverlay overlay(&pool);
+  for (const char* text : {"known", "staged,one", "staged", "\"", "staged"}) {
+    overlay.Resolve(text);
+  }
+  EXPECT_EQ(overlay.Commit(), 3u);
+  ExpectViewsMatchStrings(pool);
+}
+
+TEST(ValuePoolViewTest, AgreesWithGetStringForRuleDictBindFacts) {
+  auto compile_pool = std::make_shared<ValuePool>();
+  const auto schema = std::make_shared<Schema>(
+      "R", std::vector<std::string>{"country", "capital"});
+  RuleSet rules(schema, compile_pool);
+  rules.Add(MakeRule(*schema, compile_pool.get(), {{"country", "China"}},
+                     "capital", {"Shanghai"}, "Beijing, \"capital\""));
+  rules.Add(MakeRule(*schema, compile_pool.get(), {{"country", "Canada"}},
+                     "capital", {"Toronto"}, "Ottawa"));
+  const std::string path = testing::TestTempPath("views.dict");
+  ASSERT_TRUE(CompileRuleDict(rules, path).ok());
+  auto dict = RuleDict::Open(path);
+  ASSERT_TRUE(dict.ok()) << dict.status();
+  auto pool = std::make_shared<ValuePool>();
+  pool->Intern("pre-existing");
+  ASSERT_TRUE((*dict)->Bind(*schema, pool).ok());
+  ASSERT_GT(pool->size(), 1u);
+  ExpectViewsMatchStrings(*pool);
+}
+
+TEST(ValuePoolViewDeathTest, OutOfRangeIdFails) {
+  ValuePool pool;
+  pool.Intern("only");
+  EXPECT_DEATH(pool.GetView(1), "");
+  EXPECT_DEATH(pool.GetView(-1), "");
+  EXPECT_DEATH(pool.GetView(kNullValue - 5), "");
 }
 
 }  // namespace
