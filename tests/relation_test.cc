@@ -55,6 +55,39 @@ TEST(ValuePoolTest, ManyValuesKeepStableStrings) {
   EXPECT_EQ(pool.size(), 10000u);
 }
 
+// The intern index hashes short values (under 4 and under 8 bytes) and
+// long ones on different paths; every byte position must count, and ids
+// must survive the index growing many times over.
+TEST(ValuePoolTest, IndexTellsApartValuesDifferingInOneByte) {
+  ValuePool pool;
+  std::vector<std::string> values;
+  for (size_t length = 0; length <= 24; ++length) {
+    const std::string base(length, 'a');
+    values.push_back(base);
+    for (size_t at = 0; at < length; ++at) {
+      for (const char ch : {'b', '\0', '\xff'}) {
+        std::string changed = base;
+        changed[at] = ch;
+        values.push_back(changed);
+      }
+    }
+  }
+  for (int i = 0; i < 20000; ++i) values.push_back("v" + std::to_string(i));
+  for (size_t i = 0; i < values.size(); ++i) {
+    ASSERT_EQ(pool.Intern(values[i]), static_cast<ValueId>(i)) << i;
+  }
+  ASSERT_EQ(pool.size(), values.size());
+  for (size_t i = 0; i < values.size(); ++i) {
+    EXPECT_EQ(pool.Find(values[i]), static_cast<ValueId>(i)) << i;
+    EXPECT_EQ(pool.Intern(values[i]), static_cast<ValueId>(i)) << i;
+    EXPECT_EQ(pool.GetString(static_cast<ValueId>(i)), values[i]);
+  }
+  EXPECT_EQ(pool.size(), values.size());
+  EXPECT_EQ(pool.Find("c"), kNullValue);
+  EXPECT_EQ(pool.Find(std::string(25, 'a')), kNullValue);
+  EXPECT_EQ(pool.Find("v20000"), kNullValue);
+}
+
 TEST(SchemaTest, AttributeLookup) {
   const Schema schema("Travel",
                       {"name", "country", "capital", "city", "conf"});
