@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "common/metric_scope.h"
+#include "common/telemetry.h"
 
 namespace fixrep {
 
@@ -131,6 +132,7 @@ net::SocketServer::ReadResult MetricsServer::OnReadable(int fd) {
     // they end (the daemon's tenants), merged without resetting them.
     MetricsRegistry live;
     const bool global = options_.registry == &MetricsRegistry::Global();
+    if (global) PublishProcessGauges(&MetricsRegistry::Global());
     ExportPrometheus(out, global && MergeLiveMetrics(&live)
                               ? live
                               : *options_.registry);

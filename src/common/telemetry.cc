@@ -114,6 +114,15 @@ uint64_t TelemetryPeakRssBytes() {
   return static_cast<uint64_t>(usage.ru_maxrss) * 1024;
 }
 
+void PublishProcessGauges(MetricsRegistry* registry) {
+  struct rusage usage;
+  if (getrusage(RUSAGE_SELF, &usage) != 0) return;
+  registry->GetGauge("fixrep.process.minor_faults")
+      ->Set(static_cast<int64_t>(usage.ru_minflt));
+  registry->GetGauge("fixrep.process.rss_peak_bytes")
+      ->Set(static_cast<int64_t>(usage.ru_maxrss) * 1024);
+}
+
 HeartbeatSampler::HeartbeatSampler(HeartbeatOptions options)
     : options_(options) {
   if (options_.registry == nullptr) {

@@ -141,6 +141,12 @@ class HeartbeatSampler {
 // 0 when unavailable.
 uint64_t TelemetryPeakRssBytes();
 
+// Sets the process gauges fixrep.process.minor_faults (page faults served
+// without IO so far, getrusage ru_minflt) and fixrep.process.rss_peak_bytes
+// in `registry`. Called whenever a snapshot is taken (WriteMetricsJson,
+// a /metrics scrape), so the values are as of that snapshot.
+void PublishProcessGauges(MetricsRegistry* registry);
+
 }  // namespace fixrep
 
 #endif  // FIXREP_COMMON_TELEMETRY_H_

@@ -1,6 +1,7 @@
 #ifndef FIXREP_COMMON_THREAD_POOL_H_
 #define FIXREP_COMMON_THREAD_POOL_H_
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -47,6 +48,15 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   size_t num_workers() const { return workers_.size(); }
+
+  // How many ParallelFor participants a job over `items` items should
+  // set up per-slot state for: `requested` (0 = the full width), capped
+  // at the pool width (workers + caller) and at `items`, and at least 1.
+  size_t Participants(size_t requested, size_t items) const {
+    const size_t width = num_workers() + 1;
+    if (requested == 0 || requested > width) requested = width;
+    return std::max<size_t>(std::min(requested, items), 1);
+  }
 
   // Process-wide pool, created on first use with
   // hardware_concurrency() - 1 workers (at least 1) and never destroyed.

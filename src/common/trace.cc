@@ -121,6 +121,7 @@ TraceSpan::~TraceSpan() {
 }
 
 void WriteMetricsJson(std::ostream& os) {
+  PublishProcessGauges(&MetricsRegistry::Global());
   os << "{\n\"metrics\": ";
   MetricsRegistry::Global().WriteJson(os);
   os << ",\n\"timeline\": ";

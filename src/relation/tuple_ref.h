@@ -11,8 +11,8 @@ namespace fixrep {
 
 // An owning tuple: a dense row of interned values, indexed by AttrId.
 // Since the flat-RowStore refactor this is a *scratch* type — standalone
-// tuples built by rule analysis, tests, and incremental inserts — not the
-// table's storage unit. Rows inside a Table live in one contiguous
+// tuples built by rule analysis and tests — not the table's storage
+// unit. Rows inside a Table live in one contiguous
 // arity-strided cell array and are handed out as TupleRef / TupleSpan
 // views below.
 using Tuple = std::vector<ValueId>;

@@ -1,10 +1,13 @@
 #include "repair/config.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
+#include <limits>
 #include <optional>
 
 #include "common/quarantine.h"
+#include "repair/memo_cache.h"
 
 namespace fixrep {
 
@@ -16,8 +19,10 @@ bool ParseUint(const std::string& text, size_t* out) {
     return false;
   }
   char* end = nullptr;
+  errno = 0;
   const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  if (end != text.c_str() + text.size()) return false;
+  // Out of range saturates with ERANGE; refuse it rather than clamp.
+  if (errno == ERANGE || end != text.c_str() + text.size()) return false;
   *out = static_cast<size_t>(value);
   return true;
 }
@@ -43,10 +48,14 @@ Status BadValue(const std::string& key, const std::string& value,
 }  // namespace
 
 bool ParseByteSize(const std::string& text, size_t* bytes) {
-  if (text.empty()) return false;
+  // Digits first: strtoull would skip blanks and wrap "-1".
+  if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0]))) {
+    return false;
+  }
   char* end = nullptr;
+  errno = 0;
   const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  if (end == text.c_str()) return false;
+  if (errno == ERANGE) return false;
   std::string suffix(end);
   if (!suffix.empty() && (suffix.back() == 'B' || suffix.back() == 'b')) {
     suffix.pop_back();
@@ -61,6 +70,7 @@ bool ParseByteSize(const std::string& text, size_t* bytes) {
   } else if (!suffix.empty()) {
     return false;
   }
+  if (value > std::numeric_limits<size_t>::max() / scale) return false;
   *bytes = static_cast<size_t>(value) * scale;
   return true;
 }
@@ -112,8 +122,11 @@ Status ParseRepairConfig(const std::string& key, const std::string& value,
   }
   if (key == "memo-capacity") {
     size_t capacity = 0;
-    if (!ParseUint(value, &capacity) || capacity == 0) {
-      return BadValue(key, value, "a positive entry count");
+    if (!ParseUint(value, &capacity) || capacity == 0 ||
+        capacity > MemoCache::kMaxCapacity) {
+      return BadValue(key, value,
+                      "an entry count from 1 to " +
+                          std::to_string(MemoCache::kMaxCapacity));
     }
     config->memo_capacity = capacity;
     return Status::Ok();

@@ -1,6 +1,8 @@
 #include "repair/lrepair.h"
 
 #include <algorithm>
+#include <optional>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -73,7 +75,8 @@ size_t FastRepairer::RepairTuple(TupleSpan t) {
   if (memo_ == nullptr) return ChaseTuple(t);
 
   const uint64_t hash = MemoCache::HashTuple(t);
-  if (const std::vector<MemoCache::Write>* writes = memo_->Find(hash, t)) {
+  if (const std::optional<std::span<const MemoCache::Write>> writes =
+          memo_->Find(hash, t)) {
     // Replay: identical tuple, identical fix. The outcome counters
     // (tuples/cells/rule applications) advance exactly as a chase would;
     // the chase-internal ones (counter bumps, Ω traffic) are skipped —
@@ -93,10 +96,11 @@ size_t FastRepairer::RepairTuple(TupleSpan t) {
     return writes->size();
   }
 
-  Tuple key = t.ToTuple();  // pre-repair signature; the chase mutates t
+  // The pre-repair signature, copied aside since the chase mutates t.
+  key_scratch_.assign(t.begin(), t.end());
   writes_scratch_.clear();
   const size_t changed = ChaseTuple(t);
-  memo_->Insert(hash, std::move(key), writes_scratch_);
+  memo_->Insert(hash, key_scratch_, writes_scratch_);
   return changed;
 }
 

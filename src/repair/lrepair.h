@@ -44,7 +44,7 @@ class FastRepairer {
   // repairer and must not be mutated afterwards.
   explicit FastRepairer(const RuleSet* rules);
 
-  // Shares an existing compiled index (the parallel/incremental path:
+  // Shares an existing compiled index (the parallel path:
   // one index, many cheap per-thread repairers). The index must outlive
   // the repairer.
   explicit FastRepairer(const CompiledRuleIndex* index);
@@ -125,8 +125,8 @@ class FastRepairer {
   // Publishes stats accumulated since the last flush into the global
   // MetricsRegistry (fixrep.lrepair.*), plus the attached memo's
   // fixrep.memo.* deltas. RepairTable flushes automatically; callers
-  // driving RepairTuple directly (incremental sessions, parallel
-  // workers) decide their own flush granularity.
+  // driving RepairTuple directly (parallel workers) decide their own
+  // flush granularity.
   void FlushMetrics();
 
   // Seeds the epoch counter so tests can exercise the uint32 wrap-around
@@ -192,6 +192,7 @@ class FastRepairer {
   std::vector<uint32_t> checked_epoch_;  // rule was popped and consumed
   std::vector<uint32_t> queue_;          // Ω (id | kRejectedBit when flagged)
   std::vector<MemoCache::Write> writes_scratch_;  // chase log for the memo
+  Tuple key_scratch_;  // a missed tuple's pre-repair cells, for the memo
 
   // The prescreen verdict memo: per rule, the last (t[B], verdict) pair
   // packed (value << 1) | is_negative with UINT64_MAX as "empty". The

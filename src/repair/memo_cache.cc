@@ -1,7 +1,8 @@
 #include "repair/memo_cache.h"
 
+#include <algorithm>
+#include <limits>
 #include <string>
-#include <utility>
 
 #include "common/logging.h"
 #include "common/metric_scope.h"
@@ -10,8 +11,12 @@
 namespace fixrep {
 
 MemoCache::MemoCache(size_t capacity) {
+  FIXREP_CHECK_LE(capacity, kMaxCapacity) << "memo capacity out of range";
   size_t rounded = 1;
   while (rounded < capacity) rounded <<= 1;
+  // Zero-filled up front: a lookup reads its slot before the insert
+  // writes it, and on a lazily zeroed page that read-then-write costs
+  // two page faults instead of one.
   slots_.resize(rounded);
   mask_ = rounded - 1;
 }
@@ -30,26 +35,54 @@ uint64_t MemoCache::HashTuple(TupleRef t) {
   return h;
 }
 
-const std::vector<MemoCache::Write>* MemoCache::Find(uint64_t hash,
-                                                     TupleRef t) {
-  Entry& entry = slots_[hash & mask_];
-  if (entry.used && entry.hash == hash && entry.key == t) {
-    ++stats_.hits;
-    return &entry.writes;
-  }
-  ++stats_.misses;
-  return nullptr;
+bool MemoCache::KeyEquals(const Slot& slot, TupleRef t) const {
+  return t.size() == arity_ &&
+         std::equal(t.begin(), t.end(),
+                    keys_.begin() + (slot.key - 1) * arity_);
 }
 
-void MemoCache::Insert(uint64_t hash, Tuple key, std::vector<Write> writes) {
-  Entry& entry = slots_[hash & mask_];
-  if (entry.used && !(entry.hash == hash && entry.key == key)) {
+std::optional<std::span<const MemoCache::Write>> MemoCache::Find(
+    uint64_t hash, TupleRef t) {
+  const Slot& slot = slots_[hash & mask_];
+  if (slot.key != 0 && slot.tag == static_cast<uint32_t>(hash >> 32) &&
+      KeyEquals(slot, t)) {
+    ++stats_.hits;
+    return std::span<const Write>(writes_.data() + slot.writes, slot.count);
+  }
+  ++stats_.misses;
+  return std::nullopt;
+}
+
+void MemoCache::Insert(uint64_t hash, TupleRef key,
+                       std::span<const Write> writes) {
+  FIXREP_CHECK_LE(writes.size(), std::numeric_limits<uint16_t>::max());
+  Slot& slot = slots_[hash & mask_];
+  const uint32_t tag = static_cast<uint32_t>(hash >> 32);
+  if (entries_ == 0) arity_ = key.size();
+  FIXREP_CHECK_EQ(key.size(), arity_) << "memo keys have a fixed arity";
+  if (slot.key == 0) {
+    // First use of the slot: room for its key, kept through every
+    // eviction.
+    slot.key = ++entries_;
+    keys_.resize(keys_.size() + arity_);
+  } else if (!(slot.tag == tag && KeyEquals(slot, key))) {
     ++stats_.evictions;
   }
-  entry.used = true;
-  entry.hash = hash;
-  entry.key = std::move(key);
-  entry.writes = std::move(writes);
+  std::copy(key.begin(), key.end(), keys_.begin() + (slot.key - 1) * arity_);
+  if (writes.size() > slot.room) {
+    // A longer list than the region holds: a fresh region at the arena's
+    // end, at least doubling, so a slot moves O(log arity) times.
+    const size_t room = std::max<size_t>(writes.size(), size_t{2} * slot.room);
+    FIXREP_CHECK_LE(writes_.size() + room,
+                    std::numeric_limits<uint32_t>::max());
+    slot.writes = static_cast<uint32_t>(writes_.size());
+    slot.room = static_cast<uint16_t>(
+        std::min<size_t>(room, std::numeric_limits<uint16_t>::max()));
+    writes_.resize(writes_.size() + slot.room);
+  }
+  std::copy(writes.begin(), writes.end(), writes_.begin() + slot.writes);
+  slot.count = static_cast<uint16_t>(writes.size());
+  slot.tag = tag;
   ++stats_.insertions;
 }
 
@@ -68,7 +101,7 @@ void MemoCache::FlushMetrics() {
   publish("insertions", stats_.insertions, published_.insertions);
   publish("evictions", stats_.evictions, published_.evictions);
   registry.GetGauge("fixrep.memo.capacity")
-      ->Set(static_cast<int64_t>(slots_.size()));
+      ->Set(static_cast<int64_t>(capacity()));
   published_ = stats_;
 }
 

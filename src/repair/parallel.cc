@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <iterator>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -45,16 +46,16 @@ RepairStats ParallelRepairRows(const RuleRepository& repo, Table* table,
   FIXREP_CHECK(table != nullptr);
   FIXREP_CHECK(begin_row <= end_row && end_row <= table->num_rows());
   ThreadPool& pool = ThreadPool::Global();
-  size_t threads = options.threads;
-  if (threads == 0) threads = pool.num_workers() + 1;
   const size_t rows = end_row - begin_row;
-  threads = std::min(threads, std::max<size_t>(rows, 1));
+  const size_t threads = pool.Participants(options.threads, rows);
 
   if (threads <= 1 || rows == 0) {
     const std::unique_ptr<RuleSourceHandle> handle = repo.MakeHandle();
     FastRepairer repairer(handle->source());
-    MemoCache memo(options.memo_capacity);
-    if (options.use_memo) repairer.set_memo(&memo);
+    std::optional<MemoCache> memo;
+    if (options.use_memo) {
+      repairer.set_memo(&memo.emplace(options.memo_capacity));
+    }
     repairer.set_write_log(options.write_log);
     if (begin_row == 0 && end_row == table->num_rows()) {
       repairer.RepairTable(table);  // flushes fixrep.lrepair.* itself
@@ -150,10 +151,8 @@ LenientRepairResult ParallelRepairRowsLenient(
       << "lenient repair supports skip|quarantine; use ParallelRepairTable "
          "for fail-fast semantics";
   ThreadPool& pool = ThreadPool::Global();
-  size_t threads = options.parallel.threads;
-  if (threads == 0) threads = pool.num_workers() + 1;
   const size_t rows = end_row - begin_row;
-  threads = std::min(threads, std::max<size_t>(rows, 1));
+  const size_t threads = pool.Participants(options.parallel.threads, rows);
 
   FIXREP_TRACE_SPAN("parallel.repair_table_lenient");
   auto& registry = CurrentMetrics();

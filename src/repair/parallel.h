@@ -35,7 +35,8 @@ namespace fixrep {
 // same contract, but rows are partitioned by value instead of claimed
 // by position, concentrating duplicate tuples onto one worker's caches.
 struct ParallelRepairOptions {
-  // 0 picks the pool's full width (caller + all pool workers).
+  // 0 picks the pool's full width (caller + all pool workers); larger
+  // counts are capped at it, so per-worker state never exceeds the width.
   size_t threads = 0;
   // Tuple-signature memoization (worker-local caches). Output is
   // bit-identical either way; duplicate-heavy tables repair much faster

@@ -15,7 +15,7 @@ namespace fixrep {
 
 // Immutable, cache-friendly compilation of a RuleSet for the lRepair hot
 // path. Built once per rule set and shared read-only by every repair
-// engine (serial, pooled parallel, sharded, incremental) — the per-call,
+// engine (serial, pooled parallel, sharded) — the per-call,
 // per-worker index rebuild of the old design is gone.
 //
 // Layout:

@@ -30,8 +30,7 @@ namespace fixrep {
 // memory knobs, and the session routes to the same engines underneath.
 // Behavior per configuration is bit-identical to calling the engine
 // layer directly; the engine entry points remain public for callers
-// that need one engine's extras (provenance, incremental sessions,
-// custom flush granularity).
+// that need one engine's extras (provenance, custom flush granularity).
 
 // Which repair algorithm drives the chase.
 enum class RepairEngine {

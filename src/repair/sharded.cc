@@ -53,9 +53,7 @@ ShardedRepairResult ShardedRepairRows(const RuleRepository& repo,
   FIXREP_CHECK(begin_row <= end_row && end_row <= table->num_rows());
   ThreadPool& pool = ThreadPool::Global();
   const size_t rows = end_row - begin_row;
-  size_t num_shards = options.shards;
-  if (num_shards == 0) num_shards = pool.num_workers() + 1;
-  num_shards = std::min(num_shards, std::max<size_t>(rows, 1));
+  const size_t num_shards = pool.Participants(options.shards, rows);
   const bool lenient = options.on_error != OnErrorPolicy::kAbort;
   const bool quarantining = options.on_error == OnErrorPolicy::kQuarantine &&
                             options.quarantine != nullptr;

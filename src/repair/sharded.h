@@ -35,7 +35,9 @@ namespace fixrep {
 // Works against any RuleRepository backend — handles are created
 // serially before the workers run, one per shard.
 struct ShardedRepairOptions {
-  // Number of shards. 0 picks the pool's full width (workers + caller).
+  // Number of shards. 0 picks the pool's full width (workers + caller);
+  // larger counts are capped at it, as each shard holds its own handle,
+  // repairer and memo.
   size_t shards = 0;
   // Worker-local memoization (abort mode only, like the pooled engine).
   bool use_memo = true;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -126,9 +127,10 @@ StatusOr<StreamingRepairResult> StreamingRepairSession::Run(
   const bool serial = threads == 1 && !sharded;
   const std::unique_ptr<RuleSourceHandle> serial_handle = repo_->MakeHandle();
   FastRepairer serial_repairer(serial_handle->source());
-  MemoCache serial_memo(options_.repair.parallel.memo_capacity);
+  std::optional<MemoCache> serial_memo;
   if (serial && !lenient && options_.repair.parallel.use_memo) {
-    serial_repairer.set_memo(&serial_memo);
+    serial_repairer.set_memo(
+        &serial_memo.emplace(options_.repair.parallel.memo_capacity));
   }
   serial_repairer.set_max_chase_steps(options_.repair.max_chase_steps);
 

@@ -13,8 +13,8 @@ namespace fixrep {
 
 // The read-side contract of a compiled rule set (docs/rules.md).
 //
-// Every repair engine (lrepair, crepair, parallel, sharded, streaming,
-// incremental) chases tuples against the same flat structures: an
+// Every repair engine (lrepair, crepair, parallel, sharded, streaming)
+// chases tuples against the same flat structures: an
 // open-addressing hash over packed (attribute, value) keys into
 // CSR-packed inverted lists, per-rule side arrays (|X_phi|, target,
 // fact, assured bitmask), and CSR evidence/negative patterns. RuleSource

@@ -8,10 +8,10 @@
 // every offset. Fields, ValueIds, quarantine diagnostics, rendered bytes
 // and consumed-byte counts must all match the oracle.
 //
-// The whole-file read (ReadCsvFileLenient) has its own oracle: the
-// in-memory read of the same bytes, on multi-MiB hosp files with hostile
-// fields spliced in, into empty and pre-populated pools, under every
-// policy.
+// The file read (ReadCsvFileLenient) has its own oracle: the in-memory
+// read of the same bytes, on multi-MiB hosp files with hostile fields
+// spliced in, into empty and pre-populated pools, under every policy,
+// and on hostile records read through refill blocks of every small size.
 
 #include <algorithm>
 #include <fstream>
@@ -47,8 +47,15 @@ struct CsvReaderTestPeer {
                                        std::shared_ptr<ValuePool> pool,
                                        const CsvReadOptions& options) {
     return CsvChunkReader::OpenImpl(
-        CsvChunkReader(&in, {}, options, block_bytes), "fuzz",
+        CsvChunkReader(&in, -1, {}, options, block_bytes), "fuzz",
         std::move(pool));
+  }
+  // ReadCsvFileLenient with a chosen refill block size.
+  static StatusOr<Table> ReadFile(const std::string& path, size_t block_bytes,
+                                  std::shared_ptr<ValuePool> pool,
+                                  const CsvReadOptions& options) {
+    return CsvChunkReader::ReadFile(path, "fuzz", std::move(pool), options,
+                                    block_bytes);
   }
 };
 
@@ -416,6 +423,14 @@ class CsvFuzz : public ::testing::Test {
                                   options(&sink)),
                               7, false, &sink),
                    true, context + " block=" + std::to_string(block));
+        VectorQuarantineSink file_sink;
+        ExpectSame(want,
+                   FromTable(CsvReaderTestPeer::ReadFile(
+                                 file_path_, block,
+                                 std::make_shared<ValuePool>(),
+                                 options(&file_sink)),
+                             &file_sink),
+                   true, context + " file block=" + std::to_string(block));
       }
       if (HasFatalFailure()) return;
     }
@@ -693,6 +708,10 @@ class FileIngest : public ::testing::Test {
         *bytes_pool, &bytes_sink);
     SCOPED_TRACE(std::string("policy=") + OnErrorPolicyName(policy) +
                  (prepopulated ? " prepopulated" : " empty pool"));
+    ExpectSameRead(want, got);
+  }
+
+  static void ExpectSameRead(const Read& want, const Read& got) {
     EXPECT_EQ(want.status.code(), got.status.code());
     EXPECT_EQ(want.status.message(), got.status.message());
     EXPECT_TRUE(want.ids == got.ids) << "cell ids differ";
@@ -770,6 +789,88 @@ TEST_F(FileIngest, FaultSiteIsHitOncePerRecord) {
   FaultRegistry::Global().DisarmAll();
   // Both reads evaluated the site once per record.
   EXPECT_EQ(hits, 2u * 21000u);
+}
+
+// Refill blocks of every size from 1 to 80 bytes, and a few around the
+// production block: every record, quoted newline, "" escape and CRLF of
+// the text lands across some refill boundary, and a record longer than
+// the block forces the buffer to grow.
+TEST_F(FileIngest, RecordsStraddlingEveryRefillBoundaryMatchInMemoryRead) {
+  std::string text = "id,note,city\n";
+  static const char* const kNotes[] = {
+      "plain", "\"two\nlines\"", "\"say \"\"hi\"\"\"", "\"a,b\"",
+      "\"crlf\r\ninside\"", "\"\"", "tail\r",
+  };
+  for (int r = 0; r < 60; ++r) {
+    text += std::to_string(r) + "," + kNotes[r % std::size(kNotes)] + ",c" +
+            std::to_string(r % 4) + (r % 3 == 0 ? "\r\n" : "\n");
+    if (r == 17) text += "short,record\n";
+    if (r == 31) text += "7,\"" + std::string(300, 'x') + "\n\",long\n";
+  }
+  for (const std::string& input : {text, text + "9,\"open,end"}) {
+    {
+      std::ofstream file(path_, std::ios::binary | std::ios::trunc);
+      file.write(input.data(), static_cast<std::streamsize>(input.size()));
+    }
+    std::vector<size_t> blocks;
+    for (size_t block = 1; block <= 80; ++block) blocks.push_back(block);
+    blocks.push_back(input.size() - 1);
+    blocks.push_back(input.size());
+    blocks.push_back(CsvChunkReader::kReadBlockBytes);
+    for (const OnErrorPolicy policy :
+         {OnErrorPolicy::kAbort, OnErrorPolicy::kSkip,
+          OnErrorPolicy::kQuarantine}) {
+      auto bytes_pool = std::make_shared<ValuePool>();
+      VectorQuarantineSink bytes_sink;
+      const Read want = Collect(
+          [&] {
+            return ReadCsvBytesLenient(input, "fuzz", bytes_pool,
+                                       CsvReadOptions{policy, &bytes_sink});
+          },
+          *bytes_pool, &bytes_sink);
+      for (const size_t block : blocks) {
+        SCOPED_TRACE(std::string("policy=") + OnErrorPolicyName(policy) +
+                     " block=" + std::to_string(block) +
+                     " bytes=" + std::to_string(input.size()));
+        auto file_pool = std::make_shared<ValuePool>();
+        VectorQuarantineSink file_sink;
+        const Read got = Collect(
+            [&] {
+              return CsvReaderTestPeer::ReadFile(
+                  path_, block, file_pool, CsvReadOptions{policy, &file_sink});
+            },
+            *file_pool, &file_sink);
+        ExpectSameRead(want, got);
+        if (HasFailure()) return;
+      }
+    }
+  }
+}
+
+TEST_F(FileIngest, OpenReadFaultFailsTheFileReadOnly) {
+  if (!kFaultInjectionEnabled) GTEST_SKIP() << "needs fault injection";
+  const std::string text = "a,b\n1,2\n";
+  {
+    std::ofstream file(path_, std::ios::binary | std::ios::trunc);
+    file << text;
+  }
+  FaultRegistry::Global().Arm("csv.open_read", FaultPlan{});
+  const uint64_t parsed = CounterValue("fixrep.csv.bytes_parsed");
+  const StatusOr<Table> failed =
+      ReadCsvFileLenient(path_, "t", std::make_shared<ValuePool>());
+  EXPECT_EQ(failed.status().code(), StatusCode::kIoError);
+  EXPECT_EQ(CounterValue("fixrep.csv.bytes_parsed"), parsed);
+  // The in-memory read never opens a file, so it neither hits the site
+  // nor fails while it is armed.
+  const StatusOr<Table> in_memory =
+      ReadCsvBytesLenient(text, "t", std::make_shared<ValuePool>());
+  EXPECT_TRUE(in_memory.ok());
+  EXPECT_EQ(FaultRegistry::Global().HitCount("csv.open_read"), 1u);
+  FaultRegistry::Global().DisarmAll();
+  const StatusOr<Table> read =
+      ReadCsvFileLenient(path_, "t", std::make_shared<ValuePool>());
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_EQ(read->num_rows(), 1u);
 }
 
 }  // namespace

@@ -1,11 +1,19 @@
+#include <algorithm>
+#include <sstream>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "common/metrics.h"
+#include "common/thread_pool.h"
 #include "datagen/hosp.h"
 #include "datagen/noise.h"
 #include "datagen/travel.h"
+#include "relation/csv.h"
 #include "repair/lrepair.h"
 #include "repair/parallel.h"
+#include "repair/rule_index.h"
+#include "repair/sharded.h"
 #include "rulegen/rulegen.h"
 
 namespace fixrep {
@@ -189,6 +197,67 @@ TEST(ParallelRepairTest, DefaultThreadCount) {
   ParallelRepairTable(example.rules, &table);  // threads = 0 -> hardware
   for (size_t r = 0; r < table.num_rows(); ++r) {
     EXPECT_EQ(table.row(r), example.clean.row(r));
+  }
+}
+
+TEST(ParallelRepairTest, ParticipantsAreCappedAtThePoolWidth) {
+  const ThreadPool& pool = ThreadPool::Global();
+  const size_t width = pool.num_workers() + 1;
+  EXPECT_EQ(pool.Participants(0, 1000), width);
+  EXPECT_EQ(pool.Participants(20000, 1000), width);
+  EXPECT_EQ(pool.Participants(20000, 3), std::min<size_t>(width, 3));
+  EXPECT_EQ(pool.Participants(1, 1000), 1u);
+  EXPECT_EQ(pool.Participants(5, 0), 1u);
+
+  HospOptions options;
+  options.rows = 3000;
+  options.num_hospitals = 120;
+  GeneratedData data = GenerateHosp(options);
+  Table dirty = data.clean;
+  InjectNoise(&dirty, ConstraintAttributes(*data.schema, data.fds),
+              NoiseOptions{});
+  const RuleSet rules = GenerateRules(data.clean, dirty, data.fds, {});
+  const CompiledRuleIndex index(&rules);
+  Table serial = dirty;
+  FastRepairer repairer(&rules);
+  repairer.RepairTable(&serial);
+  std::ostringstream want;
+  WriteCsv(serial, want);
+
+  Gauge* workers =
+      MetricsRegistry::Global().GetGauge("fixrep.parallel.workers");
+  for (const size_t threads : {width + 1, size_t{64}, size_t{20000}}) {
+    const std::string context = "threads " + std::to_string(threads);
+    workers->Reset();
+    Table pooled = dirty;
+    ParallelRepairOptions pooled_options;
+    pooled_options.threads = threads;
+    ParallelRepairTable(index, &pooled, pooled_options);
+    EXPECT_LE(static_cast<size_t>(workers->Value()), width) << context;
+    std::ostringstream got;
+    WriteCsv(pooled, got);
+    EXPECT_EQ(got.str(), want.str()) << context;
+
+    workers->Reset();
+    Table lenient = dirty;
+    LenientRepairOptions lenient_options;
+    lenient_options.parallel.threads = threads;
+    lenient_options.on_error = OnErrorPolicy::kSkip;
+    ParallelRepairTableLenient(index, &lenient, lenient_options);
+    EXPECT_LE(static_cast<size_t>(workers->Value()), width) << context;
+    std::ostringstream got_lenient;
+    WriteCsv(lenient, got_lenient);
+    EXPECT_EQ(got_lenient.str(), want.str()) << context;
+
+    Table sharded = dirty;
+    ShardedRepairOptions sharded_options;
+    sharded_options.shards = threads;
+    const ShardedRepairResult result =
+        ShardedRepairTable(index, &sharded, sharded_options);
+    EXPECT_LE(result.shards_used, width) << context;
+    std::ostringstream got_sharded;
+    WriteCsv(sharded, got_sharded);
+    EXPECT_EQ(got_sharded.str(), want.str()) << context;
   }
 }
 

@@ -45,6 +45,7 @@
 #include "datagen/uis.h"
 #include "relation/csv.h"
 #include "repair/config.h"
+#include "repair/memo_cache.h"
 #include "repair/session.h"
 #include "rulegen/rulegen.h"
 #include "rules/rule_dict.h"
@@ -698,6 +699,39 @@ TEST_F(ServeDaemonTest, UnknownTenantAndSessionLocalKeysAreRejected) {
 
   // The connection survives rejected requests.
   StatusOr<RepairResult> again = client->Submit(travel.name, {}, travel.csv);
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_EQ(again->csv, travel.expected);
+}
+
+TEST_F(ServeDaemonTest, OversizeMemoAndWorkerRequestsAreBounded) {
+  StartDaemon();
+  StatusOr<Client> client = Connect();
+  ASSERT_TRUE(client.ok()) << client.status();
+  const Workload& travel = AllWorkloads()[0];
+
+  // A capacity past MemoCache::kMaxCapacity, one whose power-of-two
+  // round-up would wrap to 0, and one past size_t: each is an error
+  // response, not a hang or an allocation failure in the daemon.
+  for (const std::string& capacity : std::vector<std::string>{
+           std::to_string(MemoCache::kMaxCapacity + 1), "1099511627776",
+           "18446744073709551615", "99999999999999999999999"}) {
+    StatusOr<RepairResult> refused = client->Submit(
+        travel.name, {{"memo-capacity", capacity}}, travel.csv);
+    ASSERT_FALSE(refused.ok()) << capacity;
+    EXPECT_EQ(refused.status().code(), StatusCode::kMalformedInput)
+        << capacity;
+  }
+
+  // A worker count far past the pool width is capped, not honoured.
+  StatusOr<RepairResult> wide = client->Submit(
+      travel.name, {{"threads", "20000"}, {"shards", "0"}}, travel.csv);
+  ASSERT_TRUE(wide.ok()) << wide.status();
+  EXPECT_EQ(wide->csv, travel.expected);
+
+  // The daemon keeps serving the same connection.
+  StatusOr<RepairResult> again = client->Submit(
+      travel.name, {{"memo-capacity", std::to_string(MemoCache::kMaxCapacity)}},
+      travel.csv);
   ASSERT_TRUE(again.ok()) << again.status();
   EXPECT_EQ(again->csv, travel.expected);
 }
