@@ -20,8 +20,8 @@
 #include "deps/violation.h"
 #include "eval/metrics.h"
 #include "eval/text_table.h"
+#include "repair/driver.h"
 #include "repair/lrepair.h"
-#include "repair/parallel.h"
 #include "rulegen/discovery.h"
 
 namespace fixrep::bench {
@@ -90,7 +90,8 @@ void ParallelScalingAblation(const Workload& workload) {
     for (int run = 0; run < 3; ++run) {
       Table copy = workload.dirty;
       Timer timer;
-      ParallelRepairTable(workload.rules, &copy, threads);
+      const CompiledRuleIndex index(&workload.rules);
+      RepairDriver(index, {.threads = threads}).Run(&copy);
       best_ms = std::min(best_ms, timer.ElapsedMillis());
     }
     if (threads == 1) base_ms = best_ms;

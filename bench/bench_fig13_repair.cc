@@ -46,8 +46,8 @@
 #include "relation/row_store.h"
 #include "repair/config.h"
 #include "repair/crepair.h"
+#include "repair/driver.h"
 #include "repair/lrepair.h"
-#include "repair/parallel.h"
 #include "repair/recovery.h"
 #include "repair/session.h"
 #include "repair/streaming.h"
@@ -61,7 +61,7 @@
 namespace fixrep::bench {
 namespace {
 
-BenchRepairConfig g_config;
+RepairConfig g_config;
 
 // Workloads are expensive to build; cache one per dataset and bench rule
 // prefixes out of it. google-benchmark may re-enter the function, so the
@@ -181,10 +181,9 @@ void RepairDuplicateHeavy(::benchmark::State& state, Config config) {
       }
       case Config::kPooledMemo:
       case Config::kPooledNoMemo: {
-        ParallelRepairOptions options;
-        options.threads = g_config.threads;
-        options.use_memo = config == Config::kPooledMemo;
-        ParallelRepairTable(index, &copy, options);
+        RepairConfig pooled = g_config;
+        pooled.use_memo = config == Config::kPooledMemo;
+        RepairDriver(index, pooled).Run(&copy);
         break;
       }
     }
@@ -301,10 +300,7 @@ void WriteRepairJson() {
   const uint64_t hits_before = counter("fixrep.memo.hits");
   const uint64_t misses_before = counter("fixrep.memo.misses");
   const RunCost pooled = best_of("fig13_pooled_memo", [&](Table* copy) {
-    ParallelRepairOptions options;
-    options.threads = g_config.threads;
-    options.use_memo = g_config.use_memo;
-    ParallelRepairTable(index, copy, options);
+    RepairDriver(index, g_config).Run(copy);
   });
   const double pooled_ms = pooled.ms;
   const uint64_t hits = counter("fixrep.memo.hits") - hits_before;
@@ -327,23 +323,23 @@ void WriteRepairJson() {
   }
   struct StreamCost {
     RunCost cost;
-    StreamingRepairResult result;
+    RepairReport result;
   };
   const auto stream_best_of = [&](const char* label, const std::string& csv,
                                   const CompiledRuleIndex& run_index,
-                                  const StreamingRepairOptions& options) {
+                                  const RepairConfig& options) {
     StreamCost best;
     for (int i = 0; i < kStreamRuns; ++i) {
       std::istringstream in(csv);
       std::ostringstream out;
       const uint64_t allocs_before = AllocationCount();
-      StreamingRepairResult run_result;
+      RepairReport run_result;
       const double ms = TimedMs(label, [&] {
         StatusOr<CsvChunkReader> reader =
             CsvChunkReader::Open(in, "bench", workload.data.pool, {});
-        StreamingRepairSession session(&run_index, options);
-        const auto result = session.Run(&reader.value(), out);
-        if (!result.ok() || result.value().rows_emitted != rows) {
+        const auto result = StreamRepair(run_index, options, nullptr, nullptr,
+                                         &reader.value(), out);
+        if (!result.ok() || result.value().rows != rows) {
           std::cerr << "streaming bench run failed\n";
           std::abort();
         }
@@ -356,7 +352,7 @@ void WriteRepairJson() {
     return best;
   };
 
-  StreamingRepairOptions chunked_options;
+  RepairConfig chunked_options;
   chunked_options.chunk_rows = kStreamChunkRows;
   const StreamCost streaming_run =
       stream_best_of("fig13_streaming", input_csv, index, chunked_options);
@@ -396,18 +392,17 @@ void WriteRepairJson() {
                 << journal.status().message() << "\n";
       std::abort();
     }
-    StreamingRepairOptions wal_options = chunked_options;
-    wal_options.journal = &journal.value();
     std::istringstream in(input_csv);
     std::ostringstream out;
     const uint64_t allocs_before = AllocationCount();
-    StreamingRepairResult run_result;
+    RepairReport run_result;
     const double ms = TimedMs("fig13_streaming_wal", [&] {
       StatusOr<CsvChunkReader> reader =
           CsvChunkReader::Open(in, "bench", workload.data.pool, {});
-      StreamingRepairSession session(&index, wal_options);
-      const auto result = session.Run(&reader.value(), out);
-      if (!result.ok() || result.value().rows_emitted != rows) {
+      const auto result = StreamRepair(index, chunked_options,
+                                       &journal.value(), nullptr,
+                                       &reader.value(), out);
+      if (!result.ok() || result.value().rows != rows) {
         std::cerr << "durable streaming bench run failed\n";
         std::abort();
       }
@@ -427,9 +422,9 @@ void WriteRepairJson() {
       const double reference_ms = TimedMs("fig13_streaming_nowal", [&] {
         StatusOr<CsvChunkReader> reader = CsvChunkReader::Open(
             nowal_in, "bench", workload.data.pool, {});
-        StreamingRepairSession session(&index, chunked_options);
-        const auto result = session.Run(&reader.value(), nowal_out);
-        if (!result.ok() || result.value().rows_emitted != rows) {
+        const auto result = StreamRepair(index, chunked_options, nullptr,
+                                         nullptr, &reader.value(), nowal_out);
+        if (!result.ok() || result.value().rows != rows) {
           std::cerr << "streaming bench run failed\n";
           std::abort();
         }
@@ -450,7 +445,7 @@ void WriteRepairJson() {
   const size_t block_bytes =
       RowStore::kRowsPerBlock * dup.num_columns() * sizeof(ValueId);
   const size_t spill_budget = 8 * block_bytes;
-  StreamingRepairOptions spill_options;
+  RepairConfig spill_options;
   spill_options.chunk_rows = ~size_t{0};  // whole file; the budget rules
   spill_options.memory_budget_bytes = spill_budget;
   const StreamCost spill_run =
@@ -501,12 +496,12 @@ void WriteRepairJson() {
     WriteCsv(wide, csv);
     wide_csv = csv.str();
   }
-  StreamingRepairOptions wide_options;
+  RepairConfig wide_options;
   wide_options.chunk_rows = kStreamChunkRows;
   const StreamCost wide_run = stream_best_of("fig13_streaming_wide",
                                              wide_csv, wide_index,
                                              wide_options);
-  StreamingRepairOptions pruned_options = wide_options;
+  RepairConfig pruned_options = wide_options;
   pruned_options.prune_columns = true;
   const StreamCost pruned_run = stream_best_of("fig13_streaming_pruned",
                                                wide_csv, wide_index,

@@ -12,13 +12,13 @@
 #include "deps/violation.h"
 #include "eval/text_table.h"
 #include "repair/crepair.h"
+#include "repair/driver.h"
 #include "repair/lrepair.h"
-#include "repair/parallel.h"
 
 namespace fixrep::bench {
 namespace {
 
-void Run(const BenchRepairConfig& config) {
+void Run(const RepairConfig& config) {
   const ExperimentScale scale = GetExperimentScale();
   const size_t threads = config.threads == 0
                              ? ThreadPool::Global().num_workers() + 1
@@ -49,12 +49,9 @@ void Run(const BenchRepairConfig& config) {
     {
       Table copy = workload.dirty;
       const CompiledRuleIndex index(&workload.rules);
-      ParallelRepairOptions options;
-      options.threads = config.threads;
-      options.use_memo = config.use_memo;
       const uint64_t allocs_before = AllocationCount();
       pooled_ms = TimedMs("pooled_memo", [&] {
-        ParallelRepairTable(index, &copy, options);
+        RepairDriver(index, config).Run(&copy);
       });
       pooled_allocs =
           static_cast<double>(AllocationCount() - allocs_before);

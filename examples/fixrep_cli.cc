@@ -37,9 +37,9 @@
 //                        dictionary (mmap, demand-paged) instead of
 //                        --rules; output is byte-identical. --shards
 //                        routes tuples to N workers by content hash
-//                        (repair/sharded.h) instead of claiming row
+//                        (repair/driver.h) instead of claiming row
 //                        ranges; output is byte-identical either way.
-//                        --threads N uses the pooled parallel engine
+//                        --threads N claims row ranges on the pool
 //                        (N=0 picks the hardware width); repair memoizes
 //                        byte-identical tuples by default, --no-memo
 //                        disables the cache (output is bit-identical

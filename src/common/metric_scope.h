@@ -17,7 +17,7 @@
 // The publication discipline that makes a *thread-local* current
 // registry sufficient: engines accumulate into plain structs and publish
 // deltas from the calling thread only — pool workers never touch the
-// registry (see ParallelRepairRows) — so activating a scope on the
+// registry (see RepairDriver::Run) — so activating a scope on the
 // session's calling thread captures everything the session publishes.
 
 namespace fixrep {

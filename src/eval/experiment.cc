@@ -111,8 +111,8 @@ double MemoHitRate() {
   return static_cast<double>(h) / static_cast<double>(h + m);
 }
 
-BenchRepairConfig ParseBenchRepairConfig(int argc, char** argv) {
-  BenchRepairConfig config;
+RepairConfig ParseBenchRepairConfig(int argc, char** argv) {
+  RepairConfig config;
   config.threads = EnvSizeT("FIXREP_THREADS", 0);
   config.use_memo = !EnvBool("FIXREP_NO_MEMO", false);
   for (int i = 1; i < argc; ++i) {

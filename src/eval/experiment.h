@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <string>
 
+#include "repair/session.h"
+
 namespace fixrep {
 
 // Environment-variable helpers for the benches. Every figure bench runs
@@ -45,14 +47,11 @@ bool MaybeDumpMetrics();
 // counters; -1.0 when the memo was never consulted.
 double MemoHitRate();
 
-// Repair-engine knobs shared by the benches: --threads=N and --no-memo
-// command-line flags, with FIXREP_THREADS / FIXREP_NO_MEMO env-var
-// fallbacks (flags win).
-struct BenchRepairConfig {
-  size_t threads = 0;    // 0 = pool width
-  bool use_memo = true;
-};
-BenchRepairConfig ParseBenchRepairConfig(int argc, char** argv);
+// Repair-engine knobs shared by the benches: the default RepairConfig
+// with threads 0 (the pool width), then the FIXREP_THREADS /
+// FIXREP_NO_MEMO env vars, then the --threads=N and --no-memo
+// command-line flags (flags win).
+RepairConfig ParseBenchRepairConfig(int argc, char** argv);
 
 }  // namespace fixrep
 

@@ -150,34 +150,29 @@ size_t FastRepairer::ChaseTuple(TupleSpan t, size_t max_steps,
   }
   queue_.clear();
 
-  bool have_ranges = init_ranges != nullptr;
-  if (!have_ranges && max_steps == 0) {
-    const SimdKernel kernel = ActiveSimdKernel();
-    if (kernel != SimdKernel::kScalar) {
-      // Per-tuple batched init (the memoized path, which must stay
-      // tuple-at-a-time): pack this tuple's non-null evidence-attribute
-      // cells and probe them with one LookupBatch.
-      probe_keys_.clear();
-      for (const AttrId a : source_.evidence_attrs()) {
-        const ValueId v = t[a];
-        if (v == kNullValue) continue;
-        probe_keys_.push_back(source_.ProbeKey(a, v));
-      }
-      probe_ranges_.resize(probe_keys_.size());
-      source_.LookupBatch(kernel, probe_keys_.data(), probe_keys_.size(),
-                          probe_ranges_.data());
-      ++stats_.batch_probes;
-      stats_.batch_keys += probe_keys_.size();
-      init_ranges = probe_ranges_.data();
-      num_init_ranges = probe_ranges_.size();
-      have_ranges = true;
+  if (init_ranges == nullptr) {
+    // Per-tuple init (memoized rows, lenient chases): pack this tuple's
+    // non-null evidence-attribute cells and probe them with one
+    // LookupBatch.
+    probe_keys_.clear();
+    for (const AttrId a : source_.evidence_attrs()) {
+      const ValueId v = t[a];
+      if (v == kNullValue) continue;
+      probe_keys_.push_back(source_.ProbeKey(a, v));
     }
+    probe_ranges_.resize(probe_keys_.size());
+    source_.LookupBatch(ActiveSimdKernel(), probe_keys_.data(),
+                        probe_keys_.size(), probe_ranges_.data());
+    ++stats_.batch_probes;
+    stats_.batch_keys += probe_keys_.size();
+    init_ranges = probe_ranges_.data();
+    num_init_ranges = probe_ranges_.size();
   }
-  // Budgeted chases always take the legacy pop loop: a prescreen-flagged
-  // pop and a verified-and-rejected pop both cost one step, but the
+  // Budgeted chases take the plain pop loop: a prescreen-flagged pop and
+  // a verified-and-rejected pop both cost one step, but the
   // zero-survivor shortcut below would not, and budget exhaustion must
-  // trip on exactly the pop the scalar path trips on.
-  const bool prescreen = have_ranges && max_steps == 0;
+  // trip on exactly the pop an unscreened chase trips on.
+  const bool prescreen = max_steps == 0;
 
   // Lines 2-7 of Fig. 7: initialize counters from the tuple's cells and
   // seed Ω with fully-counted rules.
@@ -187,7 +182,7 @@ size_t FastRepairer::ChaseTuple(TupleSpan t, size_t max_steps,
     // locals so queue_.push_back's potential reallocation cannot force
     // them back to memory every iteration; the tallies fold into stats_
     // once per tuple. Semantically this bumps the exact counters, in
-    // the exact order, the legacy loops below would — |X|=1 rules just
+    // the exact order, the BumpCounter loop below would — |X|=1 rules just
     // skip the counter read-modify-write (one posting entry means one
     // init bump: the counter trivially fills, and a propagation bump
     // re-deriving it from a stale epoch reaches the same guards).
@@ -258,31 +253,15 @@ size_t FastRepairer::ChaseTuple(TupleSpan t, size_t max_steps,
       ++stats_.candidates_enqueued;
       queue_.push_back(rule_index);
     }
-    if (have_ranges) {
-      // Pre-probed ranges arrive in attribute order with misses as
-      // empty ranges — this loop bumps the exact counters, in the exact
-      // order, the scalar loop below would.
-      for (size_t k = 0; k < num_init_ranges; ++k) {
-        const PostingRange range = init_ranges[k];
-        if (range.empty()) continue;
-        ++stats_.index_hits;
-        for (const uint32_t* p = range.begin; p != range.end; ++p) {
-          BumpCounter(*p);
-        }
-      }
-    } else {
-      // The scalar fallback: one Lookup per non-null cell, each probe's
-      // cache misses served serially.
-      const auto arity = static_cast<AttrId>(t.size());
-      for (AttrId a = 0; a < arity; ++a) {
-        const ValueId v = t[a];
-        if (v == kNullValue) continue;
-        const PostingRange range = source_.Lookup(a, v);
-        if (range.empty()) continue;
-        ++stats_.index_hits;
-        for (const uint32_t* p = range.begin; p != range.end; ++p) {
-          BumpCounter(*p);
-        }
+    // Ranges arrive in attribute order with misses as empty ranges, so
+    // this bumps the exact counters, in the exact order, the prescreened
+    // loop above does.
+    for (size_t k = 0; k < num_init_ranges; ++k) {
+      const PostingRange range = init_ranges[k];
+      if (range.empty()) continue;
+      ++stats_.index_hits;
+      for (const uint32_t* p = range.begin; p != range.end; ++p) {
+        BumpCounter(*p);
       }
     }
   }
@@ -321,7 +300,7 @@ size_t FastRepairer::ChaseTuple(TupleSpan t, size_t max_steps,
     checked_epoch_[rule_index] = epoch_;  // removed from Ω once and for all
     if (entry & kRejectedBit) {
       // Prescreen verdict from enqueue time: the negative clause failed
-      // on the init tuple, so this pop rejects under the legacy check
+      // on the init tuple, so this pop rejects under the unscreened check
       // too (target untouched — same test; target written — assured).
       ++stats_.candidates_rejected;
       continue;
@@ -351,7 +330,9 @@ size_t FastRepairer::ChaseTuple(TupleSpan t, size_t max_steps,
       writes_scratch_.push_back({target, fact, rule_index});
     }
     // Propagate the new value through the inverted lists (lines 13-15).
-    const PostingRange range = source_.Lookup(target, fact);
+    const uint64_t key = source_.ProbeKey(target, fact);
+    PostingRange range;
+    source_.LookupBatch(&key, 1, &range);
     if (range.empty()) continue;
     ++stats_.index_hits;
     for (const uint32_t* p = range.begin; p != range.end; ++p) {
@@ -365,11 +346,10 @@ size_t FastRepairer::ChaseTuple(TupleSpan t, size_t max_steps,
 }
 
 void FastRepairer::RepairRows(Table* table, size_t begin, size_t end) {
-  const SimdKernel kernel = ActiveSimdKernel();
-  if (memo_ != nullptr || kernel == SimdKernel::kScalar) {
+  if (memo_ != nullptr) {
     // Memoized rows stay interleaved (Find, chase, Insert in row order)
     // so intra-group duplicates hit the memo exactly as they always
-    // have; the scalar kernel IS the legacy loop.
+    // have.
     for (size_t r = begin; r < end; ++r) {
       write_log_row_ = r;
       RepairTuple(table->WriteRow(r));
@@ -382,6 +362,7 @@ void FastRepairer::RepairRows(Table* table, size_t begin, size_t end) {
   // loop runs. Only evidence-mentioned attributes are gathered — every
   // other column's probe would miss by construction.
   constexpr size_t kRowGroup = 64;
+  const SimdKernel kernel = ActiveSimdKernel();
   const size_t arity = source_.arity();
   const auto ev_attrs = source_.evidence_attrs();
   for (size_t group = begin; group < end; group += kRowGroup) {

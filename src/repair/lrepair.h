@@ -44,9 +44,8 @@ class FastRepairer {
   // repairer and must not be mutated afterwards.
   explicit FastRepairer(const RuleSet* rules);
 
-  // Shares an existing compiled index (the parallel path:
-  // one index, many cheap per-thread repairers). The index must outlive
-  // the repairer.
+  // Shares an existing compiled index (one index, many cheap per-thread
+  // repairers). The index must outlive the repairer.
   explicit FastRepairer(const CompiledRuleIndex* index);
 
   // Chases against an arbitrary source view (the dictionary-backed
@@ -66,8 +65,8 @@ class FastRepairer {
   // committed cell write — chase application or memo replay — appends one
   // CellRepair{row, attr, old, new, rule} to `log`, in write order. The
   // row recorded is whatever set_write_log_row last saw; RepairRows
-  // maintains it itself, drivers calling RepairTuple/TryRepairTuple
-  // directly set it per call. A chase that fails (budget exhausted,
+  // maintains it itself, callers of RepairTuple/TryRepairTuple set it
+  // per call. A chase that fails (budget exhausted,
   // restored tuple) leaves no entries. Borrowed and single-owner like the
   // memo: never share one log across concurrently-running repairers.
   void set_write_log(std::vector<CellRepair>* log) { write_log_ = log; }
@@ -96,21 +95,19 @@ class FastRepairer {
   void set_max_chase_steps(size_t max_steps) { max_chase_steps_ = max_steps; }
   size_t max_chase_steps() const { return max_chase_steps_; }
 
-  // Repairs rows [begin, end) of `table` in place — the row-group driver
-  // every engine (serial, pooled parallel, streaming) funnels through.
+  // Repairs rows [begin, end) of `table` in place — what every
+  // RepairDriver slot (repair/driver.h) runs in abort mode.
   //
-  // With a SIMD kernel active and no memo attached, rows are processed
-  // in cache-sized groups: gather the group's non-null cells of the
-  // evidence-mentioned attributes (cells of any other column can never
-  // hit a posting list), probe them with one LookupBatch (vector
-  // hashing plus slot/posting prefetch), then chase each tuple off its
-  // precomputed ranges with the counter bumps running back-to-back on
-  // warm postings. With the scalar kernel this is exactly the legacy
-  // per-tuple loop. With a memo the rows stay per-tuple and interleaved
-  // (Find, chase, Insert in row order) so the memo hit/miss sequence —
-  // and therefore fixrep.memo.* — is byte-for-byte what the scalar path
-  // produces. Repaired output is bit-identical on every path; only the
-  // probe schedule differs.
+  // Without a memo, rows are processed in cache-sized groups: gather the
+  // group's non-null cells of the evidence-mentioned attributes (cells
+  // of any other column can never hit a posting list), probe them with
+  // one LookupBatch (hashing with the active kernel plus slot/posting
+  // prefetch), then chase each tuple off its precomputed ranges with the
+  // counter bumps running back-to-back on warm postings. With a memo the
+  // rows stay per-tuple and interleaved (Find, chase, Insert in row
+  // order) so the memo hit/miss sequence — and therefore fixrep.memo.* —
+  // does not depend on the grouping. Repaired output is bit-identical on
+  // every path; only the probe schedule differs.
   void RepairRows(Table* table, size_t begin, size_t end);
 
   // Repairs every row of `table` in place.
@@ -125,8 +122,9 @@ class FastRepairer {
   // Publishes stats accumulated since the last flush into the global
   // MetricsRegistry (fixrep.lrepair.*), plus the attached memo's
   // fixrep.memo.* deltas. RepairTable flushes automatically; callers
-  // driving RepairTuple directly (parallel workers) decide their own
-  // flush granularity.
+  // driving RepairRows or RepairTuple directly decide their own flush
+  // granularity (RepairDriver merges its slots' stats and publishes them
+  // itself).
   void FlushMetrics();
 
   // Seeds the epoch counter so tests can exercise the uint32 wrap-around
@@ -140,10 +138,10 @@ class FastRepairer {
   static constexpr uint32_t kRejectedBit = uint32_t{1} << 31;
 
   // Bumps the counter of `rule_index` for the current epoch; enqueues the
-  // rule when its evidence counter becomes full. The prescreened batched
-  // chase inlines its own variant of this inside ChaseTuple (flagged
-  // enqueues, |X|=1 counter skip, local stat tallies); this out-of-line
-  // form serves the legacy init loops and propagation bumps.
+  // rule when its evidence counter becomes full. The prescreened chase
+  // inlines its own variant of this inside ChaseTuple (flagged enqueues,
+  // |X|=1 counter skip, local stat tallies); this out-of-line form serves
+  // the budgeted init loop and propagation bumps.
   void BumpCounter(uint32_t rule_index);
 
   // The non-memoized chase (Fig. 7 proper). A non-zero `max_steps`
@@ -154,24 +152,22 @@ class FastRepairer {
   // `init_ranges` optionally carries the tuple's pre-probed posting
   // ranges — one per non-null evidence-attribute cell, in attribute
   // order (misses as empty ranges) — produced by LookupBatch over a row
-  // group. When null, the chase probes the cells itself: batched
-  // per-tuple when a SIMD kernel is active, with the legacy per-cell
-  // Lookup loop otherwise. All three init paths bump identical counters
-  // in identical order.
+  // group. When null, the chase probes the cells itself with one
+  // per-tuple LookupBatch. There are two init loops over those ranges,
+  // and both bump identical counters in identical order.
   //
-  // On the batched paths with max_steps == 0 the chase is *prescreened*:
-  // each candidate's applicability is decided at enqueue time (counter
-  // full proves the evidence clause on the untouched tuple; the
-  // negative clause is one cached NegativeMatch) and carried in the
-  // queue entry's flag bit, so pops skip MatchesFlat until the first
-  // write dirties the tuple — and a tuple with no surviving candidate
-  // skips its pop loop wholesale. This is exact, not heuristic: a
-  // flagged candidate is rejected by the legacy chase too (its target
-  // untouched at pop means the same negative test fails; its target
-  // written means the applier's assured set covers it), so outputs,
-  // stat totals, and queue order are bit-identical to the scalar path.
-  // Budgeted chases (max_steps > 0) stay on the legacy pop loop so a
-  // step counts exactly what the scalar path counts.
+  // With max_steps == 0 the chase is *prescreened*: each candidate's
+  // applicability is decided at enqueue time (counter full proves the
+  // evidence clause on the untouched tuple; the negative clause is one
+  // cached NegativeMatch) and carried in the queue entry's flag bit, so
+  // pops skip MatchesFlat until the first write dirties the tuple — and a
+  // tuple with no surviving candidate skips its pop loop wholesale. This
+  // is exact, not heuristic: a flagged candidate is rejected by the
+  // unscreened chase too (its target untouched at pop means the same
+  // negative test fails; its target written means the applier's assured
+  // set covers it), so outputs, stat totals, and queue order are
+  // bit-identical. Budgeted chases (max_steps > 0) init with BumpCounter
+  // and verify every pop, so a step counts every candidate pop.
   size_t ChaseTuple(TupleSpan t, size_t max_steps = 0,
                     bool* exhausted = nullptr,
                     const PostingRange* init_ranges = nullptr,

@@ -16,7 +16,7 @@
 #include "rules/rule_set.h"
 
 // Durable streaming repair (docs/durability.md): the record layer over
-// common/wal.h that makes a StreamingRepairSession crash-recoverable,
+// common/wal.h that makes RepairSession::RepairStream crash-recoverable,
 // auditable, and rule-by-rule reversible.
 //
 // Record protocol — one header, then per committed chunk:
@@ -99,7 +99,7 @@ struct WalCellDelta {
 
 // One committed chunk recovered from a WAL.
 struct WalChunk {
-  uint64_t chunk_index = 0;  // 1-based, like StreamingRepairResult::chunks
+  uint64_t chunk_index = 0;  // 1-based, like RepairReport::chunks
   uint64_t base_row = 0;     // global output-row index of chunk row 0
   uint64_t rows = 0;
   uint64_t cells_changed = 0;

@@ -25,9 +25,10 @@ struct RepairStats {
   size_t counter_bumps = 0;
   size_t candidates_enqueued = 0;
   size_t candidates_rejected = 0;
-  // Vectorized-probe internals: LookupBatch calls issued and packed keys
-  // hashed through them. Both stay 0 when the scalar kernel is active;
-  // every chase-semantic counter above is kernel-independent.
+  // Probe mechanics: LookupBatch calls issued for tuple init and the
+  // packed keys hashed through them, on every kernel. They depend on how
+  // rows were grouped (memo, routing); every chase-semantic counter
+  // above does not.
   size_t batch_probes = 0;
   size_t batch_keys = 0;
   // cRepair internals: outer chase passes over the rule list.
@@ -50,7 +51,7 @@ struct RepairStats {
     per_rule_applications.assign(num_rules, 0);
   }
 
-  // Accumulates another run's stats (parallel-worker merge).
+  // Accumulates another run's stats (the driver's slot merge).
   void MergeFrom(const RepairStats& other);
 
   // Publishes (*this - prev) into the global MetricsRegistry under

@@ -5,11 +5,10 @@
 #include "common/logging.h"
 #include "common/metric_scope.h"
 #include "common/metrics.h"
+#include "common/trace.h"
 #include "repair/crepair.h"
-#include "repair/lrepair.h"
-#include "repair/parallel.h"
+#include "repair/driver.h"
 #include "repair/recovery.h"
-#include "repair/sharded.h"
 #include "repair/streaming.h"
 
 namespace fixrep {
@@ -137,43 +136,10 @@ StatusOr<RepairReport> RepairSession::Repair(Table* table) {
     return report;
   }
 
-  if (config_.shards > 0) {
-    // Content-routed engine; handles abort and lenient modes itself.
-    ShardedRepairOptions options;
-    options.shards = config_.shards;
-    options.use_memo = config_.use_memo;
-    options.memo_capacity = config_.memo_capacity;
-    options.on_error = config_.on_error;
-    options.quarantine = config_.quarantine;
-    options.max_chase_steps = config_.max_chase_steps;
-    const ShardedRepairResult result = ShardedRepairTable(*repo, table,
-                                                          options);
-    report.cells_changed = result.stats.cells_changed;
-    report.tuples_quarantined = result.tuples_quarantined;
-    return report;
-  }
-
-  if (config_.on_error == OnErrorPolicy::kAbort) {
-    // Serial widths short-circuit inside ParallelRepairRows to the
-    // carried FastRepairer path, so one call covers both.
-    ParallelRepairOptions options;
-    options.threads = config_.threads;
-    options.use_memo = config_.use_memo;
-    options.memo_capacity = config_.memo_capacity;
-    report.cells_changed =
-        ParallelRepairTable(*repo, table, options).cells_changed;
-    return report;
-  }
-
-  LenientRepairOptions options;
-  options.parallel.threads = config_.threads;
-  options.on_error = config_.on_error;
-  options.quarantine = config_.quarantine;
-  options.max_chase_steps = config_.max_chase_steps;
-  const LenientRepairResult result =
-      ParallelRepairTableLenient(*repo, table, options);
-  report.cells_changed = result.stats.cells_changed;
-  report.tuples_quarantined = result.tuples_quarantined;
+  RepairDriver driver(*repo, config_);
+  FIXREP_TRACE_SPAN("lrepair.chase");
+  report.cells_changed = driver.Run(table).cells_changed;
+  report.tuples_quarantined = driver.failures().size();
   return report;
 }
 
@@ -193,23 +159,12 @@ StatusOr<RepairReport> RepairSession::RepairStream(CsvChunkReader* reader,
   if (!backend.ok()) return backend.status();
   const RuleRepository* repo = backend.value();
 
-  StreamingRepairOptions options;
-  options.chunk_rows = config_.chunk_rows;
-  options.repair.parallel.threads = config_.threads;
-  options.repair.parallel.use_memo = config_.use_memo;
-  options.repair.parallel.memo_capacity = config_.memo_capacity;
-  options.repair.on_error = config_.on_error;
-  options.repair.quarantine = config_.quarantine;
-  options.repair.max_chase_steps = config_.max_chase_steps;
-  options.shards = config_.shards;
-  options.memory_budget_bytes = config_.memory_budget_bytes;
-  options.prune_columns = config_.prune_columns;
-
   // Durable run: open (or resume) the WAL before any row is repaired.
-  // The journal pointer is borrowed by the streaming session; keeping
-  // it here ties its lifetime to this call.
+  // The stream loop borrows the journal; keeping it here ties its
+  // lifetime to this call.
   std::unique_ptr<ChunkJournal> journal;
   RecoveredRun recovered;
+  const RecoveredRun* resume = nullptr;
   if (!config_.wal_path.empty()) {
     // Both backends journal the same identity: a dictionary header
     // carries RuleSetFingerprint of the set it compiled.
@@ -225,7 +180,7 @@ StatusOr<RepairReport> RepairSession::RepairStream(CsvChunkReader* reader,
           ChunkJournal::Resume(config_.wal_path, recovered.durable_bytes);
       if (!resumed.ok()) return resumed.status();
       journal = std::make_unique<ChunkJournal>(std::move(resumed.value()));
-      options.resume = &recovered;
+      resume = &recovered;
     } else {
       WalRunHeader header;
       header.rule_fingerprint = fingerprint;
@@ -237,21 +192,12 @@ StatusOr<RepairReport> RepairSession::RepairStream(CsvChunkReader* reader,
       if (!created.ok()) return created.status();
       journal = std::make_unique<ChunkJournal>(std::move(created.value()));
     }
-    options.journal = journal.get();
   }
 
-  StreamingRepairSession session(repo, options);
-  StatusOr<StreamingRepairResult> result = session.Run(reader, out);
-  if (!result.ok()) return result.status();
+  StatusOr<RepairReport> report =
+      StreamRepair(*repo, config_, journal.get(), resume, reader, out);
+  if (!report.ok()) return report.status();
   if (journal != nullptr) FIXREP_RETURN_IF_ERROR(journal->Close());
-
-  RepairReport report;
-  report.rows = result.value().rows_emitted;
-  report.cells_changed = result.value().cells_changed;
-  report.tuples_quarantined = result.value().tuples_quarantined;
-  report.chunks = result.value().chunks;
-  report.peak_resident_bytes = result.value().peak_resident_bytes;
-  report.columns_pruned = result.value().columns_pruned;
   return report;
 }
 

@@ -20,17 +20,11 @@ namespace fixrep {
 
 // The unified repair entry point (docs/api.md).
 //
-// Historically each capability grew its own signature — serial chase
-// (ChaseRepairer::RepairTable), serial/parallel lRepair
-// (FastRepairer::RepairTable, ParallelRepairTable), failure isolation
-// (ParallelRepairTableLenient), and out-of-core streaming
-// (StreamingRepairSession) — five entry points whose knobs overlap but
-// don't compose. RepairSession collapses them behind one RepairConfig:
-// pick an engine, a width, an error policy, and (for streams) the
-// memory knobs, and the session routes to the same engines underneath.
-// Behavior per configuration is bit-identical to calling the engine
-// layer directly; the engine entry points remain public for callers
-// that need one engine's extras (provenance, custom flush granularity).
+// One RepairConfig picks an engine, a width or shard count, an error
+// policy and (for streams) the memory and durability knobs. Every lRepair
+// configuration runs through one RepairDriver (repair/driver.h): Repair
+// builds one per call, RepairStream one per stream. cRepair runs its
+// serial reference chase (repair/crepair.h).
 
 // Which repair algorithm drives the chase.
 enum class RepairEngine {
@@ -46,12 +40,12 @@ enum class RepairEngine {
 struct RepairConfig {
   RepairEngine engine = RepairEngine::kLRepair;
   // 1 = serial (the default); 0 = the pool's full width; >1 = that many
-  // workers (ParallelRepairOptions::threads semantics).
+  // workers claiming row ranges, capped at the pool width.
   size_t threads = 1;
-  // > 0: route table repair (and each streamed chunk) through the
-  // content-routed sharded engine (repair/sharded.h) with this many
-  // shards instead of the position-claiming pooled engine; `threads` is
-  // then ignored. kLRepair only. Output is bit-identical either way.
+  // > 0: route rows to this many shards by content instead of claiming
+  // them by position (RepairDriver); `threads` is then ignored, and the
+  // count is capped at the pool width. kLRepair only. Output is
+  // bit-identical either way.
   size_t shards = 0;
   // Non-empty: repair against the compiled on-disk rule dictionary
   // (rules/rule_dict.h) at this path instead of an index built from the
@@ -60,9 +54,10 @@ struct RepairConfig {
   // pool; open/bind failures (bad magic, truncation, CRC or schema
   // mismatch) surface as that call's Status. Output is byte-identical
   // to an in-RAM run over the same rules.
-  std::string rules_dict;
-  // Tuple-signature memoization (abort mode only; lenient repair never
-  // memoizes). Output is bit-identical either way.
+  std::string rules_dict = {};
+  // Tuple-signature memoization, one cache per driver slot (abort mode
+  // only; lenient repair never memoizes). Output is bit-identical either
+  // way.
   bool use_memo = true;
   size_t memo_capacity = MemoCache::kDefaultCapacity;
   // kAbort fails fast; kSkip/kQuarantine restore failing tuples to
@@ -92,7 +87,7 @@ struct RepairConfig {
   // write-ahead log, fsynced before the chunk's rows are emitted. The
   // log carries the run configuration plus every cell delta and tuple
   // diagnostic, so it also feeds `fixrep_cli audit` and `rollback`.
-  std::string wal_path;
+  std::string wal_path = {};
   // With wal_path set: scan the existing log, validate its header
   // against this config and the reader's schema, truncate any
   // uncommitted tail, fast-forward past the durable chunks (re-emitting

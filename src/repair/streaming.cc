@@ -14,8 +14,7 @@
 #include "common/telemetry.h"
 #include "common/trace.h"
 #include "relation/row_store.h"
-#include "repair/lrepair.h"
-#include "repair/sharded.h"
+#include "repair/driver.h"
 
 namespace fixrep {
 
@@ -92,55 +91,43 @@ std::string FormatRowWithSidecar(const Table& chunk,
 
 }  // namespace
 
-StreamingRepairSession::StreamingRepairSession(
-    const RuleRepository* repo, const StreamingRepairOptions& options)
-    : repo_(repo), options_(options) {
-  FIXREP_CHECK(repo_ != nullptr);
-  FIXREP_CHECK_GT(options_.chunk_rows, 0u);
-}
-
-StatusOr<StreamingRepairResult> StreamingRepairSession::Run(
-    CsvChunkReader* reader, std::ostream& out) {
+StatusOr<RepairReport> StreamRepair(const RuleRepository& repo,
+                                    const RepairConfig& config,
+                                    ChunkJournal* journal,
+                                    const RecoveredRun* resume,
+                                    CsvChunkReader* reader,
+                                    std::ostream& out) {
   FIXREP_CHECK(reader != nullptr);
-  if (reader->schema()->arity() != repo_->arity()) {
+  FIXREP_CHECK_GT(config.chunk_rows, 0u);
+  if (reader->schema()->arity() != repo.arity()) {
     return Status::MalformedInput(
         "stream arity " + std::to_string(reader->schema()->arity()) +
-        " does not match rule arity " + std::to_string(repo_->arity()));
+        " does not match rule arity " + std::to_string(repo.arity()));
   }
   FIXREP_TRACE_SPAN("streaming.run");
-  const size_t threads = options_.repair.parallel.threads;
-  const bool sharded = options_.shards > 0;
-  const bool lenient = options_.repair.on_error != OnErrorPolicy::kAbort;
-  const bool quarantining =
-      options_.repair.on_error == OnErrorPolicy::kQuarantine &&
-      options_.repair.quarantine != nullptr;
-  FIXREP_LOG(Debug) << "streaming repair"
-                    << Kv("chunk_rows", options_.chunk_rows)
-                    << Kv("threads", threads)
-                    << Kv("shards", options_.shards)
-                    << Kv("rules", repo_->num_rules())
-                    << Kv("budget_bytes", options_.memory_budget_bytes)
-                    << Kv("prune", options_.prune_columns ? 1 : 0);
+  const bool quarantining = config.on_error == OnErrorPolicy::kQuarantine &&
+                            config.quarantine != nullptr;
+  FIXREP_LOG(Debug) << "streaming repair" << Kv("chunk_rows", config.chunk_rows)
+                    << Kv("threads", config.threads)
+                    << Kv("shards", config.shards)
+                    << Kv("rules", repo.num_rules())
+                    << Kv("budget_bytes", config.memory_budget_bytes)
+                    << Kv("prune", config.prune_columns ? 1 : 0);
 
-  // Serial runs carry the repairer (and the memo, in abort mode) across
-  // chunks so chunking is invisible to memoization.
-  const bool serial = threads == 1 && !sharded;
-  const std::unique_ptr<RuleSourceHandle> serial_handle = repo_->MakeHandle();
-  FastRepairer serial_repairer(serial_handle->source());
-  std::optional<MemoCache> serial_memo;
-  if (serial && !lenient && options_.repair.parallel.use_memo) {
-    serial_repairer.set_memo(
-        &serial_memo.emplace(options_.repair.parallel.memo_capacity));
-  }
-  serial_repairer.set_max_chase_steps(options_.repair.max_chase_steps);
+  // One driver for the whole stream. Its failures come back at
+  // chunk-local rows and are rebased here, so it forwards none itself.
+  RepairConfig driver_config = config;
+  driver_config.quarantine = nullptr;
+  RepairDriver driver(repo, driver_config);
+  const bool multi_slot = config.threads != 1 || config.shards > 0;
 
   // Journaling scratch: the chunk's rule-attributed deltas (chunk-local
   // rows, from the engines' write logs) and its tuple diagnostics, both
   // cleared per chunk and written to the WAL at commit time.
-  const bool journaling = options_.journal != nullptr;
+  const bool journaling = journal != nullptr;
   std::vector<CellRepair> chunk_deltas;
   std::vector<Diagnostic> chunk_diags;
-  if (serial && journaling) serial_repairer.set_write_log(&chunk_deltas);
+  if (journaling) driver.set_write_log(&chunk_deltas);
 
   // CSV-level quarantine journaling (WAL version >= 2): a capture sink
   // interposed around each ReadChunk sees exactly the reader
@@ -149,34 +136,32 @@ StatusOr<StreamingRepairResult> StreamingRepairSession::Run(
   // instead of silently trusting it. Appending to a resumed version-1
   // log keeps the old record set (old scanners refuse the new type).
   const bool journal_csv =
-      journaling && (options_.resume == nullptr ||
-                     options_.resume->header.version >=
-                         kCsvQuarantineWalVersion);
+      journaling &&
+      (resume == nullptr || resume->header.version >= kCsvQuarantineWalVersion);
   VectorQuarantineSink csv_capture;
 
   WriteCsvHeader(*reader->schema(), out);
 
-  StreamingRepairResult result;
+  RepairReport result;
   Table chunk = reader->MakeChunkTable();
-  const bool spilling = options_.memory_budget_bytes > 0;
-  if (spilling) {
-    const Status enabled = chunk.EnableSpill(options_.memory_budget_bytes);
+  if (config.memory_budget_bytes > 0) {
+    const Status enabled = chunk.EnableSpill(config.memory_budget_bytes);
     if (!enabled.ok()) return enabled;
   } else {
     // Pre-size only sensible chunk sizes; a whole-file sentinel like
     // SIZE_MAX must not try to reserve.
-    chunk.Reserve(std::min(options_.chunk_rows, size_t{1} << 20));
+    chunk.Reserve(std::min(config.chunk_rows, size_t{1} << 20));
   }
 
   // Column pruning: intern only the attribute closure the rules can
   // touch; everything else rides in the sidecar as raw text.
-  const AttrSet materialize =
-      options_.prune_columns ? repo_->mentioned_attrs()
-                             : AttrSet::All(repo_->arity());
+  const AttrSet materialize = config.prune_columns
+                                  ? repo.mentioned_attrs()
+                                  : AttrSet::All(repo.arity());
   ColumnSidecar sidecar_storage;
-  sidecar_storage.Init(repo_->arity(), materialize);
+  sidecar_storage.Init(repo.arity(), materialize);
   ColumnSidecar* sidecar =
-      options_.prune_columns && sidecar_storage.num_pruned() > 0
+      config.prune_columns && sidecar_storage.num_pruned() > 0
           ? &sidecar_storage
           : nullptr;
   result.columns_pruned = sidecar != nullptr ? sidecar->num_pruned() : 0;
@@ -184,110 +169,28 @@ StatusOr<StreamingRepairResult> StreamingRepairSession::Run(
   auto& registry = CurrentMetrics();
   LiveProgress progress(&registry);
 
-  // Repairs chunk rows [begin, end) in the configured mode, accumulating
-  // totals (and diagnostics at global row indices) into `result`.
-  // `base_row` is the global index of chunk row 0.
-  auto repair_range = [&](size_t begin, size_t end,
-                          size_t base_row) -> Status {
-    if (sharded) {
-      // Content-routed engine: diagnostics come back at chunk-local rows
-      // via a range sink and are rebased like the pooled lenient path.
-      ShardedRepairOptions shard_options;
-      shard_options.shards = options_.shards;
-      shard_options.use_memo = options_.repair.parallel.use_memo;
-      shard_options.memo_capacity = options_.repair.parallel.memo_capacity;
-      shard_options.on_error = options_.repair.on_error;
-      shard_options.max_chase_steps = options_.repair.max_chase_steps;
-      if (journaling) shard_options.write_log = &chunk_deltas;
-      VectorQuarantineSink range_sink;
-      if (lenient && quarantining) shard_options.quarantine = &range_sink;
-      const ShardedRepairResult range_result =
-          ShardedRepairRows(*repo_, &chunk, begin, end, shard_options);
-      progress.AddRows(end - begin);
-      result.cells_changed += range_result.stats.cells_changed;
-      result.tuples_quarantined += range_result.tuples_quarantined;
-      for (const Diagnostic& d : range_sink.diagnostics()) {
-        Diagnostic rebased{base_row + d.line, d.code, d.message,
-                           sidecar == nullptr
-                               ? d.raw_text
+  // Repairs chunk rows [begin, end) in progress-stride runs (live
+  // fixrep.progress.rows updates between), accumulating totals into
+  // `result` and forwarding diagnostics at global row indices (through
+  // the sidecar when pruning; failed tuples are restored, so this
+  // renders the original values). `base_row` is the global index of
+  // chunk row 0.
+  auto repair_range = [&](size_t begin, size_t end, size_t base_row) {
+    for (size_t sub = begin; sub < end; sub += kProgressStride) {
+      const size_t sub_end = std::min(end, sub + kProgressStride);
+      result.cells_changed += driver.Run(&chunk, sub, sub_end).cells_changed;
+      progress.AddRows(sub_end - sub);
+      result.tuples_quarantined += driver.failures().size();
+      if (!quarantining) continue;
+      for (const Diagnostic& d : driver.failures()) {
+        Diagnostic rebased{
+            base_row + d.line, d.code, d.message,
+            sidecar == nullptr ? d.raw_text
                                : FormatRowWithSidecar(chunk, sidecar, d.line)};
-        options_.repair.quarantine->Add(rebased);
+        config.quarantine->Add(rebased);
         if (journaling) chunk_diags.push_back(std::move(rebased));
       }
-      return Status::Ok();
     }
-    if (serial && !lenient) {
-      // Row-group driver in progress-stride sub-ranges: batched probes
-      // inside, live fixrep.progress.rows updates between.
-      const size_t cells_before = serial_repairer.stats().cells_changed;
-      for (size_t sub = begin; sub < end; sub += kProgressStride) {
-        const size_t sub_end = std::min(end, sub + kProgressStride);
-        serial_repairer.RepairRows(&chunk, sub, sub_end);
-        progress.AddRows(sub_end - sub);
-      }
-      result.cells_changed +=
-          serial_repairer.stats().cells_changed - cells_before;
-      return Status::Ok();
-    }
-    if (serial) {
-      // Serial lenient: isolate each tuple, reporting failures at their
-      // global output-row index so diagnostics match a whole-table run.
-      size_t failed = 0;
-      for (size_t r = begin; r < end; ++r) {
-        size_t changed = 0;
-        serial_repairer.set_write_log_row(r);
-        const Status status =
-            serial_repairer.TryRepairTuple(chunk.WriteRow(r), &changed);
-        progress.AddRows(1);
-        if (status.ok()) {
-          result.cells_changed += changed;
-          continue;
-        }
-        ++failed;
-        if (quarantining) {
-          Diagnostic diagnostic{base_row + r, status.code(), status.message(),
-                                FormatRowWithSidecar(chunk, sidecar, r)};
-          options_.repair.quarantine->Add(diagnostic);
-          if (journaling) chunk_diags.push_back(std::move(diagnostic));
-        }
-      }
-      if (failed > 0) {
-        registry.GetCounter("fixrep.quarantine.tuples")->Add(failed);
-      }
-      result.tuples_quarantined += failed;
-      return Status::Ok();
-    }
-    if (!lenient) {
-      ParallelRepairOptions parallel_options = options_.repair.parallel;
-      if (journaling) parallel_options.write_log = &chunk_deltas;
-      result.cells_changed +=
-          ParallelRepairRows(*repo_, &chunk, begin, end, parallel_options)
-              .cells_changed;
-      progress.AddRows(end - begin);
-      return Status::Ok();
-    }
-    // Parallel lenient: collect per-range diagnostics locally, then
-    // rebase their chunk-local rows onto the global output offset (and,
-    // when pruning, re-render raw text through the sidecar — failed
-    // tuples are restored, so this reproduces the original values).
-    VectorQuarantineSink range_sink;
-    LenientRepairOptions lenient_options = options_.repair;
-    lenient_options.quarantine = quarantining ? &range_sink : nullptr;
-    if (journaling) lenient_options.write_log = &chunk_deltas;
-    const LenientRepairResult range_result = ParallelRepairRowsLenient(
-        *repo_, &chunk, begin, end, lenient_options);
-    progress.AddRows(end - begin);
-    result.cells_changed += range_result.stats.cells_changed;
-    result.tuples_quarantined += range_result.tuples_quarantined;
-    for (const Diagnostic& d : range_sink.diagnostics()) {
-      Diagnostic rebased{
-          base_row + d.line, d.code, d.message,
-          sidecar == nullptr ? d.raw_text
-                             : FormatRowWithSidecar(chunk, sidecar, d.line)};
-      options_.repair.quarantine->Add(rebased);
-      if (journaling) chunk_diags.push_back(std::move(rebased));
-    }
-    return Status::Ok();
   };
 
   // Crash recovery: fast-forward over the durable chunks of a previous
@@ -297,7 +200,7 @@ StatusOr<StreamingRepairResult> StreamingRepairSession::Run(
   // journaled tuple diagnostics are forwarded, and its rows re-emitted.
   // Byte-identical to the uninterrupted run because the chase is a pure
   // per-tuple function: same input chunk + same deltas = same rows.
-  if (options_.resume != nullptr) {
+  if (resume != nullptr) {
     // Version >= 2 logs carry the reader diagnostics each chunk
     // produced: re-render them into a capture sink, refuse on any
     // disagreement with the log (the input changed since the journaled
@@ -306,8 +209,8 @@ StatusOr<StreamingRepairResult> StreamingRepairSession::Run(
     // historical behavior (re-rendered diagnostics flow straight
     // through).
     const bool validate_csv =
-        options_.resume->header.version >= kCsvQuarantineWalVersion;
-    for (const WalChunk& durable : options_.resume->chunks) {
+        resume->header.version >= kCsvQuarantineWalVersion;
+    for (const WalChunk& durable : resume->chunks) {
       chunk.Clear();
       if (sidecar != nullptr) sidecar->Clear();
       QuarantineSink* live_sink = nullptr;
@@ -316,7 +219,7 @@ StatusOr<StreamingRepairResult> StreamingRepairSession::Run(
         live_sink = reader->SwapQuarantine(&csv_capture);
       }
       StatusOr<size_t> read =
-          reader->ReadChunk(&chunk, options_.chunk_rows, sidecar);
+          reader->ReadChunk(&chunk, config.chunk_rows, sidecar);
       if (validate_csv) {
         reader->SwapQuarantine(live_sink);
       }
@@ -339,14 +242,14 @@ StatusOr<StreamingRepairResult> StreamingRepairSession::Run(
         }
       }
       if (read.value() != durable.rows ||
-          durable.base_row != result.rows_emitted) {
+          durable.base_row != result.rows) {
         return Status::MalformedInput(
             "resume divergence at chunk " +
             std::to_string(durable.chunk_index) + ": WAL recorded " +
             std::to_string(durable.rows) + " rows at base " +
             std::to_string(durable.base_row) + ", re-reading gave " +
             std::to_string(read.value()) + " at base " +
-            std::to_string(result.rows_emitted) +
+            std::to_string(result.rows) +
             " — was the input modified since the journaled run?");
       }
       ValuePool& pool = *chunk.pool_ptr();
@@ -365,7 +268,7 @@ StatusOr<StreamingRepairResult> StreamingRepairSession::Run(
       }
       if (quarantining) {
         for (const Diagnostic& diagnostic : durable.quarantined) {
-          options_.repair.quarantine->Add(diagnostic);
+          config.quarantine->Add(diagnostic);
         }
       }
       if (durable.tuples_quarantined > 0) {
@@ -378,7 +281,7 @@ StatusOr<StreamingRepairResult> StreamingRepairSession::Run(
         WriteCsvRows(chunk, out);
       }
       ++result.chunks;
-      result.rows_emitted += chunk.num_rows();
+      result.rows += chunk.num_rows();
       result.cells_changed += durable.cells_changed;
       result.tuples_quarantined += durable.tuples_quarantined;
       progress.AddRows(chunk.num_rows());
@@ -386,18 +289,18 @@ StatusOr<StreamingRepairResult> StreamingRepairSession::Run(
     }
     progress.FlushRows();
     registry.GetCounter("fixrep.wal.chunks_replayed")->Add(result.chunks);
-    registry.GetCounter("fixrep.wal.rows_replayed")->Add(result.rows_emitted);
+    registry.GetCounter("fixrep.wal.rows_replayed")->Add(result.rows);
     FIXREP_LOG(Info) << "resumed from WAL"
                      << Kv("chunks_replayed", result.chunks)
-                     << Kv("rows_replayed", result.rows_emitted);
-    if (TelemetryJournal* journal = GetGlobalJournal()) {
+                     << Kv("rows_replayed", result.rows);
+    if (TelemetryJournal* telemetry = GetGlobalJournal()) {
       TelemetryEvent event("resume");
       event.Set("chunks_replayed", static_cast<uint64_t>(result.chunks))
-          .Set("rows_replayed", static_cast<uint64_t>(result.rows_emitted))
+          .Set("rows_replayed", static_cast<uint64_t>(result.rows))
           .Set("cells_changed_replayed",
                static_cast<uint64_t>(result.cells_changed))
-          .Set("durable_bytes", options_.resume->durable_bytes);
-      journal->Append(event);
+          .Set("durable_bytes", resume->durable_bytes);
+      telemetry->Append(event);
     }
   }
 
@@ -410,7 +313,7 @@ StatusOr<StreamingRepairResult> StreamingRepairSession::Run(
       live_sink = reader->SwapQuarantine(&csv_capture);
     }
     StatusOr<size_t> read =
-        reader->ReadChunk(&chunk, options_.chunk_rows, sidecar);
+        reader->ReadChunk(&chunk, config.chunk_rows, sidecar);
     if (journal_csv) {
       reader->SwapQuarantine(live_sink);
       // The capture must be invisible to the caller's sink.
@@ -431,39 +334,33 @@ StatusOr<StreamingRepairResult> StreamingRepairSession::Run(
     progress.chunk->Set(static_cast<int64_t>(result.chunks));
     progress.input_bytes->Set(static_cast<int64_t>(reader->bytes_read()));
 
-    if (!serial && chunk.store().spilling()) {
-      // Pooled workers must never race a block state transition, so the
-      // parallel engines drive a spilling chunk block-wise: pin a block,
-      // make it writable once, repair exactly its rows, unpin. Worker
-      // row views then live entirely inside an addressable, pinned
-      // block.
+    if (multi_slot && chunk.store().spilling()) {
+      // Pooled workers must never race a block state transition, so a
+      // spilling chunk is repaired block-wise: pin a block, make it
+      // writable once, repair exactly its rows, unpin. Worker row views
+      // then live entirely inside an addressable, pinned block.
       RowStore& store = chunk.store();
       for (size_t b = 0; b < store.num_blocks(); ++b) {
         store.PinBlock(b);
         store.MakeBlockWritable(b);
         const size_t begin = b * RowStore::kRowsPerBlock;
-        const Status status = repair_range(
-            begin, begin + store.rows_in_block(b), result.rows_emitted);
+        repair_range(begin, begin + store.rows_in_block(b), result.rows);
         store.UnpinBlock(b);
-        if (!status.ok()) return status;
         // Block-granularity residency so a scrape mid-chunk (one chunk
         // may be the whole input in spill mode) sees live values.
         progress.FlushRows();
         progress.PublishResidency(store);
       }
     } else {
-      const Status status =
-          repair_range(0, chunk.num_rows(), result.rows_emitted);
-      if (!status.ok()) return status;
+      repair_range(0, chunk.num_rows(), result.rows);
     }
 
     // Commit the chunk to the WAL BEFORE emitting its rows: once a row
     // is in the output stream it is covered by a durable chunk, so a
     // crash at any point resumes to byte-identical output.
     if (journaling) {
-      ChunkJournal& journal = *options_.journal;
-      Status journaled = journal.BeginChunk(
-          result.chunks, result.rows_emitted, chunk.num_rows());
+      Status journaled = journal->BeginChunk(
+          result.chunks, result.rows, chunk.num_rows());
       const ValuePool& pool = *chunk.pool_ptr();
       for (const CellRepair& repair : chunk_deltas) {
         if (!journaled.ok()) break;
@@ -476,20 +373,20 @@ StatusOr<StreamingRepairResult> StreamingRepairSession::Run(
         }
         delta.new_value = pool.GetString(repair.new_value);
         delta.rule_index = repair.rule_index;
-        journaled = journal.AddDelta(delta);
+        journaled = journal->AddDelta(delta);
       }
       if (journal_csv) {
         for (const Diagnostic& diagnostic : csv_capture.diagnostics()) {
           if (!journaled.ok()) break;
-          journaled = journal.AddCsvQuarantine(diagnostic);
+          journaled = journal->AddCsvQuarantine(diagnostic);
         }
       }
       for (const Diagnostic& diagnostic : chunk_diags) {
         if (!journaled.ok()) break;
-        journaled = journal.AddQuarantine(diagnostic);
+        journaled = journal->AddQuarantine(diagnostic);
       }
       if (journaled.ok()) {
-        journaled = journal.Commit(
+        journaled = journal->Commit(
             result.chunks, chunk.num_rows(),
             result.cells_changed - chunk_cells_before,
             result.tuples_quarantined - chunk_quarantined_before);
@@ -503,8 +400,8 @@ StatusOr<StreamingRepairResult> StreamingRepairSession::Run(
         event.Set("chunk", static_cast<uint64_t>(result.chunks))
             .Set("deltas", static_cast<uint64_t>(chunk_deltas.size()))
             .Set("quarantined", static_cast<uint64_t>(chunk_diags.size()))
-            .Set("wal_bytes", journal.appended_bytes())
-            .Set("fsyncs", journal.fsync_count());
+            .Set("wal_bytes", journal->appended_bytes())
+            .Set("fsyncs", journal->fsync_count());
         telemetry->Append(event);
       }
     }
@@ -514,18 +411,18 @@ StatusOr<StreamingRepairResult> StreamingRepairSession::Run(
     } else {
       WriteCsvRows(chunk, out);
     }
-    result.rows_emitted += chunk.num_rows();
+    result.rows += chunk.num_rows();
     result.peak_resident_bytes =
         std::max(result.peak_resident_bytes,
                  chunk.store().peak_resident_bytes());
     progress.FlushRows();
     progress.PublishResidency(chunk.store());
-    if (TelemetryJournal* journal = GetGlobalJournal()) {
+    if (TelemetryJournal* telemetry = GetGlobalJournal()) {
       const uint64_t duration_ns = TraceNowNanos() - chunk_start_ns;
       TelemetryEvent event("chunk");
       event.Set("index", static_cast<uint64_t>(result.chunks))
           .Set("rows", static_cast<uint64_t>(chunk.num_rows()))
-          .Set("rows_total", static_cast<uint64_t>(result.rows_emitted))
+          .Set("rows_total", static_cast<uint64_t>(result.rows))
           .Set("cells_changed_total",
                static_cast<uint64_t>(result.cells_changed))
           .Set("duration_ns", duration_ns)
@@ -541,20 +438,19 @@ StatusOr<StreamingRepairResult> StreamingRepairSession::Run(
         event.Set("rows_per_s", static_cast<double>(chunk.num_rows()) * 1e9 /
                                     static_cast<double>(duration_ns));
       }
-      journal->Append(event);
+      telemetry->Append(event);
     }
   }
 
-  if (serial) serial_repairer.FlushMetrics();
   progress.FlushRows();
   registry.GetCounter("fixrep.streaming.chunks")->Add(result.chunks);
-  registry.GetCounter("fixrep.streaming.rows")->Add(result.rows_emitted);
+  registry.GetCounter("fixrep.streaming.rows")->Add(result.rows);
   if (sidecar != nullptr) {
     registry.GetCounter("fixrep.streaming.columns_pruned")
         ->Add(result.columns_pruned);
   }
   FIXREP_LOG(Debug) << "streaming repair done"
-                    << Kv("rows", result.rows_emitted)
+                    << Kv("rows", result.rows)
                     << Kv("chunks", result.chunks)
                     << Kv("cells_changed", result.cells_changed)
                     << Kv("quarantined", result.tuples_quarantined)

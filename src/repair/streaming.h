@@ -1,129 +1,69 @@
 #ifndef FIXREP_REPAIR_STREAMING_H_
 #define FIXREP_REPAIR_STREAMING_H_
 
-#include <cstddef>
 #include <iosfwd>
 
-#include "common/quarantine.h"
 #include "common/status.h"
 #include "relation/csv.h"
-#include "repair/memo_cache.h"
-#include "repair/parallel.h"
 #include "repair/recovery.h"
-#include "repair/rule_index.h"
+#include "repair/session.h"
 
 namespace fixrep {
 
 // Chunked streaming repair: CSV in, repaired CSV out, with peak memory
-// proportional to one chunk instead of the whole relation.
-//
-// New call sites should go through RepairSession::RepairStream
-// (repair/session.h), which forwards here; this class stays public as
-// the engine layer for callers that manage their own rule backend (any
-// RuleRepository — the in-RAM CompiledRuleIndex or a mapped RuleDict).
+// proportional to one chunk instead of the whole relation. This is the
+// loop behind RepairSession::RepairStream (repair/session.h), which opens
+// the WAL and calls it; call sites go through the session.
 //
 // The pipeline (docs/storage.md) is
 //
 //   CsvChunkReader --chunk--> repair in place --rows--> std::ostream
 //
 // One chunk Table (its flat RowStore reused across chunks via Clear())
-// holds at most `chunk_rows` rows at a time; repaired rows are emitted
-// before the next chunk is read. Because fixing-rule repair is per tuple,
-// chunking cannot change the output: the repaired stream is bit-identical
-// to repairing the whole table in memory and writing it out, for every
-// chunk size, engine width, and error policy (streaming_test).
+// holds at most config.chunk_rows rows at a time; repaired rows are
+// emitted before the next chunk is read. Because fixing-rule repair is
+// per tuple, chunking cannot change the output: the repaired stream is
+// bit-identical to repairing the whole table in memory and writing it
+// out, for every chunk size, width, routing and error policy.
 //
-// Serial runs keep one FastRepairer — and, in abort mode, one MemoCache —
-// alive across all chunks, so memoization works across chunk boundaries
-// exactly as it does across rows of a whole-table run. Parallel runs
-// repair each chunk with the pooled engine over the shared index.
+// One RepairDriver (repair/driver.h) repairs every chunk, so its slots —
+// and, in abort mode, their memos — live across chunk boundaries, and
+// memoization works across chunks exactly as across rows of a
+// whole-table run. The driver publishes its metrics per run, so a stream
+// that fails part way keeps the counts of the chunks it repaired.
 //
 // Two out-of-core knobs stack on top of chunking:
-// * memory_budget_bytes > 0 puts the chunk table's RowStore in spill
-//   mode (relation/row_store.h): cell blocks past the resident budget
-//   live in a temp-backed mmap file. Parallel runs then repair
-//   block-wise — pin a block, repair exactly its rows, unpin — so
-//   worker views never see a block transition.
-// * prune_columns interns only the attributes some rule mentions
-//   (CompiledRuleIndex::mentioned_attrs); every other column's raw CSV
-//   text bypasses the ValuePool via a ColumnSidecar and is re-emitted
+// * config.memory_budget_bytes > 0 puts the chunk table's RowStore in
+//   spill mode (relation/row_store.h): cell blocks past the resident
+//   budget live in a temp-backed mmap file. Multi-slot runs then repair
+//   block-wise — pin a block, repair exactly its rows, unpin — so worker
+//   views never see a block transition.
+// * config.prune_columns interns only the attributes some rule mentions
+//   (RuleRepository::mentioned_attrs); every other column's raw CSV text
+//   bypasses the ValuePool via a ColumnSidecar and is re-emitted
 //   verbatim. The chase never reads or writes an unmentioned column, so
 //   output stays byte-identical to the unpruned run.
-struct StreamingRepairOptions {
-  // Rows per chunk; the peak-memory knob. 64K rows * arity * 4 bytes of
-  // cells plus the interned strings.
-  size_t chunk_rows = size_t{64} * 1024;
-  // Engine configuration, composed from the batch layer instead of
-  // duplicating its fields:
-  // * repair.parallel.threads: 1 = serial (the default here); 0 or >1 =
-  //   pooled parallel per chunk with ParallelRepairOptions semantics.
-  // * repair.parallel.use_memo/memo_capacity: abort mode only (the
-  //   lenient path never memoizes, matching ParallelRepairTableLenient).
-  // * repair.on_error: unlike the batch lenient path, kAbort is allowed
-  //   and is the streaming default — fail fast on the first bad tuple.
-  // * repair.quarantine: one Diagnostic per failed *tuple* when
-  //   on_error is kQuarantine; Diagnostic::line is the global
-  //   output-row index (the same index a whole-table run would report).
-  //   Malformed *CSV records* flow through the CsvChunkReader's own
-  //   sink instead.
-  // * repair.max_chase_steps: per-tuple chase budget in lenient mode.
-  LenientRepairOptions repair{.parallel = {.threads = 1},
-                              .on_error = OnErrorPolicy::kAbort};
-  // > 0: repair each chunk (or pinned spill block) with the
-  // content-routed sharded engine (repair/sharded.h) over this many
-  // shards instead of the position-claiming pooled engine;
-  // repair.parallel.threads is then ignored. Output is bit-identical
-  // either way.
-  size_t shards = 0;
-  // > 0: spill chunk cell blocks past this many resident bytes to a
-  // temp-backed file (see class comment). 0 = fully in-memory chunks.
-  size_t memory_budget_bytes = 0;
-  // Intern only rule-mentioned columns; carry the rest as raw text.
-  bool prune_columns = false;
-
-  // --- durability (docs/durability.md) ---
-  // Non-null: journal each chunk to this WAL as chunk_begin /
-  // cell_delta* / quarantine* / chunk_commit, committing (group fsync)
-  // BEFORE the chunk's rows are emitted, so a crash anywhere leaves
-  // every emitted row covered by a durable chunk. Borrowed.
-  ChunkJournal* journal = nullptr;
-  // Non-null: fast-forward over this scanned run's committed chunks
-  // before repairing — each is re-read from the input, its recorded
-  // deltas and diagnostics replayed, and its rows re-emitted, so resumed
-  // output is byte-identical to an uninterrupted run. The caller has
-  // already validated the header against this run's configuration
-  // (ValidateWalHeader) and reopened `journal` with ChunkJournal::Resume.
-  const RecoveredRun* resume = nullptr;
-};
-
-struct StreamingRepairResult {
-  size_t rows_emitted = 0;
-  size_t chunks = 0;
-  size_t cells_changed = 0;
-  size_t tuples_quarantined = 0;
-  // High-water mark of resident chunk-store bytes (spill mode only; 0
-  // otherwise). The number the memory budget governs.
-  size_t peak_resident_bytes = 0;
-  // Columns never interned thanks to prune_columns.
-  size_t columns_pruned = 0;
-};
-
-class StreamingRepairSession {
- public:
-  // The repository is borrowed and must outlive the session.
-  explicit StreamingRepairSession(const RuleRepository* repo,
-                                  const StreamingRepairOptions& options = {});
-
-  // Drains `reader` chunk by chunk, writing the CSV header and every
-  // repaired row to `out`. Returns the totals, or the first error in
-  // abort mode. The reader's schema must match the rules' arity.
-  StatusOr<StreamingRepairResult> Run(CsvChunkReader* reader,
-                                      std::ostream& out);
-
- private:
-  const RuleRepository* repo_;
-  StreamingRepairOptions options_;
-};
+//
+// Durability (docs/durability.md): a non-null `journal` receives each
+// chunk as chunk_begin / cell_delta* / quarantine* / chunk_commit,
+// committed (group fsync) BEFORE the chunk's rows are emitted, so a crash
+// anywhere leaves every emitted row covered by a durable chunk. A
+// non-null `resume` fast-forwards over that scanned run's committed
+// chunks first — each is re-read, its recorded deltas and diagnostics
+// replayed and its rows re-emitted — so resumed output is byte-identical
+// to an uninterrupted run; the caller has validated the header
+// (ValidateWalHeader) and reopened `journal` with ChunkJournal::Resume.
+//
+// Tuple diagnostics carry the global output-row index (what a
+// whole-table run reports); malformed CSV records flow through the
+// reader's own sink. Returns the totals, or the first error in abort
+// mode. The reader's schema must match the rules' arity.
+StatusOr<RepairReport> StreamRepair(const RuleRepository& repo,
+                                    const RepairConfig& config,
+                                    ChunkJournal* journal,
+                                    const RecoveredRun* resume,
+                                    CsvChunkReader* reader,
+                                    std::ostream& out);
 
 }  // namespace fixrep
 

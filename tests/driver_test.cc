@@ -1,0 +1,518 @@
+// RepairDriver (repair/driver.h) differential matrix and the rule-order
+// oracle.
+//
+// Matrix: every {threads 1, pool width} x {shards 0, 3} x {abort, skip,
+// quarantine with a chase budget} x {memo on, off} x {write log on, off}
+// x {in-RAM index, bound FXRDICT} run on noisy hosp and uis must give the
+// output bytes, row-ordered diagnostics, write log and merged chase
+// counters of a serial FastRepairer run, and that run must agree with the
+// cRepair reference chase. Streams add chunk sizes 1, 7 and 4096, a spill
+// budget, and WAL-journaled runs at every width and routing.
+//
+// Order oracle: a consistent rule set has a unique fix per tuple (the
+// paper's Church-Rosser property), so renumbering its rules — which
+// reorders every posting list and the candidate queue — must not change
+// a byte.
+
+#include <algorithm>
+#include <memory>
+#include <numeric>
+#include <optional>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "common/metrics.h"
+#include "common/quarantine.h"
+#include "common/random.h"
+#include "common/status.h"
+#include "common/thread_pool.h"
+#include "datagen/hosp.h"
+#include "datagen/noise.h"
+#include "datagen/travel.h"
+#include "datagen/uis.h"
+#include "relation/csv.h"
+#include "relation/row_store.h"
+#include "relation/table.h"
+#include "repair/crepair.h"
+#include "repair/driver.h"
+#include "repair/lrepair.h"
+#include "repair/memo_cache.h"
+#include "repair/recovery.h"
+#include "repair/rule_index.h"
+#include "repair/session.h"
+#include "rulegen/rulegen.h"
+#include "rules/consistency.h"
+#include "rules/rule_dict.h"
+#include "rules/rule_set.h"
+#include "testing_util.h"
+
+namespace fixrep {
+namespace {
+
+// Small enough that cascading tuples fail under the lenient policies.
+constexpr size_t kChaseBudget = 1;
+
+std::string ToCsv(const Table& table) {
+  std::ostringstream out;
+  WriteCsv(table, out);
+  return out.str();
+}
+
+uint64_t CounterValue(const std::string& name) {
+  const Counter* counter = MetricsRegistry::Global().FindCounter(name);
+  return counter == nullptr ? 0 : counter->Value();
+}
+
+size_t PoolWidth() { return ThreadPool::Global().num_workers() + 1; }
+
+struct Dataset {
+  std::string name;
+  std::shared_ptr<ValuePool> pool;
+  Table dirty;
+  RuleSet rules;
+};
+
+Dataset Hosp() {
+  HospOptions options;
+  options.rows = 500;
+  options.num_hospitals = 40;
+  GeneratedData data = GenerateHosp(options);
+  Table dirty = data.clean;
+  InjectNoise(&dirty, ConstraintAttributes(*data.schema, data.fds), {});
+  RuleGenOptions rulegen;
+  rulegen.max_rules = 150;
+  RuleSet rules = GenerateRules(data.clean, dirty, data.fds, rulegen);
+  return {"hosp", data.pool, std::move(dirty), std::move(rules)};
+}
+
+Dataset Uis() {
+  UisOptions options;
+  options.rows = 400;
+  options.duplicate_ratio = 0.4;
+  options.num_zips = 30;
+  GeneratedData data = GenerateUis(options);
+  Table dirty = data.clean;
+  InjectNoise(&dirty, ConstraintAttributes(*data.schema, data.fds), {});
+  RuleGenOptions rulegen;
+  rulegen.max_rules = 100;
+  RuleSet rules = GenerateRules(data.clean, dirty, data.fds, rulegen);
+  return {"uis", data.pool, std::move(dirty), std::move(rules)};
+}
+
+Dataset Travel() {
+  TravelExample example;
+  return {"travel", example.pool, example.dirty, std::move(example.rules)};
+}
+
+// What a serial FastRepairer run produces under one policy.
+struct Reference {
+  std::string csv;
+  std::vector<Diagnostic> diagnostics;
+  std::vector<CellRepair> log;
+  RepairStats stats;
+};
+
+Reference SerialReference(const RuleRepository& repo, const Table& dirty,
+                          OnErrorPolicy policy, bool use_memo) {
+  Table table = dirty;
+  const std::unique_ptr<RuleSourceHandle> handle = repo.MakeHandle();
+  FastRepairer repairer(handle->source());
+  std::optional<MemoCache> memo;
+  if (policy == OnErrorPolicy::kAbort && use_memo) {
+    repairer.set_memo(&memo.emplace());
+  }
+  Reference ref;
+  repairer.set_write_log(&ref.log);
+  if (policy == OnErrorPolicy::kAbort) {
+    repairer.RepairRows(&table, 0, table.num_rows());
+  } else {
+    repairer.set_max_chase_steps(kChaseBudget);
+    for (size_t r = 0; r < table.num_rows(); ++r) {
+      size_t changed = 0;
+      repairer.set_write_log_row(r);
+      const Status status = repairer.TryRepairTuple(table.WriteRow(r),
+                                                    &changed);
+      if (!status.ok()) {
+        ref.diagnostics.push_back(Diagnostic{r, status.code(),
+                                             status.message(),
+                                             table.FormatRow(r)});
+      }
+    }
+  }
+  ref.csv = ToCsv(table);
+  ref.stats = repairer.stats();
+  return ref;
+}
+
+// The reference against cRepair: rows that repaired equal the cRepair
+// fix, failed rows keep their dirty values.
+void ExpectMatchesCRepair(const Reference& ref, const Table& dirty,
+                          const Table& crepaired, const std::string& context) {
+  Table expected = crepaired;
+  for (const Diagnostic& d : ref.diagnostics) {
+    expected.WriteRow(d.line).CopyFrom(dirty.row(d.line).ToTuple());
+  }
+  EXPECT_EQ(ref.csv, ToCsv(expected)) << context;
+}
+
+// The counters every width and routing must reproduce. The chase
+// internals are only comparable when no memo is consulted or one slot
+// sees every row in order; batch_* also depend on the row grouping.
+void ExpectSameCounters(const RepairStats& got, const RepairStats& want,
+                        bool chase_internals, bool probe_mechanics,
+                        const std::string& context) {
+  EXPECT_EQ(got.tuples_examined, want.tuples_examined) << context;
+  EXPECT_EQ(got.tuples_changed, want.tuples_changed) << context;
+  EXPECT_EQ(got.cells_changed, want.cells_changed) << context;
+  EXPECT_EQ(got.rule_applications, want.rule_applications) << context;
+  EXPECT_EQ(got.per_rule_applications, want.per_rule_applications)
+      << context;
+  if (chase_internals) {
+    EXPECT_EQ(got.index_hits, want.index_hits) << context;
+    EXPECT_EQ(got.counter_bumps, want.counter_bumps) << context;
+    EXPECT_EQ(got.candidates_enqueued, want.candidates_enqueued) << context;
+    EXPECT_EQ(got.candidates_rejected, want.candidates_rejected) << context;
+  }
+  if (probe_mechanics) {
+    EXPECT_EQ(got.batch_probes, want.batch_probes) << context;
+    EXPECT_EQ(got.batch_keys, want.batch_keys) << context;
+  }
+}
+
+// A dataset with both rule backends ready: the in-RAM index and the
+// compiled dictionary, bound to the dataset's schema and pool.
+struct Backends {
+  CompiledRuleIndex index;
+  std::string dict_path;
+  std::unique_ptr<RuleDict> dict;
+
+  explicit Backends(const Dataset& data)
+      : index(&data.rules),
+        dict_path(testing::TestTempPath(data.name + ".frd")) {
+    EXPECT_TRUE(CompileRuleDict(data.rules, dict_path).ok());
+    StatusOr<std::unique_ptr<RuleDict>> opened = RuleDict::Open(dict_path);
+    EXPECT_TRUE(opened.ok()) << opened.status();
+    dict = std::move(opened.value());
+    EXPECT_TRUE(dict->Bind(data.dirty.schema(), data.pool).ok());
+  }
+
+  const RuleRepository& repo(bool dict_backed) const {
+    if (dict_backed) return *dict;
+    return index;
+  }
+};
+
+constexpr OnErrorPolicy kPolicies[] = {
+    OnErrorPolicy::kAbort, OnErrorPolicy::kSkip, OnErrorPolicy::kQuarantine};
+
+void RunTableMatrix(const Dataset& data) {
+  ASSERT_GT(data.rules.size(), 0u) << data.name;
+  const Backends backends(data);
+  Table crepaired = data.dirty;
+  ChaseRepairer(&data.rules).RepairTable(&crepaired);
+
+  for (const bool dict_backed : {false, true}) {
+    const RuleRepository& repo = backends.repo(dict_backed);
+    for (const OnErrorPolicy policy : kPolicies) {
+      for (const bool use_memo : {true, false}) {
+        const Reference ref =
+            SerialReference(repo, data.dirty, policy, use_memo);
+        const std::string base = data.name + " " +
+                                 OnErrorPolicyName(policy) +
+                                 (use_memo ? " memo" : " no-memo") +
+                                 (dict_backed ? " dict" : " index");
+        ExpectMatchesCRepair(ref, data.dirty, crepaired, base);
+        if (policy != OnErrorPolicy::kAbort) {
+          EXPECT_FALSE(ref.diagnostics.empty()) << base;
+        }
+        for (const size_t threads : {size_t{1}, PoolWidth()}) {
+          for (const size_t shards : {size_t{0}, size_t{3}}) {
+            for (const bool with_log : {false, true}) {
+              const std::string context =
+                  base + " threads=" + std::to_string(threads) +
+                  " shards=" + std::to_string(shards) +
+                  (with_log ? " log" : "");
+              MetricsRegistry::Global().ResetAllForTest();
+              Table table = data.dirty;
+              VectorQuarantineSink sink;
+              RepairConfig config;
+              config.threads = threads;
+              config.shards = shards;
+              config.use_memo = use_memo;
+              config.on_error = policy;
+              if (policy == OnErrorPolicy::kQuarantine) {
+                config.quarantine = &sink;
+              }
+              if (policy != OnErrorPolicy::kAbort) {
+                config.max_chase_steps = kChaseBudget;
+              }
+              RepairDriver driver(repo, config);
+              std::vector<CellRepair> log;
+              if (with_log) driver.set_write_log(&log);
+              const RepairStats stats = driver.Run(&table);
+
+              EXPECT_EQ(ToCsv(table), ref.csv) << context;
+              EXPECT_EQ(driver.failures(), ref.diagnostics) << context;
+              EXPECT_EQ(sink.diagnostics(),
+                        policy == OnErrorPolicy::kQuarantine
+                            ? ref.diagnostics
+                            : std::vector<Diagnostic>{})
+                  << context;
+              if (with_log) {
+                EXPECT_EQ(log, ref.log) << context;
+              }
+              const bool one_slot = driver.slots() == 1 ||
+                                    (threads == 1 && shards == 0);
+              const bool memo_consulted =
+                  policy == OnErrorPolicy::kAbort && use_memo;
+              ExpectSameCounters(stats, ref.stats,
+                                 !memo_consulted || one_slot, one_slot,
+                                 context);
+              if (kMetricsEnabled) {
+                EXPECT_EQ(CounterValue("fixrep.lrepair.tuples_examined"),
+                          stats.tuples_examined)
+                    << context;
+                EXPECT_EQ(CounterValue("fixrep.lrepair.cells_changed"),
+                          stats.cells_changed)
+                    << context;
+                EXPECT_EQ(CounterValue("fixrep.quarantine.tuples"),
+                          ref.diagnostics.size())
+                    << context;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(DriverMatrix, HospTableRunsMatchSerialAndCRepair) {
+  RunTableMatrix(Hosp());
+}
+
+TEST(DriverMatrix, UisTableRunsMatchSerialAndCRepair) {
+  RunTableMatrix(Uis());
+}
+
+// One stream through the session; returns the output bytes.
+struct StreamResult {
+  std::string csv;
+  RepairReport report;
+  std::vector<Diagnostic> diagnostics;
+};
+
+StreamResult RunStream(const Dataset& data, const RepairConfig& base,
+                       const std::string& input) {
+  std::istringstream in(input);
+  StatusOr<CsvChunkReader> reader =
+      CsvChunkReader::Open(in, "stream", data.pool, {});
+  EXPECT_TRUE(reader.ok()) << reader.status();
+  if (!reader.ok()) return {};
+  VectorQuarantineSink sink;
+  RepairConfig config = base;
+  if (config.on_error == OnErrorPolicy::kQuarantine) {
+    config.quarantine = &sink;
+  }
+  RepairSession session(&data.rules, config);
+  std::ostringstream out;
+  StatusOr<RepairReport> report = session.RepairStream(&reader.value(), out);
+  EXPECT_TRUE(report.ok()) << report.status();
+  if (!report.ok()) return {};
+  return {out.str(), report.value(), sink.diagnostics()};
+}
+
+void RunStreamMatrix(const Dataset& data) {
+  ASSERT_GT(data.rules.size(), 0u) << data.name;
+  const Backends backends(data);
+  const std::string input = ToCsv(data.dirty);
+  const size_t block_bytes =
+      RowStore::kRowsPerBlock * data.dirty.num_columns() * sizeof(ValueId);
+  struct Route {
+    size_t threads;
+    size_t shards;
+  };
+  const Route routes[] = {{1, 0}, {PoolWidth(), 0}, {1, 3}};
+  struct Chunking {
+    size_t chunk_rows;
+    size_t budget;
+  };
+  const Chunking chunkings[] = {
+      {1, 0}, {7, 0}, {4096, 0}, {RepairConfig::kWholeFile, block_bytes}};
+
+  int wal_runs = 0;
+  for (const bool dict_backed : {false, true}) {
+    for (const OnErrorPolicy policy : kPolicies) {
+      const Reference ref = SerialReference(backends.repo(dict_backed),
+                                            data.dirty, policy, true);
+      for (const Route& route : routes) {
+        RepairConfig config;
+        config.threads = route.threads;
+        config.shards = route.shards;
+        config.on_error = policy;
+        config.max_chase_steps =
+            policy == OnErrorPolicy::kAbort ? 0 : kChaseBudget;
+        if (dict_backed) config.rules_dict = backends.dict_path;
+        const std::string base =
+            data.name + " " + OnErrorPolicyName(policy) +
+            " threads=" + std::to_string(route.threads) +
+            " shards=" + std::to_string(route.shards) +
+            (dict_backed ? " dict" : " index");
+        for (const Chunking& chunking : chunkings) {
+          config.chunk_rows = chunking.chunk_rows;
+          config.memory_budget_bytes = chunking.budget;
+          const std::string context =
+              base + " chunk_rows=" + std::to_string(chunking.chunk_rows) +
+              " budget=" + std::to_string(chunking.budget);
+          const StreamResult run = RunStream(data, config, input);
+          EXPECT_EQ(run.csv, ref.csv) << context;
+          EXPECT_EQ(run.report.cells_changed, ref.stats.cells_changed)
+              << context;
+          EXPECT_EQ(run.report.tuples_quarantined, ref.diagnostics.size())
+              << context;
+          if (policy == OnErrorPolicy::kQuarantine) {
+            EXPECT_EQ(run.diagnostics, ref.diagnostics) << context;
+          }
+        }
+
+        // Journaled: the WAL's deltas, rebased to global rows, are the
+        // serial write log, and its diagnostics the serial ones.
+        config.chunk_rows = 64;
+        config.memory_budget_bytes = 0;
+        config.wal_path = testing::TestTempPath(
+            data.name + "_" + std::to_string(wal_runs++) + ".wal");
+        const std::string context = base + " wal";
+        const StreamResult run = RunStream(data, config, input);
+        EXPECT_EQ(run.csv, ref.csv) << context;
+        StatusOr<RecoveredRun> scanned = ScanWal(config.wal_path);
+        ASSERT_TRUE(scanned.ok()) << context << ": " << scanned.status();
+        std::vector<CellRepair> journaled;
+        std::vector<Diagnostic> journaled_diags;
+        for (const WalChunk& chunk : scanned->chunks) {
+          for (const WalCellDelta& delta : chunk.deltas) {
+            journaled.push_back(
+                {chunk.base_row + delta.row, static_cast<AttrId>(delta.attr),
+                 delta.old_is_null ? kNullValue
+                                   : data.pool->Intern(delta.old_value),
+                 data.pool->Intern(delta.new_value), delta.rule_index});
+          }
+          journaled_diags.insert(journaled_diags.end(),
+                                 chunk.quarantined.begin(),
+                                 chunk.quarantined.end());
+        }
+        EXPECT_EQ(journaled, ref.log) << context;
+        EXPECT_EQ(journaled_diags, policy == OnErrorPolicy::kQuarantine
+                                       ? ref.diagnostics
+                                       : std::vector<Diagnostic>{})
+            << context;
+      }
+    }
+  }
+}
+
+TEST(DriverMatrix, HospStreamsMatchSerial) { RunStreamMatrix(Hosp()); }
+
+TEST(DriverMatrix, UisStreamsMatchSerial) { RunStreamMatrix(Uis()); }
+
+// A driver reused across runs keeps its slots (one memo per slot across
+// every run), publishes per run, and stays byte-identical.
+TEST(DriverMatrix, ReusedDriverKeepsSlotsAcrossRuns) {
+  const Dataset data = Hosp();
+  const CompiledRuleIndex index(&data.rules);
+  const Reference ref =
+      SerialReference(index, data.dirty, OnErrorPolicy::kAbort, true);
+  for (const size_t threads : {size_t{1}, PoolWidth()}) {
+    Table table = data.dirty;
+    RepairDriver driver(index, {.threads = threads});
+    std::vector<CellRepair> log;
+    driver.set_write_log(&log);
+    size_t cells_changed = 0;
+    for (size_t begin = 0; begin < table.num_rows(); begin += 97) {
+      const size_t end = std::min(table.num_rows(), begin + 97);
+      cells_changed += driver.Run(&table, begin, end).cells_changed;
+      EXPECT_LE(driver.slots(), PoolWidth());
+    }
+    const std::string context = "threads=" + std::to_string(threads);
+    EXPECT_EQ(ToCsv(table), ref.csv) << context;
+    EXPECT_EQ(log, ref.log) << context;
+    EXPECT_EQ(cells_changed, ref.stats.cells_changed) << context;
+  }
+}
+
+// A stream holds one driver, so one memo, across all its chunks: its memo
+// hits equal a whole-table serial run's, however small the chunks.
+TEST(DriverMatrix, StreamKeepsOneMemoAcrossChunks) {
+  if (!kMetricsEnabled) GTEST_SKIP() << "built with FIXREP_DISABLE_METRICS";
+  Dataset data = Hosp();
+  // Every tuple three times, far apart: only a memo that outlives the
+  // chunks can hit on the repeats.
+  Table repeated(data.dirty.schema_ptr(), data.pool);
+  for (int copy = 0; copy < 3; ++copy) {
+    for (size_t r = 0; r < data.dirty.num_rows(); ++r) {
+      repeated.AppendRow(data.dirty.row(r).ToTuple());
+    }
+  }
+  data.dirty = std::move(repeated);
+  const CompiledRuleIndex index(&data.rules);
+  MetricsRegistry::Global().ResetAllForTest();
+  Table table = data.dirty;
+  RepairDriver(index, RepairConfig{}).Run(&table);
+  const uint64_t want_hits = CounterValue("fixrep.memo.hits");
+  ASSERT_GT(want_hits, 0u);
+  for (const size_t chunk_rows : {size_t{1}, size_t{7}}) {
+    MetricsRegistry::Global().ResetAllForTest();
+    RepairConfig config;
+    config.chunk_rows = chunk_rows;
+    const StreamResult run = RunStream(data, config, ToCsv(data.dirty));
+    EXPECT_EQ(run.csv, ToCsv(table)) << chunk_rows;
+    EXPECT_EQ(CounterValue("fixrep.memo.hits"), want_hits) << chunk_rows;
+  }
+}
+
+// ------------------------------------------------------- order oracle --
+
+// `rules` with its rules renumbered by a seeded shuffle.
+RuleSet Permuted(const RuleSet& rules, Rng* rng) {
+  std::vector<size_t> order(rules.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  for (size_t i = order.size(); i > 1; --i) {
+    std::swap(order[i - 1], order[rng->Uniform(i)]);
+  }
+  RuleSet permuted(rules.schema_ptr(), rules.pool_ptr());
+  for (const size_t i : order) permuted.Add(rules.rule(i));
+  return permuted;
+}
+
+TEST(OrderOracle, PermutedRuleOrderRepairsIdentically) {
+  constexpr int kPermutations = 20;
+  for (Dataset (*make)() : {Travel, Hosp, Uis}) {
+    const Dataset data = make();
+    ASSERT_GT(data.rules.size(), 1u) << data.name;
+    ASSERT_TRUE(IsConsistentStrict(data.rules)) << data.name;
+    const CompiledRuleIndex index(&data.rules);
+    Table reference = data.dirty;
+    RepairDriver(index, RepairConfig{}).Run(&reference);
+    const std::string want = ToCsv(reference);
+
+    Rng rng(0x0dde4 + data.rules.size());
+    for (int p = 0; p < kPermutations; ++p) {
+      const RuleSet permuted = Permuted(data.rules, &rng);
+      const CompiledRuleIndex permuted_index(&permuted);
+      for (const RepairConfig& config :
+           {RepairConfig{.threads = 1}, RepairConfig{.threads = PoolWidth()},
+            RepairConfig{.shards = 3}}) {
+        Table table = data.dirty;
+        RepairDriver(permuted_index, config).Run(&table);
+        EXPECT_EQ(ToCsv(table), want)
+            << data.name << " permutation " << p << " threads "
+            << config.threads << " shards " << config.shards;
+      }
+    }
+  }
+}
+
+}  // namespace
+}  // namespace fixrep

@@ -21,7 +21,7 @@
 #include "relation/csv.h"
 #include "repair/crepair.h"
 #include "repair/lrepair.h"
-#include "repair/parallel.h"
+#include "repair/driver.h"
 #include "repair/recovery.h"
 #include "rules/rule_io.h"
 #include "testing_util.h"
@@ -283,12 +283,10 @@ TEST_F(FaultInjectionTest, SerialLenientRepairQuarantinesExactRows) {
   plan.max_fires = 2;
   FaultRegistry::Global().Arm("repair.tuple", plan);
   VectorQuarantineSink sink;
-  LenientRepairOptions options;
-  options.parallel.threads = 1;
-  options.quarantine = &sink;
-  const LenientRepairResult result =
-      ParallelRepairTableLenient(index, &table, options);
-  EXPECT_EQ(result.tuples_quarantined, 2u);
+  RepairDriver driver(index, {.on_error = OnErrorPolicy::kQuarantine,
+                              .quarantine = &sink});
+  driver.Run(&table);
+  EXPECT_EQ(driver.failures().size(), 2u);
   ASSERT_EQ(sink.size(), 2u);
   // Serial execution visits rows in order, so hits 3 and 4 are rows 2, 3.
   EXPECT_EQ(sink.diagnostics()[0].line, 2u);
@@ -307,14 +305,13 @@ TEST_F(FaultInjectionTest, ParallelLenientRepairSurvivesWorkerFaults) {
   plan.max_fires = 3;
   FaultRegistry::Global().Arm("repair.tuple", plan);
   VectorQuarantineSink sink;
-  LenientRepairOptions options;
-  options.parallel.threads = 4;
-  options.quarantine = &sink;
-  const LenientRepairResult result =
-      ParallelRepairTableLenient(index, &table, options);
+  RepairDriver driver(index, {.threads = 4,
+                              .on_error = OnErrorPolicy::kQuarantine,
+                              .quarantine = &sink});
+  const RepairStats stats = driver.Run(&table);
   // Which rows draw the three fires depends on worker interleaving, but
   // the count is exact and the batch always completes.
-  EXPECT_EQ(result.tuples_quarantined, 3u);
+  EXPECT_EQ(driver.failures().size(), 3u);
   ASSERT_EQ(sink.size(), 3u);
   EXPECT_EQ(FaultRegistry::Global().FireCount("repair.tuple"), 3u);
   EXPECT_EQ(FaultRegistry::Global().HitCount("repair.tuple"), 256u);
@@ -328,7 +325,7 @@ TEST_F(FaultInjectionTest, ParallelLenientRepairSurvivesWorkerFaults) {
     }
     previous_line = d.line;
   }
-  EXPECT_EQ(result.stats.tuples_examined, 256u);
+  EXPECT_EQ(stats.tuples_examined, 256u);
   const Counter* counter =
       MetricsRegistry::Global().FindCounter("fixrep.quarantine.tuples");
   ASSERT_NE(counter, nullptr);

@@ -9,7 +9,7 @@
 #include "datagen/travel.h"
 #include "repair/lrepair.h"
 #include "repair/memo_cache.h"
-#include "repair/parallel.h"
+#include "repair/driver.h"
 #include "testing_util.h"
 
 namespace fixrep {
@@ -120,11 +120,9 @@ TEST(MemoCacheTest, FuzzedTablesBitIdenticalParallel) {
     const CompiledRuleIndex index(&rules);
     for (const bool use_memo : {false, true}) {
       Table parallel = dirty;
-      ParallelRepairOptions options;
-      options.threads = 4;
-      options.use_memo = use_memo;
       const RepairStats stats =
-          ParallelRepairTable(index, &parallel, options);
+          RepairDriver(index, {.threads = 4, .use_memo = use_memo})
+              .Run(&parallel);
       ExpectTablesEqual(parallel, plain,
                         use_memo ? "parallel+memo" : "parallel");
       EXPECT_EQ(stats.cells_changed, baseline.stats().cells_changed);

@@ -10,14 +10,21 @@
 #include "datagen/noise.h"
 #include "datagen/travel.h"
 #include "relation/csv.h"
+#include "repair/driver.h"
 #include "repair/lrepair.h"
-#include "repair/parallel.h"
 #include "repair/rule_index.h"
-#include "repair/sharded.h"
 #include "rulegen/rulegen.h"
 
 namespace fixrep {
 namespace {
+
+// A pooled RepairDriver run over a private index for `rules`; threads 0
+// is the pool's full width.
+RepairStats PooledRepair(const RuleSet& rules, Table* table,
+                         size_t threads = 0) {
+  const CompiledRuleIndex index(&rules);
+  return RepairDriver(index, {.threads = threads}).Run(table);
+}
 
 TEST(ParallelRepairTest, MatchesSerialOnTravelExample) {
   TravelExample example;
@@ -27,7 +34,7 @@ TEST(ParallelRepairTest, MatchesSerialOnTravelExample) {
   for (const size_t threads : {1u, 2u, 4u, 16u}) {
     Table parallel = example.dirty;
     const RepairStats stats =
-        ParallelRepairTable(example.rules, &parallel, threads);
+        PooledRepair(example.rules, &parallel, threads);
     for (size_t r = 0; r < serial.num_rows(); ++r) {
       EXPECT_EQ(parallel.row(r), serial.row(r)) << "threads " << threads;
     }
@@ -52,7 +59,7 @@ TEST(ParallelRepairTest, MatchesSerialOnGeneratedData) {
   repairer.RepairTable(&serial);
 
   Table parallel = dirty;
-  const RepairStats stats = ParallelRepairTable(rules, &parallel, 4);
+  const RepairStats stats = PooledRepair(rules, &parallel, 4);
   for (size_t r = 0; r < serial.num_rows(); ++r) {
     ASSERT_EQ(parallel.row(r), serial.row(r)) << "row " << r;
   }
@@ -65,7 +72,7 @@ TEST(ParallelRepairTest, MatchesSerialOnGeneratedData) {
 TEST(ParallelRepairTest, MoreThreadsThanRows) {
   TravelExample example;
   Table table = example.dirty;
-  const RepairStats stats = ParallelRepairTable(example.rules, &table, 64);
+  const RepairStats stats = PooledRepair(example.rules, &table, 64);
   EXPECT_EQ(stats.tuples_examined, 4u);
   for (size_t r = 0; r < table.num_rows(); ++r) {
     EXPECT_EQ(table.row(r), example.clean.row(r));
@@ -97,7 +104,7 @@ TEST(ParallelRepairTest, RegistryCountsMatchSerialBaseline) {
   auto& registry = MetricsRegistry::Global();
   registry.ResetAllForTest();
   Table parallel = dirty;
-  ParallelRepairTable(rules, &parallel, 4);
+  PooledRepair(rules, &parallel, 4);
 
   const auto counter = [&](const char* name) {
     const Counter* c =
@@ -142,11 +149,9 @@ TEST(ParallelRepairTest, PooledAndMemoizedConfigsMatchSerial) {
   for (const bool use_memo : {false, true}) {
     for (const size_t threads : {2u, 4u, 16u}) {
       Table parallel = dirty;
-      ParallelRepairOptions parallel_options;
-      parallel_options.threads = threads;
-      parallel_options.use_memo = use_memo;
       const RepairStats stats =
-          ParallelRepairTable(index, &parallel, parallel_options);
+          RepairDriver(index, {.threads = threads, .use_memo = use_memo})
+              .Run(&parallel);
       for (size_t r = 0; r < serial.num_rows(); ++r) {
         ASSERT_EQ(parallel.row(r), serial.row(r))
             << "row " << r << " threads " << threads << " memo "
@@ -162,7 +167,7 @@ TEST(ParallelRepairTest, PooledAndMemoizedConfigsMatchSerial) {
 
 TEST(ParallelRepairTest, IndexBuiltOncePerRuleSetNotPerWorkerOrCall) {
   // Regression guard for the old design, which rebuilt the inverted
-  // index once per worker per ParallelRepairTable call: with a shared
+  // index once per worker per pooled repair call: with a shared
   // CompiledRuleIndex, fixrep.lrepair.index_builds ticks exactly once
   // per rule set no matter how many workers or repair calls follow.
   if (!kMetricsEnabled) {
@@ -175,9 +180,7 @@ TEST(ParallelRepairTest, IndexBuiltOncePerRuleSetNotPerWorkerOrCall) {
   const CompiledRuleIndex index(&example.rules);
   for (int call = 0; call < 3; ++call) {
     Table table = example.dirty;
-    ParallelRepairOptions options;
-    options.threads = 4;
-    ParallelRepairTable(index, &table, options);
+    RepairDriver(index, {.threads = 4}).Run(&table);
   }
   EXPECT_EQ(registry.GetCounter("fixrep.lrepair.index_builds")->Value(),
             before + 1);
@@ -186,7 +189,7 @@ TEST(ParallelRepairTest, IndexBuiltOncePerRuleSetNotPerWorkerOrCall) {
 TEST(ParallelRepairTest, EmptyTable) {
   TravelExample example;
   Table empty(example.schema, example.pool);
-  const RepairStats stats = ParallelRepairTable(example.rules, &empty, 4);
+  const RepairStats stats = PooledRepair(example.rules, &empty, 4);
   EXPECT_EQ(stats.tuples_examined, 0u);
   EXPECT_EQ(stats.cells_changed, 0u);
 }
@@ -194,7 +197,7 @@ TEST(ParallelRepairTest, EmptyTable) {
 TEST(ParallelRepairTest, DefaultThreadCount) {
   TravelExample example;
   Table table = example.dirty;
-  ParallelRepairTable(example.rules, &table);  // threads = 0 -> hardware
+  PooledRepair(example.rules, &table);  // threads = 0 -> hardware
   for (size_t r = 0; r < table.num_rows(); ++r) {
     EXPECT_EQ(table.row(r), example.clean.row(r));
   }
@@ -230,9 +233,7 @@ TEST(ParallelRepairTest, ParticipantsAreCappedAtThePoolWidth) {
     const std::string context = "threads " + std::to_string(threads);
     workers->Reset();
     Table pooled = dirty;
-    ParallelRepairOptions pooled_options;
-    pooled_options.threads = threads;
-    ParallelRepairTable(index, &pooled, pooled_options);
+    RepairDriver(index, {.threads = threads}).Run(&pooled);
     EXPECT_LE(static_cast<size_t>(workers->Value()), width) << context;
     std::ostringstream got;
     WriteCsv(pooled, got);
@@ -240,21 +241,17 @@ TEST(ParallelRepairTest, ParticipantsAreCappedAtThePoolWidth) {
 
     workers->Reset();
     Table lenient = dirty;
-    LenientRepairOptions lenient_options;
-    lenient_options.parallel.threads = threads;
-    lenient_options.on_error = OnErrorPolicy::kSkip;
-    ParallelRepairTableLenient(index, &lenient, lenient_options);
+    RepairDriver(index, {.threads = threads, .on_error = OnErrorPolicy::kSkip})
+        .Run(&lenient);
     EXPECT_LE(static_cast<size_t>(workers->Value()), width) << context;
     std::ostringstream got_lenient;
     WriteCsv(lenient, got_lenient);
     EXPECT_EQ(got_lenient.str(), want.str()) << context;
 
     Table sharded = dirty;
-    ShardedRepairOptions sharded_options;
-    sharded_options.shards = threads;
-    const ShardedRepairResult result =
-        ShardedRepairTable(index, &sharded, sharded_options);
-    EXPECT_LE(result.shards_used, width) << context;
+    RepairDriver sharded_driver(index, {.shards = threads});
+    sharded_driver.Run(&sharded);
+    EXPECT_LE(sharded_driver.slots(), width) << context;
     std::ostringstream got_sharded;
     WriteCsv(sharded, got_sharded);
     EXPECT_EQ(got_sharded.str(), want.str()) << context;

@@ -17,7 +17,7 @@
 #include "relation/csv.h"
 #include "repair/crepair.h"
 #include "repair/lrepair.h"
-#include "repair/parallel.h"
+#include "repair/driver.h"
 #include "rules/rule_io.h"
 #include "testing_util.h"
 
@@ -424,13 +424,12 @@ TEST_F(RepairQuarantineTest, LenientRepairQuarantinesPathologicalTuples) {
     Table table = MakeTable(rows);
     const CompiledRuleIndex index(&rules_);
     VectorQuarantineSink sink;
-    LenientRepairOptions options;
-    options.parallel.threads = threads;
-    options.quarantine = &sink;
-    options.max_chase_steps = 1;
-    const LenientRepairResult result =
-        ParallelRepairTableLenient(index, &table, options);
-    EXPECT_EQ(result.tuples_quarantined, 2u) << threads;
+    RepairDriver driver(index, {.threads = threads,
+                                .on_error = OnErrorPolicy::kQuarantine,
+                                .quarantine = &sink,
+                                .max_chase_steps = 1});
+    const RepairStats stats = driver.Run(&table);
+    EXPECT_EQ(driver.failures().size(), 2u) << threads;
     ASSERT_EQ(sink.size(), 2u);
     EXPECT_EQ(sink.diagnostics()[0].line, 1u);
     EXPECT_EQ(sink.diagnostics()[1].line, 3u);
@@ -446,8 +445,8 @@ TEST_F(RepairQuarantineTest, LenientRepairQuarantinesPathologicalTuples) {
     EXPECT_EQ(table.CellString(2, 1), "Paris");
     EXPECT_EQ(table.CellString(3, 0), "Chn");
     EXPECT_EQ(CounterValue("fixrep.quarantine.tuples"), 2u);
-    EXPECT_EQ(result.stats.tuples_examined, rows.size());
-    EXPECT_EQ(result.stats.cells_changed, 1u);
+    EXPECT_EQ(stats.tuples_examined, rows.size());
+    EXPECT_EQ(stats.cells_changed, 1u);
   }
 }
 
@@ -473,28 +472,26 @@ TEST_F(QuarantineTest, LenientRepairCleanInputsBitIdenticalToStrict) {
     FastRepairer strict(&rules);
     strict.RepairTable(&strict_serial);
 
-    Table strict_parallel = table;
-    ParallelRepairTable(rules, &strict_parallel, /*threads=*/4);
-
     const CompiledRuleIndex index(&rules);
+    Table strict_parallel = table;
+    RepairDriver(index, {.threads = 4}).Run(&strict_parallel);
+
     Table lenient_serial = table;
     VectorQuarantineSink serial_sink;
-    LenientRepairOptions serial_options;
-    serial_options.parallel.threads = 1;
-    serial_options.quarantine = &serial_sink;
-    const LenientRepairResult serial_result =
-        ParallelRepairTableLenient(index, &lenient_serial, serial_options);
+    RepairDriver serial_driver(index, {.on_error = OnErrorPolicy::kQuarantine,
+                                       .quarantine = &serial_sink});
+    const RepairStats serial_stats = serial_driver.Run(&lenient_serial);
 
     Table lenient_parallel = table;
     VectorQuarantineSink parallel_sink;
-    LenientRepairOptions parallel_options;
-    parallel_options.parallel.threads = 4;
-    parallel_options.quarantine = &parallel_sink;
-    const LenientRepairResult parallel_result = ParallelRepairTableLenient(
-        index, &lenient_parallel, parallel_options);
+    RepairDriver parallel_driver(index,
+                                 {.threads = 4,
+                                  .on_error = OnErrorPolicy::kQuarantine,
+                                  .quarantine = &parallel_sink});
+    const RepairStats parallel_stats = parallel_driver.Run(&lenient_parallel);
 
-    EXPECT_EQ(serial_result.tuples_quarantined, 0u);
-    EXPECT_EQ(parallel_result.tuples_quarantined, 0u);
+    EXPECT_EQ(serial_driver.failures().size(), 0u);
+    EXPECT_EQ(parallel_driver.failures().size(), 0u);
     EXPECT_TRUE(serial_sink.empty());
     EXPECT_TRUE(parallel_sink.empty());
     for (size_t r = 0; r < num_rows; ++r) {
@@ -502,14 +499,12 @@ TEST_F(QuarantineTest, LenientRepairCleanInputsBitIdenticalToStrict) {
       ASSERT_EQ(lenient_parallel.row(r), strict_serial.row(r)) << round;
       ASSERT_EQ(strict_parallel.row(r), strict_serial.row(r)) << round;
     }
-    EXPECT_EQ(serial_result.stats.tuples_examined,
-              parallel_result.stats.tuples_examined);
-    EXPECT_EQ(serial_result.stats.cells_changed,
-              parallel_result.stats.cells_changed);
-    EXPECT_EQ(serial_result.stats.rule_applications,
-              parallel_result.stats.rule_applications);
-    EXPECT_EQ(serial_result.stats.per_rule_applications,
-              parallel_result.stats.per_rule_applications);
+    EXPECT_EQ(serial_stats.tuples_examined, parallel_stats.tuples_examined);
+    EXPECT_EQ(serial_stats.cells_changed, parallel_stats.cells_changed);
+    EXPECT_EQ(serial_stats.rule_applications,
+              parallel_stats.rule_applications);
+    EXPECT_EQ(serial_stats.per_rule_applications,
+              parallel_stats.per_rule_applications);
   }
 }
 

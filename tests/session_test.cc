@@ -1,7 +1,8 @@
 // RepairSession (repair/session.h): the unified facade must be
 // bit-identical — repaired cells, reports, quarantine diagnostics, AND
-// published metrics — to calling the engine layer directly for every
-// engine/threads/error-policy combination it routes.
+// published metrics — to calling the engines directly (RepairDriver,
+// FastRepairer, ChaseRepairer) for every engine/threads/error-policy
+// combination it routes.
 
 #include <map>
 #include <memory>
@@ -20,8 +21,8 @@
 #include "relation/csv.h"
 #include "relation/table.h"
 #include "repair/crepair.h"
+#include "repair/driver.h"
 #include "repair/lrepair.h"
-#include "repair/parallel.h"
 #include "repair/session.h"
 #include "rulegen/rulegen.h"
 #include "rules/rule_io.h"
@@ -128,7 +129,8 @@ TEST(RepairSessionTest, MetricsDeltasEqualDirectEngineCall) {
 
   registry.ResetAllForTest();
   Table direct = example.dirty;
-  ParallelRepairTable(example.rules, &direct, 1);
+  const CompiledRuleIndex index(&example.rules);
+  RepairDriver(index, RepairConfig{}).Run(&direct);
   const auto direct_counters = RepairCounters();
 
   registry.ResetAllForTest();
@@ -179,13 +181,11 @@ TEST_F(RepairSessionLenientTest, QuarantineMatchesLenientEngine) {
   const CompiledRuleIndex index(&rules_);
   Table direct = MakeTable();
   VectorQuarantineSink direct_sink;
-  LenientRepairOptions lenient;
-  lenient.parallel.threads = 1;
-  lenient.quarantine = &direct_sink;
-  lenient.max_chase_steps = 1;
-  const LenientRepairResult direct_result =
-      ParallelRepairTableLenient(index, &direct, lenient);
-  ASSERT_EQ(direct_result.tuples_quarantined, 2u);
+  RepairDriver driver(index, {.on_error = OnErrorPolicy::kQuarantine,
+                              .quarantine = &direct_sink,
+                              .max_chase_steps = 1});
+  driver.Run(&direct);
+  ASSERT_EQ(driver.failures().size(), 2u);
 
   for (const size_t threads : {size_t{1}, size_t{4}}) {
     Table via_session = MakeTable();

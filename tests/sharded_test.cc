@@ -1,11 +1,9 @@
-// Sharded repair (repair/sharded.h) and the acceptance matrix of the
+// Content-routed (sharded) RepairDriver runs and the acceptance matrix of the
 // rule-dictionary refactor: repair output must be byte-identical between
 // the in-RAM CompiledRuleIndex and the compiled on-disk dictionary
 // across datasets (travel/hosp/uis) × engines (serial, memo-off,
 // pooled, sharded) × error policies (abort/skip/quarantine) ×
 // whole-table/stream/spill.
-
-#include "repair/sharded.h"
 
 #include <memory>
 #include <sstream>
@@ -23,6 +21,7 @@
 #include "datagen/uis.h"
 #include "relation/csv.h"
 #include "relation/table.h"
+#include "repair/driver.h"
 #include "repair/lrepair.h"
 #include "repair/session.h"
 #include "rulegen/rulegen.h"
@@ -96,17 +95,15 @@ TEST(ShardedRepair, ByteIdenticalToSerialAcrossShardCounts) {
 
     for (const size_t shards : {size_t{0}, size_t{1}, size_t{2}, size_t{5}}) {
       Table actual = base;
-      ShardedRepairOptions options;
-      options.shards = shards;
-      options.on_error = OnErrorPolicy::kSkip;
-      const ShardedRepairResult result =
-          ShardedRepairTable(index, &actual, options);
+      RepairDriver driver(index, {.shards = shards,
+                                  .on_error = OnErrorPolicy::kSkip});
+      driver.Run(&actual);
       const std::string context =
           "trial " + std::to_string(trial) + " shards " +
           std::to_string(shards);
       ExpectSameRows(actual, expected, context);
-      EXPECT_EQ(result.tuples_quarantined, expected_quarantined) << context;
-      EXPECT_GE(result.shards_used, 1u) << context;
+      EXPECT_EQ(driver.failures().size(), expected_quarantined) << context;
+      EXPECT_GE(driver.slots(), 1u) << context;
     }
   }
 }
@@ -172,17 +169,15 @@ TEST(ShardedRepair, LenientDiagnosticsAndWriteLogMatchSerial) {
     Table actual = base;
     VectorQuarantineSink sink;
     std::vector<CellRepair> log;
-    ShardedRepairOptions options;
-    options.shards = shards;
-    options.on_error = OnErrorPolicy::kQuarantine;
-    options.quarantine = &sink;
-    options.max_chase_steps = 1;
-    options.write_log = &log;
-    const ShardedRepairResult result =
-        ShardedRepairTable(index, &actual, options);
+    RepairDriver driver(index, {.shards = shards,
+                                .on_error = OnErrorPolicy::kQuarantine,
+                                .quarantine = &sink,
+                                .max_chase_steps = 1});
+    driver.set_write_log(&log);
+    driver.Run(&actual);
     const std::string context = "shards " + std::to_string(shards);
     ExpectSameRows(actual, expected, context);
-    EXPECT_EQ(result.tuples_quarantined, expected_diags.size()) << context;
+    EXPECT_EQ(driver.failures().size(), expected_diags.size()) << context;
     ExpectSameDiagnostics(sink.diagnostics(), expected_diags, context);
     ASSERT_EQ(log.size(), expected_log.size()) << context;
     for (size_t i = 0; i < expected_log.size(); ++i) {
@@ -212,21 +207,19 @@ TEST(ShardedRepair, DictionaryBackendMatchesIndexBackend) {
   Table base(universe.schema, universe.pool);
   for (int r = 0; r < 200; ++r) base.AppendRow(universe.RandomTuple(&rng));
 
-  ShardedRepairOptions options;
-  options.shards = 4;
-  options.on_error = OnErrorPolicy::kSkip;
+  const RepairConfig config{.shards = 4, .on_error = OnErrorPolicy::kSkip};
 
   Table via_index = base;
   Table via_dict = base;
-  const ShardedRepairResult index_result =
-      ShardedRepairTable(index, &via_index, options);
-  const ShardedRepairResult dict_result =
-      ShardedRepairTable(**dict, &via_dict, options);
+  RepairDriver index_driver(index, config);
+  RepairDriver dict_driver(**dict, config);
+  const RepairStats index_stats = index_driver.Run(&via_index);
+  const RepairStats dict_stats = dict_driver.Run(&via_dict);
   ExpectSameRows(via_dict, via_index, "dict vs index");
-  EXPECT_EQ(dict_result.stats.cells_changed, index_result.stats.cells_changed);
-  EXPECT_EQ(dict_result.stats.per_rule_applications,
-            index_result.stats.per_rule_applications);
-  EXPECT_EQ(dict_result.tuples_quarantined, index_result.tuples_quarantined);
+  EXPECT_EQ(dict_stats.cells_changed, index_stats.cells_changed);
+  EXPECT_EQ(dict_stats.per_rule_applications,
+            index_stats.per_rule_applications);
+  EXPECT_EQ(dict_driver.failures().size(), index_driver.failures().size());
 }
 
 // ----------------------------------------------------- session matrix --

@@ -21,10 +21,10 @@
 #include "datagen/travel.h"
 #include "datagen/uis.h"
 #include "relation/csv.h"
+#include "repair/driver.h"
 #include "repair/lrepair.h"
-#include "repair/parallel.h"
 #include "repair/rule_index.h"
-#include "repair/streaming.h"
+#include "repair/session.h"
 #include "rulegen/rulegen.h"
 #include "testing_util.h"
 
@@ -170,14 +170,15 @@ TEST(MatchesFlatTest, AgreesWithRuleMatches) {
 // --- cross-kernel end-to-end property: byte-identical repairs and
 // identical chase-semantic metrics on every engine/policy combo. ---
 
-// The chase-semantic counters every kernel must reproduce exactly.
-// batch_probes/batch_keys are deliberately absent: they count probe
-// *mechanics* (zero on the scalar path) and differ by design.
+// The counters every kernel must reproduce exactly: the chase-semantic
+// ones, and the probe mechanics too, since every kernel probes through
+// the same LookupBatch schedule.
 std::vector<size_t> ChaseSignature(const RepairStats& stats) {
   return {stats.tuples_examined,     stats.tuples_changed,
           stats.cells_changed,       stats.rule_applications,
           stats.index_hits,          stats.counter_bumps,
-          stats.candidates_enqueued, stats.candidates_rejected};
+          stats.candidates_enqueued, stats.candidates_rejected,
+          stats.batch_probes,        stats.batch_keys};
 }
 
 std::string TableCsv(const Table& table) {
@@ -213,10 +214,8 @@ EngineRun RunSerialMemo(const Table& dirty, const RuleSet& rules) {
 EngineRun RunPooled(const Table& dirty, const RuleSet& rules) {
   Table copy = dirty;
   const CompiledRuleIndex index(&rules);
-  ParallelRepairOptions options;
-  options.threads = 3;
-  options.use_memo = false;
-  const RepairStats stats = ParallelRepairTable(index, &copy, options);
+  const RepairStats stats =
+      RepairDriver(index, {.threads = 3, .use_memo = false}).Run(&copy);
   return {TableCsv(copy), ChaseSignature(stats)};
 }
 
@@ -240,20 +239,19 @@ EngineRun StreamRun(const Table& dirty, const RuleSet& rules,
                     size_t budget_bytes) {
   const std::string input = TableCsv(dirty);
   const CompiledRuleIndex index(&rules);
-  StreamingRepairOptions options;
-  options.chunk_rows = budget_bytes > 0 ? ~size_t{0} : 512;
-  options.memory_budget_bytes = budget_bytes;
+  RepairConfig config;
+  config.chunk_rows = budget_bytes > 0 ? ~size_t{0} : 512;
+  config.memory_budget_bytes = budget_bytes;
   std::istringstream in(input);
   std::ostringstream out;
   StatusOr<CsvChunkReader> reader =
       CsvChunkReader::Open(in, "simd_test", dirty.pool_ptr(), {});
   EXPECT_TRUE(reader.ok());
-  StreamingRepairSession session(&index, options);
-  const StatusOr<StreamingRepairResult> result =
-      session.Run(&reader.value(), out);
+  RepairSession session(&index, config);
+  const StatusOr<RepairReport> result =
+      session.RepairStream(&reader.value(), out);
   EXPECT_TRUE(result.ok());
-  return {out.str(),
-          {result.value().rows_emitted, result.value().cells_changed}};
+  return {out.str(), {result.value().rows, result.value().cells_changed}};
 }
 
 EngineRun RunStreamChunked(const Table& dirty, const RuleSet& rules) {
@@ -336,34 +334,26 @@ TEST(SimdKernelIndependenceTest, Uis) {
   ExpectKernelIndependent(dirty, rules, "uis");
 }
 
-// The batch metrics do tick on the batched path — otherwise the
-// telemetry satellite is wiring to dead counters.
+// The batch metrics tick on every kernel — the scalar one included,
+// since tuple init always probes through LookupBatch — and identically,
+// otherwise the telemetry is wiring to dead or kernel-dependent counters.
 TEST(SimdMetricsTest, BatchCountersTickOnBatchedPathOnly) {
   SimdKernelGuard guard;
   const TravelExample example;
-
-  SetSimdKernel(SimdKernel::kScalar);
-  {
+  for (const SimdKernel kernel : SupportedKernels()) {
+    SetSimdKernel(kernel);
     Table copy = example.dirty;
     FastRepairer repairer(&example.rules);
     repairer.RepairTable(&copy);
-    EXPECT_EQ(repairer.stats().batch_probes, 0u);
-    EXPECT_EQ(repairer.stats().batch_keys, 0u);
+    const std::string context = SimdKernelName(kernel);
+    // One LookupBatch per 64-row group (travel is one group), each
+    // non-null cell probed exactly once.
+    EXPECT_EQ(repairer.stats().batch_probes, 1u) << context;
+    EXPECT_GT(repairer.stats().batch_keys, 0u) << context;
+    EXPECT_LE(repairer.stats().batch_keys,
+              example.dirty.num_rows() * example.dirty.num_columns())
+        << context;
   }
-
-  const SimdKernel best = BestSupportedSimdKernel();
-  if (best == SimdKernel::kScalar) {
-    GTEST_SKIP() << "no SIMD kernel available on this machine/build";
-  }
-  SetSimdKernel(best);
-  Table copy = example.dirty;
-  FastRepairer repairer(&example.rules);
-  repairer.RepairTable(&copy);
-  EXPECT_GT(repairer.stats().batch_probes, 0u);
-  EXPECT_GT(repairer.stats().batch_keys, 0u);
-  // Row-group batching probes each non-null cell exactly once.
-  EXPECT_LE(repairer.stats().batch_keys,
-            example.dirty.num_rows() * example.dirty.num_columns());
 }
 
 }  // namespace

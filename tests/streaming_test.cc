@@ -1,4 +1,5 @@
-// The chunked streaming repair pipeline (repair/streaming.h): for every
+// The chunked streaming repair pipeline (repair/streaming.h, run through
+// RepairSession::RepairStream): for every
 // chunk size, engine width, and error policy, the streamed output —
 // repaired CSV bytes AND quarantine diagnostics — is bit-identical to
 // repairing the whole table in memory and writing it out.
@@ -21,10 +22,10 @@
 #include "relation/csv.h"
 #include "relation/row_store.h"
 #include "relation/table.h"
+#include "repair/driver.h"
 #include "repair/lrepair.h"
-#include "repair/parallel.h"
 #include "repair/rule_index.h"
-#include "repair/streaming.h"
+#include "repair/session.h"
 #include "rulegen/rulegen.h"
 #include "rules/rule_io.h"
 #include "testing_util.h"
@@ -46,7 +47,7 @@ std::string ToCsv(const Table& table) {
 // One end-to-end streaming run over CSV text: reader -> session -> string.
 struct StreamRun {
   std::string csv;
-  StreamingRepairResult result;
+  RepairReport result;
   std::vector<Diagnostic> tuple_diagnostics;  // failed repairs
   std::vector<Diagnostic> row_diagnostics;    // malformed CSV records
 };
@@ -77,19 +78,19 @@ StatusOr<StreamRun> RunStream(const std::string& csv_text,
       CsvChunkReader::Open(in, "stream", std::move(pool), csv_options);
   if (!reader.ok()) return reader.status();
 
-  StreamingRepairOptions options;
-  options.chunk_rows = config.chunk_rows;
-  options.repair.parallel.threads = config.threads;
-  options.repair.on_error = config.on_error;
+  RepairConfig repair;
+  repair.chunk_rows = config.chunk_rows;
+  repair.threads = config.threads;
+  repair.on_error = config.on_error;
   if (config.on_error == OnErrorPolicy::kQuarantine) {
-    options.repair.quarantine = &tuple_sink;
+    repair.quarantine = &tuple_sink;
   }
-  options.repair.max_chase_steps = config.max_chase_steps;
-  options.memory_budget_bytes = config.memory_budget_bytes;
-  options.prune_columns = config.prune_columns;
-  StreamingRepairSession session(&index, options);
+  repair.max_chase_steps = config.max_chase_steps;
+  repair.memory_budget_bytes = config.memory_budget_bytes;
+  repair.prune_columns = config.prune_columns;
+  RepairSession session(&index, repair);
   std::ostringstream out;
-  StatusOr<StreamingRepairResult> result = session.Run(&reader.value(), out);
+  StatusOr<RepairReport> result = session.RepairStream(&reader.value(), out);
   if (!result.ok()) return result.status();
 
   StreamRun run;
@@ -129,7 +130,7 @@ TEST_F(StreamingTest, TravelExampleStreamsToTheCleanInstance) {
         dirty_csv, example.pool, index, {.chunk_rows = chunk_rows});
     ASSERT_TRUE(run.ok()) << run.status().message();
     EXPECT_EQ(run->csv, want) << "chunk_rows=" << chunk_rows;
-    EXPECT_EQ(run->result.rows_emitted, example.dirty.num_rows());
+    EXPECT_EQ(run->result.rows, example.dirty.num_rows());
     EXPECT_TRUE(run->tuple_diagnostics.empty());
   }
 }
@@ -142,7 +143,7 @@ TEST_F(StreamingTest, EmptyInputEmitsHeaderOnly) {
       RunStream(ToCsv(empty), example.pool, index, {.chunk_rows = 4});
   ASSERT_TRUE(run.ok());
   EXPECT_EQ(run->csv, ToCsv(empty));
-  EXPECT_EQ(run->result.rows_emitted, 0u);
+  EXPECT_EQ(run->result.rows, 0u);
   EXPECT_EQ(run->result.chunks, 0u);
 }
 
@@ -192,7 +193,7 @@ TEST_F(StreamingTest, ChunkedRepairBitIdenticalToWholeTableSerial) {
         ASSERT_EQ(run->csv, want) << "round=" << round
                                   << " chunk_rows=" << chunk_rows
                                   << " threads=" << threads;
-        EXPECT_EQ(run->result.rows_emitted, num_rows);
+        EXPECT_EQ(run->result.rows, num_rows);
       }
     }
   }
@@ -223,7 +224,7 @@ void ExpectStreamingMatchesWholeTable(const GeneratedData& data,
       ASSERT_TRUE(run.ok()) << run.status().message();
       ASSERT_EQ(run->csv, want) << "chunk_rows=" << chunk_rows
                                 << " threads=" << threads;
-      EXPECT_EQ(run->result.rows_emitted, dirty.num_rows());
+      EXPECT_EQ(run->result.rows, dirty.num_rows());
     }
   }
 }
@@ -278,6 +279,14 @@ RuleSet CascadeRules(std::shared_ptr<const Schema> schema,
   return ParseRulesFromString(text, std::move(schema), std::move(pool));
 }
 
+// The whole-table reference for the cascade suites: serial, quarantining
+// into `sink`, one chase pop per tuple.
+RepairConfig LenientConfig(QuarantineSink* sink) {
+  return {.on_error = OnErrorPolicy::kQuarantine,
+          .quarantine = sink,
+          .max_chase_steps = 1};
+}
+
 class StreamingQuarantineTest : public StreamingTest {
  protected:
   std::shared_ptr<ValuePool> pool_ = std::make_shared<ValuePool>();
@@ -309,13 +318,9 @@ TEST_F(StreamingQuarantineTest, DiagnosticsMatchWholeTableLenientRepair) {
 
   Table reference = table;
   VectorQuarantineSink reference_sink;
-  LenientRepairOptions reference_options;
-  reference_options.parallel.threads = 1;
-  reference_options.quarantine = &reference_sink;
-  reference_options.max_chase_steps = 1;
-  const LenientRepairResult reference_result =
-      ParallelRepairTableLenient(index, &reference, reference_options);
-  ASSERT_EQ(reference_result.tuples_quarantined, 3u);
+  RepairDriver reference_driver(index, LenientConfig(&reference_sink));
+  reference_driver.Run(&reference);
+  ASSERT_EQ(reference_driver.failures().size(), 3u);
   const std::string want = ToCsv(reference);
 
   for (const size_t chunk_rows :
@@ -381,11 +386,7 @@ TEST_F(StreamingQuarantineTest, MalformedRecordsKeepGlobalOrdinals) {
   ASSERT_EQ(reference->num_rows(), 3u);
   const CompiledRuleIndex index(&rules_);
   VectorQuarantineSink reference_tuples;
-  LenientRepairOptions repair_options;
-  repair_options.parallel.threads = 1;
-  repair_options.quarantine = &reference_tuples;
-  repair_options.max_chase_steps = 1;
-  ParallelRepairTableLenient(index, &reference.value(), repair_options);
+  RepairDriver(index, LenientConfig(&reference_tuples)).Run(&reference.value());
   const std::string want = ToCsv(reference.value());
 
   for (const size_t chunk_rows : {size_t{1}, size_t{2}, size_t{10}}) {
@@ -426,10 +427,40 @@ TEST_F(StreamingQuarantineTest, StreamingCountersTickPerChunkAndRow) {
       RunStream(ToCsv(table), pool_, index, {.chunk_rows = 2});
   ASSERT_TRUE(run.ok());
   EXPECT_EQ(run->result.chunks, 3u);  // 2 + 2 + 1
-  EXPECT_EQ(run->result.rows_emitted, 5u);
+  EXPECT_EQ(run->result.rows, 5u);
   EXPECT_EQ(run->result.cells_changed, 5u);
   EXPECT_EQ(CounterValue("fixrep.streaming.chunks"), 3u);
   EXPECT_EQ(CounterValue("fixrep.streaming.rows"), 5u);
+}
+
+// A stream that fails part way still publishes the repair metrics of the
+// chunks it repaired and emitted: the driver publishes per run, not once
+// after the loop.
+TEST_F(StreamingQuarantineTest, FailedStreamKeepsMetricsOfRepairedChunks) {
+  if (!kMetricsEnabled) GTEST_SKIP() << "built with FIXREP_DISABLE_METRICS";
+  const std::string input_csv =
+      "country,capital,name\n"
+      "China,Shanghai,a\n"  // chunk 1
+      "China,Shanghai,b\n"
+      "China,Hongkong,c\n"  // chunk 2
+      "France,Paris,d\n"
+      "China,Shanghai\n"    // chunk 3: arity mismatch, abort
+      "China,Shanghai,e\n";
+  const CompiledRuleIndex index(&rules_);
+  for (const size_t threads : {size_t{1}, size_t{4}}) {
+    MetricsRegistry::Global().ResetAllForTest();
+    const std::string context = "threads=" + std::to_string(threads);
+    const StatusOr<StreamRun> run = RunStream(
+        input_csv, pool_, index, {.chunk_rows = 2, .threads = threads});
+    ASSERT_FALSE(run.ok()) << context;
+    EXPECT_EQ(run.status().code(), StatusCode::kMalformedInput) << context;
+    EXPECT_EQ(CounterValue("fixrep.lrepair.tuples_examined"), 4u) << context;
+    EXPECT_EQ(CounterValue("fixrep.lrepair.cells_changed"), 3u) << context;
+    EXPECT_EQ(CounterValue("fixrep.memo.hits") +
+                  CounterValue("fixrep.memo.misses"),
+              4u)
+        << context;
+  }
 }
 
 // ------------------------------------------------------- out-of-core spill --
@@ -454,7 +485,7 @@ void ExpectSpillConfigsMatch(const std::string& input_csv,
                      .memory_budget_bytes = budget});
       ASSERT_TRUE(run.ok()) << context << ": " << run.status().message();
       ASSERT_EQ(run->csv, want) << context;
-      EXPECT_EQ(run->result.rows_emitted, num_rows) << context;
+      EXPECT_EQ(run->result.rows, num_rows) << context;
       if (budget == 1) {
         // Floor: tail + in-flight + (parallel) one pinned block, plus one
         // transient block between NoteResident and eviction.
@@ -544,13 +575,9 @@ TEST_F(StreamingQuarantineTest, SpillWithQuarantineMatchesInMemory) {
 
   Table reference = table;
   VectorQuarantineSink reference_sink;
-  LenientRepairOptions reference_options;
-  reference_options.parallel.threads = 1;
-  reference_options.quarantine = &reference_sink;
-  reference_options.max_chase_steps = 1;
-  const LenientRepairResult reference_result =
-      ParallelRepairTableLenient(index, &reference, reference_options);
-  ASSERT_GT(reference_result.tuples_quarantined, 0u);
+  RepairDriver reference_driver(index, LenientConfig(&reference_sink));
+  reference_driver.Run(&reference);
+  ASSERT_GT(reference_driver.failures().size(), 0u);
   const std::string want = ToCsv(reference);
 
   for (const size_t threads : {size_t{1}, size_t{4}}) {
@@ -565,7 +592,7 @@ TEST_F(StreamingQuarantineTest, SpillWithQuarantineMatchesInMemory) {
     ASSERT_TRUE(run.ok()) << context << ": " << run.status().message();
     ASSERT_EQ(run->csv, want) << context;
     EXPECT_EQ(run->result.tuples_quarantined,
-              reference_result.tuples_quarantined)
+              reference_driver.failures().size())
         << context;
     ExpectSameDiagnostics(run->tuple_diagnostics,
                           reference_sink.diagnostics(), context);
@@ -628,11 +655,7 @@ TEST_F(StreamingPruneTest, PruneWithQuarantineKeepsFullRawText) {
 
   Table reference = MakeTable();
   VectorQuarantineSink reference_sink;
-  LenientRepairOptions reference_options;
-  reference_options.parallel.threads = 1;
-  reference_options.quarantine = &reference_sink;
-  reference_options.max_chase_steps = 1;
-  ParallelRepairTableLenient(index, &reference, reference_options);
+  RepairDriver(index, LenientConfig(&reference_sink)).Run(&reference);
   ASSERT_EQ(reference_sink.size(), 1u);  // the cascade row
   const std::string want = ToCsv(reference);
 
