@@ -1250,9 +1250,9 @@ int Submit(const Args& args) {
             << FormatDouble(timer.ElapsedMillis(), 1) << " ms -> "
             << args.Get("out") << "\n";
   if (*policy != OnErrorPolicy::kAbort) {
-    std::cout << "on-error=" << OnErrorPolicyName(*policy)
-              << ": quarantined " << result->tuples_quarantined
-              << " tuples";
+    std::cout << "on-error=" << OnErrorPolicyName(*policy) << ": dropped "
+              << result->records_dropped << " malformed rows, quarantined "
+              << result->tuples_quarantined << " tuples";
     if (args.Has("quarantine-out")) {
       std::cout << " -> " << args.Get("quarantine-out");
     }

@@ -76,13 +76,18 @@ class CsvEmitter {
   }
 
   void Rows(const Table& table, size_t begin_row) {
-    const ValuePool& pool = table.pool();
-    for (size_t r = begin_row; r < table.num_rows(); ++r) {
-      const TupleRef row = table.row(r);
-      for (size_t a = 0; a < row.size(); ++a) Cell(a, pool, row[a]);
-      EndRow();
-    }
+    for (size_t r = begin_row; r < table.num_rows(); ++r) Row(table, r);
   }
+
+  void Row(const Table& table, size_t r) {
+    const ValuePool& pool = table.pool();
+    const TupleRef row = table.row(r);
+    for (size_t a = 0; a < row.size(); ++a) Cell(a, pool, row[a]);
+    EndRow();
+  }
+
+  // Bytes rendered so far, handed on or not.
+  uint64_t size() const { return emitted_ + size_; }
 
   void RowsPruned(const Table& table, const ColumnSidecar& sidecar) {
     const ValuePool& pool = table.pool();
@@ -218,6 +223,7 @@ StatusOr<CsvChunkReader> CsvChunkReader::OpenImpl(
     }
   }
   TickCounter("fixrep.csv.bytes_parsed", reader.consumed_);
+  reader.header_span_ = {0, reader.consumed_, reader.verbatim_};
   reader.schema_ = std::make_shared<Schema>(relation_name, std::move(names));
   reader.pool_ = std::move(pool);
   return reader;
@@ -291,12 +297,15 @@ CsvChunkReader::Tokenized CsvChunkReader::Tokenize() {
   // Consumes the record [begin, terminator) plus `skip` terminator bytes.
   auto finish = [&](const char* terminator, size_t skip) {
     record_begin_ = pos_;
+    record_offset_ = consumed_;
     record_size_ = static_cast<size_t>(terminator - begin);
     const size_t size = record_size_ + skip;
     pos_ += size;
     consumed_ += size;
     return Tokenized::kRecord;
   };
+  verbatim_ = false;
+  bool unescaped = false;  // some field took the slow path
   const char* p = begin;
   while (true) {
     const char* q = FindCsvSpecial(p, end);
@@ -312,6 +321,7 @@ CsvChunkReader::Tokenized CsvChunkReader::Tokenize() {
     }
     if (*q == '\n') {
       fields_.emplace_back(p, static_cast<size_t>(q - p));
+      verbatim_ = !unescaped;
       return finish(q, 1);
     }
     if (*q == '\r' && q + 1 < end && q[1] == '\n') {
@@ -319,6 +329,7 @@ CsvChunkReader::Tokenized CsvChunkReader::Tokenize() {
       return finish(q + 1, 1);
     }
     // A quote or a bare '\r': this field needs unescaping.
+    unescaped = true;
     const char* next = nullptr;
     switch (UnescapeField(p, end, &next)) {
       case FieldEnd::kNeedMore:
@@ -393,6 +404,11 @@ CsvChunkReader::FieldEnd CsvChunkReader::UnescapeField(const char* p,
   }
 }
 
+void CsvChunkReader::RecordSpansInto(CsvRecordSpans* spans) {
+  spans_ = spans;
+  if (spans_ != nullptr) *spans_ = CsvRecordSpans{header_span_, {}, 0};
+}
+
 StatusOr<size_t> CsvChunkReader::ReadChunk(Table* chunk, size_t max_rows,
                                            ColumnSidecar* sidecar) {
   FIXREP_CHECK(chunk != nullptr);
@@ -435,6 +451,7 @@ StatusOr<size_t> CsvChunkReader::ReadChunk(Table* chunk, size_t max_rows,
       }
       problem = Status::Ok();
       ++record_;
+      if (spans_ != nullptr) ++spans_->dropped;
       continue;
     }
     if (overlay_ != nullptr) {
@@ -448,6 +465,9 @@ StatusOr<size_t> CsvChunkReader::ReadChunk(Table* chunk, size_t max_rows,
           sidecar->columns[a].emplace_back(fields_[a]);
         }
       }
+    }
+    if (spans_ != nullptr) {
+      spans_->rows.push_back({record_offset_, consumed_, verbatim_});
     }
     ++record_;
     ++appended;
@@ -496,11 +516,15 @@ StatusOr<Table> ReadCsvBytesResolved(std::string_view bytes,
                                      const std::string& relation_name,
                                      std::shared_ptr<ValuePool> pool,
                                      ValueOverlay* overlay,
-                                     const CsvReadOptions& options) {
+                                     const CsvReadOptions& options,
+                                     CsvRecordSpans* spans) {
   StatusOr<CsvChunkReader> reader =
       CsvChunkReader::OpenBytes(bytes, relation_name, std::move(pool),
                                 options);
-  if (reader.ok()) reader.value().ResolveThrough(overlay);
+  if (reader.ok()) {
+    reader.value().ResolveThrough(overlay);
+    reader.value().RecordSpansInto(spans);
+  }
   return ReadAll(std::move(reader), /*expected_rows=*/0);
 }
 
@@ -556,6 +580,119 @@ void WriteCsvRowsPruned(const Table& table, const ColumnSidecar& sidecar,
     }
   }
   CsvEmitter(&out).RowsPruned(table, sidecar);
+}
+
+CsvSplice SpliceCsv(std::string_view input, const CsvRecordSpans& spans,
+                    const Table& original, const Table& repaired) {
+  FIXREP_CHECK_EQ(spans.rows.size(), repaired.num_rows());
+  FIXREP_CHECK_EQ(original.num_rows(), repaired.num_rows());
+  CsvSplice splice;
+  {
+    CsvEmitter emitter(&splice.inserts);
+    // Records are numbered from -1, the header, to `records`, past the
+    // last row. Records [kept, r) lie between the last edit and record r.
+    const auto records = static_cast<ptrdiff_t>(repaired.num_rows());
+    ptrdiff_t kept = -1;
+    uint64_t insert_begin = 0;  // emitter size when the last edit opened
+    auto render = [&](ptrdiff_t r) {
+      if (r < 0) {
+        emitter.Header(repaired.schema());
+      } else {
+        emitter.Row(repaired, static_cast<size_t>(r));
+      }
+    };
+    // Opens an edit at input offset `begin`, before record r, or extends
+    // the last edit over records [kept, r) (verbatim and unchanged, so
+    // rendering them gives their bytes) when they are shorter than an
+    // edit.
+    auto open_edit = [&](uint64_t begin, ptrdiff_t r) {
+      if (!splice.edits.empty()) {
+        const CsvEdit& last = splice.edits.back();
+        if (begin - (last.begin + last.erase) < sizeof(CsvEdit)) {
+          for (ptrdiff_t k = kept; k < r; ++k) render(k);
+          return;
+        }
+      }
+      splice.edits.push_back({begin, 0, 0});
+      insert_begin = emitter.size();
+    };
+    auto close_edit = [&](uint64_t end) {
+      CsvEdit& open = splice.edits.back();
+      open.erase = end - open.begin;
+      open.insert = emitter.size() - insert_begin;
+    };
+    uint64_t at = 0;  // end of the previous record
+    for (ptrdiff_t r = -1; r <= records; ++r) {
+      const auto row = static_cast<size_t>(r);  // used once r >= 0
+      const CsvRecordSpan next =
+          r < 0         ? spans.header
+          : r < records ? spans.rows[row]
+                        : CsvRecordSpan{input.size(), input.size()};
+      if (next.begin > at) {  // records dropped before this one
+        open_edit(at, r);
+        close_edit(next.begin);
+        kept = r;
+      }
+      if (r == records) break;
+      if (!next.verbatim ||
+          (r >= 0 && original.row(row) != repaired.row(row))) {
+        open_edit(next.begin, r);
+        render(r);
+        close_edit(next.end);
+        kept = r + 1;
+      }
+      at = next.end;
+    }
+  }
+  uint64_t erased = 0;
+  for (const CsvEdit& e : splice.edits) erased += e.erase;
+  splice.output_size = input.size() - erased + splice.inserts.size();
+  return splice;
+}
+
+Status ApplyCsvSplice(std::string_view input, const CsvSplice& splice,
+                      std::string* out) {
+  uint64_t at = 0;  // input bytes accounted for
+  uint64_t inserted = 0;
+  uint64_t size = 0;  // output bytes
+  for (const CsvEdit& e : splice.edits) {
+    if (e.begin < at || e.begin > input.size() ||
+        e.erase > input.size() - e.begin) {
+      return Status::MalformedInput(
+          "splice edit at " + std::to_string(e.begin) +
+          " is out of order or past the " + std::to_string(input.size()) +
+          "-byte input");
+    }
+    if (e.insert > splice.inserts.size() - inserted) {
+      return Status::MalformedInput("splice edits insert more than the " +
+                                    std::to_string(splice.inserts.size()) +
+                                    " replacement bytes");
+    }
+    size += (e.begin - at) + e.insert;
+    inserted += e.insert;
+    at = e.begin + e.erase;
+  }
+  size += input.size() - at;
+  if (inserted != splice.inserts.size()) {
+    return Status::MalformedInput("splice leaves replacement bytes unused");
+  }
+  if (size != splice.output_size) {
+    return Status::MalformedInput(
+        "splice output is " + std::to_string(size) + " bytes, declared " +
+        std::to_string(splice.output_size));
+  }
+  out->clear();
+  out->reserve(size);
+  const char* insert = splice.inserts.data();
+  at = 0;
+  for (const CsvEdit& e : splice.edits) {
+    out->append(input.data() + at, e.begin - at);
+    out->append(insert, e.insert);
+    insert += e.insert;
+    at = e.begin + e.erase;
+  }
+  out->append(input.data() + at, input.size() - at);
+  return Status::Ok();
 }
 
 void WriteCsv(const Table& table, std::ostream& out) {

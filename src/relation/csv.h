@@ -1,6 +1,7 @@
 #ifndef FIXREP_RELATION_CSV_H_
 #define FIXREP_RELATION_CSV_H_
 
+#include <cstdint>
 #include <deque>
 #include <iosfwd>
 #include <memory>
@@ -44,6 +45,26 @@ struct CsvReadOptions {
   // (header excluded), matching the row index a clean read would give
   // the record; raw_text preserves the record verbatim.
   QuarantineSink* quarantine = nullptr;
+};
+
+// Where one record lies in the input: [begin, end) includes its
+// terminator. A record is verbatim when every field took the tokenizer's
+// fast path (no '"', no bare '\r') and it ends in a bare '\n': exactly
+// then, emitting its fields unchanged gives back its bytes.
+struct CsvRecordSpan {
+  uint64_t begin = 0;
+  uint64_t end = 0;
+  bool verbatim = false;
+};
+
+// The record layout of a read (CsvChunkReader::RecordSpansInto): the
+// header's span, one span per kept record in row order, and the count of
+// records dropped under kSkip or kQuarantine (their bytes are the gaps
+// between kept spans).
+struct CsvRecordSpans {
+  CsvRecordSpan header;
+  std::vector<CsvRecordSpan> rows;
+  size_t dropped = 0;
 };
 
 // Column-pruning sidecar (docs/storage.md): the raw field text of every
@@ -149,6 +170,10 @@ class CsvChunkReader {
   // goes back to interning). Only the resolve step changes: tokenizing,
   // error policy and diagnostics are the same either way.
   void ResolveThrough(ValueOverlay* overlay) { overlay_ = overlay; }
+  // Records the header's span into *spans and, from here on, a span per
+  // record ReadChunk keeps and a count of the records it drops (null
+  // stops recording).
+  void RecordSpansInto(CsvRecordSpans* spans);
   // Input bytes consumed by the records read so far (header included),
   // for input-progress reporting.
   uint64_t bytes_read() const { return consumed_; }
@@ -223,6 +248,12 @@ class CsvChunkReader {
   bool unterminated_ = false;
   size_t record_begin_ = 0;
   size_t record_size_ = 0;
+  // The last record's offset in the whole input and whether it is
+  // verbatim (CsvRecordSpan), and the header's span.
+  uint64_t record_offset_ = 0;
+  bool verbatim_ = false;
+  CsvRecordSpan header_span_;
+  CsvRecordSpans* spans_ = nullptr;
 };
 
 // Reads a table from a stream. `relation_name` names the schema. Every
@@ -242,12 +273,14 @@ StatusOr<Table> ReadCsvBytesLenient(std::string_view bytes,
 // caller holds only read access to `pool`, and data fields are resolved
 // through `overlay` (built over that pool) instead of interned. Cells of
 // values the pool lacked hold provisional ids until the caller commits
-// the overlay under exclusive access and calls Table::ApplyOverlay.
+// the overlay under exclusive access and calls Table::ApplyOverlay. A
+// non-null `spans` receives the read's record layout (CsvRecordSpans).
 StatusOr<Table> ReadCsvBytesResolved(std::string_view bytes,
                                      const std::string& relation_name,
                                      std::shared_ptr<ValuePool> pool,
                                      ValueOverlay* overlay,
-                                     const CsvReadOptions& options = {});
+                                     const CsvReadOptions& options = {},
+                                     CsvRecordSpans* spans = nullptr);
 
 // Reads a table from a file path through the reader's refill buffer with
 // read(2), so a concurrently truncated file reads short instead of
@@ -266,6 +299,45 @@ void WriteCsv(const Table& table, std::ostream& out);
 
 // WriteCsv rendered straight onto the end of *out, with no stream.
 void AppendCsv(const Table& table, std::string* out);
+
+// One replacement in a CsvSplice: input bytes [begin, begin + erase)
+// give way to the next `insert` bytes of CsvSplice::inserts.
+struct CsvEdit {
+  uint64_t begin = 0;
+  uint64_t erase = 0;
+  uint64_t insert = 0;
+  bool operator==(const CsvEdit&) const = default;
+};
+
+// An output expressed against the input it was read from: the input
+// with ordered, non-overlapping byte ranges replaced. `inserts` holds
+// every edit's replacement, concatenated in edit order, and
+// `output_size` the size of the result.
+struct CsvSplice {
+  uint64_t output_size = 0;
+  std::vector<CsvEdit> edits;
+  std::string inserts;
+  bool operator==(const CsvSplice&) const = default;
+};
+
+// AppendCsv of `repaired` as a splice over `input`, which `original` was
+// read from with layout `spans` (`repaired` is `original` after a repair
+// that rewrote cells in place). Only rows whose cells changed and
+// records that are not verbatim are rendered; dropped records become
+// deletions. Edits closer than sizeof(CsvEdit) bytes are merged (the
+// verbatim rows between them rendered too), so a splice never spends
+// more on an edit than the unchanged bytes it skips. Ticks
+// fixrep.csv.bytes_emitted by inserts.size().
+CsvSplice SpliceCsv(std::string_view input, const CsvRecordSpans& spans,
+                    const Table& original, const Table& repaired);
+
+// Writes `input` with `splice` applied to *out (replacing its contents).
+// kMalformedInput, with *out unspecified, when the edits are unordered,
+// overlap, reach past `input` or overflow, when their insert sizes do
+// not add up to inserts.size(), or when the result would not be
+// output_size bytes — the splice may come off the wire.
+Status ApplyCsvSplice(std::string_view input, const CsvSplice& splice,
+                      std::string* out);
 
 // Streaming-friendly pieces of WriteCsv: the header line alone, and a
 // row range [begin_row, table.num_rows()) with no header. WriteCsv ==

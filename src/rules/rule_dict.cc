@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <set>
+#include <string_view>
 #include <type_traits>
 #include <unordered_map>
 #include <utility>
@@ -516,6 +518,14 @@ Status RuleDict::ValidateAndWire() {
       attribute_names_.emplace_back(reinterpret_cast<const char*>(p), len);
       p += len;
     }
+    // A schema is built from these names, and a schema's names are
+    // unique.
+    const std::set<std::string_view> unique(attribute_names_.begin(),
+                                            attribute_names_.end());
+    if (unique.size() != attribute_names_.size()) {
+      return Status::MalformedInput(
+          "attribute-name section repeats a name (duplicate attribute)");
+    }
   }
   return Status::Ok();
 }
@@ -533,9 +543,21 @@ Status RuleDict::Bind(const Schema& schema, std::shared_ptr<ValuePool> pool) {
   // Serial by contract (ValuePool interning is single-writer): every
   // distinct fact gets a live id now, so fact() never interns on the
   // chase's hot path — or from a worker thread.
+  // Open checked the sections' bounds, not their contents: a fact must
+  // name a string whose bytes lie inside the string section.
+  const uint64_t string_bytes =
+      header_->section_bytes[static_cast<size_t>(DictSection::kStringBytes)];
   std::vector<ValueId> live_fact(header_->num_rules);
   for (uint32_t i = 0; i < header_->num_rules; ++i) {
-    live_fact[i] = pool->Intern(DictString(fact_str_[i]));
+    const uint32_t id = fact_str_[i];
+    if (id >= header_->num_strings ||
+        string_offsets_[id] > string_offsets_[id + 1] ||
+        string_offsets_[id + 1] > string_bytes) {
+      return Status::MalformedInput("rule " + std::to_string(i) +
+                                    " has a fact outside the string pool: "
+                                    "dictionary " + path_ + " is corrupt");
+    }
+    live_fact[i] = pool->Intern(DictString(id));
   }
   pool_ = std::move(pool);
   live_fact_ = std::move(live_fact);

@@ -37,9 +37,11 @@ namespace fixrep {
 //
 // Integrity: Open refuses a wrong magic, an unknown version, a header
 // CRC mismatch, a file whose size differs from the header's recorded
-// size (truncation at any section boundary), or section bounds that
-// fall outside the file — always with Status, never UB. Bind refuses a
-// schema whose attribute names differ from the compiled ones. The
+// size (truncation at any section boundary), section bounds that fall
+// outside the file, or a repeated attribute name — always with Status,
+// never UB. Bind refuses a schema whose attribute names differ from the
+// compiled ones, and a fact whose string lies outside the string pool;
+// the other sections' contents are trusted once the header passes. The
 // header carries RuleSetFingerprint of the compiled set, so WAL resume
 // validation works identically for dictionary-backed runs.
 

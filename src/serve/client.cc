@@ -96,7 +96,7 @@ StatusOr<Response> Client::ReceiveResponse() {
     switch (ExtractFrame(&buffer, &payload, &crc)) {
       case FrameParse::kFrame: {
         FIXREP_RETURN_IF_ERROR(VerifyFrame(payload, crc));
-        return DecodeResponse(std::move(payload));
+        return DecodeResponse(payload);
       }
       case FrameParse::kBadMagic:
         return Status::MalformedInput("response stream is not FXRP framed");
@@ -142,7 +142,10 @@ StatusOr<RepairResult> Client::Submit(
   StatusOr<Response> response = ReceiveResponse();
   if (!response.ok()) return response.status();
   if (!response->status.ok()) return response->status;
-  return std::move(response->repair);
+  RepairResult& result = response->repair;
+  const Status applied = ApplyCsvSplice(csv, result.splice, &result.csv);
+  if (!applied.ok()) return applied.WithContext("repair response");
+  return std::move(result);
 }
 
 StatusOr<ReloadResult> Client::Reload(const std::string& tenant,

@@ -44,6 +44,9 @@ class Client {
 
   // Repairs one CSV batch (header + rows) against the named rule set.
   // `config` uses the ParseRepairConfig key grammar (repair/config.h).
+  // The daemon answers with a splice over `csv`; the result carries it
+  // and, in `csv`, the repaired batch it spells (kMalformedInput when
+  // the splice does not fit `csv`).
   StatusOr<RepairResult> Submit(
       const std::string& tenant,
       const std::vector<std::pair<std::string, std::string>>& config,

@@ -288,12 +288,15 @@ Response RepairDaemon::HandleRepair(const RepairRequest& request) {
   CsvReadOptions csv_options;
   csv_options.on_error = config.on_error;
   csv_options.quarantine = quarantining ? &row_sink : nullptr;
+  CsvRecordSpans spans;
   StatusOr<Table> table_or = [&] {
     FIXREP_TRACE_SPAN("serve.decode");
-    return snapshot->DecodeCsv(request.csv, csv_options);
+    return snapshot->DecodeCsv(request.csv, csv_options, &spans);
   }();
   if (!table_or.ok()) return ErrorResponse(Verb::kRepair, table_or.status());
   Table table = std::move(table_or).value();
+  // The decoded cells, to tell the rows the repair rewrites.
+  const Table decoded = table;
 
   RepairReport report;
   {
@@ -310,14 +313,13 @@ Response RepairDaemon::HandleRepair(const RepairRequest& request) {
   response.repair.rows = report.rows;
   response.repair.cells_changed = report.cells_changed;
   response.repair.tuples_quarantined = report.tuples_quarantined;
+  response.repair.records_dropped = spans.dropped;
   {
     FIXREP_TRACE_SPAN("serve.encode");
     // Rendering reads the shared pool, which another request's decode
     // may be interning into: hold the reader side.
     const std::shared_lock<std::shared_mutex> reader = snapshot->ReadPool();
-    // Repaired output is about the size of the request: reserve once.
-    response.repair.csv.reserve(request.csv.size() + request.csv.size() / 8);
-    AppendCsv(table, &response.repair.csv);
+    response.repair.splice = SpliceCsv(request.csv, spans, decoded, table);
   }
   if (quarantining &&
       (!row_sink.diagnostics().empty() || !tuple_sink.diagnostics().empty())) {

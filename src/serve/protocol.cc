@@ -18,6 +18,10 @@ namespace {
 
 constexpr size_t kHeaderBytes = 8;   // magic + payload_len
 constexpr size_t kTrailerBytes = 4;  // crc32
+constexpr size_t kEditBytes = 24;    // one splice edit: three u64
+// SpliceCsv merges edits closer than sizeof(CsvEdit), meaning one
+// edit's wire size.
+static_assert(sizeof(CsvEdit) == kEditBytes);
 
 uint32_t ReadU32(const char* p) {
   uint32_t v = 0;
@@ -161,20 +165,45 @@ Status WriteRepairRequestTo(
   return WriteFrameTo(fd, {head, csv});
 }
 
+namespace {
+
+// A repair result up to (and including) the length prefix of its
+// replacement bytes:
+//   u64 rows | u64 cells_changed | u64 tuples_quarantined
+//   | u64 records_dropped | u64 output_size
+//   | u32 edits | edits x (u64 begin | u64 erase | u64 insert)
+//   | u32 inserts_len
+// The replacement bytes and the quarantine string follow.
+void PutRepairHead(std::string* out, const RepairResult& result) {
+  const CsvSplice& splice = result.splice;
+  out->reserve(out->size() + 48 + splice.edits.size() * kEditBytes);
+  WalPutU64(out, result.rows);
+  WalPutU64(out, result.cells_changed);
+  WalPutU64(out, result.tuples_quarantined);
+  WalPutU64(out, result.records_dropped);
+  WalPutU64(out, splice.output_size);
+  WalPutU32(out, static_cast<uint32_t>(splice.edits.size()));
+  for (const CsvEdit& edit : splice.edits) {
+    WalPutU64(out, edit.begin);
+    WalPutU64(out, edit.erase);
+    WalPutU64(out, edit.insert);
+  }
+  WalPutU32(out, static_cast<uint32_t>(splice.inserts.size()));
+}
+
+}  // namespace
+
 Status WriteRepairResponseTo(int fd, const RepairResult& result) {
   std::string head;
   WalPutU8(&head, kProtocolVersion);
   WalPutU8(&head, static_cast<uint8_t>(StatusCode::kOk));
   WalPutString(&head, "");  // ok status carries no message
   WalPutU8(&head, static_cast<uint8_t>(Verb::kRepair));
-  WalPutU64(&head, result.rows);
-  WalPutU64(&head, result.cells_changed);
-  WalPutU64(&head, result.tuples_quarantined);
-  WalPutU32(&head, static_cast<uint32_t>(result.csv.size()));
+  PutRepairHead(&head, result);
   std::string tail;
   WalPutU32(&tail, static_cast<uint32_t>(result.quarantine.size()));
   tail += result.quarantine;
-  return WriteFrameTo(fd, {head, result.csv, tail});
+  return WriteFrameTo(fd, {head, result.splice.inserts, tail});
 }
 
 std::string EncodeRepairRequest(
@@ -319,12 +348,8 @@ std::string EncodeResponse(const Response& response) {
       WalPutU64(&out, response.ping.requests_rejected);
       break;
     case Verb::kRepair:
-      out.reserve(out.size() + response.repair.csv.size() +
-                  response.repair.quarantine.size() + 64);
-      WalPutU64(&out, response.repair.rows);
-      WalPutU64(&out, response.repair.cells_changed);
-      WalPutU64(&out, response.repair.tuples_quarantined);
-      WalPutString(&out, response.repair.csv);
+      PutRepairHead(&out, response.repair);
+      out += response.repair.splice.inserts;
       WalPutString(&out, response.repair.quarantine);
       break;
     case Verb::kReload:
@@ -344,14 +369,7 @@ std::string EncodeResponse(const Response& response) {
   return out;
 }
 
-namespace {
-
-// Shared parse core, mirroring DecodeRequestCore: the repaired CSV is
-// returned as a view into `payload`. The quarantine text that follows
-// it is copied eagerly — it is empty unless the request opted into
-// on-error=quarantine, and small next to the batch when it is not.
-StatusOr<Response> DecodeResponseCore(std::string_view payload,
-                                      std::string_view* csv) {
+StatusOr<Response> DecodeResponse(const std::string& payload) {
   WalCursor cursor(payload);
   uint8_t version = 0;
   if (!cursor.GetU8(&version)) return Truncated("response");
@@ -403,15 +421,34 @@ StatusOr<Response> DecodeResponseCore(std::string_view payload,
         return Truncated("ping response");
       }
       break;
-    case Verb::kRepair:
-      if (!cursor.GetU64(&response.repair.rows) ||
-          !cursor.GetU64(&response.repair.cells_changed) ||
-          !cursor.GetU64(&response.repair.tuples_quarantined) ||
-          !cursor.GetStringView(csv) ||
-          !cursor.GetString(&response.repair.quarantine)) {
+    case Verb::kRepair: {
+      RepairResult& repair = response.repair;
+      CsvSplice& splice = repair.splice;
+      uint32_t edits = 0;
+      if (!cursor.GetU64(&repair.rows) ||
+          !cursor.GetU64(&repair.cells_changed) ||
+          !cursor.GetU64(&repair.tuples_quarantined) ||
+          !cursor.GetU64(&repair.records_dropped) ||
+          !cursor.GetU64(&splice.output_size) || !cursor.GetU32(&edits)) {
+        return Truncated("repair response");
+      }
+      // Untrusted count: reserve no more edits than the payload holds.
+      splice.edits.reserve(
+          std::min<size_t>(edits, cursor.remaining() / kEditBytes));
+      for (uint32_t i = 0; i < edits; ++i) {
+        CsvEdit edit;
+        if (!cursor.GetU64(&edit.begin) || !cursor.GetU64(&edit.erase) ||
+            !cursor.GetU64(&edit.insert)) {
+          return Truncated("repair response edits");
+        }
+        splice.edits.push_back(edit);
+      }
+      if (!cursor.GetString(&splice.inserts) ||
+          !cursor.GetString(&repair.quarantine)) {
         return Truncated("repair response");
       }
       break;
+    }
     case Verb::kReload:
       if (!cursor.GetU64(&response.reload.generation) ||
           !cursor.GetU64(&response.reload.num_rules)) {
@@ -442,32 +479,6 @@ StatusOr<Response> DecodeResponseCore(std::string_view payload,
   }
   if (!cursor.at_end()) {
     return Status::MalformedInput("trailing bytes after response payload");
-  }
-  return response;
-}
-
-}  // namespace
-
-StatusOr<Response> DecodeResponse(const std::string& payload) {
-  std::string_view csv;
-  StatusOr<Response> response = DecodeResponseCore(payload, &csv);
-  if (response.ok() && response->verb == Verb::kRepair &&
-      response->status.ok()) {
-    response->repair.csv.assign(csv.data(), csv.size());
-  }
-  return response;
-}
-
-StatusOr<Response> DecodeResponse(std::string&& payload) {
-  std::string_view csv;
-  StatusOr<Response> response = DecodeResponseCore(payload, &csv);
-  if (response.ok() && response->verb == Verb::kRepair &&
-      response->status.ok()) {
-    // The quarantine tail was already copied out by the core, so the
-    // buffer is free to become the CSV: slide and shrink in place.
-    payload.erase(0, static_cast<size_t>(csv.data() - payload.data()));
-    payload.resize(csv.size());
-    response->repair.csv = std::move(payload);
   }
   return response;
 }

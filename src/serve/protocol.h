@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "relation/csv.h"
 
 // The daemon's wire protocol (docs/serving.md): a versioned
 // length-prefixed binary framing grown out of the WAL's primitives
@@ -29,7 +30,7 @@
 namespace fixrep::serve {
 
 inline constexpr char kFrameMagic[4] = {'F', 'X', 'R', 'P'};
-inline constexpr uint8_t kProtocolVersion = 1;
+inline constexpr uint8_t kProtocolVersion = 2;
 // Caps a frame's payload; anything larger is treated as a garbage
 // length prefix and the connection is dropped rather than buffered.
 inline constexpr uint32_t kMaxFramePayload = 1u << 30;
@@ -75,7 +76,15 @@ struct RepairResult {
   uint64_t rows = 0;
   uint64_t cells_changed = 0;
   uint64_t tuples_quarantined = 0;
-  std::string csv;  // repaired batch, header + rows
+  // Malformed records the batch read dropped (on-error=skip|quarantine).
+  uint64_t records_dropped = 0;
+  // The repaired batch as edits over the request's own CSV bytes: the
+  // rows a repair changed, the records that do not re-emit verbatim,
+  // and the dropped records. This is what travels on the wire.
+  CsvSplice splice;
+  // The repaired batch, header + rows: the request CSV with `splice`
+  // applied. Client::Submit fills it in; it is not on the wire.
+  std::string csv;
   // One quarantine-format line per captured diagnostic (empty unless
   // the request asked for on-error=quarantine).
   std::string quarantine;
@@ -134,16 +143,16 @@ Status WriteFrameTo(int fd, const std::string& payload);
 // a frame around a multi-MB CSV needs no contiguous payload at all.
 Status WriteFrameTo(int fd, std::initializer_list<std::string_view> parts);
 
-// Gathered-write encoders for the two frames that carry the CSV batch.
-// The bytes on the wire are identical to framing EncodeRequest /
-// EncodeResponse output, but the CSV is never copied into (or
-// allocated as part of) a staging payload.
+// Gathered-write encoders for the two repair frames. The bytes on the
+// wire are identical to framing EncodeRequest / EncodeResponse output,
+// but the request CSV and the response's replacement bytes are never
+// copied into (or allocated as part of) a staging payload.
 Status WriteRepairRequestTo(
     int fd, const std::string& tenant,
     const std::vector<std::pair<std::string, std::string>>& config,
     std::string_view csv);
 // Success responses only — errors have no bulk and go through
-// EncodeResponse.
+// EncodeResponse. Sends `result.splice`, not `result.csv`.
 Status WriteRepairResponseTo(int fd, const RepairResult& result);
 
 // --- payload codecs ---
@@ -160,10 +169,12 @@ StatusOr<Request> DecodeRequest(const std::string& payload);
 // (memmove) instead of copied into a fresh multi-MB allocation.
 StatusOr<Request> DecodeRequest(std::string&& payload);
 
+// A repair response carries its splice, not its csv: DecodeResponse
+// leaves RepairResult::csv empty. It checks the splice's wire structure
+// only; ApplyCsvSplice (which Client::Submit runs) checks the edits
+// against the request CSV.
 std::string EncodeResponse(const Response& response);
 StatusOr<Response> DecodeResponse(const std::string& payload);
-// Same reclaim as DecodeRequest(&&), for the repaired CSV.
-StatusOr<Response> DecodeResponse(std::string&& payload);
 
 }  // namespace fixrep::serve
 

@@ -2,6 +2,8 @@
 
 #include <cstring>
 #include <fstream>
+#include <set>
+#include <string_view>
 #include <utility>
 
 #include "common/metric_scope.h"
@@ -51,10 +53,15 @@ StatusOr<TenantSpec> ParseTenantSpec(const std::string& spec) {
   } else {
     parsed.path = spec.substr(0, at);
     parsed.attrs = SplitCommaList(spec.substr(at + 1));
+    std::set<std::string_view> seen;
     for (const std::string& attr : parsed.attrs) {
       if (attr.empty()) {
         return Status::MalformedInput("empty attribute name in rule set spec '" +
                                       spec + "'");
+      }
+      if (!seen.insert(attr).second) {
+        return Status::MalformedInput("duplicate attribute '" + attr +
+                                      "' in rule set spec '" + spec + "'");
       }
     }
   }
@@ -129,12 +136,14 @@ std::shared_lock<std::shared_mutex> TenantSnapshot::ReadPool() const {
   return AcquirePool<std::shared_lock<std::shared_mutex>>(pool_mutex_);
 }
 
-StatusOr<Table> TenantSnapshot::DecodeCsv(
-    std::string_view csv, const CsvReadOptions& options) const {
+StatusOr<Table> TenantSnapshot::DecodeCsv(std::string_view csv,
+                                          const CsvReadOptions& options,
+                                          CsvRecordSpans* spans) const {
   ValueOverlay overlay(pool_.get());
   StatusOr<Table> table = [&] {
     const std::shared_lock<std::shared_mutex> reader = ReadPool();
-    return ReadCsvBytesResolved(csv, "data", pool_, &overlay, options);
+    return ReadCsvBytesResolved(csv, "data", pool_, &overlay, options,
+                                spans);
   }();
   if (!table.ok()) return table.status().WithContext("request csv");
   if (table->schema().attribute_names() != schema_->attribute_names()) {

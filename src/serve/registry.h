@@ -41,6 +41,8 @@ struct TenantSpec {
   std::vector<std::string> attrs;
 };
 
+// kMalformedInput for an empty path, or an attribute name that is empty
+// or repeated.
 StatusOr<TenantSpec> ParseTenantSpec(const std::string& spec);
 
 class TenantSnapshot {
@@ -84,9 +86,11 @@ class TenantSnapshot {
   // ValueIds match what ReadCsvBytesLenient under the writer side gives
   // when no other request interns in between. A batch that fails to
   // parse, or whose header is not the snapshot's schema, interns
-  // nothing. Ticks fixrep.serve.values_interned by the values added.
+  // nothing. Ticks fixrep.serve.values_interned by the values added. A
+  // non-null `spans` receives the batch's record layout, for SpliceCsv.
   StatusOr<Table> DecodeCsv(std::string_view csv,
-                            const CsvReadOptions& options) const;
+                            const CsvReadOptions& options,
+                            CsvRecordSpans* spans = nullptr) const;
 
  private:
   TenantSnapshot() = default;

@@ -18,6 +18,7 @@
 #include <functional>
 #include <istream>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <ostream>
 #include <sstream>
@@ -432,55 +433,64 @@ class CsvFuzz : public ::testing::Test {
                              &file_sink),
                    true, context + " file block=" + std::to_string(block));
       }
+      CheckSplice(text, options(nullptr), want, context);
       if (HasFatalFailure()) return;
     }
   }
 
-  // Seeded structural mutations: insert, delete or replace a byte drawn
-  // mostly from the dialect's structural characters, duplicate a range,
-  // or truncate.
-  static std::string Mutate(const std::string& base, Rng* rng) {
-    static constexpr char kBytes[] = ",\"\r\n\"\",a \n";
-    std::string s = base;
-    const size_t edits = 1 + rng->Uniform(6);
-    for (size_t e = 0; e < edits; ++e) {
-      const size_t pos = s.empty() ? 0 : rng->Uniform(s.size() + 1);
-      const char byte = kBytes[rng->Uniform(sizeof(kBytes) - 1)];
-      switch (rng->Uniform(10)) {
-        case 0:
-        case 1:
-        case 2:
-          s.insert(s.begin() + static_cast<std::ptrdiff_t>(pos), byte);
-          break;
-        case 3:
-        case 4:
-          if (pos < s.size()) s.erase(pos, 1);
-          break;
-        case 5:
-        case 6:
-        case 7:
-          if (pos < s.size()) s[pos] = byte;
-          break;
-        case 8: {
-          const size_t len = rng->Uniform(40);
-          const std::string range = s.substr(std::min(pos, s.size()), len);
-          s.insert(rng->Uniform(s.size() + 1), range);
-          break;
-        }
-        default:
-          if (rng->Bernoulli(0.3)) s.resize(pos);
-          break;
-      }
+  // The in-memory read with record spans: spans are ordered, dropped
+  // records are the gaps between them, and a splice over `text` gives
+  // AppendCsv of the table read from it, as read and with every third
+  // row's first cell rewritten (to a value that needs quoting on odd
+  // rows). A wrong verbatim flag or span shows up as a byte difference.
+  static void CheckSplice(const std::string& text,
+                          const CsvReadOptions& options,
+                          const ReadResult& want, const std::string& context) {
+    SCOPED_TRACE(context + " splice");
+    if (!want.status.ok()) return;
+    StatusOr<CsvChunkReader> reader = CsvChunkReader::OpenBytes(
+        text, "fuzz", std::make_shared<ValuePool>(), options);
+    ASSERT_TRUE(reader.ok()) << reader.status();
+    CsvRecordSpans spans;
+    reader->RecordSpansInto(&spans);
+    Table table = reader->MakeChunkTable();
+    ASSERT_TRUE(
+        reader->ReadChunk(&table, std::numeric_limits<size_t>::max()).ok());
+    ASSERT_EQ(spans.rows.size(), table.num_rows());
+    EXPECT_EQ(spans.dropped, reader->records_read() - table.num_rows());
+    EXPECT_EQ(spans.header.begin, 0u);
+    uint64_t at = spans.header.end;
+    for (const CsvRecordSpan& span : spans.rows) {
+      EXPECT_LE(at, span.begin);
+      EXPECT_LT(span.begin, span.end);
+      at = span.end;
     }
-    return s;
+    EXPECT_LE(at, text.size());
+    if (spans.dropped == 0) {
+      EXPECT_EQ(at, text.size());
+    }
+    Table repaired = table;
+    for (size_t r = 0; r < repaired.num_rows(); r += 3) {
+      repaired.WriteCell(r, 0, repaired.pool().Intern(r % 2 ? "x,\"y" : "z"));
+    }
+    for (const Table* result : {&table, &repaired}) {
+      const CsvSplice splice = SpliceCsv(text, spans, table, *result);
+      std::string spliced;
+      const Status applied = ApplyCsvSplice(text, splice, &spliced);
+      ASSERT_TRUE(applied.ok()) << applied;
+      std::string rendered;
+      AppendCsv(*result, &rendered);
+      ASSERT_EQ(spliced, rendered);
+    }
   }
 
   void FuzzCorpus(const std::string& base, uint64_t seed, size_t cases) {
     CheckAllWays(base, "unmutated");
     Rng rng(seed);
     for (size_t i = 0; i < cases && !HasFatalFailure(); ++i) {
-      CheckAllWays(Mutate(base, &rng), "seed=" + std::to_string(seed) +
-                                           " case=" + std::to_string(i));
+      CheckAllWays(testing::MutateCsvBytes(base, &rng),
+                   "seed=" + std::to_string(seed) +
+                       " case=" + std::to_string(i));
     }
   }
 

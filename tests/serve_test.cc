@@ -5,7 +5,9 @@
 // interned once under concurrency), tenant metrics on a live /metrics
 // scrape, and a live daemon exercised by concurrent
 // clients — byte-identity against direct RepairSession runs on the
-// travel/hosp/uis workloads, admission rejection under a full queue,
+// travel/hosp/uis workloads (also for splice responses over batches in
+// every CSV dialect form, and their size bound), dropped-record counts,
+// admission rejection under a full queue,
 // reload under load with zero dropped requests, and graceful drain
 // (including a real fixrep_cli child on SIGTERM).
 
@@ -22,6 +24,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -37,6 +40,8 @@
 #include "common/metrics.h"
 #include "common/metrics_server.h"
 #include "common/quarantine.h"
+#include "common/random.h"
+#include "common/string_util.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "datagen/hosp.h"
@@ -106,6 +111,7 @@ struct DirectRun {
   std::string csv;
   std::string quarantine;
   uint64_t tuples_quarantined = 0;
+  uint64_t records_dropped = 0;
 };
 
 DirectRun DirectRepair(const Workload& w, const RepairConfig& base) {
@@ -126,18 +132,27 @@ DirectRun DirectRepair(const Workload& w, const RepairConfig& base) {
   CsvReadOptions csv_options;
   csv_options.on_error = config.on_error;
   csv_options.quarantine = quarantining ? &row_sink : nullptr;
-  StatusOr<Table> table = ReadCsvLenient(in, "data", pool, csv_options);
-  if (!table.ok()) {
-    run.status = table.status();
+  StatusOr<CsvChunkReader> reader =
+      CsvChunkReader::Open(in, "data", pool, csv_options);
+  if (!reader.ok()) {
+    run.status = reader.status();
     return run;
   }
+  Table table = reader->MakeChunkTable();
+  const StatusOr<size_t> read =
+      reader->ReadChunk(&table, std::numeric_limits<size_t>::max());
+  if (!read.ok()) {
+    run.status = read.status();
+    return run;
+  }
+  run.records_dropped = reader->records_read() - table.num_rows();
   RepairSession session(&rules.value(), config);
-  StatusOr<RepairReport> report = session.Repair(&table.value());
+  StatusOr<RepairReport> report = session.Repair(&table);
   if (!report.ok()) {
     run.status = report.status();
     return run;
   }
-  run.csv = ToCsv(table.value());
+  run.csv = ToCsv(table);
   run.tuples_quarantined = report.value().tuples_quarantined;
   if (quarantining && (!row_sink.diagnostics().empty() ||
                        !tuple_sink.diagnostics().empty())) {
@@ -269,7 +284,9 @@ TEST(ServeProtocolTest, ResponseRoundTripsResultsAndErrors) {
   ok.repair.rows = 7;
   ok.repair.cells_changed = 3;
   ok.repair.tuples_quarantined = 1;
-  ok.repair.csv = "a,b\n1,2\n";
+  ok.repair.records_dropped = 2;
+  ok.repair.splice = {10, {{4, 4, 6}}, "1,\"x\"\n"};
+  ok.repair.csv = "never sent";
   ok.repair.quarantine = "source,line\n";
   std::string payload = EncodeResponse(ok);
   StatusOr<Response> decoded = DecodeResponse(payload);
@@ -278,8 +295,14 @@ TEST(ServeProtocolTest, ResponseRoundTripsResultsAndErrors) {
   EXPECT_EQ(decoded->repair.rows, 7u);
   EXPECT_EQ(decoded->repair.cells_changed, 3u);
   EXPECT_EQ(decoded->repair.tuples_quarantined, 1u);
-  EXPECT_EQ(decoded->repair.csv, ok.repair.csv);
+  EXPECT_EQ(decoded->repair.records_dropped, 2u);
+  EXPECT_EQ(decoded->repair.splice, ok.repair.splice);
+  EXPECT_TRUE(decoded->repair.csv.empty());  // the splice is the wire form
   EXPECT_EQ(decoded->repair.quarantine, ok.repair.quarantine);
+  std::string spliced;
+  ASSERT_TRUE(ApplyCsvSplice("a,b\n1,2\n", decoded->repair.splice, &spliced)
+                  .ok());
+  EXPECT_EQ(spliced, "a,b\n1,\"x\"\n");
 
   Response error;
   error.verb = Verb::kRepair;
@@ -609,7 +632,8 @@ TEST_F(ServeDaemonTest, RequestsRecordDecodeEncodeSpansAndCsvBytes) {
   ASSERT_TRUE(result.ok()) << result.status();
   // The request ran under the tenant's scope, so its stage spans and CSV
   // byte counts are attributed there: exactly one decode and one encode,
-  // parsing the whole request and emitting the whole response.
+  // parsing the whole request and rendering only the splice's
+  // replacement bytes, which on travel are fewer than the result's.
   const MetricsRegistry& tenant = registry_.Scope(travel.name)->registry();
   for (const char* span :
        {"fixrep.span.serve.decode_ns", "fixrep.span.serve.encode_ns"}) {
@@ -622,7 +646,8 @@ TEST_F(ServeDaemonTest, RequestsRecordDecodeEncodeSpansAndCsvBytes) {
   ASSERT_NE(parsed, nullptr);
   ASSERT_NE(emitted, nullptr);
   EXPECT_EQ(parsed->Value(), travel.csv.size());
-  EXPECT_EQ(emitted->Value(), result->csv.size());
+  EXPECT_EQ(emitted->Value(), result->splice.inserts.size());
+  EXPECT_LT(emitted->Value(), result->csv.size());
 }
 
 TEST_F(ServeDaemonTest, ConfigHeadersSelectEngineAndThreads) {
@@ -767,6 +792,266 @@ TEST_F(ServeDaemonTest, MismatchedHeaderAndQuarantinePolicyMatchDirect) {
   EXPECT_EQ(quarantined->quarantine, direct.quarantine);
   EXPECT_FALSE(quarantined->quarantine.empty());
   EXPECT_EQ(quarantined->tuples_quarantined, direct.tuples_quarantined);
+}
+
+// Two malformed records in the travel batch: an arity mismatch after
+// the first row and an unterminated quote at the end.
+std::string TornTravelBatch() {
+  const std::string& csv = AllWorkloads()[0].csv;
+  const size_t first_row_end = csv.find('\n', csv.find('\n') + 1) + 1;
+  return csv.substr(0, first_row_end) + "too,few\n" +
+         csv.substr(first_row_end) + "x,\"unterminated\n";
+}
+
+TEST_F(ServeDaemonTest, SubmitCountsDroppedRecordsUnderSkipAndQuarantine) {
+  StartDaemon({}, {0});
+  StatusOr<Client> client = Connect();
+  ASSERT_TRUE(client.ok()) << client.status();
+  Workload torn = AllWorkloads()[0];
+  torn.csv = TornTravelBatch();
+  for (const char* policy : {"skip", "quarantine"}) {
+    SCOPED_TRACE(policy);
+    RepairConfig config;
+    ASSERT_TRUE(ParseRepairConfig("on-error", policy, &config).ok());
+    const DirectRun direct = DirectRepair(torn, config);
+    ASSERT_TRUE(direct.status.ok()) << direct.status;
+    ASSERT_EQ(direct.records_dropped, 2u);
+    StatusOr<RepairResult> result =
+        client->Submit(torn.name, {{"on-error", policy}}, torn.csv);
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(result->records_dropped, 2u);
+    EXPECT_EQ(result->csv, direct.csv);
+    EXPECT_EQ(result->quarantine, direct.quarantine);
+
+    StatusOr<RepairResult> clean =
+        client->Submit(torn.name, {{"on-error", policy}},
+                       AllWorkloads()[0].csv);
+    ASSERT_TRUE(clean.ok()) << clean.status();
+    EXPECT_EQ(clean->records_dropped, 0u);
+
+#ifdef FIXREP_CLI_PATH
+    // `fixrep_cli submit` reports the count the way `repair` does.
+    const std::string in_path = TempPath("torn.csv");
+    const std::string out_path = TempPath("out.csv");
+    {
+      std::ofstream in(in_path, std::ios::binary);
+      in << torn.csv;
+    }
+    const std::string command =
+        std::string("'") + FIXREP_CLI_PATH + "' submit --socket '" +
+        socket_path_ + "' --tenant travel --in '" + in_path + "' --out '" +
+        out_path + "' --on-error " + policy + " 2>&1";
+    FILE* pipe = popen(command.c_str(), "r");
+    ASSERT_NE(pipe, nullptr);
+    std::string output;
+    char buffer[256];
+    while (fgets(buffer, sizeof(buffer), pipe) != nullptr) output += buffer;
+    EXPECT_EQ(pclose(pipe), 0) << output;
+    EXPECT_NE(output.find(std::string("on-error=") + policy +
+                          ": dropped 2 malformed rows, quarantined 0 tuples"),
+              std::string::npos)
+        << output;
+    std::ifstream out(out_path, std::ios::binary);
+    EXPECT_EQ(std::string(std::istreambuf_iterator<char>(out), {}),
+              direct.csv);
+#endif
+  }
+}
+
+// --- splice responses ---
+
+// What a splice may cost over the same response carrying the whole
+// result: one 24-byte edit. Edits closer than that merge, so each
+// further edit skips at least 24 unchanged bytes.
+constexpr size_t kSpliceOverheadBytes = 24;
+
+// A batch spelled in the dialect's other forms, seeded: quoted fields
+// with "" escapes, mid-field quotes, quoted embedded newlines, bare '\r',
+// CRLF line ends, empty lines, arity-bad records, a missing final
+// newline and an unterminated quote at the end. The cells are
+// `w`'s rows, except where an embedded newline adds to a value.
+std::string RespelledBatch(const Workload& w, Rng* rng) {
+  StatusOr<Table> table =
+      ReadCsvBytesLenient(w.csv, "data", std::make_shared<ValuePool>());
+  EXPECT_TRUE(table.ok()) << table.status();
+  auto quoted = [](std::string_view v) {
+    std::string out = "\"";
+    for (const char ch : v) {
+      if (ch == '"') out += '"';
+      out += ch;
+    }
+    return out + "\"";
+  };
+  auto field = [&](const std::string& v) {
+    std::string plain;
+    AppendCsvField(v, &plain);
+    const bool special = plain != v;
+    switch (rng->Uniform(16)) {  // three in four fields stay plain
+      case 0:
+        return quoted(v);
+      case 1:
+        return quoted(v + "\n+");
+      case 2:
+        return "\r" + plain;  // a bare '\r' outside quotes is dropped
+      case 3: {
+        if (special || v.empty()) return quoted(v);
+        const size_t cut = rng->Uniform(v.size());
+        return v.substr(0, cut) + quoted(v.substr(cut));
+      }
+      default:
+        return plain;
+    }
+  };
+  auto line_end = [&] { return rng->Bernoulli(0.2) ? "\r\n" : "\n"; };
+  std::string out;
+  const Schema& schema = table->schema();
+  for (size_t a = 0; a < schema.arity(); ++a) {
+    if (a > 0) out += ',';
+    const std::string& name = schema.attribute_name(static_cast<AttrId>(a));
+    out += rng->Bernoulli(0.2) ? quoted(name) : name;
+  }
+  out += line_end();
+  for (size_t r = 0; r < table->num_rows(); ++r) {
+    if (rng->Bernoulli(0.02)) out += line_end();           // empty line
+    if (rng->Bernoulli(0.02)) out += "a,\"b\",c" + std::string(line_end());
+    for (size_t a = 0; a < table->num_columns(); ++a) {
+      if (a > 0) out += ',';
+      out += field(table->CellString(r, static_cast<AttrId>(a)));
+    }
+    out += line_end();
+  }
+  if (rng->Bernoulli(0.3)) {
+    out.resize(out.size() - (out.ends_with("\r\n") ? 2 : 1));
+  } else if (rng->Bernoulli(0.2)) {
+    out += "1,\"open";
+  }
+  return out;
+}
+
+// The size of the same response carrying the whole result: the fixed
+// fields, the result and the quarantine text.
+size_t FullCsvPayloadBytes(const RepairResult& result) {
+  Response full;
+  full.verb = Verb::kRepair;
+  full.repair.quarantine = result.quarantine;
+  return EncodeResponse(full).size() + result.csv.size();
+}
+
+size_t SplicePayloadBytes(const RepairResult& result) {
+  Response response;
+  response.verb = Verb::kRepair;
+  response.repair = result;
+  return EncodeResponse(response).size();
+}
+
+TEST_F(ServeDaemonTest, SplicedResponsesMatchDirectRepairOnDialectInputs) {
+  StartDaemon({}, {0, 1, 2});
+  StatusOr<Client> client = Connect();
+  ASSERT_TRUE(client.ok()) << client.status();
+  using Config = std::vector<std::pair<std::string, std::string>>;
+  const std::vector<Config> engines = {
+      {{"threads", "1"}},
+      {{"threads", "4"}},
+      {{"shards", "3"}},
+      {{"engine", "crepair"}},
+      {{"threads", "4"}, {"max-chase-steps", "1"}},  // tuples fail too
+  };
+  Rng rng(0x5711CE);
+  size_t repaired = 0;
+  size_t refused = 0;
+  for (size_t index : {0, 1, 2}) {
+    const Workload& w = AllWorkloads()[index];
+    const size_t header_end = w.csv.find('\n') + 1;
+    std::vector<std::string> inputs = {w.csv};
+    const size_t respelled = index == 0 ? 12 : 3;
+    for (size_t i = 0; i < respelled; ++i) {
+      inputs.push_back(RespelledBatch(w, &rng));
+    }
+    for (size_t i = 0; i < respelled; ++i) {
+      inputs.push_back(w.csv.substr(0, header_end) +
+                       testing::MutateCsvBytes(w.csv.substr(header_end),
+                                               &rng));
+    }
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      Workload batch = w;
+      batch.csv = inputs[i];
+      for (const char* policy : {"abort", "skip", "quarantine"}) {
+        for (Config config : engines) {
+          config.emplace_back("on-error", policy);
+          std::string trace = w.name + " input " + std::to_string(i);
+          RepairConfig direct_config;
+          for (const auto& [key, value] : config) {
+            trace += " " + key + "=" + value;
+            ASSERT_TRUE(ParseRepairConfig(key, value, &direct_config).ok());
+          }
+          SCOPED_TRACE(trace);
+          const DirectRun direct = DirectRepair(batch, direct_config);
+          StatusOr<RepairResult> result =
+              client->Submit(w.name, config, batch.csv);
+          ASSERT_EQ(result.ok(), direct.status.ok())
+              << result.status() << " / " << direct.status;
+          if (!result.ok()) {
+            EXPECT_EQ(result.status().code(), direct.status.code());
+            ++refused;
+            continue;
+          }
+          ++repaired;
+          EXPECT_EQ(result->csv, direct.csv);
+          EXPECT_EQ(result->quarantine, direct.quarantine);
+          EXPECT_EQ(result->tuples_quarantined, direct.tuples_quarantined);
+          EXPECT_EQ(result->records_dropped, direct.records_dropped);
+          EXPECT_LE(SplicePayloadBytes(*result),
+                    FullCsvPayloadBytes(*result) + kSpliceOverheadBytes);
+          if (HasFailure()) return;
+        }
+      }
+    }
+  }
+  EXPECT_GT(repaired, refused);
+  EXPECT_GT(refused, 0u);
+}
+
+TEST_F(ServeDaemonTest, SplicePayloadStaysWithinAFullCsvInTheWorstCases) {
+  StartDaemon({}, {1});
+  StatusOr<Client> client = Connect();
+  ASSERT_TRUE(client.ok()) << client.status();
+  const Workload& hosp = AllWorkloads()[1];
+
+  // Only the rows the repair changes: one edit spans every row.
+  std::istringstream dirty(hosp.csv);
+  std::istringstream fixed(hosp.expected);
+  std::string dirty_line;
+  std::string fixed_line;
+  std::string changed;
+  size_t rows = 0;
+  while (std::getline(dirty, dirty_line) && std::getline(fixed, fixed_line)) {
+    if (changed.empty()) {
+      changed = dirty_line + "\n";  // the header
+    } else if (dirty_line != fixed_line) {
+      changed += dirty_line + "\n";
+      ++rows;
+    }
+  }
+  ASSERT_GT(rows, 10u);
+  std::string crlf;
+  for (const char ch : hosp.csv) {
+    if (ch == '\n') crlf += '\r';
+    crlf += ch;
+  }
+  for (const std::string& csv : {changed, crlf}) {
+    Workload batch = hosp;
+    batch.csv = csv;
+    const DirectRun direct = DirectRepair(batch, {});
+    ASSERT_TRUE(direct.status.ok()) << direct.status;
+    StatusOr<RepairResult> result = client->Submit(hosp.name, {}, csv);
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(result->csv, direct.csv);
+    ASSERT_EQ(result->splice.edits.size(), 1u);
+    EXPECT_EQ(result->splice.edits[0].erase + result->splice.edits[0].begin,
+              csv.size());
+    EXPECT_LE(SplicePayloadBytes(*result),
+              FullCsvPayloadBytes(*result) + kSpliceOverheadBytes);
+  }
 }
 
 TEST_F(ServeDaemonTest, FullAdmissionQueueRejectsImmediately) {

@@ -248,6 +248,46 @@ inline std::string ProcessTempPath(std::string_view name) {
   return dir.path + "/" + std::string(name);
 }
 
+// Seeded structural mutations of CSV text: insert, delete or replace a
+// byte drawn mostly from the dialect's structural characters, duplicate
+// a range, or truncate. The CSV fuzzer reads the results against its
+// oracle; the daemon's splice test repairs them.
+inline std::string MutateCsvBytes(const std::string& base, Rng* rng) {
+  static constexpr char kBytes[] = ",\"\r\n\"\",a \n";
+  std::string s = base;
+  const size_t edits = 1 + rng->Uniform(6);
+  for (size_t e = 0; e < edits; ++e) {
+    const size_t pos = s.empty() ? 0 : rng->Uniform(s.size() + 1);
+    const char byte = kBytes[rng->Uniform(sizeof(kBytes) - 1)];
+    switch (rng->Uniform(10)) {
+      case 0:
+      case 1:
+      case 2:
+        s.insert(s.begin() + static_cast<std::ptrdiff_t>(pos), byte);
+        break;
+      case 3:
+      case 4:
+        if (pos < s.size()) s.erase(pos, 1);
+        break;
+      case 5:
+      case 6:
+      case 7:
+        if (pos < s.size()) s[pos] = byte;
+        break;
+      case 8: {
+        const size_t len = rng->Uniform(40);
+        const std::string range = s.substr(std::min(pos, s.size()), len);
+        s.insert(rng->Uniform(s.size() + 1), range);
+        break;
+      }
+      default:
+        if (rng->Bernoulli(0.3)) s.resize(pos);
+        break;
+    }
+  }
+  return s;
+}
+
 }  // namespace fixrep::testing
 
 #endif  // FIXREP_TESTS_TESTING_UTIL_H_
