@@ -1193,20 +1193,34 @@ int Submit(const Args& args) {
               << "' (want abort|skip|quarantine)\n";
     return 2;
   }
-  std::ifstream in(args.Require("in"), std::ios::binary | std::ios::ate);
+  std::ifstream in(args.Require("in"), std::ios::binary);
   if (!in.good()) {
     std::cerr << "error reading --in: cannot open " << args.Get("in")
               << "\n";
     return 1;
   }
-  std::string csv(static_cast<size_t>(std::max<std::streamoff>(in.tellg(), 0)),
+  // Read to EOF: a pipe or FIFO has no size to ask for. A regular file's
+  // size (plus one byte, to see EOF without a grow) only sizes the buffer.
+  struct stat st;
+  std::string csv(::stat(args.Get("in").c_str(), &st) == 0 &&
+                          S_ISREG(st.st_mode)
+                      ? static_cast<size_t>(st.st_size) + 1
+                      : size_t{1} << 16,
                   '\0');
-  in.seekg(0);
-  if (!in.read(csv.data(), static_cast<std::streamsize>(csv.size()))) {
-    std::cerr << "error reading --in: short read from " << args.Get("in")
+  size_t size = 0;
+  while (true) {
+    in.read(csv.data() + size,
+            static_cast<std::streamsize>(csv.size() - size));
+    size += static_cast<size_t>(in.gcount());
+    if (size < csv.size()) break;
+    csv.resize(2 * csv.size());
+  }
+  if (in.bad()) {
+    std::cerr << "error reading --in: read failed on " << args.Get("in")
               << "\n";
     return 1;
   }
+  csv.resize(size);
 
   StatusOr<serve::Client> client = ConnectOrExplain(args);
   if (!client.ok()) return 1;

@@ -4,7 +4,12 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 #include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <cstring>
 #include <istream>
@@ -52,6 +57,82 @@ std::string RawRecordText(std::string_view record) {
 void TickCounter(const char* name, uint64_t n) {
   if (n > 0) CurrentMetrics().GetCounter(name)->Add(n);
 }
+
+#if defined(__SSE2__)
+// Bit i set when byte i of the 64 at `p` is one of ',' '"' '\r' '\n':
+// four compares and a movemask per 16 bytes (SSE2 is baseline on
+// x86-64).
+uint64_t StructuralMask(const char* p) {
+  const __m128i comma = _mm_set1_epi8(',');
+  const __m128i quote = _mm_set1_epi8('"');
+  const __m128i cr = _mm_set1_epi8('\r');
+  const __m128i lf = _mm_set1_epi8('\n');
+  uint64_t mask = 0;
+  for (int i = 0; i < 4; ++i) {
+    const __m128i v =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 16 * i));
+    const __m128i hit =
+        _mm_or_si128(_mm_or_si128(_mm_cmpeq_epi8(v, comma),
+                                  _mm_cmpeq_epi8(v, quote)),
+                     _mm_or_si128(_mm_cmpeq_epi8(v, cr),
+                                  _mm_cmpeq_epi8(v, lf)));
+    mask |= uint64_t{static_cast<uint32_t>(_mm_movemask_epi8(hit))}
+            << (16 * i);
+  }
+  return mask;
+}
+
+// Hands out the structural bytes of [p, end) in order, walking the set
+// bits of one 64-byte window mask at a time. Windows start at `p`; the
+// last, partial one is copied into a zeroed block first, so no load
+// reaches past `end`.
+class StructuralScanner {
+ public:
+  StructuralScanner(const char* p, const char* end)
+      : base_(p), size_(static_cast<size_t>(end - p)), mask_(Window(0)) {}
+
+  // The next structural byte, or `end` when none is left.
+  const char* Next() {
+    while (mask_ == 0) {
+      at_ += 64;
+      if (at_ >= size_) return base_ + size_;
+      mask_ = Window(at_);
+    }
+    const size_t i = at_ + static_cast<size_t>(std::countr_zero(mask_));
+    mask_ &= mask_ - 1;
+    return base_ + i;
+  }
+
+ private:
+  uint64_t Window(size_t at) const {
+    if (size_ - at >= 64) return StructuralMask(base_ + at);
+    char tail[64] = {};
+    if (at < size_) std::memcpy(tail, base_ + at, size_ - at);
+    return StructuralMask(tail);
+  }
+
+  const char* base_;
+  size_t size_;
+  size_t at_ = 0;  // start of the current window
+  uint64_t mask_;  // its structural bytes not handed out yet
+};
+#else
+// Without SSE2 the scan finds structural bytes with FindCsvSpecial.
+class StructuralScanner {
+ public:
+  StructuralScanner(const char* p, const char* end) : p_(p), end_(end) {}
+
+  const char* Next() {
+    const char* const q = FindCsvSpecial(p_, end_);
+    p_ = q == end_ ? q : q + 1;
+    return q;
+  }
+
+ private:
+  const char* p_;
+  const char* end_;
+};
+#endif
 
 // Renders CSV into one reused block buffer and hands each full block on
 // with a single ostream::write (or string append), so output costs one
@@ -223,6 +304,7 @@ StatusOr<CsvChunkReader> CsvChunkReader::OpenImpl(
     }
   }
   TickCounter("fixrep.csv.bytes_parsed", reader.consumed_);
+  reader.row_.resize(names.size());
   reader.header_span_ = {0, reader.consumed_, reader.verbatim_};
   reader.schema_ = std::make_shared<Schema>(relation_name, std::move(names));
   reader.pool_ = std::move(pool);
@@ -417,64 +499,136 @@ StatusOr<size_t> CsvChunkReader::ReadChunk(Table* chunk, size_t max_rows,
     FIXREP_CHECK_EQ(sidecar->columns.size(), schema_->arity());
     FIXREP_CHECK(overlay_ == nullptr) << "column pruning has no overlay path";
   }
-  const bool lenient = options_.on_error != OnErrorPolicy::kAbort;
-  Counter* quarantined_rows =
-      CurrentMetrics().GetCounter("fixrep.quarantine.rows");
   const uint64_t consumed_before = consumed_;
-
   size_t appended = 0;
+  uint64_t fallback = 0;
   Status problem = Status::Ok();
-  while (appended < max_rows) {
-    if (!NextRecord()) {
+  while (problem.ok() && appended < max_rows) {
+    const Scan scan =
+        ScanPlainRecords(chunk, sidecar, max_rows, &appended, &problem);
+    if (scan == Scan::kNeedMore) {
+      Refill();
+    } else if (scan == Scan::kHandOff) {
+      ++fallback;
+      problem = ReadGeneralRecord(chunk, sidecar, &appended);
+    } else if (scan == Scan::kEnd) {
       at_end_ = true;
       break;
     }
-    if (unterminated_) {
-      problem = Status::MalformedInput("unterminated quoted field at EOF");
-    } else if (fields_.size() != schema_->arity()) {
-      problem = Status::MalformedInput(
-          "CSV record arity mismatch at row " + std::to_string(record_) +
-          " (got " + std::to_string(fields_.size()) + ", want " +
-          std::to_string(schema_->arity()) + ")");
-    } else if (FIXREP_FAULT("csv.append_row")) {
-      problem = Status::Internal("injected failure appending row " +
-                                 std::to_string(record_));
+  }
+  TickCounter("fixrep.csv.bytes_parsed", consumed_ - consumed_before);
+  CurrentMetrics().GetCounter("fixrep.csv.records_fallback")->Add(fallback);
+  if (!problem.ok()) return problem;
+  return appended;
+}
+
+CsvChunkReader::Scan CsvChunkReader::ScanPlainRecords(Table* chunk,
+                                                      ColumnSidecar* sidecar,
+                                                      size_t max_rows,
+                                                      size_t* appended,
+                                                      Status* problem) {
+  const ValuePool& pool =
+      overlay_ != nullptr ? overlay_->pool() : chunk->pool();
+  const size_t arity = row_.size();
+  const char* const end = data() + end_;
+  StructuralScanner scanner(data() + pos_, end);
+  while (*appended < max_rows) {
+    const char* const begin = data() + pos_;
+    if (begin == end) return input_done_ ? Scan::kEnd : Scan::kNeedMore;
+    deferred_.clear();
+    // Fields end at each ',' up to the first other structural byte.
+    const char* field = begin;
+    size_t attr = 0;
+    const char* q = scanner.Next();
+    for (; q != end && *q == ','; q = scanner.Next()) {
+      if (attr + 1 == arity) return Scan::kHandOff;  // too many fields
+      Resolve(pool, sidecar, attr++, {field, static_cast<size_t>(q - field)});
+      field = q + 1;
     }
-    if (!problem.ok()) {
-      if (!lenient) break;
-      quarantined_rows->Add(1);
-      if (options_.on_error == OnErrorPolicy::kQuarantine &&
-          options_.quarantine != nullptr) {
-        options_.quarantine->Add(Diagnostic{record_, problem.code(),
-                                            problem.message(),
-                                            RawRecordText(RecordText())});
+    // The record ends at a '\n' or a CRLF; everything else goes to the
+    // general tokenizer, once the bytes to decide are in the buffer.
+    if (q == end || (*q == '\r' && q + 1 == end)) {
+      return input_done_ ? Scan::kHandOff : Scan::kNeedMore;
+    }
+    const char* terminator = q;  // the record's text ends here
+    if (*q == '\r' && q[1] == '\n') {
+      terminator = scanner.Next();
+    } else if (*q != '\n') {
+      return Scan::kHandOff;  // a '"' or a bare '\r'
+    }
+    if (attr + 1 != arity) return Scan::kHandOff;  // too few fields
+    Resolve(pool, sidecar, attr, {field, static_cast<size_t>(q - field)});
+    record_begin_ = pos_;
+    record_offset_ = consumed_;
+    record_size_ = static_cast<size_t>(terminator - begin);
+    verbatim_ = terminator == q;
+    pos_ += record_size_ + 1;
+    consumed_ += record_size_ + 1;
+    *problem = Settle(Status::Ok(), chunk, sidecar, appended);
+    if (!problem->ok()) return Scan::kDone;
+  }
+  return Scan::kDone;
+}
+
+Status CsvChunkReader::ReadGeneralRecord(Table* chunk, ColumnSidecar* sidecar,
+                                         size_t* appended) {
+  const bool read = NextRecord();
+  FIXREP_CHECK(read) << "the scan hands off only a record it saw";
+  deferred_.clear();
+  if (unterminated_) {
+    return Settle(Status::MalformedInput("unterminated quoted field at EOF"),
+                  chunk, sidecar, appended);
+  }
+  if (fields_.size() != row_.size()) {
+    return Settle(Status::MalformedInput(
+                      "CSV record arity mismatch at row " +
+                      std::to_string(record_) + " (got " +
+                      std::to_string(fields_.size()) + ", want " +
+                      std::to_string(row_.size()) + ")"),
+                  chunk, sidecar, appended);
+  }
+  const ValuePool& pool =
+      overlay_ != nullptr ? overlay_->pool() : chunk->pool();
+  for (size_t a = 0; a < fields_.size(); ++a) {
+    Resolve(pool, sidecar, a, fields_[a]);
+  }
+  return Settle(Status::Ok(), chunk, sidecar, appended);
+}
+
+Status CsvChunkReader::Settle(Status problem, Table* chunk,
+                              ColumnSidecar* sidecar, size_t* appended) {
+  if (problem.ok() && FIXREP_FAULT("csv.append_row")) {
+    problem = Status::Internal("injected failure appending row " +
+                               std::to_string(record_));
+  }
+  if (problem.ok()) {
+    for (const auto& [attr, field] : deferred_) {
+      if (sidecar != nullptr && sidecar->pruned(static_cast<AttrId>(attr))) {
+        sidecar->columns[attr].emplace_back(field);
+      } else {
+        row_[attr] = overlay_ != nullptr ? overlay_->Resolve(field)
+                                         : chunk->pool().Intern(field);
       }
-      problem = Status::Ok();
-      ++record_;
-      if (spans_ != nullptr) ++spans_->dropped;
-      continue;
     }
-    if (overlay_ != nullptr) {
-      chunk->AppendRowFields(fields_, overlay_);
-    } else if (sidecar == nullptr) {
-      chunk->AppendRowFields(fields_);
-    } else {
-      chunk->AppendRowFieldsMasked(fields_, sidecar->materialized);
-      for (size_t a = 0; a < fields_.size(); ++a) {
-        if (sidecar->pruned(static_cast<AttrId>(a))) {
-          sidecar->columns[a].emplace_back(fields_[a]);
-        }
-      }
-    }
+    chunk->AppendRow(TupleRef(row_));
     if (spans_ != nullptr) {
       spans_->rows.push_back({record_offset_, consumed_, verbatim_});
     }
     ++record_;
-    ++appended;
+    ++*appended;
+    return Status::Ok();
   }
-  TickCounter("fixrep.csv.bytes_parsed", consumed_ - consumed_before);
-  if (!problem.ok()) return problem;
-  return appended;
+  if (options_.on_error == OnErrorPolicy::kAbort) return problem;
+  CurrentMetrics().GetCounter("fixrep.quarantine.rows")->Add(1);
+  if (options_.on_error == OnErrorPolicy::kQuarantine &&
+      options_.quarantine != nullptr) {
+    options_.quarantine->Add(Diagnostic{record_, problem.code(),
+                                        problem.message(),
+                                        RawRecordText(RecordText())});
+  }
+  ++record_;
+  if (spans_ != nullptr) ++spans_->dropped;
+  return Status::Ok();
 }
 
 namespace {

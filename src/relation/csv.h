@@ -7,6 +7,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/quarantine.h"
@@ -107,9 +108,12 @@ struct ColumnSidecar {
 // The reader tokenizes contiguous bytes: a stream or a file is pulled
 // through one refill buffer of kReadBlockBytes (grown only to hold a
 // record longer than half of it), an in-memory payload is read in place.
-// Plain fields are interned straight from views into those bytes; only
-// fields holding a quote or a bare '\r' are unescaped through scratch
-// storage.
+// Data records are read by one fused scan: a 64-byte window at a time,
+// it finds the structural bytes (',' '"' '\r' '\n') and resolves each
+// plain field in the pool straight from its view into those bytes. The
+// scan hands the records it cannot take (a '"' or a bare '\r', a wrong
+// arity, a final record with no '\n') to the record-at-a-time tokenizer,
+// which unescapes fields through scratch storage.
 class CsvChunkReader {
  public:
   // Small enough to stay in cache while the tokenizer walks it. On 20K
@@ -183,6 +187,10 @@ class CsvChunkReader {
 
   enum class Tokenized { kRecord, kNeedMore, kEnd };
   enum class FieldEnd { kComma, kRecord, kNeedMore };
+  // Why ScanPlainRecords stopped: max_rows reached or a kAbort problem
+  // (kDone), a record for the general tokenizer, a record past the
+  // buffered bytes, or the end of input.
+  enum class Scan { kDone, kHandOff, kNeedMore, kEnd };
 
   friend StatusOr<Table> ReadCsvFileLenient(const std::string& path,
                                             const std::string& relation_name,
@@ -203,6 +211,32 @@ class CsvChunkReader {
                                   std::shared_ptr<ValuePool> pool,
                                   const CsvReadOptions& options,
                                   size_t block_bytes);
+
+  // The fused scan: appends plain records from pos_ until it has to
+  // stop (Scan), leaving pos_ at the first record it did not take.
+  Scan ScanPlainRecords(Table* chunk, ColumnSidecar* sidecar,
+                        size_t max_rows, size_t* appended, Status* problem);
+  // Reads the record at pos_ through Tokenize (a scan hand-off).
+  Status ReadGeneralRecord(Table* chunk, ColumnSidecar* sidecar,
+                           size_t* appended);
+  // Field `attr` of the record being read: a value `pool` holds gets its
+  // id in row_ now; a new value, or any field of a pruned column, waits
+  // in deferred_ for Settle, so a dropped record leaves the pool and the
+  // sidecar untouched.
+  void Resolve(const ValuePool& pool, const ColumnSidecar* sidecar,
+               size_t attr, std::string_view field) {
+    const ValueId id =
+        sidecar != nullptr && sidecar->pruned(static_cast<AttrId>(attr))
+            ? kNullValue
+            : pool.Find(field);
+    row_[attr] = id;
+    if (id == kNullValue) deferred_.emplace_back(attr, field);
+  }
+  // Keeps the record just consumed (every field Resolved) when `problem`
+  // is ok and the csv.append_row fault site stays quiet, and drops it
+  // otherwise under the error policy. Non-ok only under kAbort.
+  Status Settle(Status problem, Table* chunk, ColumnSidecar* sidecar,
+                size_t* appended);
 
   bool refilled() const { return in_ != nullptr || fd_ >= 0; }
   const char* data() const {
@@ -239,9 +273,13 @@ class CsvChunkReader {
   ValueOverlay* overlay_ = nullptr;
   size_t record_ = 0;
   bool at_end_ = false;
-  // Per-record scratch, reused across the whole read: field views into
-  // data() or into unescaped_ (a deque, so growing it moves no string a
-  // view points into), and the last record's span.
+  // The record being assembled: a cell per attribute, and the fields
+  // Resolve left for Settle (attribute, view into data() or unescaped_).
+  std::vector<ValueId> row_;
+  std::vector<std::pair<size_t, std::string_view>> deferred_;
+  // General-tokenizer scratch, reused across the whole read: field views
+  // into data() or into unescaped_ (a deque, so growing it moves no
+  // string a view points into), and the last record's span.
   std::vector<std::string_view> fields_;
   std::deque<std::string> unescaped_;
   size_t unescaped_used_ = 0;

@@ -28,38 +28,10 @@ void Table::AppendRowStrings(const std::vector<std::string>& fields) {
   }
 }
 
-void Table::AppendRowFields(std::span<const std::string_view> fields) {
-  FIXREP_CHECK_EQ(fields.size(), schema_->arity());
-  const TupleSpan row = store_.AppendRowUninit();
-  for (size_t i = 0; i < fields.size(); ++i) {
-    row[i] = pool_->Intern(fields[i]);
-  }
-}
-
-void Table::AppendRowFields(std::span<const std::string_view> fields,
-                            ValueOverlay* overlay) {
-  FIXREP_CHECK_EQ(fields.size(), schema_->arity());
-  const TupleSpan row = store_.AppendRowUninit();
-  for (size_t i = 0; i < fields.size(); ++i) {
-    row[i] = overlay->Resolve(fields[i]);
-  }
-}
-
 void Table::ApplyOverlay(const ValueOverlay& overlay) {
   for (size_t r = 0; r < num_rows(); ++r) {
     const TupleSpan row = store_.WriteRow(r);
     for (size_t i = 0; i < row.size(); ++i) row[i] = overlay.Final(row[i]);
-  }
-}
-
-void Table::AppendRowFieldsMasked(std::span<const std::string_view> fields,
-                                  AttrSet materialize) {
-  FIXREP_CHECK_EQ(fields.size(), schema_->arity());
-  const TupleSpan row = store_.AppendRowUninit();
-  for (size_t i = 0; i < fields.size(); ++i) {
-    row[i] = materialize.Contains(static_cast<AttrId>(i))
-                 ? pool_->Intern(fields[i])
-                 : kNullValue;
   }
 }
 

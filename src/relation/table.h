@@ -2,9 +2,7 @@
 #define FIXREP_RELATION_TABLE_H_
 
 #include <memory>
-#include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "relation/row_store.h"
@@ -56,24 +54,10 @@ class Table {
   // Interns each field and appends the resulting tuple.
   void AppendRowStrings(const std::vector<std::string>& fields);
 
-  // Span-based append for ingest: interns each field straight from its
-  // view (relation/csv.cc hands out views into its read buffer).
-  void AppendRowFields(std::span<const std::string_view> fields);
-
-  // Append for a pool other threads read: resolves each field through
-  // `overlay` (relation/value_pool.h) instead of interning it, so cells
-  // of values the pool lacks hold provisional ids until ApplyOverlay.
-  void AppendRowFields(std::span<const std::string_view> fields,
-                       ValueOverlay* overlay);
-  // Rewrites every provisional cell to its committed id; call once
+  // Rewrites every provisional cell (a ValueOverlay id, from a read that
+  // resolved through `overlay`) to its committed id; call once
   // overlay.Commit() has run.
   void ApplyOverlay(const ValueOverlay& overlay);
-
-  // Column-pruned append: interns only the fields whose attribute is in
-  // `materialize`; every other cell is stored as kNullValue and its raw
-  // field text is the caller's to carry (relation/csv.h ColumnSidecar).
-  void AppendRowFieldsMasked(std::span<const std::string_view> fields,
-                             AttrSet materialize);
 
   // Cell accessors by interned id and by string.
   ValueId cell(size_t row, AttrId attr) const {

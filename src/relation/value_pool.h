@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <deque>
 #include <string>
 #include <string_view>
@@ -34,15 +35,26 @@ struct ValueView {
 // (GetString / Find) are safe once interning has stopped. Debug builds
 // enforce the single-writer rule: two Intern calls overlapping in time
 // trip a CHECK (release builds compile the guard out).
+//
+// The hit path of Intern and Find is inline (CSV ingest calls it once
+// per cell); adding a value is out of line.
 class ValuePool {
  public:
-  ValuePool() = default;
+  ValuePool() : slots_(kMinSlots) {}
 
   ValuePool(const ValuePool&) = delete;
   ValuePool& operator=(const ValuePool&) = delete;
 
   // Returns the id for `s`, interning it if new.
-  ValueId Intern(std::string_view s);
+  ValueId Intern(std::string_view s) {
+#ifndef NDEBUG
+    const InternGuard guard(&interning_);
+#endif
+    const uint32_t hash = Hash(s);
+    const size_t slot = Probe(s, hash);
+    const ValueId id = slots_[slot].id;
+    return id != kNullValue ? id : Insert(s, hash, slot);
+  }
 
   // Pre-sizes the intern index for `expected_values` distinct values so
   // bulk ingestion never rehashes. Growing is cheap (the index holds
@@ -50,7 +62,9 @@ class ValuePool {
   void Reserve(size_t expected_values);
 
   // Returns the id for `s` or kNullValue if it has never been interned.
-  ValueId Find(std::string_view s) const;
+  ValueId Find(std::string_view s) const {
+    return slots_[Probe(s, Hash(s))].id;
+  }
 
   // Returns the string for a valid id. id must be in [0, size()).
   const std::string& GetString(ValueId id) const;
@@ -63,6 +77,8 @@ class ValuePool {
   size_t size() const { return strings_.size(); }
 
  private:
+  static constexpr size_t kMinSlots = 16;
+
   // One slot of the intern index: a value's 32-bit hash and its id
   // (kNullValue marks an empty slot). Keys are compared through views_,
   // so the index holds no string of its own.
@@ -71,10 +87,112 @@ class ValuePool {
     ValueId id = kNullValue;
   };
 
-  static uint32_t Hash(std::string_view s);
+#ifndef NDEBUG
+  // Flags any second Intern that overlaps the first in time. Catches the
+  // misuse the class comment warns about (concurrent interning) in debug
+  // and sanitizer builds instead of silently corrupting the index.
+  class InternGuard {
+   public:
+    explicit InternGuard(std::atomic<bool>* busy);
+    ~InternGuard() { busy_->store(false, std::memory_order_release); }
+    InternGuard(const InternGuard&) = delete;
+    InternGuard& operator=(const InternGuard&) = delete;
+
+   private:
+    std::atomic<bool>* busy_;
+  };
+#endif
+
+  static uint64_t Load64(const char* p) {
+    uint64_t w;
+    std::memcpy(&w, p, sizeof(w));
+    return w;
+  }
+  static uint64_t Load32(const char* p) {
+    uint32_t w;
+    std::memcpy(&w, p, sizeof(w));
+    return w;
+  }
+  static uint64_t Byte(const char* p) {
+    return static_cast<unsigned char>(*p);
+  }
+  // One 64x64->128 multiply, folded: every input bit reaches the middle
+  // of the product, and the xor brings the middle down to the low bits
+  // the slot index uses.
+  static uint64_t Mix(uint64_t a, uint64_t b) {
+    const unsigned __int128 product = static_cast<unsigned __int128>(a) * b;
+    return static_cast<uint64_t>(product) ^
+           static_cast<uint64_t>(product >> 64);
+  }
+
+  // A value of up to 16 bytes is hashed as its first and last 8 bytes
+  // (4 or single bytes when shorter; the loads overlap), mixed with its
+  // length in one multiply-fold. Longer values fold in 16 bytes per
+  // step first. Collisions only cost a compare: keys are always
+  // compared in full.
+  static uint32_t Hash(std::string_view s) {
+    constexpr uint64_t kKey0 = 0xa0761d6478bd642fULL;
+    constexpr uint64_t kKey1 = 0xe7037ed1a0b428dbULL;
+    const char* p = s.data();
+    const size_t n = s.size();
+    uint64_t seed = kKey1 ^ n;
+    uint64_t a = 0;
+    uint64_t b = 0;
+    if (n > 16) {
+      const char* const last = p + n - 16;
+      for (; p < last; p += 16) {
+        seed = Mix(Load64(p) ^ kKey0, Load64(p + 8) ^ seed);
+      }
+      a = Load64(last);
+      b = Load64(last + 8);
+    } else if (n >= 8) {
+      a = Load64(p);
+      b = Load64(p + n - 8);
+    } else if (n >= 4) {
+      a = Load32(p);
+      b = Load32(p + n - 4);
+    } else if (n > 0) {
+      a = Byte(p) << 16 | Byte(p + n / 2) << 8 | Byte(p + n - 1);
+    }
+    return static_cast<uint32_t>(Mix(a ^ kKey0, b ^ seed));
+  }
+
+  // Equality of n-byte keys by word loads, with the same overlapping
+  // tail loads as Hash.
+  static bool SameBytes(const char* x, const char* y, size_t n) {
+    if (n >= 8) {
+      for (size_t i = 0; i + 8 < n; i += 8) {
+        if (Load64(x + i) != Load64(y + i)) return false;
+      }
+      return Load64(x + n - 8) == Load64(y + n - 8);
+    }
+    if (n >= 4) {
+      return ((Load32(x) ^ Load32(y)) |
+              (Load32(x + n - 4) ^ Load32(y + n - 4))) == 0;
+    }
+    return n == 0 || (x[0] == y[0] && x[n / 2] == y[n / 2] &&
+                      x[n - 1] == y[n - 1]);
+  }
+
   // The slot holding `s` (whose hash is `hash`), or the empty slot where
-  // it would go. slots_ must not be empty.
-  size_t Probe(std::string_view s, uint32_t hash) const;
+  // it would go.
+  size_t Probe(std::string_view s, uint32_t hash) const {
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = hash & mask;; i = (i + 1) & mask) {
+      const Slot slot = slots_[i];
+      if (slot.id == kNullValue) return i;
+      if (slot.hash == hash) {
+        const std::string_view key =
+            views_[static_cast<size_t>(slot.id)].text;
+        if (key.size() == s.size() &&
+            SameBytes(key.data(), s.data(), s.size())) {
+          return i;
+        }
+      }
+    }
+  }
+  // Adds `s` (hash `hash`) at the empty slot `slot` Probe returned.
+  ValueId Insert(std::string_view s, uint32_t hash, size_t slot);
   // Rebuilds the index with `capacity` slots, a power of two.
   void Rehash(size_t capacity);
 
@@ -115,6 +233,9 @@ class ValueOverlay {
     const ValueId id = pool_->Find(s);
     return id != kNullValue ? id : kNullValue - 1 - staged_.Intern(s);
   }
+
+  // The pool Resolve looks values up in (read access only).
+  const ValuePool& pool() const { return *pool_; }
 
   // Distinct values Resolve found missing from the pool.
   size_t size() const { return staged_.size(); }

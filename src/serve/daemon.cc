@@ -49,7 +49,13 @@ StatusOr<std::unique_ptr<RepairDaemon>> RepairDaemon::Start(
   socket_options.tcp_port = daemon->options_.tcp_port;
   auto server = net::SocketServer::Start(daemon.get(), socket_options);
   if (!server.ok()) return server.status();
-  daemon->server_ = std::move(server).value();
+  {
+    // Published under mu_, which HandleFrame reads it under: the worker
+    // that serves the first frame may never have synchronized with this
+    // thread otherwise.
+    std::lock_guard<std::mutex> lock(daemon->mu_);
+    daemon->server_ = std::move(server).value();
+  }
   return daemon;
 }
 
@@ -204,6 +210,7 @@ void RepairDaemon::HandleFrame(int fd, std::string payload, uint32_t crc) {
   // drain still waits for it.
   requests_served_.fetch_add(1, std::memory_order_relaxed);
   TickServeCounter("fixrep.serve.requests");
+  net::SocketServer* server = nullptr;
   {
     // Notify under the lock: the drain waiter may destroy this object
     // the moment it observes the predicate, and a notify outside the
@@ -211,12 +218,13 @@ void RepairDaemon::HandleFrame(int fd, std::string payload, uint32_t crc) {
     std::lock_guard<std::mutex> lock(mu_);
     --in_flight_;
     drain_cv_.notify_all();
+    server = server_.get();
   }
   SendResponse(fd, response);
   // Re-deliver any pipelined frame the connection already buffered.
   // Last touch of server_: busy_workers_ stays held across it so the
   // drain cannot tear the server down underneath this call.
-  server_->Resume(fd);
+  server->Resume(fd);
   {
     std::lock_guard<std::mutex> lock(mu_);
     --busy_workers_;

@@ -484,6 +484,58 @@ class CsvFuzz : public ::testing::Test {
     }
   }
 
+  // Reads `text` through refill blocks of every size from 1 to 80 bytes
+  // under every policy: rows, ids, diagnostics, rendering and consumed
+  // bytes must match the oracle, and record spans (with their verbatim
+  // flags) the in-memory read's.
+  void CheckEveryRefillBlock(const std::string& text,
+                             const std::string& label) {
+    for (const OnErrorPolicy policy :
+         {OnErrorPolicy::kAbort, OnErrorPolicy::kSkip,
+          OnErrorPolicy::kQuarantine}) {
+      const ReadResult want = OracleRead(text, policy);
+      CsvRecordSpans want_spans;
+      {
+        StatusOr<CsvChunkReader> reader = CsvChunkReader::OpenBytes(
+            text, "fuzz", std::make_shared<ValuePool>(), {policy, nullptr});
+        if (reader.ok()) {
+          reader->RecordSpansInto(&want_spans);
+          Table table = reader->MakeChunkTable();
+          (void)reader->ReadChunk(&table, std::numeric_limits<size_t>::max());
+        }
+      }
+      for (size_t block = 1; block <= 80; ++block) {
+        const std::string context = label + " policy=" +
+                                    OnErrorPolicyName(policy) +
+                                    " block=" + std::to_string(block);
+        VectorQuarantineSink sink;
+        std::istringstream in(text);
+        StatusOr<CsvChunkReader> reader = CsvReaderTestPeer::Open(
+            in, block, std::make_shared<ValuePool>(), {policy, &sink});
+        CsvRecordSpans spans;
+        if (reader.ok()) reader->RecordSpansInto(&spans);
+        ExpectSame(want, FromReader(std::move(reader), 7, false, &sink), true,
+                   context);
+        if (!want.status.ok()) continue;
+        SCOPED_TRACE(context);
+        ExpectSameSpan(want_spans.header, spans.header);
+        EXPECT_EQ(want_spans.dropped, spans.dropped);
+        ASSERT_EQ(want_spans.rows.size(), spans.rows.size());
+        for (size_t r = 0; r < spans.rows.size(); ++r) {
+          ExpectSameSpan(want_spans.rows[r], spans.rows[r]);
+        }
+        if (HasFailure()) return;
+      }
+    }
+  }
+
+  static void ExpectSameSpan(const CsvRecordSpan& want,
+                             const CsvRecordSpan& got) {
+    EXPECT_EQ(want.begin, got.begin);
+    EXPECT_EQ(want.end, got.end);
+    EXPECT_EQ(want.verbatim, got.verbatim) << "span at " << got.begin;
+  }
+
   void FuzzCorpus(const std::string& base, uint64_t seed, size_t cases) {
     CheckAllWays(base, "unmutated");
     Rng rng(seed);
@@ -599,11 +651,130 @@ TEST_F(CsvFuzz, RecordLongerThanDefaultBlockGrowsTheBuffer) {
   ExpectSame(OracleRead(text, OnErrorPolicy::kAbort), got, true, "2 MiB");
 }
 
-// --- Whole-file ingest.
-
 uint64_t CounterValue(const char* name) {
   return MetricsRegistry::Global().GetCounter(name)->Value();
 }
+
+// Plain records take only the scan: fixrep.csv.records_fallback counts
+// exactly the records handed to the general tokenizer, however the bytes
+// arrive.
+TEST_F(CsvFuzz, OnlyHandedOffRecordsReachTheGeneralTokenizer) {
+  const std::string text =
+      "a,b\n"
+      "1,2\n"        // plain
+      "3,4\r\n"      // plain, CRLF
+      "\"5\",6\n"    // a quote: handed off
+      "7\r8,9\n"     // a bare '\r': handed off
+      "1,2,3\n"      // too many fields: handed off
+      "\n"           // too few: handed off
+      "x,y\n"        // plain
+      "last,row";    // no final '\n': handed off
+  {
+    std::ofstream file(file_path_, std::ios::binary | std::ios::trunc);
+    file << text;
+  }
+  const CsvReadOptions skip{OnErrorPolicy::kSkip, nullptr};
+  const std::vector<std::function<StatusOr<Table>()>> reads = {
+      [&] {
+        return ReadCsvBytesLenient(text, "t", std::make_shared<ValuePool>(),
+                                   skip);
+      },
+      [&] {
+        std::istringstream in(text);
+        return ReadCsvLenient(in, "t", std::make_shared<ValuePool>(), skip);
+      },
+      [&] {
+        return ReadCsvFileLenient(file_path_, "t",
+                                  std::make_shared<ValuePool>(), skip);
+      },
+      [&] {
+        return CsvReaderTestPeer::ReadFile(file_path_, 3,
+                                           std::make_shared<ValuePool>(),
+                                           skip);
+      },
+  };
+  for (size_t i = 0; i < reads.size(); ++i) {
+    SCOPED_TRACE("read " + std::to_string(i));
+    const uint64_t before = CounterValue("fixrep.csv.records_fallback");
+    const StatusOr<Table> table = reads[i]();
+    ASSERT_TRUE(table.ok()) << table.status();
+    EXPECT_EQ(table->num_rows(), 6u);
+    EXPECT_EQ(CounterValue("fixrep.csv.records_fallback") - before, 5u);
+  }
+}
+
+// --- The fused scan's boundaries. Data records are scanned in 64-byte
+// windows that start at the first data byte (and again after each record
+// handed to the general tokenizer or each refill).
+
+// A data record (arity 2) whose byte `k` starts `special`: ',' '\n' and
+// CRLF records are plain, '"' and bare '\r' ones go to the general
+// tokenizer, and a '\n' at byte 0 is an empty record of the wrong arity.
+std::string RecordWithSpecialAt(const std::string& special, size_t k) {
+  const std::string pad(k, 'x');
+  if (special == ",") return pad + ",y\n";
+  if (special == "\"") return pad + "\"q\",y\n";
+  if (special == "\r") return pad + "\r,y\n";
+  // "\n" and "\r\n" end the record; its comma comes first.
+  return k == 0 ? special : "," + pad.substr(1) + special;
+}
+
+TEST_F(CsvFuzz, StructuralBytesAtEveryWindowOffsetMatchOracle) {
+  // A 64-byte plain record: the record after it starts the second window.
+  const std::string fill = "p," + std::string(61, 'x') + "\n";
+  ASSERT_EQ(fill.size(), 64u);
+  std::string all = "a,b\n";
+  for (const std::string special : {",", "\"", "\r", "\r\n", "\n"}) {
+    for (size_t k = 0; k < 64 && !HasFatalFailure(); ++k) {
+      const std::string record = RecordWithSpecialAt(special, k);
+      const std::string label = "special=" + std::to_string(special[0]) +
+                                "/" + std::to_string(special.size()) +
+                                " offset=" + std::to_string(k);
+      CheckAllWays("a,b\n" + record + "1,2\n3,4", label);
+      CheckAllWays("a,b\n" + fill + record + "1,2\n3,4\n",
+                   label + " second window");
+      all += fill.substr(0, k % 17) + record;
+    }
+  }
+  CheckEveryRefillBlock(all + "5,6", "every offset");
+}
+
+TEST_F(CsvFuzz, FieldsOfEveryLengthUpTo70MatchOracle) {
+  std::string text = "a,b,c\n";
+  for (size_t n = 0; n <= 70; ++n) {
+    text += std::string(n, 'f') + "," + std::string(70 - n, 'g') + "," +
+            std::to_string(n) + (n % 5 == 0 ? "\r\n" : "\n");
+  }
+  // The same lengths again with a quoted middle field.
+  for (size_t n = 0; n <= 70; n += 7) {
+    text += std::string(n, 'f') + ",\"" + std::string(70 - n, 'g') +
+            "\"," + std::to_string(n) + "\n";
+  }
+  CheckAllWays(text, "field lengths");
+  CheckEveryRefillBlock(text, "field lengths");
+}
+
+TEST_F(CsvFuzz, PayloadsEndingAroundAWindowEdgeMatchOracle) {
+  // Data of 64w-1, 64w and 64w+1 bytes after the header, whose final
+  // record ends in each terminator or none.
+  for (size_t windows = 1; windows <= 3; ++windows) {
+    for (const size_t size : {64 * windows - 1, 64 * windows,
+                              64 * windows + 1}) {
+      for (const std::string end : {"", "\n", "\r", "\r\n"}) {
+        std::string data;
+        while (size - data.size() >= 32) data += "xxxxxx,yyyyyyyy\n";
+        data += "z," + std::string(size - data.size() - 2 - end.size(), 'z') +
+                end;
+        ASSERT_EQ(data.size(), size);
+        CheckAllWays("a,b\n" + data, "data bytes=" + std::to_string(size) +
+                                         " end=" +
+                                         std::to_string(end.size()));
+      }
+    }
+  }
+}
+
+// --- Whole-file ingest.
 
 // Multi-MiB whole-file reads (ReadCsvFileLenient) compared with the
 // in-memory read of the same bytes: cells, ValueIds, pool order,

@@ -1,9 +1,11 @@
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "relation/active_domain.h"
 #include "relation/schema.h"
 #include "relation/table.h"
@@ -86,6 +88,64 @@ TEST(ValuePoolTest, IndexTellsApartValuesDifferingInOneByte) {
   EXPECT_EQ(pool.Find("c"), kNullValue);
   EXPECT_EQ(pool.Find(std::string(25, 'a')), kNullValue);
   EXPECT_EQ(pool.Find("v20000"), kNullValue);
+}
+
+// Intern, Find and GetView against an unordered_map reference over 100K
+// mixed operations: random byte strings of 0-40 bytes (NUL and 0xFF
+// included), each next to copies differing in one byte at every position
+// and copies one byte longer or shorter ("ab" and "ab\0"), interned and
+// looked up in random order. Ids must stay dense, in first-occurrence
+// order, and every lookup must agree with the reference.
+TEST(ValuePoolTest, InternIndexMatchesReferenceMap) {
+  Rng rng(0x5ca1ab1e);
+  auto random_bytes = [&] {
+    static constexpr char kBytes[] = {'a', 'b', '\0', '\xff', ',', '7'};
+    std::string s(rng.Uniform(41), '\0');
+    for (char& ch : s) {
+      ch = rng.Bernoulli(0.5) ? kBytes[rng.Uniform(sizeof(kBytes))]
+                              : static_cast<char>(rng.Uniform(256));
+    }
+    return s;
+  };
+  std::vector<std::string> candidates;
+  while (candidates.size() < 60000) {
+    const std::string base = random_bytes();
+    candidates.push_back(base);
+    for (size_t at = 0; at < base.size(); ++at) {
+      std::string changed = base;
+      changed[at] = static_cast<char>(changed[at] ^ (1 << rng.Uniform(8)));
+      candidates.push_back(changed);
+    }
+    candidates.push_back(base + '\0');
+    candidates.push_back(base + base.substr(0, 1));
+    if (!base.empty()) candidates.push_back(base.substr(0, base.size() - 1));
+  }
+  ValuePool pool;
+  std::unordered_map<std::string, ValueId> reference;
+  for (int op = 0; op < 100000; ++op) {
+    const std::string& value = candidates[rng.Uniform(candidates.size())];
+    const auto known = reference.find(value);
+    if (rng.Bernoulli(0.3)) {
+      ASSERT_EQ(pool.Find(value),
+                known == reference.end() ? kNullValue : known->second)
+          << "op " << op;
+      continue;
+    }
+    // A new value takes the next dense id.
+    const ValueId want = known == reference.end()
+                             ? static_cast<ValueId>(reference.size())
+                             : known->second;
+    ASSERT_EQ(pool.Intern(value), want) << "op " << op;
+    reference.emplace(value, want);
+    ASSERT_EQ(pool.size(), reference.size());
+  }
+  for (const auto& [value, id] : reference) {
+    ASSERT_EQ(pool.Find(value), id);
+    ASSERT_EQ(pool.GetView(id).text, value);
+    ASSERT_EQ(pool.GetString(id), value);
+    EXPECT_EQ(pool.GetView(id).csv_quoted,
+              value.find_first_of(",\"\r\n") != std::string::npos);
+  }
 }
 
 TEST(SchemaTest, AttributeLookup) {

@@ -11,19 +11,23 @@
 // reload under load with zero dropped requests, and graceful drain
 // (including a real fixrep_cli child on SIGTERM).
 
+#include <fcntl.h>
 #include <signal.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -856,6 +860,51 @@ TEST_F(ServeDaemonTest, SubmitCountsDroppedRecordsUnderSkipAndQuarantine) {
               direct.csv);
 #endif
   }
+}
+
+// `fixrep_cli submit --in` reads a pipe to EOF: a FIFO input gives the
+// same output bytes as the same CSV in a file.
+TEST_F(ServeDaemonTest, CliSubmitReadsAFifo) {
+#ifndef FIXREP_CLI_PATH
+  GTEST_SKIP() << "built without FIXREP_CLI_PATH";
+#else
+  StartDaemon({}, {0});
+  const std::string file_path = TempPath("batch.csv");
+  const std::string fifo_path = TempPath("batch.fifo");
+  {
+    std::ofstream file(file_path, std::ios::binary);
+    file << AllWorkloads()[0].csv;
+  }
+  std::remove(fifo_path.c_str());
+  ASSERT_EQ(::mkfifo(fifo_path.c_str(), 0600), 0) << std::strerror(errno);
+  // Runs `fixrep_cli submit` with `prelude` run in the background first
+  // (the FIFO's writer); returns its output file's bytes.
+  auto submit = [&](const std::string& in, const std::string& prelude,
+                    const std::string& out) {
+    const std::string command =
+        prelude + "exec '" + FIXREP_CLI_PATH + "' submit --socket '" +
+        socket_path_ + "' --tenant travel --in '" + in + "' --out '" + out +
+        "' 2>&1";
+    FILE* pipe = popen(command.c_str(), "r");
+    EXPECT_NE(pipe, nullptr);
+    if (pipe == nullptr) return std::string();
+    std::string output;
+    char buffer[256];
+    while (fgets(buffer, sizeof(buffer), pipe) != nullptr) output += buffer;
+    EXPECT_EQ(pclose(pipe), 0) << output;
+    std::ifstream result(out, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(result), {});
+  };
+  const std::string from_file = submit(file_path, "", TempPath("file.out"));
+  const std::string from_fifo =
+      submit(fifo_path, "cat '" + file_path + "' > '" + fifo_path + "' & ",
+             TempPath("fifo.out"));
+  // Release the writer if the submit never opened the FIFO.
+  const int drain = ::open(fifo_path.c_str(), O_RDONLY | O_NONBLOCK);
+  if (drain >= 0) ::close(drain);
+  EXPECT_FALSE(from_file.empty());
+  EXPECT_EQ(from_fifo, from_file);
+#endif
 }
 
 // --- splice responses ---
