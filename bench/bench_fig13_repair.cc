@@ -744,8 +744,10 @@ void WriteRepairJson() {
       const double ms = TimedMs("fig13_daemon_submit", [&] {
         auto result =
             client.value().Submit("bench", config_headers, serve_csv);
-        if (!result.ok()) std::abort();
-        out = std::move(result.value().csv);
+        if (!result.ok() ||
+            !ApplyCsvSplice(serve_csv, result->splice, &out).ok()) {
+          std::abort();
+        }
       });
       if (i == 0 || ms < daemon_ms) daemon_ms = ms;
       if (out != direct_serve_out) daemon_identical = false;

@@ -155,7 +155,10 @@
 // one invocation share a value pool, so cross-file cell comparisons are
 // exact.
 
+#include <fcntl.h>
+#include <sys/mman.h>
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -1180,10 +1183,86 @@ int Ping(const Args& args) {
   return 0;
 }
 
+// A whole input file, read once with read(2) to EOF (a pipe or FIFO has
+// no size to ask for; a regular file's size, plus one byte to see EOF
+// without a grow, only sizes the buffer). The buffer is an anonymous
+// mapping made with MAP_POPULATE: its pages are committed in one call
+// instead of faulting in one by one as read(2) first touches them, and
+// nothing zero-fills them by hand. The file itself is not mapped: a
+// truncation while mapped raises SIGBUS, which would kill the process
+// before AtomicFile can unlink its staging file.
+class InputBytes {
+ public:
+  static StatusOr<InputBytes> Read(const std::string& path) {
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0) return Status::IoError("cannot open " + path);
+    struct stat st;
+    const size_t want = ::fstat(fd, &st) == 0 && S_ISREG(st.st_mode)
+                            ? static_cast<size_t>(st.st_size) + 1
+                            : size_t{1} << 16;
+    InputBytes bytes;
+    bytes.capacity_ = want;
+    bytes.data_ = static_cast<char*>(
+        ::mmap(nullptr, want, PROT_READ | PROT_WRITE,
+               MAP_PRIVATE | MAP_ANONYMOUS | MAP_POPULATE, -1, 0));
+    Status status;
+    if (bytes.data_ == MAP_FAILED) {
+      bytes.data_ = nullptr;
+      status = Status::IoError("out of memory for " + path);
+    }
+    while (status.ok()) {
+      if (bytes.size_ == bytes.capacity_ && !bytes.Grow()) {
+        status = Status::IoError("out of memory for " + path);
+        break;
+      }
+      const ssize_t n = ::read(fd, bytes.data_ + bytes.size_,
+                               bytes.capacity_ - bytes.size_);
+      if (n == 0) break;
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        status = Status::IoError("read failed on " + path);
+        break;
+      }
+      bytes.size_ += static_cast<size_t>(n);
+    }
+    ::close(fd);
+    if (!status.ok()) return status;
+    return bytes;
+  }
+
+  InputBytes(InputBytes&& other) noexcept
+      : data_(std::exchange(other.data_, nullptr)),
+        size_(other.size_),
+        capacity_(other.capacity_) {}
+  InputBytes& operator=(InputBytes&&) = delete;
+  ~InputBytes() {
+    if (data_ != nullptr) ::munmap(data_, capacity_);
+  }
+
+  std::string_view view() const { return {data_, size_}; }
+
+ private:
+  InputBytes() = default;
+
+  // Doubles the mapping; mremap moves pages, it does not copy bytes.
+  bool Grow() {
+    void* grown = ::mremap(data_, capacity_, 2 * capacity_, MREMAP_MAYMOVE);
+    if (grown == MAP_FAILED) return false;
+    data_ = static_cast<char*>(grown);
+    capacity_ *= 2;
+    return true;
+  }
+
+  char* data_ = nullptr;
+  size_t size_ = 0;
+  size_t capacity_ = 0;
+};
+
 // One CSV batch through a running daemon: the repair knobs serialize as
 // config headers (FormatRepairConfig), the repaired bytes land via
-// temp + rename, and the quarantine file has the same format as the
-// local repair flows'.
+// temp + rename -- written as ranges of --in and the daemon's
+// replacement bytes, never built in memory -- and the quarantine file
+// has the same format as the local repair flows'.
 int Submit(const Args& args) {
   const std::string on_error = args.Get("on-error", "abort");
   const std::optional<OnErrorPolicy> policy =
@@ -1193,54 +1272,35 @@ int Submit(const Args& args) {
               << "' (want abort|skip|quarantine)\n";
     return 2;
   }
-  std::ifstream in(args.Require("in"), std::ios::binary);
-  if (!in.good()) {
-    std::cerr << "error reading --in: cannot open " << args.Get("in")
-              << "\n";
+  const StatusOr<InputBytes> csv = [&] {
+    FIXREP_TRACE_SPAN("cli.load");
+    return InputBytes::Read(args.Require("in"));
+  }();
+  if (!csv.ok()) {
+    std::cerr << "error reading --in: " << csv.status().message() << "\n";
     return 1;
   }
-  // Read to EOF: a pipe or FIFO has no size to ask for. A regular file's
-  // size (plus one byte, to see EOF without a grow) only sizes the buffer.
-  struct stat st;
-  std::string csv(::stat(args.Get("in").c_str(), &st) == 0 &&
-                          S_ISREG(st.st_mode)
-                      ? static_cast<size_t>(st.st_size) + 1
-                      : size_t{1} << 16,
-                  '\0');
-  size_t size = 0;
-  while (true) {
-    in.read(csv.data() + size,
-            static_cast<std::streamsize>(csv.size() - size));
-    size += static_cast<size_t>(in.gcount());
-    if (size < csv.size()) break;
-    csv.resize(2 * csv.size());
-  }
-  if (in.bad()) {
-    std::cerr << "error reading --in: read failed on " << args.Get("in")
-              << "\n";
-    return 1;
-  }
-  csv.resize(size);
 
   StatusOr<serve::Client> client = ConnectOrExplain(args);
   if (!client.ok()) return 1;
   Timer timer;
   const StatusOr<serve::RepairResult> result = client->Submit(
       args.Require("tenant"),
-      FormatRepairConfig(ConfigFromArgs(args, *policy)), csv);
+      FormatRepairConfig(ConfigFromArgs(args, *policy)), csv->view());
   if (!result.ok()) {
     std::cerr << "submit failed: " << result.status() << "\n";
     return 1;
   }
-  StatusOr<AtomicFile> out = AtomicFile::Create(args.Require("out"));
-  if (!out.ok()) {
-    std::cerr << "error writing --out: " << out.status() << "\n";
-    return 1;
-  }
-  out->stream() << result->csv;
-  const Status committed = out->Commit();
-  if (!committed.ok()) {
-    std::cerr << "error writing --out: " << committed << "\n";
+  const Status written = [&]() -> Status {
+    FIXREP_TRACE_SPAN("cli.write");
+    StatusOr<AtomicFile> out = AtomicFile::Create(args.Require("out"));
+    if (!out.ok()) return out.status();
+    FIXREP_RETURN_IF_ERROR(
+        WriteCsvSplice(csv->view(), result->splice, &out.value()));
+    return out->Commit();
+  }();
+  if (!written.ok()) {
+    std::cerr << "error writing --out: " << written << "\n";
     return 1;
   }
   if (args.Has("quarantine-out")) {

@@ -1,10 +1,13 @@
 #include "common/atomic_file.h"
 
 #include <fcntl.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -41,16 +44,18 @@ StatusOr<AtomicFile> AtomicFile::Create(const std::string& path) {
     file.tmp_path_ = path + ".tmp." + std::to_string(::getpid()) + "." +
                      std::to_string(sequence.fetch_add(1));
     fd = ::open(file.tmp_path_.c_str(),
-                O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0666);
+                O_WRONLY | O_CREAT | O_EXCL | O_APPEND | O_CLOEXEC, 0666);
     if (fd < 0 && errno != EEXIST) break;
   }
   if (fd < 0) {
     return Status::IoError("cannot create a temp file for '" + path +
                            "': " + std::strerror(errno));
   }
-  ::close(fd);
+  file.fd_ = fd;
+  // Append mode (the file is new and empty), so stream and fd_ writes
+  // land in the order they are flushed.
   file.stream_.open(file.tmp_path_,
-                    std::ios::binary | std::ios::out | std::ios::trunc);
+                    std::ios::binary | std::ios::out | std::ios::app);
   if (!file.stream_.is_open() || FIXREP_FAULT("atomic_file.open")) {
     std::remove(file.tmp_path_.c_str());
     return Status::IoError("cannot open '" + file.tmp_path_ +
@@ -70,6 +75,7 @@ AtomicFile& AtomicFile::operator=(AtomicFile&& other) noexcept {
     path_ = std::move(other.path_);
     tmp_path_ = std::move(other.tmp_path_);
     stream_ = std::move(other.stream_);
+    fd_ = std::exchange(other.fd_, -1);
     committed_ = other.committed_;
     active_ = std::exchange(other.active_, false);
   }
@@ -79,10 +85,44 @@ AtomicFile& AtomicFile::operator=(AtomicFile&& other) noexcept {
 AtomicFile::~AtomicFile() { Discard(); }
 
 void AtomicFile::Discard() {
+  if (fd_ >= 0) ::close(std::exchange(fd_, -1));
   if (!active_ || committed_) return;
   if (stream_.is_open()) stream_.close();
   std::remove(tmp_path_.c_str());
   active_ = false;
+}
+
+Status AtomicFile::Append(std::span<const std::string_view> pieces) {
+  FIXREP_CHECK(active_ && !committed_) << "Append on an inactive AtomicFile";
+  stream_.flush();
+  iovec iov[std::min(IOV_MAX, 1024)];
+  size_t next = 0;  // first piece not fully written
+  size_t done = 0;  // bytes of pieces[next] already written
+  while (true) {
+    size_t count = 0;
+    for (size_t i = next; i < pieces.size() && count < std::size(iov); ++i) {
+      const size_t skip = i == next ? done : 0;
+      if (pieces[i].size() == skip) continue;
+      iov[count++] = {const_cast<char*>(pieces[i].data()) + skip,
+                      pieces[i].size() - skip};
+    }
+    if (count == 0) return Status::Ok();
+    const ssize_t written = ::writev(fd_, iov, static_cast<int>(count));
+    if (written < 0 && errno == EINTR) continue;
+    if (written <= 0) {
+      stream_.setstate(std::ios::badbit);
+      return Status::IoError(
+          "write to '" + tmp_path_ + "' failed: " +
+          (written < 0 ? std::strerror(errno) : "no progress"));
+    }
+    // Walk past the pieces the kernel took.
+    size_t taken = done + static_cast<size_t>(written);
+    while (next < pieces.size() && taken >= pieces[next].size()) {
+      taken -= pieces[next].size();
+      ++next;
+    }
+    done = taken;
+  }
 }
 
 Status AtomicFile::Commit() {
@@ -90,6 +130,7 @@ Status AtomicFile::Commit() {
   stream_.flush();
   const bool stream_ok = stream_.good() && !FIXREP_FAULT("atomic_file.write");
   stream_.close();
+  ::close(std::exchange(fd_, -1));
   if (!stream_ok) {
     std::remove(tmp_path_.c_str());
     active_ = false;

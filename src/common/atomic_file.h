@@ -2,7 +2,9 @@
 #define FIXREP_COMMON_ATOMIC_FILE_H_
 
 #include <fstream>
+#include <span>
 #include <string>
+#include <string_view>
 
 #include "common/status.h"
 
@@ -23,6 +25,9 @@
 //   if (!out.ok()) return out.status();
 //   out->stream() << header << rows;
 //   FIXREP_RETURN_IF_ERROR(out->Commit());
+//
+// Bytes already in memory can skip the stream's buffer: Append writes
+// them with writev(2), after whatever stream() holds.
 
 namespace fixrep {
 
@@ -41,6 +46,11 @@ class AtomicFile {
   std::ofstream& stream() { return stream_; }
   const std::string& path() const { return path_; }
 
+  // Appends `pieces` in order with gathered writes (up to IOV_MAX
+  // pieces per writev), after flushing stream(). kIoError on a failed
+  // write, which also marks stream() bad so Commit refuses to publish.
+  Status Append(std::span<const std::string_view> pieces);
+
   // Flushes, fsyncs, and renames the temp file onto `path`, then fsyncs
   // the parent directory so the rename itself survives a power cut.
   // After a failed write, fsync or rename the temp file is removed and
@@ -54,6 +64,8 @@ class AtomicFile {
   std::string path_;
   std::string tmp_path_;
   std::ofstream stream_;
+  // The staging file opened O_APPEND (stream_ appends too), for Append.
+  int fd_ = -1;
   bool committed_ = false;
   bool active_ = false;
 };

@@ -10,10 +10,10 @@
 // wire protocol's frame checksums. The serve frames carry whole CSV
 // batches, so the checksum pass runs over megabytes per request and
 // must not dominate the repair itself: on x86 with SSE 4.2 the hardware
-// crc32 instruction does 8 bytes/cycle (runtime-dispatched like the
-// probe-hash kernels in common/simd.h); everywhere else a slice-by-8
-// table keeps it near memory speed. Both paths produce identical
-// checksums.
+// crc32 instruction runs as three interleaved chains, 8 bytes each per
+// cycle (runtime-dispatched like the probe-hash kernels in
+// common/simd.h); everywhere else a slice-by-8 table keeps it near
+// memory speed. Both paths produce identical checksums.
 //
 // This is deliberately NOT the WAL's Crc32 (common/wal.h): the WAL and
 // rule-dictionary file formats keep their historical CRC-32 polynomial
@@ -35,7 +35,8 @@ bool Crc32cHardwareActive();
 
 #if FIXREP_SIMD_X86
 // Defined in crc32c_sse.cc (compiled with -msse4.2); callable only on
-// CPUs that report SSE 4.2.
+// CPUs that report SSE 4.2. Buffers of 768 bytes and more run three
+// crc32 chains at once.
 uint32_t Crc32cHardware(const void* data, size_t size, uint32_t seed);
 #endif
 

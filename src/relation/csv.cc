@@ -804,8 +804,7 @@ CsvSplice SpliceCsv(std::string_view input, const CsvRecordSpans& spans,
   return splice;
 }
 
-Status ApplyCsvSplice(std::string_view input, const CsvSplice& splice,
-                      std::string* out) {
+Status CheckCsvSplice(std::string_view input, const CsvSplice& splice) {
   uint64_t at = 0;  // input bytes accounted for
   uint64_t inserted = 0;
   uint64_t size = 0;  // output bytes
@@ -835,18 +834,49 @@ Status ApplyCsvSplice(std::string_view input, const CsvSplice& splice,
         "splice output is " + std::to_string(size) + " bytes, declared " +
         std::to_string(splice.output_size));
   }
-  out->clear();
-  out->reserve(size);
+  return Status::Ok();
+}
+
+namespace {
+
+// Calls piece(bytes) for each run of the spliced output, in order: the
+// input between edits and each edit's replacement. The splice must have
+// passed CheckCsvSplice against `input`.
+template <typename Piece>
+void ForEachSplicePiece(std::string_view input, const CsvSplice& splice,
+                        Piece piece) {
   const char* insert = splice.inserts.data();
-  at = 0;
+  size_t at = 0;
   for (const CsvEdit& e : splice.edits) {
-    out->append(input.data() + at, e.begin - at);
-    out->append(insert, e.insert);
+    piece(input.substr(at, e.begin - at));
+    piece(std::string_view(insert, e.insert));
     insert += e.insert;
     at = e.begin + e.erase;
   }
-  out->append(input.data() + at, input.size() - at);
+  piece(input.substr(at));
+}
+
+}  // namespace
+
+Status ApplyCsvSplice(std::string_view input, const CsvSplice& splice,
+                      std::string* out) {
+  FIXREP_RETURN_IF_ERROR(CheckCsvSplice(input, splice));
+  out->clear();
+  out->reserve(splice.output_size);
+  ForEachSplicePiece(input, splice,
+                     [out](std::string_view bytes) { out->append(bytes); });
   return Status::Ok();
+}
+
+Status WriteCsvSplice(std::string_view input, const CsvSplice& splice,
+                      AtomicFile* out) {
+  FIXREP_RETURN_IF_ERROR(CheckCsvSplice(input, splice));
+  std::vector<std::string_view> pieces;
+  pieces.reserve(2 * splice.edits.size() + 1);
+  ForEachSplicePiece(input, splice, [&pieces](std::string_view bytes) {
+    pieces.push_back(bytes);
+  });
+  return out->Append(pieces);
 }
 
 void WriteCsv(const Table& table, std::ostream& out) {

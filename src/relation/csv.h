@@ -16,6 +16,8 @@
 
 namespace fixrep {
 
+class AtomicFile;
+
 // Minimal RFC-4180-style CSV: comma-separated, '"'-quoted fields with ""
 // escapes; the first record is the header and becomes the schema.
 //
@@ -369,13 +371,22 @@ struct CsvSplice {
 CsvSplice SpliceCsv(std::string_view input, const CsvRecordSpans& spans,
                     const Table& original, const Table& repaired);
 
-// Writes `input` with `splice` applied to *out (replacing its contents).
-// kMalformedInput, with *out unspecified, when the edits are unordered,
-// overlap, reach past `input` or overflow, when their insert sizes do
-// not add up to inserts.size(), or when the result would not be
+// Ok when `splice` fits `input`. kMalformedInput when the edits are
+// unordered, overlap, reach past `input` or overflow, when their insert
+// sizes do not add up to inserts.size(), or when the result would not be
 // output_size bytes — the splice may come off the wire.
+Status CheckCsvSplice(std::string_view input, const CsvSplice& splice);
+
+// Writes `input` with `splice` applied to *out (replacing its contents),
+// after CheckCsvSplice; on an error *out is untouched.
 Status ApplyCsvSplice(std::string_view input, const CsvSplice& splice,
                       std::string* out);
+
+// Appends `input` with `splice` applied to `out` as gathered writes of
+// input ranges and replacement bytes (AtomicFile::Append), after
+// CheckCsvSplice: the spliced output is never built in memory.
+Status WriteCsvSplice(std::string_view input, const CsvSplice& splice,
+                      AtomicFile* out);
 
 // Streaming-friendly pieces of WriteCsv: the header line alone, and a
 // row range [begin_row, table.num_rows()) with no header. WriteCsv ==

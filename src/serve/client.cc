@@ -88,40 +88,28 @@ StatusOr<Response> Client::RoundTrip(const Request& request) {
 }
 
 StatusOr<Response> Client::ReceiveResponse() {
-  std::string buffer;
-  constexpr size_t kReadChunk = 256 * 1024;
-  while (true) {
-    std::string payload;
-    uint32_t crc = 0;
-    switch (ExtractFrame(&buffer, &payload, &crc)) {
-      case FrameParse::kFrame: {
-        FIXREP_RETURN_IF_ERROR(VerifyFrame(payload, crc));
-        return DecodeResponse(payload);
-      }
-      case FrameParse::kBadMagic:
-        return Status::MalformedInput("response stream is not FXRP framed");
-      case FrameParse::kTooLarge:
-        return Status::MalformedInput("response frame exceeds protocol cap");
-      case FrameParse::kNeedMore:
-        break;
+  FrameReader reader;
+  switch (reader.Receive(fd_, 0)) {
+    case FrameParse::kFrame: {
+      const Frame frame = reader.TakeFrame();
+      FIXREP_RETURN_IF_ERROR(frame.Verify());
+      return DecodeResponse(frame.payload());
     }
-    // Receive straight into the buffer tail: a multi-MB response would
-    // otherwise pay a second copy out of a bounce buffer per chunk.
-    const size_t filled = buffer.size();
-    buffer.resize(filled + kReadChunk);
-    const ssize_t n = recv(fd_, buffer.data() + filled, kReadChunk, 0);
-    buffer.resize(filled + (n > 0 ? static_cast<size_t>(n) : 0));
-    if (n == 0) {
-      return Status::IoError("daemon closed the connection mid-response");
-    }
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        return Status::IoError("timed out waiting for the daemon's response");
+    case FrameParse::kNeedMore:  // the receive timeout fired
+      return Status::IoError("timed out waiting for the daemon's response");
+    case FrameParse::kClosed:
+      if (errno == 0) {
+        return Status::IoError("daemon closed the connection mid-response");
       }
       return Errno("recv");
-    }
+    case FrameParse::kBadMagic:
+      return Status::MalformedInput("response stream is not FXRP framed");
+    case FrameParse::kTooLarge:
+      return Status::MalformedInput("response frame exceeds protocol cap");
+    case FrameParse::kNoMemory:
+      break;
   }
+  return Status::IoError("no memory for the daemon's response frame");
 }
 
 StatusOr<PingInfo> Client::Ping() {
@@ -136,16 +124,15 @@ StatusOr<PingInfo> Client::Ping() {
 StatusOr<RepairResult> Client::Submit(
     const std::string& tenant,
     const std::vector<std::pair<std::string, std::string>>& config,
-    const std::string& csv) {
+    std::string_view csv) {
   if (fd_ < 0) return Status::Internal("client not connected");
   FIXREP_RETURN_IF_ERROR(WriteRepairRequestTo(fd_, tenant, config, csv));
   StatusOr<Response> response = ReceiveResponse();
   if (!response.ok()) return response.status();
   if (!response->status.ok()) return response->status;
-  RepairResult& result = response->repair;
-  const Status applied = ApplyCsvSplice(csv, result.splice, &result.csv);
-  if (!applied.ok()) return applied.WithContext("repair response");
-  return std::move(result);
+  const Status fits = CheckCsvSplice(csv, response->repair.splice);
+  if (!fits.ok()) return fits.WithContext("repair response");
+  return std::move(response->repair);
 }
 
 StatusOr<ReloadResult> Client::Reload(const std::string& tenant,

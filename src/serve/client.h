@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -44,13 +45,15 @@ class Client {
 
   // Repairs one CSV batch (header + rows) against the named rule set.
   // `config` uses the ParseRepairConfig key grammar (repair/config.h).
-  // The daemon answers with a splice over `csv`; the result carries it
-  // and, in `csv`, the repaired batch it spells (kMalformedInput when
-  // the splice does not fit `csv`).
+  // The daemon answers with a splice over `csv`, which the result
+  // carries once CheckCsvSplice accepts it (kMalformedInput otherwise):
+  // the repaired batch is `csv` with the splice applied (ApplyCsvSplice,
+  // or WriteCsvSplice straight to a file). A batch over kMaxFramePayload
+  // is refused with kMalformedInput before anything is sent.
   StatusOr<RepairResult> Submit(
       const std::string& tenant,
       const std::vector<std::pair<std::string, std::string>>& config,
-      const std::string& csv);
+      std::string_view csv);
 
   // Hot-swaps the named rule set to `spec` (see ParseTenantSpec).
   StatusOr<ReloadResult> Reload(const std::string& tenant,
@@ -62,8 +65,8 @@ class Client {
   explicit Client(int fd) : fd_(fd) {}
 
   StatusOr<Response> RoundTrip(const Request& request);
-  // Blocks for one response frame. Submit writes its request as a
-  // gathered frame straight from the caller's CSV buffer
+  // Blocks for one response frame (FrameReader). Submit writes its
+  // request as a gathered frame straight from the caller's CSV buffer
   // (WriteRepairRequestTo — no staging copy), then comes here.
   StatusOr<Response> ReceiveResponse();
 

@@ -109,44 +109,24 @@ bool RepairDaemon::OnAccept(int fd) {
 void RepairDaemon::OnClose(int fd) { connections_.erase(fd); }
 
 net::SocketServer::ReadResult RepairDaemon::OnReadable(int fd) {
-  Connection& conn = connections_[fd];
-  // Drain what the socket has right now (level-triggered poll re-arms
-  // if the client keeps sending). Received straight into the buffer
-  // tail — a multi-MB request would otherwise pay a second copy out of
-  // a bounce buffer per chunk.
-  constexpr size_t kReadChunk = 256 * 1024;
+  FrameReader& reader = connections_[fd].reader;
   while (true) {
-    const size_t filled = conn.buffer.size();
-    conn.buffer.resize(filled + kReadChunk);
-    const ssize_t n =
-        recv(fd, conn.buffer.data() + filled, kReadChunk, MSG_DONTWAIT);
-    conn.buffer.resize(filled + (n > 0 ? static_cast<size_t>(n) : 0));
-    if (n > 0) {
-      if (static_cast<size_t>(n) < kReadChunk) break;
-      continue;
-    }
-    if (n == 0) {
-      // Peer EOF. Anything still buffered is an incomplete frame.
-      return net::SocketServer::ReadResult::kClose;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) break;
-    return net::SocketServer::ReadResult::kClose;
-  }
-
-  while (true) {
-    std::string payload;
-    uint32_t crc = 0;
-    switch (ExtractFrame(&conn.buffer, &payload, &crc)) {
+    // Drain what the socket has right now (level-triggered poll re-arms
+    // if the client keeps sending), straight into the frame's buffer.
+    switch (reader.Receive(fd, MSG_DONTWAIT)) {
       case FrameParse::kNeedMore:
         return net::SocketServer::ReadResult::kKeepWatching;
-      case FrameParse::kBadMagic:
-      case FrameParse::kTooLarge:
-        // Garbage stream: no way to resynchronize a length-prefixed
-        // protocol, drop the connection.
-        return net::SocketServer::ReadResult::kClose;
       case FrameParse::kFrame:
         break;
+      case FrameParse::kClosed:
+      case FrameParse::kBadMagic:
+      case FrameParse::kTooLarge:
+      case FrameParse::kNoMemory:
+        // Peer gone (an incomplete frame dies with it), or a stream no
+        // length-prefixed protocol can resynchronize: drop it.
+        return net::SocketServer::ReadResult::kClose;
     }
+    Frame frame = reader.TakeFrame();
 
     // Admission control: the gate is checked here, on the loop thread,
     // so a full queue answers immediately — the request never blocks
@@ -179,22 +159,23 @@ net::SocketServer::ReadResult RepairDaemon::OnReadable(int fd) {
     // Suspend until the pool task writes the response and resumes us;
     // one outstanding request per connection keeps responses ordered.
     ThreadPool::Global().Submit(
-        [this, fd, payload = std::move(payload), crc]() mutable {
-          HandleFrame(fd, std::move(payload), crc);
+        [this, fd, frame = std::make_shared<Frame>(std::move(frame))] {
+          HandleFrame(fd, *frame);
         });
     return net::SocketServer::ReadResult::kSuspend;
   }
 }
 
-void RepairDaemon::HandleFrame(int fd, std::string payload, uint32_t crc) {
+void RepairDaemon::HandleFrame(int fd, const Frame& frame) {
   if (options_.request_stall_for_test) options_.request_stall_for_test();
 
   Response response;
-  const Status frame_ok = VerifyFrame(payload, crc);
+  const Status frame_ok = frame.Verify();
   if (!frame_ok.ok()) {
     response = ErrorResponse(Verb::kPing, frame_ok);
   } else {
-    StatusOr<Request> request = DecodeRequest(std::move(payload));
+    // In place: a repair request's CSV is a view into the frame.
+    StatusOr<Request> request = DecodeRequest(frame.payload());
     if (!request.ok()) {
       response = ErrorResponse(Verb::kPing, request.status());
     } else {
@@ -370,7 +351,13 @@ void RepairDaemon::SendResponse(int fd, const Response& response) {
   // the multi-MB batch, so it goes out part-wise without ever being
   // staged as one contiguous payload.
   if (response.verb == Verb::kRepair && response.status.ok()) {
-    (void)WriteRepairResponseTo(fd, response.repair);
+    const Status sent = WriteRepairResponseTo(fd, response.repair);
+    if (sent.code() == StatusCode::kMalformedInput) {
+      // Over the frame cap, refused before a byte went out: say so
+      // instead of leaving the client waiting.
+      (void)WriteFrameTo(fd, EncodeResponse(ErrorResponse(Verb::kRepair,
+                                                          sent)));
+    }
   } else {
     (void)WriteFrameTo(fd, EncodeResponse(response));
   }

@@ -18,7 +18,7 @@
 // The multi-tenant repair daemon (docs/serving.md): one
 // net::SocketServer accept loop feeding repair requests onto the global
 // ThreadPool through a bounded admission gate. The loop thread only
-// buffers bytes and extracts frames; CRC verification, decoding, CSV
+// receives frames (FrameReader); CRC verification, decoding, CSV
 // parsing, the chase, and the response write all happen on a pool
 // worker while the connection is suspended (one outstanding request per
 // connection, so per-connection ordering holds). When `max_pending`
@@ -90,7 +90,7 @@ class RepairDaemon : private net::SocketServer::Handler {
 
  private:
   struct Connection {
-    std::string buffer;  // bytes read but not yet framed (loop thread)
+    FrameReader reader;  // the frame arriving on it (loop thread)
   };
 
   RepairDaemon(TenantRegistry* registry, DaemonOptions options);
@@ -101,7 +101,7 @@ class RepairDaemon : private net::SocketServer::Handler {
   void OnClose(int fd) override;
 
   // Pool-worker request path.
-  void HandleFrame(int fd, std::string payload, uint32_t crc);
+  void HandleFrame(int fd, const Frame& frame);
   Response HandleRequest(const Request& request);
   Response HandleRepair(const RepairRequest& request);
   Response HandleReload(const ReloadRequest& request);

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdlib>
 #include <cstring>
 #include <string_view>
 #include <utility>
@@ -44,44 +45,94 @@ void AppendFrame(std::string* out, const std::string& payload) {
   WalPutU32(out, Crc32c(payload.data(), payload.size()));
 }
 
-FrameParse ExtractFrame(std::string* buffer, std::string* payload,
-                        uint32_t* crc) {
-  if (buffer->size() < sizeof(kFrameMagic)) {
-    // Reject a wrong prefix as soon as the bytes we do have disagree.
-    if (std::memcmp(buffer->data(), kFrameMagic, buffer->size()) != 0) {
-      return FrameParse::kBadMagic;
-    }
-    return FrameParse::kNeedMore;
+Status Frame::Verify() const {
+  if (Crc32c(bytes_.get(), size_) != ReadU32(bytes_.get() + size_)) {
+    return Status::MalformedInput("frame CRC mismatch");
   }
-  if (std::memcmp(buffer->data(), kFrameMagic, sizeof(kFrameMagic)) != 0) {
+  return Status::Ok();
+}
+
+void Frame::Free::operator()(char* p) const { std::free(p); }
+
+char* FrameReader::next() {
+  return frame_.bytes_ == nullptr ? header_ + header_filled_
+                                  : frame_.bytes_.get() + received_;
+}
+
+size_t FrameReader::room() const {
+  return frame_.bytes_ == nullptr ? kHeaderBytes - header_filled_
+                                  : capacity_ - received_;
+}
+
+FrameParse FrameReader::Advance(size_t n) {
+  if (frame_.bytes_ != nullptr) {
+    received_ += n;
+    const size_t total = frame_.size_ + kTrailerBytes;
+    if (received_ == total) return FrameParse::kFrame;
+    if (received_ < capacity_) return FrameParse::kNeedMore;
+    return Reserve(std::min(2 * capacity_, total));
+  }
+  header_filled_ += n;
+  // Reject a wrong prefix as soon as the bytes we do have disagree.
+  if (std::memcmp(header_, kFrameMagic,
+                  std::min(header_filled_, sizeof(kFrameMagic))) != 0) {
     return FrameParse::kBadMagic;
   }
-  if (buffer->size() < kHeaderBytes) return FrameParse::kNeedMore;
-  const uint32_t payload_len = ReadU32(buffer->data() + sizeof(kFrameMagic));
+  if (header_filled_ < kHeaderBytes) return FrameParse::kNeedMore;
+  const uint32_t payload_len = ReadU32(header_ + sizeof(kFrameMagic));
   if (payload_len > kMaxFramePayload) return FrameParse::kTooLarge;
-  const size_t total = kHeaderBytes + payload_len + kTrailerBytes;
-  if (buffer->size() < total) return FrameParse::kNeedMore;
-  *crc = ReadU32(buffer->data() + kHeaderBytes + payload_len);
-  if (buffer->size() == total) {
-    // Common case — the buffer holds exactly one frame (a multi-MB CSV
-    // batch, usually): strip it in place instead of copying the payload
-    // into a second multi-MB allocation.
-    *payload = std::move(*buffer);
-    payload->resize(kHeaderBytes + payload_len);
-    payload->erase(0, kHeaderBytes);
-    buffer->clear();
-  } else {
-    payload->assign(buffer->data() + kHeaderBytes, payload_len);
-    buffer->erase(0, total);
+  frame_.size_ = payload_len;
+  return Reserve(std::min(size_t{payload_len} + kTrailerBytes,
+                          kFrameFirstBlock));
+}
+
+FrameParse FrameReader::Reserve(size_t capacity) {
+  // realloc, not new: no zero-fill and no throw. A fresh large block is
+  // an anonymous mapping whose pages are committed as recv writes them.
+  char* bytes =
+      static_cast<char*>(std::realloc(frame_.bytes_.get(), capacity));
+  if (bytes == nullptr) return FrameParse::kNoMemory;  // the old one stays
+  static_cast<void>(frame_.bytes_.release());  // realloc moved or kept it
+  frame_.bytes_.reset(bytes);
+  capacity_ = capacity;
+  return FrameParse::kNeedMore;
+}
+
+FrameParse FrameReader::Receive(int fd, int flags) {
+  while (!complete()) {
+    const ssize_t n = recv(fd, next(), room(), flags);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return errno == EAGAIN || errno == EWOULDBLOCK ? FrameParse::kNeedMore
+                                                     : FrameParse::kClosed;
+    }
+    if (n == 0) {
+      errno = 0;
+      return FrameParse::kClosed;
+    }
+    const FrameParse parse = Advance(static_cast<size_t>(n));
+    if (parse != FrameParse::kNeedMore) return parse;
   }
   return FrameParse::kFrame;
 }
 
-Status VerifyFrame(const std::string& payload, uint32_t crc) {
-  if (Crc32c(payload.data(), payload.size()) != crc) {
-    return Status::MalformedInput("frame CRC mismatch");
+FrameParse FrameReader::Feed(std::string_view* bytes) {
+  while (!complete()) {
+    if (bytes->empty()) return FrameParse::kNeedMore;
+    const size_t n = std::min(room(), bytes->size());
+    std::memcpy(next(), bytes->data(), n);
+    bytes->remove_prefix(n);
+    const FrameParse parse = Advance(n);
+    if (parse != FrameParse::kNeedMore) return parse;
   }
-  return Status::Ok();
+  return FrameParse::kFrame;
+}
+
+Frame FrameReader::TakeFrame() {
+  header_filled_ = 0;
+  received_ = 0;
+  capacity_ = 0;
+  return std::move(frame_);
 }
 
 Status WriteFrameTo(int fd, std::initializer_list<std::string_view> parts) {
@@ -91,9 +142,16 @@ Status WriteFrameTo(int fd, std::initializer_list<std::string_view> parts) {
     return Status::Internal("too many frame parts");
   }
   size_t payload_len = 0;
+  for (const std::string_view part : parts) payload_len += part.size();
+  // Checked before the CRC reads a byte: the length prefix is a u32 and
+  // the daemon drops anything over the cap mid-upload.
+  if (payload_len > kMaxFramePayload) {
+    return Status::MalformedInput(
+        "frame payload of " + std::to_string(payload_len) +
+        " bytes exceeds the protocol's 1 GiB cap");
+  }
   uint32_t crc = 0;
   for (const std::string_view part : parts) {
-    payload_len += part.size();
     crc = Crc32c(part.data(), part.size(), crc);
   }
   char header[kHeaderBytes];
@@ -245,13 +303,7 @@ std::string EncodeRequest(const Request& request) {
   return out;
 }
 
-namespace {
-
-// Shared parse core. The repair CSV — the payload's final, often
-// multi-MB field — comes back as a view into `payload`; each public
-// overload decides whether to copy it or reclaim the buffer in place.
-StatusOr<Request> DecodeRequestCore(std::string_view payload,
-                                    std::string_view* csv) {
+StatusOr<Request> DecodeRequest(std::string_view payload) {
   WalCursor cursor(payload);
   uint8_t version = 0;
   uint8_t verb = 0;
@@ -287,7 +339,8 @@ StatusOr<Request> DecodeRequestCore(std::string_view payload,
         }
         request.repair.config.emplace_back(std::move(key), std::move(value));
       }
-      if (!cursor.GetStringView(csv)) {
+      // The payload's final, often multi-MB field: a view, not a copy.
+      if (!cursor.GetStringView(&request.repair.csv)) {
         return Truncated("repair request");
       }
       break;
@@ -305,31 +358,6 @@ StatusOr<Request> DecodeRequestCore(std::string_view payload,
   }
   if (!cursor.at_end()) {
     return Status::MalformedInput("trailing bytes after request payload");
-  }
-  return request;
-}
-
-}  // namespace
-
-StatusOr<Request> DecodeRequest(const std::string& payload) {
-  std::string_view csv;
-  StatusOr<Request> request = DecodeRequestCore(payload, &csv);
-  if (request.ok() && request->verb == Verb::kRepair) {
-    request->repair.csv.assign(csv.data(), csv.size());
-  }
-  return request;
-}
-
-StatusOr<Request> DecodeRequest(std::string&& payload) {
-  std::string_view csv;
-  StatusOr<Request> request = DecodeRequestCore(payload, &csv);
-  if (request.ok() && request->verb == Verb::kRepair) {
-    // The CSV is the payload's last field (at_end() above proved it):
-    // slide it to the front and shrink — a memmove, not a second
-    // multi-MB allocation — then hand the buffer itself to the request.
-    payload.erase(0, static_cast<size_t>(csv.data() - payload.data()));
-    payload.resize(csv.size());
-    request->repair.csv = std::move(payload);
   }
   return request;
 }
@@ -369,7 +397,7 @@ std::string EncodeResponse(const Response& response) {
   return out;
 }
 
-StatusOr<Response> DecodeResponse(const std::string& payload) {
+StatusOr<Response> DecodeResponse(std::string_view payload) {
   WalCursor cursor(payload);
   uint8_t version = 0;
   if (!cursor.GetU8(&version)) return Truncated("response");

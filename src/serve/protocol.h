@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <initializer_list>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -33,6 +34,7 @@ inline constexpr char kFrameMagic[4] = {'F', 'X', 'R', 'P'};
 inline constexpr uint8_t kProtocolVersion = 2;
 // Caps a frame's payload; anything larger is treated as a garbage
 // length prefix and the connection is dropped rather than buffered.
+// Senders refuse a larger payload before writing anything.
 inline constexpr uint32_t kMaxFramePayload = 1u << 30;
 
 enum class Verb : uint8_t {
@@ -48,8 +50,10 @@ struct RepairRequest {
   // ParseRepairConfig (repair/config.h); the daemon rejects
   // session-local keys (rules-dict, wal, ...).
   std::vector<std::pair<std::string, std::string>> config;
-  // The dirty batch, as CSV with a header row (the tenant's schema).
-  std::string csv;
+  // The dirty batch, as CSV with a header row (the tenant's schema). A
+  // view: into the received frame after DecodeRequest, into the
+  // caller's bytes when encoding.
+  std::string_view csv;
 };
 
 struct ReloadRequest {
@@ -80,11 +84,9 @@ struct RepairResult {
   uint64_t records_dropped = 0;
   // The repaired batch as edits over the request's own CSV bytes: the
   // rows a repair changed, the records that do not re-emit verbatim,
-  // and the dropped records. This is what travels on the wire.
+  // and the dropped records. The repaired batch is the request CSV with
+  // the splice applied (ApplyCsvSplice, or WriteCsvSplice to a file).
   CsvSplice splice;
-  // The repaired batch, header + rows: the request CSV with `splice`
-  // applied. Client::Submit fills it in; it is not on the wire.
-  std::string csv;
   // One quarantine-format line per captured diagnostic (empty unless
   // the request asked for on-error=quarantine).
   std::string quarantine;
@@ -117,26 +119,89 @@ struct Response {
 // payload, CRC).
 void AppendFrame(std::string* out, const std::string& payload);
 
-enum class FrameParse {
-  kNeedMore,  // no complete frame buffered yet
-  kFrame,     // one frame extracted and consumed from the buffer
-  kBadMagic,  // stream does not start with "FXRP" — drop the connection
-  kTooLarge,  // length prefix exceeds kMaxFramePayload — drop
+// One received frame: the payload and its CRC trailer in one buffer
+// (FrameReader sizes it from the header and receives straight into it).
+// Decoders take views into payload(), so the frame must outlive what
+// they return.
+class Frame {
+ public:
+  std::string_view payload() const { return {bytes_.get(), size_}; }
+  // kMalformedInput when the trailer does not match the payload.
+  Status Verify() const;
+
+ private:
+  friend class FrameReader;
+  struct Free {
+    void operator()(char* p) const;
+  };
+
+  std::unique_ptr<char[], Free> bytes_;  // payload | u32 crc32c
+  size_t size_ = 0;                      // payload bytes
 };
 
-// Extracts the first complete frame from `buffer`, consuming its bytes.
-// On kFrame, `payload` and `crc` are set; the CRC is NOT verified here
-// (VerifyFrame does that, typically on a worker thread).
-FrameParse ExtractFrame(std::string* buffer, std::string* payload,
-                        uint32_t* crc);
+enum class FrameParse {
+  kNeedMore,  // no complete frame yet (Receive: the socket has no more)
+  kFrame,     // a frame is complete; take it with TakeFrame()
+  kClosed,    // Receive only: EOF (errno 0) or a recv error (errno set)
+  kBadMagic,  // stream does not start with "FXRP": drop the connection
+  kTooLarge,  // length prefix exceeds kMaxFramePayload: drop
+  kNoMemory,  // the frame's buffer could not be allocated: drop
+};
 
-// kMalformedInput when crc does not match the payload.
-Status VerifyFrame(const std::string& payload, uint32_t crc);
+// Reassembles frames from a byte stream, for the daemon and the client
+// alike. It takes the 8-byte header first, then allocates a buffer for
+// the rest of the frame and receives into it directly, with no staging
+// buffer. It never asks for more than the current frame needs, so a
+// pipelined second frame stays in the socket until this one is taken.
+//
+// Growth rule: the first allocation holds the whole frame, up to
+// kFrameFirstBlock; a larger frame doubles its buffer (realloc) each
+// time the received bytes fill it. So a batch of up to 64 MiB takes one
+// allocation and no copy. The buffer is never initialized, so its pages
+// are committed only as bytes arrive: a header that announces
+// kMaxFramePayload and then stalls holds the bytes received and no
+// more. A failed allocation is kNoMemory, not an abort.
+inline constexpr size_t kFrameFirstBlock = size_t{64} << 20;
+
+class FrameReader {
+ public:
+  // recv(2)s from `fd` with `flags` until a frame is complete (kFrame),
+  // the socket has nothing more (kNeedMore; errno EAGAIN or
+  // EWOULDBLOCK: MSG_DONTWAIT, or a receive timeout on a blocking
+  // socket), the peer is gone (kClosed) or the stream is garbage.
+  FrameParse Receive(int fd, int flags);
+
+  // The same state machine over bytes in memory: consumes from *bytes
+  // until a frame completes or *bytes runs out (kNeedMore).
+  FrameParse Feed(std::string_view* bytes);
+
+  // The completed frame; the reader starts on the next header.
+  Frame TakeFrame();
+
+ private:
+  bool complete() const {
+    return frame_.bytes_ != nullptr && received_ == frame_.size_ + 4;
+  }
+  // Where the next received bytes go, and how many fit there.
+  char* next();
+  size_t room() const;
+  // Accounts for `n` bytes written to next().
+  FrameParse Advance(size_t n);
+  // Resizes the frame buffer to `capacity` bytes, keeping what arrived.
+  FrameParse Reserve(size_t capacity);
+
+  char header_[8] = {};
+  size_t header_filled_ = 0;
+  size_t received_ = 0;  // frame bytes (payload, then trailer) received
+  size_t capacity_ = 0;  // bytes allocated for them
+  Frame frame_;
+};
 
 // Writes `payload` to `fd` as one complete frame with a gathered write
 // (header | payload | trailer as an iovec) — the multi-MB payload is
-// never copied into a staging frame. kIoError when the peer is gone or
-// the send times out.
+// never copied into a staging frame. kMalformedInput, before a byte is
+// sent, when the payload exceeds kMaxFramePayload; kIoError when the
+// peer is gone or the send times out.
 Status WriteFrameTo(int fd, const std::string& payload);
 // Same, for a payload given as up to four concatenated parts: the CRC
 // is chained across them and each part becomes its own iovec entry, so
@@ -146,13 +211,14 @@ Status WriteFrameTo(int fd, std::initializer_list<std::string_view> parts);
 // Gathered-write encoders for the two repair frames. The bytes on the
 // wire are identical to framing EncodeRequest / EncodeResponse output,
 // but the request CSV and the response's replacement bytes are never
-// copied into (or allocated as part of) a staging payload.
+// copied into (or allocated as part of) a staging payload. Like
+// WriteFrameTo, they refuse a payload over the cap without sending.
 Status WriteRepairRequestTo(
     int fd, const std::string& tenant,
     const std::vector<std::pair<std::string, std::string>>& config,
     std::string_view csv);
 // Success responses only — errors have no bulk and go through
-// EncodeResponse. Sends `result.splice`, not `result.csv`.
+// EncodeResponse.
 Status WriteRepairResponseTo(int fd, const RepairResult& result);
 
 // --- payload codecs ---
@@ -164,17 +230,15 @@ std::string EncodeRepairRequest(
     const std::string& tenant,
     const std::vector<std::pair<std::string, std::string>>& config,
     std::string_view csv);
-StatusOr<Request> DecodeRequest(const std::string& payload);
-// Reclaims `payload` for the repair CSV: the bytes are slid in place
-// (memmove) instead of copied into a fresh multi-MB allocation.
-StatusOr<Request> DecodeRequest(std::string&& payload);
+// Decodes in place: a repair request's csv is a view into `payload`
+// (the received frame), not a copy.
+StatusOr<Request> DecodeRequest(std::string_view payload);
 
-// A repair response carries its splice, not its csv: DecodeResponse
-// leaves RepairResult::csv empty. It checks the splice's wire structure
-// only; ApplyCsvSplice (which Client::Submit runs) checks the edits
-// against the request CSV.
+// A repair response carries a splice over the request CSV. DecodeResponse
+// checks its wire structure only; CheckCsvSplice (which Client::Submit
+// runs) checks the edits against the request CSV.
 std::string EncodeResponse(const Response& response);
-StatusOr<Response> DecodeResponse(const std::string& payload);
+StatusOr<Response> DecodeResponse(std::string_view payload);
 
 }  // namespace fixrep::serve
 

@@ -223,5 +223,41 @@ TEST(Crc32cTest, HardwareAndSoftwareAgree) {
   }
 }
 
+TEST(Crc32cTest, ThreeStreamKernelMatchesSoftwareAtEveryLengthAndOffset) {
+  // Every length from 0 to 1024 at offsets 0-15 and several seeds: the
+  // short-block three-way loop starts at 768 bytes, so this crosses its
+  // threshold, the join, and the single-chain tail at every remainder.
+  Rng rng(41);
+  std::vector<unsigned char> buf(1024 + 16);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng.Next() & 0xFF);
+  for (const uint32_t seed : {0u, 1u, 0xFFFFFFFFu, 0x9E3779B9u}) {
+    for (size_t offset = 0; offset < 16; ++offset) {
+      for (size_t len = 0; len <= 1024; ++len) {
+        const unsigned char* p = buf.data() + offset;
+        ASSERT_EQ(Crc32c(p, len, seed), Crc32cSoftware(p, len, seed))
+            << "seed=" << seed << " offset=" << offset << " len=" << len;
+      }
+    }
+  }
+}
+
+TEST(Crc32cTest, ThreeStreamKernelMatchesSoftwareOnABatchSizedBuffer) {
+  // A 4.4 MB buffer (a perfbench-sized CSV batch) runs the long-block
+  // loop hundreds of times; chained in uneven pieces, the seed must
+  // carry through every join.
+  Rng rng(43);
+  std::vector<unsigned char> buf(4400000 + 3);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng.Next() & 0xFF);
+  const uint32_t whole = Crc32cSoftware(buf.data() + 3, buf.size() - 3);
+  EXPECT_EQ(Crc32c(buf.data() + 3, buf.size() - 3), whole);
+  for (const size_t cut : {size_t{1}, size_t{767}, size_t{24576},
+                           size_t{24577}, size_t{2200001}}) {
+    const uint32_t head = Crc32c(buf.data() + 3, cut);
+    EXPECT_EQ(Crc32c(buf.data() + 3 + cut, buf.size() - 3 - cut, head),
+              whole)
+        << "cut=" << cut;
+  }
+}
+
 }  // namespace
 }  // namespace fixrep

@@ -1,10 +1,14 @@
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "common/atomic_file.h"
 #include "common/metrics.h"
+#include "common/random.h"
 #include "common/string_util.h"
 #include "relation/csv.h"
 #include "rules/fixing_rule.h"
@@ -184,6 +188,55 @@ TEST(ValuePoolViewDeathTest, OutOfRangeIdFails) {
   EXPECT_DEATH(pool.GetView(1), "");
   EXPECT_DEATH(pool.GetView(-1), "");
   EXPECT_DEATH(pool.GetView(kNullValue - 5), "");
+}
+
+TEST(CsvSpliceTest, WriteCsvSpliceWritesWhatApplyCsvSpliceBuilds) {
+  // Over a thousand edits (more than one writev batch of pieces), with
+  // empty replacements, pure insertions and edits at both ends, written
+  // after bytes the file's stream already holds.
+  std::string input = "id,v\n";
+  for (int r = 0; r < 3000; ++r) {
+    input += std::to_string(r) + ",x" + std::to_string(r % 7) + "\n";
+  }
+  Rng rng(17);
+  CsvSplice splice;
+  uint64_t at = 0;
+  uint64_t erased = 0;
+  while (at < input.size()) {
+    const uint64_t begin = at + (at == 0 ? 0 : rng.Uniform(30));
+    if (begin > input.size()) break;
+    const CsvEdit edit{begin, std::min<uint64_t>(rng.Uniform(6),
+                                                 input.size() - begin),
+                       rng.Uniform(4)};
+    splice.inserts.append(edit.insert,
+                          static_cast<char>('a' + rng.Uniform(3)));
+    splice.edits.push_back(edit);
+    erased += edit.erase;
+    at = edit.begin + edit.erase;
+  }
+  splice.output_size = input.size() - erased + splice.inserts.size();
+  ASSERT_GT(splice.edits.size(), 1000u);
+  std::string want;
+  ASSERT_TRUE(ApplyCsvSplice(input, splice, &want).ok());
+
+  const std::string path = testing::TestTempPath("spliced.csv");
+  StatusOr<AtomicFile> out = AtomicFile::Create(path);
+  ASSERT_TRUE(out.ok()) << out.status();
+  out->stream() << "prefix\n";
+  ASSERT_TRUE(WriteCsvSplice(input, splice, &out.value()).ok());
+  out->stream() << "suffix\n";
+  ASSERT_TRUE(out->Commit().ok());
+  std::ifstream in(path, std::ios::binary);
+  const std::string got{std::istreambuf_iterator<char>(in), {}};
+  EXPECT_TRUE(got == "prefix\n" + want + "suffix\n");
+
+  // A splice that does not fit writes nothing and is an error.
+  CsvSplice wrong = splice;
+  ++wrong.output_size;
+  StatusOr<AtomicFile> refused = AtomicFile::Create(path);
+  ASSERT_TRUE(refused.ok()) << refused.status();
+  EXPECT_EQ(WriteCsvSplice(input, wrong, &refused.value()).code(),
+            StatusCode::kMalformedInput);
 }
 
 }  // namespace

@@ -2,30 +2,44 @@
 // Valid request and response frames are mutated with a seeded PRNG —
 // bit flips, truncations, corrupted length prefixes (the frame's own and
 // the payload's string lengths) and splices of two frames — and every
-// result is pushed through ExtractFrame -> VerifyFrame -> DecodeRequest
-// (both the const& and the && overloads) / DecodeResponse. Payload-level
-// mutations are re-framed with a correct CRC so they reach the decoders
-// instead of stopping at VerifyFrame.
+// result is fed in seeded pieces through FrameReader -> Frame::Verify ->
+// DecodeRequest / DecodeResponse, the daemon's and the client's receive
+// path. Payload-level mutations are re-framed with a correct CRC so they
+// reach the decoders instead of stopping at Verify.
 //
 // Properties: nothing crashes or over-allocates; every outcome is one of
 // the documented ones (a FrameParse value, or kMalformedInput from
-// VerifyFrame and the decoders); the two request decode overloads agree;
-// a payload a decoder accepts re-encodes to exactly its bytes; and every
-// unmutated frame round-trips byte for byte.
+// Verify and the decoders); a decoded repair CSV is a view into its
+// frame; a payload a decoder accepts re-encodes to exactly its bytes;
+// and every unmutated frame round-trips byte for byte.
 //
 // Repair responses carry a splice over the request CSV. Their edits are
 // mutated too — unsorted, overlapping, out of range, overflowing,
 // miscounted — and applied with ApplyCsvSplice, in process and through
 // Client::Submit against a fake daemon: each either matches a reference
 // splice written with 128-bit arithmetic or fails with a Status.
+//
+// A live daemon's receive path gets requests one byte at a time, split
+// at every header and trailer byte, and pipelined in one write; a
+// header that announces the 1 GiB cap and then stalls; and a client
+// handed a batch over the cap (a PROT_NONE reservation, so any read of
+// it faults), which must refuse before sending a byte.
 
 #include <netinet/in.h>
+#include <sys/mman.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/un.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
@@ -37,9 +51,15 @@
 #include "common/random.h"
 #include "common/status.h"
 #include "common/wal.h"
+#include "datagen/travel.h"
 #include "relation/csv.h"
+#include "repair/session.h"
+#include "rules/rule_io.h"
 #include "serve/client.h"
+#include "serve/daemon.h"
 #include "serve/protocol.h"
+#include "serve/registry.h"
+#include "testing_util.h"
 
 namespace fixrep::serve {
 namespace {
@@ -48,7 +68,7 @@ constexpr size_t kHeaderBytes = 8;   // magic + payload length
 constexpr size_t kTrailerBytes = 4;  // CRC-32C
 constexpr int kRounds = 20000;
 
-std::string Frame(const std::string& payload) {
+std::string Framed(const std::string& payload) {
   std::string frame;
   AppendFrame(&frame, payload);
   return frame;
@@ -117,70 +137,79 @@ std::vector<std::string> ResponsePayloads() {
 // How far mutated inputs got, so a fuzzer that stopped reaching the
 // decoders fails instead of passing vacuously.
 struct Reach {
-  size_t frames = 0;    // extracted by ExtractFrame
-  size_t verified = 0;  // passed VerifyFrame
+  size_t frames = 0;    // completed by FrameReader
+  size_t verified = 0;  // passed Frame::Verify
   size_t accepted = 0;  // decoded by DecodeRequest or DecodeResponse
   size_t rejected = 0;  // refused by both decoders
 };
 
-// Decoding must either succeed or fail with kMalformedInput, both
-// overloads must agree, and an accepted payload re-encodes to its bytes.
-// Returns whether the payload was accepted.
-bool CheckRequestDecode(const std::string& payload) {
-  StatusOr<Request> by_ref = DecodeRequest(payload);
-  StatusOr<Request> by_move = DecodeRequest(std::string(payload));
-  EXPECT_EQ(by_ref.ok(), by_move.ok());
-  if (!by_ref.ok() || !by_move.ok()) {
-    EXPECT_EQ(by_ref.status().code(), StatusCode::kMalformedInput)
-        << by_ref.status();
-    EXPECT_EQ(by_ref.status().message(), by_move.status().message());
+// Decoding must either succeed or fail with kMalformedInput, a repair
+// CSV must be decoded in place, and an accepted payload re-encodes to
+// its bytes. Returns whether the payload was accepted.
+bool CheckRequestDecode(std::string_view payload) {
+  StatusOr<Request> decoded = DecodeRequest(payload);
+  if (!decoded.ok()) {
+    EXPECT_EQ(decoded.status().code(), StatusCode::kMalformedInput)
+        << decoded.status();
     return false;
   }
-  EXPECT_EQ(EncodeRequest(by_ref.value()), payload);
-  EXPECT_EQ(EncodeRequest(by_move.value()), payload);
+  const std::string_view csv = decoded->repair.csv;
+  if (!csv.empty()) {
+    EXPECT_GE(csv.data(), payload.data());
+    EXPECT_LE(csv.data() + csv.size(), payload.data() + payload.size());
+  }
+  EXPECT_EQ(EncodeRequest(decoded.value()), payload);
   return true;
 }
 
-bool CheckResponseDecode(const std::string& payload) {
+bool CheckResponseDecode(std::string_view payload) {
   StatusOr<Response> decoded = DecodeResponse(payload);
   if (!decoded.ok()) {
     EXPECT_EQ(decoded.status().code(), StatusCode::kMalformedInput)
         << decoded.status();
     return false;
   }
-  EXPECT_TRUE(decoded->repair.csv.empty());  // the splice is the wire form
   EXPECT_EQ(EncodeResponse(decoded.value()), payload);
   return true;
 }
 
-// Runs a byte stream through the daemon's receive path: extract frames
-// until the buffer holds no complete one, verify each, decode the
-// verified ones as both a request and a response.
-void Drive(std::string buffer, Reach* reach) {
+// Runs a byte stream through the receive path, fed in seeded pieces of
+// 1 to 64 bytes or all at once: take frames until the stream runs out,
+// verify each, decode the verified ones as both a request and a
+// response.
+void Drive(const std::string& stream, Rng* rng, Reach* reach) {
+  FrameReader reader;
+  std::string_view rest = stream;
+  size_t frame_start = 0;  // stream offset where the current frame began
   while (true) {
-    const size_t before = buffer.size();
-    std::string payload;
-    uint32_t crc = 0;
-    const FrameParse parse = ExtractFrame(&buffer, &payload, &crc);
+    const size_t piece =
+        rng->Bernoulli(0.5) ? rest.size() : 1 + rng->Uniform(64);
+    std::string_view bytes = rest.substr(0, piece);
+    const FrameParse parse = reader.Feed(&bytes);
+    const size_t fed = std::min(piece, rest.size()) - bytes.size();
+    rest.remove_prefix(fed);
     if (parse == FrameParse::kNeedMore) {
-      EXPECT_EQ(buffer.size(), before);
-      return;
+      EXPECT_TRUE(bytes.empty());  // a short piece is taken whole
+      if (rest.empty()) return;
+      continue;
     }
     if (parse == FrameParse::kBadMagic || parse == FrameParse::kTooLarge) {
       return;  // the daemon drops the connection
     }
     ASSERT_EQ(parse, FrameParse::kFrame);
-    ASSERT_EQ(before - buffer.size(),
-              kHeaderBytes + payload.size() + kTrailerBytes);
+    const Frame frame = reader.TakeFrame();
+    const size_t consumed = stream.size() - rest.size() - frame_start;
+    ASSERT_EQ(consumed, kHeaderBytes + frame.payload().size() + kTrailerBytes);
+    frame_start += consumed;
     ++reach->frames;
-    const Status verified = VerifyFrame(payload, crc);
+    const Status verified = frame.Verify();
     if (!verified.ok()) {
       EXPECT_EQ(verified.code(), StatusCode::kMalformedInput);
       continue;
     }
     ++reach->verified;
-    const bool request = CheckRequestDecode(payload);
-    const bool response = CheckResponseDecode(payload);
+    const bool request = CheckRequestDecode(frame.payload());
+    const bool response = CheckResponseDecode(frame.payload());
     ++(request || response ? reach->accepted : reach->rejected);
   }
 }
@@ -234,46 +263,46 @@ std::string Splice(Rng* rng, const std::string& a, const std::string& b) {
 }
 
 // One mutated byte stream built from the corpus. Frame-level mutations
-// usually die at ExtractFrame or VerifyFrame; payload-level ones are
+// usually die in FrameReader or at Verify; payload-level ones are
 // re-framed with a fresh CRC so the decoders see them.
 std::string Mutate(Rng* rng, const std::vector<std::string>& payloads) {
   const std::string& payload = rng->Pick(payloads);
   std::string mutated = payload;
   switch (rng->Uniform(8)) {
     case 0: {  // bit flips anywhere in the frame
-      std::string frame = Frame(payload);
+      std::string frame = Framed(payload);
       FlipBits(rng, &frame);
       return frame;
     }
     case 1: {  // truncated frame
-      std::string frame = Frame(payload);
+      std::string frame = Framed(payload);
       Truncate(rng, &frame);
       return frame;
     }
     case 2: {  // corrupted frame length prefix
-      std::string frame = Frame(payload);
+      std::string frame = Framed(payload);
       PutU32At(&frame, 4,
                InterestingLength(rng, static_cast<uint32_t>(payload.size())));
       return frame;
     }
     case 3:  // spliced frames, pipelined
-      return Splice(rng, Frame(payload), Frame(rng->Pick(payloads))) +
-             Frame(rng->Pick(payloads));
+      return Splice(rng, Framed(payload), Framed(rng->Pick(payloads))) +
+             Framed(rng->Pick(payloads));
     case 4:  // payload bit flips, valid CRC
       FlipBits(rng, &mutated);
-      return Frame(mutated);
+      return Framed(mutated);
     case 5:  // truncated payload, valid CRC
       Truncate(rng, &mutated);
-      return Frame(mutated);
+      return Framed(mutated);
     case 6: {  // a corrupted inner length prefix or count, valid CRC
-      if (mutated.size() < 6) return Frame(mutated);
+      if (mutated.size() < 6) return Framed(mutated);
       const size_t offset = 2 + rng->Uniform(mutated.size() - 5);
       PutU32At(&mutated, offset,
                InterestingLength(rng, GetU32At(mutated, offset)));
-      return Frame(mutated);
+      return Framed(mutated);
     }
     default:  // spliced payloads, valid CRC
-      return Frame(Splice(rng, mutated, rng->Pick(payloads)));
+      return Framed(Splice(rng, mutated, rng->Pick(payloads)));
   }
 }
 
@@ -284,39 +313,36 @@ TEST(ServeFuzz, ValidFramesRoundTripByteExactly) {
   std::string pipelined;
   for (size_t i = 0; i < payloads.size(); ++i) {
     const std::string& payload = payloads[i];
-    const std::string frame = Frame(payload);
-    pipelined += frame;
-    std::string buffer = frame;
-    std::string extracted;
-    uint32_t crc = 0;
-    ASSERT_EQ(ExtractFrame(&buffer, &extracted, &crc), FrameParse::kFrame);
-    EXPECT_TRUE(buffer.empty());
-    ASSERT_EQ(extracted, payload);
-    ASSERT_TRUE(VerifyFrame(extracted, crc).ok());
+    const std::string wire = Framed(payload);
+    pipelined += wire;
+    std::string_view bytes = wire;
+    FrameReader reader;
+    ASSERT_EQ(reader.Feed(&bytes), FrameParse::kFrame);
+    EXPECT_TRUE(bytes.empty());
+    const Frame frame = reader.TakeFrame();
+    ASSERT_EQ(frame.payload(), payload);
+    ASSERT_TRUE(frame.Verify().ok());
     if (i < requests) {
-      StatusOr<Request> decoded = DecodeRequest(extracted);
+      StatusOr<Request> decoded = DecodeRequest(frame.payload());
       ASSERT_TRUE(decoded.ok()) << decoded.status();
-      EXPECT_EQ(Frame(EncodeRequest(decoded.value())), frame);
-      StatusOr<Request> moved = DecodeRequest(std::move(extracted));
-      ASSERT_TRUE(moved.ok()) << moved.status();
-      EXPECT_EQ(Frame(EncodeRequest(moved.value())), frame);
+      EXPECT_EQ(Framed(EncodeRequest(decoded.value())), wire);
     } else {
-      StatusOr<Response> decoded = DecodeResponse(extracted);
+      StatusOr<Response> decoded = DecodeResponse(frame.payload());
       ASSERT_TRUE(decoded.ok()) << decoded.status();
-      EXPECT_EQ(Frame(EncodeResponse(decoded.value())), frame);
+      EXPECT_EQ(Framed(EncodeResponse(decoded.value())), wire);
     }
   }
   // The same frames back to back come out one at a time, unchanged.
   size_t frames = 0;
-  std::string payload;
-  uint32_t crc = 0;
-  while (ExtractFrame(&pipelined, &payload, &crc) == FrameParse::kFrame) {
+  std::string_view rest = pipelined;
+  FrameReader reader;
+  while (reader.Feed(&rest) == FrameParse::kFrame) {
     ASSERT_LT(frames, payloads.size());
-    EXPECT_EQ(payload, payloads[frames]);
+    EXPECT_EQ(reader.TakeFrame().payload(), payloads[frames]);
     ++frames;
   }
   EXPECT_EQ(frames, payloads.size());
-  EXPECT_TRUE(pipelined.empty());
+  EXPECT_TRUE(rest.empty());
 }
 
 TEST(ServeFuzz, MutatedRequestFramesFailCleanly) {
@@ -325,7 +351,7 @@ TEST(ServeFuzz, MutatedRequestFramesFailCleanly) {
   Reach reach;
   for (int round = 0; round < kRounds; ++round) {
     SCOPED_TRACE("round " + std::to_string(round));
-    Drive(Mutate(&rng, payloads), &reach);
+    Drive(Mutate(&rng, payloads), &rng, &reach);
     if (::testing::Test::HasFailure()) return;
   }
   EXPECT_GT(reach.frames, size_t{kRounds} / 2);
@@ -340,13 +366,67 @@ TEST(ServeFuzz, MutatedResponseFramesFailCleanly) {
   Reach reach;
   for (int round = 0; round < kRounds; ++round) {
     SCOPED_TRACE("round " + std::to_string(round));
-    Drive(Mutate(&rng, payloads), &reach);
+    Drive(Mutate(&rng, payloads), &rng, &reach);
     if (::testing::Test::HasFailure()) return;
   }
   EXPECT_GT(reach.frames, size_t{kRounds} / 2);
   EXPECT_GT(reach.verified, size_t{kRounds} / 3);
   EXPECT_GT(reach.accepted, size_t{kRounds} / 20);
   EXPECT_GT(reach.rejected, size_t{kRounds} / 20);
+}
+
+TEST(ServeFuzz, FramesPastTheFirstBlockGrowAndArriveIntact) {
+  // A payload just past kFrameFirstBlock takes the doubling path; fed in
+  // uneven pieces, it must come out byte for byte with a good CRC.
+  std::string payload(kFrameFirstBlock + 1021, '\0');
+  Rng rng(0x5EC0DE05);
+  for (size_t i = 0; i < payload.size(); i += 4096) {
+    payload[i] = static_cast<char>(rng.Next());
+  }
+  const std::string wire = Framed(payload);
+  std::string_view rest = wire;
+  FrameReader reader;
+  FrameParse parse = FrameParse::kNeedMore;
+  while (parse == FrameParse::kNeedMore && !rest.empty()) {
+    std::string_view piece = rest.substr(0, 1 + rng.Uniform(3 << 20));
+    const size_t before = piece.size();
+    parse = reader.Feed(&piece);
+    rest.remove_prefix(before - piece.size());
+  }
+  ASSERT_EQ(parse, FrameParse::kFrame);
+  EXPECT_TRUE(rest.empty());
+  const Frame frame = reader.TakeFrame();
+  EXPECT_TRUE(frame.Verify().ok());
+  EXPECT_TRUE(frame.payload() == payload);
+}
+
+TEST(ServeFuzz, FrameBufferAllocationFailureIsReportedNotFatal) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizer allocators abort on a failed allocation";
+#else
+  // In a child whose address space cannot fit the frame, a header that
+  // announces the cap must come back kNoMemory, not abort the process.
+  const pid_t child = fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    size_t pages = 0;
+    std::ifstream("/proc/self/statm") >> pages;
+    // Room for the child to run, not for the frame's first block.
+    const rlim_t limit = pages * static_cast<rlim_t>(sysconf(_SC_PAGESIZE)) +
+                         kFrameFirstBlock / 4;
+    const rlimit cap = {limit, limit};
+    if (setrlimit(RLIMIT_AS, &cap) != 0) _exit(2);
+    std::string header(kFrameMagic, sizeof(kFrameMagic));
+    WalPutU32(&header, kMaxFramePayload);
+    std::string_view bytes = header;
+    FrameReader reader;
+    _exit(reader.Feed(&bytes) == FrameParse::kNoMemory ? 0 : 1);
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFEXITED(status)) << "child died with status " << status;
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+#endif
 }
 
 TEST(ServeFuzz, HugeCountsDoNotPreallocate) {
@@ -547,12 +627,13 @@ TEST(ServeFuzz, SpliceResponsesRoundTripAndApplyOrFailCleanly) {
     if (round % 4 != 0) MutateSplice(&rng, input, &splice);
     // The splice survives framing and decoding exactly, valid or not:
     // the decoder checks wire structure, ApplyCsvSplice the edits.
-    std::string buffer = Frame(EncodeResponse(SpliceResponse(splice)));
-    std::string payload;
-    uint32_t crc = 0;
-    ASSERT_EQ(ExtractFrame(&buffer, &payload, &crc), FrameParse::kFrame);
-    ASSERT_TRUE(VerifyFrame(payload, crc).ok());
-    StatusOr<Response> decoded = DecodeResponse(payload);
+    const std::string wire = Framed(EncodeResponse(SpliceResponse(splice)));
+    std::string_view bytes = wire;
+    FrameReader reader;
+    ASSERT_EQ(reader.Feed(&bytes), FrameParse::kFrame);
+    const Frame frame = reader.TakeFrame();
+    ASSERT_TRUE(frame.Verify().ok());
+    StatusOr<Response> decoded = DecodeResponse(frame.payload());
     ASSERT_TRUE(decoded.ok()) << decoded.status();
     ASSERT_EQ(decoded->repair.splice, splice);
     ++(CheckApply(input, decoded->repair.splice) ? applied : refused);
@@ -628,19 +709,10 @@ class FakeDaemon {
   void Serve() {
     const int fd = accept(listener_, nullptr, nullptr);
     if (fd < 0) return;
-    std::string buffer;
+    FrameReader reader;
     for (const std::string& payload : payloads_) {
-      std::string request;
-      uint32_t crc = 0;
-      while (ExtractFrame(&buffer, &request, &crc) != FrameParse::kFrame) {
-        char chunk[4096];
-        const ssize_t n = recv(fd, chunk, sizeof(chunk), 0);
-        if (n <= 0) {
-          close(fd);
-          return;
-        }
-        buffer.append(chunk, static_cast<size_t>(n));
-      }
+      if (reader.Receive(fd, 0) != FrameParse::kFrame) break;
+      reader.TakeFrame();
       if (!WriteFrameTo(fd, payload).ok()) break;
     }
     close(fd);
@@ -677,7 +749,7 @@ TEST(ServeFuzz, SubmitRefusesSplicesThatDoNotFitTheRequest) {
     StatusOr<RepairResult> result = client->Submit("t", {}, inputs[i]);
     ASSERT_EQ(result.ok(), want.has_value()) << result.status();
     if (result.ok()) {
-      EXPECT_EQ(result->csv, *want);
+      EXPECT_EQ(testing::SplicedCsv(inputs[i], result->splice), *want);
       EXPECT_EQ(result->rows, 3u);
     } else {
       EXPECT_EQ(result.status().code(), StatusCode::kMalformedInput);
@@ -685,6 +757,224 @@ TEST(ServeFuzz, SubmitRefusesSplicesThatDoNotFitTheRequest) {
     }
   }
   EXPECT_GT(refused, size_t{kSubmits} / 3);
+}
+
+// --- the receive path of a live daemon ---
+
+// A travel tenant on an in-process daemon, and a direct RepairSession
+// run as the oracle for every response.
+class ServeReceiveTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    TravelExample example;
+    rules_path_ = testing::TestTempPath("travel_rules.txt");
+    ASSERT_TRUE(TryWriteRulesFile(example.rules, rules_path_).ok());
+    schema_ = example.schema;
+    std::string attrs;
+    for (const std::string& name : schema_->attribute_names()) {
+      attrs += (attrs.empty() ? "" : ",") + name;
+    }
+    ASSERT_TRUE(registry_.Load("travel", rules_path_ + "@" + attrs).ok());
+    socket_path_ = testing::TestTempPath("d.sock");
+    std::remove(socket_path_.c_str());
+    DaemonOptions options;
+    options.unix_socket_path = socket_path_;
+    StatusOr<std::unique_ptr<RepairDaemon>> daemon =
+        RepairDaemon::Start(&registry_, std::move(options));
+    ASSERT_TRUE(daemon.ok()) << daemon.status();
+    daemon_ = std::move(daemon).value();
+
+    std::string csv;
+    AppendCsv(example.dirty, &csv);
+    small_ = csv;
+    // The travel rows repeated past a socket buffer, so one frame takes
+    // many receives.
+    const size_t header_end = csv.find('\n') + 1;
+    big_ = csv.substr(0, header_end);
+    while (big_.size() < (size_t{1} << 20)) big_ += csv.substr(header_end);
+  }
+
+  void TearDown() override {
+    if (daemon_ != nullptr) daemon_->Shutdown();
+    std::remove(socket_path_.c_str());
+  }
+
+  // What the daemon must answer for `csv`: a direct repair with a
+  // private pool, rendered whole.
+  std::string Direct(const std::string& csv) const {
+    auto pool = std::make_shared<ValuePool>();
+    StatusOr<RuleSet> rules =
+        ParseRulesFileLenient(rules_path_, schema_, pool, {});
+    EXPECT_TRUE(rules.ok()) << rules.status();
+    StatusOr<Table> table = ReadCsvBytesLenient(csv, "data", pool);
+    EXPECT_TRUE(table.ok()) << table.status();
+    if (!rules.ok() || !table.ok()) return "";
+    RepairSession session(&rules.value(), RepairConfig{});
+    EXPECT_TRUE(session.Repair(&table.value()).ok());
+    std::string out;
+    AppendCsv(table.value(), &out);
+    return out;
+  }
+
+  int ConnectRaw() const {
+    const int fd = socket(AF_UNIX, SOCK_STREAM, 0);
+    sockaddr_un addr = {};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, socket_path_.c_str(),
+                 sizeof(addr.sun_path) - 1);
+    EXPECT_EQ(connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+              0);
+    return fd;
+  }
+
+  static void SendAll(int fd, std::string_view bytes) {
+    while (!bytes.empty()) {
+      const ssize_t n = send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
+      ASSERT_GT(n, 0) << std::strerror(errno);
+      bytes.remove_prefix(static_cast<size_t>(n));
+    }
+  }
+
+  // Reads one response frame from `fd` and checks it is a repair of
+  // `csv` that spells the direct repair's bytes.
+  void ExpectRepairOf(int fd, const std::string& csv) const {
+    FrameReader reader;
+    ASSERT_EQ(reader.Receive(fd, 0), FrameParse::kFrame);
+    const Frame frame = reader.TakeFrame();
+    ASSERT_TRUE(frame.Verify().ok());
+    StatusOr<Response> response = DecodeResponse(frame.payload());
+    ASSERT_TRUE(response.ok()) << response.status();
+    ASSERT_TRUE(response->status.ok()) << response->status;
+    ASSERT_EQ(response->verb, Verb::kRepair);
+    EXPECT_EQ(testing::SplicedCsv(csv, response->repair.splice), Direct(csv));
+  }
+
+  static std::string RepairFrame(const std::string& csv) {
+    return Framed(EncodeRepairRequest("travel", {}, csv));
+  }
+
+  StatusOr<Client> Connect() const {
+    ClientOptions options;
+    options.unix_socket_path = socket_path_;
+    return Client::Connect(options);
+  }
+
+  std::string rules_path_;
+  std::shared_ptr<const Schema> schema_;
+  std::string socket_path_;
+  TenantRegistry registry_;
+  std::unique_ptr<RepairDaemon> daemon_;
+  std::string small_;  // the travel batch
+  std::string big_;    // about 1 MiB of travel rows
+};
+
+TEST_F(ServeReceiveTest, RequestSentOneByteAtATimeMatchesDirectRepair) {
+  const int fd = ConnectRaw();
+  const std::string wire = RepairFrame(small_);
+  for (const char byte : wire) SendAll(fd, std::string_view(&byte, 1));
+  ExpectRepairOf(fd, small_);
+  close(fd);
+}
+
+TEST_F(ServeReceiveTest, RequestSplitAtEveryHeaderAndTrailerByte) {
+  for (const std::string* csv : {&small_, &big_}) {
+    const std::string wire = RepairFrame(*csv);
+    std::vector<size_t> cuts;
+    for (size_t k = 1; k <= 8; ++k) cuts.push_back(k);
+    for (size_t k = 4; k >= 1; --k) cuts.push_back(wire.size() - k);
+    for (const size_t cut : cuts) {
+      SCOPED_TRACE("cut at " + std::to_string(cut) + " of " +
+                   std::to_string(wire.size()));
+      const int fd = ConnectRaw();
+      SendAll(fd, std::string_view(wire).substr(0, cut));
+      // Let the daemon take the first part on its own.
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      SendAll(fd, std::string_view(wire).substr(cut));
+      ExpectRepairOf(fd, *csv);
+      close(fd);
+    }
+  }
+}
+
+TEST_F(ServeReceiveTest, PipelinedRequestsInOneWriteAreAnsweredInOrder) {
+  const int fd = ConnectRaw();
+  SendAll(fd, RepairFrame(big_) + RepairFrame(small_));
+  ExpectRepairOf(fd, big_);
+  ExpectRepairOf(fd, small_);
+  // And a ping pipelined behind a repair, in one write.
+  SendAll(fd, RepairFrame(small_) + Framed(EncodeRequest(Request{})));
+  ExpectRepairOf(fd, small_);
+  FrameReader reader;
+  ASSERT_EQ(reader.Receive(fd, 0), FrameParse::kFrame);
+  StatusOr<Response> ping = DecodeResponse(reader.TakeFrame().payload());
+  ASSERT_TRUE(ping.ok()) << ping.status();
+  EXPECT_EQ(ping->verb, Verb::kPing);
+  close(fd);
+}
+
+// Resident bytes of this process, from /proc/self/statm.
+size_t ResidentBytes() {
+  std::ifstream statm("/proc/self/statm");
+  size_t total_pages = 0;
+  size_t resident_pages = 0;
+  statm >> total_pages >> resident_pages;
+  return resident_pages * static_cast<size_t>(sysconf(_SC_PAGESIZE));
+}
+
+TEST_F(ServeReceiveTest, HugeAnnouncedFrameHoldsOnlyTheBytesThatArrived) {
+  // Warm up: the first request sizes the pool, the tenant and the heap.
+  StatusOr<Client> client = Connect();
+  ASSERT_TRUE(client.ok()) << client.status();
+  StatusOr<RepairResult> warm = client->Submit("travel", {}, big_);
+  ASSERT_TRUE(warm.ok()) << warm.status();
+
+  const size_t before = ResidentBytes();
+  const int fd = ConnectRaw();
+  std::string stalled(kFrameMagic, sizeof(kFrameMagic));
+  WalPutU32(&stalled, kMaxFramePayload);
+  stalled += std::string(100, 'x');
+  SendAll(fd, stalled);
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  const size_t during = ResidentBytes();
+  EXPECT_LT(during, before + (size_t{16} << 20))
+      << "resident " << before << " -> " << during << " bytes";
+
+  // The stalled connection blocks nobody.
+  StatusOr<RepairResult> served = client->Submit("travel", {}, big_);
+  ASSERT_TRUE(served.ok()) << served.status();
+  EXPECT_EQ(testing::SplicedCsv(big_, served->splice), Direct(big_));
+  EXPECT_EQ(daemon_->requests_served(), 2u);
+  close(fd);
+}
+
+TEST_F(ServeReceiveTest, SubmitRefusesBatchesOverTheFrameCapBeforeSending) {
+  StatusOr<Client> client = Connect();
+  ASSERT_TRUE(client.ok()) << client.status();
+  // Reservations, not memory: any read of them faults, so the client
+  // must refuse on the size alone. One just over the cap, one past the
+  // u32 length prefix.
+  for (const size_t size : {size_t{kMaxFramePayload} + 1,
+                            (size_t{1} << 32) + 100}) {
+    SCOPED_TRACE("batch of " + std::to_string(size) + " bytes");
+    void* reserved = mmap(nullptr, size, PROT_NONE,
+                          MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    ASSERT_NE(reserved, MAP_FAILED);
+    const StatusOr<RepairResult> result = client->Submit(
+        "travel", {}, std::string_view(static_cast<char*>(reserved), size));
+    munmap(reserved, size);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kMalformedInput);
+    EXPECT_NE(result.status().message().find("1 GiB"), std::string::npos)
+        << result.status();
+  }
+  // Not a byte went out: the same connection still frames cleanly, and
+  // the daemon has seen only this ping.
+  StatusOr<PingInfo> info = client->Ping();
+  ASSERT_TRUE(info.ok()) << info.status();
+  EXPECT_EQ(info->requests_served, 0u);
+  EXPECT_EQ(daemon_->requests_served(), 1u);
+  EXPECT_EQ(daemon_->requests_rejected(), 0u);
 }
 
 }  // namespace

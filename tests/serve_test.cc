@@ -68,6 +68,8 @@
 namespace fixrep::serve {
 namespace {
 
+using ::fixrep::testing::SplicedCsv;
+
 // Per-test files (sockets, port files) live in the test's own
 // directory; the workloads below are built once per process and live in
 // the process directory so every test in the binary can load them.
@@ -264,14 +266,15 @@ TEST(ServeProtocolTest, RequestRoundTripsEveryVerb) {
   list.verb = Verb::kList;
 
   for (const Request& request : {repair, reload, ping, list}) {
-    std::string frame;
-    AppendFrame(&frame, EncodeRequest(request));
-    std::string payload;
-    uint32_t crc = 0;
-    ASSERT_EQ(ExtractFrame(&frame, &payload, &crc), FrameParse::kFrame);
-    EXPECT_TRUE(frame.empty());  // fully consumed
-    ASSERT_TRUE(VerifyFrame(payload, crc).ok());
-    StatusOr<Request> decoded = DecodeRequest(payload);
+    std::string wire;
+    AppendFrame(&wire, EncodeRequest(request));
+    std::string_view bytes = wire;
+    FrameReader reader;
+    ASSERT_EQ(reader.Feed(&bytes), FrameParse::kFrame);
+    EXPECT_TRUE(bytes.empty());  // fully consumed
+    const Frame frame = reader.TakeFrame();
+    ASSERT_TRUE(frame.Verify().ok());
+    StatusOr<Request> decoded = DecodeRequest(frame.payload());
     ASSERT_TRUE(decoded.ok()) << decoded.status();
     EXPECT_EQ(decoded->verb, request.verb);
     EXPECT_EQ(decoded->repair.tenant, request.repair.tenant);
@@ -290,7 +293,6 @@ TEST(ServeProtocolTest, ResponseRoundTripsResultsAndErrors) {
   ok.repair.tuples_quarantined = 1;
   ok.repair.records_dropped = 2;
   ok.repair.splice = {10, {{4, 4, 6}}, "1,\"x\"\n"};
-  ok.repair.csv = "never sent";
   ok.repair.quarantine = "source,line\n";
   std::string payload = EncodeResponse(ok);
   StatusOr<Response> decoded = DecodeResponse(payload);
@@ -301,7 +303,6 @@ TEST(ServeProtocolTest, ResponseRoundTripsResultsAndErrors) {
   EXPECT_EQ(decoded->repair.tuples_quarantined, 1u);
   EXPECT_EQ(decoded->repair.records_dropped, 2u);
   EXPECT_EQ(decoded->repair.splice, ok.repair.splice);
-  EXPECT_TRUE(decoded->repair.csv.empty());  // the splice is the wire form
   EXPECT_EQ(decoded->repair.quarantine, ok.repair.quarantine);
   std::string spliced;
   ASSERT_TRUE(ApplyCsvSplice("a,b\n1,2\n", decoded->repair.splice, &spliced)
@@ -323,10 +324,10 @@ TEST(ServeProtocolTest, CorruptedPayloadFailsCrc) {
   std::string frame;
   AppendFrame(&frame, EncodeRequest(request));
   frame[9] ^= 0x40;  // flip a payload bit, CRC trailer now disagrees
-  std::string payload;
-  uint32_t crc = 0;
-  ASSERT_EQ(ExtractFrame(&frame, &payload, &crc), FrameParse::kFrame);
-  const Status status = VerifyFrame(payload, crc);
+  std::string_view bytes = frame;
+  FrameReader reader;
+  ASSERT_EQ(reader.Feed(&bytes), FrameParse::kFrame);
+  const Status status = reader.TakeFrame().Verify();
   EXPECT_EQ(status.code(), StatusCode::kMalformedInput);
 }
 
@@ -342,41 +343,46 @@ TEST(ServeProtocolTest, PartialFramesNeedMoreAndPipelineCleanly) {
   AppendFrame(&wire, EncodeRequest(b));
 
   // Dribble the bytes in: never a frame until the last byte of A, and
-  // the remainder (frame B) survives in the buffer untouched.
-  std::string buffer;
-  std::string payload;
-  uint32_t crc = 0;
+  // the reader takes none of frame B before A is taken.
+  FrameReader reader;
   size_t frames = 0;
-  for (const char byte : wire) {
-    buffer.push_back(byte);
-    while (true) {
-      const FrameParse parse = ExtractFrame(&buffer, &payload, &crc);
-      if (parse != FrameParse::kFrame) {
-        ASSERT_EQ(parse, FrameParse::kNeedMore);
-        break;
-      }
-      ASSERT_TRUE(VerifyFrame(payload, crc).ok());
-      StatusOr<Request> decoded = DecodeRequest(payload);
-      ASSERT_TRUE(decoded.ok());
-      EXPECT_EQ(decoded->verb, frames == 0 ? Verb::kRepair : Verb::kList);
-      ++frames;
+  for (size_t i = 0; i < wire.size(); ++i) {
+    std::string_view byte(&wire[i], 1);
+    const FrameParse parse = reader.Feed(&byte);
+    EXPECT_TRUE(byte.empty());
+    if (parse != FrameParse::kFrame) {
+      ASSERT_EQ(parse, FrameParse::kNeedMore);
+      continue;
     }
+    const Frame frame = reader.TakeFrame();
+    ASSERT_TRUE(frame.Verify().ok());
+    StatusOr<Request> decoded = DecodeRequest(frame.payload());
+    ASSERT_TRUE(decoded.ok());
+    EXPECT_EQ(decoded->verb, frames == 0 ? Verb::kRepair : Verb::kList);
+    ++frames;
   }
   EXPECT_EQ(frames, 2u);
-  EXPECT_TRUE(buffer.empty());
+
+  // Both frames in one piece: the reader stops at the end of A.
+  std::string_view both = wire;
+  ASSERT_EQ(reader.Feed(&both), FrameParse::kFrame);
+  EXPECT_EQ(both.size(), wire.size() - reader.TakeFrame().payload().size() -
+                             12);
+  ASSERT_EQ(reader.Feed(&both), FrameParse::kFrame);
+  EXPECT_TRUE(both.empty());
+  EXPECT_EQ(DecodeRequest(reader.TakeFrame().payload())->verb, Verb::kList);
 }
 
 TEST(ServeProtocolTest, GarbageStreamsAreRejectedNotBuffered) {
-  std::string buffer = "GET /metrics HTTP/1.1\r\n";
-  std::string payload;
-  uint32_t crc = 0;
-  EXPECT_EQ(ExtractFrame(&buffer, &payload, &crc), FrameParse::kBadMagic);
+  std::string_view http = "GET /metrics HTTP/1.1\r\n";
+  EXPECT_EQ(FrameReader().Feed(&http), FrameParse::kBadMagic);
 
   // A correct magic with an absurd length prefix must not allocate.
-  buffer.assign("FXRP", 4);
+  std::string header("FXRP", 4);
   const uint32_t huge = kMaxFramePayload + 1;
-  buffer.append(reinterpret_cast<const char*>(&huge), 4);
-  EXPECT_EQ(ExtractFrame(&buffer, &payload, &crc), FrameParse::kTooLarge);
+  header.append(reinterpret_cast<const char*>(&huge), 4);
+  std::string_view bytes = header;
+  EXPECT_EQ(FrameReader().Feed(&bytes), FrameParse::kTooLarge);
 }
 
 TEST(ServeProtocolTest, DecodeRejectsVersionSkewAndTrailingBytes) {
@@ -621,7 +627,7 @@ TEST_F(ServeDaemonTest, SubmitMatchesDirectRepairPerTenant) {
   for (const Workload& w : AllWorkloads()) {
     StatusOr<RepairResult> result = client->Submit(w.name, {}, w.csv);
     ASSERT_TRUE(result.ok()) << w.name << ": " << result.status();
-    EXPECT_EQ(result->csv, w.expected) << w.name;
+    EXPECT_EQ(SplicedCsv(w.csv, result->splice), w.expected) << w.name;
     EXPECT_GT(result->cells_changed, 0u) << w.name;
   }
 }
@@ -651,7 +657,7 @@ TEST_F(ServeDaemonTest, RequestsRecordDecodeEncodeSpansAndCsvBytes) {
   ASSERT_NE(emitted, nullptr);
   EXPECT_EQ(parsed->Value(), travel.csv.size());
   EXPECT_EQ(emitted->Value(), result->splice.inserts.size());
-  EXPECT_LT(emitted->Value(), result->csv.size());
+  EXPECT_LT(emitted->Value(), result->splice.output_size);
 }
 
 TEST_F(ServeDaemonTest, ConfigHeadersSelectEngineAndThreads) {
@@ -673,8 +679,9 @@ TEST_F(ServeDaemonTest, ConfigHeadersSelectEngineAndThreads) {
     StatusOr<RepairResult> result =
         client->Submit(travel.name, config, travel.csv);
     ASSERT_TRUE(result.ok()) << result.status();
-    EXPECT_EQ(result->csv, direct.csv);
-    EXPECT_EQ(result->csv, travel.expected);  // engines agree byte-for-byte
+    EXPECT_EQ(SplicedCsv(travel.csv, result->splice), direct.csv);
+    // The engines agree byte for byte.
+    EXPECT_EQ(SplicedCsv(travel.csv, result->splice), travel.expected);
   }
 }
 
@@ -695,7 +702,9 @@ TEST_F(ServeDaemonTest, ConcurrentMixedTenantsAreByteIdentical) {
       for (size_t r = 0; r < kRequestsPerClient; ++r) {
         const Workload& w = AllWorkloads()[(c + r) % AllWorkloads().size()];
         StatusOr<RepairResult> result = client->Submit(w.name, {}, w.csv);
-        if (!result.ok() || result->csv != w.expected) ++failures;
+        if (!result.ok() || SplicedCsv(w.csv, result->splice) != w.expected) {
+          ++failures;
+        }
       }
     });
   }
@@ -729,7 +738,7 @@ TEST_F(ServeDaemonTest, UnknownTenantAndSessionLocalKeysAreRejected) {
   // The connection survives rejected requests.
   StatusOr<RepairResult> again = client->Submit(travel.name, {}, travel.csv);
   ASSERT_TRUE(again.ok()) << again.status();
-  EXPECT_EQ(again->csv, travel.expected);
+  EXPECT_EQ(SplicedCsv(travel.csv, again->splice), travel.expected);
 }
 
 TEST_F(ServeDaemonTest, OversizeMemoAndWorkerRequestsAreBounded) {
@@ -755,14 +764,14 @@ TEST_F(ServeDaemonTest, OversizeMemoAndWorkerRequestsAreBounded) {
   StatusOr<RepairResult> wide = client->Submit(
       travel.name, {{"threads", "20000"}, {"shards", "0"}}, travel.csv);
   ASSERT_TRUE(wide.ok()) << wide.status();
-  EXPECT_EQ(wide->csv, travel.expected);
+  EXPECT_EQ(SplicedCsv(travel.csv, wide->splice), travel.expected);
 
   // The daemon keeps serving the same connection.
   StatusOr<RepairResult> again = client->Submit(
       travel.name, {{"memo-capacity", std::to_string(MemoCache::kMaxCapacity)}},
       travel.csv);
   ASSERT_TRUE(again.ok()) << again.status();
-  EXPECT_EQ(again->csv, travel.expected);
+  EXPECT_EQ(SplicedCsv(travel.csv, again->splice), travel.expected);
 }
 
 TEST_F(ServeDaemonTest, MismatchedHeaderAndQuarantinePolicyMatchDirect) {
@@ -792,7 +801,7 @@ TEST_F(ServeDaemonTest, MismatchedHeaderAndQuarantinePolicyMatchDirect) {
   StatusOr<RepairResult> quarantined = client->Submit(
       travel.name, {{"on-error", "quarantine"}}, torn);
   ASSERT_TRUE(quarantined.ok()) << quarantined.status();
-  EXPECT_EQ(quarantined->csv, direct.csv);
+  EXPECT_EQ(SplicedCsv(torn, quarantined->splice), direct.csv);
   EXPECT_EQ(quarantined->quarantine, direct.quarantine);
   EXPECT_FALSE(quarantined->quarantine.empty());
   EXPECT_EQ(quarantined->tuples_quarantined, direct.tuples_quarantined);
@@ -824,7 +833,7 @@ TEST_F(ServeDaemonTest, SubmitCountsDroppedRecordsUnderSkipAndQuarantine) {
         client->Submit(torn.name, {{"on-error", policy}}, torn.csv);
     ASSERT_TRUE(result.ok()) << result.status();
     EXPECT_EQ(result->records_dropped, 2u);
-    EXPECT_EQ(result->csv, direct.csv);
+    EXPECT_EQ(SplicedCsv(torn.csv, result->splice), direct.csv);
     EXPECT_EQ(result->quarantine, direct.quarantine);
 
     StatusOr<RepairResult> clean =
@@ -871,10 +880,6 @@ TEST_F(ServeDaemonTest, CliSubmitReadsAFifo) {
   StartDaemon({}, {0});
   const std::string file_path = TempPath("batch.csv");
   const std::string fifo_path = TempPath("batch.fifo");
-  {
-    std::ofstream file(file_path, std::ios::binary);
-    file << AllWorkloads()[0].csv;
-  }
   std::remove(fifo_path.c_str());
   ASSERT_EQ(::mkfifo(fifo_path.c_str(), 0600), 0) << std::strerror(errno);
   // Runs `fixrep_cli submit` with `prelude` run in the background first
@@ -895,15 +900,28 @@ TEST_F(ServeDaemonTest, CliSubmitReadsAFifo) {
     std::ifstream result(out, std::ios::binary);
     return std::string(std::istreambuf_iterator<char>(result), {});
   };
-  const std::string from_file = submit(file_path, "", TempPath("file.out"));
-  const std::string from_fifo =
-      submit(fifo_path, "cat '" + file_path + "' > '" + fifo_path + "' & ",
-             TempPath("fifo.out"));
-  // Release the writer if the submit never opened the FIFO.
-  const int drain = ::open(fifo_path.c_str(), O_RDONLY | O_NONBLOCK);
-  if (drain >= 0) ::close(drain);
-  EXPECT_FALSE(from_file.empty());
-  EXPECT_EQ(from_fifo, from_file);
+  // The travel batch, and its rows repeated past several doublings of
+  // the reader's 64 KiB first buffer for a FIFO.
+  const std::string& csv = AllWorkloads()[0].csv;
+  const size_t header_end = csv.find('\n') + 1;
+  std::string big = csv;
+  while (big.size() < 300000) big += csv.substr(header_end);
+  const std::string* batches[] = {&csv, &big};
+  for (const std::string* batch : batches) {
+    {
+      std::ofstream file(file_path, std::ios::binary);
+      file << *batch;
+    }
+    const std::string from_file = submit(file_path, "", TempPath("file.out"));
+    const std::string from_fifo =
+        submit(fifo_path, "cat '" + file_path + "' > '" + fifo_path + "' & ",
+               TempPath("fifo.out"));
+    // Release the writer if the submit never opened the FIFO.
+    const int drain = ::open(fifo_path.c_str(), O_RDONLY | O_NONBLOCK);
+    if (drain >= 0) ::close(drain);
+    EXPECT_GT(from_file.size(), batch->size() / 2);
+    EXPECT_EQ(from_fifo, from_file);
+  }
 #endif
 }
 
@@ -983,7 +1001,7 @@ size_t FullCsvPayloadBytes(const RepairResult& result) {
   Response full;
   full.verb = Verb::kRepair;
   full.repair.quarantine = result.quarantine;
-  return EncodeResponse(full).size() + result.csv.size();
+  return EncodeResponse(full).size() + result.splice.output_size;
 }
 
 size_t SplicePayloadBytes(const RepairResult& result) {
@@ -1045,7 +1063,7 @@ TEST_F(ServeDaemonTest, SplicedResponsesMatchDirectRepairOnDialectInputs) {
             continue;
           }
           ++repaired;
-          EXPECT_EQ(result->csv, direct.csv);
+          EXPECT_EQ(SplicedCsv(batch.csv, result->splice), direct.csv);
           EXPECT_EQ(result->quarantine, direct.quarantine);
           EXPECT_EQ(result->tuples_quarantined, direct.tuples_quarantined);
           EXPECT_EQ(result->records_dropped, direct.records_dropped);
@@ -1094,7 +1112,7 @@ TEST_F(ServeDaemonTest, SplicePayloadStaysWithinAFullCsvInTheWorstCases) {
     ASSERT_TRUE(direct.status.ok()) << direct.status;
     StatusOr<RepairResult> result = client->Submit(hosp.name, {}, csv);
     ASSERT_TRUE(result.ok()) << result.status();
-    EXPECT_EQ(result->csv, direct.csv);
+    EXPECT_EQ(SplicedCsv(csv, result->splice), direct.csv);
     ASSERT_EQ(result->splice.edits.size(), 1u);
     EXPECT_EQ(result->splice.edits[0].erase + result->splice.edits[0].begin,
               csv.size());
@@ -1125,7 +1143,7 @@ TEST_F(ServeDaemonTest, FullAdmissionQueueRejectsImmediately) {
     StatusOr<RepairResult> result = client->Submit(travel.name, {},
                                                    travel.csv);
     EXPECT_TRUE(result.ok()) << result.status();
-    EXPECT_EQ(result->csv, travel.expected);
+    EXPECT_EQ(SplicedCsv(travel.csv, result->splice), travel.expected);
   });
   while (stalled.load() == 0) std::this_thread::yield();
 
@@ -1180,7 +1198,10 @@ TEST_F(ServeDaemonTest, ReloadUnderLoadDropsNothing) {
             client->Submit(travel.name, {}, travel.csv);
         // Identical rules reloaded: every response, whichever snapshot
         // served it, is byte-identical — and none may be dropped.
-        if (!result.ok() || result->csv != travel.expected) ++failures;
+        if (!result.ok() ||
+            SplicedCsv(travel.csv, result->splice) != travel.expected) {
+          ++failures;
+        }
       }
     });
   }
@@ -1215,7 +1236,10 @@ TEST_F(ServeDaemonTest, ShutdownDrainsInFlightRequests) {
       ASSERT_TRUE(client.ok()) << client.status();
       StatusOr<RepairResult> result =
           client->Submit(travel.name, {}, travel.csv);
-      if (result.ok() && result->csv == travel.expected) ++completed;
+      if (result.ok() &&
+          SplicedCsv(travel.csv, result->splice) == travel.expected) {
+        ++completed;
+      }
     });
   }
   // The stall hook can only park as many requests as the pool has
@@ -1259,7 +1283,7 @@ TEST_F(ServeDaemonTest, EphemeralTcpPortServes) {
   StatusOr<RepairResult> result = client->Submit(travel.name, {},
                                                  travel.csv);
   ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_EQ(result->csv, travel.expected);
+  EXPECT_EQ(SplicedCsv(travel.csv, result->splice), travel.expected);
 }
 
 TEST_F(ServeDaemonTest, KnownValuesSkipTheWriterSide) {
@@ -1273,7 +1297,7 @@ TEST_F(ServeDaemonTest, KnownValuesSkipTheWriterSide) {
 
   StatusOr<RepairResult> first = client->Submit(hosp.name, {}, hosp.csv);
   ASSERT_TRUE(first.ok()) << first.status();
-  EXPECT_EQ(first->csv, hosp.expected);
+  EXPECT_EQ(SplicedCsv(hosp.csv, first->splice), hosp.expected);
   const Counter* interned =
       tenant.FindCounter("fixrep.serve.values_interned");
   ASSERT_NE(interned, nullptr);
@@ -1285,7 +1309,7 @@ TEST_F(ServeDaemonTest, KnownValuesSkipTheWriterSide) {
   // does not grow and the writer side is never taken.
   StatusOr<RepairResult> second = client->Submit(hosp.name, {}, hosp.csv);
   ASSERT_TRUE(second.ok()) << second.status();
-  EXPECT_EQ(second->csv, hosp.expected);
+  EXPECT_EQ(SplicedCsv(hosp.csv, second->splice), hosp.expected);
   EXPECT_EQ(snapshot->pool()->size(), pool_size);
   EXPECT_EQ(interned->Value(), new_values);
 
@@ -1344,7 +1368,9 @@ TEST_F(ServeDaemonTest, ConcurrentFreshValuesInternOnceAndMatchDirect) {
       }
       for (const Workload& w : batches[c]) {
         StatusOr<RepairResult> result = client->Submit(w.name, {}, w.csv);
-        if (!result.ok() || result->csv != w.expected) ++failures;
+        if (!result.ok() || SplicedCsv(w.csv, result->splice) != w.expected) {
+          ++failures;
+        }
       }
     });
   }
@@ -1481,7 +1507,7 @@ TEST(ServeCliTest, ServeChildPublishesPortAndDrainsOnSigterm) {
   ASSERT_TRUE(client.ok()) << client.status();
   StatusOr<RepairResult> result = client->Submit("travel", {}, travel.csv);
   ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_EQ(result->csv, travel.expected);
+  EXPECT_EQ(SplicedCsv(travel.csv, result->splice), travel.expected);
 
   ASSERT_EQ(kill(child, SIGTERM), 0);
   int wstatus = 0;

@@ -14,6 +14,8 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "common/status.h"
+#include "relation/csv.h"
 #include "relation/schema.h"
 #include "relation/value_pool.h"
 #include "rules/fixing_rule.h"
@@ -286,6 +288,17 @@ inline std::string MutateCsvBytes(const std::string& base, Rng* rng) {
     }
   }
   return s;
+}
+
+// `input` with `splice` applied: the repaired batch a daemon's repair
+// result spells over the request CSV it answers. A splice that does not
+// fit `input` fails the test (and yields "").
+inline std::string SplicedCsv(std::string_view input,
+                              const CsvSplice& splice) {
+  std::string out;
+  const Status applied = ApplyCsvSplice(input, splice, &out);
+  EXPECT_TRUE(applied.ok()) << applied;
+  return applied.ok() ? out : std::string();
 }
 
 }  // namespace fixrep::testing
