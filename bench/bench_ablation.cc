@@ -90,8 +90,9 @@ void ParallelScalingAblation(const Workload& workload) {
     for (int run = 0; run < 3; ++run) {
       Table copy = workload.dirty;
       Timer timer;
-      const CompiledRuleIndex index(&workload.rules);
-      RepairDriver(index, {.threads = threads}).Run(&copy);
+      const std::unique_ptr<RuleDict> dict =
+          RuleDict::CompileOrDie(workload.rules);
+      RepairDriver(*dict, {.threads = threads}).Run(&copy);
       best_ms = std::min(best_ms, timer.ElapsedMillis());
     }
     if (threads == 1) base_ms = best_ms;

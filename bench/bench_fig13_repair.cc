@@ -154,26 +154,29 @@ void BM_Uis_lRepair(::benchmark::State& state) {
 }
 
 // lRepair configurations over the duplicate-heavy table, all sharing one
-// compiled index: plain serial chase, memoized serial, and the pooled
+// compiled image: plain serial chase, memoized serial, and the pooled
 // parallel engine with worker-local memo caches.
 enum class Config { kSerial, kSerialMemo, kPooledMemo, kPooledNoMemo };
 
 void RepairDuplicateHeavy(::benchmark::State& state, Config config) {
   const Workload& workload = HospWorkload();
   const Table& dup = DuplicateHeavyTable();
-  const CompiledRuleIndex index(&workload.rules);
+  const std::unique_ptr<RuleDict> image =
+      RuleDict::CompileOrDie(workload.rules);
   for (auto _ : state) {
     state.PauseTiming();
     Table copy = dup;
     state.ResumeTiming();
     switch (config) {
       case Config::kSerial: {
-        FastRepairer repairer(&index);
+        const std::unique_ptr<RuleDictHandle> handle = image->MakeHandle();
+        FastRepairer repairer(handle->source());
         repairer.RepairTable(&copy);
         break;
       }
       case Config::kSerialMemo: {
-        FastRepairer repairer(&index);
+        const std::unique_ptr<RuleDictHandle> handle = image->MakeHandle();
+        FastRepairer repairer(handle->source());
         MemoCache memo;
         repairer.set_memo(&memo);
         repairer.RepairTable(&copy);
@@ -183,7 +186,7 @@ void RepairDuplicateHeavy(::benchmark::State& state, Config config) {
       case Config::kPooledNoMemo: {
         RepairConfig pooled = g_config;
         pooled.use_memo = config == Config::kPooledMemo;
-        RepairDriver(index, pooled).Run(&copy);
+        RepairDriver(*image, pooled).Run(&copy);
         break;
       }
     }
@@ -225,7 +228,8 @@ BENCHMARK(BM_HospDup_lRepair_PooledMemo)->Unit(::benchmark::kMillisecond);
 void WriteRepairJson() {
   const Workload& workload = HospWorkload();
   const Table& dup = DuplicateHeavyTable();
-  const CompiledRuleIndex index(&workload.rules);
+  const std::unique_ptr<RuleDict> image =
+      RuleDict::CompileOrDie(workload.rules);
   const size_t rows = dup.num_rows();
   const size_t threads = g_config.threads == 0
                              ? ThreadPool::Global().num_workers() + 1
@@ -272,7 +276,8 @@ void WriteRepairJson() {
   const SimdKernel active_kernel = ActiveSimdKernel();
   SetSimdKernel(SimdKernel::kScalar);
   const RunCost baseline = best_of("fig13_baseline", [&](Table* copy) {
-    FastRepairer repairer(&index);
+    const std::unique_ptr<RuleDictHandle> handle = image->MakeHandle();
+    FastRepairer repairer(handle->source());
     repairer.RepairTable(copy);
   });
   SetSimdKernel(active_kernel);
@@ -286,12 +291,14 @@ void WriteRepairJson() {
   RunCost simd;
   if (active_kernel != SimdKernel::kScalar) {
     simd = best_of("fig13_simd", [&](Table* copy) {
-      FastRepairer repairer(&index);
+      const std::unique_ptr<RuleDictHandle> handle = image->MakeHandle();
+      FastRepairer repairer(handle->source());
       repairer.RepairTable(copy);
     });
   }
   const RunCost memo = best_of("fig13_memo", [&](Table* copy) {
-    FastRepairer repairer(&index);
+    const std::unique_ptr<RuleDictHandle> handle = image->MakeHandle();
+    FastRepairer repairer(handle->source());
     MemoCache memo_cache;
     repairer.set_memo(&memo_cache);
     repairer.RepairTable(copy);
@@ -300,7 +307,7 @@ void WriteRepairJson() {
   const uint64_t hits_before = counter("fixrep.memo.hits");
   const uint64_t misses_before = counter("fixrep.memo.misses");
   const RunCost pooled = best_of("fig13_pooled_memo", [&](Table* copy) {
-    RepairDriver(index, g_config).Run(copy);
+    RepairDriver(*image, g_config).Run(copy);
   });
   const double pooled_ms = pooled.ms;
   const uint64_t hits = counter("fixrep.memo.hits") - hits_before;
@@ -326,7 +333,7 @@ void WriteRepairJson() {
     RepairReport result;
   };
   const auto stream_best_of = [&](const char* label, const std::string& csv,
-                                  const CompiledRuleIndex& run_index,
+                                  const RuleDict& run_image,
                                   const RepairConfig& options) {
     StreamCost best;
     for (int i = 0; i < kStreamRuns; ++i) {
@@ -337,7 +344,7 @@ void WriteRepairJson() {
       const double ms = TimedMs(label, [&] {
         StatusOr<CsvChunkReader> reader =
             CsvChunkReader::Open(in, "bench", workload.data.pool, {});
-        const auto result = StreamRepair(run_index, options, nullptr, nullptr,
+        const auto result = StreamRepair(run_image, options, nullptr, nullptr,
                                          &reader.value(), out);
         if (!result.ok() || result.value().rows != rows) {
           std::cerr << "streaming bench run failed\n";
@@ -355,7 +362,7 @@ void WriteRepairJson() {
   RepairConfig chunked_options;
   chunked_options.chunk_rows = kStreamChunkRows;
   const StreamCost streaming_run =
-      stream_best_of("fig13_streaming", input_csv, index, chunked_options);
+      stream_best_of("fig13_streaming", input_csv, *image, chunked_options);
   const RunCost streaming = streaming_run.cost;
 
   // Durable streaming: the same chunked pipeline journaling every chunk
@@ -399,7 +406,7 @@ void WriteRepairJson() {
     const double ms = TimedMs("fig13_streaming_wal", [&] {
       StatusOr<CsvChunkReader> reader =
           CsvChunkReader::Open(in, "bench", workload.data.pool, {});
-      const auto result = StreamRepair(index, chunked_options,
+      const auto result = StreamRepair(*image, chunked_options,
                                        &journal.value(), nullptr,
                                        &reader.value(), out);
       if (!result.ok() || result.value().rows != rows) {
@@ -422,7 +429,7 @@ void WriteRepairJson() {
       const double reference_ms = TimedMs("fig13_streaming_nowal", [&] {
         StatusOr<CsvChunkReader> reader = CsvChunkReader::Open(
             nowal_in, "bench", workload.data.pool, {});
-        const auto result = StreamRepair(index, chunked_options, nullptr,
+        const auto result = StreamRepair(*image, chunked_options, nullptr,
                                          nullptr, &reader.value(), nowal_out);
         if (!result.ok() || result.value().rows != rows) {
           std::cerr << "streaming bench run failed\n";
@@ -449,7 +456,7 @@ void WriteRepairJson() {
   spill_options.chunk_rows = ~size_t{0};  // whole file; the budget rules
   spill_options.memory_budget_bytes = spill_budget;
   const StreamCost spill_run =
-      stream_best_of("fig13_streaming_spill", input_csv, index, spill_options);
+      stream_best_of("fig13_streaming_spill", input_csv, *image, spill_options);
 
   // Column pruning, measured on the shape it exists for: wide rows where
   // only a few columns are rule-constrained and the rest are
@@ -489,7 +496,8 @@ void WriteRepairJson() {
   for (size_t i = 0; i < workload.rules.size(); ++i) {
     wide_rules.Add(workload.rules.rule(i));
   }
-  const CompiledRuleIndex wide_index(&wide_rules);
+  const std::unique_ptr<RuleDict> wide_image =
+      RuleDict::CompileOrDie(wide_rules);
   std::string wide_csv;
   {
     std::ostringstream csv;
@@ -499,21 +507,22 @@ void WriteRepairJson() {
   RepairConfig wide_options;
   wide_options.chunk_rows = kStreamChunkRows;
   const StreamCost wide_run = stream_best_of("fig13_streaming_wide",
-                                             wide_csv, wide_index,
+                                             wide_csv, *wide_image,
                                              wide_options);
   RepairConfig pruned_options = wide_options;
   pruned_options.prune_columns = true;
   const StreamCost pruned_run = stream_best_of("fig13_streaming_pruned",
-                                               wide_csv, wide_index,
+                                               wide_csv, *wide_image,
                                                pruned_options);
 
   // On-disk rule dictionary (rules/rule_dict.h): the same serial chase
-  // through a compiled, memory-mapped dictionary instead of the in-RAM
-  // index. Three rows: in-RAM reference (measured here so dict and RAM
-  // numbers share machine conditions), mmap-cold (fresh Open + Bind +
-  // empty hot cache every run — the "first repair after compile"
+  // through the image mapped from its file instead of compiled into
+  // the heap. Three rows: heap-image reference (fresh handle every run,
+  // measured here so file and heap numbers share machine conditions;
+  // the section keeps its ruledict_inram name), mmap-cold (fresh Open +
+  // Bind + empty hot cache every run — the "first repair after compile"
   // shape), and mmap-warm (persistent handle, hot cache primed).
-  // check_regression.py --ruledict gates warm against in-RAM.
+  // check_regression.py --ruledict gates warm against the heap image.
   const std::string dict_path = "BENCH_repair.dict";
   {
     const Status compiled = CompileRuleDict(workload.rules, dict_path);
@@ -531,10 +540,11 @@ void WriteRepairJson() {
   }
   RuleDict& dict = **dict_or;
   if (!dict.Bind(dup.schema(), workload.data.pool).ok()) std::abort();
-  const uint64_t dict_bytes = dict.file_bytes();
+  const uint64_t dict_bytes = dict.image().size();
 
   const RunCost dict_inram = best_of("fig13_dict_inram", [&](Table* copy) {
-    FastRepairer repairer(&index);
+    const std::unique_ptr<RuleDictHandle> handle = image->MakeHandle();
+    FastRepairer repairer(handle->source());
     repairer.RepairTable(copy);
   });
   RunCost dict_cold;
@@ -674,7 +684,7 @@ void WriteRepairJson() {
   const uint64_t rss_delta =
       rss_peak > rss_before ? rss_peak - rss_before : 0;
   const uint64_t hot_cache_bytes =
-      dict.hot_cache_capacity() * sizeof(uint64_t) * 4;
+      PostingCache::kDefaultCapacity * sizeof(RuleSlot);
   std::remove(scale_dict_path.c_str());
   std::remove(scale_csv_path.c_str());
   std::remove(scale_out_path.c_str());
@@ -682,8 +692,8 @@ void WriteRepairJson() {
   // Daemon overhead: the duplicate-heavy batch repaired through the
   // serve stack (unix-socket round trip, frame CRC, config headers,
   // CSV re-parse on the worker) vs. directly against the prebuilt
-  // compiled index. Both sides skip index construction — the tenant
-  // compiles once at Load() and the direct runs borrow `index` — so
+  // compiled image. Both sides skip compilation — the tenant compiles
+  // once at Load() and the direct runs borrow `image` — so
   // the ratio isolates the wire + dispatch tax. check_regression.py
   // --daemon gates daemon_rows_per_sec >= 0.85 x direct_rows_per_sec.
   const std::string serve_rules_path = "BENCH_repair_serve.rules";
@@ -708,7 +718,7 @@ void WriteRepairJson() {
       StatusOr<Table> table =
           ReadCsvLenient(in, "bench", workload.data.pool, {});
       if (!table.ok()) std::abort();
-      RepairSession session(&index, serve_config);
+      RepairSession session(image.get(), serve_config);
       if (!session.Repair(&table.value()).ok()) std::abort();
       std::ostringstream rendered;
       WriteCsv(table.value(), rendered);

@@ -101,13 +101,23 @@ BENCHMARK(BM_LRepairSingleTuple);
 
 // --- probe_throughput: the batched inverted-list probe, kernel x mix ---
 //
-// CompiledRuleIndex::LookupBatch keys/sec over the hosp index (1000
-// rules), per kernel. Hit-heavy keys are real cells drawn from the dirty
-// table (the counter-initialization access pattern: most probes land on
-// a rule's evidence). Miss-heavy keys are (attr, value) pairs no rule
+// RuleSource::LookupBatch keys/sec over the hosp image (1000 rules),
+// per kernel, through one handle's posting cache as the chase probes.
+// Hit-heavy keys are real cells drawn from the dirty table (the
+// counter-initialization access pattern: most probes land on a rule's
+// evidence). Miss-heavy keys are (attr, value) pairs no rule
 // mentions — the streaming regime of wide, mostly-unconstrained data —
 // where the probe is pure hash+empty-slot traffic. items_per_second is
 // keys/sec; compare the Scalar/Sse/Avx2 rows directly.
+
+// One handle over the hosp workload's compiled image, kept for the
+// process.
+const RuleSource& HospSource() {
+  static const RuleDict* dict =
+      RuleDict::CompileOrDie(HospWorkload().rules).release();
+  static const RuleDictHandle* handle = dict->MakeHandle().release();
+  return handle->source();
+}
 
 std::vector<uint64_t> HitHeavyKeys(const Workload& workload, size_t n) {
   std::vector<uint64_t> keys;
@@ -118,8 +128,7 @@ std::vector<uint64_t> HitHeavyKeys(const Workload& workload, size_t n) {
     const TupleRef t = dirty.row(r % dirty.num_rows());
     for (size_t a = 0; a < t.size() && keys.size() < n; ++a) {
       if (t[a] == kNullValue) continue;
-      keys.push_back(
-          CompiledRuleIndex::PackKey(static_cast<AttrId>(a), t[a]));
+      keys.push_back(HospSource().ProbeKey(static_cast<AttrId>(a), t[a]));
     }
     ++r;
   }
@@ -127,13 +136,13 @@ std::vector<uint64_t> HitHeavyKeys(const Workload& workload, size_t n) {
 }
 
 std::vector<uint64_t> MissHeavyKeys(const Workload& workload, size_t n) {
-  // Value ids far past everything the pool interned: present in no
-  // rule's evidence, so every probe ends at an empty slot.
+  // Image value ids far past every string the image holds: present in
+  // no rule's evidence, so every probe ends at an empty slot.
   std::vector<uint64_t> keys;
   keys.reserve(n);
   const size_t arity = workload.rules.schema().arity();
   for (size_t i = 0; i < n; ++i) {
-    keys.push_back(CompiledRuleIndex::PackKey(
+    keys.push_back(RuleSource::PackKey(
         static_cast<AttrId>(i % arity),
         static_cast<ValueId>(1000000000 + static_cast<ValueId>(i))));
   }
@@ -147,15 +156,14 @@ void ProbeThroughput(::benchmark::State& state, SimdKernel kernel,
     return;
   }
   const Workload& workload = HospWorkload();
-  static const CompiledRuleIndex* index =
-      new CompiledRuleIndex(&workload.rules);
+  const RuleSource& source = HospSource();
   constexpr size_t kKeys = 4096;
   const std::vector<uint64_t> keys =
       hit_heavy ? HitHeavyKeys(workload, kKeys)
                 : MissHeavyKeys(workload, kKeys);
   std::vector<PostingRange> ranges(keys.size());
   for (auto _ : state) {
-    index->LookupBatch(kernel, keys.data(), keys.size(), ranges.data());
+    source.LookupBatch(kernel, keys.data(), keys.size(), ranges.data());
     ::benchmark::DoNotOptimize(ranges.data());
     ::benchmark::ClobberMemory();
   }

@@ -48,10 +48,11 @@ void Run(const RepairConfig& config) {
     double pooled_allocs = 0;
     {
       Table copy = workload.dirty;
-      const CompiledRuleIndex index(&workload.rules);
+      const std::unique_ptr<RuleDict> dict =
+          RuleDict::CompileOrDie(workload.rules);
       const uint64_t allocs_before = AllocationCount();
       pooled_ms = TimedMs("pooled_memo", [&] {
-        RepairDriver(index, config).Run(&copy);
+        RepairDriver(*dict, config).Run(&copy);
       });
       pooled_allocs =
           static_cast<double>(AllocationCount() - allocs_before);

@@ -31,9 +31,10 @@ With --ruledict, additionally audits the on-disk rule dictionary
 sections of the *current* run (docs/rules.md): ruledict_warm (serial
 chase through the memory-mapped dictionary with a primed hot posting
 cache) must keep its rows/s within --ruledict-tolerance (default 15%)
-of ruledict_inram, the same chase over the in-RAM compiled index
-measured seconds earlier in the same process — the mmap seam must cost
-(nearly) nothing once warm. And ruledict_budget (corpus-scale
+of ruledict_inram, the same chase over the heap image (the same
+FXRDICT bytes compiled into memory) measured seconds earlier in the
+same process — mapping the image from a file must cost (nearly)
+nothing once warm. And ruledict_budget (corpus-scale
 dictionary streamed under a spill budget) must keep the RSS the run
 itself added (rss_delta_bytes, measured from a reset VmHWM) below its
 dictionary's file size — the corpus must stay on disk, not become
@@ -191,11 +192,11 @@ def main():
     parser.add_argument("--ruledict", action="store_true",
                         help="audit the ruledict sections: warm mmap "
                              "chase within --ruledict-tolerance of the "
-                             "in-RAM index, and the budget run's RSS "
+                             "heap image, and the budget run's RSS "
                              "delta below the dictionary file size")
     parser.add_argument("--ruledict-tolerance", type=float, default=0.15,
                         help="allowed fractional rows/s drop of the "
-                             "warm dictionary chase vs the in-RAM index "
+                             "warm dictionary chase vs the heap image "
                              "(default 0.15)")
     parser.add_argument("--daemon", action="store_true",
                         help="audit the daemon_overhead section: "
@@ -301,7 +302,7 @@ def main():
                     f"streaming_wal made {fsyncs_per_chunk:.2f} fsyncs "
                     f"per chunk — group commit is broken")
 
-    # Dictionary audit: the mmap seam must be free once warm, and the
+    # Dictionary audit: the mapped file must be free once warm, and the
     # corpus-scale budget run must not pull the corpus into RSS.
     ruledict_failures = []
     if args.ruledict:
@@ -321,10 +322,10 @@ def main():
                 status = "DICT SLOW"
                 ruledict_failures.append(
                     f"warm dictionary chase runs at {ratio:.2f}x the "
-                    f"in-RAM index ({delta:+.1f}%, gate "
+                    f"heap image ({delta:+.1f}%, gate "
                     f"-{args.ruledict_tolerance:.0%})")
             print(f"{status:>10}  ruledict_warm: {warm_rps:,.0f} rows/s "
-                  f"vs in-RAM {inram_rps:,.0f} rows/s ({delta:+.1f}%, "
+                  f"vs heap image {inram_rps:,.0f} rows/s ({delta:+.1f}%, "
                   f"hot-cache hit rate "
                   f"{warm.get('hot_cache_hit_rate', 0.0):.1%})")
         budget = current.get("ruledict_budget", {})

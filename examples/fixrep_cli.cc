@@ -533,7 +533,7 @@ int RulesCompile(const Args& args) {
   const RuleDict& dict = *dict_or.value();
   std::cout << "compiled " << dict.num_rules() << " rules ("
             << dict.header().num_strings << " strings, "
-            << dict.file_bytes() << " bytes, fingerprint "
+            << dict.image().size() << " bytes, fingerprint "
             << std::hex << dict.fingerprint() << std::dec << ") in "
             << FormatDouble(timer.ElapsedMillis(), 1) << " ms -> "
             << out_path << "\n";
@@ -553,7 +553,7 @@ int RulesInspect(const Args& args) {
   const RuleDict& dict = *dict_or.value();
   const RuleDictHeader& header = dict.header();
   std::cout << dict.path() << ": rule dictionary v" << header.version
-            << ", " << dict.file_bytes() << " bytes\n";
+            << ", " << dict.image().size() << " bytes\n";
   std::cout << "fingerprint " << std::hex << header.fingerprint << std::dec
             << "\n";
   std::cout << header.num_rules << " rules over " << header.arity

@@ -5,7 +5,7 @@
 #include <cstdint>
 
 // SIMD feature detection and kernel dispatch for the batched inverted-list
-// probe (repair/rule_index.h LookupBatch).
+// probe (rules/rule_source.h LookupBatch).
 //
 // Everything here is about *how fast* a batch of hash probes runs, never
 // about *what* it computes: every kernel produces bit-identical hashes

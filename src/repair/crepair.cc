@@ -10,8 +10,9 @@
 namespace fixrep {
 
 ChaseRepairer::ChaseRepairer(const RuleSet* rules)
-    : owned_index_(std::make_unique<CompiledRuleIndex>(rules)),
-      source_(owned_index_->MakeSource()) {
+    : owned_dict_(RuleDict::CompileOrDie(*rules)),
+      owned_handle_(owned_dict_->MakeHandle()),
+      source_(owned_handle_->source()) {
   stats_.Reset(source_.num_rules());
   published_.Reset(source_.num_rules());
 }

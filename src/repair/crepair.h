@@ -6,9 +6,8 @@
 #include "common/status.h"
 #include "relation/table.h"
 #include "repair/repair_stats.h"
-#include "repair/rule_index.h"
+#include "rules/rule_dict.h"
 #include "rules/rule_set.h"
-#include "rules/rule_source.h"
 
 namespace fixrep {
 
@@ -18,14 +17,13 @@ namespace fixrep {
 // consistent Σ follows from the Church-Rosser property: any maximal
 // sequence of proper applications reaches the unique fix.
 //
-// The scan reads rules through the RuleSource seam (MatchesFlat is
+// The scan reads rules through a RuleSource view (MatchesFlat is
 // FixingRule::Matches over the compiled CSR patterns), so the reference
-// chase runs against either backend — in-RAM index or mmap dictionary —
-// and stays the cross-validation oracle for both.
+// chase reads the same image as lRepair, in either storage, and stays
+// the cross-validation oracle for it.
 class ChaseRepairer {
  public:
-  // Compiles a private index for `rules`. The rule set must outlive the
-  // repairer and must not be mutated afterwards.
+  // Compiles a private image of `rules`, bound to the set's pool.
   explicit ChaseRepairer(const RuleSet* rules);
 
   // Chases against an arbitrary source view (see FastRepairer). The
@@ -71,7 +69,8 @@ class ChaseRepairer {
   Status ChaseWithBudget(TupleSpan t, size_t max_steps,
                          size_t* cells_changed);
 
-  std::unique_ptr<const CompiledRuleIndex> owned_index_;
+  std::unique_ptr<const RuleDict> owned_dict_;
+  std::unique_ptr<const RuleDictHandle> owned_handle_;
   RuleSource source_;
   size_t max_chase_steps_ = 0;
   RepairStats stats_;

@@ -17,15 +17,15 @@
 namespace fixrep {
 
 struct RepairDriver::Slot {
-  Slot(const RuleRepository& repo, const RepairConfig& config)
-      : handle(repo.MakeHandle()), repairer(handle->source()) {
+  Slot(const RuleDict& dict, const RepairConfig& config)
+      : handle(dict.MakeHandle()), repairer(handle->source()) {
     if (config.on_error == OnErrorPolicy::kAbort && config.use_memo) {
       repairer.set_memo(&memo.emplace(config.memo_capacity));
     }
     repairer.set_max_chase_steps(config.max_chase_steps);
   }
 
-  std::unique_ptr<RuleSourceHandle> handle;
+  std::unique_ptr<RuleDictHandle> handle;
   FastRepairer repairer;
   std::optional<MemoCache> memo;
   std::vector<Diagnostic> failures;
@@ -33,12 +33,11 @@ struct RepairDriver::Slot {
   std::vector<uint32_t> rows;      // rows routed here (sharded runs)
 };
 
-RepairDriver::RepairDriver(const RuleRepository& repo,
-                           const RepairConfig& config)
-    : repo_(repo), config_(config) {
-  slots_.push_back(std::make_unique<Slot>(repo_, config_));
-  const AttrSet mentioned = repo_.mentioned_attrs();
-  for (AttrId a = 0; a < static_cast<AttrId>(repo_.arity()); ++a) {
+RepairDriver::RepairDriver(const RuleDict& dict, const RepairConfig& config)
+    : dict_(dict), config_(config) {
+  slots_.push_back(std::make_unique<Slot>(dict_, config_));
+  const AttrSet mentioned = dict_.mentioned_attrs();
+  for (AttrId a = 0; a < static_cast<AttrId>(dict_.arity()); ++a) {
     if (mentioned.Contains(a)) route_attrs_.push_back(a);
   }
 }
@@ -74,7 +73,7 @@ const RepairStats& RepairDriver::Run(Table* table, size_t begin,
   const size_t n =
       pool.Participants(sharded ? config_.shards : config_.threads, rows);
   while (slots_.size() < n) {
-    slots_.push_back(std::make_unique<Slot>(repo_, config_));
+    slots_.push_back(std::make_unique<Slot>(dict_, config_));
   }
   for (size_t s = 0; s < n; ++s) {
     FastRepairer& repairer = slots_[s]->repairer;
@@ -125,7 +124,7 @@ const RepairStats& RepairDriver::Run(Table* table, size_t begin,
 
   // Merge on the calling thread: workers never publish, so the registry
   // sees one update per run whatever the width.
-  stats_.Reset(repo_.num_rules());
+  stats_.Reset(dict_.num_rules());
   failures_.clear();
   const size_t log_mark = write_log_ != nullptr ? write_log_->size() : 0;
   for (size_t s = 0; s < n; ++s) {

@@ -10,7 +10,7 @@
 #include "repair/provenance.h"
 #include "repair/repair_stats.h"
 #include "repair/session.h"
-#include "rules/rule_source.h"
+#include "rules/rule_dict.h"
 
 namespace fixrep {
 
@@ -20,9 +20,9 @@ namespace fixrep {
 //
 // The repair of Section 6 is a pure function of one tuple, so widths and
 // routings differ only in how rows are handed out and how failures and
-// writes are collected. A driver is built once from a rule backend and a
-// RepairConfig (engine, rules_dict and the stream knobs are ignored) and
-// owns the per-slot state: a RuleSourceHandle, a FastRepairer on it, a
+// writes are collected. A driver is built once from a bound RuleDict and
+// a RepairConfig (engine, rules_dict and the stream knobs are ignored)
+// and owns the per-slot state: a RuleDictHandle, a FastRepairer on it, a
 // MemoCache (kAbort with use_memo), a failure list and a write capture.
 // Slots are built serially — slot 0 here, the rest on first use — never
 // more than the pool width, and reused by every later Run, so a stream
@@ -47,8 +47,8 @@ namespace fixrep {
 // the stream pins a spilling table's blocks one at a time.
 class RepairDriver {
  public:
-  // `repo` is borrowed and must outlive the driver.
-  RepairDriver(const RuleRepository& repo, const RepairConfig& config);
+  // `dict` is borrowed, bound, and must outlive the driver.
+  RepairDriver(const RuleDict& dict, const RepairConfig& config);
   ~RepairDriver();
 
   RepairDriver(const RepairDriver&) = delete;
@@ -80,7 +80,7 @@ class RepairDriver {
   // Chases rows [begin, end) on one slot under the configured policy.
   void Chase(Slot* slot, Table* table, size_t begin, size_t end) const;
 
-  const RuleRepository& repo_;
+  const RuleDict& dict_;
   const RepairConfig config_;
   std::vector<std::unique_ptr<Slot>> slots_;
   std::vector<CellRepair>* write_log_ = nullptr;

@@ -31,16 +31,9 @@ void InitScratch(size_t num_rules, std::vector<uint32_t>* counter,
 }  // namespace
 
 FastRepairer::FastRepairer(const RuleSet* rules)
-    : owned_index_(std::make_unique<CompiledRuleIndex>(rules)),
-      source_(owned_index_->MakeSource()) {
-  InitScratch(source_.num_rules(), &counter_, &counter_epoch_,
-              &queued_epoch_, &checked_epoch_, &flag_cache_);
-  stats_.Reset(source_.num_rules());
-  published_.Reset(source_.num_rules());
-}
-
-FastRepairer::FastRepairer(const CompiledRuleIndex* index)
-    : source_(index->MakeSource()) {
+    : owned_dict_(RuleDict::CompileOrDie(*rules)),
+      owned_handle_(owned_dict_->MakeHandle()),
+      source_(owned_handle_->source()) {
   InitScratch(source_.num_rules(), &counter_, &counter_epoch_,
               &queued_epoch_, &checked_epoch_, &flag_cache_);
   stats_.Reset(source_.num_rules());

@@ -10,20 +10,19 @@
 #include "repair/memo_cache.h"
 #include "repair/provenance.h"
 #include "repair/repair_stats.h"
-#include "repair/rule_index.h"
+#include "rules/rule_dict.h"
 #include "rules/rule_set.h"
 
 namespace fixrep {
 
 // lRepair (Fig. 7): the fast repair algorithm, O(size(Σ)) per tuple.
 //
-// The rule-set-derived structures live behind the RuleSource seam
-// (rules/rule_source.h): a flat hash over (attribute, constant) keys
+// The rule-set-derived structures live in a RuleDict image
+// (rules/rule_dict.h): a flat hash over (attribute, constant) keys
 // into CSR-packed inverted lists plus flat per-rule side arrays,
-// backed either by the in-RAM CompiledRuleIndex or by a memory-mapped
-// RuleDict — built/opened once per rule set and shared immutably by
-// every engine. A FastRepairer is only the per-thread scratch on top
-// of one worker's source view:
+// compiled or opened once per rule set and shared immutably by every
+// engine. A FastRepairer is only the per-thread scratch on top of one
+// worker's RuleSource view:
 // * Hash counters c(phi) count how many evidence attributes the current
 //   tuple agrees with. When c(phi) reaches |X_phi| the rule *may* match
 //   and enters the candidate set Ω; applicability is re-verified on pop
@@ -40,17 +39,12 @@ namespace fixrep {
 // to re-chasing because the chase is a pure function of the tuple.
 class FastRepairer {
  public:
-  // Compiles a private index for `rules`. The rule set must outlive the
-  // repairer and must not be mutated afterwards.
+  // Compiles a private image of `rules`, bound to the set's pool.
   explicit FastRepairer(const RuleSet* rules);
 
-  // Shares an existing compiled index (one index, many cheap per-thread
-  // repairers). The index must outlive the repairer.
-  explicit FastRepairer(const CompiledRuleIndex* index);
-
-  // Chases against an arbitrary source view (the dictionary-backed
-  // path): typically one worker's RuleSourceHandle::source(). The view's
-  // backing store and scratch must outlive the repairer.
+  // Chases against one worker's view: typically a
+  // RuleDictHandle::source() of an image shared by many repairers. The
+  // view's dictionary and handle must outlive the repairer.
   explicit FastRepairer(const RuleSource& source);
 
   const RuleSource& source() const { return source_; }
@@ -173,7 +167,8 @@ class FastRepairer {
                     const PostingRange* init_ranges = nullptr,
                     size_t num_init_ranges = 0);
 
-  std::unique_ptr<const CompiledRuleIndex> owned_index_;
+  std::unique_ptr<const RuleDict> owned_dict_;
+  std::unique_ptr<const RuleDictHandle> owned_handle_;
   RuleSource source_;
   MemoCache* memo_ = nullptr;
   std::vector<CellRepair>* write_log_ = nullptr;

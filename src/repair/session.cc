@@ -14,44 +14,49 @@
 namespace fixrep {
 
 RepairSession::RepairSession(const RuleSet* rules, const RepairConfig& config)
-    : rules_(rules), config_(config) {
-  FIXREP_CHECK(rules_ != nullptr || !config_.rules_dict.empty());
+    : config_(config) {
+  FIXREP_CHECK(rules != nullptr || !config_.rules_dict.empty());
   if (config_.scoped_metrics) scope_ = std::make_unique<MetricScope>();
-  if (config_.engine == RepairEngine::kLRepair && config_.rules_dict.empty()) {
-    // Scoped so the one-time index-build cost is attributed to this
+  if (config_.rules_dict.empty()) {
+    // Scoped so the one-time compile cost is attributed to this
     // session, like everything else it publishes.
     std::unique_ptr<MetricScope::Activation> active;
     if (scope_ != nullptr) {
       active = std::make_unique<MetricScope::Activation>(scope_.get());
     }
-    index_ = std::make_unique<const CompiledRuleIndex>(rules_);
+    StatusOr<std::unique_ptr<RuleDict>> compiled = RuleDict::Compile(*rules);
+    if (!compiled.ok()) {
+      compile_status_ = compiled.status();
+      return;
+    }
+    owned_ = std::move(compiled).value();
+    dict_ = owned_.get();
   }
 }
 
 RepairSession::RepairSession(const RepairConfig& config)
     : RepairSession(static_cast<const RuleSet*>(nullptr), config) {}
 
-RepairSession::RepairSession(const RuleRepository* repository,
-                             const RepairConfig& config)
-    : rules_(nullptr), config_(config), external_repo_(repository) {
-  FIXREP_CHECK(external_repo_ != nullptr);
+RepairSession::RepairSession(const RuleDict* dict, const RepairConfig& config)
+    : config_(config), dict_(dict) {
+  FIXREP_CHECK(dict_ != nullptr);
   FIXREP_CHECK(config_.rules_dict.empty())
-      << "a shared-repository session already has its backend";
+      << "a shared-image session already has its rules";
   if (config_.scoped_metrics) scope_ = std::make_unique<MetricScope>();
 }
 
-StatusOr<const RuleRepository*> RepairSession::Backend(
+StatusOr<const RuleDict*> RepairSession::Image(
     const Schema& schema, const std::shared_ptr<ValuePool>& pool) {
-  if (external_repo_ != nullptr) return external_repo_;
-  if (config_.rules_dict.empty()) return index_.get();
+  FIXREP_RETURN_IF_ERROR(compile_status_);
   if (dict_ == nullptr) {
     StatusOr<std::unique_ptr<RuleDict>> opened =
         RuleDict::Open(config_.rules_dict);
     if (!opened.ok()) return opened.status();
-    dict_ = std::move(opened.value());
+    owned_ = std::move(opened.value());
+    dict_ = owned_.get();
   }
-  FIXREP_RETURN_IF_ERROR(dict_->Bind(schema, pool));
-  return dict_.get();
+  if (owned_ != nullptr) FIXREP_RETURN_IF_ERROR(owned_->Bind(schema, pool));
+  return dict_;
 }
 
 const MetricsRegistry& RepairSession::metrics() const {
@@ -86,23 +91,14 @@ StatusOr<RepairReport> RepairSession::Repair(Table* table) {
   RepairReport report;
   report.rows = table->num_rows();
 
-  StatusOr<const RuleRepository*> backend =
-      Backend(table->schema(), table->pool_ptr());
-  if (!backend.ok()) return backend.status();
-  const RuleRepository* repo = backend.value();
+  StatusOr<const RuleDict*> image =
+      Image(table->schema(), table->pool_ptr());
+  if (!image.ok()) return image.status();
+  const RuleDict& dict = *image.value();
 
   if (config_.engine == RepairEngine::kCRepair) {
-    // Dictionary- and shared-repository-backed reference chases run over
-    // the handle's source view; the rules-backed one compiles its
-    // private index as before.
-    std::unique_ptr<RuleSourceHandle> handle;
-    if (repo != nullptr &&
-        (external_repo_ != nullptr || !config_.rules_dict.empty())) {
-      handle = repo->MakeHandle();
-    }
-    ChaseRepairer repairer =
-        handle != nullptr ? ChaseRepairer(handle->source())
-                          : ChaseRepairer(rules_);
+    const std::unique_ptr<RuleDictHandle> handle = dict.MakeHandle();
+    ChaseRepairer repairer(handle->source());
     repairer.set_max_chase_steps(config_.max_chase_steps);
     if (config_.on_error == OnErrorPolicy::kAbort) {
       repairer.RepairTable(table);
@@ -136,7 +132,7 @@ StatusOr<RepairReport> RepairSession::Repair(Table* table) {
     return report;
   }
 
-  RepairDriver driver(*repo, config_);
+  RepairDriver driver(dict, config_);
   FIXREP_TRACE_SPAN("lrepair.chase");
   report.cells_changed = driver.Run(table).cells_changed;
   report.tuples_quarantined = driver.failures().size();
@@ -154,10 +150,9 @@ StatusOr<RepairReport> RepairSession::RepairStream(CsvChunkReader* reader,
   if (scope_ != nullptr) {
     active = std::make_unique<MetricScope::Activation>(scope_.get());
   }
-  StatusOr<const RuleRepository*> backend =
-      Backend(*reader->schema(), reader->pool());
-  if (!backend.ok()) return backend.status();
-  const RuleRepository* repo = backend.value();
+  StatusOr<const RuleDict*> image = Image(*reader->schema(), reader->pool());
+  if (!image.ok()) return image.status();
+  const RuleDict& dict = *image.value();
 
   // Durable run: open (or resume) the WAL before any row is repaired.
   // The stream loop borrows the journal; keeping it here ties its
@@ -166,9 +161,9 @@ StatusOr<RepairReport> RepairSession::RepairStream(CsvChunkReader* reader,
   RecoveredRun recovered;
   const RecoveredRun* resume = nullptr;
   if (!config_.wal_path.empty()) {
-    // Both backends journal the same identity: a dictionary header
-    // carries RuleSetFingerprint of the set it compiled.
-    const uint64_t fingerprint = repo->fingerprint();
+    // The image header carries RuleSetFingerprint of the set it
+    // compiled, whichever storage holds it.
+    const uint64_t fingerprint = dict.fingerprint();
     if (config_.resume) {
       StatusOr<RecoveredRun> scanned = ScanWal(config_.wal_path);
       if (!scanned.ok()) return scanned.status();
@@ -195,7 +190,7 @@ StatusOr<RepairReport> RepairSession::RepairStream(CsvChunkReader* reader,
   }
 
   StatusOr<RepairReport> report =
-      StreamRepair(*repo, config_, journal.get(), resume, reader, out);
+      StreamRepair(dict, config_, journal.get(), resume, reader, out);
   if (!report.ok()) return report.status();
   if (journal != nullptr) FIXREP_RETURN_IF_ERROR(journal->Close());
   return report;

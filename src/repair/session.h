@@ -12,7 +12,6 @@
 #include "relation/csv.h"
 #include "relation/table.h"
 #include "repair/memo_cache.h"
-#include "repair/rule_index.h"
 #include "rules/rule_dict.h"
 #include "rules/rule_set.h"
 
@@ -28,7 +27,7 @@ namespace fixrep {
 
 // Which repair algorithm drives the chase.
 enum class RepairEngine {
-  // lRepair (Fig. 7): O(size(Σ)) per tuple over a CompiledRuleIndex.
+  // lRepair (Fig. 7): O(size(Σ)) per tuple over a RuleDict image.
   // Supports every RepairConfig knob. The default.
   kLRepair,
   // cRepair (Fig. 6): the reference chase, O(size(Σ)·|R|) per tuple.
@@ -48,12 +47,12 @@ struct RepairConfig {
   // bit-identical either way.
   size_t shards = 0;
   // Non-empty: repair against the compiled on-disk rule dictionary
-  // (rules/rule_dict.h) at this path instead of an index built from the
-  // borrowed RuleSet. The dictionary is opened on the first
+  // (rules/rule_dict.h) at this path instead of an image compiled from
+  // the borrowed RuleSet. The dictionary is opened on the first
   // Repair/RepairStream call and bound to that call's schema and value
   // pool; open/bind failures (bad magic, truncation, CRC or schema
   // mismatch) surface as that call's Status. Output is byte-identical
-  // to an in-RAM run over the same rules.
+  // to a run over an image compiled in memory from the same rules.
   std::string rules_dict = {};
   // Tuple-signature memoization, one cache per driver slot (abort mode
   // only; lenient repair never memoizes). Output is bit-identical either
@@ -115,32 +114,30 @@ struct RepairReport {
 
 class RepairSession {
  public:
-  // Borrows `rules`, which must outlive the session and must not be
-  // mutated afterwards. For kLRepair the compiled index is built here,
-  // once, and shared by every Repair/RepairStream call — unless
-  // config.rules_dict is set, in which case the dictionary is the
-  // backend and `rules` goes unused.
+  // Compiles `rules` into a heap image here, once, shared by every
+  // Repair/RepairStream call and bound to each call's schema and pool —
+  // unless config.rules_dict is set, in which case the dictionary file
+  // is the image and `rules` goes unused. A set the image format cannot
+  // hold fails every call with the compile's Status.
   explicit RepairSession(const RuleSet* rules, const RepairConfig& config = {});
 
   // Dictionary-only session: config.rules_dict must be non-empty.
   explicit RepairSession(const RepairConfig& config);
 
-  // Shared-repository session: chases through `repository` (a
-  // CompiledRuleIndex or bound RuleDict compiled once elsewhere and
-  // borrowed here) without building any per-session index — the
+  // Shared-image session: chases through `dict`, compiled or opened and
+  // bound once elsewhere, without compiling anything per session — the
   // daemon's per-request path, where N concurrent sessions share one
-  // immutable backend. config.rules_dict must be empty; the caller
-  // keeps `repository` alive and bound for the session's lifetime.
-  RepairSession(const RuleRepository* repository, const RepairConfig& config);
+  // immutable image. config.rules_dict must be empty; the caller keeps
+  // `dict` alive and bound for the session's lifetime.
+  RepairSession(const RuleDict* dict, const RepairConfig& config);
 
   RepairSession(const RepairSession&) = delete;
   RepairSession& operator=(const RepairSession&) = delete;
 
   const RepairConfig& config() const { return config_; }
-  // Non-null iff the engine is kLRepair and the backend is in-RAM.
-  const CompiledRuleIndex* index() const { return index_.get(); }
-  // Non-null once a rules_dict-backed call has opened the dictionary.
-  const RuleDict* dict() const { return dict_.get(); }
+  // The session's image: compiled by the RuleSet constructor, borrowed,
+  // or (rules_dict) opened by the first call; null until then.
+  const RuleDict* dict() const { return dict_; }
 
   // The session's private registry when scoped_metrics is set (counts
   // accumulated since the last flush), the global registry otherwise.
@@ -160,19 +157,16 @@ class RepairSession {
 
  private:
   Status ValidateForTable() const;
-  // The rule backend for one call: the session's compiled index, or —
-  // with config_.rules_dict set — the dictionary, opened once and bound
-  // to the call's schema and pool.
-  StatusOr<const RuleRepository*> Backend(
-      const Schema& schema, const std::shared_ptr<ValuePool>& pool);
+  // The image for one call: the borrowed one as it is, or the session's
+  // own (compiled, or with config_.rules_dict opened once) bound to the
+  // call's schema and pool.
+  StatusOr<const RuleDict*> Image(const Schema& schema,
+                                  const std::shared_ptr<ValuePool>& pool);
 
-  const RuleSet* rules_;
   RepairConfig config_;
-  std::unique_ptr<const CompiledRuleIndex> index_;
-  std::unique_ptr<RuleDict> dict_;
-  // Borrowed prebuilt backend (shared-repository constructor); wins over
-  // index_/dict_ in Backend().
-  const RuleRepository* external_repo_ = nullptr;
+  std::unique_ptr<RuleDict> owned_;  // compiled or opened here
+  const RuleDict* dict_ = nullptr;   // owned_ or borrowed
+  Status compile_status_;            // a failed compile, for every call
   // Present iff config_.scoped_metrics; activated on the calling thread
   // for the duration of each Repair/RepairStream call.
   std::unique_ptr<MetricScope> scope_;

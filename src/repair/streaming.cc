@@ -91,7 +91,7 @@ std::string FormatRowWithSidecar(const Table& chunk,
 
 }  // namespace
 
-StatusOr<RepairReport> StreamRepair(const RuleRepository& repo,
+StatusOr<RepairReport> StreamRepair(const RuleDict& dict,
                                     const RepairConfig& config,
                                     ChunkJournal* journal,
                                     const RecoveredRun* resume,
@@ -99,10 +99,10 @@ StatusOr<RepairReport> StreamRepair(const RuleRepository& repo,
                                     std::ostream& out) {
   FIXREP_CHECK(reader != nullptr);
   FIXREP_CHECK_GT(config.chunk_rows, 0u);
-  if (reader->schema()->arity() != repo.arity()) {
+  if (reader->schema()->arity() != dict.arity()) {
     return Status::MalformedInput(
         "stream arity " + std::to_string(reader->schema()->arity()) +
-        " does not match rule arity " + std::to_string(repo.arity()));
+        " does not match rule arity " + std::to_string(dict.arity()));
   }
   FIXREP_TRACE_SPAN("streaming.run");
   const bool quarantining = config.on_error == OnErrorPolicy::kQuarantine &&
@@ -110,7 +110,7 @@ StatusOr<RepairReport> StreamRepair(const RuleRepository& repo,
   FIXREP_LOG(Debug) << "streaming repair" << Kv("chunk_rows", config.chunk_rows)
                     << Kv("threads", config.threads)
                     << Kv("shards", config.shards)
-                    << Kv("rules", repo.num_rules())
+                    << Kv("rules", dict.num_rules())
                     << Kv("budget_bytes", config.memory_budget_bytes)
                     << Kv("prune", config.prune_columns ? 1 : 0);
 
@@ -118,7 +118,7 @@ StatusOr<RepairReport> StreamRepair(const RuleRepository& repo,
   // chunk-local rows and are rebased here, so it forwards none itself.
   RepairConfig driver_config = config;
   driver_config.quarantine = nullptr;
-  RepairDriver driver(repo, driver_config);
+  RepairDriver driver(dict, driver_config);
   const bool multi_slot = config.threads != 1 || config.shards > 0;
 
   // Journaling scratch: the chunk's rule-attributed deltas (chunk-local
@@ -156,10 +156,10 @@ StatusOr<RepairReport> StreamRepair(const RuleRepository& repo,
   // Column pruning: intern only the attribute closure the rules can
   // touch; everything else rides in the sidecar as raw text.
   const AttrSet materialize = config.prune_columns
-                                  ? repo.mentioned_attrs()
-                                  : AttrSet::All(repo.arity());
+                                  ? dict.mentioned_attrs()
+                                  : AttrSet::All(dict.arity());
   ColumnSidecar sidecar_storage;
-  sidecar_storage.Init(repo.arity(), materialize);
+  sidecar_storage.Init(dict.arity(), materialize);
   ColumnSidecar* sidecar =
       config.prune_columns && sidecar_storage.num_pruned() > 0
           ? &sidecar_storage

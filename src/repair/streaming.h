@@ -39,7 +39,7 @@ namespace fixrep {
 //   block-wise — pin a block, repair exactly its rows, unpin — so worker
 //   views never see a block transition.
 // * config.prune_columns interns only the attributes some rule mentions
-//   (RuleRepository::mentioned_attrs); every other column's raw CSV text
+//   (RuleDict::mentioned_attrs); every other column's raw CSV text
 //   bypasses the ValuePool via a ColumnSidecar and is re-emitted
 //   verbatim. The chase never reads or writes an unmentioned column, so
 //   output stays byte-identical to the unpruned run.
@@ -58,7 +58,7 @@ namespace fixrep {
 // whole-table run reports); malformed CSV records flow through the
 // reader's own sink. Returns the totals, or the first error in abort
 // mode. The reader's schema must match the rules' arity.
-StatusOr<RepairReport> StreamRepair(const RuleRepository& repo,
+StatusOr<RepairReport> StreamRepair(const RuleDict& dict,
                                     const RepairConfig& config,
                                     ChunkJournal* journal,
                                     const RecoveredRun* resume,

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <set>
 #include <string_view>
 #include <type_traits>
@@ -82,13 +83,13 @@ Status BuildLayout(const RuleSet& rules, DictLayout* out) {
 
   // Dict string ids, assigned in first-appearance order over the rule
   // scan (evidence values, then negatives, then fact, per rule) — the
-  // source of the format's byte determinism.
-  std::unordered_map<std::string_view, uint32_t> interned;
+  // source of the format's byte determinism. The pool interns each
+  // string once, so deduplicating by live id deduplicates by string.
+  std::unordered_map<ValueId, uint32_t> interned;
   auto dict_id = [&](ValueId live) {
-    const std::string& s = pool.GetString(live);
-    auto [it, fresh] =
-        interned.emplace(s, static_cast<uint32_t>(out->strings.size()));
-    if (fresh) out->strings.push_back(it->first);
+    auto [it, fresh] = interned.try_emplace(
+        live, static_cast<uint32_t>(out->strings.size()));
+    if (fresh) out->strings.push_back(pool.GetString(live));
     return static_cast<ValueId>(it->second);
   };
 
@@ -208,8 +209,14 @@ const char* DictSectionName(DictSection section) {
   return "unknown";
 }
 
-Status CompileRuleDict(const RuleSet& rules, const std::string& path) {
-  FIXREP_TRACE_SPAN("ruledict.compile");
+namespace {
+
+// Lays out the image of `rules` and hands it to `write` piece by piece,
+// in file order: the header first (it records the image size), then
+// every section followed by its zero padding to 8 bytes. A file and a
+// heap buffer filled from the same pieces hold the same bytes.
+Status EmitImage(const RuleSet& rules,
+                 const std::function<void(const void*, size_t)>& write) {
   FIXREP_CHECK_LT(rules.size(), size_t{1} << 31);
   FIXREP_CHECK_LE(rules.schema().arity(), size_t{64});
 
@@ -295,17 +302,50 @@ Status CompileRuleDict(const RuleSet& rules, const std::string& path) {
   header.header_crc = 0;
   header.header_crc = Crc32(&header, sizeof header);
 
+  write(&header, sizeof header);
+  static constexpr char kPad[8] = {};
+  for (size_t i = 0; i < kNumDictSections; ++i) {
+    write(sections[i].data, sections[i].bytes);
+    write(kPad, AlignUp8(sections[i].bytes) - sections[i].bytes);
+  }
+  return Status::Ok();
+}
+
+// A heap image: header and sections, 8-aligned, in one buffer.
+struct HeapImage {
+  std::unique_ptr<uint64_t[]> words;
+  size_t bytes = 0;
+};
+
+StatusOr<HeapImage> BuildImage(const RuleSet& rules) {
+  HeapImage image;
+  size_t filled = 0;
+  FIXREP_RETURN_IF_ERROR(
+      EmitImage(rules, [&](const void* data, size_t bytes) {
+        if (image.words == nullptr) {  // the header: allocate the image
+          image.bytes = static_cast<const RuleDictHeader*>(data)->file_size;
+          image.words =
+              std::make_unique_for_overwrite<uint64_t[]>(image.bytes / 8);
+        }
+        if (bytes == 0) return;
+        std::memcpy(reinterpret_cast<char*>(image.words.get()) + filled, data,
+                    bytes);
+        filled += bytes;
+      }));
+  return image;
+}
+
+}  // namespace
+
+Status CompileRuleDict(const RuleSet& rules, const std::string& path) {
+  FIXREP_TRACE_SPAN("ruledict.compile");
   auto out = AtomicFile::Create(path);
   if (!out.ok()) return out.status();
   std::ofstream& stream = out->stream();
-  stream.write(reinterpret_cast<const char*>(&header), sizeof header);
-  static constexpr char kPad[8] = {};
-  for (size_t i = 0; i < kNumDictSections; ++i) {
-    stream.write(static_cast<const char*>(sections[i].data),
-                 static_cast<std::streamsize>(sections[i].bytes));
-    const uint64_t pad = AlignUp8(sections[i].bytes) - sections[i].bytes;
-    stream.write(kPad, static_cast<std::streamsize>(pad));
-  }
+  FIXREP_RETURN_IF_ERROR(EmitImage(rules, [&](const void* data, size_t bytes) {
+    stream.write(static_cast<const char*>(data),
+                 static_cast<std::streamsize>(bytes));
+  }));
   if (!stream.good()) {
     return Status::IoError("short write compiling rule dictionary to " +
                            path);
@@ -313,22 +353,69 @@ Status CompileRuleDict(const RuleSet& rules, const std::string& path) {
   return out->Commit();
 }
 
-ValueId DictTranslator::Resolve(ValueId live) {
+ValueId ValueTranslator::Resolve(ValueId live) const {
   return dict_->FindString(dict_->pool_->GetString(live));
 }
 
-RuleDictHandle::RuleDictHandle(const RuleDict* dict, size_t cache_capacity)
-    : RuleSourceHandle(RuleSource()),  // wired below, once the scratch exists
-      translator_(dict),
-      cache_(cache_capacity) {
-  RuleSource::Init init = dict->BaseInit();
+RuleDictHandle::RuleDictHandle(const RuleDict& dict)
+    : translator_(&dict) {
+  FIXREP_CHECK(dict.bound()) << "a RuleDictHandle needs a bound RuleDict";
+  RuleSource::Init init;
+  init.slots = dict.slots_;
+  init.slot_mask = dict.header_->slot_count - 1;
+  init.postings = dict.postings_;
+  init.evidence_count = dict.evidence_count_;
+  init.target = dict.target_;
+  init.fact = dict.live_fact_.data();  // live space, built by Bind
+  init.assured_bits = dict.assured_bits_;
+  init.ev_offsets = dict.ev_offsets_;
+  init.ev_attrs = dict.ev_attrs_;
+  init.ev_values = dict.ev_values_;
+  init.neg_offsets = dict.neg_offsets_;
+  init.neg_values = dict.neg_values_;
+  init.empty_evidence_rules = dict.empty_evidence_;
+  init.num_empty_evidence_rules = dict.header_->num_empty_evidence;
+  init.evidence_attr_list = dict.evidence_attr_list_;
+  init.num_evidence_attrs = dict.header_->num_evidence_attrs;
+  init.mentioned_attrs = dict.mentioned_attrs();
+  init.num_rules = dict.header_->num_rules;
+  init.arity = dict.header_->arity;
   init.translator = &translator_;
   init.cache = &cache_;
   source_ = RuleSource(init);
 }
 
 RuleDict::~RuleDict() {
-  if (map_ != nullptr) ::munmap(map_, map_size_);
+  if (heap_ == nullptr && header_ != nullptr) {
+    ::munmap(const_cast<RuleDictHeader*>(header_), image_size_);
+  }
+}
+
+StatusOr<std::unique_ptr<RuleDict>> RuleDict::Compile(const RuleSet& rules) {
+  FIXREP_TRACE_SPAN("lrepair.index_build");
+  StatusOr<HeapImage> image = BuildImage(rules);
+  if (!image.ok()) return image.status();
+  std::unique_ptr<RuleDict> dict(new RuleDict());
+  dict->heap_ = std::move(image->words);
+  dict->image_size_ = image->bytes;
+  dict->header_ = reinterpret_cast<const RuleDictHeader*>(dict->heap_.get());
+  FIXREP_RETURN_IF_ERROR(dict->ValidateAndWire());
+  FIXREP_RETURN_IF_ERROR(dict->Bind(rules.schema(), rules.pool_ptr()));
+
+  auto& registry = CurrentMetrics();
+  // Ticks once per rule set: sharing one image across engines and
+  // workers is the point; parallel_test asserts it stays at 1 for a
+  // multi-worker repair.
+  registry.GetCounter("fixrep.lrepair.index_builds")->Add(1);
+  registry.GetGauge("fixrep.lrepair.index_keys")
+      ->Set(static_cast<int64_t>(dict->header_->num_keys));
+  return dict;
+}
+
+std::unique_ptr<RuleDict> RuleDict::CompileOrDie(const RuleSet& rules) {
+  StatusOr<std::unique_ptr<RuleDict>> dict = Compile(rules);
+  FIXREP_CHECK(dict.ok()) << dict.status().message();
+  return std::move(dict).value();
 }
 
 StatusOr<std::unique_ptr<RuleDict>> RuleDict::Open(const std::string& path) {
@@ -357,8 +444,7 @@ StatusOr<std::unique_ptr<RuleDict>> RuleDict::Open(const std::string& path) {
 
   std::unique_ptr<RuleDict> dict(new RuleDict());
   dict->path_ = path;
-  dict->map_ = map;
-  dict->map_size_ = file_size;
+  dict->image_size_ = file_size;
   dict->header_ = static_cast<const RuleDictHeader*>(map);
   const Status status = dict->ValidateAndWire();
   if (!status.ok()) return status.WithContext(path);
@@ -390,9 +476,9 @@ Status RuleDict::ValidateAndWire() {
   if (crc != h.header_crc) {
     return Status::MalformedInput("header CRC mismatch: dictionary corrupt");
   }
-  if (h.file_size != map_size_) {
+  if (h.file_size != image_size_) {
     return Status::MalformedInput(
-        "file is " + std::to_string(map_size_) + " bytes but the header " +
+        "file is " + std::to_string(image_size_) + " bytes but the header " +
         "records " + std::to_string(h.file_size) + " — truncated or padded");
   }
   if (h.arity > 64 || h.num_rules >= (uint32_t{1} << 31)) {
@@ -432,8 +518,8 @@ Status RuleDict::ValidateAndWire() {
   for (size_t i = 0; i < kNumDictSections; ++i) {
     const uint64_t off = h.section_offset[i];
     const uint64_t bytes = h.section_bytes[i];
-    if (off % 8 != 0 || off < prev_end || bytes > map_size_ ||
-        off > map_size_ - bytes) {
+    if (off % 8 != 0 || off < prev_end || bytes > image_size_ ||
+        off > image_size_ - bytes) {
       return Status::MalformedInput(
           std::string("section ") +
           DictSectionName(static_cast<DictSection>(i)) +
@@ -535,14 +621,17 @@ Status RuleDict::Bind(const Schema& schema, std::shared_ptr<ValuePool> pool) {
   FIXREP_CHECK(pool != nullptr);
   if (schema.attribute_names() != attribute_names_) {
     return Status::MalformedInput(
-        "schema does not match the rule dictionary " + path_ +
+        "schema does not match the rule dictionary" +
+        (path_.empty() ? std::string() : " " + path_) +
         " (compiled for relation with " +
         std::to_string(attribute_names_.size()) + " attributes)");
   }
   if (pool_ == pool) return Status::Ok();
   // Serial by contract (ValuePool interning is single-writer): every
   // distinct fact gets a live id now, so fact() never interns on the
-  // chase's hot path — or from a worker thread.
+  // chase's hot path — or from a worker thread. A fact the pool already
+  // holds (always, for an image compiled from a set over this pool) is
+  // only looked up.
   // Open checked the sections' bounds, not their contents: a fact must
   // name a string whose bytes lie inside the string section.
   const uint64_t string_bytes =
@@ -557,41 +646,17 @@ Status RuleDict::Bind(const Schema& schema, std::shared_ptr<ValuePool> pool) {
                                     " has a fact outside the string pool: "
                                     "dictionary " + path_ + " is corrupt");
     }
-    live_fact[i] = pool->Intern(DictString(id));
+    const std::string_view fact = DictString(id);
+    const ValueId known = pool->Find(fact);
+    live_fact[i] = known != kNullValue ? known : pool->Intern(fact);
   }
   pool_ = std::move(pool);
   live_fact_ = std::move(live_fact);
   return Status::Ok();
 }
 
-std::unique_ptr<RuleSourceHandle> RuleDict::MakeHandle() const {
-  FIXREP_CHECK(bound())
-      << "RuleDict::MakeHandle requires a successful Bind()";
-  return std::make_unique<RuleDictHandle>(this, cache_capacity_);
-}
-
-RuleSource::Init RuleDict::BaseInit() const {
-  RuleSource::Init init;
-  init.slots = slots_;
-  init.slot_mask = header_->slot_count - 1;
-  init.postings = postings_;
-  init.evidence_count = evidence_count_;
-  init.target = target_;
-  init.fact = live_fact_.data();  // live space, built by Bind
-  init.assured_bits = assured_bits_;
-  init.ev_offsets = ev_offsets_;
-  init.ev_attrs = ev_attrs_;
-  init.ev_values = ev_values_;
-  init.neg_offsets = neg_offsets_;
-  init.neg_values = neg_values_;
-  init.empty_evidence_rules = empty_evidence_;
-  init.num_empty_evidence_rules = header_->num_empty_evidence;
-  init.evidence_attr_list = evidence_attr_list_;
-  init.num_evidence_attrs = header_->num_evidence_attrs;
-  init.mentioned_attrs = mentioned_attrs();
-  init.num_rules = header_->num_rules;
-  init.arity = header_->arity;
-  return init;
+std::unique_ptr<RuleDictHandle> RuleDict::MakeHandle() const {
+  return std::make_unique<RuleDictHandle>(*this);
 }
 
 std::string_view RuleDict::DictString(uint32_t id) const {

@@ -15,22 +15,28 @@
 
 namespace fixrep {
 
-// A compiled rule set as one memory-mapped file (docs/rules.md): the
-// same flat structures CompiledRuleIndex builds in RAM — open-addressing
-// slot table, CSR postings, per-rule side arrays, CSR evidence/negative
-// patterns — serialized next to a private interned string pool and a
-// string hash table, behind a CRC-checked header. `fixrep_cli rules
-// compile` produces the artifact offline; OpenRuleDict maps it O(1)
-// (magic/version/CRC/size validation only — no section is read until a
-// probe faults its pages in), so a million-rule corpus costs open-time
-// milliseconds and only the pages the workload actually touches.
+// A compiled rule set in the FXRDICT layout (docs/rules.md): an
+// open-addressing slot table, CSR postings, per-rule side arrays and CSR
+// evidence/negative patterns, next to a private interned string pool and
+// a string hash table, behind a CRC-checked header. It is the one rule
+// backend every engine chases against, in one of two storages holding
+// the same bytes:
+//  * a heap image: RuleDict::Compile builds it from a RuleSet in this
+//    process (text rules, RepairSession, the RuleSet constructors of the
+//    repairers, text-rule daemon tenants);
+//  * a mapped file: CompileRuleDict writes that image through AtomicFile
+//    (`fixrep_cli rules compile`), and RuleDict::Open maps it O(1)
+//    (magic/version/CRC/size validation only — no section is read until
+//    a probe faults its pages in), so a million-rule corpus costs
+//    open-time milliseconds and only the pages the workload touches.
+// Both storages are validated and wired by the same code.
 //
-// Value spaces. The dictionary's pattern values are ids into its own
-// string pool, fixed at compile time — a run's live ValuePool knows
-// nothing about them. Each worker handle carries a translator (live id
-// -> dict id, resolved through the mapped string hash and memoized) and
-// a direct-mapped PostingCache, so dup-heavy workloads probe the mapped
-// sections about once per distinct (attr, value) pair. Facts flow the
+// Value spaces. The image's pattern values are ids into its own string
+// pool, fixed at compile time — a run's live ValuePool knows nothing
+// about them. Each worker handle carries a translator (live id -> image
+// id, resolved through the image's string hash and memoized) and a
+// direct-mapped PostingCache, so dup-heavy workloads probe the slot
+// table about once per distinct (attr, value) pair. Facts flow the
 // other way: Bind() pre-interns every distinct fact string into the
 // live pool — serially, respecting the pool's single-writer rule — so
 // RuleSource::fact() hands the chase live ids it can write into tuples.
@@ -43,7 +49,7 @@ namespace fixrep {
 // compiled ones, and a fact whose string lies outside the string pool;
 // the other sections' contents are trusted once the header passes. The
 // header carries RuleSetFingerprint of the compiled set, so WAL resume
-// validation works identically for dictionary-backed runs.
+// validation is the same for every storage.
 
 inline constexpr uint32_t kRuleDictFormatVersion = 1;
 inline constexpr char kRuleDictMagic[8] = {'F', 'X', 'R', 'D',
@@ -97,103 +103,111 @@ struct RuleDictHeader {
   uint64_t section_bytes[kNumDictSections] = {};
 };
 
-// Compiles `rules` into a dictionary file at `path`. Deterministic: the
-// same rule set produces the same bytes (dict string ids are assigned
-// in first-appearance order over the rule scan; slot and hash tables
-// are filled in sorted key order). Crash-atomic via AtomicFile.
+// Compiles `rules` into a dictionary file at `path`: the bytes of
+// RuleDict::Compile's heap image, published through AtomicFile.
+// Deterministic: the same rule set produces the same bytes (dict string
+// ids are assigned in first-appearance order over the rule scan; slot
+// and hash tables are filled in sorted key order).
 Status CompileRuleDict(const RuleSet& rules, const std::string& path);
 
 class RuleDict;
 
-// Per-handle scratch: resolves live ids through the mapped string hash.
-class DictTranslator : public ValueTranslator {
- public:
-  explicit DictTranslator(const RuleDict* dict) : dict_(dict) {}
-
- protected:
-  ValueId Resolve(ValueId live) override;
-
- private:
-  const RuleDict* dict_;
-};
-
 // One worker's binding: translator memo + hot posting cache + the view.
-class RuleDictHandle : public RuleSourceHandle {
+// Made serially from a bound dictionary, which must outlive it.
+class RuleDictHandle {
  public:
-  RuleDictHandle(const RuleDict* dict, size_t cache_capacity);
+  explicit RuleDictHandle(const RuleDict& dict);
 
-  const PostingCache& cache() const { return cache_; }
+  RuleDictHandle(const RuleDictHandle&) = delete;
+  RuleDictHandle& operator=(const RuleDictHandle&) = delete;
+
+  const RuleSource& source() const { return source_; }
 
  private:
-  DictTranslator translator_;
+  ValueTranslator translator_;
   PostingCache cache_;
+  RuleSource source_;
 };
 
-class RuleDict : public RuleRepository {
+class RuleDict {
  public:
+  // Builds the image of `rules` in one heap buffer and binds it to the
+  // set's schema and pool. Records the lrepair.index_build span and
+  // ticks fixrep.lrepair.index_builds once. kMalformedInput when the set
+  // exceeds the format's 32-bit capacity.
+  static StatusOr<std::unique_ptr<RuleDict>> Compile(const RuleSet& rules);
+  // Compile for callers with no Status path (the RuleSet constructors
+  // of the repairers): CHECK-fails where Compile returns an error.
+  static std::unique_ptr<RuleDict> CompileOrDie(const RuleSet& rules);
+
   // Maps the file and validates its header; O(1) in corpus size. The
   // mapping lives until destruction.
   static StatusOr<std::unique_ptr<RuleDict>> Open(const std::string& path);
 
-  ~RuleDict() override;
+  ~RuleDict();
   RuleDict(const RuleDict&) = delete;
   RuleDict& operator=(const RuleDict&) = delete;
 
   // Attaches the dictionary to a live run: validates `schema` against
   // the compiled attribute names and pre-interns every distinct fact
   // string into `pool` (serial — call before any worker exists; the
-  // pool's single-writer interning rule is why this is not lazy).
-  // Idempotent for the same pool; rebinding to a different pool redoes
-  // the fact interning.
+  // pool's single-writer interning rule is why this is not lazy; a fact
+  // the pool already holds is only looked up). Idempotent for the same
+  // pool; rebinding to a different pool redoes the fact interning.
   Status Bind(const Schema& schema, std::shared_ptr<ValuePool> pool);
   bool bound() const { return pool_ != nullptr; }
 
-  // RuleRepository. MakeHandle requires a successful Bind.
-  size_t num_rules() const override { return header_->num_rules; }
-  size_t arity() const override { return header_->arity; }
-  AttrSet mentioned_attrs() const override {
+  size_t num_rules() const { return header_->num_rules; }
+  size_t arity() const { return header_->arity; }
+  // Union of every rule's evidence and target attributes — the
+  // attribute closure the chase can ever read or write (streaming
+  // column pruning, shard routing).
+  AttrSet mentioned_attrs() const {
     return AttrSet::FromBits(header_->mentioned_bits);
   }
-  uint64_t fingerprint() const override { return header_->fingerprint; }
-  std::unique_ptr<RuleSourceHandle> MakeHandle() const override;
+  // RuleSetFingerprint of the compiled set (rules/fingerprint.h) — the
+  // identity WAL headers journal.
+  uint64_t fingerprint() const { return header_->fingerprint; }
+  // One worker's view + scratch. Requires a successful Bind; call
+  // serially.
+  std::unique_ptr<RuleDictHandle> MakeHandle() const;
 
-  // Hot-entry cache capacity for handles made after the call (entries,
-  // rounded up to a power of two).
-  void set_hot_cache_capacity(size_t entries) { cache_capacity_ = entries; }
-  size_t hot_cache_capacity() const { return cache_capacity_; }
-
-  // Introspection (rules inspect, benches).
+  // Introspection (rules inspect, benches, tests).
   const RuleDictHeader& header() const { return *header_; }
+  // The mapped file's path; empty for a heap image.
   const std::string& path() const { return path_; }
-  size_t file_bytes() const { return map_size_; }
+  bool mapped() const { return heap_ == nullptr; }
+  // The image bytes, header first: a heap image's buffer or the mapping.
+  std::string_view image() const {
+    return {reinterpret_cast<const char*>(header_), image_size_};
+  }
   const std::vector<std::string>& attribute_names() const {
     return attribute_names_;
   }
 
-  // The dictionary string for a dict id (a view into the mapping).
+  // The dictionary string for a dict id (a view into the image).
   std::string_view DictString(uint32_t id) const;
-  // Probes the mapped string hash: dict id of `s`, or kAbsentValue.
+  // Probes the image's string hash: dict id of `s`, or kAbsentValue.
   ValueId FindString(std::string_view s) const;
 
  private:
-  friend class DictTranslator;
   friend class RuleDictHandle;
+  friend class ValueTranslator;
 
   RuleDict() = default;
 
   Status ValidateAndWire();
   const uint8_t* SectionPtr(DictSection section) const {
-    return static_cast<const uint8_t*>(map_) +
+    return reinterpret_cast<const uint8_t*>(header_) +
            header_->section_offset[static_cast<size_t>(section)];
   }
-  RuleSource::Init BaseInit() const;
 
   std::string path_;
-  void* map_ = nullptr;
-  size_t map_size_ = 0;
-  const RuleDictHeader* header_ = nullptr;
+  std::unique_ptr<uint64_t[]> heap_;  // a heap image's storage
+  size_t image_size_ = 0;
+  const RuleDictHeader* header_ = nullptr;  // image start (heap or mapping)
 
-  // Wired section pointers (into the mapping).
+  // Wired section pointers (into the image).
   const RuleSlot* slots_ = nullptr;
   const uint32_t* postings_ = nullptr;
   const uint32_t* evidence_count_ = nullptr;
@@ -216,8 +230,6 @@ class RuleDict : public RuleRepository {
   // Bind products.
   std::shared_ptr<ValuePool> pool_;
   std::vector<ValueId> live_fact_;  // per rule, live value space
-
-  size_t cache_capacity_ = PostingCache::kDefaultCapacity;
 };
 
 }  // namespace fixrep

@@ -1,6 +1,9 @@
 #include "rules/rule_io.h"
 
+#include <algorithm>
+#include <cctype>
 #include <fstream>
+#include <functional>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -32,15 +35,78 @@ Status LineError(int line_no, const std::string& message) {
                                 message);
 }
 
-// Splits "attr = value" at the first '='.
+bool IsSpace(char c) { return std::isspace(static_cast<unsigned char>(c)); }
+
+// Supplies the next raw input line to a quoted value that goes on over
+// a line break; false at the end of the input.
+using NextLine = std::function<bool(std::string*)>;
+
+// Reads the value fields of `body`, separated by `separator` ('\0': the
+// whole body is one field). A field whose first non-blank byte is '"'
+// is quoted: it is read verbatim up to the closing quote, with "" for
+// one '"', across line breaks (taking lines from `next_line`), and only
+// blanks may follow it. Any other field is trimmed; in a '|' list
+// (negative patterns) it must not be empty.
+Status ReadValues(std::string_view body, char separator, int line_no,
+                  const NextLine& next_line, std::vector<std::string>* out) {
+  std::string continued;  // the line a quoted value went on to
+  size_t i = 0;
+  while (true) {
+    while (i < body.size() && IsSpace(body[i])) ++i;
+    std::string value;
+    if (i < body.size() && body[i] == '"') {
+      ++i;
+      while (true) {
+        if (i == body.size()) {
+          if (!next_line(&continued)) {
+            return LineError(line_no, "unterminated quoted value");
+          }
+          value += '\n';
+          body = continued;
+          i = 0;
+        } else if (body[i] != '"') {
+          value += body[i++];
+        } else if (i + 1 < body.size() && body[i + 1] == '"') {
+          value += '"';
+          i += 2;
+        } else {
+          ++i;
+          break;
+        }
+      }
+      while (i < body.size() && IsSpace(body[i])) ++i;
+      if (i < body.size() && (separator == '\0' || body[i] != separator)) {
+        return LineError(line_no, "text after a closing quote");
+      }
+    } else {
+      const size_t end =
+          separator == '\0' ? body.size()
+                            : std::min(body.find(separator, i), body.size());
+      value = std::string(Trim(body.substr(i, end - i)));
+      if (value.empty() && separator == '|') {
+        return LineError(line_no, "empty negative pattern");
+      }
+      i = end;
+    }
+    out->push_back(std::move(value));
+    if (i >= body.size()) return Status::Ok();
+    ++i;  // the separator
+  }
+}
+
+// Splits "attr = value" at the first '=' and reads the value (see
+// ReadValues).
 Status SplitAssignment(std::string_view body, int line_no,
+                       const NextLine& next_line,
                        std::pair<std::string, std::string>* out) {
   const size_t eq = body.find('=');
   if (eq == std::string_view::npos) {
     return LineError(line_no, "expected 'attr = value'");
   }
-  *out = {std::string(Trim(body.substr(0, eq))),
-          std::string(Trim(body.substr(eq + 1)))};
+  std::vector<std::string> value;
+  FIXREP_RETURN_IF_ERROR(
+      ReadValues(body.substr(eq + 1), '\0', line_no, next_line, &value));
+  *out = {std::string(Trim(body.substr(0, eq))), std::move(value[0])};
   return Status::Ok();
 }
 
@@ -56,12 +122,16 @@ Status CheckKnownAttribute(const Schema& schema, const std::string& attr,
 // Parses one directive line into `pending`; returns a non-ok Status with
 // line context on any malformation (including schema-level problems that
 // MakeRule would otherwise CHECK-fail on, so lenient callers can recover).
+// `line` is the directive's first line, untrimmed at its end (a quoted
+// value keeps its blanks); `next_line` supplies the lines a quoted value
+// goes on to.
 Status ParseDirective(std::string_view line, int line_no,
-                      const Schema& schema, PendingRule* pending) {
+                      const NextLine& next_line, const Schema& schema,
+                      PendingRule* pending) {
   if (StartsWith(line, "IF ")) {
     std::pair<std::string, std::string> assignment;
     FIXREP_RETURN_IF_ERROR(
-        SplitAssignment(line.substr(3), line_no, &assignment));
+        SplitAssignment(line.substr(3), line_no, next_line, &assignment));
     FIXREP_RETURN_IF_ERROR(
         CheckKnownAttribute(schema, assignment.first, line_no));
     for (const auto& [attr, value] : pending->evidence) {
@@ -91,13 +161,8 @@ Status ParseDirective(std::string_view line, int line_no,
       }
     }
     std::vector<std::string> negatives;
-    for (const auto& part : Split(body.substr(in_pos + 4), '|')) {
-      const std::string value(Trim(part));
-      if (value.empty()) {
-        return LineError(line_no, "empty negative pattern");
-      }
-      negatives.push_back(value);
-    }
+    FIXREP_RETURN_IF_ERROR(ReadValues(body.substr(in_pos + 4), '|', line_no,
+                                      next_line, &negatives));
     pending->target = target;
     pending->negatives = std::move(negatives);
     pending->has_wrong = true;
@@ -107,7 +172,7 @@ Status ParseDirective(std::string_view line, int line_no,
     if (pending->has_then) return LineError(line_no, "duplicate THEN");
     std::pair<std::string, std::string> assignment;
     FIXREP_RETURN_IF_ERROR(
-        SplitAssignment(line.substr(5), line_no, &assignment));
+        SplitAssignment(line.substr(5), line_no, next_line, &assignment));
     if (!pending->has_wrong) {
       return LineError(line_no, "THEN before WRONG");
     }
@@ -221,8 +286,19 @@ StatusOr<RuleSet> ParseRulesLenient(std::istream& in,
       continue;
     }
     if (block_failed) continue;  // skip to END once the block is dead
+    // A quoted value that goes on over a line break reads the next lines
+    // of the block here.
+    const NextLine next_line = [&](std::string* next) {
+      if (!std::getline(in, *next)) return false;
+      ++line_no;
+      block_raw += *next;
+      block_raw += '\n';
+      return true;
+    };
+    const std::string_view untrimmed_end(
+        line.data(), raw.size() - (line.data() - raw.data()));
     const Status error =
-        ParseDirective(line, line_no, *schema, &pending);
+        ParseDirective(untrimmed_end, line_no, next_line, *schema, &pending);
     if (!error.ok()) {
       if (!lenient) return error;
       fail_block(error);
@@ -273,6 +349,29 @@ RuleSet ParseRulesFile(const std::string& path,
   return std::move(result).value();
 }
 
+namespace {
+
+// Writes `value` so that ReadValues returns it unchanged: raw when it
+// is, quoted (with "" for '"') when it is empty, has blanks at an edge,
+// or holds '|', '"', CR or LF.
+void WriteValue(std::ostream& out, std::string_view value) {
+  const bool plain =
+      !value.empty() && !IsSpace(value.front()) && !IsSpace(value.back()) &&
+      value.find_first_of("|\"\r\n") == std::string_view::npos;
+  if (plain) {
+    out << value;
+    return;
+  }
+  out << '"';
+  for (const char c : value) {
+    if (c == '"') out << '"';
+    out << c;
+  }
+  out << '"';
+}
+
+}  // namespace
+
 void WriteRules(const RuleSet& rules, std::ostream& out) {
   const Schema& schema = rules.schema();
   const ValuePool& pool = rules.pool();
@@ -281,15 +380,18 @@ void WriteRules(const RuleSet& rules, std::ostream& out) {
     out << "RULE\n";
     for (size_t e = 0; e < rule.evidence_attrs.size(); ++e) {
       out << "  IF " << schema.attribute_name(rule.evidence_attrs[e])
-          << " = " << pool.GetString(rule.evidence_values[e]) << "\n";
+          << " = ";
+      WriteValue(out, pool.GetString(rule.evidence_values[e]));
+      out << "\n";
     }
     out << "  WRONG " << schema.attribute_name(rule.target) << " IN ";
     for (size_t n = 0; n < rule.negative_patterns.size(); ++n) {
       if (n > 0) out << " | ";
-      out << pool.GetString(rule.negative_patterns[n]);
+      WriteValue(out, pool.GetString(rule.negative_patterns[n]));
     }
-    out << "\n  THEN " << schema.attribute_name(rule.target) << " = "
-        << pool.GetString(rule.fact) << "\nEND\n";
+    out << "\n  THEN " << schema.attribute_name(rule.target) << " = ";
+    WriteValue(out, pool.GetString(rule.fact));
+    out << "\nEND\n";
     if (i + 1 < rules.size()) out << "\n";
   }
 }

@@ -26,8 +26,13 @@ namespace fixrep {
 // * Exactly one THEN line gives the fact; its attribute must equal the
 //   WRONG attribute.
 // * '#' starts a comment line; blank lines are ignored.
-// * Values are trimmed of surrounding whitespace and must not contain
-//   '|' or newlines (attribute names additionally must not contain '=').
+// * An unquoted value is trimmed of surrounding whitespace and runs to
+//   the next '|' (negative patterns) or the end of the line. A value
+//   starting with '"' is quoted, CSV-style: read verbatim to the closing
+//   quote, "" standing for one '"', so it may hold edge blanks, '|', '"'
+//   and line breaks. WriteRules quotes empty values, values with edge
+//   blanks and values holding '|', '"', CR or LF, so every value
+//   round-trips. Attribute names must not contain '='.
 //
 // Two tiers of entry points:
 //  * ParseRules / ParseRulesFromString / ParseRulesFile / WriteRulesFile

@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/simd.h"
@@ -19,35 +18,29 @@ namespace fixrep {
 // CSR-packed inverted lists, per-rule side arrays (|X_phi|, target,
 // fact, assured bitmask), and CSR evidence/negative patterns. RuleSource
 // is that contract as a concrete view: a struct of spans plus inline
-// probe methods, so the chase pays zero per-probe virtual dispatch no
-// matter which backing store produced the spans.
+// probe methods, with no virtual dispatch anywhere on the probe path.
 //
-// Two backends exist:
-//  * CompiledRuleIndex (repair/rule_index.h) — the in-RAM compilation;
-//    its view has no translator and no cache, so every accessor reduces
-//    to exactly the loads the pre-seam code performed.
-//  * RuleDict (rules/rule_dict.h) — a memory-mapped on-disk dictionary
-//    whose pattern values live in the dictionary's own interned string
-//    space. Its view carries a ValueTranslator (live ValueId -> dict
-//    ValueId, memoized per worker) and a PostingCache (direct-mapped
-//    hot-entry cache over resolved posting ranges, the MemoCache
-//    pattern) so duplicate-heavy workloads probe mmap pages once.
+// One layout backs every view: the FXRDICT image (rules/rule_dict.h).
+// A RuleDict holds it either in one heap buffer (RuleDict::Compile, for
+// rules compiled in this process) or in a mapped file (RuleDict::Open
+// on what CompileRuleDict wrote); both are the same bytes, wired by the
+// same code. The image's pattern values live in its own interned string
+// space, so every view carries a ValueTranslator (live ValueId -> image
+// ValueId, memoized per worker) and a PostingCache (direct-mapped
+// hot-entry cache over resolved posting ranges, the MemoCache pattern),
+// so duplicate-heavy workloads resolve each (attr, value) pair once.
 //
 // Value spaces. Tuple cells hold *live* ValueIds (the run's ValuePool).
 // The spans' pattern values (ev_values, neg_values, slot keys) are in
-// the *backend* space; `fact` is always live (a dictionary pre-interns
-// its facts at bind time, rules/rule_dict.h). Accessors taking a tuple
-// value translate internally — a live value with no backend equivalent
-// translates to kAbsentValue, which matches nothing and probes to an
-// empty range, exactly the semantics the in-RAM index gives a value no
-// rule mentions. Byte-identical repair output across backends follows:
-// same postings in the same (ascending rule id) order, same match
-// verdicts, same facts written.
+// the *image* space; `fact` is always live (RuleDict::Bind pre-interns
+// the facts). Accessors taking a tuple value translate internally — a
+// live value with no image equivalent translates to kAbsentValue, which
+// matches nothing and probes to an empty range: no rule mentions it.
 //
 // Thread model: spans are immutable and shared; translator/cache are
-// worker-private mutable scratch. Engines obtain one RuleSourceHandle
-// per worker from a RuleRepository (serially, before the workers run)
-// and hand each worker its handle's source.
+// worker-private mutable scratch. Engines obtain one RuleDictHandle per
+// worker from a bound RuleDict (serially, before the workers run) and
+// hand each worker its handle's source.
 
 // Contiguous slice of a CSR postings array: the indices of every rule
 // whose evidence pattern contains one (attribute, value) cell.
@@ -60,8 +53,7 @@ struct PostingRange {
 };
 
 // One open-addressing hash slot: packed key -> [begin, end) posting
-// offsets. Shared by both backends (and the on-disk slot section is an
-// array of exactly this struct).
+// offsets. The image's slot section is an array of exactly this struct.
 struct RuleSlot {
   uint64_t key = UINT64_MAX;
   uint32_t begin = 0;
@@ -70,18 +62,20 @@ struct RuleSlot {
 
 inline constexpr uint64_t kEmptyRuleKey = UINT64_MAX;
 
-// A live ValueId with no equivalent in the backend value space. Never a
+// A live ValueId with no equivalent in the image value space. Never a
 // valid interned id; compares unequal to every pattern value and packs
 // to a key no slot holds.
 inline constexpr ValueId kAbsentValue = -2;
 
-// Per-worker live->backend value translation, memoized per live id so
+class RuleDict;
+
+// Per-worker live->image value translation, memoized per live id so
 // the steady-state cost is one bounds check and one array load. The
-// virtual slow path runs once per distinct live value a worker sees,
-// not per probe.
+// string-hash probe (Resolve) runs once per distinct live value a
+// worker sees, not per probe.
 class ValueTranslator {
  public:
-  virtual ~ValueTranslator() = default;
+  explicit ValueTranslator(const RuleDict* dict) : dict_(dict) {}
 
   ValueId Translate(ValueId live) {
     if (live < 0) return live;  // kNullValue passes through
@@ -92,66 +86,49 @@ class ValueTranslator {
     return mapped;
   }
 
- protected:
-  // Maps one live id to its backend id, or kAbsentValue. Must be pure:
-  // the result is memoized forever.
-  virtual ValueId Resolve(ValueId live) = 0;
-
  private:
+  // Maps one live id to its image id, or kAbsentValue
+  // (rules/rule_dict.cc).
+  ValueId Resolve(ValueId live) const;
+
   static constexpr ValueId kUnresolved = INT32_MIN;
+  const RuleDict* dict_;
   std::vector<ValueId> memo_;
 };
 
-// Direct-mapped cache of resolved posting ranges (the MemoCache
-// eviction discipline: power-of-two slots, overwrite on collision, full
-// key compare on hit). Caches backend-space packed keys, including
-// empty resolutions — for a demand-paged dictionary a hit skips the
-// slot-table probe entirely, so hot (attr, value) pairs stop touching
-// the mapped file at all.
+// Direct-mapped cache of resolved slots (the MemoCache eviction
+// discipline: power-of-two entries, overwrite on collision, full key
+// compare on hit). Caches image-space packed keys with their posting
+// offsets, including empty resolutions: a hit skips the slot-table probe
+// entirely, so hot (attr, value) pairs stop touching a mapped file's
+// pages at all. An entry is a RuleSlot; kEmptyRuleKey marks an unused
+// one, since no probe key carries it.
 class PostingCache {
  public:
   static constexpr size_t kDefaultCapacity = 1u << 14;
 
-  explicit PostingCache(size_t capacity = kDefaultCapacity) {
-    size_t cap = 16;
-    while (cap < capacity) cap <<= 1;
-    mask_ = cap - 1;
-    entries_.assign(cap, Entry{});
-  }
+  PostingCache() : entries_(kDefaultCapacity) {}
 
-  bool Find(uint64_t key, uint64_t hash, PostingRange* out) {
-    const Entry& e = entries_[hash & mask_];
-    if (!e.used || e.key != key) {
+  bool Find(uint64_t key, uint64_t hash, RuleSlot* out) {
+    const RuleSlot& e = entries_[hash & (kDefaultCapacity - 1)];
+    if (e.key != key) {
       ++misses_;
       return false;
     }
     ++hits_;
-    *out = {e.begin, e.end};
+    *out = e;
     return true;
   }
 
-  void Insert(uint64_t key, uint64_t hash, PostingRange range) {
-    Entry& e = entries_[hash & mask_];
-    e.used = true;
-    e.key = key;
-    e.begin = range.begin;
-    e.end = range.end;
+  void Insert(uint64_t hash, const RuleSlot& resolved) {
+    entries_[hash & (kDefaultCapacity - 1)] = resolved;
   }
 
   uint64_t hits() const { return hits_; }
   uint64_t misses() const { return misses_; }
-  size_t capacity() const { return mask_ + 1; }
 
  private:
-  struct Entry {
-    bool used = false;
-    uint64_t key = 0;
-    const uint32_t* begin = nullptr;
-    const uint32_t* end = nullptr;
-  };
-
-  size_t mask_ = 0;
-  std::vector<Entry> entries_;
+  std::vector<RuleSlot> entries_;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
 };
@@ -162,7 +139,7 @@ class RuleSource {
  public:
   RuleSource() = default;
 
-  // The packed probe key for one backend-space cell. attr < 64 (schemas
+  // The packed probe key for one image-space cell. attr < 64 (schemas
   // are bounded to 64 attributes) and interned values are non-negative,
   // so every valid key has its top bits clear and UINT64_MAX can mark an
   // empty slot. kAbsentValue packs to a value-field no real key carries.
@@ -171,56 +148,34 @@ class RuleSource {
            static_cast<uint32_t>(value);
   }
 
-  // The probe key for a *live* cell: translates into the backend value
+  // The probe key for a *live* cell: translates into the image value
   // space first. This is the only place engines pack keys.
   uint64_t ProbeKey(AttrId attr, ValueId live_value) const {
-    const ValueId v = translator_ == nullptr
-                          ? live_value
-                          : translator_->Translate(live_value);
-    return PackKey(attr, v);
+    return PackKey(attr, translator_->Translate(live_value));
   }
 
   // Rules phi with attr in X_phi and tp_phi[attr] == value, ascending.
   // Empty range when no rule mentions the cell (or the value has no
-  // backend equivalent).
+  // image equivalent).
   PostingRange Lookup(AttrId attr, ValueId live_value) const {
     const uint64_t key = ProbeKey(attr, live_value);
     return CachedResolve(key, SplitMix64(key));
   }
 
   // Batched probe over pre-packed keys (from ProbeKey): hashes `n` keys
-  // with `kernel`, prefetches every probed slot cacheline, resolves the
-  // probes, and prefetches each hit's posting range. out[i] is exactly
-  // what a scalar resolve of key i returns, for every kernel — batching
-  // buys memory-level parallelism, never different results.
+  // with `kernel` and resolves them through the posting cache. out[i] is
+  // exactly what a scalar resolve of key i returns, for every kernel.
   void LookupBatch(SimdKernel kernel, const uint64_t* keys, size_t n,
                    PostingRange* out) const {
-    // Sub-batch of 16: big enough to fill the load buffers with
-    // independent slot fetches, small enough that the hash scratch stays
-    // in registers / L1 and the prefetched lines are still resident when
-    // resolved.
+    // Sub-batch of 16: small enough that the hash scratch stays in
+    // registers / L1.
     constexpr size_t kSubBatch = 16;
     uint64_t hashes[kSubBatch];
     for (size_t base = 0; base < n; base += kSubBatch) {
       const size_t m = std::min(kSubBatch, n - base);
       HashBatch(kernel, keys + base, m, hashes);
-      if (cache_ == nullptr) {
-        // Issue all home-slot prefetches before any probe resolves: the
-        // independent cache misses overlap instead of serializing.
-        for (size_t i = 0; i < m; ++i) {
-          PrefetchRead(&slots_[hashes[i] & slot_mask_]);
-        }
-        for (size_t i = 0; i < m; ++i) {
-          const PostingRange r = Resolve(keys[base + i], hashes[i]);
-          out[base + i] = r;
-          // A hit's postings are consumed by the caller's bump loop
-          // right after this returns — start those lines now.
-          if (r.begin != r.end) PrefetchRead(r.begin);
-        }
-      } else {
-        for (size_t i = 0; i < m; ++i) {
-          out[base + i] = CachedResolve(keys[base + i], hashes[i]);
-        }
+      for (size_t i = 0; i < m; ++i) {
+        out[base + i] = CachedResolve(keys[base + i], hashes[i]);
       }
     }
   }
@@ -243,7 +198,7 @@ class RuleSource {
   // evaluated by binary search of rule i's flat sorted slice. `v` is a
   // live tuple value; translated before the search.
   bool NegativeMatch(uint32_t rule, ValueId v) const {
-    if (translator_ != nullptr) v = translator_->Translate(v);
+    v = translator_->Translate(v);
     const ValueId* neg_begin = neg_values_ + neg_offsets_[rule];
     const ValueId* neg_end = neg_values_ + neg_offsets_[rule + 1];
     return std::binary_search(neg_begin, neg_end, v);
@@ -252,26 +207,19 @@ class RuleSource {
   // t |- phi, evaluated over the CSR side arrays: t[B] in Tp[B] (binary
   // search of the flat sorted slice) and t[X] = tp[X] (flat pair walk).
   // Semantically identical to FixingRule::Matches(t) on the rule the
-  // backend compiled.
+  // image compiled.
   bool MatchesFlat(uint32_t rule, TupleRef t) const {
     if (!NegativeMatch(rule, t[target_[rule]])) return false;
     const uint32_t ev_end = ev_offsets_[rule + 1];
-    if (translator_ == nullptr) {
-      for (uint32_t e = ev_offsets_[rule]; e < ev_end; ++e) {
-        if (t[ev_attrs_[e]] != ev_values_[e]) return false;
-      }
-    } else {
-      for (uint32_t e = ev_offsets_[rule]; e < ev_end; ++e) {
-        if (translator_->Translate(t[ev_attrs_[e]]) != ev_values_[e]) {
-          return false;
-        }
+    for (uint32_t e = ev_offsets_[rule]; e < ev_end; ++e) {
+      if (translator_->Translate(t[ev_attrs_[e]]) != ev_values_[e]) {
+        return false;
       }
     }
     return true;
   }
 
-  // Iterable view of a flat array (the spans below are backed by either
-  // heap vectors or mapped file sections).
+  // Iterable view of a flat array (an image section).
   template <typename T>
   struct Span {
     const T* data = nullptr;
@@ -306,7 +254,7 @@ class RuleSource {
   ValueTranslator* translator() const { return translator_; }
   PostingCache* posting_cache() const { return cache_; }
 
-  // Span wiring, used by the backends only.
+  // Span wiring, used by RuleDictHandle only.
   struct Init {
     const RuleSlot* slots = nullptr;
     size_t slot_mask = 0;
@@ -354,27 +302,24 @@ class RuleSource {
         cache_(init.cache) {}
 
  private:
-  // The shared probe tail: walk from the hashed home slot to the key's
-  // slot or the first empty one.
-  PostingRange Resolve(uint64_t key, uint64_t hash) const {
-    size_t slot = hash & slot_mask_;
-    while (true) {
-      const RuleSlot& s = slots_[slot];
-      if (s.key == key) {
-        return {postings_ + s.begin, postings_ + s.end};
-      }
-      if (s.key == kEmptyRuleKey) return {};
-      slot = (slot + 1) & slot_mask_;
-    }
-  }
-
+  // The probe: the cached slot for `key`, or a walk from the hashed
+  // home slot to the key's slot or the first empty one (a miss resolves
+  // to an empty offset range and is cached too).
   PostingRange CachedResolve(uint64_t key, uint64_t hash) const {
-    if (cache_ == nullptr) return Resolve(key, hash);
-    PostingRange range;
-    if (cache_->Find(key, hash, &range)) return range;
-    range = Resolve(key, hash);
-    cache_->Insert(key, hash, range);
-    return range;
+    RuleSlot hit;
+    if (!cache_->Find(key, hash, &hit)) {
+      hit = {key, 0, 0};
+      for (size_t slot = hash & slot_mask_;; slot = (slot + 1) & slot_mask_) {
+        const RuleSlot& s = slots_[slot];
+        if (s.key == key) {
+          hit = s;
+          break;
+        }
+        if (s.key == kEmptyRuleKey) break;
+      }
+      cache_->Insert(hash, hit);
+    }
+    return {postings_ + hit.begin, postings_ + hit.end};
   }
 
   const RuleSlot* slots_ = nullptr;
@@ -398,43 +343,6 @@ class RuleSource {
   size_t arity_ = 0;
   ValueTranslator* translator_ = nullptr;
   PostingCache* cache_ = nullptr;
-};
-
-// One worker's binding to a rule backend: the view plus whatever
-// private scratch (translator memo, posting cache) the backend needs.
-// Obtained serially via RuleRepository::MakeHandle before workers run;
-// each worker uses its own handle's source for the whole run.
-class RuleSourceHandle {
- public:
-  explicit RuleSourceHandle(RuleSource source) : source_(source) {}
-  virtual ~RuleSourceHandle() = default;
-
-  RuleSourceHandle(const RuleSourceHandle&) = delete;
-  RuleSourceHandle& operator=(const RuleSourceHandle&) = delete;
-
-  const RuleSource& source() const { return source_; }
-
- protected:
-  RuleSource source_;
-};
-
-// A compiled rule set viewed as a handle factory. Virtual dispatch
-// happens once per worker (MakeHandle), never per probe. Both backends
-// implement this; engines that need whole-set facts before any worker
-// exists (scratch sizing, shard routing, WAL headers) read them here.
-class RuleRepository {
- public:
-  virtual ~RuleRepository() = default;
-
-  virtual size_t num_rules() const = 0;
-  virtual size_t arity() const = 0;
-  virtual AttrSet mentioned_attrs() const = 0;
-  // RuleSetFingerprint of the set this repository compiled
-  // (rules/fingerprint.h) — the identity WAL headers journal.
-  virtual uint64_t fingerprint() const = 0;
-  // One worker's view + scratch. Call serially; the repository must
-  // outlive every handle.
-  virtual std::unique_ptr<RuleSourceHandle> MakeHandle() const = 0;
 };
 
 }  // namespace fixrep

@@ -290,7 +290,7 @@ Response RepairDaemon::HandleRepair(const RepairRequest& request) {
   RepairReport report;
   {
     const std::shared_lock<std::shared_mutex> reader = snapshot->ReadPool();
-    RepairSession session(snapshot->repository(), config);
+    RepairSession session(&snapshot->dict(), config);
     StatusOr<RepairReport> report_or = session.Repair(&table);
     if (!report_or.ok()) return ErrorResponse(Verb::kRepair,
                                               report_or.status());

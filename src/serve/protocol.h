@@ -101,7 +101,7 @@ struct RuleSetInfo {
   std::string name;
   uint64_t num_rules = 0;
   uint64_t generation = 0;
-  bool dict_backed = false;  // mmap FXRDICT vs in-RAM CompiledRuleIndex
+  bool dict_backed = false;  // mapped FXRDICT file vs heap image of text rules
 };
 
 struct Response {

@@ -114,9 +114,9 @@ StatusOr<std::shared_ptr<TenantSnapshot>> TenantSnapshot::Load(
   if (!rules.ok()) {
     return rules.status().WithContext("rule set " + name);
   }
-  snapshot->rules_.emplace(std::move(rules).value());
-  snapshot->index_ =
-      std::make_unique<const CompiledRuleIndex>(&*snapshot->rules_);
+  StatusOr<std::unique_ptr<RuleDict>> image = RuleDict::Compile(*rules);
+  if (!image.ok()) return image.status().WithContext("rule set " + name);
+  snapshot->dict_ = std::move(image).value();
   return snapshot;
 }
 

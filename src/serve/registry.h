@@ -4,7 +4,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <string_view>
@@ -15,16 +14,14 @@
 #include "relation/csv.h"
 #include "relation/schema.h"
 #include "relation/value_pool.h"
-#include "repair/rule_index.h"
 #include "rules/rule_dict.h"
-#include "rules/rule_set.h"
 #include "serve/protocol.h"
 
 // The daemon's named rule sets (docs/serving.md). Each tenant is an
-// immutable TenantSnapshot — value pool, schema, and a RuleRepository
-// compiled exactly once (in-RAM CompiledRuleIndex for text rule files,
-// mmap RuleDict for FXRDICT artifacts; the file's magic decides) —
-// published behind a shared_ptr. Requests pin the snapshot they start
+// immutable TenantSnapshot — value pool, schema, and one RuleDict bound
+// to that pool (a heap image compiled from a text rule file, or a
+// mapped FXRDICT file; the file's magic decides) — published behind a
+// shared_ptr. Requests pin the snapshot they start
 // on; `reload` builds a fresh snapshot off to the side and atomically
 // swaps the pointer, so in-flight repairs finish on the old rules and
 // nothing is dropped. Per-tenant MetricScopes live in the registry, not
@@ -48,21 +45,20 @@ StatusOr<TenantSpec> ParseTenantSpec(const std::string& spec);
 class TenantSnapshot {
  public:
   // Compiles the spec into an immutable snapshot: text rules are parsed
-  // (strict — a malformed rule fails the load) and indexed; a
-  // dictionary is mapped and bound to a fresh pool built from its own
-  // attribute names. kMalformedInput / kIoError on any failure.
+  // (strict — a malformed rule fails the load) into a fresh pool and
+  // compiled into a heap image; a dictionary is mapped and bound to a
+  // fresh pool built from its own attribute names. kMalformedInput /
+  // kIoError on any failure.
   static StatusOr<std::shared_ptr<TenantSnapshot>> Load(
       const std::string& name, const TenantSpec& spec, uint64_t generation);
 
   const std::string& name() const { return name_; }
   uint64_t generation() const { return generation_; }
-  bool dict_backed() const { return dict_ != nullptr; }
-  size_t num_rules() const { return repository()->num_rules(); }
-  const RuleRepository* repository() const {
-    return dict_ != nullptr
-               ? static_cast<const RuleRepository*>(dict_.get())
-               : static_cast<const RuleRepository*>(index_.get());
-  }
+  // True when the rules are a mapped FXRDICT file, false for a heap
+  // image compiled from text rules.
+  bool dict_backed() const { return dict_->mapped(); }
+  size_t num_rules() const { return dict_->num_rules(); }
+  const RuleDict& dict() const { return *dict_; }
   const std::shared_ptr<const Schema>& schema() const { return schema_; }
   const std::shared_ptr<ValuePool>& pool() const { return pool_; }
 
@@ -99,8 +95,6 @@ class TenantSnapshot {
   uint64_t generation_ = 0;
   std::shared_ptr<ValuePool> pool_;
   std::shared_ptr<const Schema> schema_;
-  std::optional<RuleSet> rules_;  // keeps index_'s borrowed set alive
-  std::unique_ptr<const CompiledRuleIndex> index_;
   std::unique_ptr<RuleDict> dict_;
   mutable std::shared_mutex pool_mutex_;
 };

@@ -3,7 +3,8 @@
 //
 // Matrix: every {threads 1, pool width} x {shards 0, 3} x {abort, skip,
 // quarantine with a chase budget} x {memo on, off} x {write log on, off}
-// x {in-RAM index, bound FXRDICT} run on noisy hosp and uis must give the
+// x {image compiled in memory, image opened from an FXRDICT file} run on
+// noisy hosp and uis must give the
 // output bytes, row-ordered diagnostics, write log and merged chase
 // counters of a serial FastRepairer run, and that run must agree with the
 // cRepair reference chase. Streams add chunk sizes 1, 7 and 4096, a spill
@@ -41,11 +42,11 @@
 #include "repair/lrepair.h"
 #include "repair/memo_cache.h"
 #include "repair/recovery.h"
-#include "repair/rule_index.h"
 #include "repair/session.h"
 #include "rulegen/rulegen.h"
 #include "rules/consistency.h"
 #include "rules/rule_dict.h"
+#include "rules/rule_io.h"
 #include "rules/rule_set.h"
 #include "testing_util.h"
 
@@ -115,10 +116,10 @@ struct Reference {
   RepairStats stats;
 };
 
-Reference SerialReference(const RuleRepository& repo, const Table& dirty,
+Reference SerialReference(const RuleDict& dict, const Table& dirty,
                           OnErrorPolicy policy, bool use_memo) {
   Table table = dirty;
-  const std::unique_ptr<RuleSourceHandle> handle = repo.MakeHandle();
+  const std::unique_ptr<RuleDictHandle> handle = dict.MakeHandle();
   FastRepairer repairer(handle->source());
   std::optional<MemoCache> memo;
   if (policy == OnErrorPolicy::kAbort && use_memo) {
@@ -182,26 +183,21 @@ void ExpectSameCounters(const RepairStats& got, const RepairStats& want,
   }
 }
 
-// A dataset with both rule backends ready: the in-RAM index and the
-// compiled dictionary, bound to the dataset's schema and pool.
-struct Backends {
-  CompiledRuleIndex index;
+// A dataset's rule image in both storages, bound to the dataset's
+// schema and pool: compiled in memory, and compiled to a dictionary file
+// and opened from it.
+struct Images {
   std::string dict_path;
-  std::unique_ptr<RuleDict> dict;
+  std::unique_ptr<RuleDict> heap;
+  std::unique_ptr<RuleDict> mapped;
 
-  explicit Backends(const Dataset& data)
-      : index(&data.rules),
-        dict_path(testing::TestTempPath(data.name + ".frd")) {
-    EXPECT_TRUE(CompileRuleDict(data.rules, dict_path).ok());
-    StatusOr<std::unique_ptr<RuleDict>> opened = RuleDict::Open(dict_path);
-    EXPECT_TRUE(opened.ok()) << opened.status();
-    dict = std::move(opened.value());
-    EXPECT_TRUE(dict->Bind(data.dirty.schema(), data.pool).ok());
-  }
+  explicit Images(const Dataset& data)
+      : dict_path(testing::TestTempPath(data.name + ".frd")),
+        heap(RuleDict::CompileOrDie(data.rules)),
+        mapped(testing::ReopenedImage(data.rules, data.name + ".frd")) {}
 
-  const RuleRepository& repo(bool dict_backed) const {
-    if (dict_backed) return *dict;
-    return index;
+  const RuleDict& image(bool from_file) const {
+    return from_file ? *mapped : *heap;
   }
 };
 
@@ -210,20 +206,21 @@ constexpr OnErrorPolicy kPolicies[] = {
 
 void RunTableMatrix(const Dataset& data) {
   ASSERT_GT(data.rules.size(), 0u) << data.name;
-  const Backends backends(data);
+  const Images images(data);
+  ASSERT_NE(images.mapped, nullptr) << data.name;
   Table crepaired = data.dirty;
   ChaseRepairer(&data.rules).RepairTable(&crepaired);
 
-  for (const bool dict_backed : {false, true}) {
-    const RuleRepository& repo = backends.repo(dict_backed);
+  for (const bool from_file : {false, true}) {
+    const RuleDict& dict = images.image(from_file);
     for (const OnErrorPolicy policy : kPolicies) {
       for (const bool use_memo : {true, false}) {
         const Reference ref =
-            SerialReference(repo, data.dirty, policy, use_memo);
+            SerialReference(dict, data.dirty, policy, use_memo);
         const std::string base = data.name + " " +
                                  OnErrorPolicyName(policy) +
                                  (use_memo ? " memo" : " no-memo") +
-                                 (dict_backed ? " dict" : " index");
+                                 (from_file ? " file" : " heap");
         ExpectMatchesCRepair(ref, data.dirty, crepaired, base);
         if (policy != OnErrorPolicy::kAbort) {
           EXPECT_FALSE(ref.diagnostics.empty()) << base;
@@ -249,7 +246,7 @@ void RunTableMatrix(const Dataset& data) {
               if (policy != OnErrorPolicy::kAbort) {
                 config.max_chase_steps = kChaseBudget;
               }
-              RepairDriver driver(repo, config);
+              RepairDriver driver(dict, config);
               std::vector<CellRepair> log;
               if (with_log) driver.set_write_log(&log);
               const RepairStats stats = driver.Run(&table);
@@ -327,7 +324,8 @@ StreamResult RunStream(const Dataset& data, const RepairConfig& base,
 
 void RunStreamMatrix(const Dataset& data) {
   ASSERT_GT(data.rules.size(), 0u) << data.name;
-  const Backends backends(data);
+  const Images images(data);
+  ASSERT_NE(images.mapped, nullptr) << data.name;
   const std::string input = ToCsv(data.dirty);
   const size_t block_bytes =
       RowStore::kRowsPerBlock * data.dirty.num_columns() * sizeof(ValueId);
@@ -344,9 +342,9 @@ void RunStreamMatrix(const Dataset& data) {
       {1, 0}, {7, 0}, {4096, 0}, {RepairConfig::kWholeFile, block_bytes}};
 
   int wal_runs = 0;
-  for (const bool dict_backed : {false, true}) {
+  for (const bool from_file : {false, true}) {
     for (const OnErrorPolicy policy : kPolicies) {
-      const Reference ref = SerialReference(backends.repo(dict_backed),
+      const Reference ref = SerialReference(images.image(from_file),
                                             data.dirty, policy, true);
       for (const Route& route : routes) {
         RepairConfig config;
@@ -355,12 +353,12 @@ void RunStreamMatrix(const Dataset& data) {
         config.on_error = policy;
         config.max_chase_steps =
             policy == OnErrorPolicy::kAbort ? 0 : kChaseBudget;
-        if (dict_backed) config.rules_dict = backends.dict_path;
+        if (from_file) config.rules_dict = images.dict_path;
         const std::string base =
             data.name + " " + OnErrorPolicyName(policy) +
             " threads=" + std::to_string(route.threads) +
             " shards=" + std::to_string(route.shards) +
-            (dict_backed ? " dict" : " index");
+            (from_file ? " file" : " heap");
         for (const Chunking& chunking : chunkings) {
           config.chunk_rows = chunking.chunk_rows;
           config.memory_budget_bytes = chunking.budget;
@@ -421,12 +419,12 @@ TEST(DriverMatrix, UisStreamsMatchSerial) { RunStreamMatrix(Uis()); }
 // every run), publishes per run, and stays byte-identical.
 TEST(DriverMatrix, ReusedDriverKeepsSlotsAcrossRuns) {
   const Dataset data = Hosp();
-  const CompiledRuleIndex index(&data.rules);
+  const std::unique_ptr<RuleDict> dict = RuleDict::CompileOrDie(data.rules);
   const Reference ref =
-      SerialReference(index, data.dirty, OnErrorPolicy::kAbort, true);
+      SerialReference(*dict, data.dirty, OnErrorPolicy::kAbort, true);
   for (const size_t threads : {size_t{1}, PoolWidth()}) {
     Table table = data.dirty;
-    RepairDriver driver(index, {.threads = threads});
+    RepairDriver driver(*dict, {.threads = threads});
     std::vector<CellRepair> log;
     driver.set_write_log(&log);
     size_t cells_changed = 0;
@@ -456,10 +454,10 @@ TEST(DriverMatrix, StreamKeepsOneMemoAcrossChunks) {
     }
   }
   data.dirty = std::move(repeated);
-  const CompiledRuleIndex index(&data.rules);
+  const std::unique_ptr<RuleDict> dict = RuleDict::CompileOrDie(data.rules);
   MetricsRegistry::Global().ResetAllForTest();
   Table table = data.dirty;
-  RepairDriver(index, RepairConfig{}).Run(&table);
+  RepairDriver(*dict, RepairConfig{}).Run(&table);
   const uint64_t want_hits = CounterValue("fixrep.memo.hits");
   ASSERT_GT(want_hits, 0u);
   for (const size_t chunk_rows : {size_t{1}, size_t{7}}) {
@@ -486,29 +484,41 @@ RuleSet Permuted(const RuleSet& rules, Rng* rng) {
   return permuted;
 }
 
+// The oracle runs on each set as mined and as reloaded from its rule
+// text, which must repair to the same bytes as the mined set.
 TEST(OrderOracle, PermutedRuleOrderRepairsIdentically) {
   constexpr int kPermutations = 20;
   for (Dataset (*make)() : {Travel, Hosp, Uis}) {
     const Dataset data = make();
     ASSERT_GT(data.rules.size(), 1u) << data.name;
-    ASSERT_TRUE(IsConsistentStrict(data.rules)) << data.name;
-    const CompiledRuleIndex index(&data.rules);
+    const std::unique_ptr<RuleDict> dict = RuleDict::CompileOrDie(data.rules);
     Table reference = data.dirty;
-    RepairDriver(index, RepairConfig{}).Run(&reference);
+    RepairDriver(*dict, RepairConfig{}).Run(&reference);
     const std::string want = ToCsv(reference);
 
-    Rng rng(0x0dde4 + data.rules.size());
-    for (int p = 0; p < kPermutations; ++p) {
-      const RuleSet permuted = Permuted(data.rules, &rng);
-      const CompiledRuleIndex permuted_index(&permuted);
-      for (const RepairConfig& config :
-           {RepairConfig{.threads = 1}, RepairConfig{.threads = PoolWidth()},
-            RepairConfig{.shards = 3}}) {
-        Table table = data.dirty;
-        RepairDriver(permuted_index, config).Run(&table);
-        EXPECT_EQ(ToCsv(table), want)
-            << data.name << " permutation " << p << " threads "
-            << config.threads << " shards " << config.shards;
+    for (const bool reloaded : {false, true}) {
+      const RuleSet rules =
+          reloaded ? ParseRulesFromString(SerializeRules(data.rules),
+                                          data.rules.schema_ptr(),
+                                          data.rules.pool_ptr())
+                   : data.rules;
+      const std::string name = data.name + (reloaded ? " reloaded" : "");
+      ASSERT_TRUE(IsConsistentStrict(rules)) << name;
+      Rng rng(0x0dde4 + rules.size());
+      for (int p = 0; p < kPermutations; ++p) {
+        const RuleSet permuted = Permuted(rules, &rng);
+        const std::unique_ptr<RuleDict> permuted_dict =
+            RuleDict::CompileOrDie(permuted);
+        for (const RepairConfig& config :
+             {RepairConfig{.threads = 1},
+              RepairConfig{.threads = PoolWidth()},
+              RepairConfig{.shards = 3}}) {
+          Table table = data.dirty;
+          RepairDriver(*permuted_dict, config).Run(&table);
+          EXPECT_EQ(ToCsv(table), want)
+              << name << " permutation " << p << " threads "
+              << config.threads << " shards " << config.shards;
+        }
       }
     }
   }

@@ -276,14 +276,14 @@ TEST_F(FaultInjectionTest, RepairTupleFaultIsolatedAndRecoverable) {
 
 TEST_F(FaultInjectionTest, SerialLenientRepairQuarantinesExactRows) {
   const RuleSet rules = MakeRules();
-  const CompiledRuleIndex index(&rules);
+  const std::unique_ptr<RuleDict> dict = RuleDict::CompileOrDie(rules);
   Table table = MakeTable(8);
   FaultPlan plan;
   plan.skip_hits = 2;
   plan.max_fires = 2;
   FaultRegistry::Global().Arm("repair.tuple", plan);
   VectorQuarantineSink sink;
-  RepairDriver driver(index, {.on_error = OnErrorPolicy::kQuarantine,
+  RepairDriver driver(*dict, {.on_error = OnErrorPolicy::kQuarantine,
                               .quarantine = &sink});
   driver.Run(&table);
   EXPECT_EQ(driver.failures().size(), 2u);
@@ -298,14 +298,14 @@ TEST_F(FaultInjectionTest, SerialLenientRepairQuarantinesExactRows) {
 
 TEST_F(FaultInjectionTest, ParallelLenientRepairSurvivesWorkerFaults) {
   const RuleSet rules = MakeRules();
-  const CompiledRuleIndex index(&rules);
+  const std::unique_ptr<RuleDict> dict = RuleDict::CompileOrDie(rules);
   Table table = MakeTable(256);
   FaultPlan plan;
   plan.skip_hits = 5;
   plan.max_fires = 3;
   FaultRegistry::Global().Arm("repair.tuple", plan);
   VectorQuarantineSink sink;
-  RepairDriver driver(index, {.threads = 4,
+  RepairDriver driver(*dict, {.threads = 4,
                               .on_error = OnErrorPolicy::kQuarantine,
                               .quarantine = &sink});
   const RepairStats stats = driver.Run(&table);

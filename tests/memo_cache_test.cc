@@ -117,11 +117,11 @@ TEST(MemoCacheTest, FuzzedTablesBitIdenticalParallel) {
     FastRepairer baseline(&rules);
     baseline.RepairTable(&plain);
 
-    const CompiledRuleIndex index(&rules);
+    const std::unique_ptr<RuleDict> dict = RuleDict::CompileOrDie(rules);
     for (const bool use_memo : {false, true}) {
       Table parallel = dirty;
       const RepairStats stats =
-          RepairDriver(index, {.threads = 4, .use_memo = use_memo})
+          RepairDriver(*dict, {.threads = 4, .use_memo = use_memo})
               .Run(&parallel);
       ExpectTablesEqual(parallel, plain,
                         use_memo ? "parallel+memo" : "parallel");

@@ -12,7 +12,6 @@
 #include "relation/csv.h"
 #include "repair/driver.h"
 #include "repair/lrepair.h"
-#include "repair/rule_index.h"
 #include "rulegen/rulegen.h"
 
 namespace fixrep {
@@ -22,8 +21,8 @@ namespace {
 // is the pool's full width.
 RepairStats PooledRepair(const RuleSet& rules, Table* table,
                          size_t threads = 0) {
-  const CompiledRuleIndex index(&rules);
-  return RepairDriver(index, {.threads = threads}).Run(table);
+  const std::unique_ptr<RuleDict> dict = RuleDict::CompileOrDie(rules);
+  return RepairDriver(*dict, {.threads = threads}).Run(table);
 }
 
 TEST(ParallelRepairTest, MatchesSerialOnTravelExample) {
@@ -145,12 +144,12 @@ TEST(ParallelRepairTest, PooledAndMemoizedConfigsMatchSerial) {
   FastRepairer repairer(&rules);
   repairer.RepairTable(&serial);
 
-  const CompiledRuleIndex index(&rules);
+  const std::unique_ptr<RuleDict> dict = RuleDict::CompileOrDie(rules);
   for (const bool use_memo : {false, true}) {
     for (const size_t threads : {2u, 4u, 16u}) {
       Table parallel = dirty;
       const RepairStats stats =
-          RepairDriver(index, {.threads = threads, .use_memo = use_memo})
+          RepairDriver(*dict, {.threads = threads, .use_memo = use_memo})
               .Run(&parallel);
       for (size_t r = 0; r < serial.num_rows(); ++r) {
         ASSERT_EQ(parallel.row(r), serial.row(r))
@@ -167,8 +166,8 @@ TEST(ParallelRepairTest, PooledAndMemoizedConfigsMatchSerial) {
 
 TEST(ParallelRepairTest, IndexBuiltOncePerRuleSetNotPerWorkerOrCall) {
   // Regression guard for the old design, which rebuilt the inverted
-  // index once per worker per pooled repair call: with a shared
-  // CompiledRuleIndex, fixrep.lrepair.index_builds ticks exactly once
+  // index once per worker per pooled repair call: with one shared
+  // compiled image, fixrep.lrepair.index_builds ticks exactly once
   // per rule set no matter how many workers or repair calls follow.
   if (!kMetricsEnabled) {
     GTEST_SKIP() << "built with FIXREP_DISABLE_METRICS";
@@ -177,10 +176,10 @@ TEST(ParallelRepairTest, IndexBuiltOncePerRuleSetNotPerWorkerOrCall) {
   auto& registry = MetricsRegistry::Global();
   const uint64_t before =
       registry.GetCounter("fixrep.lrepair.index_builds")->Value();
-  const CompiledRuleIndex index(&example.rules);
+  const std::unique_ptr<RuleDict> dict = RuleDict::CompileOrDie(example.rules);
   for (int call = 0; call < 3; ++call) {
     Table table = example.dirty;
-    RepairDriver(index, {.threads = 4}).Run(&table);
+    RepairDriver(*dict, {.threads = 4}).Run(&table);
   }
   EXPECT_EQ(registry.GetCounter("fixrep.lrepair.index_builds")->Value(),
             before + 1);
@@ -220,7 +219,7 @@ TEST(ParallelRepairTest, ParticipantsAreCappedAtThePoolWidth) {
   InjectNoise(&dirty, ConstraintAttributes(*data.schema, data.fds),
               NoiseOptions{});
   const RuleSet rules = GenerateRules(data.clean, dirty, data.fds, {});
-  const CompiledRuleIndex index(&rules);
+  const std::unique_ptr<RuleDict> dict = RuleDict::CompileOrDie(rules);
   Table serial = dirty;
   FastRepairer repairer(&rules);
   repairer.RepairTable(&serial);
@@ -233,7 +232,7 @@ TEST(ParallelRepairTest, ParticipantsAreCappedAtThePoolWidth) {
     const std::string context = "threads " + std::to_string(threads);
     workers->Reset();
     Table pooled = dirty;
-    RepairDriver(index, {.threads = threads}).Run(&pooled);
+    RepairDriver(*dict, {.threads = threads}).Run(&pooled);
     EXPECT_LE(static_cast<size_t>(workers->Value()), width) << context;
     std::ostringstream got;
     WriteCsv(pooled, got);
@@ -241,7 +240,7 @@ TEST(ParallelRepairTest, ParticipantsAreCappedAtThePoolWidth) {
 
     workers->Reset();
     Table lenient = dirty;
-    RepairDriver(index, {.threads = threads, .on_error = OnErrorPolicy::kSkip})
+    RepairDriver(*dict, {.threads = threads, .on_error = OnErrorPolicy::kSkip})
         .Run(&lenient);
     EXPECT_LE(static_cast<size_t>(workers->Value()), width) << context;
     std::ostringstream got_lenient;
@@ -249,7 +248,7 @@ TEST(ParallelRepairTest, ParticipantsAreCappedAtThePoolWidth) {
     EXPECT_EQ(got_lenient.str(), want.str()) << context;
 
     Table sharded = dirty;
-    RepairDriver sharded_driver(index, {.shards = threads});
+    RepairDriver sharded_driver(*dict, {.shards = threads});
     sharded_driver.Run(&sharded);
     EXPECT_LE(sharded_driver.slots(), width) << context;
     std::ostringstream got_sharded;

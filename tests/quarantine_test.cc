@@ -422,9 +422,9 @@ TEST_F(RepairQuarantineTest, LenientRepairQuarantinesPathologicalTuples) {
   for (const size_t threads : {size_t{1}, size_t{4}}) {
     MetricsRegistry::Global().ResetAllForTest();
     Table table = MakeTable(rows);
-    const CompiledRuleIndex index(&rules_);
+    const std::unique_ptr<RuleDict> dict = RuleDict::CompileOrDie(rules_);
     VectorQuarantineSink sink;
-    RepairDriver driver(index, {.threads = threads,
+    RepairDriver driver(*dict, {.threads = threads,
                                 .on_error = OnErrorPolicy::kQuarantine,
                                 .quarantine = &sink,
                                 .max_chase_steps = 1});
@@ -472,19 +472,19 @@ TEST_F(QuarantineTest, LenientRepairCleanInputsBitIdenticalToStrict) {
     FastRepairer strict(&rules);
     strict.RepairTable(&strict_serial);
 
-    const CompiledRuleIndex index(&rules);
+    const std::unique_ptr<RuleDict> dict = RuleDict::CompileOrDie(rules);
     Table strict_parallel = table;
-    RepairDriver(index, {.threads = 4}).Run(&strict_parallel);
+    RepairDriver(*dict, {.threads = 4}).Run(&strict_parallel);
 
     Table lenient_serial = table;
     VectorQuarantineSink serial_sink;
-    RepairDriver serial_driver(index, {.on_error = OnErrorPolicy::kQuarantine,
+    RepairDriver serial_driver(*dict, {.on_error = OnErrorPolicy::kQuarantine,
                                        .quarantine = &serial_sink});
     const RepairStats serial_stats = serial_driver.Run(&lenient_serial);
 
     Table lenient_parallel = table;
     VectorQuarantineSink parallel_sink;
-    RepairDriver parallel_driver(index,
+    RepairDriver parallel_driver(*dict,
                                  {.threads = 4,
                                   .on_error = OnErrorPolicy::kQuarantine,
                                   .quarantine = &parallel_sink});

@@ -1,29 +1,39 @@
 // Compiled rule dictionaries (rules/rule_dict.h): compile/open/bind
-// round trips, byte-identical repair against the in-RAM index, compile
-// determinism, the per-worker translator/cache scratch, and — the
-// robustness half — refusal of every corrupted or truncated file shape
-// with a Status, never UB.
+// round trips, the image's structures against naive constructions from
+// the rules in both storages (compiled in memory, opened from a file),
+// byte-identical repair between the two, compile determinism, the
+// per-worker translator/cache scratch, and — the robustness half —
+// refusal of every corrupted or truncated file shape with a Status,
+// never UB.
 
 #include "rules/rule_dict.h"
 
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
 #include "common/random.h"
 #include "common/wal.h"
+#include "datagen/hosp.h"
+#include "datagen/noise.h"
+#include "datagen/travel.h"
+#include "datagen/uis.h"
 #include "relation/csv.h"
 #include "relation/table.h"
 #include "repair/session.h"
 #include "repair/crepair.h"
 #include "repair/lrepair.h"
 #include "repair/memo_cache.h"
+#include "rulegen/rulegen.h"
 #include "rules/fingerprint.h"
 #include "rules/rule_set.h"
 #include "testing_util.h"
@@ -80,7 +90,8 @@ TEST(RuleDictCompile, RoundTripsHeaderAndIdentity) {
   EXPECT_EQ((*dict)->fingerprint(), RuleSetFingerprint(corpus.rules));
   EXPECT_EQ((*dict)->attribute_names(), corpus.schema->attribute_names());
   EXPECT_EQ((*dict)->header().num_empty_evidence, 1u);
-  EXPECT_GT((*dict)->file_bytes(), sizeof(RuleDictHeader));
+  EXPECT_GT((*dict)->image().size(), sizeof(RuleDictHeader));
+  EXPECT_TRUE((*dict)->mapped());
   EXPECT_FALSE((*dict)->bound());
 }
 
@@ -106,6 +117,239 @@ TEST(RuleDictBind, RefusesMismatchedSchema) {
   EXPECT_FALSE((*dict)->bound());
 }
 
+// ---------------------------------------------------------------------
+// The image's structures, checked in both storages: compiled in memory
+// (RuleDict::Compile) and compiled to a file and mapped back.
+
+constexpr bool kStorages[] = {false, true};  // mapped?
+
+std::string StorageName(bool mapped) { return mapped ? "file" : "heap"; }
+
+// Naive reference: every (attr, live value) evidence cell -> rule ids,
+// in rule order (the compile keeps per-key rule order).
+std::map<std::pair<AttrId, ValueId>, std::vector<uint32_t>> NaivePostings(
+    const RuleSet& rules) {
+  std::map<std::pair<AttrId, ValueId>, std::vector<uint32_t>> postings;
+  for (uint32_t i = 0; i < rules.size(); ++i) {
+    const FixingRule& rule = rules.rule(i);
+    for (size_t e = 0; e < rule.evidence_attrs.size(); ++e) {
+      postings[{rule.evidence_attrs[e], rule.evidence_values[e]}]
+          .push_back(i);
+    }
+  }
+  return postings;
+}
+
+void ExpectMatchesNaive(const RuleSet& rules, const RuleDict& dict,
+                        const std::string& context) {
+  const auto naive = NaivePostings(rules);
+  const std::unique_ptr<RuleDictHandle> handle = dict.MakeHandle();
+  EXPECT_EQ(dict.header().num_keys, naive.size()) << context;
+  size_t total = 0;
+  for (const auto& [key, expected] : naive) {
+    const PostingRange range = handle->source().Lookup(key.first, key.second);
+    const std::vector<uint32_t> got(range.begin, range.end);
+    EXPECT_EQ(got, expected) << context << " attr " << key.first
+                             << " value " << key.second;
+    total += expected.size();
+  }
+  EXPECT_EQ(dict.header().num_postings, total) << context;
+}
+
+// Noisy generated tables with their mined rules.
+struct NoisyDataset {
+  Table dirty;
+  RuleSet rules;
+};
+
+NoisyDataset NoisyHosp() {
+  HospOptions options;
+  options.rows = 400;
+  options.num_hospitals = 40;
+  GeneratedData data = GenerateHosp(options);
+  Table dirty = data.clean;
+  InjectNoise(&dirty, ConstraintAttributes(*data.schema, data.fds), {});
+  RuleGenOptions rulegen;
+  rulegen.max_rules = 150;
+  RuleSet rules = GenerateRules(data.clean, dirty, data.fds, rulegen);
+  return {std::move(dirty), std::move(rules)};
+}
+
+NoisyDataset NoisyUis() {
+  UisOptions options;
+  options.rows = 300;
+  options.duplicate_ratio = 0.4;
+  options.num_zips = 30;
+  GeneratedData data = GenerateUis(options);
+  Table dirty = data.clean;
+  InjectNoise(&dirty, ConstraintAttributes(*data.schema, data.fds), {});
+  RuleGenOptions rulegen;
+  rulegen.max_rules = 100;
+  RuleSet rules = GenerateRules(data.clean, dirty, data.fds, rulegen);
+  return {std::move(dirty), std::move(rules)};
+}
+
+TEST(RuleDictImageTest, TravelPostingsMatchNaiveConstruction) {
+  TravelExample example;
+  for (const bool mapped : kStorages) {
+    const auto dict = testing::ImageIn(mapped, example.rules, "travel.dict");
+    ASSERT_NE(dict, nullptr);
+    ExpectMatchesNaive(example.rules, *dict, StorageName(mapped));
+    EXPECT_EQ(dict->num_rules(), example.rules.size());
+    EXPECT_EQ(dict->arity(), example.rules.schema().arity());
+    EXPECT_EQ(dict->mapped(), mapped);
+  }
+}
+
+TEST(RuleDictImageTest, FuzzedRuleSetsMatchNaiveConstruction) {
+  Rng rng(0xbead);
+  for (int round = 0; round < 20; ++round) {
+    RandomRuleUniverse universe;
+    RuleSet rules(universe.schema, universe.pool);
+    const size_t n = 1 + rng.Uniform(60);
+    for (size_t i = 0; i < n; ++i) rules.Add(universe.RandomRule(&rng));
+    for (const bool mapped : kStorages) {
+      const auto dict = testing::ImageIn(mapped, rules, "fuzzed.dict");
+      ASSERT_NE(dict, nullptr);
+      ExpectMatchesNaive(rules, *dict,
+                         StorageName(mapped) + " round " +
+                             std::to_string(round));
+    }
+  }
+}
+
+TEST(RuleDictImageTest, SideArraysMirrorRules) {
+  TravelExample example;
+  for (const bool mapped : kStorages) {
+    const auto dict = testing::ImageIn(mapped, example.rules, "sides.dict");
+    ASSERT_NE(dict, nullptr);
+    const std::unique_ptr<RuleDictHandle> handle = dict->MakeHandle();
+    const RuleSource& source = handle->source();
+    for (uint32_t i = 0; i < example.rules.size(); ++i) {
+      const FixingRule& rule = example.rules.rule(i);
+      EXPECT_EQ(source.evidence_count(i), rule.evidence_attrs.size());
+      EXPECT_EQ(source.target(i), rule.target);
+      EXPECT_EQ(source.fact(i), rule.fact);  // live space
+      EXPECT_EQ(source.assured(i), rule.AssuredSet());
+    }
+  }
+}
+
+TEST(RuleDictImageTest, LookupMissReturnsEmptyRange) {
+  TravelExample example;
+  for (const bool mapped : kStorages) {
+    const auto dict = testing::ImageIn(mapped, example.rules, "miss.dict");
+    ASSERT_NE(dict, nullptr);
+    const std::unique_ptr<RuleDictHandle> handle = dict->MakeHandle();
+    const ValueId unseen = example.pool->Intern("value-no-rule-mentions");
+    EXPECT_TRUE(handle->source().Lookup(0, unseen).empty());
+    EXPECT_TRUE(handle->source().Lookup(0, kNullValue).empty());
+  }
+}
+
+TEST(RuleDictImageTest, EmptyEvidenceRulesAreListedNotIndexed) {
+  RandomRuleUniverse universe;
+  RuleSet rules(universe.schema, universe.pool);
+  FixingRule rule;
+  rule.target = 1;
+  rule.negative_patterns = {universe.Value(1, 0)};
+  rule.fact = universe.Value(1, 1);
+  rules.Add(rule);
+  for (const bool mapped : kStorages) {
+    const auto dict = testing::ImageIn(mapped, rules, "empty_ev.dict");
+    ASSERT_NE(dict, nullptr);
+    const std::unique_ptr<RuleDictHandle> handle = dict->MakeHandle();
+    const RuleSource& source = handle->source();
+    ASSERT_EQ(source.empty_evidence_rules().size(), 1u);
+    EXPECT_EQ(source.empty_evidence_rules()[0], 0u);
+    EXPECT_EQ(dict->header().num_keys, 0u);
+    EXPECT_EQ(source.evidence_count(0), 0u);
+  }
+}
+
+// MatchesFlat is FixingRule::Matches over the image: cRepair and
+// lRepair both verify candidates through it, so it must agree with the
+// paper's definition on every rule and every row.
+TEST(RuleDictImageTest, MatchesFlatAgreesWithMatchesOnNoisyData) {
+  for (NoisyDataset (*make)() : {NoisyHosp, NoisyUis}) {
+    const NoisyDataset data = make();
+    ASSERT_GT(data.rules.size(), 0u);
+    for (const bool mapped : kStorages) {
+      const auto dict = testing::ImageIn(mapped, data.rules, "flat.dict");
+      ASSERT_NE(dict, nullptr);
+      const std::unique_ptr<RuleDictHandle> handle = dict->MakeHandle();
+      size_t matches = 0;
+      for (size_t r = 0; r < data.dirty.num_rows(); ++r) {
+        const TupleRef t = data.dirty.row(r);
+        for (uint32_t i = 0; i < data.rules.size(); ++i) {
+          const bool want = data.rules.rule(i).Matches(t);
+          ASSERT_EQ(handle->source().MatchesFlat(i, t), want)
+              << StorageName(mapped) << " row " << r << " rule " << i;
+          matches += want;
+        }
+      }
+      EXPECT_GT(matches, 0u) << StorageName(mapped);
+    }
+  }
+}
+
+// The file CompileRuleDict writes is the heap image, byte for byte.
+TEST(RuleDictImageTest, CompiledFileIsTheHeapImage) {
+  TravelExample example;
+  const NoisyDataset hosp = NoisyHosp();
+  for (const RuleSet* rules : {&std::as_const(example.rules), &hosp.rules}) {
+    const std::string path = TestPath("image.dict");
+    ASSERT_TRUE(CompileRuleDict(*rules, path).ok());
+    const auto dict = RuleDict::CompileOrDie(*rules);
+    EXPECT_FALSE(dict->mapped());
+    EXPECT_EQ(ReadFileBytes(path), std::string(dict->image()));
+  }
+}
+
+TEST(RuleDictImageTest, SharedImageDrivesMultipleRepairers) {
+  // One compile, many engines: repairers sharing an image behave
+  // exactly like privately compiled ones.
+  TravelExample example;
+  for (const bool mapped : kStorages) {
+    const auto dict = testing::ImageIn(mapped, example.rules, "shared.dict");
+    ASSERT_NE(dict, nullptr);
+    const std::unique_ptr<RuleDictHandle> ha = dict->MakeHandle();
+    const std::unique_ptr<RuleDictHandle> hb = dict->MakeHandle();
+    FastRepairer a(ha->source());
+    FastRepairer b(hb->source());
+    Table table_a = example.dirty;
+    Table table_b = example.dirty;
+    a.RepairTable(&table_a);
+    b.RepairTable(&table_b);
+    for (size_t r = 0; r < example.clean.num_rows(); ++r) {
+      EXPECT_EQ(table_a.row(r), example.clean.row(r));
+      EXPECT_EQ(table_b.row(r), example.clean.row(r));
+    }
+  }
+}
+
+TEST(RuleDictImageTest, IndexBuildCounterTicksOncePerCompile) {
+  if (!kMetricsEnabled) {
+    GTEST_SKIP() << "built with FIXREP_DISABLE_METRICS";
+  }
+  TravelExample example;
+  auto& registry = MetricsRegistry::Global();
+  const uint64_t before =
+      registry.GetCounter("fixrep.lrepair.index_builds")->Value();
+  const auto dict = RuleDict::CompileOrDie(example.rules);
+  const std::unique_ptr<RuleDictHandle> ha = dict->MakeHandle();
+  const std::unique_ptr<RuleDictHandle> hb = dict->MakeHandle();
+  FastRepairer a(ha->source());
+  FastRepairer b(hb->source());
+  Table copy = example.dirty;
+  a.RepairTable(&copy);
+  EXPECT_EQ(registry.GetCounter("fixrep.lrepair.index_builds")->Value(),
+            before + 1);
+}
+
+// The storage half of the byte-identity bar: the reference repairs over
+// an image compiled in memory (FastRepairer(&rules)), the other side
+// over the same image opened from its file.
 TEST(RuleDictRepair, MatchesInMemoryIndexOnSmallCorpus) {
   SmallCorpus corpus;
   const std::string path = TestPath("repair_small.dict");
@@ -144,9 +388,9 @@ TEST(RuleDictRepair, MatchesInMemoryIndexOnSmallCorpus) {
 
 // The property half of the byte-identity acceptance bar: random rule
 // sets and random tuples (including values no rule mentions and values
-// interned after compilation), chased through the in-RAM index and the
-// dictionary, must agree cell for cell — under both engines, with and
-// without a memo.
+// interned after compilation), chased through an image compiled in
+// memory and the same image mapped from its file, must agree cell for
+// cell — under both engines, with and without a memo.
 TEST(RuleDictRepair, PropertyByteIdenticalToInMemoryIndex) {
   Rng rng(20260808);
   for (int trial = 0; trial < 20; ++trial) {

@@ -66,7 +66,7 @@ TEST(RepairSessionTest, DefaultConfigMatchesFastRepairer) {
   EXPECT_EQ(report->rows, example.dirty.num_rows());
   EXPECT_EQ(report->cells_changed, repairer.stats().cells_changed);
   EXPECT_EQ(report->tuples_quarantined, 0u);
-  ASSERT_NE(session.index(), nullptr);  // built once in the ctor
+  ASSERT_NE(session.dict(), nullptr);  // compiled once in the ctor
 }
 
 TEST(RepairSessionTest, CRepairEngineMatchesChaseRepairer) {
@@ -82,7 +82,7 @@ TEST(RepairSessionTest, CRepairEngineMatchesChaseRepairer) {
   const StatusOr<RepairReport> report = session.Repair(&via_session);
   ASSERT_TRUE(report.ok()) << report.status().message();
   ExpectSameRows(via_session, direct, "crepair");
-  EXPECT_EQ(session.index(), nullptr);  // no lRepair index for the chase
+  EXPECT_NE(session.dict(), nullptr);  // the chase reads the same image
 }
 
 TEST(RepairSessionTest, ThreadedConfigsMatchSerialOnGeneratedData) {
@@ -129,8 +129,8 @@ TEST(RepairSessionTest, MetricsDeltasEqualDirectEngineCall) {
 
   registry.ResetAllForTest();
   Table direct = example.dirty;
-  const CompiledRuleIndex index(&example.rules);
-  RepairDriver(index, RepairConfig{}).Run(&direct);
+  const std::unique_ptr<RuleDict> dict = RuleDict::CompileOrDie(example.rules);
+  RepairDriver(*dict, RepairConfig{}).Run(&direct);
   const auto direct_counters = RepairCounters();
 
   registry.ResetAllForTest();
@@ -178,10 +178,10 @@ class RepairSessionLenientTest : public ::testing::Test {
 };
 
 TEST_F(RepairSessionLenientTest, QuarantineMatchesLenientEngine) {
-  const CompiledRuleIndex index(&rules_);
+  const std::unique_ptr<RuleDict> dict = RuleDict::CompileOrDie(rules_);
   Table direct = MakeTable();
   VectorQuarantineSink direct_sink;
-  RepairDriver driver(index, {.on_error = OnErrorPolicy::kQuarantine,
+  RepairDriver driver(*dict, {.on_error = OnErrorPolicy::kQuarantine,
                               .quarantine = &direct_sink,
                               .max_chase_steps = 1});
   driver.Run(&direct);
@@ -274,6 +274,24 @@ TEST(RepairSessionTest, RejectsUnroutableConfigs) {
     const StatusOr<RepairReport> report =
         session.RepairStream(&reader.value(), out);
     ASSERT_FALSE(report.ok());  // streaming is lRepair-only
+    EXPECT_EQ(report.status().code(), StatusCode::kMalformedInput);
+  }
+}
+
+// The session's image is bound to each call's schema, by attribute name:
+// a table of the rules' arity under other names is refused, not chased
+// by position.
+TEST(RepairSessionTest, RefusesATableWhoseAttributesDifferFromTheRules) {
+  TravelExample example;
+  std::vector<std::string> names = example.schema->attribute_names();
+  names[0] += "_renamed";
+  Table table(std::make_shared<Schema>("other", names), example.pool);
+  table.AppendRow(example.dirty.row(0).ToTuple());
+  for (const RepairEngine engine :
+       {RepairEngine::kLRepair, RepairEngine::kCRepair}) {
+    RepairSession session(&example.rules, {.engine = engine});
+    const StatusOr<RepairReport> report = session.Repair(&table);
+    ASSERT_FALSE(report.ok());
     EXPECT_EQ(report.status().code(), StatusCode::kMalformedInput);
   }
 }

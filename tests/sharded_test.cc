@@ -1,6 +1,6 @@
-// Content-routed (sharded) RepairDriver runs and the acceptance matrix of the
-// rule-dictionary refactor: repair output must be byte-identical between
-// the in-RAM CompiledRuleIndex and the compiled on-disk dictionary
+// Content-routed (sharded) RepairDriver runs and the storage matrix of
+// the rule image: repair output must be byte-identical between an image
+// compiled in memory and the same image opened from a dictionary file
 // across datasets (travel/hosp/uis) × engines (serial, memo-off,
 // pooled, sharded) × error policies (abort/skip/quarantine) ×
 // whole-table/stream/spill.
@@ -73,7 +73,7 @@ TEST(ShardedRepair, ByteIdenticalToSerialAcrossShardCounts) {
     for (size_t i = 0; i < num_rules; ++i) {
       rules.Add(universe.RandomRule(&rng));
     }
-    const CompiledRuleIndex index(&rules);
+    const std::unique_ptr<RuleDict> dict = RuleDict::CompileOrDie(rules);
 
     Table base(universe.schema, universe.pool);
     for (int r = 0; r < 120; ++r) base.AppendRow(universe.RandomTuple(&rng));
@@ -83,7 +83,7 @@ TEST(ShardedRepair, ByteIdenticalToSerialAcrossShardCounts) {
     Table expected = base;
     size_t expected_quarantined = 0;
     {
-      const std::unique_ptr<RuleSourceHandle> handle = index.MakeHandle();
+      const std::unique_ptr<RuleDictHandle> handle = dict->MakeHandle();
       FastRepairer serial(handle->source());
       for (size_t r = 0; r < expected.num_rows(); ++r) {
         size_t changed = 0;
@@ -95,7 +95,7 @@ TEST(ShardedRepair, ByteIdenticalToSerialAcrossShardCounts) {
 
     for (const size_t shards : {size_t{0}, size_t{1}, size_t{2}, size_t{5}}) {
       Table actual = base;
-      RepairDriver driver(index, {.shards = shards,
+      RepairDriver driver(*dict, {.shards = shards,
                                   .on_error = OnErrorPolicy::kSkip});
       driver.Run(&actual);
       const std::string context =
@@ -131,7 +131,7 @@ TEST(ShardedRepair, LenientDiagnosticsAndWriteLogMatchSerial) {
   auto schema = std::make_shared<Schema>(
       "R", std::vector<std::string>{"country", "capital", "name"});
   const RuleSet rules = CascadeRules(schema, pool);
-  const CompiledRuleIndex index(&rules);
+  const std::unique_ptr<RuleDict> dict = RuleDict::CompileOrDie(rules);
 
   Table base(schema, pool);
   for (int i = 0; i < 40; ++i) {
@@ -146,7 +146,7 @@ TEST(ShardedRepair, LenientDiagnosticsAndWriteLogMatchSerial) {
   std::vector<Diagnostic> expected_diags;
   std::vector<CellRepair> expected_log;
   {
-    const std::unique_ptr<RuleSourceHandle> handle = index.MakeHandle();
+    const std::unique_ptr<RuleDictHandle> handle = dict->MakeHandle();
     FastRepairer serial(handle->source());
     serial.set_max_chase_steps(1);
     serial.set_write_log(&expected_log);
@@ -169,7 +169,7 @@ TEST(ShardedRepair, LenientDiagnosticsAndWriteLogMatchSerial) {
     Table actual = base;
     VectorQuarantineSink sink;
     std::vector<CellRepair> log;
-    RepairDriver driver(index, {.shards = shards,
+    RepairDriver driver(*dict, {.shards = shards,
                                 .on_error = OnErrorPolicy::kQuarantine,
                                 .quarantine = &sink,
                                 .max_chase_steps = 1});
@@ -196,30 +196,27 @@ TEST(ShardedRepair, DictionaryBackendMatchesIndexBackend) {
   RandomRuleUniverse universe;
   RuleSet rules(universe.schema, universe.pool);
   for (size_t i = 0; i < 9; ++i) rules.Add(universe.RandomRule(&rng));
-  const CompiledRuleIndex index(&rules);
-
-  const std::string path = TestPath("engine_dict.frd");
-  ASSERT_TRUE(CompileRuleDict(rules, path).ok());
-  auto dict = RuleDict::Open(path);
-  ASSERT_TRUE(dict.ok()) << dict.status();
-  ASSERT_TRUE((*dict)->Bind(*universe.schema, universe.pool).ok());
+  const std::unique_ptr<RuleDict> heap = RuleDict::CompileOrDie(rules);
+  const std::unique_ptr<RuleDict> mapped =
+      testing::ReopenedImage(rules, "engine_dict.frd");
+  ASSERT_NE(mapped, nullptr);
 
   Table base(universe.schema, universe.pool);
   for (int r = 0; r < 200; ++r) base.AppendRow(universe.RandomTuple(&rng));
 
   const RepairConfig config{.shards = 4, .on_error = OnErrorPolicy::kSkip};
 
-  Table via_index = base;
-  Table via_dict = base;
-  RepairDriver index_driver(index, config);
-  RepairDriver dict_driver(**dict, config);
-  const RepairStats index_stats = index_driver.Run(&via_index);
-  const RepairStats dict_stats = dict_driver.Run(&via_dict);
-  ExpectSameRows(via_dict, via_index, "dict vs index");
-  EXPECT_EQ(dict_stats.cells_changed, index_stats.cells_changed);
-  EXPECT_EQ(dict_stats.per_rule_applications,
-            index_stats.per_rule_applications);
-  EXPECT_EQ(dict_driver.failures().size(), index_driver.failures().size());
+  Table via_heap = base;
+  Table via_file = base;
+  RepairDriver heap_driver(*heap, config);
+  RepairDriver file_driver(*mapped, config);
+  const RepairStats heap_stats = heap_driver.Run(&via_heap);
+  const RepairStats file_stats = file_driver.Run(&via_file);
+  ExpectSameRows(via_file, via_heap, "file vs heap");
+  EXPECT_EQ(file_stats.cells_changed, heap_stats.cells_changed);
+  EXPECT_EQ(file_stats.per_rule_applications,
+            heap_stats.per_rule_applications);
+  EXPECT_EQ(file_driver.failures().size(), heap_driver.failures().size());
 }
 
 // ----------------------------------------------------- session matrix --
@@ -292,7 +289,7 @@ MatrixRun RunMatrix(const Dataset& data, const std::string& dict_path,
   config.on_error = policy;
   config.max_chase_steps = policy == OnErrorPolicy::kAbort ? 0 : 1;
   if (policy == OnErrorPolicy::kQuarantine) config.quarantine = &sink;
-  config.rules_dict = dict_path;  // empty = in-RAM index backend
+  config.rules_dict = dict_path;  // empty = an image compiled in memory
   RepairSession session(&data.rules, config);
   StatusOr<RepairReport> report = session.Repair(&run.table);
   EXPECT_TRUE(report.ok()) << report.status();
@@ -311,7 +308,7 @@ TEST(ShardedSessionMatrix, DictAndShardsByteIdenticalAcrossDatasets) {
     for (const OnErrorPolicy policy :
          {OnErrorPolicy::kAbort, OnErrorPolicy::kSkip,
           OnErrorPolicy::kQuarantine}) {
-      // Reference: serial, in-RAM index.
+      // Reference: serial, image compiled in memory.
       const MatrixRun reference =
           RunMatrix(data, "", /*threads=*/1, /*shards=*/0, true, policy);
 
@@ -328,7 +325,7 @@ TEST(ShardedSessionMatrix, DictAndShardsByteIdenticalAcrossDatasets) {
               Mode{"pooled", 3, 0, true}, Mode{"sharded", 1, 3, true}}) {
           const std::string context =
               data.name + " " + OnErrorPolicyName(policy) + " " + mode.tag +
-              (dict_backed ? " dict" : " index");
+              (dict_backed ? " file" : " heap");
           const MatrixRun run = RunMatrix(data, dict, mode.threads,
                                           mode.shards, mode.use_memo, policy);
           ExpectSameRows(run.table, reference.table, context);
@@ -380,7 +377,7 @@ TEST(ShardedSessionMatrix, StreamAndSpillByteIdenticalAcrossBackends) {
 
     for (const OnErrorPolicy policy :
          {OnErrorPolicy::kAbort, OnErrorPolicy::kQuarantine}) {
-      // Reference: serial whole-table repair, in-RAM index.
+      // Reference: serial whole-table repair, image compiled in memory.
       const MatrixRun reference =
           RunMatrix(data, "", /*threads=*/1, /*shards=*/0, true, policy);
       const std::string want = ToCsv(reference.table);
@@ -400,7 +397,7 @@ TEST(ShardedSessionMatrix, StreamAndSpillByteIdenticalAcrossBackends) {
         for (const bool dict_backed : {false, true}) {
           const std::string context =
               data.name + " " + OnErrorPolicyName(policy) + " " + mode.tag +
-              (dict_backed ? " dict" : " index");
+              (dict_backed ? " file" : " heap");
           const std::string got =
               RunStreamMatrix(data, dict_backed ? dict_path : "", mode.shards,
                               mode.chunk_rows, mode.memory_budget, policy);

@@ -1,5 +1,5 @@
 // Kernel-independence suite for the vectorized evidence-matching path
-// (common/simd.h, CompiledRuleIndex::LookupBatch, FastRepairer row
+// (common/simd.h, RuleSource::LookupBatch, FastRepairer row
 // groups): every SIMD kernel must produce bit-identical hashes, probe
 // results, repaired output, and chase-semantic metrics. The scalar
 // kernel always participates, so the fallback path is exercised even on
@@ -23,7 +23,6 @@
 #include "relation/csv.h"
 #include "repair/driver.h"
 #include "repair/lrepair.h"
-#include "repair/rule_index.h"
 #include "repair/session.h"
 #include "rulegen/rulegen.h"
 #include "testing_util.h"
@@ -85,7 +84,7 @@ TEST(HashBatchTest, BitIdenticalAcrossKernelsAndSizes) {
       // Half realistic packed keys (small attr, small value), half
       // arbitrary bit patterns.
       keys[i] = (i % 2 == 0)
-                    ? CompiledRuleIndex::PackKey(
+                    ? RuleSource::PackKey(
                           static_cast<AttrId>(i % 64),
                           static_cast<ValueId>(i * 13))
                     : SplitMix64(0x9e3779b97f4a7c15ULL * (i + 1));
@@ -110,39 +109,46 @@ TEST(LookupBatchTest, MatchesScalarLookupOnFuzzedKeys) {
   Rng rng(0x51a7);
   RuleSet rules(universe.schema, universe.pool);
   for (int i = 0; i < 200; ++i) rules.Add(universe.RandomRule(&rng));
-  const CompiledRuleIndex index(&rules);
+  const std::unique_ptr<RuleDict> dict = RuleDict::CompileOrDie(rules);
+  const std::unique_ptr<RuleDictHandle> handle = dict->MakeHandle();
+  const RuleSource& source = handle->source();
   const auto arity = static_cast<AttrId>(universe.schema->arity());
   const std::vector<SimdKernel> kernels = SupportedKernels();
 
   for (const size_t n : {size_t{1}, size_t{2}, size_t{15}, size_t{16},
                          size_t{17}, size_t{33}, size_t{64}, size_t{129}}) {
     std::vector<uint64_t> keys(n);
+    std::vector<PostingRange> expected(n);
+    std::vector<bool> absent(n, false);
     for (size_t i = 0; i < n; ++i) {
       const AttrId attr = static_cast<AttrId>(rng.Uniform(arity));
-      ValueId value;
       const uint64_t mix = rng.Uniform(4);
-      if (mix == 0) {
-        value = kNullValue;  // a null cell's packed key
-      } else if (mix == 1) {
-        value = static_cast<ValueId>(1000000 + rng.Uniform(1000));  // absent
-      } else {
-        value = universe.Value(
-            attr, static_cast<int>(
-                      rng.Uniform(universe.values_per_attribute)));
+      if (mix == 1) {
+        // An image id no string carries: probes to an empty range.
+        keys[i] = RuleSource::PackKey(
+            attr, static_cast<ValueId>(1000000 + rng.Uniform(1000)));
+        absent[i] = true;
+        continue;
       }
-      keys[i] = CompiledRuleIndex::PackKey(attr, value);
+      const ValueId value =
+          mix == 0 ? kNullValue  // a null cell's packed key
+                   : universe.Value(attr, static_cast<int>(rng.Uniform(
+                                              universe.values_per_attribute)));
+      keys[i] = source.ProbeKey(attr, value);
+      expected[i] = source.Lookup(attr, value);
     }
     for (const SimdKernel kernel : kernels) {
       std::vector<PostingRange> out(n);
-      index.LookupBatch(kernel, keys.data(), n, out.data());
+      source.LookupBatch(kernel, keys.data(), n, out.data());
       for (size_t i = 0; i < n; ++i) {
-        const AttrId attr = static_cast<AttrId>(keys[i] >> 32);
-        const ValueId value = static_cast<ValueId>(
-            static_cast<uint32_t>(keys[i]));
-        const PostingRange expected = index.Lookup(attr, value);
-        EXPECT_EQ(out[i].begin, expected.begin)
+        if (absent[i]) {
+          EXPECT_TRUE(out[i].empty())
+              << "kernel " << SimdKernelName(kernel) << " key " << i;
+          continue;
+        }
+        EXPECT_EQ(out[i].begin, expected[i].begin)
             << "kernel " << SimdKernelName(kernel) << " key " << i;
-        EXPECT_EQ(out[i].end, expected.end)
+        EXPECT_EQ(out[i].end, expected[i].end)
             << "kernel " << SimdKernelName(kernel) << " key " << i;
       }
     }
@@ -156,11 +162,12 @@ TEST(MatchesFlatTest, AgreesWithRuleMatches) {
   Rng rng(0xf1a7);
   RuleSet rules(universe.schema, universe.pool);
   for (int i = 0; i < 100; ++i) rules.Add(universe.RandomRule(&rng));
-  const CompiledRuleIndex index(&rules);
+  const std::unique_ptr<RuleDict> dict = RuleDict::CompileOrDie(rules);
+  const std::unique_ptr<RuleDictHandle> handle = dict->MakeHandle();
   for (int trial = 0; trial < 500; ++trial) {
     const Tuple t = universe.RandomTuple(&rng);
     for (uint32_t i = 0; i < rules.size(); ++i) {
-      ASSERT_EQ(index.MatchesFlat(i, TupleRef(t)),
+      ASSERT_EQ(handle->source().MatchesFlat(i, TupleRef(t)),
                 rules.rule(i).Matches(TupleRef(t)))
           << "rule " << i;
     }
@@ -213,9 +220,9 @@ EngineRun RunSerialMemo(const Table& dirty, const RuleSet& rules) {
 
 EngineRun RunPooled(const Table& dirty, const RuleSet& rules) {
   Table copy = dirty;
-  const CompiledRuleIndex index(&rules);
+  const std::unique_ptr<RuleDict> dict = RuleDict::CompileOrDie(rules);
   const RepairStats stats =
-      RepairDriver(index, {.threads = 3, .use_memo = false}).Run(&copy);
+      RepairDriver(*dict, {.threads = 3, .use_memo = false}).Run(&copy);
   return {TableCsv(copy), ChaseSignature(stats)};
 }
 
@@ -238,7 +245,7 @@ EngineRun RunLenientBudget(const Table& dirty, const RuleSet& rules) {
 EngineRun StreamRun(const Table& dirty, const RuleSet& rules,
                     size_t budget_bytes) {
   const std::string input = TableCsv(dirty);
-  const CompiledRuleIndex index(&rules);
+  const std::unique_ptr<RuleDict> dict = RuleDict::CompileOrDie(rules);
   RepairConfig config;
   config.chunk_rows = budget_bytes > 0 ? ~size_t{0} : 512;
   config.memory_budget_bytes = budget_bytes;
@@ -247,7 +254,7 @@ EngineRun StreamRun(const Table& dirty, const RuleSet& rules,
   StatusOr<CsvChunkReader> reader =
       CsvChunkReader::Open(in, "simd_test", dirty.pool_ptr(), {});
   EXPECT_TRUE(reader.ok());
-  RepairSession session(&index, config);
+  RepairSession session(dict.get(), config);
   const StatusOr<RepairReport> result =
       session.RepairStream(&reader.value(), out);
   EXPECT_TRUE(result.ok());

@@ -24,7 +24,6 @@
 #include "relation/table.h"
 #include "repair/driver.h"
 #include "repair/lrepair.h"
-#include "repair/rule_index.h"
 #include "repair/session.h"
 #include "rulegen/rulegen.h"
 #include "rules/rule_io.h"
@@ -64,7 +63,7 @@ struct StreamConfig {
 
 StatusOr<StreamRun> RunStream(const std::string& csv_text,
                               std::shared_ptr<ValuePool> pool,
-                              const CompiledRuleIndex& index,
+                              const RuleDict& dict,
                               const StreamConfig& config) {
   VectorQuarantineSink tuple_sink;
   VectorQuarantineSink row_sink;
@@ -88,7 +87,7 @@ StatusOr<StreamRun> RunStream(const std::string& csv_text,
   repair.max_chase_steps = config.max_chase_steps;
   repair.memory_budget_bytes = config.memory_budget_bytes;
   repair.prune_columns = config.prune_columns;
-  RepairSession session(&index, repair);
+  RepairSession session(&dict, repair);
   std::ostringstream out;
   StatusOr<RepairReport> result = session.RepairStream(&reader.value(), out);
   if (!result.ok()) return result.status();
@@ -122,12 +121,12 @@ class StreamingTest : public ::testing::Test {
 
 TEST_F(StreamingTest, TravelExampleStreamsToTheCleanInstance) {
   TravelExample example;
-  const CompiledRuleIndex index(&example.rules);
+  const std::unique_ptr<RuleDict> dict = RuleDict::CompileOrDie(example.rules);
   const std::string dirty_csv = ToCsv(example.dirty);
   const std::string want = ToCsv(example.clean);
   for (const size_t chunk_rows : {size_t{1}, size_t{2}, size_t{100}}) {
     const StatusOr<StreamRun> run = RunStream(
-        dirty_csv, example.pool, index, {.chunk_rows = chunk_rows});
+        dirty_csv, example.pool, *dict, {.chunk_rows = chunk_rows});
     ASSERT_TRUE(run.ok()) << run.status().message();
     EXPECT_EQ(run->csv, want) << "chunk_rows=" << chunk_rows;
     EXPECT_EQ(run->result.rows, example.dirty.num_rows());
@@ -137,10 +136,10 @@ TEST_F(StreamingTest, TravelExampleStreamsToTheCleanInstance) {
 
 TEST_F(StreamingTest, EmptyInputEmitsHeaderOnly) {
   TravelExample example;
-  const CompiledRuleIndex index(&example.rules);
+  const std::unique_ptr<RuleDict> dict = RuleDict::CompileOrDie(example.rules);
   Table empty(example.schema, example.pool);
   const StatusOr<StreamRun> run =
-      RunStream(ToCsv(empty), example.pool, index, {.chunk_rows = 4});
+      RunStream(ToCsv(empty), example.pool, *dict, {.chunk_rows = 4});
   ASSERT_TRUE(run.ok());
   EXPECT_EQ(run->csv, ToCsv(empty));
   EXPECT_EQ(run->result.rows, 0u);
@@ -149,9 +148,9 @@ TEST_F(StreamingTest, EmptyInputEmitsHeaderOnly) {
 
 TEST_F(StreamingTest, ArityMismatchWithRulesIsMalformedInput) {
   TravelExample example;  // 5-attribute rules
-  const CompiledRuleIndex index(&example.rules);
+  const std::unique_ptr<RuleDict> dict = RuleDict::CompileOrDie(example.rules);
   const StatusOr<StreamRun> run =
-      RunStream("a,b\n1,2\n", example.pool, index, {.chunk_rows = 1});
+      RunStream("a,b\n1,2\n", example.pool, *dict, {.chunk_rows = 1});
   ASSERT_FALSE(run.ok());
   EXPECT_EQ(run.status().code(), StatusCode::kMalformedInput);
 }
@@ -182,12 +181,12 @@ TEST_F(StreamingTest, ChunkedRepairBitIdenticalToWholeTableSerial) {
     repairer.RepairTable(&reference);
     const std::string want = ToCsv(reference);
 
-    const CompiledRuleIndex index(&rules);
+    const std::unique_ptr<RuleDict> dict = RuleDict::CompileOrDie(rules);
     for (const size_t chunk_rows :
          {size_t{1}, size_t{7}, size_t{1024}, num_rows}) {
       for (const size_t threads : {size_t{1}, size_t{4}}) {
         const StatusOr<StreamRun> run =
-            RunStream(input_csv, universe.pool, index,
+            RunStream(input_csv, universe.pool, *dict,
                       {.chunk_rows = chunk_rows, .threads = threads});
         ASSERT_TRUE(run.ok()) << run.status().message();
         ASSERT_EQ(run->csv, want) << "round=" << round
@@ -214,12 +213,12 @@ void ExpectStreamingMatchesWholeTable(const GeneratedData& data,
   const std::string want = ToCsv(reference);
   EXPECT_NE(want, input_csv) << "noise should leave something to repair";
 
-  const CompiledRuleIndex index(&rules);
+  const std::unique_ptr<RuleDict> dict = RuleDict::CompileOrDie(rules);
   for (const size_t chunk_rows :
        {size_t{1}, size_t{7}, size_t{1024}, dirty.num_rows()}) {
     for (const size_t threads : {size_t{1}, size_t{4}}) {
       const StatusOr<StreamRun> run =
-          RunStream(input_csv, data.pool, index,
+          RunStream(input_csv, data.pool, *dict,
                     {.chunk_rows = chunk_rows, .threads = threads});
       ASSERT_TRUE(run.ok()) << run.status().message();
       ASSERT_EQ(run->csv, want) << "chunk_rows=" << chunk_rows
@@ -314,11 +313,11 @@ TEST_F(StreamingQuarantineTest, DiagnosticsMatchWholeTableLenientRepair) {
       {"Chn", "Shanghai", "flag"},  // cascade: budget-exhausted
   });
   const std::string input_csv = ToCsv(table);
-  const CompiledRuleIndex index(&rules_);
+  const std::unique_ptr<RuleDict> dict = RuleDict::CompileOrDie(rules_);
 
   Table reference = table;
   VectorQuarantineSink reference_sink;
-  RepairDriver reference_driver(index, LenientConfig(&reference_sink));
+  RepairDriver reference_driver(*dict, LenientConfig(&reference_sink));
   reference_driver.Run(&reference);
   ASSERT_EQ(reference_driver.failures().size(), 3u);
   const std::string want = ToCsv(reference);
@@ -329,7 +328,7 @@ TEST_F(StreamingQuarantineTest, DiagnosticsMatchWholeTableLenientRepair) {
       const std::string context = "chunk_rows=" + std::to_string(chunk_rows) +
                                   " threads=" + std::to_string(threads);
       const StatusOr<StreamRun> run =
-          RunStream(input_csv, pool_, index,
+          RunStream(input_csv, pool_, *dict,
                     {.chunk_rows = chunk_rows,
                      .threads = threads,
                      .on_error = OnErrorPolicy::kQuarantine,
@@ -348,9 +347,9 @@ TEST_F(StreamingQuarantineTest, SkipModeDropsFixesButKeepsRowsAndBytes) {
       {"Chn", "Shanghai", "flag"},
       {"China", "Shanghai", "x"},
   });
-  const CompiledRuleIndex index(&rules_);
+  const std::unique_ptr<RuleDict> dict = RuleDict::CompileOrDie(rules_);
   const StatusOr<StreamRun> run =
-      RunStream(ToCsv(table), pool_, index,
+      RunStream(ToCsv(table), pool_, *dict,
                 {.chunk_rows = 1,
                  .on_error = OnErrorPolicy::kSkip,
                  .max_chase_steps = 1});
@@ -384,16 +383,16 @@ TEST_F(StreamingQuarantineTest, MalformedRecordsKeepGlobalOrdinals) {
   StatusOr<Table> reference = ReadCsvLenient(in, "R", pool_, read_options);
   ASSERT_TRUE(reference.ok());
   ASSERT_EQ(reference->num_rows(), 3u);
-  const CompiledRuleIndex index(&rules_);
+  const std::unique_ptr<RuleDict> dict = RuleDict::CompileOrDie(rules_);
   VectorQuarantineSink reference_tuples;
-  RepairDriver(index, LenientConfig(&reference_tuples)).Run(&reference.value());
+  RepairDriver(*dict, LenientConfig(&reference_tuples)).Run(&reference.value());
   const std::string want = ToCsv(reference.value());
 
   for (const size_t chunk_rows : {size_t{1}, size_t{2}, size_t{10}}) {
     MetricsRegistry::Global().ResetAllForTest();
     const std::string context = "chunk_rows=" + std::to_string(chunk_rows);
     const StatusOr<StreamRun> run =
-        RunStream(input_csv, pool_, index,
+        RunStream(input_csv, pool_, *dict,
                   {.chunk_rows = chunk_rows,
                    .on_error = OnErrorPolicy::kQuarantine,
                    .max_chase_steps = 1,
@@ -422,9 +421,9 @@ TEST_F(StreamingQuarantineTest, StreamingCountersTickPerChunkAndRow) {
       {"China", "Shanghai", "d"},
       {"China", "Shanghai", "e"},
   });
-  const CompiledRuleIndex index(&rules_);
+  const std::unique_ptr<RuleDict> dict = RuleDict::CompileOrDie(rules_);
   const StatusOr<StreamRun> run =
-      RunStream(ToCsv(table), pool_, index, {.chunk_rows = 2});
+      RunStream(ToCsv(table), pool_, *dict, {.chunk_rows = 2});
   ASSERT_TRUE(run.ok());
   EXPECT_EQ(run->result.chunks, 3u);  // 2 + 2 + 1
   EXPECT_EQ(run->result.rows, 5u);
@@ -446,12 +445,12 @@ TEST_F(StreamingQuarantineTest, FailedStreamKeepsMetricsOfRepairedChunks) {
       "France,Paris,d\n"
       "China,Shanghai\n"    // chunk 3: arity mismatch, abort
       "China,Shanghai,e\n";
-  const CompiledRuleIndex index(&rules_);
+  const std::unique_ptr<RuleDict> dict = RuleDict::CompileOrDie(rules_);
   for (const size_t threads : {size_t{1}, size_t{4}}) {
     MetricsRegistry::Global().ResetAllForTest();
     const std::string context = "threads=" + std::to_string(threads);
     const StatusOr<StreamRun> run = RunStream(
-        input_csv, pool_, index, {.chunk_rows = 2, .threads = threads});
+        input_csv, pool_, *dict, {.chunk_rows = 2, .threads = threads});
     ASSERT_FALSE(run.ok()) << context;
     EXPECT_EQ(run.status().code(), StatusCode::kMalformedInput) << context;
     EXPECT_EQ(CounterValue("fixrep.lrepair.tuples_examined"), 4u) << context;
@@ -470,16 +469,16 @@ TEST_F(StreamingQuarantineTest, FailedStreamKeepsMetricsOfRepairedChunks) {
 // exactly the bytes of an in-memory run, serial and pooled.
 void ExpectSpillConfigsMatch(const std::string& input_csv,
                              std::shared_ptr<ValuePool> pool,
-                             const CompiledRuleIndex& index,
+                             const RuleDict& dict,
                              const std::string& want, size_t num_rows) {
   const size_t block_bytes =
-      RowStore::kRowsPerBlock * index.arity() * sizeof(ValueId);
+      RowStore::kRowsPerBlock * dict.arity() * sizeof(ValueId);
   for (const size_t budget : {size_t{1}, 4 * block_bytes, size_t{0}}) {
     for (const size_t threads : {size_t{1}, size_t{4}}) {
       const std::string context = "budget=" + std::to_string(budget) +
                                   " threads=" + std::to_string(threads);
       const StatusOr<StreamRun> run =
-          RunStream(input_csv, pool, index,
+          RunStream(input_csv, pool, dict,
                     {.chunk_rows = ~size_t{0},  // spilling, not chunking,
                      .threads = threads,        // bounds resident memory
                      .memory_budget_bytes = budget});
@@ -503,8 +502,8 @@ TEST_F(StreamingTest, SpillBudgetsBitIdenticalOnTravelExample) {
   // Single-block table: exercises the spill machinery (budget floor, file
   // lifecycle) without eviction pressure.
   TravelExample example;
-  const CompiledRuleIndex index(&example.rules);
-  ExpectSpillConfigsMatch(ToCsv(example.dirty), example.pool, index,
+  const std::unique_ptr<RuleDict> dict = RuleDict::CompileOrDie(example.rules);
+  ExpectSpillConfigsMatch(ToCsv(example.dirty), example.pool, *dict,
                           ToCsv(example.clean), example.dirty.num_rows());
 }
 
@@ -525,8 +524,8 @@ TEST_F(StreamingTest, SpillBudgetsBitIdenticalOnGeneratedHosp) {
   Table reference = dirty;
   FastRepairer repairer(&rules);
   repairer.RepairTable(&reference);
-  const CompiledRuleIndex index(&rules);
-  ExpectSpillConfigsMatch(ToCsv(dirty), data.pool, index, ToCsv(reference),
+  const std::unique_ptr<RuleDict> dict = RuleDict::CompileOrDie(rules);
+  ExpectSpillConfigsMatch(ToCsv(dirty), data.pool, *dict, ToCsv(reference),
                           dirty.num_rows());
 }
 
@@ -546,8 +545,8 @@ TEST_F(StreamingTest, SpillBudgetsBitIdenticalOnGeneratedUis) {
   Table reference = dirty;
   FastRepairer repairer(&rules);
   repairer.RepairTable(&reference);
-  const CompiledRuleIndex index(&rules);
-  ExpectSpillConfigsMatch(ToCsv(dirty), data.pool, index, ToCsv(reference),
+  const std::unique_ptr<RuleDict> dict = RuleDict::CompileOrDie(rules);
+  ExpectSpillConfigsMatch(ToCsv(dirty), data.pool, *dict, ToCsv(reference),
                           dirty.num_rows());
 }
 
@@ -571,11 +570,11 @@ TEST_F(StreamingQuarantineTest, SpillWithQuarantineMatchesInMemory) {
     }
   }
   const std::string input_csv = ToCsv(table);
-  const CompiledRuleIndex index(&rules_);
+  const std::unique_ptr<RuleDict> dict = RuleDict::CompileOrDie(rules_);
 
   Table reference = table;
   VectorQuarantineSink reference_sink;
-  RepairDriver reference_driver(index, LenientConfig(&reference_sink));
+  RepairDriver reference_driver(*dict, LenientConfig(&reference_sink));
   reference_driver.Run(&reference);
   ASSERT_GT(reference_driver.failures().size(), 0u);
   const std::string want = ToCsv(reference);
@@ -583,7 +582,7 @@ TEST_F(StreamingQuarantineTest, SpillWithQuarantineMatchesInMemory) {
   for (const size_t threads : {size_t{1}, size_t{4}}) {
     const std::string context = "threads=" + std::to_string(threads);
     const StatusOr<StreamRun> run =
-        RunStream(input_csv, pool_, index,
+        RunStream(input_csv, pool_, *dict,
                   {.chunk_rows = ~size_t{0},
                    .threads = threads,
                    .on_error = OnErrorPolicy::kQuarantine,
@@ -624,8 +623,8 @@ class StreamingPruneTest : public StreamingTest {
 
 TEST_F(StreamingPruneTest, PrunedStreamBitIdenticalToUnpruned) {
   Table reference = MakeTable();
-  const CompiledRuleIndex index(&rules_);
-  ASSERT_FALSE(index.mentioned_attrs().Contains(3));  // note: unmentioned
+  const std::unique_ptr<RuleDict> dict = RuleDict::CompileOrDie(rules_);
+  ASSERT_FALSE(dict->mentioned_attrs().Contains(3));  // note: unmentioned
   FastRepairer repairer(&rules_);
   repairer.RepairTable(&reference);
   const std::string want = ToCsv(reference);
@@ -636,7 +635,7 @@ TEST_F(StreamingPruneTest, PrunedStreamBitIdenticalToUnpruned) {
       const std::string context = "chunk_rows=" + std::to_string(chunk_rows) +
                                   " threads=" + std::to_string(threads);
       const StatusOr<StreamRun> run =
-          RunStream(input_csv, pool_, index,
+          RunStream(input_csv, pool_, *dict,
                     {.chunk_rows = chunk_rows,
                      .threads = threads,
                      .prune_columns = true});
@@ -651,18 +650,18 @@ TEST_F(StreamingPruneTest, PruneWithQuarantineKeepsFullRawText) {
   // Diagnostics must carry the complete original tuple — including the
   // pruned column's raw text — exactly as an unpruned run renders it.
   const std::string input_csv = ToCsv(MakeTable());
-  const CompiledRuleIndex index(&rules_);
+  const std::unique_ptr<RuleDict> dict = RuleDict::CompileOrDie(rules_);
 
   Table reference = MakeTable();
   VectorQuarantineSink reference_sink;
-  RepairDriver(index, LenientConfig(&reference_sink)).Run(&reference);
+  RepairDriver(*dict, LenientConfig(&reference_sink)).Run(&reference);
   ASSERT_EQ(reference_sink.size(), 1u);  // the cascade row
   const std::string want = ToCsv(reference);
 
   for (const size_t threads : {size_t{1}, size_t{4}}) {
     const std::string context = "threads=" + std::to_string(threads);
     const StatusOr<StreamRun> run =
-        RunStream(input_csv, pool_, index,
+        RunStream(input_csv, pool_, *dict,
                   {.chunk_rows = 2,
                    .threads = threads,
                    .on_error = OnErrorPolicy::kQuarantine,
@@ -677,12 +676,12 @@ TEST_F(StreamingPruneTest, PruneWithQuarantineKeepsFullRawText) {
 
 TEST_F(StreamingPruneTest, PruningComposesWithSpill) {
   const std::string input_csv = ToCsv(MakeTable());
-  const CompiledRuleIndex index(&rules_);
+  const std::unique_ptr<RuleDict> dict = RuleDict::CompileOrDie(rules_);
   Table reference = MakeTable();
   FastRepairer repairer(&rules_);
   repairer.RepairTable(&reference);
   const StatusOr<StreamRun> run =
-      RunStream(input_csv, pool_, index,
+      RunStream(input_csv, pool_, *dict,
                 {.chunk_rows = ~size_t{0},
                  .threads = 4,
                  .memory_budget_bytes = 1,

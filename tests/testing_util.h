@@ -19,6 +19,7 @@
 #include "relation/schema.h"
 #include "relation/value_pool.h"
 #include "rules/fixing_rule.h"
+#include "rules/rule_dict.h"
 #include "rules/rule_set.h"
 
 namespace fixrep::testing {
@@ -248,6 +249,31 @@ inline std::string ProcessTempPath(std::string_view name) {
   };
   static const ProcessDir dir;
   return dir.path + "/" + std::string(name);
+}
+
+// `rules` written by CompileRuleDict to `name` inside TestTempDir(),
+// mapped back by RuleDict::Open and bound to the set's schema and pool:
+// the image RuleDict::Compile builds in memory, in its other storage.
+// Null (with a test failure) when any step fails.
+inline std::unique_ptr<RuleDict> ReopenedImage(const RuleSet& rules,
+                                               std::string_view name) {
+  const std::string path = TestTempPath(name);
+  const Status compiled = CompileRuleDict(rules, path);
+  EXPECT_TRUE(compiled.ok()) << compiled;
+  StatusOr<std::unique_ptr<RuleDict>> opened = RuleDict::Open(path);
+  EXPECT_TRUE(opened.ok()) << opened.status();
+  if (!compiled.ok() || !opened.ok()) return nullptr;
+  const Status bound = (*opened)->Bind(rules.schema(), rules.pool_ptr());
+  EXPECT_TRUE(bound.ok()) << bound;
+  if (!bound.ok()) return nullptr;
+  return std::move(opened).value();
+}
+
+// The image of `rules` in the named storage: compiled in memory, or
+// compiled to a file named `name` and opened from it.
+inline std::unique_ptr<RuleDict> ImageIn(bool mapped, const RuleSet& rules,
+                                         std::string_view name) {
+  return mapped ? ReopenedImage(rules, name) : RuleDict::CompileOrDie(rules);
 }
 
 // Seeded structural mutations of CSV text: insert, delete or replace a
