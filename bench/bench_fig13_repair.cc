@@ -458,63 +458,6 @@ void WriteRepairJson() {
   const StreamCost spill_run =
       stream_best_of("fig13_streaming_spill", input_csv, *image, spill_options);
 
-  // Column pruning, measured on the shape it exists for: wide rows where
-  // only a few columns are rule-constrained and the rest are
-  // high-cardinality free text (ids, timestamps, notes) that interning
-  // would hash and keep forever. The hosp rules mention every hosp
-  // column, so the base workload gains nothing from pruning; the wide
-  // variant appends per-row-unique payload columns no rule mentions
-  // (rule attr ids stay valid — payload columns go at the end) and
-  // compares the same chunked stream with pruning off vs on.
-  constexpr size_t kPayloadColumns = 8;
-  std::vector<std::string> wide_names;
-  for (size_t a = 0; a < dup.num_columns(); ++a) {
-    wide_names.push_back(
-        dup.schema().attribute_name(static_cast<AttrId>(a)));
-  }
-  for (size_t w = 0; w < kPayloadColumns; ++w) {
-    wide_names.push_back("payload_" + std::to_string(w));
-  }
-  const auto wide_schema =
-      std::make_shared<Schema>("hosp_wide", std::move(wide_names));
-  Table wide(wide_schema, workload.data.pool);
-  {
-    Tuple row;
-    for (size_t r = 0; r < dup.num_rows(); ++r) {
-      row.clear();
-      const TupleRef base = dup.row(r);
-      for (size_t a = 0; a < base.size(); ++a) row.push_back(base[a]);
-      for (size_t w = 0; w < kPayloadColumns; ++w) {
-        row.push_back(workload.data.pool->Intern(
-            "note-" + std::to_string(w) + "-" + std::to_string(r * 7919) +
-            "-f8a3bc21"));
-      }
-      wide.AppendRow(row);
-    }
-  }
-  RuleSet wide_rules(wide_schema, workload.data.pool);
-  for (size_t i = 0; i < workload.rules.size(); ++i) {
-    wide_rules.Add(workload.rules.rule(i));
-  }
-  const std::unique_ptr<RuleDict> wide_image =
-      RuleDict::CompileOrDie(wide_rules);
-  std::string wide_csv;
-  {
-    std::ostringstream csv;
-    WriteCsv(wide, csv);
-    wide_csv = csv.str();
-  }
-  RepairConfig wide_options;
-  wide_options.chunk_rows = kStreamChunkRows;
-  const StreamCost wide_run = stream_best_of("fig13_streaming_wide",
-                                             wide_csv, *wide_image,
-                                             wide_options);
-  RepairConfig pruned_options = wide_options;
-  pruned_options.prune_columns = true;
-  const StreamCost pruned_run = stream_best_of("fig13_streaming_pruned",
-                                               wide_csv, *wide_image,
-                                               pruned_options);
-
   // On-disk rule dictionary (rules/rule_dict.h): the same serial chase
   // through the image mapped from its file instead of compiled into
   // the heap. Three rows: heap-image reference (fresh handle every run,
@@ -818,16 +761,6 @@ void WriteRepairJson() {
            static_cast<double>(spill_budget));
   json.Set("streaming_spill", "peak_resident_bytes",
            static_cast<double>(spill_run.result.peak_resident_bytes));
-  json.Set("streaming_pruned", "ms", pruned_run.cost.ms);
-  json.Set("streaming_pruned", "rows_per_sec",
-           rows / (pruned_run.cost.ms / 1e3));
-  json.Set("streaming_pruned", "columns_pruned",
-           static_cast<double>(pruned_run.result.columns_pruned));
-  json.Set("streaming_pruned", "payload_columns",
-           static_cast<double>(kPayloadColumns));
-  json.Set("streaming_pruned", "unpruned_ms", wide_run.cost.ms);
-  json.Set("streaming_pruned", "speedup_vs_chunked",
-           wide_run.cost.ms / pruned_run.cost.ms);
   json.Set("ruledict_inram", "ms", dict_inram.ms);
   json.Set("ruledict_inram", "rows_per_sec", rows / (dict_inram.ms / 1e3));
   json.Set("ruledict_inram", "allocations", dict_inram.allocations);

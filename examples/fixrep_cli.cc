@@ -27,8 +27,8 @@
 //                        [--resolve pruned_rules.txt]
 //   fixrep_cli repair    --rules rules.txt --in dirty.csv --out fixed.csv
 //                        [--engine lrepair|crepair] [--threads N]
-//                        [--no-memo] [--log] [--stream] [--chunk-rows N]
-//                        [--memory-budget SIZE] [--prune]
+//                        [--no-memo] [--log] [--chunk-rows N]
+//                        [--memory-budget SIZE]
 //                        [--on-error=abort|skip|quarantine]
 //                        [--quarantine-out q.csv] [--max-chase-steps N]
 //                        [--wal wal.bin] [--resume]
@@ -52,21 +52,24 @@
 //                        --max-chase-steps bounds the per-tuple chase in
 //                        skip/quarantine mode; a tuple exceeding it is
 //                        quarantined with its original values intact.
-//                        --stream repairs the input in fixed-size chunks
-//                        (--chunk-rows, default 65536) with peak memory
-//                        proportional to one chunk; the output CSV and
-//                        quarantine file are byte-identical to the
-//                        whole-table run (lrepair engine only, no --log).
+//                        The input streams through the repair in
+//                        fixed-size chunks (--chunk-rows, default 65536)
+//                        with peak memory proportional to one chunk; the
+//                        output CSV and quarantine file are byte-identical
+//                        for every chunk size, engine, width and routing.
+//                        --stream is accepted for older scripts and
+//                        changes nothing.
+//                        --log chases with the cRepair engine and prints
+//                        one line per cell write before the report, e.g.
+//                        "row 1 capital: 'Shanghai' -> 'Beijing' by
+//                        rule #0" (not with --wal).
 //                        --memory-budget=64MB (K/M/G suffixes) spills
 //                        chunk cell blocks past the budget to a
 //                        temp-backed mmap file; without --chunk-rows the
 //                        whole input becomes one spilling chunk, so the
 //                        budget alone bounds resident cell memory.
-//                        --prune interns only rule-mentioned columns and
-//                        passes the rest through verbatim (--stream
-//                        only; output is byte-identical).
 //                        --wal journals every committed chunk to a
-//                        write-ahead log (--stream only), fsynced before
+//                        write-ahead log (lrepair only), fsynced before
 //                        the chunk's rows are emitted; after a crash,
 //                        rerunning with --resume fast-forwards past the
 //                        durable chunks and produces output
@@ -577,8 +580,8 @@ int RulesInspect(const Args& args) {
   return 0;
 }
 
-// Writes the grouped dead-letter file (csv records, then rule blocks,
-// then repaired tuples) shared by the lenient and streaming pipelines.
+// Writes the grouped dead-letter file: csv records, then rule blocks,
+// then repaired tuples.
 int WriteQuarantineFile(const std::string& path,
                         const VectorQuarantineSink& row_sink,
                         const VectorQuarantineSink& rule_sink,
@@ -607,18 +610,22 @@ int WriteQuarantineFile(const std::string& path,
   return 0;
 }
 
-// Chunked streaming repair (repair/streaming.h): the input CSV never
-// lives in memory whole. Handles every --on-error policy; the emitted
-// CSV and quarantine file are byte-identical to the whole-table run.
-int RepairStream(const Args& args, OnErrorPolicy policy) {
-  if (args.Has("log")) {
-    std::cerr << "--log (provenance) is incompatible with --stream\n";
+// The one repair pipeline: the input streams through chunked repair
+// (repair/streaming.h) into --out, so it never lives in memory whole.
+// Under skip/quarantine, malformed CSV rows and rule blocks are dropped
+// or captured with their raw text, each failing tuple is isolated with
+// its original values preserved, and the rest of the batch completes.
+// --log chases with cRepair and prints its write log.
+int Repair(const Args& args) {
+  const std::string on_error = args.Get("on-error", "abort");
+  const std::optional<OnErrorPolicy> parsed_policy =
+      TryParseOnErrorPolicy(on_error);
+  if (!parsed_policy.has_value()) {
+    std::cerr << "unknown --on-error '" << on_error
+              << "' (want abort|skip|quarantine)\n";
     return 2;
   }
-  if (args.Get("engine", "lrepair") != "lrepair") {
-    std::cerr << "--stream supports --engine=lrepair only\n";
-    return 2;
-  }
+  const OnErrorPolicy policy = *parsed_policy;
   auto pool = std::make_shared<ValuePool>();
   const bool quarantining = policy == OnErrorPolicy::kQuarantine;
   VectorQuarantineSink row_sink;
@@ -670,8 +677,7 @@ int RepairStream(const Args& args, OnErrorPolicy policy) {
 
   RepairConfig config = ConfigFromArgs(args, policy);
   config.quarantine = quarantining ? &tuple_sink : nullptr;
-  for (const char* key : {"memory-budget", "chunk-rows", "prune", "wal",
-                          "resume"}) {
+  for (const char* key : {"memory-budget", "chunk-rows", "wal", "resume"}) {
     if (args.Has(key)) ApplyConfigFlag(args, key, &config);
   }
   if (!args.Has("chunk-rows") && config.memory_budget_bytes > 0) {
@@ -683,22 +689,29 @@ int RepairStream(const Args& args, OnErrorPolicy policy) {
     std::cerr << "--resume requires --wal=PATH\n";
     return 2;
   }
+  // --log audits the reference chase: rule by rule, in Fig. 6 order.
+  std::optional<RepairLog> log;
+  if (args.Has("log")) {
+    config.engine = RepairEngine::kCRepair;
+    log.emplace();
+  }
 
   Timer timer;
   RepairReport result;
   {
     FIXREP_TRACE_SPAN("cli.stream");
     // Stage the output in --out.tmp; only a fully repaired (or fully
-    // resumed) stream is renamed into place, so a crash mid-run leaves
-    // any previous --out intact for the WAL to resume against.
+    // resumed) stream is renamed into place, so a failure or a crash
+    // mid-run leaves any previous --out intact (for the WAL to resume
+    // against) and never a partial one.
     StatusOr<AtomicFile> out = AtomicFile::Create(args.Require("out"));
     if (!out.ok()) {
       std::cerr << "error writing --out: " << out.status() << "\n";
       return 1;
     }
     RepairSession session(rules ? &*rules : nullptr, config);
-    StatusOr<RepairReport> result_or =
-        session.RepairStream(&reader, out->stream());
+    StatusOr<RepairReport> result_or = session.RepairStream(
+        &reader, out->stream(), log ? &log->repairs : nullptr);
     if (!result_or.ok()) {
       std::cerr << "error repairing --in: " << result_or.status() << "\n";
       return 1;
@@ -716,6 +729,11 @@ int RepairStream(const Args& args, OnErrorPolicy policy) {
     if (rc != 0) return rc;
   }
 
+  if (log) {
+    for (const CellRepair& repair : log->repairs) {
+      std::cout << log->Describe(repair, *reader.schema(), *pool) << "\n";
+    }
+  }
   std::cout << "repaired " << result.rows << " rows ("
             << result.cells_changed << " cells changed, "
             << result.chunks << " chunks) in "
@@ -730,10 +748,6 @@ int RepairStream(const Args& args, OnErrorPolicy policy) {
     std::cout << "memory budget " << config.memory_budget_bytes
               << " bytes: peak resident cell blocks "
               << result.peak_resident_bytes << " bytes\n";
-  }
-  if (result.columns_pruned > 0) {
-    std::cout << "pruned " << result.columns_pruned
-              << " columns never mentioned by a rule\n";
   }
   if (policy != OnErrorPolicy::kAbort) {
     const auto* rows_counter =
@@ -751,164 +765,6 @@ int RepairStream(const Args& args, OnErrorPolicy policy) {
     }
     std::cout << "\n";
   }
-  return 0;
-}
-
-// The fault-tolerant repair pipeline: malformed CSV rows and rule blocks
-// are dropped (skip) or captured with their raw text (quarantine), each
-// failing tuple is isolated with its original values preserved, and the
-// rest of the batch completes. Reports counts and writes the dead-letter
-// file at the end.
-int RepairLenient(const Args& args, OnErrorPolicy policy) {
-  auto pool = std::make_shared<ValuePool>();
-  const bool quarantining = policy == OnErrorPolicy::kQuarantine;
-  VectorQuarantineSink row_sink;
-  VectorQuarantineSink rule_sink;
-  VectorQuarantineSink tuple_sink;
-
-  auto load = std::make_unique<TraceSpan>("cli.load");
-  CsvReadOptions csv_options;
-  csv_options.on_error = policy;
-  csv_options.quarantine = quarantining ? &row_sink : nullptr;
-  StatusOr<Table> table_or = [&] {
-    FIXREP_TRACE_SPAN("csv.ingest");
-    return ReadCsvFileLenient(args.Require("in"), "data", pool, csv_options);
-  }();
-  if (!table_or.ok()) {
-    std::cerr << "error reading --in: " << table_or.status() << "\n";
-    return 1;
-  }
-  Table table = std::move(table_or).value();
-  std::optional<RuleSet> rules;
-  if (!args.Has("rules-dict")) {
-    FIXREP_TRACE_SPAN("rules.parse");
-    RuleParseOptions rule_options;
-    rule_options.on_error = policy;
-    rule_options.quarantine = quarantining ? &rule_sink : nullptr;
-    StatusOr<RuleSet> rules_or = ParseRulesFileLenient(
-        args.Require("rules"), table.schema_ptr(), pool, rule_options);
-    if (!rules_or.ok()) {
-      std::cerr << "error reading --rules: " << rules_or.status() << "\n";
-      return 1;
-    }
-    rules.emplace(std::move(rules_or).value());
-  }
-  load.reset();
-
-  Timer timer;
-  RepairConfig config = ConfigFromArgs(args, policy);
-  config.quarantine = quarantining ? &tuple_sink : nullptr;
-  RepairSession session(rules ? &*rules : nullptr, config);
-  StatusOr<RepairReport> report_or = session.Repair(&table);
-  if (!report_or.ok()) {
-    std::cerr << "error repairing --in: " << report_or.status() << "\n";
-    return 1;
-  }
-  const size_t cells_changed = report_or.value().cells_changed;
-  const size_t tuples_quarantined = report_or.value().tuples_quarantined;
-
-  {
-    FIXREP_TRACE_SPAN("cli.write");
-    const Status status = TryWriteCsvFile(table, args.Require("out"));
-    if (!status.ok()) {
-      std::cerr << "error writing --out: " << status << "\n";
-      return 1;
-    }
-  }
-  if (args.Has("quarantine-out")) {
-    const int rc = WriteQuarantineFile(args.Require("quarantine-out"),
-                                       row_sink, rule_sink, tuple_sink);
-    if (rc != 0) return rc;
-  }
-
-  const auto* rows_counter =
-      MetricsRegistry::Global().FindCounter("fixrep.quarantine.rows");
-  const auto* rules_counter =
-      MetricsRegistry::Global().FindCounter("fixrep.quarantine.rules");
-  std::cout << "repaired " << table.num_rows() << " rows ("
-            << cells_changed << " cells changed) in "
-            << FormatDouble(timer.ElapsedMillis(), 1) << " ms -> "
-            << args.Get("out") << "\n";
-  std::cout << "on-error=" << OnErrorPolicyName(policy) << ": dropped "
-            << (rows_counter == nullptr ? 0 : rows_counter->Value())
-            << " malformed rows, "
-            << (rules_counter == nullptr ? 0 : rules_counter->Value())
-            << " malformed rule blocks, quarantined " << tuples_quarantined
-            << " tuples";
-  if (args.Has("quarantine-out")) {
-    std::cout << " -> " << args.Get("quarantine-out");
-  }
-  std::cout << "\n";
-  return 0;
-}
-
-int Repair(const Args& args) {
-  const std::string on_error = args.Get("on-error", "abort");
-  const std::optional<OnErrorPolicy> policy =
-      TryParseOnErrorPolicy(on_error);
-  if (!policy.has_value()) {
-    std::cerr << "unknown --on-error '" << on_error
-              << "' (want abort|skip|quarantine)\n";
-    return 2;
-  }
-  if (args.Has("stream")) return RepairStream(args, *policy);
-  if (args.Has("wal") || args.Has("resume")) {
-    std::cerr << "--wal/--resume require --stream\n";
-    return 2;
-  }
-  if (args.Has("log") && args.Has("rules-dict")) {
-    std::cerr << "--log (provenance) is incompatible with --rules-dict\n";
-    return 2;
-  }
-  if (*policy != OnErrorPolicy::kAbort) {
-    if (args.Has("log")) {
-      std::cerr << "--log (provenance) requires --on-error=abort\n";
-      return 2;
-    }
-    return RepairLenient(args, *policy);
-  }
-  auto pool = std::make_shared<ValuePool>();
-  // Phase spans: cli.load and cli.write here, index build + chase inside
-  // the engines — together they cover essentially the whole command, so
-  // the dumped timeline accounts for the total wall time.
-  auto load = std::make_unique<TraceSpan>("cli.load");
-  Table table = [&] {
-    FIXREP_TRACE_SPAN("csv.ingest");
-    return ReadCsvFile(args.Require("in"), "data", pool);
-  }();
-  std::optional<RuleSet> rules;
-  if (!args.Has("rules-dict")) {
-    FIXREP_TRACE_SPAN("rules.parse");
-    rules.emplace(
-        ParseRulesFile(args.Require("rules"), table.schema_ptr(), pool));
-  }
-  load.reset();
-  Timer timer;
-  size_t cells_changed = 0;
-  if (args.Has("log")) {
-    const RepairLog log = RepairWithProvenance(*rules, &table);
-    cells_changed = log.repairs.size();
-    for (const auto& repair : log.repairs) {
-      std::cout << log.Describe(repair, table.schema(), *pool) << "\n";
-    }
-  } else {
-    RepairSession session(rules ? &*rules : nullptr,
-                          ConfigFromArgs(args, OnErrorPolicy::kAbort));
-    StatusOr<RepairReport> report_or = session.Repair(&table);
-    if (!report_or.ok()) {
-      std::cerr << "error repairing --in: " << report_or.status() << "\n";
-      return 1;
-    }
-    cells_changed = report_or.value().cells_changed;
-  }
-  {
-    FIXREP_TRACE_SPAN("cli.write");
-    WriteCsvFile(table, args.Require("out"));
-  }
-  std::cout << "repaired " << table.num_rows() << " rows ("
-            << cells_changed << " cells changed) in "
-            << FormatDouble(timer.ElapsedMillis(), 1) << " ms -> "
-            << args.Get("out") << "\n";
   return 0;
 }
 
@@ -958,7 +814,7 @@ int Audit(const Args& args) {
             << " quarantined tuples\n";
   if (run.tail_discarded) {
     std::cout << "uncommitted tail after byte " << run.durable_bytes
-              << " (run was interrupted; resume with --stream --wal"
+              << " (run was interrupted; resume with --wal"
               << " --resume)\n";
   }
   for (size_t k = 0; k < per_rule.size(); ++k) {

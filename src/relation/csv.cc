@@ -170,21 +170,6 @@ class CsvEmitter {
   // Bytes rendered so far, handed on or not.
   uint64_t size() const { return emitted_ + size_; }
 
-  void RowsPruned(const Table& table, const ColumnSidecar& sidecar) {
-    const ValuePool& pool = table.pool();
-    for (size_t r = 0; r < table.num_rows(); ++r) {
-      const TupleRef row = table.row(r);
-      for (size_t a = 0; a < row.size(); ++a) {
-        if (sidecar.pruned(static_cast<AttrId>(a))) {
-          Field(a, sidecar.columns[a][r]);
-        } else {
-          Cell(a, pool, row[a]);
-        }
-      }
-      EndRow();
-    }
-  }
-
  private:
   // Cell `index` of the current row from its pooled view: the quote
   // decision was made at intern time, so a plain value is one memcpy.
@@ -491,26 +476,21 @@ void CsvChunkReader::RecordSpansInto(CsvRecordSpans* spans) {
   if (spans_ != nullptr) *spans_ = CsvRecordSpans{header_span_, {}, 0};
 }
 
-StatusOr<size_t> CsvChunkReader::ReadChunk(Table* chunk, size_t max_rows,
-                                           ColumnSidecar* sidecar) {
+StatusOr<size_t> CsvChunkReader::ReadChunk(Table* chunk, size_t max_rows) {
   FIXREP_CHECK(chunk != nullptr);
   FIXREP_CHECK_EQ(chunk->num_columns(), schema_->arity());
-  if (sidecar != nullptr) {
-    FIXREP_CHECK_EQ(sidecar->columns.size(), schema_->arity());
-    FIXREP_CHECK(overlay_ == nullptr) << "column pruning has no overlay path";
-  }
   const uint64_t consumed_before = consumed_;
   size_t appended = 0;
   uint64_t fallback = 0;
   Status problem = Status::Ok();
   while (problem.ok() && appended < max_rows) {
     const Scan scan =
-        ScanPlainRecords(chunk, sidecar, max_rows, &appended, &problem);
+        ScanPlainRecords(chunk, max_rows, &appended, &problem);
     if (scan == Scan::kNeedMore) {
       Refill();
     } else if (scan == Scan::kHandOff) {
       ++fallback;
-      problem = ReadGeneralRecord(chunk, sidecar, &appended);
+      problem = ReadGeneralRecord(chunk, &appended);
     } else if (scan == Scan::kEnd) {
       at_end_ = true;
       break;
@@ -523,7 +503,6 @@ StatusOr<size_t> CsvChunkReader::ReadChunk(Table* chunk, size_t max_rows,
 }
 
 CsvChunkReader::Scan CsvChunkReader::ScanPlainRecords(Table* chunk,
-                                                      ColumnSidecar* sidecar,
                                                       size_t max_rows,
                                                       size_t* appended,
                                                       Status* problem) {
@@ -542,7 +521,7 @@ CsvChunkReader::Scan CsvChunkReader::ScanPlainRecords(Table* chunk,
     const char* q = scanner.Next();
     for (; q != end && *q == ','; q = scanner.Next()) {
       if (attr + 1 == arity) return Scan::kHandOff;  // too many fields
-      Resolve(pool, sidecar, attr++, {field, static_cast<size_t>(q - field)});
+      Resolve(pool, attr++, {field, static_cast<size_t>(q - field)});
       field = q + 1;
     }
     // The record ends at a '\n' or a CRLF; everything else goes to the
@@ -557,27 +536,26 @@ CsvChunkReader::Scan CsvChunkReader::ScanPlainRecords(Table* chunk,
       return Scan::kHandOff;  // a '"' or a bare '\r'
     }
     if (attr + 1 != arity) return Scan::kHandOff;  // too few fields
-    Resolve(pool, sidecar, attr, {field, static_cast<size_t>(q - field)});
+    Resolve(pool, attr, {field, static_cast<size_t>(q - field)});
     record_begin_ = pos_;
     record_offset_ = consumed_;
     record_size_ = static_cast<size_t>(terminator - begin);
     verbatim_ = terminator == q;
     pos_ += record_size_ + 1;
     consumed_ += record_size_ + 1;
-    *problem = Settle(Status::Ok(), chunk, sidecar, appended);
+    *problem = Settle(Status::Ok(), chunk, appended);
     if (!problem->ok()) return Scan::kDone;
   }
   return Scan::kDone;
 }
 
-Status CsvChunkReader::ReadGeneralRecord(Table* chunk, ColumnSidecar* sidecar,
-                                         size_t* appended) {
+Status CsvChunkReader::ReadGeneralRecord(Table* chunk, size_t* appended) {
   const bool read = NextRecord();
   FIXREP_CHECK(read) << "the scan hands off only a record it saw";
   deferred_.clear();
   if (unterminated_) {
     return Settle(Status::MalformedInput("unterminated quoted field at EOF"),
-                  chunk, sidecar, appended);
+                  chunk, appended);
   }
   if (fields_.size() != row_.size()) {
     return Settle(Status::MalformedInput(
@@ -585,30 +563,26 @@ Status CsvChunkReader::ReadGeneralRecord(Table* chunk, ColumnSidecar* sidecar,
                       std::to_string(record_) + " (got " +
                       std::to_string(fields_.size()) + ", want " +
                       std::to_string(row_.size()) + ")"),
-                  chunk, sidecar, appended);
+                  chunk, appended);
   }
   const ValuePool& pool =
       overlay_ != nullptr ? overlay_->pool() : chunk->pool();
   for (size_t a = 0; a < fields_.size(); ++a) {
-    Resolve(pool, sidecar, a, fields_[a]);
+    Resolve(pool, a, fields_[a]);
   }
-  return Settle(Status::Ok(), chunk, sidecar, appended);
+  return Settle(Status::Ok(), chunk, appended);
 }
 
 Status CsvChunkReader::Settle(Status problem, Table* chunk,
-                              ColumnSidecar* sidecar, size_t* appended) {
+                              size_t* appended) {
   if (problem.ok() && FIXREP_FAULT("csv.append_row")) {
     problem = Status::Internal("injected failure appending row " +
                                std::to_string(record_));
   }
   if (problem.ok()) {
     for (const auto& [attr, field] : deferred_) {
-      if (sidecar != nullptr && sidecar->pruned(static_cast<AttrId>(attr))) {
-        sidecar->columns[attr].emplace_back(field);
-      } else {
-        row_[attr] = overlay_ != nullptr ? overlay_->Resolve(field)
-                                         : chunk->pool().Intern(field);
-      }
+      row_[attr] = overlay_ != nullptr ? overlay_->Resolve(field)
+                                       : chunk->pool().Intern(field);
     }
     chunk->AppendRow(TupleRef(row_));
     if (spans_ != nullptr) {
@@ -724,22 +698,9 @@ void WriteCsvRows(const Table& table, std::ostream& out, size_t begin_row) {
   CsvEmitter(&out).Rows(table, begin_row);
 }
 
-void WriteCsvRowsPruned(const Table& table, const ColumnSidecar& sidecar,
-                        std::ostream& out) {
-  const Schema& schema = table.schema();
-  FIXREP_CHECK_EQ(sidecar.columns.size(), schema.arity());
-  for (size_t a = 0; a < schema.arity(); ++a) {
-    if (sidecar.pruned(static_cast<AttrId>(a))) {
-      FIXREP_CHECK_EQ(sidecar.columns[a].size(), table.num_rows());
-    }
-  }
-  CsvEmitter(&out).RowsPruned(table, sidecar);
-}
-
 CsvSplice SpliceCsv(std::string_view input, const CsvRecordSpans& spans,
-                    const Table& original, const Table& repaired) {
+                    const Table& repaired, const std::vector<CellRepair>& log) {
   FIXREP_CHECK_EQ(spans.rows.size(), repaired.num_rows());
-  FIXREP_CHECK_EQ(original.num_rows(), repaired.num_rows());
   CsvSplice splice;
   {
     CsvEmitter emitter(&splice.inserts);
@@ -776,6 +737,7 @@ CsvSplice SpliceCsv(std::string_view input, const CsvRecordSpans& spans,
       open.insert = emitter.size() - insert_begin;
     };
     uint64_t at = 0;  // end of the previous record
+    auto logged = log.begin();  // the first write not yet passed
     for (ptrdiff_t r = -1; r <= records; ++r) {
       const auto row = static_cast<size_t>(r);  // used once r >= 0
       const CsvRecordSpan next =
@@ -788,8 +750,9 @@ CsvSplice SpliceCsv(std::string_view input, const CsvRecordSpans& spans,
         kept = r;
       }
       if (r == records) break;
-      if (!next.verbatim ||
-          (r >= 0 && original.row(row) != repaired.row(row))) {
+      const auto row_writes = logged;  // this row's writes, if any
+      while (r >= 0 && logged != log.end() && logged->row == row) ++logged;
+      if (!next.verbatim || logged != row_writes) {
         open_edit(next.begin, r);
         render(r);
         close_edit(next.end);
@@ -797,6 +760,7 @@ CsvSplice SpliceCsv(std::string_view input, const CsvRecordSpans& spans,
       }
       at = next.end;
     }
+    FIXREP_CHECK(logged == log.end()) << "write log rows out of order";
   }
   uint64_t erased = 0;
   for (const CsvEdit& e : splice.edits) erased += e.erase;

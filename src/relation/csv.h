@@ -70,37 +70,6 @@ struct CsvRecordSpans {
   size_t dropped = 0;
 };
 
-// Column-pruning sidecar (docs/storage.md): the raw field text of every
-// column NOT in `materialized`, carried outside the table so pruned
-// columns are never interned into the ValuePool. `columns` is
-// arity-sized; entry a holds one string per appended row when attribute
-// a is pruned and stays empty when it is materialized. Feed it to
-// CsvChunkReader::ReadChunk and hand it back to WriteCsvRowsPruned —
-// the round trip re-emits the parsed fields verbatim, so output is
-// byte-identical to the unpruned path.
-struct ColumnSidecar {
-  AttrSet materialized;
-  std::vector<std::vector<std::string>> columns;
-
-  // Sizes the sidecar for an arity-attribute schema keeping `materialize`.
-  void Init(size_t arity, AttrSet materialize) {
-    materialized = materialize;
-    columns.assign(arity, {});
-  }
-  // Drops all rows, keeping allocations (streaming chunk reuse).
-  void Clear() {
-    for (auto& column : columns) column.clear();
-  }
-  bool pruned(AttrId attr) const { return !materialized.Contains(attr); }
-  size_t num_pruned() const {
-    size_t n = 0;
-    for (size_t a = 0; a < columns.size(); ++a) {
-      if (pruned(static_cast<AttrId>(a))) ++n;
-    }
-    return n;
-  }
-};
-
 // Incremental CSV reader: parses the header eagerly at Open, then hands
 // out data records in chunks of at most `max_rows`, applying the same
 // lenient error policy as ReadCsvLenient. Record ordinals (and thus
@@ -149,14 +118,7 @@ class CsvChunkReader {
   // input. Malformed records follow the open options: kAbort returns
   // their error, kSkip/kQuarantine drop them (they count toward the
   // record ordinal but not toward the returned row count).
-  //
-  // With a non-null `sidecar` (column pruning), only
-  // sidecar->materialized columns are interned into the chunk; the rest
-  // land in the sidecar as raw field text and the chunk stores
-  // kNullValue in their cells. A record must still parse whole — arity
-  // checks are unaffected by pruning.
-  StatusOr<size_t> ReadChunk(Table* chunk, size_t max_rows,
-                             ColumnSidecar* sidecar = nullptr);
+  StatusOr<size_t> ReadChunk(Table* chunk, size_t max_rows);
 
   bool at_end() const { return at_end_; }
   // Data records consumed so far, including dropped ones.
@@ -216,29 +178,22 @@ class CsvChunkReader {
 
   // The fused scan: appends plain records from pos_ until it has to
   // stop (Scan), leaving pos_ at the first record it did not take.
-  Scan ScanPlainRecords(Table* chunk, ColumnSidecar* sidecar,
-                        size_t max_rows, size_t* appended, Status* problem);
+  Scan ScanPlainRecords(Table* chunk, size_t max_rows, size_t* appended,
+                        Status* problem);
   // Reads the record at pos_ through Tokenize (a scan hand-off).
-  Status ReadGeneralRecord(Table* chunk, ColumnSidecar* sidecar,
-                           size_t* appended);
+  Status ReadGeneralRecord(Table* chunk, size_t* appended);
   // Field `attr` of the record being read: a value `pool` holds gets its
-  // id in row_ now; a new value, or any field of a pruned column, waits
-  // in deferred_ for Settle, so a dropped record leaves the pool and the
-  // sidecar untouched.
-  void Resolve(const ValuePool& pool, const ColumnSidecar* sidecar,
-               size_t attr, std::string_view field) {
-    const ValueId id =
-        sidecar != nullptr && sidecar->pruned(static_cast<AttrId>(attr))
-            ? kNullValue
-            : pool.Find(field);
+  // id in row_ now; a new value waits in deferred_ for Settle, so a
+  // dropped record leaves the pool untouched.
+  void Resolve(const ValuePool& pool, size_t attr, std::string_view field) {
+    const ValueId id = pool.Find(field);
     row_[attr] = id;
     if (id == kNullValue) deferred_.emplace_back(attr, field);
   }
   // Keeps the record just consumed (every field Resolved) when `problem`
   // is ok and the csv.append_row fault site stays quiet, and drops it
   // otherwise under the error policy. Non-ok only under kAbort.
-  Status Settle(Status problem, Table* chunk, ColumnSidecar* sidecar,
-                size_t* appended);
+  Status Settle(Status problem, Table* chunk, size_t* appended);
 
   bool refilled() const { return in_ != nullptr || fd_ >= 0; }
   const char* data() const {
@@ -360,16 +315,16 @@ struct CsvSplice {
   bool operator==(const CsvSplice&) const = default;
 };
 
-// AppendCsv of `repaired` as a splice over `input`, which `original` was
-// read from with layout `spans` (`repaired` is `original` after a repair
-// that rewrote cells in place). Only rows whose cells changed and
-// records that are not verbatim are rendered; dropped records become
-// deletions. Edits closer than sizeof(CsvEdit) bytes are merged (the
+// AppendCsv of `repaired` as a splice over `input`, which it was read
+// from with layout `spans` before a repair rewrote cells in place and
+// recorded every write in `log` (rows ascending). Only the rows the log
+// names and records that are not verbatim are rendered; dropped records
+// become deletions. Edits closer than sizeof(CsvEdit) bytes are merged (the
 // verbatim rows between them rendered too), so a splice never spends
 // more on an edit than the unchanged bytes it skips. Ticks
 // fixrep.csv.bytes_emitted by inserts.size().
 CsvSplice SpliceCsv(std::string_view input, const CsvRecordSpans& spans,
-                    const Table& original, const Table& repaired);
+                    const Table& repaired, const std::vector<CellRepair>& log);
 
 // Ok when `splice` fits `input`. kMalformedInput when the edits are
 // unordered, overlap, reach past `input` or overflow, when their insert
@@ -394,12 +349,6 @@ Status WriteCsvSplice(std::string_view input, const CsvSplice& splice,
 void WriteCsvHeader(const Schema& schema, std::ostream& out);
 void WriteCsvRows(const Table& table, std::ostream& out,
                   size_t begin_row = 0);
-
-// Row emission for a column-pruned chunk: materialized cells render from
-// the pool, pruned cells from the sidecar's raw text. Byte-identical to
-// WriteCsvRows over an unpruned read of the same records.
-void WriteCsvRowsPruned(const Table& table, const ColumnSidecar& sidecar,
-                        std::ostream& out);
 
 // Writes, flushes, and verifies the stream so short writes (disk full,
 // revoked mount) surface as kIoError instead of silently truncating.

@@ -98,6 +98,20 @@ class Table {
   RowStore store_;
 };
 
+// One recorded cell write: which rule rewrote which cell of a table, from
+// what to what. Repair engines append these to a write log
+// (repair/driver.h); the log drives the provenance audit (--log, WAL
+// deltas) and names the rows a splice must render (SpliceCsv).
+struct CellRepair {
+  size_t row = 0;
+  AttrId attr = kInvalidAttr;
+  ValueId old_value = kNullValue;
+  ValueId new_value = kNullValue;
+  size_t rule_index = 0;
+
+  bool operator==(const CellRepair&) const = default;
+};
+
 }  // namespace fixrep
 
 #endif  // FIXREP_RELATION_TABLE_H_

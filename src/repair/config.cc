@@ -28,7 +28,7 @@ bool ParseUint(const std::string& text, size_t* out) {
 }
 
 std::optional<bool> ParseBool(const std::string& text) {
-  // Empty = flag style ("--prune" with no value).
+  // Empty = flag style ("--resume" with no value).
   if (text.empty() || text == "true" || text == "1" || text == "on" ||
       text == "yes") {
     return true;
@@ -167,12 +167,6 @@ Status ParseRepairConfig(const std::string& key, const std::string& value,
     config->memory_budget_bytes = bytes;
     return Status::Ok();
   }
-  if (key == "prune") {
-    const std::optional<bool> prune = ParseBool(value);
-    if (!prune.has_value()) return BadValue(key, value, "a boolean");
-    config->prune_columns = *prune;
-    return Status::Ok();
-  }
   if (key == "wal") {
     if (value.empty()) return BadValue(key, value, "a log path");
     config->wal_path = value;
@@ -232,7 +226,6 @@ std::vector<std::pair<std::string, std::string>> FormatRepairConfig(
     out.emplace_back("memory-budget",
                      std::to_string(config.memory_budget_bytes));
   }
-  if (config.prune_columns) out.emplace_back("prune", "true");
   if (!config.wal_path.empty()) out.emplace_back("wal", config.wal_path);
   if (config.resume) out.emplace_back("resume", "true");
   if (config.scoped_metrics) out.emplace_back("scoped-metrics", "true");
@@ -241,7 +234,7 @@ std::vector<std::pair<std::string, std::string>> FormatRepairConfig(
 
 bool RepairConfigKeyIsSessionLocal(const std::string& key) {
   return key == "rules-dict" || key == "chunk-rows" ||
-         key == "memory-budget" || key == "prune" || key == "wal" ||
+         key == "memory-budget" || key == "wal" ||
          key == "resume" || key == "scoped-metrics";
 }
 

@@ -13,7 +13,7 @@
 // behaves identically no matter which surface set it (docs/api.md).
 // Keys mirror the CLI flag names (engine, threads, shards, rules-dict,
 // memo, no-memo, memo-capacity, on-error, max-chase-steps, chunk-rows,
-// memory-budget, prune, wal, resume, scoped-metrics).
+// memory-budget, wal, resume, scoped-metrics).
 
 namespace fixrep {
 
@@ -40,7 +40,7 @@ std::vector<std::pair<std::string, std::string>> FormatRepairConfig(
 // True for keys that only make sense for a local/streaming session and
 // are rejected by the daemon (the tenant defines the rule backend and
 // the server owns durability and memory policy): rules-dict, chunk-rows,
-// memory-budget, prune, wal, resume, scoped-metrics.
+// memory-budget, wal, resume, scoped-metrics.
 bool RepairConfigKeyIsSessionLocal(const std::string& key);
 
 }  // namespace fixrep

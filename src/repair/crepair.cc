@@ -58,6 +58,7 @@ Status ChaseRepairer::ChaseWithBudget(TupleSpan t, size_t max_steps,
   Tuple original;
   std::vector<uint32_t> applied_order;
   if (max_steps > 0) original = t.ToTuple();
+  const size_t log_mark = write_log_ != nullptr ? write_log_->size() : 0;
   size_t steps = 0;
   size_t cells_changed = 0;
   bool updated = true;
@@ -68,6 +69,7 @@ Status ChaseRepairer::ChaseWithBudget(TupleSpan t, size_t max_steps,
       if (applied[i]) continue;
       if (max_steps > 0 && ++steps > max_steps) {
         t.CopyFrom(original);
+        if (write_log_ != nullptr) write_log_->resize(log_mark);
         for (const uint32_t rule_index : applied_order) {
           --stats_.rule_applications;
           --stats_.per_rule_applications[rule_index];
@@ -79,7 +81,12 @@ Status ChaseRepairer::ChaseWithBudget(TupleSpan t, size_t max_steps,
       if (assured.Contains(source_.target(i)) || !source_.MatchesFlat(i, t)) {
         continue;
       }
-      t[source_.target(i)] = source_.fact(i);
+      const AttrId target = source_.target(i);
+      if (write_log_ != nullptr) {
+        write_log_->push_back(
+            {write_log_row_, target, t[target], source_.fact(i), i});
+      }
+      t[target] = source_.fact(i);
       assured.UnionWith(source_.assured(i));
       applied[i] = true;
       updated = true;
@@ -95,11 +102,16 @@ Status ChaseRepairer::ChaseWithBudget(TupleSpan t, size_t max_steps,
   return Status::Ok();
 }
 
-void ChaseRepairer::RepairTable(Table* table) {
-  FIXREP_TRACE_SPAN("crepair.chase");
-  for (size_t r = 0; r < table->num_rows(); ++r) {
+void ChaseRepairer::RepairRows(Table* table, size_t begin, size_t end) {
+  for (size_t r = begin; r < end; ++r) {
+    write_log_row_ = r;
     RepairTuple(table->WriteRow(r));
   }
+}
+
+void ChaseRepairer::RepairTable(Table* table) {
+  FIXREP_TRACE_SPAN("crepair.chase");
+  RepairRows(table, 0, table->num_rows());
   FlushMetrics();
 }
 

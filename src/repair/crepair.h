@@ -1,7 +1,9 @@
 #ifndef FIXREP_REPAIR_CREPAIR_H_
 #define FIXREP_REPAIR_CREPAIR_H_
 
+#include <cstddef>
 #include <memory>
+#include <vector>
 
 #include "common/status.h"
 #include "relation/table.h"
@@ -30,6 +32,14 @@ class ChaseRepairer {
   // view's backing store and scratch must outlive the repairer.
   explicit ChaseRepairer(const RuleSource& source);
 
+  // Attaches a rule-attributed write capture (nullptr detaches), as
+  // FastRepairer::set_write_log does: every rule application appends one
+  // CellRepair{row, attr, old, new, rule} to `log` in chase order, at the
+  // row set_write_log_row last saw (RepairRows sets it per row). A chase
+  // that fails leaves no entries.
+  void set_write_log(std::vector<CellRepair>* log) { write_log_ = log; }
+  void set_write_log_row(size_t row) { write_log_row_ = row; }
+
   // Chases one tuple to its fix in place through the view. Returns the
   // number of cells changed. Accepts a Table::WriteRow span or
   // (implicitly) an owning Tuple.
@@ -50,6 +60,10 @@ class ChaseRepairer {
   // on pathological rule interaction. RepairTuple ignores the budget.
   void set_max_chase_steps(size_t max_steps) { max_chase_steps_ = max_steps; }
   size_t max_chase_steps() const { return max_chase_steps_; }
+
+  // Repairs rows [begin, end) of `table` in place — what a cRepair
+  // RepairDriver slot (repair/driver.h) runs in abort mode.
+  void RepairRows(Table* table, size_t begin, size_t end);
 
   // Repairs every row of `table` in place.
   void RepairTable(Table* table);
@@ -72,6 +86,8 @@ class ChaseRepairer {
   std::unique_ptr<const RuleDict> owned_dict_;
   std::unique_ptr<const RuleDictHandle> owned_handle_;
   RuleSource source_;
+  std::vector<CellRepair>* write_log_ = nullptr;
+  size_t write_log_row_ = 0;
   size_t max_chase_steps_ = 0;
   RepairStats stats_;
   RepairStats published_;  // snapshot of stats_ at the last FlushMetrics

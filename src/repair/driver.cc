@@ -4,6 +4,7 @@
 #include <iterator>
 #include <optional>
 #include <utility>
+#include <variant>
 
 #include "common/logging.h"
 #include "common/metric_scope.h"
@@ -11,22 +12,33 @@
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "deps/violation.h"
+#include "repair/crepair.h"
 #include "repair/lrepair.h"
 #include "repair/memo_cache.h"
 
 namespace fixrep {
 
 struct RepairDriver::Slot {
+  using Repairer = std::variant<FastRepairer, ChaseRepairer>;
+
   Slot(const RuleDict& dict, const RepairConfig& config)
-      : handle(dict.MakeHandle()), repairer(handle->source()) {
-    if (config.on_error == OnErrorPolicy::kAbort && config.use_memo) {
-      repairer.set_memo(&memo.emplace(config.memo_capacity));
+      : handle(dict.MakeHandle()),
+        repairer(config.engine == RepairEngine::kCRepair
+                     ? Repairer(std::in_place_type<ChaseRepairer>,
+                                handle->source())
+                     : Repairer(std::in_place_type<FastRepairer>,
+                                handle->source())) {
+    FastRepairer* fast = std::get_if<FastRepairer>(&repairer);
+    if (fast != nullptr && config.on_error == OnErrorPolicy::kAbort &&
+        config.use_memo) {
+      fast->set_memo(&memo.emplace(config.memo_capacity));
     }
-    repairer.set_max_chase_steps(config.max_chase_steps);
+    std::visit([&](auto& r) { r.set_max_chase_steps(config.max_chase_steps); },
+               repairer);
   }
 
   std::unique_ptr<RuleDictHandle> handle;
-  FastRepairer repairer;
+  Repairer repairer;
   std::optional<MemoCache> memo;
   std::vector<Diagnostic> failures;
   std::vector<CellRepair> writes;  // multi-slot runs only
@@ -46,21 +58,26 @@ RepairDriver::~RepairDriver() = default;
 
 void RepairDriver::Chase(Slot* slot, Table* table, size_t begin,
                          size_t end) const {
-  FastRepairer& repairer = slot->repairer;
-  if (config_.on_error == OnErrorPolicy::kAbort) {
-    repairer.RepairRows(table, begin, end);
-    return;
-  }
-  for (size_t r = begin; r < end; ++r) {
-    size_t cells_changed = 0;
-    repairer.set_write_log_row(r);
-    const Status status =
-        repairer.TryRepairTuple(table->WriteRow(r), &cells_changed);
-    if (status.ok()) continue;
-    // TryRepairTuple restored the row, so FormatRow renders the original.
-    slot->failures.push_back(
-        Diagnostic{r, status.code(), status.message(), table->FormatRow(r)});
-  }
+  std::visit(
+      [&](auto& repairer) {
+        if (config_.on_error == OnErrorPolicy::kAbort) {
+          repairer.RepairRows(table, begin, end);
+          return;
+        }
+        for (size_t r = begin; r < end; ++r) {
+          size_t cells_changed = 0;
+          repairer.set_write_log_row(r);
+          const Status status =
+              repairer.TryRepairTuple(table->WriteRow(r), &cells_changed);
+          if (status.ok()) continue;
+          // TryRepairTuple restored the row, so FormatRow renders the
+          // original.
+          slot->failures.push_back(Diagnostic{r, status.code(),
+                                              status.message(),
+                                              table->FormatRow(r)});
+        }
+      },
+      slot->repairer);
 }
 
 const RepairStats& RepairDriver::Run(Table* table, size_t begin,
@@ -76,11 +93,14 @@ const RepairStats& RepairDriver::Run(Table* table, size_t begin,
     slots_.push_back(std::make_unique<Slot>(dict_, config_));
   }
   for (size_t s = 0; s < n; ++s) {
-    FastRepairer& repairer = slots_[s]->repairer;
-    repairer.ResetStats();
-    repairer.set_write_log(write_log_ == nullptr ? nullptr
-                           : n == 1              ? write_log_
-                                                 : &slots_[s]->writes);
+    std::visit(
+        [&](auto& repairer) {
+          repairer.ResetStats();
+          repairer.set_write_log(write_log_ == nullptr ? nullptr
+                                 : n == 1              ? write_log_
+                                                       : &slots_[s]->writes);
+        },
+        slots_[s]->repairer);
   }
 
   auto& registry = CurrentMetrics();
@@ -129,7 +149,8 @@ const RepairStats& RepairDriver::Run(Table* table, size_t begin,
   const size_t log_mark = write_log_ != nullptr ? write_log_->size() : 0;
   for (size_t s = 0; s < n; ++s) {
     Slot& slot = *slots_[s];
-    stats_.MergeFrom(slot.repairer.stats());
+    std::visit([&](auto& repairer) { stats_.MergeFrom(repairer.stats()); },
+               slot.repairer);
     if (slot.memo.has_value()) slot.memo->FlushMetrics();
     failures_.insert(failures_.end(),
                      std::make_move_iterator(slot.failures.begin()),
@@ -141,7 +162,9 @@ const RepairStats& RepairDriver::Run(Table* table, size_t begin,
       slot.writes.clear();
     }
   }
-  stats_.PublishDelta(RepairStats{}, "lrepair");
+  stats_.PublishDelta(
+      RepairStats{},
+      config_.engine == RepairEngine::kCRepair ? "crepair" : "lrepair");
   if (n > 1) {
     // Each slot's list is row-ascending (a monotone cursor, or rows
     // routed in scan order) and a row lives in one slot, so a stable sort

@@ -7,26 +7,28 @@
 
 #include "common/quarantine.h"
 #include "relation/table.h"
-#include "repair/provenance.h"
 #include "repair/repair_stats.h"
 #include "repair/session.h"
 #include "rules/rule_dict.h"
 
 namespace fixrep {
 
-// The one lRepair driver. RepairSession::Repair builds one per call and
+// The one repair driver. RepairSession::Repair builds one per call and
 // the stream loop one per stream; callers that need range-level control
 // (tests, benchmarks) use it directly.
 //
-// The repair of Section 6 is a pure function of one tuple, so widths and
-// routings differ only in how rows are handed out and how failures and
-// writes are collected. A driver is built once from a bound RuleDict and
-// a RepairConfig (engine, rules_dict and the stream knobs are ignored)
-// and owns the per-slot state: a RuleDictHandle, a FastRepairer on it, a
-// MemoCache (kAbort with use_memo), a failure list and a write capture.
-// Slots are built serially — slot 0 here, the rest on first use — never
-// more than the pool width, and reused by every later Run, so a stream
-// keeps its memos across all its chunks.
+// The repair of Section 6 — cRepair (Fig. 6) and lRepair (Fig. 7) alike
+// — is a pure function of one tuple, so engines, widths and routings
+// differ only in which chase runs and in how rows are handed out and
+// failures and writes are collected. A driver is built once from a bound
+// RuleDict and a RepairConfig (rules_dict and the stream knobs are
+// ignored) and owns the per-slot state: a RuleDictHandle, the engine's
+// repairer on it (a FastRepairer, or for kCRepair a ChaseRepairer), a
+// MemoCache (lRepair under kAbort with use_memo; cRepair never
+// memoizes), a failure list and a write capture. Slots are built
+// serially — slot 0 here, the rest on first use — never more than the
+// pool width, and reused by every later Run, so a stream keeps its memos
+// across all its chunks.
 //
 // Run(table, begin, end) uses min(width, rows) slots, where the width is
 // config.shards when > 0 and config.threads otherwise (0 = pool width):
@@ -35,16 +37,17 @@ namespace fixrep {
 // * with shards, each row goes to the slot its projection onto the
 //   rules' mentioned attributes hashes to, so duplicate tuples share a
 //   slot's memo (the deps-layer ValueVectorHash partitioner).
-// A slot chases with FastRepairer::RepairRows under kAbort, and tuple by
-// tuple with TryRepairTuple under kSkip/kQuarantine, where a failing
+// A slot chases with the repairer's RepairRows under kAbort, and tuple
+// by tuple with TryRepairTuple under kSkip/kQuarantine, where a failing
 // tuple is restored to its original values and recorded. After the join
-// the slots' stats are merged and published once as fixrep.lrepair.*,
-// failures are sorted by row, counted into fixrep.quarantine.tuples and
-// (kQuarantine) forwarded to config.quarantine, and the write captures
-// are appended to the write log in row order. Every width and routing
-// therefore yields the bytes, diagnostics, write log and chase counters
-// of a one-slot run. Multi-slot runs need the rows' blocks resident:
-// the stream pins a spilling table's blocks one at a time.
+// the slots' stats are merged and published once as fixrep.lrepair.* or
+// fixrep.crepair.*, failures are sorted by row, counted into
+// fixrep.quarantine.tuples and (kQuarantine) forwarded to
+// config.quarantine, and the write captures are appended to the write
+// log in row order. Every width and routing therefore yields the bytes,
+// diagnostics, write log and chase counters of a one-slot run.
+// Multi-slot runs need the rows' blocks resident: the stream pins a
+// spilling table's blocks one at a time.
 class RepairDriver {
  public:
   // `dict` is borrowed, bound, and must outlive the driver.
@@ -73,6 +76,13 @@ class RepairDriver {
 
   // Slots built so far; never more than the pool width.
   size_t slots() const { return slots_.size(); }
+
+  // "lrepair.chase" or "crepair.chase": the span a whole-table repair
+  // records around its Run.
+  const char* chase_span() const {
+    return config_.engine == RepairEngine::kCRepair ? "crepair.chase"
+                                                    : "lrepair.chase";
+  }
 
  private:
   struct Slot;

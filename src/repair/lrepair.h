@@ -8,7 +8,6 @@
 #include "common/status.h"
 #include "relation/table.h"
 #include "repair/memo_cache.h"
-#include "repair/provenance.h"
 #include "repair/repair_stats.h"
 #include "rules/rule_dict.h"
 #include "rules/rule_set.h"

@@ -1,9 +1,5 @@
 #include "repair/provenance.h"
 
-#include "common/logging.h"
-#include "common/trace.h"
-#include "repair/lrepair.h"
-
 namespace fixrep {
 
 std::string RepairLog::Describe(const CellRepair& repair,
@@ -31,41 +27,6 @@ std::vector<size_t> RepairLog::PerRuleCounts(size_t num_rules) const {
     ++counts[repair.rule_index];
   }
   return counts;
-}
-
-RepairLog RepairWithProvenance(const RuleSet& rules, Table* table) {
-  FIXREP_CHECK(table != nullptr);
-  FIXREP_TRACE_SPAN("provenance.chase");
-  RepairLog log;
-  // Chase each tuple exactly as cRepair does (for a consistent set the
-  // fix is unique, so this matches what FastRepairer writes), recording
-  // the before/after of every application.
-  for (size_t r = 0; r < table->num_rows(); ++r) {
-    const TupleSpan tuple = table->WriteRow(r);
-    AttrSet assured;
-    std::vector<bool> applied(rules.size(), false);
-    bool updated = true;
-    while (updated) {
-      updated = false;
-      for (size_t i = 0; i < rules.size(); ++i) {
-        if (applied[i]) continue;
-        const FixingRule& rule = rules.rule(i);
-        if (assured.Contains(rule.target) || !rule.Matches(tuple)) continue;
-        CellRepair repair;
-        repair.row = r;
-        repair.attr = rule.target;
-        repair.old_value = tuple[rule.target];
-        repair.new_value = rule.fact;
-        repair.rule_index = i;
-        log.repairs.push_back(repair);
-        rule.Apply(tuple);
-        assured.UnionWith(rule.AssuredSet());
-        applied[i] = true;
-        updated = true;
-      }
-    }
-  }
-  return log;
 }
 
 }  // namespace fixrep

@@ -7,25 +7,14 @@
 
 #include "relation/schema.h"
 #include "relation/table.h"
-#include "rules/rule_set.h"
 
 namespace fixrep {
 
-// One recorded cell repair: which rule rewrote which cell, from what to
-// what. Collected by RepairWithProvenance so that a curator can audit
-// every change a rule set made — the "dependable" in dependable
-// repairing includes being able to say why each cell changed.
-struct CellRepair {
-  size_t row = 0;
-  AttrId attr = kInvalidAttr;
-  ValueId old_value = kNullValue;
-  ValueId new_value = kNullValue;
-  size_t rule_index = 0;
-
-  bool operator==(const CellRepair&) const = default;
-};
-
-// A full audit log of one table repair.
+// A full audit log of one repair: a write log (CellRepair, in
+// relation/table.h) that a curator reads to see which rule changed which
+// cell — the "dependable" in dependable repairing includes being able to
+// say why each cell changed. `fixrep_cli repair --log` prints the cRepair
+// chase's log; `fixrep_cli audit` rebuilds one from a WAL.
 struct RepairLog {
   std::vector<CellRepair> repairs;
 
@@ -37,10 +26,6 @@ struct RepairLog {
   // Repairs grouped per rule (index -> how many cells it fixed).
   std::vector<size_t> PerRuleCounts(size_t num_rules) const;
 };
-
-// Repairs `table` in place with the lRepair engine, recording every cell
-// change. Returns the audit log.
-RepairLog RepairWithProvenance(const RuleSet& rules, Table* table);
 
 }  // namespace fixrep
 

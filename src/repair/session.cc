@@ -6,7 +6,6 @@
 #include "common/metric_scope.h"
 #include "common/metrics.h"
 #include "common/trace.h"
-#include "repair/crepair.h"
 #include "repair/driver.h"
 #include "repair/recovery.h"
 #include "repair/streaming.h"
@@ -20,10 +19,7 @@ RepairSession::RepairSession(const RuleSet* rules, const RepairConfig& config)
   if (config_.rules_dict.empty()) {
     // Scoped so the one-time compile cost is attributed to this
     // session, like everything else it publishes.
-    std::unique_ptr<MetricScope::Activation> active;
-    if (scope_ != nullptr) {
-      active = std::make_unique<MetricScope::Activation>(scope_.get());
-    }
+    const std::unique_ptr<MetricScope::Activation> active = Activate();
     StatusOr<std::unique_ptr<RuleDict>> compiled = RuleDict::Compile(*rules);
     if (!compiled.ok()) {
       compile_status_ = compiled.status();
@@ -67,89 +63,40 @@ void RepairSession::FlushMetrics() {
   if (scope_ != nullptr) scope_->Flush();
 }
 
-Status RepairSession::ValidateForTable() const {
-  if (config_.engine == RepairEngine::kCRepair &&
-      (config_.threads != 1 || config_.shards != 0)) {
-    return Status::MalformedInput(
-        "cRepair is serial-only; set threads=1 and shards=0 or use kLRepair");
-  }
-  return Status::Ok();
+std::unique_ptr<MetricScope::Activation> RepairSession::Activate() {
+  if (scope_ == nullptr) return nullptr;
+  return std::make_unique<MetricScope::Activation>(scope_.get());
 }
 
-StatusOr<RepairReport> RepairSession::Repair(Table* table) {
+StatusOr<RepairReport> RepairSession::Repair(Table* table,
+                                             std::vector<CellRepair>* log) {
   FIXREP_CHECK(table != nullptr);
-  const Status valid = ValidateForTable();
-  if (!valid.ok()) return valid;
-
   // Route every publication below (engines publish from this thread
   // only; pool workers never touch the registry) into the session scope.
-  std::unique_ptr<MetricScope::Activation> active;
-  if (scope_ != nullptr) {
-    active = std::make_unique<MetricScope::Activation>(scope_.get());
-  }
-
-  RepairReport report;
-  report.rows = table->num_rows();
-
+  const std::unique_ptr<MetricScope::Activation> active = Activate();
   StatusOr<const RuleDict*> image =
       Image(table->schema(), table->pool_ptr());
   if (!image.ok()) return image.status();
-  const RuleDict& dict = *image.value();
 
-  if (config_.engine == RepairEngine::kCRepair) {
-    const std::unique_ptr<RuleDictHandle> handle = dict.MakeHandle();
-    ChaseRepairer repairer(handle->source());
-    repairer.set_max_chase_steps(config_.max_chase_steps);
-    if (config_.on_error == OnErrorPolicy::kAbort) {
-      repairer.RepairTable(table);
-      report.cells_changed = repairer.stats().cells_changed;
-      return report;
-    }
-    // Serial lenient chase: isolate each tuple, mirroring the lRepair
-    // lenient path's diagnostics and counters.
-    const bool quarantining = config_.on_error == OnErrorPolicy::kQuarantine &&
-                              config_.quarantine != nullptr;
-    for (size_t r = 0; r < table->num_rows(); ++r) {
-      size_t changed = 0;
-      const Status status = repairer.TryRepairTuple(table->WriteRow(r),
-                                                    &changed);
-      if (status.ok()) {
-        report.cells_changed += changed;
-        continue;
-      }
-      ++report.tuples_quarantined;
-      if (quarantining) {
-        config_.quarantine->Add(Diagnostic{r, status.code(), status.message(),
-                                           table->FormatRow(r)});
-      }
-    }
-    if (report.tuples_quarantined > 0) {
-      CurrentMetrics()
-          .GetCounter("fixrep.quarantine.tuples")
-          ->Add(report.tuples_quarantined);
-    }
-    repairer.FlushMetrics();
-    return report;
-  }
-
-  RepairDriver driver(dict, config_);
-  FIXREP_TRACE_SPAN("lrepair.chase");
+  RepairDriver driver(*image.value(), config_);
+  driver.set_write_log(log);
+  RepairReport report;
+  report.rows = table->num_rows();
+  FIXREP_TRACE_SPAN(driver.chase_span());
   report.cells_changed = driver.Run(table).cells_changed;
   report.tuples_quarantined = driver.failures().size();
   return report;
 }
 
-StatusOr<RepairReport> RepairSession::RepairStream(CsvChunkReader* reader,
-                                                   std::ostream& out) {
+StatusOr<RepairReport> RepairSession::RepairStream(
+    CsvChunkReader* reader, std::ostream& out, std::vector<CellRepair>* log) {
   FIXREP_CHECK(reader != nullptr);
-  if (config_.engine != RepairEngine::kLRepair) {
+  if (config_.engine == RepairEngine::kCRepair && !config_.wal_path.empty()) {
+    // A resume must chase with the engine that wrote the log.
     return Status::MalformedInput(
-        "streaming repair requires the lRepair engine");
+        "a WAL does not record the engine; journal lRepair streams only");
   }
-  std::unique_ptr<MetricScope::Activation> active;
-  if (scope_ != nullptr) {
-    active = std::make_unique<MetricScope::Activation>(scope_.get());
-  }
+  const std::unique_ptr<MetricScope::Activation> active = Activate();
   StatusOr<const RuleDict*> image = Image(*reader->schema(), reader->pool());
   if (!image.ok()) return image.status();
   const RuleDict& dict = *image.value();
@@ -190,7 +137,7 @@ StatusOr<RepairReport> RepairSession::RepairStream(CsvChunkReader* reader,
   }
 
   StatusOr<RepairReport> report =
-      StreamRepair(dict, config_, journal.get(), resume, reader, out);
+      StreamRepair(dict, config_, journal.get(), resume, reader, out, log);
   if (!report.ok()) return report.status();
   if (journal != nullptr) FIXREP_RETURN_IF_ERROR(journal->Close());
   return report;

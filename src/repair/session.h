@@ -5,6 +5,7 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/metric_scope.h"
 #include "common/quarantine.h"
@@ -20,19 +21,20 @@ namespace fixrep {
 // The unified repair entry point (docs/api.md).
 //
 // One RepairConfig picks an engine, a width or shard count, an error
-// policy and (for streams) the memory and durability knobs. Every lRepair
-// configuration runs through one RepairDriver (repair/driver.h): Repair
-// builds one per call, RepairStream one per stream. cRepair runs its
-// serial reference chase (repair/crepair.h).
+// policy and (for streams) the memory and durability knobs. Every
+// configuration of either engine runs through one RepairDriver
+// (repair/driver.h): Repair builds one per call, RepairStream one per
+// stream.
 
 // Which repair algorithm drives the chase.
 enum class RepairEngine {
   // lRepair (Fig. 7): O(size(Σ)) per tuple over a RuleDict image.
   // Supports every RepairConfig knob. The default.
   kLRepair,
-  // cRepair (Fig. 6): the reference chase, O(size(Σ)·|R|) per tuple.
-  // Serial whole-table only (abort or lenient) — kept for
-  // cross-validation; threads != 1 and streaming are rejected.
+  // cRepair (Fig. 6): the reference chase, O(size(Σ)·|R|) per tuple —
+  // kept for cross-validation. Runs at any width, routing, policy and
+  // chunk size, but never memoizes, and a stream with a WAL is refused
+  // (the WAL header does not record the engine).
   kCRepair,
 };
 
@@ -43,8 +45,8 @@ struct RepairConfig {
   size_t threads = 1;
   // > 0: route rows to this many shards by content instead of claiming
   // them by position (RepairDriver); `threads` is then ignored, and the
-  // count is capped at the pool width. kLRepair only. Output is
-  // bit-identical either way.
+  // count is capped at the pool width. Output is bit-identical either
+  // way.
   size_t shards = 0;
   // Non-empty: repair against the compiled on-disk rule dictionary
   // (rules/rule_dict.h) at this path instead of an image compiled from
@@ -54,9 +56,9 @@ struct RepairConfig {
   // mismatch) surface as that call's Status. Output is byte-identical
   // to a run over an image compiled in memory from the same rules.
   std::string rules_dict = {};
-  // Tuple-signature memoization, one cache per driver slot (abort mode
-  // only; lenient repair never memoizes). Output is bit-identical either
-  // way.
+  // Tuple-signature memoization, one cache per driver slot (lRepair in
+  // abort mode only; lenient repair and cRepair never memoize). Output is
+  // bit-identical either way.
   bool use_memo = true;
   size_t memo_capacity = MemoCache::kDefaultCapacity;
   // kAbort fails fast; kSkip/kQuarantine restore failing tuples to
@@ -77,9 +79,6 @@ struct RepairConfig {
   // > 0: chunk cell blocks past this many resident bytes spill to a
   // temp-backed mmap file (relation/row_store.h).
   size_t memory_budget_bytes = 0;
-  // Intern only rule-mentioned columns; pass the rest through as raw
-  // CSV text (byte-identical output either way).
-  bool prune_columns = false;
 
   // --- durability (docs/durability.md) ---
   // Non-empty: journal every committed chunk of RepairStream to this
@@ -109,7 +108,6 @@ struct RepairReport {
   // Streaming only:
   size_t chunks = 0;
   size_t peak_resident_bytes = 0;  // spill mode high-water mark
-  size_t columns_pruned = 0;
 };
 
 class RepairSession {
@@ -146,17 +144,25 @@ class RepairSession {
   // scoped_metrics; also runs automatically at destruction).
   void FlushMetrics();
 
-  // Repairs `table` in place per the config. Returns kMalformedInput
-  // for knob combinations the engine cannot honor (see RepairEngine).
-  StatusOr<RepairReport> Repair(Table* table);
+  // Repairs `table` in place per the config, recording one
+  // lrepair.chase or crepair.chase span. A non-null `log` receives every
+  // committed cell write (RepairDriver::set_write_log: rows ascending,
+  // failed tuples contributing none).
+  StatusOr<RepairReport> Repair(Table* table,
+                                std::vector<CellRepair>* log = nullptr);
 
   // Streams `reader` through chunked repair into `out` (CSV header +
-  // repaired rows). kLRepair only.
+  // repaired rows). A non-null `log` receives the writes of the chunks
+  // this call repairs, at global output-row indices. Returns
+  // kMalformedInput for a cRepair stream with a WAL.
   StatusOr<RepairReport> RepairStream(CsvChunkReader* reader,
-                                      std::ostream& out);
+                                      std::ostream& out,
+                                      std::vector<CellRepair>* log = nullptr);
 
  private:
-  Status ValidateForTable() const;
+  // Routes this thread's publications into the session scope, if any,
+  // until the returned activation is destroyed.
+  std::unique_ptr<MetricScope::Activation> Activate();
   // The image for one call: the borrowed one as it is, or the session's
   // own (compiled, or with config_.rules_dict opened once) bound to the
   // call's schema and pool.

@@ -70,25 +70,6 @@ struct LiveProgress {
   }
 };
 
-// Diagnostic rendering that survives column pruning: pruned cells are
-// kNullValue in the table (FormatRow would show them empty), so their
-// text comes from the sidecar. Failed tuples are restored to their
-// original values before diagnostics are built, so this renders exactly
-// what an unpruned run's FormatRow would.
-std::string FormatRowWithSidecar(const Table& chunk,
-                                 const ColumnSidecar* sidecar, size_t row) {
-  if (sidecar == nullptr) return chunk.FormatRow(row);
-  std::string out = "(";
-  for (size_t a = 0; a < chunk.num_columns(); ++a) {
-    if (a > 0) out += ", ";
-    const AttrId attr = static_cast<AttrId>(a);
-    out += sidecar->pruned(attr) ? sidecar->columns[a][row]
-                                 : chunk.CellString(row, attr);
-  }
-  out += ")";
-  return out;
-}
-
 }  // namespace
 
 StatusOr<RepairReport> StreamRepair(const RuleDict& dict,
@@ -96,7 +77,8 @@ StatusOr<RepairReport> StreamRepair(const RuleDict& dict,
                                     ChunkJournal* journal,
                                     const RecoveredRun* resume,
                                     CsvChunkReader* reader,
-                                    std::ostream& out) {
+                                    std::ostream& out,
+                                    std::vector<CellRepair>* log) {
   FIXREP_CHECK(reader != nullptr);
   FIXREP_CHECK_GT(config.chunk_rows, 0u);
   if (reader->schema()->arity() != dict.arity()) {
@@ -111,8 +93,7 @@ StatusOr<RepairReport> StreamRepair(const RuleDict& dict,
                     << Kv("threads", config.threads)
                     << Kv("shards", config.shards)
                     << Kv("rules", dict.num_rules())
-                    << Kv("budget_bytes", config.memory_budget_bytes)
-                    << Kv("prune", config.prune_columns ? 1 : 0);
+                    << Kv("budget_bytes", config.memory_budget_bytes);
 
   // One driver for the whole stream. Its failures come back at
   // chunk-local rows and are rebased here, so it forwards none itself.
@@ -121,13 +102,14 @@ StatusOr<RepairReport> StreamRepair(const RuleDict& dict,
   RepairDriver driver(dict, driver_config);
   const bool multi_slot = config.threads != 1 || config.shards > 0;
 
-  // Journaling scratch: the chunk's rule-attributed deltas (chunk-local
-  // rows, from the engines' write logs) and its tuple diagnostics, both
-  // cleared per chunk and written to the WAL at commit time.
+  // The chunk's rule-attributed deltas (chunk-local rows, from the
+  // driver's write log) and its tuple diagnostics, both cleared per
+  // chunk: written to the WAL at commit time, the deltas also rebased
+  // onto the caller's log.
   const bool journaling = journal != nullptr;
   std::vector<CellRepair> chunk_deltas;
   std::vector<Diagnostic> chunk_diags;
-  if (journaling) driver.set_write_log(&chunk_deltas);
+  if (journaling || log != nullptr) driver.set_write_log(&chunk_deltas);
 
   // CSV-level quarantine journaling (WAL version >= 2): a capture sink
   // interposed around each ReadChunk sees exactly the reader
@@ -153,28 +135,13 @@ StatusOr<RepairReport> StreamRepair(const RuleDict& dict,
     chunk.Reserve(std::min(config.chunk_rows, size_t{1} << 20));
   }
 
-  // Column pruning: intern only the attribute closure the rules can
-  // touch; everything else rides in the sidecar as raw text.
-  const AttrSet materialize = config.prune_columns
-                                  ? dict.mentioned_attrs()
-                                  : AttrSet::All(dict.arity());
-  ColumnSidecar sidecar_storage;
-  sidecar_storage.Init(dict.arity(), materialize);
-  ColumnSidecar* sidecar =
-      config.prune_columns && sidecar_storage.num_pruned() > 0
-          ? &sidecar_storage
-          : nullptr;
-  result.columns_pruned = sidecar != nullptr ? sidecar->num_pruned() : 0;
-
   auto& registry = CurrentMetrics();
   LiveProgress progress(&registry);
 
   // Repairs chunk rows [begin, end) in progress-stride runs (live
   // fixrep.progress.rows updates between), accumulating totals into
-  // `result` and forwarding diagnostics at global row indices (through
-  // the sidecar when pruning; failed tuples are restored, so this
-  // renders the original values). `base_row` is the global index of
-  // chunk row 0.
+  // `result` and forwarding diagnostics at global row indices.
+  // `base_row` is the global index of chunk row 0.
   auto repair_range = [&](size_t begin, size_t end, size_t base_row) {
     for (size_t sub = begin; sub < end; sub += kProgressStride) {
       const size_t sub_end = std::min(end, sub + kProgressStride);
@@ -183,10 +150,7 @@ StatusOr<RepairReport> StreamRepair(const RuleDict& dict,
       result.tuples_quarantined += driver.failures().size();
       if (!quarantining) continue;
       for (const Diagnostic& d : driver.failures()) {
-        Diagnostic rebased{
-            base_row + d.line, d.code, d.message,
-            sidecar == nullptr ? d.raw_text
-                               : FormatRowWithSidecar(chunk, sidecar, d.line)};
+        Diagnostic rebased{base_row + d.line, d.code, d.message, d.raw_text};
         config.quarantine->Add(rebased);
         if (journaling) chunk_diags.push_back(std::move(rebased));
       }
@@ -212,14 +176,12 @@ StatusOr<RepairReport> StreamRepair(const RuleDict& dict,
         resume->header.version >= kCsvQuarantineWalVersion;
     for (const WalChunk& durable : resume->chunks) {
       chunk.Clear();
-      if (sidecar != nullptr) sidecar->Clear();
       QuarantineSink* live_sink = nullptr;
       if (validate_csv) {
         csv_capture.Clear();
         live_sink = reader->SwapQuarantine(&csv_capture);
       }
-      StatusOr<size_t> read =
-          reader->ReadChunk(&chunk, config.chunk_rows, sidecar);
+      StatusOr<size_t> read = reader->ReadChunk(&chunk, config.chunk_rows);
       if (validate_csv) {
         reader->SwapQuarantine(live_sink);
       }
@@ -275,11 +237,7 @@ StatusOr<RepairReport> StreamRepair(const RuleDict& dict,
         registry.GetCounter("fixrep.quarantine.tuples")
             ->Add(durable.tuples_quarantined);
       }
-      if (sidecar != nullptr) {
-        WriteCsvRowsPruned(chunk, *sidecar, out);
-      } else {
-        WriteCsvRows(chunk, out);
-      }
+      WriteCsvRows(chunk, out);
       ++result.chunks;
       result.rows += chunk.num_rows();
       result.cells_changed += durable.cells_changed;
@@ -306,14 +264,12 @@ StatusOr<RepairReport> StreamRepair(const RuleDict& dict,
 
   while (true) {
     chunk.Clear();
-    if (sidecar != nullptr) sidecar->Clear();
     QuarantineSink* live_sink = nullptr;
     if (journal_csv) {
       csv_capture.Clear();
       live_sink = reader->SwapQuarantine(&csv_capture);
     }
-    StatusOr<size_t> read =
-        reader->ReadChunk(&chunk, config.chunk_rows, sidecar);
+    StatusOr<size_t> read = reader->ReadChunk(&chunk, config.chunk_rows);
     if (journal_csv) {
       reader->SwapQuarantine(live_sink);
       // The capture must be invisible to the caller's sink.
@@ -406,10 +362,12 @@ StatusOr<RepairReport> StreamRepair(const RuleDict& dict,
       }
     }
 
-    if (sidecar != nullptr) {
-      WriteCsvRowsPruned(chunk, *sidecar, out);
-    } else {
-      WriteCsvRows(chunk, out);
+    WriteCsvRows(chunk, out);
+    if (log != nullptr) {
+      for (CellRepair repair : chunk_deltas) {
+        repair.row += result.rows;
+        log->push_back(repair);
+      }
     }
     result.rows += chunk.num_rows();
     result.peak_resident_bytes =
@@ -445,10 +403,6 @@ StatusOr<RepairReport> StreamRepair(const RuleDict& dict,
   progress.FlushRows();
   registry.GetCounter("fixrep.streaming.chunks")->Add(result.chunks);
   registry.GetCounter("fixrep.streaming.rows")->Add(result.rows);
-  if (sidecar != nullptr) {
-    registry.GetCounter("fixrep.streaming.columns_pruned")
-        ->Add(result.columns_pruned);
-  }
   FIXREP_LOG(Debug) << "streaming repair done"
                     << Kv("rows", result.rows)
                     << Kv("chunks", result.chunks)

@@ -2,6 +2,7 @@
 #define FIXREP_REPAIR_STREAMING_H_
 
 #include <iosfwd>
+#include <vector>
 
 #include "common/status.h"
 #include "relation/csv.h"
@@ -32,17 +33,12 @@ namespace fixrep {
 // whole-table run. The driver publishes its metrics per run, so a stream
 // that fails part way keeps the counts of the chunks it repaired.
 //
-// Two out-of-core knobs stack on top of chunking:
-// * config.memory_budget_bytes > 0 puts the chunk table's RowStore in
-//   spill mode (relation/row_store.h): cell blocks past the resident
-//   budget live in a temp-backed mmap file. Multi-slot runs then repair
-//   block-wise — pin a block, repair exactly its rows, unpin — so worker
-//   views never see a block transition.
-// * config.prune_columns interns only the attributes some rule mentions
-//   (RuleDict::mentioned_attrs); every other column's raw CSV text
-//   bypasses the ValuePool via a ColumnSidecar and is re-emitted
-//   verbatim. The chase never reads or writes an unmentioned column, so
-//   output stays byte-identical to the unpruned run.
+// config.memory_budget_bytes > 0 stacks an out-of-core knob on top of
+// chunking: it puts the chunk table's RowStore in spill mode
+// (relation/row_store.h), where cell blocks past the resident budget live
+// in a temp-backed mmap file. Multi-slot runs then repair block-wise —
+// pin a block, repair exactly its rows, unpin — so worker views never see
+// a block transition.
 //
 // Durability (docs/durability.md): a non-null `journal` receives each
 // chunk as chunk_begin / cell_delta* / quarantine* / chunk_commit,
@@ -55,15 +51,18 @@ namespace fixrep {
 // (ValidateWalHeader) and reopened `journal` with ChunkJournal::Resume.
 //
 // Tuple diagnostics carry the global output-row index (what a
-// whole-table run reports); malformed CSV records flow through the
-// reader's own sink. Returns the totals, or the first error in abort
-// mode. The reader's schema must match the rules' arity.
+// whole-table run reports), and so do the entries a non-null `log`
+// receives (the chunks repaired here; replayed chunks add none);
+// malformed CSV records flow through the reader's own sink. Returns the
+// totals, or the first error in abort mode. The reader's schema must
+// match the rules' arity.
 StatusOr<RepairReport> StreamRepair(const RuleDict& dict,
                                     const RepairConfig& config,
                                     ChunkJournal* journal,
                                     const RecoveredRun* resume,
                                     CsvChunkReader* reader,
-                                    std::ostream& out);
+                                    std::ostream& out,
+                                    std::vector<CellRepair>* log = nullptr);
 
 }  // namespace fixrep
 

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <sstream>
 #include <utility>
+#include <vector>
 
 #include "common/metric_scope.h"
 #include "common/metrics.h"
@@ -284,14 +285,14 @@ Response RepairDaemon::HandleRepair(const RepairRequest& request) {
   }();
   if (!table_or.ok()) return ErrorResponse(Verb::kRepair, table_or.status());
   Table table = std::move(table_or).value();
-  // The decoded cells, to tell the rows the repair rewrites.
-  const Table decoded = table;
 
   RepairReport report;
+  // Every cell the repair rewrites, rows ascending: the rows to render.
+  std::vector<CellRepair> writes;
   {
     const std::shared_lock<std::shared_mutex> reader = snapshot->ReadPool();
     RepairSession session(&snapshot->dict(), config);
-    StatusOr<RepairReport> report_or = session.Repair(&table);
+    StatusOr<RepairReport> report_or = session.Repair(&table, &writes);
     if (!report_or.ok()) return ErrorResponse(Verb::kRepair,
                                               report_or.status());
     report = report_or.value();
@@ -308,7 +309,7 @@ Response RepairDaemon::HandleRepair(const RepairRequest& request) {
     // Rendering reads the shared pool, which another request's decode
     // may be interning into: hold the reader side.
     const std::shared_lock<std::shared_mutex> reader = snapshot->ReadPool();
-    response.repair.splice = SpliceCsv(request.csv, spans, decoded, table);
+    response.repair.splice = SpliceCsv(request.csv, spans, table, writes);
   }
   if (quarantining &&
       (!row_sink.diagnostics().empty() || !tuple_sink.diagnostics().empty())) {

@@ -1,0 +1,256 @@
+// `fixrep_cli repair` end to end: one streaming pipeline behind every
+// flag combination.
+//
+// * Bad inputs (an unwritable --out, an unterminated quote in --in, a
+//   missing or malformed --rules) exit 1 with the error on stderr and
+//   leave nothing under --out's directory — never an abort.
+// * Engines, widths, routings, chunk sizes, the rule backend and the
+//   error policy change no output byte, and under quarantine no byte of
+//   the dead-letter file either.
+// * --log prints the cRepair chase's write log: on the travel example,
+//   the cell repairs of Fig. 8.
+
+#include <sys/wait.h>
+
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "datagen/hosp.h"
+#include "datagen/noise.h"
+#include "datagen/travel.h"
+#include "relation/csv.h"
+#include "rulegen/rulegen.h"
+#include "rules/rule_io.h"
+#include "testing_util.h"
+
+namespace fixrep {
+namespace {
+
+using ::fixrep::testing::TestTempPath;
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+void WriteFile(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary) << bytes;
+}
+
+std::string ToCsv(const Table& table) {
+  std::ostringstream out;
+  WriteCsv(table, out);
+  return out.str();
+}
+
+struct CliRun {
+  int status = -1;  // as std::system returns it
+  std::string out;
+  std::string err;
+
+  bool ExitedWith(int code) const {
+    return WIFEXITED(status) && WEXITSTATUS(status) == code;
+  }
+};
+
+class CliRepairTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+#ifndef FIXREP_CLI_PATH
+    GTEST_SKIP() << "built without FIXREP_CLI_PATH";
+#else
+    cli_ = FIXREP_CLI_PATH;
+    if (!std::ifstream(cli_).good()) {
+      GTEST_SKIP() << "fixrep_cli not built at " << cli_;
+    }
+#endif
+  }
+
+  // Runs `fixrep_cli <args>` with its stdout and stderr captured.
+  CliRun Run(const std::string& args) const {
+    const std::string out = TestTempPath("stdout.txt");
+    const std::string err = TestTempPath("stderr.txt");
+    const std::string command = cli_ + " " + args + " >" + out + " 2>" + err;
+    CliRun run;
+    run.status = std::system(command.c_str());
+    run.out = ReadFile(out);
+    run.err = ReadFile(err);
+    return run;
+  }
+
+  // Noisy hosp rows and rules mined from them, on disk.
+  void WriteHosp(const std::string& dirty_path,
+                 const std::string& rules_path) const {
+    HospOptions options;
+    options.rows = 600;
+    options.num_hospitals = 40;
+    GeneratedData data = GenerateHosp(options);
+    Table dirty = data.clean;
+    InjectNoise(&dirty, ConstraintAttributes(*data.schema, data.fds), {});
+    RuleGenOptions rulegen;
+    rulegen.max_rules = 150;
+    const RuleSet rules = GenerateRules(data.clean, dirty, data.fds, rulegen);
+    ASSERT_GT(rules.size(), 0u);
+    WriteFile(dirty_path, ToCsv(dirty));
+    ASSERT_TRUE(TryWriteRulesFile(rules, rules_path).ok());
+  }
+
+  std::string cli_;
+};
+
+TEST_F(CliRepairTest, BadInputsExitOneAndLeaveNoOutput) {
+  TravelExample example;
+  const std::string dirty = TestTempPath("dirty.csv");
+  const std::string rules = TestTempPath("rules.txt");
+  const std::string unterminated = TestTempPath("unterminated.csv");
+  const std::string garbled = TestTempPath("garbled_rules.txt");
+  WriteFile(dirty, ToCsv(example.dirty));
+  ASSERT_TRUE(TryWriteRulesFile(example.rules, rules).ok());
+  WriteFile(unterminated, ToCsv(example.dirty) + "\"Ian,China,Tokyo\n");
+  WriteFile(garbled, "RULE\n  IF no_such_attribute = x\n"
+                     "  WRONG capital IN Tokyo\n  THEN capital = Beijing\n"
+                     "END\n");
+  const std::string out_dir = TestTempPath("out");
+  const std::string out = out_dir + "/fixed.csv";
+  std::filesystem::create_directories(out_dir);
+
+  struct Case {
+    const char* name;
+    std::string args;
+  };
+  const Case cases[] = {
+      {"unwritable --out", "--rules " + rules + " --in " + dirty +
+                               " --out " + TestTempPath("missing/fixed.csv")},
+      {"unterminated quote", "--rules " + rules + " --in " + unterminated +
+                                 " --out " + out},
+      {"missing --rules", "--rules " + TestTempPath("no_such_rules.txt") +
+                              " --in " + dirty + " --out " + out},
+      {"malformed --rules",
+       "--rules " + garbled + " --in " + dirty + " --out " + out},
+  };
+  for (const Case& c : cases) {
+    for (const char* extra : {"", " --stream", " --engine crepair"}) {
+      const std::string context = std::string(c.name) + extra;
+      const CliRun run = Run("repair " + c.args + extra);
+      EXPECT_TRUE(run.ExitedWith(1))
+          << context << ": status " << run.status << ", stderr: " << run.err;
+      EXPECT_NE(run.err.find("error"), std::string::npos)
+          << context << ": stderr: " << run.err;
+      EXPECT_TRUE(std::filesystem::is_empty(out_dir)) << context;
+    }
+  }
+  EXPECT_FALSE(std::filesystem::exists(TestTempPath("missing")));
+}
+
+TEST_F(CliRepairTest, EveryRouteWritesTheSameBytes) {
+  const std::string dirty = TestTempPath("dirty.csv");
+  const std::string rules = TestTempPath("rules.txt");
+  const std::string dict = TestTempPath("rules.frd");
+  ASSERT_NO_FATAL_FAILURE(WriteHosp(dirty, rules));
+  ASSERT_TRUE(Run("rules compile --rules " + rules + " --data " + dirty +
+                  " --out " + dict)
+                  .ExitedWith(0));
+
+  const std::string reference = TestTempPath("reference.csv");
+  const CliRun base = Run("repair --rules " + rules + " --in " + dirty +
+                          " --out " + reference);
+  ASSERT_TRUE(base.ExitedWith(0)) << base.err;
+  EXPECT_NE(base.out.find("repaired 600 rows"), std::string::npos)
+      << base.out;
+  const std::string want = ReadFile(reference);
+  ASSERT_FALSE(want.empty());
+  ASSERT_NE(want, ReadFile(dirty));  // the rules changed something
+
+  const std::string quarantine = TestTempPath("q.csv");
+  for (const std::string& flags : std::vector<std::string>{
+           "--stream --chunk-rows 7", "--engine crepair", "--threads 2",
+           "--shards 2",
+           "--on-error=quarantine --quarantine-out " + quarantine,
+           "--rules-dict " + dict}) {
+    const std::string out = TestTempPath("out.csv");
+    const CliRun run = Run("repair --rules " + rules + " --in " + dirty +
+                           " --out " + out + " " + flags);
+    ASSERT_TRUE(run.ExitedWith(0)) << flags << ": " << run.err;
+    EXPECT_EQ(ReadFile(out), want) << flags;
+  }
+  // Nothing failed, so the dead-letter file is its header alone.
+  EXPECT_EQ(ReadFile(quarantine).find('\n') + 1, ReadFile(quarantine).size());
+}
+
+TEST_F(CliRepairTest, QuarantineFilesMatchOnEveryRoute) {
+  const std::string dirty = TestTempPath("dirty.csv");
+  const std::string rules = TestTempPath("rules.txt");
+  const std::string dict = TestTempPath("rules.frd");
+  ASSERT_NO_FATAL_FAILURE(WriteHosp(dirty, rules));
+  ASSERT_TRUE(Run("rules compile --rules " + rules + " --data " + dirty +
+                  " --out " + dict)
+                  .ExitedWith(0));
+  // A record of the wrong arity after the header: a csv diagnostic.
+  std::string bytes = ReadFile(dirty);
+  bytes.insert(bytes.find('\n') + 1, "only,three,fields\n");
+  WriteFile(dirty, bytes);
+
+  // A budget of one pop fails every cascading tuple.
+  const std::string policy = " --on-error=quarantine --max-chase-steps 1";
+  const std::string want_out = TestTempPath("want.csv");
+  const std::string want_q = TestTempPath("want_q.csv");
+  const CliRun base = Run("repair --rules " + rules + " --in " + dirty +
+                          " --out " + want_out + " --quarantine-out " +
+                          want_q + policy);
+  ASSERT_TRUE(base.ExitedWith(0)) << base.err;
+  const std::string quarantined = ReadFile(want_q);
+  EXPECT_NE(quarantined.find("\ncsv,"), std::string::npos) << quarantined;
+  EXPECT_NE(quarantined.find("\nrepair,"), std::string::npos) << quarantined;
+
+  for (const std::string& flags : std::vector<std::string>{
+           "--stream --chunk-rows 7", "--threads 2", "--shards 2",
+           "--rules-dict " + dict}) {
+    const std::string out = TestTempPath("out.csv");
+    const std::string q = TestTempPath("q.csv");
+    const CliRun run = Run("repair --rules " + rules + " --in " + dirty +
+                           " --out " + out + " --quarantine-out " + q +
+                           policy + " " + flags);
+    ASSERT_TRUE(run.ExitedWith(0)) << flags << ": " << run.err;
+    EXPECT_EQ(ReadFile(out), ReadFile(want_out)) << flags;
+    EXPECT_EQ(ReadFile(q), quarantined) << flags;
+  }
+}
+
+TEST_F(CliRepairTest, LogPrintsTheChaseWriteLog) {
+  TravelExample example;
+  const std::string dirty = TestTempPath("dirty.csv");
+  const std::string rules = TestTempPath("rules.txt");
+  const std::string out = TestTempPath("fixed.csv");
+  WriteFile(dirty, ToCsv(example.dirty));
+  ASSERT_TRUE(TryWriteRulesFile(example.rules, rules).ok());
+
+  const CliRun run =
+      Run("repair --log --rules " + rules + " --in " + dirty + " --out " + out);
+  ASSERT_TRUE(run.ExitedWith(0)) << run.err;
+  std::vector<std::string> lines;
+  std::istringstream stdout_lines(run.out);
+  for (std::string line; std::getline(stdout_lines, line);) {
+    lines.push_back(line);
+  }
+  // Fig. 8: each of phi_1..phi_4 repairs one cell, then the report.
+  ASSERT_EQ(lines.size(), 5u) << run.out;
+  EXPECT_EQ(lines[0], "row 1 capital: 'Shanghai' -> 'Beijing' by rule #0");
+  EXPECT_EQ(lines[1], "row 1 city: 'Hongkong' -> 'Shanghai' by rule #3");
+  EXPECT_EQ(lines[2], "row 2 country: 'China' -> 'Japan' by rule #2");
+  EXPECT_EQ(lines[3], "row 3 capital: 'Toronto' -> 'Ottawa' by rule #1");
+  EXPECT_EQ(lines[4].rfind("repaired 4 rows (4 cells changed, 1 chunks)", 0),
+            0u)
+      << lines[4];
+  EXPECT_EQ(ReadFile(out), ToCsv(example.clean));
+}
+
+}  // namespace
+}  // namespace fixrep

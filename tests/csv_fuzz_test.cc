@@ -257,33 +257,22 @@ ReadResult FromTable(StatusOr<Table> table, VectorQuarantineSink* sink) {
 }
 
 // A chunked read through CsvChunkReader, rendered chunk by chunk as the
-// streaming driver does. `prune` keeps only the even columns interned
-// and carries the rest in a ColumnSidecar.
+// streaming driver does.
 ReadResult FromReader(StatusOr<CsvChunkReader> reader_or, size_t chunk_rows,
-                      bool prune, VectorQuarantineSink* sink) {
+                      VectorQuarantineSink* sink) {
   ReadResult result;
   if (!reader_or.ok()) {
     result.status = reader_or.status();
     return result;
   }
   CsvChunkReader& reader = reader_or.value();
-  const size_t arity = reader.schema()->arity();
   result.header = reader.schema()->attribute_names();
-  AttrSet even;
-  for (size_t a = 0; a < arity && a < 64; a += 2) {
-    even.Add(static_cast<AttrId>(a));
-  }
-  ColumnSidecar sidecar;
-  sidecar.Init(arity, even);
-  const bool pruning = prune && arity <= 64 && sidecar.num_pruned() > 0;
   std::ostringstream out;
   WriteCsvHeader(*reader.schema(), out);
   Table chunk = reader.MakeChunkTable();
   while (true) {
     chunk.Clear();
-    sidecar.Clear();
-    StatusOr<size_t> read =
-        reader.ReadChunk(&chunk, chunk_rows, pruning ? &sidecar : nullptr);
+    StatusOr<size_t> read = reader.ReadChunk(&chunk, chunk_rows);
     if (!read.ok()) {
       result.status = read.status();
       return result;
@@ -291,21 +280,8 @@ ReadResult FromReader(StatusOr<CsvChunkReader> reader_or, size_t chunk_rows,
     EXPECT_EQ(read.value(), chunk.num_rows());
     EXPECT_LE(read.value(), chunk_rows);
     if (read.value() == 0 && reader.at_end()) break;
-    if (pruning) {
-      WriteCsvRowsPruned(chunk, sidecar, out);
-      for (size_t r = 0; r < chunk.num_rows(); ++r) {
-        std::vector<std::string> row;
-        for (size_t a = 0; a < arity; ++a) {
-          const AttrId attr = static_cast<AttrId>(a);
-          row.push_back(sidecar.pruned(attr) ? sidecar.columns[a][r]
-                                             : chunk.CellString(r, attr));
-        }
-        result.rows.push_back(std::move(row));
-      }
-    } else {
-      WriteCsvRows(chunk, out);
-      CollectRows(chunk, &result);
-    }
+    WriteCsvRows(chunk, out);
+    CollectRows(chunk, &result);
   }
   result.diagnostics = sink->diagnostics();
   result.rendered = out.str();
@@ -392,25 +368,22 @@ class CsvFuzz : public ::testing::Test {
                    true, context + " file");
       }
       for (const size_t chunk_rows : {size_t{1}, size_t{7}, size_t{1024}}) {
-        for (const bool prune : {false, true}) {
+        {
           VectorQuarantineSink sink;
           std::istringstream in(text);
-          ExpectSame(
-              want,
-              FromReader(CsvChunkReader::Open(in, "fuzz",
-                                              std::make_shared<ValuePool>(),
-                                              options(&sink)),
-                         chunk_rows, prune, &sink),
-              !prune,
-              context + " chunk_rows=" + std::to_string(chunk_rows) +
-                  (prune ? " pruned" : ""));
+          ExpectSame(want,
+                     FromReader(CsvChunkReader::Open(
+                                    in, "fuzz", std::make_shared<ValuePool>(),
+                                    options(&sink)),
+                                chunk_rows, &sink),
+                     true, context + " chunk_rows=" + std::to_string(chunk_rows));
         }
         VectorQuarantineSink sink;
         ExpectSame(want,
                    FromReader(CsvChunkReader::OpenBytes(
                                   text, "fuzz", std::make_shared<ValuePool>(),
                                   options(&sink)),
-                              chunk_rows, false, &sink),
+                              chunk_rows, &sink),
                    true,
                    context + " bytes chunk_rows=" + std::to_string(chunk_rows));
       }
@@ -422,7 +395,7 @@ class CsvFuzz : public ::testing::Test {
                    FromReader(CsvReaderTestPeer::Open(
                                   in, block, std::make_shared<ValuePool>(),
                                   options(&sink)),
-                              7, false, &sink),
+                              7, &sink),
                    true, context + " block=" + std::to_string(block));
         VectorQuarantineSink file_sink;
         ExpectSame(want,
@@ -440,9 +413,10 @@ class CsvFuzz : public ::testing::Test {
 
   // The in-memory read with record spans: spans are ordered, dropped
   // records are the gaps between them, and a splice over `text` gives
-  // AppendCsv of the table read from it, as read and with every third
-  // row's first cell rewritten (to a value that needs quoting on odd
-  // rows). A wrong verbatim flag or span shows up as a byte difference.
+  // AppendCsv of the table read from it, as read (an empty write log) and
+  // with every third row's first cell rewritten (to a value that needs
+  // quoting on odd rows; the log names each write). A wrong verbatim
+  // flag or span shows up as a byte difference.
   static void CheckSplice(const std::string& text,
                           const CsvReadOptions& options,
                           const ReadResult& want, const std::string& context) {
@@ -470,11 +444,16 @@ class CsvFuzz : public ::testing::Test {
       EXPECT_EQ(at, text.size());
     }
     Table repaired = table;
+    std::vector<CellRepair> writes;
     for (size_t r = 0; r < repaired.num_rows(); r += 3) {
-      repaired.WriteCell(r, 0, repaired.pool().Intern(r % 2 ? "x,\"y" : "z"));
+      const ValueId value = repaired.pool().Intern(r % 2 ? "x,\"y" : "z");
+      writes.push_back({r, 0, repaired.cell(r, 0), value, 0});
+      repaired.WriteCell(r, 0, value);
     }
-    for (const Table* result : {&table, &repaired}) {
-      const CsvSplice splice = SpliceCsv(text, spans, table, *result);
+    for (const auto& [result, log] :
+         {std::pair{&table, std::vector<CellRepair>{}},
+          std::pair{&repaired, writes}}) {
+      const CsvSplice splice = SpliceCsv(text, spans, *result, log);
       std::string spliced;
       const Status applied = ApplyCsvSplice(text, splice, &spliced);
       ASSERT_TRUE(applied.ok()) << applied;
@@ -514,7 +493,7 @@ class CsvFuzz : public ::testing::Test {
             in, block, std::make_shared<ValuePool>(), {policy, &sink});
         CsvRecordSpans spans;
         if (reader.ok()) reader->RecordSpansInto(&spans);
-        ExpectSame(want, FromReader(std::move(reader), 7, false, &sink), true,
+        ExpectSame(want, FromReader(std::move(reader), 7, &sink), true,
                    context);
         if (!want.status.ok()) continue;
         SCOPED_TRACE(context);
@@ -647,7 +626,7 @@ TEST_F(CsvFuzz, RecordLongerThanDefaultBlockGrowsTheBuffer) {
   VectorQuarantineSink sink;
   const ReadResult got = FromReader(
       CsvChunkReader::Open(in, "fuzz", std::make_shared<ValuePool>()), 1024,
-      false, &sink);
+      &sink);
   ExpectSame(OracleRead(text, OnErrorPolicy::kAbort), got, true, "2 MiB");
 }
 

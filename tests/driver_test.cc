@@ -10,6 +10,11 @@
 // cRepair reference chase. Streams add chunk sizes 1, 7 and 4096, a spill
 // budget, and WAL-journaled runs at every width and routing.
 //
+// cRepair axis: driver slots holding the reference chase, at widths 1, 2
+// and the pool's, sharded, under every policy, on whole tables and on
+// streams of every chunking, must give ChaseRepairer::RepairTable's bytes
+// and the diagnostics and write log of a one-slot ChaseRepairer run.
+//
 // Order oracle: a consistent rule set has a unique fix per tuple (the
 // paper's Church-Rosser property), so renumbering its rules — which
 // reorders every posting list and the candidate queue — must not change
@@ -108,7 +113,7 @@ Dataset Travel() {
   return {"travel", example.pool, example.dirty, std::move(example.rules)};
 }
 
-// What a serial FastRepairer run produces under one policy.
+// What a serial run produces under one policy.
 struct Reference {
   std::string csv;
   std::vector<Diagnostic> diagnostics;
@@ -116,26 +121,32 @@ struct Reference {
   RepairStats stats;
 };
 
-Reference SerialReference(const RuleDict& dict, const Table& dirty,
-                          OnErrorPolicy policy, bool use_memo) {
+// A chase budget that fails some tuples under the lenient policies and
+// not others. lRepair counts candidate pops, so kChaseBudget fails the
+// cascading tuples. cRepair counts rule examinations: a first pass costs
+// |Σ| and a second |Σ| minus the first pass's applications, so 2|Σ| - 2
+// passes tuples with no application or with two or more in the first
+// pass, and fails cascades and tuples with exactly one.
+size_t ChaseBudget(RepairEngine engine, const RuleDict& dict) {
+  return engine == RepairEngine::kCRepair ? 2 * dict.num_rules() - 2
+                                          : kChaseBudget;
+}
+
+template <typename Repairer>
+Reference SerialRun(Repairer* repairer, const Table& dirty,
+                    OnErrorPolicy policy, size_t budget) {
   Table table = dirty;
-  const std::unique_ptr<RuleDictHandle> handle = dict.MakeHandle();
-  FastRepairer repairer(handle->source());
-  std::optional<MemoCache> memo;
-  if (policy == OnErrorPolicy::kAbort && use_memo) {
-    repairer.set_memo(&memo.emplace());
-  }
   Reference ref;
-  repairer.set_write_log(&ref.log);
+  repairer->set_write_log(&ref.log);
   if (policy == OnErrorPolicy::kAbort) {
-    repairer.RepairRows(&table, 0, table.num_rows());
+    repairer->RepairRows(&table, 0, table.num_rows());
   } else {
-    repairer.set_max_chase_steps(kChaseBudget);
+    repairer->set_max_chase_steps(budget);
     for (size_t r = 0; r < table.num_rows(); ++r) {
       size_t changed = 0;
-      repairer.set_write_log_row(r);
-      const Status status = repairer.TryRepairTuple(table.WriteRow(r),
-                                                    &changed);
+      repairer->set_write_log_row(r);
+      const Status status = repairer->TryRepairTuple(table.WriteRow(r),
+                                                     &changed);
       if (!status.ok()) {
         ref.diagnostics.push_back(Diagnostic{r, status.code(),
                                              status.message(),
@@ -144,8 +155,26 @@ Reference SerialReference(const RuleDict& dict, const Table& dirty,
     }
   }
   ref.csv = ToCsv(table);
-  ref.stats = repairer.stats();
+  ref.stats = repairer->stats();
   return ref;
+}
+
+// What a serial run of `engine` produces under one policy.
+Reference SerialReference(const RuleDict& dict, const Table& dirty,
+                          OnErrorPolicy policy, bool use_memo,
+                          RepairEngine engine = RepairEngine::kLRepair) {
+  const std::unique_ptr<RuleDictHandle> handle = dict.MakeHandle();
+  const size_t budget = ChaseBudget(engine, dict);
+  if (engine == RepairEngine::kCRepair) {
+    ChaseRepairer repairer(handle->source());
+    return SerialRun(&repairer, dirty, policy, budget);
+  }
+  FastRepairer repairer(handle->source());
+  std::optional<MemoCache> memo;
+  if (policy == OnErrorPolicy::kAbort && use_memo) {
+    repairer.set_memo(&memo.emplace());
+  }
+  return SerialRun(&repairer, dirty, policy, budget);
 }
 
 // The reference against cRepair: rows that repaired equal the cRepair
@@ -295,11 +324,13 @@ TEST(DriverMatrix, UisTableRunsMatchSerialAndCRepair) {
   RunTableMatrix(Uis());
 }
 
-// One stream through the session; returns the output bytes.
+// One stream through the session: the output bytes, report, diagnostics
+// and write log.
 struct StreamResult {
   std::string csv;
   RepairReport report;
   std::vector<Diagnostic> diagnostics;
+  std::vector<CellRepair> log;
 };
 
 StreamResult RunStream(const Dataset& data, const RepairConfig& base,
@@ -316,10 +347,12 @@ StreamResult RunStream(const Dataset& data, const RepairConfig& base,
   }
   RepairSession session(&data.rules, config);
   std::ostringstream out;
-  StatusOr<RepairReport> report = session.RepairStream(&reader.value(), out);
+  std::vector<CellRepair> log;
+  StatusOr<RepairReport> report =
+      session.RepairStream(&reader.value(), out, &log);
   EXPECT_TRUE(report.ok()) << report.status();
   if (!report.ok()) return {};
-  return {out.str(), report.value(), sink.diagnostics()};
+  return {out.str(), report.value(), sink.diagnostics(), std::move(log)};
 }
 
 void RunStreamMatrix(const Dataset& data) {
@@ -367,6 +400,7 @@ void RunStreamMatrix(const Dataset& data) {
               " budget=" + std::to_string(chunking.budget);
           const StreamResult run = RunStream(data, config, input);
           EXPECT_EQ(run.csv, ref.csv) << context;
+          EXPECT_EQ(run.log, ref.log) << context;
           EXPECT_EQ(run.report.cells_changed, ref.stats.cells_changed)
               << context;
           EXPECT_EQ(run.report.tuples_quarantined, ref.diagnostics.size())
@@ -414,6 +448,113 @@ void RunStreamMatrix(const Dataset& data) {
 TEST(DriverMatrix, HospStreamsMatchSerial) { RunStreamMatrix(Hosp()); }
 
 TEST(DriverMatrix, UisStreamsMatchSerial) { RunStreamMatrix(Uis()); }
+
+void RunCRepairMatrix(const Dataset& data) {
+  ASSERT_GT(data.rules.size(), 0u) << data.name;
+  const std::unique_ptr<RuleDict> dict = RuleDict::CompileOrDie(data.rules);
+  Table crepaired = data.dirty;
+  ChaseRepairer(&data.rules).RepairTable(&crepaired);
+  const std::string input = ToCsv(data.dirty);
+  const size_t block_bytes =
+      RowStore::kRowsPerBlock * data.dirty.num_columns() * sizeof(ValueId);
+  struct Route {
+    size_t threads;
+    size_t shards;
+  };
+  const Route routes[] = {{1, 0}, {2, 0}, {PoolWidth(), 0}, {1, 3}};
+  struct Chunking {
+    size_t chunk_rows;
+    size_t budget;
+  };
+  const Chunking chunkings[] = {
+      {1, 0}, {7, 0}, {4096, 0}, {RepairConfig::kWholeFile, block_bytes}};
+
+  size_t lenient_failures = 0;
+  for (const OnErrorPolicy policy : kPolicies) {
+    const Reference ref = SerialReference(*dict, data.dirty, policy,
+                                          /*use_memo=*/false,
+                                          RepairEngine::kCRepair);
+    const std::string policy_name =
+        data.name + " crepair " + OnErrorPolicyName(policy);
+    if (policy == OnErrorPolicy::kAbort) {
+      EXPECT_EQ(ref.csv, ToCsv(crepaired)) << policy_name;
+    } else {
+      ExpectMatchesCRepair(ref, data.dirty, crepaired, policy_name);
+      lenient_failures += ref.diagnostics.size();
+    }
+    for (const Route& route : routes) {
+      RepairConfig config;
+      config.engine = RepairEngine::kCRepair;
+      config.threads = route.threads;
+      config.shards = route.shards;
+      config.on_error = policy;
+      if (policy != OnErrorPolicy::kAbort) {
+        config.max_chase_steps = ChaseBudget(config.engine, *dict);
+      }
+      const std::string base = policy_name +
+                               " threads=" + std::to_string(route.threads) +
+                               " shards=" + std::to_string(route.shards);
+      {
+        MetricsRegistry::Global().ResetAllForTest();
+        Table table = data.dirty;
+        VectorQuarantineSink sink;
+        RepairConfig table_config = config;
+        if (policy == OnErrorPolicy::kQuarantine) {
+          table_config.quarantine = &sink;
+        }
+        RepairDriver driver(*dict, table_config);
+        std::vector<CellRepair> log;
+        driver.set_write_log(&log);
+        const RepairStats stats = driver.Run(&table);
+        EXPECT_EQ(ToCsv(table), ref.csv) << base;
+        EXPECT_EQ(driver.failures(), ref.diagnostics) << base;
+        EXPECT_EQ(sink.diagnostics(),
+                  policy == OnErrorPolicy::kQuarantine
+                      ? ref.diagnostics
+                      : std::vector<Diagnostic>{})
+            << base;
+        EXPECT_EQ(log, ref.log) << base;
+        ExpectSameCounters(stats, ref.stats, /*chase_internals=*/false,
+                           /*probe_mechanics=*/false, base);
+        if (kMetricsEnabled) {
+          EXPECT_EQ(CounterValue("fixrep.crepair.tuples_examined"),
+                    stats.tuples_examined)
+              << base;
+          EXPECT_EQ(CounterValue("fixrep.lrepair.tuples_examined"), 0u)
+              << base;
+          EXPECT_EQ(CounterValue("fixrep.memo.misses"), 0u) << base;
+        }
+      }
+      for (const Chunking& chunking : chunkings) {
+        config.chunk_rows = chunking.chunk_rows;
+        config.memory_budget_bytes = chunking.budget;
+        const std::string context =
+            base + " chunk_rows=" + std::to_string(chunking.chunk_rows) +
+            " budget=" + std::to_string(chunking.budget);
+        const StreamResult run = RunStream(data, config, input);
+        EXPECT_EQ(run.csv, ref.csv) << context;
+        EXPECT_EQ(run.log, ref.log) << context;
+        EXPECT_EQ(run.report.cells_changed, ref.stats.cells_changed)
+            << context;
+        EXPECT_EQ(run.report.tuples_quarantined, ref.diagnostics.size())
+            << context;
+        if (policy == OnErrorPolicy::kQuarantine) {
+          EXPECT_EQ(run.diagnostics, ref.diagnostics) << context;
+        }
+      }
+    }
+  }
+  // The budget must bite somewhere, or the lenient runs prove nothing.
+  EXPECT_GT(lenient_failures, 0u) << data.name;
+}
+
+TEST(DriverMatrix, HospCRepairRunsMatchChaseRepairer) {
+  RunCRepairMatrix(Hosp());
+}
+
+TEST(DriverMatrix, UisCRepairRunsMatchChaseRepairer) {
+  RunCRepairMatrix(Uis());
+}
 
 // A driver reused across runs keeps its slots (one memo per slot across
 // every run), publishes per run, and stays byte-identical.

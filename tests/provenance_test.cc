@@ -5,9 +5,20 @@
 #include "datagen/travel.h"
 #include "repair/lrepair.h"
 #include "repair/provenance.h"
+#include "repair/session.h"
 
 namespace fixrep {
 namespace {
+
+// The cRepair write log of one repair of `table` in place — what
+// `fixrep_cli repair --log` prints.
+RepairLog ChaseLog(const RuleSet& rules, Table* table) {
+  RepairLog log;
+  RepairSession session(&rules, {.engine = RepairEngine::kCRepair});
+  const StatusOr<RepairReport> report = session.Repair(table, &log.repairs);
+  EXPECT_TRUE(report.ok()) << report.status();
+  return log;
+}
 
 class ProvenanceTest : public ::testing::Test {
  protected:
@@ -16,7 +27,7 @@ class ProvenanceTest : public ::testing::Test {
 
 TEST_F(ProvenanceTest, RecordsEveryChange) {
   Table table = example_.dirty;
-  const RepairLog log = RepairWithProvenance(example_.rules, &table);
+  const RepairLog log = ChaseLog(example_.rules, &table);
   ASSERT_EQ(log.repairs.size(), 4u);
   // The repaired table matches the clean one and each entry is a real
   // cell diff.
@@ -33,7 +44,7 @@ TEST_F(ProvenanceTest, RecordsEveryChange) {
 
 TEST_F(ProvenanceTest, AttributesChangesToTheRightRules) {
   Table table = example_.dirty;
-  const RepairLog log = RepairWithProvenance(example_.rules, &table);
+  const RepairLog log = ChaseLog(example_.rules, &table);
   const auto counts = log.PerRuleCounts(example_.rules.size());
   // Fig. 8: each of phi_1..phi_4 repairs exactly one cell.
   EXPECT_EQ(counts, (std::vector<size_t>{1, 1, 1, 1}));
@@ -47,7 +58,7 @@ TEST_F(ProvenanceTest, AttributesChangesToTheRightRules) {
 
 TEST_F(ProvenanceTest, AgreesWithFastRepairer) {
   Table by_provenance = example_.dirty;
-  RepairWithProvenance(example_.rules, &by_provenance);
+  ChaseLog(example_.rules, &by_provenance);
   Table by_lrepair = example_.dirty;
   FastRepairer repairer(&example_.rules);
   repairer.RepairTable(&by_lrepair);
@@ -58,7 +69,7 @@ TEST_F(ProvenanceTest, AgreesWithFastRepairer) {
 
 TEST_F(ProvenanceTest, DescribeIsHumanReadable) {
   Table table = example_.dirty;
-  const RepairLog log = RepairWithProvenance(example_.rules, &table);
+  const RepairLog log = ChaseLog(example_.rules, &table);
   ASSERT_FALSE(log.repairs.empty());
   // Find the r2[capital] repair.
   const CellRepair* capital_repair = nullptr;
@@ -73,7 +84,7 @@ TEST_F(ProvenanceTest, DescribeIsHumanReadable) {
 
 TEST_F(ProvenanceTest, CleanTableYieldsEmptyLog) {
   Table table = example_.clean;
-  const RepairLog log = RepairWithProvenance(example_.rules, &table);
+  const RepairLog log = ChaseLog(example_.rules, &table);
   EXPECT_TRUE(log.repairs.empty());
 }
 

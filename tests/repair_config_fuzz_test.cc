@@ -28,8 +28,8 @@ const std::vector<std::string>& KnownKeys() {
   static const std::vector<std::string> keys = {
       "engine",          "threads",    "shards",        "rules-dict",
       "memo",            "no-memo",    "memo-capacity", "on-error",
-      "max-chase-steps", "chunk-rows", "memory-budget", "prune",
-      "wal",             "resume",     "scoped-metrics"};
+      "max-chase-steps", "chunk-rows", "memory-budget", "wal",
+      "resume",          "scoped-metrics"};
   return keys;
 }
 

@@ -43,7 +43,6 @@ void ExpectSameConfig(const RepairConfig& got, const RepairConfig& want,
   EXPECT_EQ(got.max_chase_steps, want.max_chase_steps) << context;
   EXPECT_EQ(got.chunk_rows, want.chunk_rows) << context;
   EXPECT_EQ(got.memory_budget_bytes, want.memory_budget_bytes) << context;
-  EXPECT_EQ(got.prune_columns, want.prune_columns) << context;
   EXPECT_EQ(got.wal_path, want.wal_path) << context;
   EXPECT_EQ(got.resume, want.resume) << context;
   EXPECT_EQ(got.scoped_metrics, want.scoped_metrics) << context;
@@ -60,7 +59,6 @@ TEST(RepairConfigTest, EveryKeyParses) {
                                       {"max-chase-steps", "9"},
                                       {"chunk-rows", "77"},
                                       {"memory-budget", "64MB"},
-                                      {"prune", ""},
                                       {"wal", "/tmp/w.wal"},
                                       {"resume", "on"},
                                       {"scoped-metrics", "1"}});
@@ -74,7 +72,6 @@ TEST(RepairConfigTest, EveryKeyParses) {
   EXPECT_EQ(config.max_chase_steps, 9u);
   EXPECT_EQ(config.chunk_rows, 77u);
   EXPECT_EQ(config.memory_budget_bytes, size_t{64} << 20);
-  EXPECT_TRUE(config.prune_columns);
   EXPECT_EQ(config.wal_path, "/tmp/w.wal");
   EXPECT_TRUE(config.resume);
   EXPECT_TRUE(config.scoped_metrics);
@@ -107,9 +104,8 @@ TEST(RepairConfigTest, BadValuesAreInvalidArgumentAndLeaveNoTrace) {
       {"memo-capacity", "0"},    {"on-error", "explode"},
       {"max-chase-steps", "ten"}, {"chunk-rows", "0"},
       {"chunk-rows", "half"},    {"memory-budget", "lots"},
-      {"memory-budget", "0"},    {"prune", "2"},
-      {"wal", ""},               {"resume", "nah"},
-      {"scoped-metrics", "si"}};
+      {"memory-budget", "0"},    {"wal", ""},
+      {"resume", "nah"},         {"scoped-metrics", "si"}};
   for (const auto& [key, value] : bad) {
     RepairConfig config;
     const Status status = ParseRepairConfig(key, value, &config);
@@ -135,8 +131,8 @@ TEST(RepairConfigTest, ByteSizesParseWithSuffixes) {
 }
 
 TEST(RepairConfigTest, SessionLocalKeysAreExactlyTheDurabilityAndLayoutOnes) {
-  for (const char* key : {"rules-dict", "chunk-rows", "memory-budget",
-                          "prune", "wal", "resume", "scoped-metrics"}) {
+  for (const char* key : {"rules-dict", "chunk-rows", "memory-budget", "wal",
+                          "resume", "scoped-metrics"}) {
     EXPECT_TRUE(RepairConfigKeyIsSessionLocal(key)) << key;
   }
   for (const char* key : {"engine", "threads", "shards", "memo", "no-memo",
@@ -166,7 +162,6 @@ TEST(RepairConfigPropertyTest, FormatThenParseRoundTripsRandomConfigs) {
     config.chunk_rows =
         pick(4) == 0 ? RepairConfig::kWholeFile : 1 + pick(1 << 20);
     config.memory_budget_bytes = pick(2) == 0 ? 0 : 1 + pick(1 << 28);
-    config.prune_columns = pick(2) == 0;
     if (pick(3) == 0) config.wal_path = "/tmp/run.wal";
     config.resume = pick(4) == 0;
     config.scoped_metrics = pick(2) == 0;

@@ -4,6 +4,7 @@
 // FastRepairer, ChaseRepairer) for every engine/threads/error-policy
 // combination it routes.
 
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -26,9 +27,12 @@
 #include "repair/session.h"
 #include "rulegen/rulegen.h"
 #include "rules/rule_io.h"
+#include "testing_util.h"
 
 namespace fixrep {
 namespace {
+
+using ::fixrep::testing::TestTempPath;
 
 void ExpectSameRows(const Table& got, const Table& want,
                     const std::string& context) {
@@ -214,8 +218,8 @@ TEST_F(RepairSessionLenientTest, QuarantineMatchesLenientEngine) {
 }
 
 TEST_F(RepairSessionLenientTest, CRepairLenientMatchesDirectChaseLoop) {
-  // Serial lenient cRepair (the old CLI loop, now inside the facade)
-  // must match driving ChaseRepairer::TryRepairTuple by hand. The chase
+  // Lenient cRepair (a RepairDriver slot holding a ChaseRepairer) must
+  // match driving ChaseRepairer::TryRepairTuple by hand. The chase
   // budget counts rule examinations, so 2 passes already-clean tuples
   // but trips every tuple that needs an application.
   const size_t kBudget = 2;
@@ -250,31 +254,55 @@ TEST_F(RepairSessionLenientTest, CRepairLenientMatchesDirectChaseLoop) {
   }
 }
 
+// cRepair routes like lRepair — any width or shard count, and streams —
+// with one refusal left: a stream with a WAL, whose header does not
+// record the engine a resume would have to chase with.
 TEST(RepairSessionTest, RejectsUnroutableConfigs) {
   TravelExample example;
-  {
-    RepairConfig config;
+  Table want = example.dirty;
+  ChaseRepairer(&example.rules).RepairTable(&want);
+  std::ostringstream want_csv;
+  WriteCsv(want, want_csv);
+  std::ostringstream dirty_csv;
+  WriteCsv(example.dirty, dirty_csv);
+  for (const RepairConfig& width :
+       {RepairConfig{.threads = 4}, RepairConfig{.shards = 2}}) {
+    RepairConfig config = width;
     config.engine = RepairEngine::kCRepair;
-    config.threads = 4;  // the chase is serial-only
+    const std::string context = "threads=" + std::to_string(config.threads) +
+                                " shards=" + std::to_string(config.shards);
     RepairSession session(&example.rules, config);
     Table table = example.dirty;
     const StatusOr<RepairReport> report = session.Repair(&table);
-    ASSERT_FALSE(report.ok());
-    EXPECT_EQ(report.status().code(), StatusCode::kMalformedInput);
+    ASSERT_TRUE(report.ok()) << context << ": " << report.status();
+    ExpectSameRows(table, want, context);
+
+    std::istringstream in(dirty_csv.str());
+    StatusOr<CsvChunkReader> reader =
+        CsvChunkReader::Open(in, "stream", example.pool);
+    ASSERT_TRUE(reader.ok());
+    std::ostringstream out;
+    const StatusOr<RepairReport> streamed =
+        session.RepairStream(&reader.value(), out);
+    ASSERT_TRUE(streamed.ok()) << context << ": " << streamed.status();
+    EXPECT_EQ(out.str(), want_csv.str()) << context;
   }
   {
     RepairConfig config;
     config.engine = RepairEngine::kCRepair;
+    config.wal_path = TestTempPath("crepair.wal");
     RepairSession session(&example.rules, config);
-    std::istringstream in("a,b\n1,2\n");
+    std::istringstream in(dirty_csv.str());
     StatusOr<CsvChunkReader> reader =
-        CsvChunkReader::Open(in, "stream", std::make_shared<ValuePool>());
+        CsvChunkReader::Open(in, "stream", example.pool);
     ASSERT_TRUE(reader.ok());
     std::ostringstream out;
     const StatusOr<RepairReport> report =
         session.RepairStream(&reader.value(), out);
-    ASSERT_FALSE(report.ok());  // streaming is lRepair-only
+    ASSERT_FALSE(report.ok());
     EXPECT_EQ(report.status().code(), StatusCode::kMalformedInput);
+    EXPECT_FALSE(std::filesystem::exists(config.wal_path));
+    EXPECT_TRUE(out.str().empty());
   }
 }
 
@@ -307,23 +335,24 @@ TEST(RepairSessionTest, StreamMatchesInMemoryRepairBytes) {
   std::ostringstream dirty_csv;
   WriteCsv(example.dirty, dirty_csv);
 
-  for (const bool prune : {false, true}) {
+  for (const RepairEngine engine :
+       {RepairEngine::kLRepair, RepairEngine::kCRepair}) {
     for (const size_t budget : {size_t{0}, size_t{1}}) {
       std::istringstream in(dirty_csv.str());
       StatusOr<CsvChunkReader> reader =
           CsvChunkReader::Open(in, "stream", example.pool);
       ASSERT_TRUE(reader.ok());
       RepairConfig config;
+      config.engine = engine;
       config.chunk_rows = 2;
       config.memory_budget_bytes = budget;
-      config.prune_columns = prune;
       RepairSession session(&example.rules, config);
       std::ostringstream out;
       const StatusOr<RepairReport> report =
           session.RepairStream(&reader.value(), out);
       ASSERT_TRUE(report.ok()) << report.status().message();
       EXPECT_EQ(out.str(), want.str())
-          << "prune=" << prune << " budget=" << budget;
+          << "engine=" << static_cast<int>(engine) << " budget=" << budget;
       EXPECT_EQ(report->rows, example.dirty.num_rows());
       EXPECT_EQ(report->chunks, 2u);
     }

@@ -58,7 +58,6 @@ struct StreamConfig {
   size_t max_chase_steps = 0;
   OnErrorPolicy csv_policy = OnErrorPolicy::kAbort;
   size_t memory_budget_bytes = 0;  // > 0: spill chunk blocks to disk
-  bool prune_columns = false;
 };
 
 StatusOr<StreamRun> RunStream(const std::string& csv_text,
@@ -86,7 +85,6 @@ StatusOr<StreamRun> RunStream(const std::string& csv_text,
   }
   repair.max_chase_steps = config.max_chase_steps;
   repair.memory_budget_bytes = config.memory_budget_bytes;
-  repair.prune_columns = config.prune_columns;
   RepairSession session(&dict, repair);
   std::ostringstream out;
   StatusOr<RepairReport> result = session.RepairStream(&reader.value(), out);
@@ -596,100 +594,6 @@ TEST_F(StreamingQuarantineTest, SpillWithQuarantineMatchesInMemory) {
     ExpectSameDiagnostics(run->tuple_diagnostics,
                           reference_sink.diagnostics(), context);
   }
-}
-
-// -------------------------------------------------------- column pruning --
-
-// A schema with one column no rule mentions, whose raw text needs CSV
-// requoting — the pass-through sidecar must reproduce it byte for byte.
-class StreamingPruneTest : public StreamingTest {
- protected:
-  std::shared_ptr<ValuePool> pool_ = std::make_shared<ValuePool>();
-  std::shared_ptr<const Schema> schema_ = std::make_shared<Schema>(
-      "R",
-      std::vector<std::string>{"country", "capital", "name", "note"});
-  RuleSet rules_ = CascadeRules(schema_, pool_);
-
-  Table MakeTable() {
-    Table table(schema_, pool_);
-    table.AppendRowStrings({"China", "Shanghai", "x", "plain"});
-    table.AppendRowStrings({"China", "Hongkong", "y", "needs,quoting"});
-    table.AppendRowStrings({"France", "Paris", "z", "embedded \"quote\""});
-    table.AppendRowStrings({"China", "Shanghai", "w", ""});
-    table.AppendRowStrings({"Chn", "Hongkong", "flag", "multi\nline"});
-    return table;
-  }
-};
-
-TEST_F(StreamingPruneTest, PrunedStreamBitIdenticalToUnpruned) {
-  Table reference = MakeTable();
-  const std::unique_ptr<RuleDict> dict = RuleDict::CompileOrDie(rules_);
-  ASSERT_FALSE(dict->mentioned_attrs().Contains(3));  // note: unmentioned
-  FastRepairer repairer(&rules_);
-  repairer.RepairTable(&reference);
-  const std::string want = ToCsv(reference);
-  const std::string input_csv = ToCsv(MakeTable());
-
-  for (const size_t chunk_rows : {size_t{1}, size_t{2}, size_t{100}}) {
-    for (const size_t threads : {size_t{1}, size_t{4}}) {
-      const std::string context = "chunk_rows=" + std::to_string(chunk_rows) +
-                                  " threads=" + std::to_string(threads);
-      const StatusOr<StreamRun> run =
-          RunStream(input_csv, pool_, *dict,
-                    {.chunk_rows = chunk_rows,
-                     .threads = threads,
-                     .prune_columns = true});
-      ASSERT_TRUE(run.ok()) << context << ": " << run.status().message();
-      ASSERT_EQ(run->csv, want) << context;
-      EXPECT_EQ(run->result.columns_pruned, 1u) << context;
-    }
-  }
-}
-
-TEST_F(StreamingPruneTest, PruneWithQuarantineKeepsFullRawText) {
-  // Diagnostics must carry the complete original tuple — including the
-  // pruned column's raw text — exactly as an unpruned run renders it.
-  const std::string input_csv = ToCsv(MakeTable());
-  const std::unique_ptr<RuleDict> dict = RuleDict::CompileOrDie(rules_);
-
-  Table reference = MakeTable();
-  VectorQuarantineSink reference_sink;
-  RepairDriver(*dict, LenientConfig(&reference_sink)).Run(&reference);
-  ASSERT_EQ(reference_sink.size(), 1u);  // the cascade row
-  const std::string want = ToCsv(reference);
-
-  for (const size_t threads : {size_t{1}, size_t{4}}) {
-    const std::string context = "threads=" + std::to_string(threads);
-    const StatusOr<StreamRun> run =
-        RunStream(input_csv, pool_, *dict,
-                  {.chunk_rows = 2,
-                   .threads = threads,
-                   .on_error = OnErrorPolicy::kQuarantine,
-                   .max_chase_steps = 1,
-                   .prune_columns = true});
-    ASSERT_TRUE(run.ok()) << context << ": " << run.status().message();
-    ASSERT_EQ(run->csv, want) << context;
-    ExpectSameDiagnostics(run->tuple_diagnostics,
-                          reference_sink.diagnostics(), context);
-  }
-}
-
-TEST_F(StreamingPruneTest, PruningComposesWithSpill) {
-  const std::string input_csv = ToCsv(MakeTable());
-  const std::unique_ptr<RuleDict> dict = RuleDict::CompileOrDie(rules_);
-  Table reference = MakeTable();
-  FastRepairer repairer(&rules_);
-  repairer.RepairTable(&reference);
-  const StatusOr<StreamRun> run =
-      RunStream(input_csv, pool_, *dict,
-                {.chunk_rows = ~size_t{0},
-                 .threads = 4,
-                 .memory_budget_bytes = 1,
-                 .prune_columns = true});
-  ASSERT_TRUE(run.ok()) << run.status().message();
-  EXPECT_EQ(run->csv, ToCsv(reference));
-  EXPECT_EQ(run->result.columns_pruned, 1u);
-  EXPECT_EQ(CounterValue("fixrep.streaming.columns_pruned"), 1u);
 }
 
 }  // namespace
