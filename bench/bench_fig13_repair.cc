@@ -606,13 +606,19 @@ void WriteRepairJson() {
         CsvChunkReader::Open(scale_in, "bench", scale_pool, {});
     if (!reader.ok()) std::abort();
     RepairConfig scale_config;
-    scale_config.rules_dict = scale_dict_path;
     scale_config.chunk_rows = RepairConfig::kWholeFile;
     scale_config.memory_budget_bytes = scale_budget_bytes;
-    RepairSession session(scale_config);
     std::ofstream scale_out(scale_out_path,
                             std::ios::binary | std::ios::trunc);
     const double ms = TimedMs("fig13_dict_budget", [&] {
+      // Opening and binding the dictionary is part of the timed run.
+      StatusOr<std::unique_ptr<RuleDict>> dict =
+          RuleDict::Open(scale_dict_path);
+      if (!dict.ok() ||
+          !dict.value()->Bind(*reader->schema(), scale_pool).ok()) {
+        std::abort();
+      }
+      RepairSession session(dict.value().get(), scale_config);
       const auto report = session.RepairStream(&reader.value(), scale_out);
       if (!report.ok() || report.value().rows != budget_rows) {
         std::cerr << "dict budget run failed: "

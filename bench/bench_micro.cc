@@ -22,6 +22,7 @@
 #include "relation/csv.h"
 #include "repair/lrepair.h"
 #include "rules/consistency.h"
+#include "rules/rule_dict.h"
 
 namespace fixrep::bench {
 namespace {
@@ -324,6 +325,33 @@ void BM_CsvIngestResolved(::benchmark::State& state) {
   SetCsvCounters(state, text.size());
 }
 BENCHMARK(BM_CsvIngestResolved)->Unit(::benchmark::kMillisecond);
+
+// The same decode if daemon requests stopped interning their values
+// (ROADMAP, "Step 1"): the pool holds only what RuleDict::Bind interned,
+// as a dictionary tenant's pool does right after load, so every other
+// value is staged in the request's overlay, and nothing is committed.
+void BM_CsvIngestResolvedBindOnly(::benchmark::State& state) {
+  const std::string& text = HospCsv();
+  const std::unique_ptr<RuleDict> dict =
+      RuleDict::CompileOrDie(HospWorkload().rules);
+  auto pool = std::make_shared<ValuePool>();
+  if (!dict->Bind(*HospWorkload().data.schema, pool).ok()) {
+    state.SkipWithError("bind failed");
+    return;
+  }
+  size_t staged = 0;
+  for (auto _ : state) {
+    ValueOverlay overlay(pool.get());
+    StatusOr<Table> table =
+        ReadCsvBytesResolved(text, "hosp", pool, &overlay);
+    ::benchmark::DoNotOptimize(table->num_rows());
+    staged = overlay.size();
+  }
+  SetCsvCounters(state, text.size());
+  state.counters["pool_values"] = static_cast<double>(pool->size());
+  state.counters["staged_values"] = static_cast<double>(staged);
+}
+BENCHMARK(BM_CsvIngestResolvedBindOnly)->Unit(::benchmark::kMillisecond);
 
 void BM_CsvEmit(::benchmark::State& state) {
   const Table& table = HospWorkload().dirty;

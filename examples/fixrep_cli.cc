@@ -35,9 +35,12 @@
 //                        [--rules-dict dict.frd] [--shards N]
 //                        --rules-dict repairs against a compiled
 //                        dictionary (mmap, demand-paged) instead of
-//                        --rules; output is byte-identical. --shards
-//                        routes tuples to N workers by content hash
-//                        (repair/driver.h) instead of claiming row
+//                        --rules: it is opened and bound to the header
+//                        of --in before --out is created, so a missing,
+//                        corrupt or mismatched dictionary exits 1 and
+//                        writes nothing; output is byte-identical.
+//                        --shards routes tuples to N workers by content
+//                        hash (repair/driver.h) instead of claiming row
 //                        ranges; output is byte-identical either way.
 //                        --threads N claims row ranges on the pool
 //                        (N=0 picks the hardware width); repair memoizes
@@ -123,6 +126,9 @@
 //                        finish on the old rules, later ones see the
 //                        new generation — nothing is dropped
 //
+// A command accepts the flags listed for it above and the global flags
+// below; any other --flag exits 2, naming it, before a file is opened.
+//
 // Global flags (any command, before or after it; --flag=value and
 // --flag value are both accepted):
 //   --log-level=debug|info|warn|error|off   logger threshold
@@ -168,11 +174,13 @@
 #include <csignal>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -252,6 +260,13 @@ class Args {
 
   bool Has(const std::string& key) const { return values_.count(key) > 0; }
 
+  // Every flag given, once each.
+  std::vector<std::string> flags() const {
+    std::vector<std::string> out;
+    for (const auto& [flag, value] : values_) out.push_back(flag);
+    return out;
+  }
+
   std::string Get(const std::string& key,
                   const std::string& fallback = "") const {
     const auto it = values_.find(key);
@@ -320,8 +335,8 @@ void ApplyConfigFlag(const Args& args, const std::string& key,
 // sinks and chunking.
 RepairConfig ConfigFromArgs(const Args& args, OnErrorPolicy policy) {
   RepairConfig config;
-  for (const char* key : {"engine", "threads", "shards", "rules-dict",
-                          "no-memo", "memo-capacity", "max-chase-steps"}) {
+  for (const char* key : {"engine", "threads", "shards", "no-memo",
+                          "memo-capacity", "max-chase-steps"}) {
     if (args.Has(key)) ApplyConfigFlag(args, key, &config);
   }
   config.on_error = policy;
@@ -659,8 +674,23 @@ int Repair(const Args& args) {
     return 1;
   }
   CsvChunkReader reader = std::move(reader_or).value();
+  // The rules: a compiled dictionary opened and bound to the input's
+  // schema and pool, or a text file parsed over them.
+  std::unique_ptr<RuleDict> dict;
   std::optional<RuleSet> rules;
-  if (!args.Has("rules-dict")) {
+  if (args.Has("rules-dict")) {
+    StatusOr<std::unique_ptr<RuleDict>> opened =
+        RuleDict::Open(args.Require("rules-dict"));
+    Status bound = opened.status();
+    if (opened.ok()) {
+      dict = std::move(opened).value();
+      bound = dict->Bind(*reader.schema(), pool);
+    }
+    if (!bound.ok()) {
+      std::cerr << "error reading --rules-dict: " << bound << "\n";
+      return 1;
+    }
+  } else {
     FIXREP_TRACE_SPAN("rules.parse");
     RuleParseOptions rule_options;
     rule_options.on_error = policy;
@@ -709,8 +739,13 @@ int Repair(const Args& args) {
       std::cerr << "error writing --out: " << out.status() << "\n";
       return 1;
     }
-    RepairSession session(rules ? &*rules : nullptr, config);
-    StatusOr<RepairReport> result_or = session.RepairStream(
+    std::optional<RepairSession> session;
+    if (dict != nullptr) {
+      session.emplace(dict.get(), config);
+    } else {
+      session.emplace(&*rules, config);
+    }
+    StatusOr<RepairReport> result_or = session->RepairStream(
         &reader, out->stream(), log ? &log->repairs : nullptr);
     if (!result_or.ok()) {
       std::cerr << "error repairing --in: " << result_or.status() << "\n";
@@ -1214,33 +1249,77 @@ int Reload(const Args& args) {
   return 0;
 }
 
-int Dispatch(const Args& args) {
-  const std::string& command = args.command();
-  if (command == "rules") {
-    if (args.subcommand() == "compile") return RulesCompile(args);
-    if (args.subcommand() == "inspect") return RulesInspect(args);
-    std::cerr << "usage: fixrep_cli rules compile|inspect [--flags]\n";
-    return 2;
+// The flags Main reads; every command accepts them.
+constexpr std::string_view kGlobalFlags[] = {
+    "metrics-out",    "telemetry-out", "log-level",
+    "no-simd",        "progress",      "heartbeat-ms",
+    "metrics-socket", "metrics-port",  "port-file"};
+
+// Every command with the flags it reads beyond the global ones. A flag
+// neither list names is a usage error, so a typo never runs with the
+// default in its place.
+struct Command {
+  std::string_view name;  // "rules compile" for a subcommand
+  int (*run)(const Args&);
+  std::vector<std::string_view> flags;
+};
+
+const std::vector<Command>& Commands() {
+  static const std::vector<Command> commands = {
+      {"gen-data", GenData,
+       {"dataset", "rows", "seed", "out", "dirty", "noise", "typos",
+        "fds-out"}},
+      {"gen-rules", GenRules,
+       {"scale", "attrs", "seed", "clean", "dirty", "fds", "max", "out"}},
+      {"rules compile", RulesCompile,
+       {"rules", "attrs", "data", "scale", "seed", "out"}},
+      {"rules inspect", RulesInspect, {"dict"}},
+      {"discover", Discover, {"dirty", "fds", "max", "confidence", "out"}},
+      {"check", Check, {"rules", "data", "strict", "resolve"}},
+      {"repair", Repair,
+       {"rules", "rules-dict", "in", "out", "engine", "threads", "shards",
+        "no-memo", "memo-capacity", "max-chase-steps", "on-error",
+        "quarantine-out", "chunk-rows", "memory-budget", "wal", "resume",
+        "log", "stream"}},
+      {"audit", Audit, {"wal", "rules"}},
+      {"rollback", Rollback, {"wal", "rules", "rule", "in", "out"}},
+      {"eval", Eval, {"truth", "dirty", "repaired"}},
+      {"serve", Serve, {"socket", "port", "ruleset", "max-pending"}},
+      {"submit", Submit,
+       {"socket", "port", "tenant", "in", "out", "quarantine-out", "engine",
+        "threads", "shards", "no-memo", "memo-capacity", "max-chase-steps",
+        "on-error"}},
+      {"ping", Ping, {"socket", "port"}},
+      {"reload", Reload, {"socket", "port", "ruleset"}},
+  };
+  return commands;
+}
+
+const Command* FindCommand(const Args& args) {
+  std::string name = args.command();
+  if (!args.subcommand().empty()) name += " " + args.subcommand();
+  for (const Command& command : Commands()) {
+    if (command.name == name) return &command;
   }
-  if (command == "gen-data") return GenData(args);
-  if (command == "gen-rules") return GenRules(args);
-  if (command == "discover") return Discover(args);
-  if (command == "check") return Check(args);
-  if (command == "repair") return Repair(args);
-  if (command == "serve") return Serve(args);
-  if (command == "submit") return Submit(args);
-  if (command == "ping") return Ping(args);
-  if (command == "reload") return Reload(args);
-  if (command == "audit") return Audit(args);
-  if (command == "rollback") return Rollback(args);
-  if (command == "eval") return Eval(args);
-  return Usage();
+  return nullptr;
 }
 
 int Main(int argc, char** argv) {
   InitTraceClock();  // span offsets and total_ns count from program start
   if (argc < 2) return Usage();
   const Args args(argc, argv);
+  const Command* command = FindCommand(args);
+  if (command == nullptr) return Usage();
+  for (const std::string& flag : args.flags()) {
+    if (std::find(command->flags.begin(), command->flags.end(), flag) ==
+            command->flags.end() &&
+        std::find(std::begin(kGlobalFlags), std::end(kGlobalFlags), flag) ==
+            std::end(kGlobalFlags)) {
+      std::cerr << "unknown flag --" << flag << " for " << command->name
+                << "\n";
+      return 2;
+    }
+  }
   if (args.Has("log-level")) {
     const std::string text = args.Require("log-level");
     const std::optional<LogLevel> level = TryParseLogLevel(text);
@@ -1315,7 +1394,7 @@ int Main(int argc, char** argv) {
     sampler->Start();
   }
 
-  const int rc = Dispatch(args);
+  const int rc = command->run(args);
 
   if (sampler != nullptr) sampler->Stop();  // emits the final sample
   if (server != nullptr) server->Stop();

@@ -8,11 +8,18 @@
 // Session-scoped metric domains. The library's instrumentation sites
 // publish to CurrentMetrics(), which is the process-wide registry unless
 // the calling thread has an active MetricScope — then it is that scope's
-// private registry. A RepairSession configured with scoped_metrics
-// activates its scope around every repair call, so two concurrent
-// sessions accumulate into disjoint registries (attributable per-tenant
-// metrics, the daemon prerequisite) and roll up into the global registry
-// on flush.
+// private registry. A caller that wants its repair counts apart wraps
+// its RepairSession calls in an Activation, as the daemon does with
+// one scope per tenant, so two concurrent sessions accumulate into
+// disjoint registries and roll up into the global registry on flush:
+//
+//   MetricScope scope;
+//   {
+//     MetricScope::Activation active(&scope);
+//     session.Repair(&table);
+//   }
+//   scope.registry().FindCounter("fixrep.lrepair.cells_changed");
+//   scope.Flush();  // also at destruction
 //
 // The publication discipline that makes a *thread-local* current
 // registry sufficient: engines accumulate into plain structs and publish

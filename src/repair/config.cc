@@ -103,11 +103,6 @@ Status ParseRepairConfig(const std::string& key, const std::string& value,
     config->shards = shards;
     return Status::Ok();
   }
-  if (key == "rules-dict") {
-    if (value.empty()) return BadValue(key, value, "a dictionary path");
-    config->rules_dict = value;
-    return Status::Ok();
-  }
   if (key == "memo") {
     const std::optional<bool> memo = ParseBool(value);
     if (!memo.has_value()) return BadValue(key, value, "a boolean");
@@ -178,12 +173,6 @@ Status ParseRepairConfig(const std::string& key, const std::string& value,
     config->resume = *resume;
     return Status::Ok();
   }
-  if (key == "scoped-metrics") {
-    const std::optional<bool> scoped = ParseBool(value);
-    if (!scoped.has_value()) return BadValue(key, value, "a boolean");
-    config->scoped_metrics = *scoped;
-    return Status::Ok();
-  }
   return Status::MalformedInput("unknown repair config key '" + key + "'");
 }
 
@@ -199,9 +188,6 @@ std::vector<std::pair<std::string, std::string>> FormatRepairConfig(
   }
   if (config.shards != defaults.shards) {
     out.emplace_back("shards", std::to_string(config.shards));
-  }
-  if (!config.rules_dict.empty()) {
-    out.emplace_back("rules-dict", config.rules_dict);
   }
   if (config.use_memo != defaults.use_memo) {
     out.emplace_back("memo", "false");
@@ -228,14 +214,12 @@ std::vector<std::pair<std::string, std::string>> FormatRepairConfig(
   }
   if (!config.wal_path.empty()) out.emplace_back("wal", config.wal_path);
   if (config.resume) out.emplace_back("resume", "true");
-  if (config.scoped_metrics) out.emplace_back("scoped-metrics", "true");
   return out;
 }
 
 bool RepairConfigKeyIsSessionLocal(const std::string& key) {
-  return key == "rules-dict" || key == "chunk-rows" ||
-         key == "memory-budget" || key == "wal" ||
-         key == "resume" || key == "scoped-metrics";
+  return key == "chunk-rows" || key == "memory-budget" || key == "wal" ||
+         key == "resume";
 }
 
 }  // namespace fixrep

@@ -11,9 +11,9 @@
 // One audited key/value parser for RepairConfig, shared by the CLI
 // `repair` verb and the daemon's wire-request config headers, so a knob
 // behaves identically no matter which surface set it (docs/api.md).
-// Keys mirror the CLI flag names (engine, threads, shards, rules-dict,
-// memo, no-memo, memo-capacity, on-error, max-chase-steps, chunk-rows,
-// memory-budget, wal, resume, scoped-metrics).
+// Keys mirror the CLI flag names (engine, threads, shards, memo,
+// no-memo, memo-capacity, on-error, max-chase-steps, chunk-rows,
+// memory-budget, wal, resume).
 
 namespace fixrep {
 
@@ -37,10 +37,9 @@ Status ParseRepairConfig(const std::string& key, const std::string& value,
 std::vector<std::pair<std::string, std::string>> FormatRepairConfig(
     const RepairConfig& config);
 
-// True for keys that only make sense for a local/streaming session and
-// are rejected by the daemon (the tenant defines the rule backend and
-// the server owns durability and memory policy): rules-dict, chunk-rows,
-// memory-budget, wal, resume, scoped-metrics.
+// True for keys that only make sense for a local stream and are
+// rejected by the daemon (the server owns durability and memory
+// policy): chunk-rows, memory-budget, wal, resume.
 bool RepairConfigKeyIsSessionLocal(const std::string& key);
 
 }  // namespace fixrep

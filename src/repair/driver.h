@@ -21,14 +21,13 @@ namespace fixrep {
 // — is a pure function of one tuple, so engines, widths and routings
 // differ only in which chase runs and in how rows are handed out and
 // failures and writes are collected. A driver is built once from a bound
-// RuleDict and a RepairConfig (rules_dict and the stream knobs are
-// ignored) and owns the per-slot state: a RuleDictHandle, the engine's
-// repairer on it (a FastRepairer, or for kCRepair a ChaseRepairer), a
-// MemoCache (lRepair under kAbort with use_memo; cRepair never
-// memoizes), a failure list and a write capture. Slots are built
-// serially — slot 0 here, the rest on first use — never more than the
-// pool width, and reused by every later Run, so a stream keeps its memos
-// across all its chunks.
+// RuleDict and a RepairConfig (the stream knobs are ignored) and owns
+// the per-slot state: a RuleDictHandle, the engine's repairer on it (a
+// FastRepairer, or for kCRepair a ChaseRepairer), a MemoCache (lRepair
+// under kAbort with use_memo; cRepair never memoizes), a failure list
+// and a write capture. Slots are built serially — slot 0 here, the rest
+// on first use — never more than the pool width, and reused by every
+// later Run, so a stream keeps its memos across all its chunks.
 //
 // Run(table, begin, end) uses min(width, rows) slots, where the width is
 // config.shards when > 0 and config.threads otherwise (0 = pool width):

@@ -3,8 +3,6 @@
 #include <string>
 
 #include "common/logging.h"
-#include "common/metric_scope.h"
-#include "common/metrics.h"
 #include "common/trace.h"
 #include "repair/driver.h"
 #include "repair/recovery.h"
@@ -14,66 +12,31 @@ namespace fixrep {
 
 RepairSession::RepairSession(const RuleSet* rules, const RepairConfig& config)
     : config_(config) {
-  FIXREP_CHECK(rules != nullptr || !config_.rules_dict.empty());
-  if (config_.scoped_metrics) scope_ = std::make_unique<MetricScope>();
-  if (config_.rules_dict.empty()) {
-    // Scoped so the one-time compile cost is attributed to this
-    // session, like everything else it publishes.
-    const std::unique_ptr<MetricScope::Activation> active = Activate();
-    StatusOr<std::unique_ptr<RuleDict>> compiled = RuleDict::Compile(*rules);
-    if (!compiled.ok()) {
-      compile_status_ = compiled.status();
-      return;
-    }
-    owned_ = std::move(compiled).value();
-    dict_ = owned_.get();
+  FIXREP_CHECK(rules != nullptr);
+  StatusOr<std::unique_ptr<RuleDict>> compiled = RuleDict::Compile(*rules);
+  if (!compiled.ok()) {
+    compile_status_ = compiled.status();
+    return;
   }
+  owned_ = std::move(compiled).value();
+  dict_ = owned_.get();
 }
-
-RepairSession::RepairSession(const RepairConfig& config)
-    : RepairSession(static_cast<const RuleSet*>(nullptr), config) {}
 
 RepairSession::RepairSession(const RuleDict* dict, const RepairConfig& config)
     : config_(config), dict_(dict) {
   FIXREP_CHECK(dict_ != nullptr);
-  FIXREP_CHECK(config_.rules_dict.empty())
-      << "a shared-image session already has its rules";
-  if (config_.scoped_metrics) scope_ = std::make_unique<MetricScope>();
 }
 
 StatusOr<const RuleDict*> RepairSession::Image(
     const Schema& schema, const std::shared_ptr<ValuePool>& pool) {
   FIXREP_RETURN_IF_ERROR(compile_status_);
-  if (dict_ == nullptr) {
-    StatusOr<std::unique_ptr<RuleDict>> opened =
-        RuleDict::Open(config_.rules_dict);
-    if (!opened.ok()) return opened.status();
-    owned_ = std::move(opened.value());
-    dict_ = owned_.get();
-  }
   if (owned_ != nullptr) FIXREP_RETURN_IF_ERROR(owned_->Bind(schema, pool));
   return dict_;
-}
-
-const MetricsRegistry& RepairSession::metrics() const {
-  return scope_ != nullptr ? scope_->registry() : MetricsRegistry::Global();
-}
-
-void RepairSession::FlushMetrics() {
-  if (scope_ != nullptr) scope_->Flush();
-}
-
-std::unique_ptr<MetricScope::Activation> RepairSession::Activate() {
-  if (scope_ == nullptr) return nullptr;
-  return std::make_unique<MetricScope::Activation>(scope_.get());
 }
 
 StatusOr<RepairReport> RepairSession::Repair(Table* table,
                                              std::vector<CellRepair>* log) {
   FIXREP_CHECK(table != nullptr);
-  // Route every publication below (engines publish from this thread
-  // only; pool workers never touch the registry) into the session scope.
-  const std::unique_ptr<MetricScope::Activation> active = Activate();
   StatusOr<const RuleDict*> image =
       Image(table->schema(), table->pool_ptr());
   if (!image.ok()) return image.status();
@@ -96,7 +59,6 @@ StatusOr<RepairReport> RepairSession::RepairStream(
     return Status::MalformedInput(
         "a WAL does not record the engine; journal lRepair streams only");
   }
-  const std::unique_ptr<MetricScope::Activation> active = Activate();
   StatusOr<const RuleDict*> image = Image(*reader->schema(), reader->pool());
   if (!image.ok()) return image.status();
   const RuleDict& dict = *image.value();

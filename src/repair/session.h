@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "common/metric_scope.h"
 #include "common/quarantine.h"
 #include "common/status.h"
 #include "relation/csv.h"
@@ -24,7 +23,10 @@ namespace fixrep {
 // policy and (for streams) the memory and durability knobs. Every
 // configuration of either engine runs through one RepairDriver
 // (repair/driver.h): Repair builds one per call, RepairStream one per
-// stream.
+// stream. The config holds only what changes the run; the rules come
+// in as an object (a RuleSet or a bound RuleDict), and a caller that
+// wants its counts apart wraps its calls in a MetricScope::Activation
+// (common/metric_scope.h).
 
 // Which repair algorithm drives the chase.
 enum class RepairEngine {
@@ -48,14 +50,6 @@ struct RepairConfig {
   // count is capped at the pool width. Output is bit-identical either
   // way.
   size_t shards = 0;
-  // Non-empty: repair against the compiled on-disk rule dictionary
-  // (rules/rule_dict.h) at this path instead of an image compiled from
-  // the borrowed RuleSet. The dictionary is opened on the first
-  // Repair/RepairStream call and bound to that call's schema and value
-  // pool; open/bind failures (bad magic, truncation, CRC or schema
-  // mismatch) surface as that call's Status. Output is byte-identical
-  // to a run over an image compiled in memory from the same rules.
-  std::string rules_dict = {};
   // Tuple-signature memoization, one cache per driver slot (lRepair in
   // abort mode only; lenient repair and cRepair never memoize). Output is
   // bit-identical either way.
@@ -92,13 +86,6 @@ struct RepairConfig {
   // their recorded output byte-identically), and resume repairing at
   // the first non-durable chunk.
   bool resume = false;
-
-  // Accumulate this session's metrics in a private MetricScope instead
-  // of the process-wide registry, so concurrent sessions stay
-  // attributable (inspect via RepairSession::metrics()); everything
-  // rolls up into the global registry when the session is destroyed (or
-  // on FlushMetrics). Repair output is identical either way.
-  bool scoped_metrics = false;
 };
 
 struct RepairReport {
@@ -113,36 +100,20 @@ struct RepairReport {
 class RepairSession {
  public:
   // Compiles `rules` into a heap image here, once, shared by every
-  // Repair/RepairStream call and bound to each call's schema and pool —
-  // unless config.rules_dict is set, in which case the dictionary file
-  // is the image and `rules` goes unused. A set the image format cannot
-  // hold fails every call with the compile's Status.
+  // Repair/RepairStream call and bound to each call's schema and pool.
+  // A set the image format cannot hold fails every call with the
+  // compile's Status.
   explicit RepairSession(const RuleSet* rules, const RepairConfig& config = {});
 
-  // Dictionary-only session: config.rules_dict must be non-empty.
-  explicit RepairSession(const RepairConfig& config);
-
   // Shared-image session: chases through `dict`, compiled or opened and
-  // bound once elsewhere, without compiling anything per session — the
+  // bound elsewhere, without compiling anything per session. This is the
   // daemon's per-request path, where N concurrent sessions share one
-  // immutable image. config.rules_dict must be empty; the caller keeps
+  // immutable image, and the CLI's --rules-dict path. The caller keeps
   // `dict` alive and bound for the session's lifetime.
   RepairSession(const RuleDict* dict, const RepairConfig& config);
 
   RepairSession(const RepairSession&) = delete;
   RepairSession& operator=(const RepairSession&) = delete;
-
-  const RepairConfig& config() const { return config_; }
-  // The session's image: compiled by the RuleSet constructor, borrowed,
-  // or (rules_dict) opened by the first call; null until then.
-  const RuleDict* dict() const { return dict_; }
-
-  // The session's private registry when scoped_metrics is set (counts
-  // accumulated since the last flush), the global registry otherwise.
-  const MetricsRegistry& metrics() const;
-  // Rolls scoped counts up into the global registry now (no-op without
-  // scoped_metrics; also runs automatically at destruction).
-  void FlushMetrics();
 
   // Repairs `table` in place per the config, recording one
   // lrepair.chase or crepair.chase span. A non-null `log` receives every
@@ -160,22 +131,15 @@ class RepairSession {
                                       std::vector<CellRepair>* log = nullptr);
 
  private:
-  // Routes this thread's publications into the session scope, if any,
-  // until the returned activation is destroyed.
-  std::unique_ptr<MetricScope::Activation> Activate();
-  // The image for one call: the borrowed one as it is, or the session's
-  // own (compiled, or with config_.rules_dict opened once) bound to the
-  // call's schema and pool.
+  // The image for one call: the borrowed one as it is, or the compiled
+  // one bound to the call's schema and pool.
   StatusOr<const RuleDict*> Image(const Schema& schema,
                                   const std::shared_ptr<ValuePool>& pool);
 
   RepairConfig config_;
-  std::unique_ptr<RuleDict> owned_;  // compiled or opened here
+  std::unique_ptr<RuleDict> owned_;  // compiled here
   const RuleDict* dict_ = nullptr;   // owned_ or borrowed
   Status compile_status_;            // a failed compile, for every call
-  // Present iff config_.scoped_metrics; activated on the calling thread
-  // for the duration of each Repair/RepairStream call.
-  std::unique_ptr<MetricScope> scope_;
 };
 
 }  // namespace fixrep

@@ -70,6 +70,44 @@ struct LiveProgress {
   }
 };
 
+// Writes a durable chunk's journaled deltas into the re-read `chunk` by
+// interning the recorded strings: the chunk's repair without a chase.
+Status ApplyJournaledDeltas(const WalChunk& durable, Table* chunk) {
+  ValuePool& pool = *chunk->pool_ptr();
+  for (const WalCellDelta& delta : durable.deltas) {
+    if (delta.row >= chunk->num_rows() || delta.attr >= chunk->num_columns()) {
+      return Status::MalformedInput(
+          "resume divergence: journaled delta addresses row " +
+          std::to_string(delta.row) + " attr " + std::to_string(delta.attr) +
+          " outside chunk " + std::to_string(durable.chunk_index));
+    }
+    chunk->WriteCell(static_cast<size_t>(delta.row),
+                     static_cast<AttrId>(delta.attr),
+                     pool.Intern(delta.new_value));
+  }
+  return Status::Ok();
+}
+
+// Reports the end of a resume's replay: `replayed` holds the totals of
+// the durable chunks.
+void PublishResume(const RecoveredRun& resume, const RepairReport& replayed,
+                   MetricsRegistry* registry) {
+  registry->GetCounter("fixrep.wal.chunks_replayed")->Add(replayed.chunks);
+  registry->GetCounter("fixrep.wal.rows_replayed")->Add(replayed.rows);
+  FIXREP_LOG(Info) << "resumed from WAL"
+                   << Kv("chunks_replayed", replayed.chunks)
+                   << Kv("rows_replayed", replayed.rows);
+  if (TelemetryJournal* telemetry = GetGlobalJournal()) {
+    TelemetryEvent event("resume");
+    event.Set("chunks_replayed", static_cast<uint64_t>(replayed.chunks))
+        .Set("rows_replayed", static_cast<uint64_t>(replayed.rows))
+        .Set("cells_changed_replayed",
+             static_cast<uint64_t>(replayed.cells_changed))
+        .Set("durable_bytes", resume.durable_bytes);
+    telemetry->Append(event);
+  }
+}
+
 }  // namespace
 
 StatusOr<RepairReport> StreamRepair(const RuleDict& dict,
@@ -113,10 +151,12 @@ StatusOr<RepairReport> StreamRepair(const RuleDict& dict,
 
   // CSV-level quarantine journaling (WAL version >= 2): a capture sink
   // interposed around each ReadChunk sees exactly the reader
-  // diagnostics one chunk produced, so they land in the chunk's WAL
-  // records and resume can validate the re-read input against the log
-  // instead of silently trusting it. Appending to a resumed version-1
-  // log keeps the old record set (old scanners refuse the new type).
+  // diagnostics one chunk produced. A repaired chunk journals them; a
+  // replayed chunk must reproduce the ones its log holds, so resume
+  // validates the re-read input against the log instead of silently
+  // trusting it. Appending to a resumed version-1 log keeps the old
+  // record set (old scanners refuse the new type), and its replayed
+  // diagnostics flow straight through.
   const bool journal_csv =
       journaling &&
       (resume == nullptr || resume->header.version >= kCsvQuarantineWalVersion);
@@ -157,113 +197,26 @@ StatusOr<RepairReport> StreamRepair(const RuleDict& dict,
     }
   };
 
-  // Crash recovery: fast-forward over the durable chunks of a previous
-  // run. Each is re-read from the input (the reader regenerates any
-  // CSV-level diagnostics deterministically), its journaled deltas are
-  // applied by interning the recorded strings — no re-chase — its
-  // journaled tuple diagnostics are forwarded, and its rows re-emitted.
-  // Byte-identical to the uninterrupted run because the chase is a pure
+  // Crash recovery: the first resume->chunks.size() chunks are durable
+  // in the log of a previous run. Each is re-read from the input and
+  // checked against the log (row count, base row, CSV diagnostics), its
+  // journaled deltas are applied without a chase, its journaled tuple
+  // diagnostics are forwarded, and its rows are re-emitted. That is
+  // byte-identical to the uninterrupted run because the chase is a pure
   // per-tuple function: same input chunk + same deltas = same rows.
-  if (resume != nullptr) {
-    // Version >= 2 logs carry the reader diagnostics each chunk
-    // produced: re-render them into a capture sink, refuse on any
-    // disagreement with the log (the input changed since the journaled
-    // run), and forward the journaled records — never the silently
-    // trusted re-rendering — to the live sink. Version-1 logs keep the
-    // historical behavior (re-rendered diagnostics flow straight
-    // through).
-    const bool validate_csv =
-        resume->header.version >= kCsvQuarantineWalVersion;
-    for (const WalChunk& durable : resume->chunks) {
-      chunk.Clear();
-      QuarantineSink* live_sink = nullptr;
-      if (validate_csv) {
-        csv_capture.Clear();
-        live_sink = reader->SwapQuarantine(&csv_capture);
-      }
-      StatusOr<size_t> read = reader->ReadChunk(&chunk, config.chunk_rows);
-      if (validate_csv) {
-        reader->SwapQuarantine(live_sink);
-      }
-      if (!read.ok()) return read.status();
-      if (validate_csv) {
-        if (csv_capture.diagnostics() != durable.csv_quarantined) {
-          return Status::MalformedInput(
-              "resume divergence at chunk " +
-              std::to_string(durable.chunk_index) + ": WAL journaled " +
-              std::to_string(durable.csv_quarantined.size()) +
-              " CSV-level diagnostics, re-reading the input rendered " +
-              std::to_string(csv_capture.size()) +
-              " (or their contents differ) — was the input modified since "
-              "the journaled run?");
-        }
-        if (live_sink != nullptr) {
-          for (const Diagnostic& diagnostic : durable.csv_quarantined) {
-            live_sink->Add(diagnostic);
-          }
-        }
-      }
-      if (read.value() != durable.rows ||
-          durable.base_row != result.rows) {
-        return Status::MalformedInput(
-            "resume divergence at chunk " +
-            std::to_string(durable.chunk_index) + ": WAL recorded " +
-            std::to_string(durable.rows) + " rows at base " +
-            std::to_string(durable.base_row) + ", re-reading gave " +
-            std::to_string(read.value()) + " at base " +
-            std::to_string(result.rows) +
-            " — was the input modified since the journaled run?");
-      }
-      ValuePool& pool = *chunk.pool_ptr();
-      for (const WalCellDelta& delta : durable.deltas) {
-        if (delta.row >= chunk.num_rows() ||
-            delta.attr >= chunk.num_columns()) {
-          return Status::MalformedInput(
-              "resume divergence: journaled delta addresses row " +
-              std::to_string(delta.row) + " attr " +
-              std::to_string(delta.attr) + " outside chunk " +
-              std::to_string(durable.chunk_index));
-        }
-        chunk.WriteCell(static_cast<size_t>(delta.row),
-                        static_cast<AttrId>(delta.attr),
-                        pool.Intern(delta.new_value));
-      }
-      if (quarantining) {
-        for (const Diagnostic& diagnostic : durable.quarantined) {
-          config.quarantine->Add(diagnostic);
-        }
-      }
-      if (durable.tuples_quarantined > 0) {
-        registry.GetCounter("fixrep.quarantine.tuples")
-            ->Add(durable.tuples_quarantined);
-      }
-      WriteCsvRows(chunk, out);
-      ++result.chunks;
-      result.rows += chunk.num_rows();
-      result.cells_changed += durable.cells_changed;
-      result.tuples_quarantined += durable.tuples_quarantined;
-      progress.AddRows(chunk.num_rows());
-      progress.chunk->Set(static_cast<int64_t>(result.chunks));
-    }
-    progress.FlushRows();
-    registry.GetCounter("fixrep.wal.chunks_replayed")->Add(result.chunks);
-    registry.GetCounter("fixrep.wal.rows_replayed")->Add(result.rows);
-    FIXREP_LOG(Info) << "resumed from WAL"
-                     << Kv("chunks_replayed", result.chunks)
-                     << Kv("rows_replayed", result.rows);
-    if (TelemetryJournal* telemetry = GetGlobalJournal()) {
-      TelemetryEvent event("resume");
-      event.Set("chunks_replayed", static_cast<uint64_t>(result.chunks))
-          .Set("rows_replayed", static_cast<uint64_t>(result.rows))
-          .Set("cells_changed_replayed",
-               static_cast<uint64_t>(result.cells_changed))
-          .Set("durable_bytes", resume->durable_bytes);
-      telemetry->Append(event);
-    }
-  }
+  bool replaying = resume != nullptr;
 
   while (true) {
+    if (replaying && result.chunks == resume->chunks.size()) {
+      replaying = false;
+      progress.FlushRows();
+      PublishResume(*resume, result, &registry);
+    }
+    const WalChunk* durable =
+        replaying ? &resume->chunks[result.chunks] : nullptr;
     chunk.Clear();
+    chunk_deltas.clear();
+    chunk_diags.clear();
     QuarantineSink* live_sink = nullptr;
     if (journal_csv) {
       csv_capture.Clear();
@@ -272,7 +225,19 @@ StatusOr<RepairReport> StreamRepair(const RuleDict& dict,
     StatusOr<size_t> read = reader->ReadChunk(&chunk, config.chunk_rows);
     if (journal_csv) {
       reader->SwapQuarantine(live_sink);
-      // The capture must be invisible to the caller's sink.
+      if (durable != nullptr && read.ok() &&
+          csv_capture.diagnostics() != durable->csv_quarantined) {
+        return Status::MalformedInput(
+            "resume divergence at chunk " +
+            std::to_string(durable->chunk_index) + ": WAL journaled " +
+            std::to_string(durable->csv_quarantined.size()) +
+            " CSV-level diagnostics, re-reading the input rendered " +
+            std::to_string(csv_capture.size()) +
+            " (or their contents differ) — was the input modified since "
+            "the journaled run?");
+      }
+      // The capture must be invisible to the caller's sink. On a
+      // replayed chunk it equals the journaled records, checked above.
       if (live_sink != nullptr) {
         for (const Diagnostic& diagnostic : csv_capture.diagnostics()) {
           live_sink->Add(diagnostic);
@@ -280,17 +245,40 @@ StatusOr<RepairReport> StreamRepair(const RuleDict& dict,
       }
     }
     if (!read.ok()) return read.status();
-    if (read.value() == 0 && reader->at_end()) break;
+    if (durable == nullptr && read.value() == 0 && reader->at_end()) break;
+    if (durable != nullptr &&
+        (read.value() != durable->rows || durable->base_row != result.rows)) {
+      return Status::MalformedInput(
+          "resume divergence at chunk " +
+          std::to_string(durable->chunk_index) + ": WAL recorded " +
+          std::to_string(durable->rows) + " rows at base " +
+          std::to_string(durable->base_row) + ", re-reading gave " +
+          std::to_string(read.value()) + " at base " +
+          std::to_string(result.rows) +
+          " — was the input modified since the journaled run?");
+    }
     ++result.chunks;
-    const size_t chunk_cells_before = result.cells_changed;
-    const size_t chunk_quarantined_before = result.tuples_quarantined;
-    chunk_deltas.clear();
-    chunk_diags.clear();
+    const size_t cells_before = result.cells_changed;
+    const size_t quarantined_before = result.tuples_quarantined;
     const uint64_t chunk_start_ns = TraceNowNanos();
     progress.chunk->Set(static_cast<int64_t>(result.chunks));
     progress.input_bytes->Set(static_cast<int64_t>(reader->bytes_read()));
 
-    if (multi_slot && chunk.store().spilling()) {
+    if (durable != nullptr) {
+      FIXREP_RETURN_IF_ERROR(ApplyJournaledDeltas(*durable, &chunk));
+      if (quarantining) {
+        for (const Diagnostic& diagnostic : durable->quarantined) {
+          config.quarantine->Add(diagnostic);
+        }
+      }
+      if (durable->tuples_quarantined > 0) {
+        registry.GetCounter("fixrep.quarantine.tuples")
+            ->Add(durable->tuples_quarantined);
+      }
+      result.cells_changed += durable->cells_changed;
+      result.tuples_quarantined += durable->tuples_quarantined;
+      progress.AddRows(chunk.num_rows());
+    } else if (multi_slot && chunk.store().spilling()) {
       // Pooled workers must never race a block state transition, so a
       // spilling chunk is repaired block-wise: pin a block, make it
       // writable once, repair exactly its rows, unpin. Worker row views
@@ -311,10 +299,10 @@ StatusOr<RepairReport> StreamRepair(const RuleDict& dict,
       repair_range(0, chunk.num_rows(), result.rows);
     }
 
-    // Commit the chunk to the WAL BEFORE emitting its rows: once a row
-    // is in the output stream it is covered by a durable chunk, so a
-    // crash at any point resumes to byte-identical output.
-    if (journaling) {
+    // Commit a repaired chunk to the WAL BEFORE emitting its rows: once
+    // a row is in the output stream it is covered by a durable chunk, so
+    // a crash at any point resumes to byte-identical output.
+    if (journaling && durable == nullptr) {
       Status journaled = journal->BeginChunk(
           result.chunks, result.rows, chunk.num_rows());
       const ValuePool& pool = *chunk.pool_ptr();
@@ -344,8 +332,8 @@ StatusOr<RepairReport> StreamRepair(const RuleDict& dict,
       if (journaled.ok()) {
         journaled = journal->Commit(
             result.chunks, chunk.num_rows(),
-            result.cells_changed - chunk_cells_before,
-            result.tuples_quarantined - chunk_quarantined_before);
+            result.cells_changed - cells_before,
+            result.tuples_quarantined - quarantined_before);
       }
       if (!journaled.ok()) return journaled.WithContext("WAL journaling");
       registry.GetCounter("fixrep.wal.chunks_committed")->Add(1);
@@ -375,7 +363,8 @@ StatusOr<RepairReport> StreamRepair(const RuleDict& dict,
                  chunk.store().peak_resident_bytes());
     progress.FlushRows();
     progress.PublishResidency(chunk.store());
-    if (TelemetryJournal* telemetry = GetGlobalJournal()) {
+    TelemetryJournal* telemetry = GetGlobalJournal();
+    if (durable == nullptr && telemetry != nullptr) {
       const uint64_t duration_ns = TraceNowNanos() - chunk_start_ns;
       TelemetryEvent event("chunk");
       event.Set("index", static_cast<uint64_t>(result.chunks))

@@ -44,10 +44,13 @@ namespace fixrep {
 // chunk as chunk_begin / cell_delta* / quarantine* / chunk_commit,
 // committed (group fsync) BEFORE the chunk's rows are emitted, so a crash
 // anywhere leaves every emitted row covered by a durable chunk. A
-// non-null `resume` fast-forwards over that scanned run's committed
-// chunks first — each is re-read, its recorded deltas and diagnostics
-// replayed and its rows re-emitted — so resumed output is byte-identical
-// to an uninterrupted run; the caller has validated the header
+// non-null `resume` makes that scanned run's committed chunks the first
+// chunks of the loop: each is re-read and checked against the log, its
+// recorded deltas and diagnostics are replayed instead of a chase, and
+// its rows are emitted like any other chunk's, so resumed output is
+// byte-identical to an uninterrupted run. Replayed chunks journal
+// nothing and emit no `chunk` or `wal_commit` telemetry; one `resume`
+// event follows the last of them. The caller has validated the header
 // (ValidateWalHeader) and reopened `journal` with ChunkJournal::Resume.
 //
 // Tuple diagnostics carry the global output-row index (what a

@@ -48,7 +48,7 @@ struct RepairRequest {
   std::string tenant;
   // RepairConfig settings as (key, value) pairs — the same grammar as
   // ParseRepairConfig (repair/config.h); the daemon rejects
-  // session-local keys (rules-dict, wal, ...).
+  // session-local keys (wal, chunk-rows, ...).
   std::vector<std::pair<std::string, std::string>> config;
   // The dirty batch, as CSV with a header row (the tenant's schema). A
   // view: into the received frame after DecodeRequest, into the

@@ -9,14 +9,20 @@
 //   the dead-letter file either.
 // * --log prints the cRepair chase's write log: on the travel example,
 //   the cell repairs of Fig. 8.
+// * A flag the command does not read exits 2 before any file is opened,
+//   and every command line perfbench/run.py runs exits 0.
 
+#include <signal.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -250,6 +256,168 @@ TEST_F(CliRepairTest, LogPrintsTheChaseWriteLog) {
             0u)
       << lines[4];
   EXPECT_EQ(ReadFile(out), ToCsv(example.clean));
+}
+
+// The CLI opens and binds --rules-dict itself, before --out exists: a
+// missing file, a file that is no dictionary and a dictionary compiled
+// for other attributes each exit 1 with the Status on stderr.
+TEST_F(CliRepairTest, RulesDictErrorsExitOneAndLeaveNoOutput) {
+  const std::string dirty = TestTempPath("dirty.csv");
+  const std::string rules = TestTempPath("rules.txt");
+  ASSERT_NO_FATAL_FAILURE(WriteHosp(dirty, rules));
+  const std::string bad_magic = TestTempPath("bad_magic.frd");
+  WriteFile(bad_magic, std::string(4096, 'x'));
+  TravelExample example;
+  const std::string travel_csv = TestTempPath("travel.csv");
+  const std::string travel_rules = TestTempPath("travel_rules.txt");
+  const std::string travel_dict = TestTempPath("travel.frd");
+  WriteFile(travel_csv, ToCsv(example.dirty));
+  ASSERT_TRUE(TryWriteRulesFile(example.rules, travel_rules).ok());
+  ASSERT_TRUE(Run("rules compile --rules " + travel_rules + " --data " +
+                  travel_csv + " --out " + travel_dict)
+                  .ExitedWith(0));
+  const std::string out_dir = TestTempPath("out");
+  std::filesystem::create_directories(out_dir);
+
+  struct Case {
+    std::string dict;
+    const char* status;  // a phrase of the Status message
+  };
+  for (const Case& c : {Case{TestTempPath("no_such.frd"), "cannot open"},
+                        Case{bad_magic, "bad magic"},
+                        Case{travel_dict, "schema does not match"}}) {
+    for (const bool wal : {false, true}) {
+      std::string args = "repair --rules-dict " + c.dict + " --in " + dirty +
+                         " --out " + out_dir + "/fixed.csv";
+      if (wal) args += " --wal " + out_dir + "/run.wal";
+      const CliRun run = Run(args);
+      EXPECT_TRUE(run.ExitedWith(1))
+          << args << ": status " << run.status << ", stderr: " << run.err;
+      EXPECT_NE(run.err.find("--rules-dict"), std::string::npos) << run.err;
+      EXPECT_NE(run.err.find(c.status), std::string::npos) << run.err;
+      EXPECT_TRUE(std::filesystem::is_empty(out_dir)) << args;
+    }
+  }
+}
+
+// Each command reads a declared set of flags (plus the global ones); a
+// typo exits 2 and names the flag before a file is opened or written, so
+// it never runs with the default in its place.
+TEST_F(CliRepairTest, UnknownFlagExitsTwoBeforeAnyFile) {
+  const std::string dirty = TestTempPath("dirty.csv");
+  const std::string rules = TestTempPath("rules.txt");
+  ASSERT_NO_FATAL_FAILURE(WriteHosp(dirty, rules));
+  const std::string out_dir = TestTempPath("out");
+  std::filesystem::create_directories(out_dir);
+  const std::string outputs = " --out " + out_dir + "/fixed.csv" +
+                              " --metrics-out " + out_dir + "/m.json" +
+                              " --telemetry-out " + out_dir + "/j.jsonl";
+
+  struct Case {
+    std::string args;
+    const char* flag;
+  };
+  const Case cases[] = {
+      {"repair --rules " + rules + " --in " + dirty + " --chunk-row 7",
+       "--chunk-row"},
+      {"repair --rules " + rules + " --in " + dirty + " --prune",
+       "--prune"},
+      // Valid for `repair`, not for `submit`.
+      {"submit --port 1 --tenant hosp --in " + dirty + " --wal w.bin",
+       "--wal"},
+      {"gen-data --dataset hosp --rows 10 --rowz 20", "--rowz"},
+  };
+  for (const Case& c : cases) {
+    const CliRun run = Run(c.args + outputs);
+    EXPECT_TRUE(run.ExitedWith(2))
+        << c.args << ": status " << run.status << ", stderr: " << run.err;
+    EXPECT_NE(run.err.find(std::string("unknown flag ") + c.flag),
+              std::string::npos)
+        << c.args << ": " << run.err;
+    EXPECT_TRUE(std::filesystem::is_empty(out_dir)) << c.args;
+  }
+}
+
+// Every command line perfbench/run.py runs, at a smaller scale: data
+// and rule generation, the dictionary compile, the reference repair,
+// the file and stream workloads, and a daemon brought up, pinged,
+// submitted to and drained, with the metrics and telemetry outputs the
+// traced runs ask for.
+TEST_F(CliRepairTest, BenchmarkCommandLinesExitZero) {
+  const std::string dir = TestTempPath("bench");
+  std::filesystem::create_directories(dir);
+  const auto path = [&](const std::string& name) { return dir + "/" + name; };
+  const auto ok = [&](const std::string& args) {
+    const CliRun run = Run(args);
+    EXPECT_TRUE(run.ExitedWith(0)) << args << ": " << run.err;
+    return run.ExitedWith(0);
+  };
+  ASSERT_TRUE(ok("gen-data --dataset hosp --rows 2000 --seed 1 --out " +
+                 path("clean.csv") + " --dirty " + path("dirty.csv") +
+                 " --fds-out " + path("fds.txt")));
+  ASSERT_TRUE(ok("gen-rules --clean " + path("clean.csv") + " --dirty " +
+                 path("dirty.csv") + " --fds " + path("fds.txt") + " --out " +
+                 path("rules.txt")));
+  ASSERT_TRUE(ok("rules compile --rules " + path("rules.txt") + " --data " +
+                 path("dirty.csv") + " --out " + path("rules.frd")));
+  ASSERT_TRUE(ok("repair --engine crepair --rules " + path("rules.txt") +
+                 " --in " + path("dirty.csv") + " --out " +
+                 path("reference.csv")));
+  const std::string want = ReadFile(path("reference.csv"));
+  ASSERT_FALSE(want.empty());
+
+  const std::string args = "--rules " + path("rules.txt") + " --in " +
+                           path("dirty.csv") + " --out " + path("out.csv");
+  ASSERT_TRUE(ok("repair " + args + " --metrics-out " + path("m0.json")));
+  EXPECT_EQ(ReadFile(path("out.csv")), want);
+  ASSERT_TRUE(ok("repair --stream --chunk-rows 4096 --wal " +
+                 path("wal0.bin") + " " + args + " --metrics-out " +
+                 path("m1.json") + " --telemetry-out " + path("j1.jsonl")));
+  EXPECT_EQ(ReadFile(path("out.csv")), want);
+
+  const std::string port_file = path("port.txt");
+  const std::string ruleset = "hosp=" + path("rules.frd");
+  const std::string serve_metrics = path("serve.json");
+  const pid_t child = fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    execl(cli_.c_str(), cli_.c_str(), "serve", "--port", "0", "--port-file",
+          port_file.c_str(), "--ruleset", ruleset.c_str(), "--metrics-out",
+          serve_metrics.c_str(), static_cast<char*>(nullptr));
+    _exit(127);
+  }
+  // Stops the daemon however the test leaves this scope.
+  struct Reaper {
+    pid_t pid;
+    ~Reaper() {
+      if (pid <= 0) return;
+      kill(pid, SIGKILL);
+      waitpid(pid, nullptr, 0);
+    }
+  } reaper{child};
+  std::string port;
+  for (int i = 0; i < 400 && port.empty(); ++i) {
+    std::ifstream(port_file) >> port;
+    if (port.empty()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(25));
+    }
+  }
+  ASSERT_FALSE(port.empty()) << "the daemon never published its port";
+  ASSERT_TRUE(ok("ping --port " + port));
+  ASSERT_TRUE(ok("submit --port " + port + " --tenant hosp --in " +
+                 path("dirty.csv") + " --out " + path("out.csv") +
+                 " --metrics-out " + path("m2.json")));
+  EXPECT_EQ(ReadFile(path("out.csv")), want);
+
+  ASSERT_EQ(kill(child, SIGTERM), 0);
+  int wstatus = 0;
+  ASSERT_EQ(waitpid(child, &wstatus, 0), child);
+  reaper.pid = 0;
+  EXPECT_TRUE(WIFEXITED(wstatus) && WEXITSTATUS(wstatus) == 0) << wstatus;
+  for (const char* written : {"m0.json", "m1.json", "j1.jsonl", "m2.json",
+                              "serve.json"}) {
+    EXPECT_FALSE(ReadFile(path(written)).empty()) << written;
+  }
 }
 
 }  // namespace

@@ -216,13 +216,11 @@ void ExpectSameCounters(const RepairStats& got, const RepairStats& want,
 // schema and pool: compiled in memory, and compiled to a dictionary file
 // and opened from it.
 struct Images {
-  std::string dict_path;
   std::unique_ptr<RuleDict> heap;
   std::unique_ptr<RuleDict> mapped;
 
   explicit Images(const Dataset& data)
-      : dict_path(testing::TestTempPath(data.name + ".frd")),
-        heap(RuleDict::CompileOrDie(data.rules)),
+      : heap(RuleDict::CompileOrDie(data.rules)),
         mapped(testing::ReopenedImage(data.rules, data.name + ".frd")) {}
 
   const RuleDict& image(bool from_file) const {
@@ -333,8 +331,12 @@ struct StreamResult {
   std::vector<CellRepair> log;
 };
 
+// Streams `input` through a session over `dict` (opened from a file and
+// bound), or over an image of the dataset's rules compiled in memory when
+// `dict` is null.
 StreamResult RunStream(const Dataset& data, const RepairConfig& base,
-                       const std::string& input) {
+                       const std::string& input,
+                       const RuleDict* dict = nullptr) {
   std::istringstream in(input);
   StatusOr<CsvChunkReader> reader =
       CsvChunkReader::Open(in, "stream", data.pool, {});
@@ -345,11 +347,13 @@ StreamResult RunStream(const Dataset& data, const RepairConfig& base,
   if (config.on_error == OnErrorPolicy::kQuarantine) {
     config.quarantine = &sink;
   }
-  RepairSession session(&data.rules, config);
+  const std::unique_ptr<RepairSession> session =
+      dict != nullptr ? std::make_unique<RepairSession>(dict, config)
+                      : std::make_unique<RepairSession>(&data.rules, config);
   std::ostringstream out;
   std::vector<CellRepair> log;
   StatusOr<RepairReport> report =
-      session.RepairStream(&reader.value(), out, &log);
+      session->RepairStream(&reader.value(), out, &log);
   EXPECT_TRUE(report.ok()) << report.status();
   if (!report.ok()) return {};
   return {out.str(), report.value(), sink.diagnostics(), std::move(log)};
@@ -376,6 +380,7 @@ void RunStreamMatrix(const Dataset& data) {
 
   int wal_runs = 0;
   for (const bool from_file : {false, true}) {
+    const RuleDict* file_dict = from_file ? images.mapped.get() : nullptr;
     for (const OnErrorPolicy policy : kPolicies) {
       const Reference ref = SerialReference(images.image(from_file),
                                             data.dirty, policy, true);
@@ -386,7 +391,6 @@ void RunStreamMatrix(const Dataset& data) {
         config.on_error = policy;
         config.max_chase_steps =
             policy == OnErrorPolicy::kAbort ? 0 : kChaseBudget;
-        if (from_file) config.rules_dict = images.dict_path;
         const std::string base =
             data.name + " " + OnErrorPolicyName(policy) +
             " threads=" + std::to_string(route.threads) +
@@ -398,7 +402,7 @@ void RunStreamMatrix(const Dataset& data) {
           const std::string context =
               base + " chunk_rows=" + std::to_string(chunking.chunk_rows) +
               " budget=" + std::to_string(chunking.budget);
-          const StreamResult run = RunStream(data, config, input);
+          const StreamResult run = RunStream(data, config, input, file_dict);
           EXPECT_EQ(run.csv, ref.csv) << context;
           EXPECT_EQ(run.log, ref.log) << context;
           EXPECT_EQ(run.report.cells_changed, ref.stats.cells_changed)
@@ -417,7 +421,7 @@ void RunStreamMatrix(const Dataset& data) {
         config.wal_path = testing::TestTempPath(
             data.name + "_" + std::to_string(wal_runs++) + ".wal");
         const std::string context = base + " wal";
-        const StreamResult run = RunStream(data, config, input);
+        const StreamResult run = RunStream(data, config, input, file_dict);
         EXPECT_EQ(run.csv, ref.csv) << context;
         StatusOr<RecoveredRun> scanned = ScanWal(config.wal_path);
         ASSERT_TRUE(scanned.ok()) << context << ": " << scanned.status();

@@ -225,10 +225,10 @@ TEST(MetricScopeTest, DestructorFlushesRemainder) {
 }
 
 // ---------------------------------------------------------------------
-// Scoped sessions end to end: two concurrent RepairSessions with
-// scoped_metrics accumulate attributable, disjoint counts, repair output
-// stays identical, and FlushMetrics rolls both up into the global
-// registry.
+// Scoped sessions end to end: two concurrent RepairSessions, each called
+// under its own MetricScope::Activation (what the daemon does per
+// tenant), accumulate attributable, disjoint counts, repair output stays
+// identical, and Flush rolls both up into the global registry.
 
 TEST(ScopedSessionTest, TwoConcurrentSessionsStayAttributable) {
   TravelExample example;
@@ -239,17 +239,23 @@ TEST(ScopedSessionTest, TwoConcurrentSessionsStayAttributable) {
   const uint64_t global_before =
       GlobalCounterValue("fixrep.lrepair.tuples_examined");
 
-  RepairConfig config;
-  config.scoped_metrics = true;
-  RepairSession session_a(&example.rules, config);
-  RepairSession session_b(&example.rules, config);
+  MetricScope scope_a;
+  MetricScope scope_b;
+  RepairSession session_a(&example.rules);
+  RepairSession session_b(&example.rules);
 
   Table table_a = example.dirty;
   Table table_b = example.dirty;
   StatusOr<RepairReport> report_a = Status::Internal("not run");
   StatusOr<RepairReport> report_b = Status::Internal("not run");
-  std::thread ta([&]() { report_a = session_a.Repair(&table_a); });
-  std::thread tb([&]() { report_b = session_b.Repair(&table_b); });
+  std::thread ta([&]() {
+    MetricScope::Activation active(&scope_a);
+    report_a = session_a.Repair(&table_a);
+  });
+  std::thread tb([&]() {
+    MetricScope::Activation active(&scope_b);
+    report_b = session_b.Repair(&table_b);
+  });
   ta.join();
   tb.join();
   ASSERT_TRUE(report_a.ok()) << report_a.status().message();
@@ -261,12 +267,12 @@ TEST(ScopedSessionTest, TwoConcurrentSessionsStayAttributable) {
     EXPECT_EQ(table_b.row(r), want.row(r)) << "session b, row " << r;
   }
 
-  // Each session's private registry saw exactly its own table.
+  // Each scope's private registry saw exactly its own table.
   const uint64_t rows = example.dirty.num_rows();
   const Counter* examined_a =
-      session_a.metrics().FindCounter("fixrep.lrepair.tuples_examined");
+      scope_a.registry().FindCounter("fixrep.lrepair.tuples_examined");
   const Counter* examined_b =
-      session_b.metrics().FindCounter("fixrep.lrepair.tuples_examined");
+      scope_b.registry().FindCounter("fixrep.lrepair.tuples_examined");
   ASSERT_NE(examined_a, nullptr);
   ASSERT_NE(examined_b, nullptr);
   EXPECT_EQ(examined_a->Value(), rows);
@@ -277,22 +283,26 @@ TEST(ScopedSessionTest, TwoConcurrentSessionsStayAttributable) {
             global_before);
 
   // ...and the flush rolls both up exactly once.
-  session_a.FlushMetrics();
-  session_b.FlushMetrics();
-  session_a.FlushMetrics();  // idempotent
+  scope_a.Flush();
+  scope_b.Flush();
+  scope_a.Flush();  // idempotent
   EXPECT_EQ(GlobalCounterValue("fixrep.lrepair.tuples_examined"),
             global_before + 2 * rows);
-  EXPECT_EQ(
-      session_a.metrics().FindCounter("fixrep.lrepair.tuples_examined")
-          ->Value(),
-      0u);
+  EXPECT_EQ(examined_a->Value(), 0u);
 }
 
 TEST(ScopedSessionTest, UnscopedSessionUsesGlobalRegistry) {
+  if (!kMetricsEnabled) {
+    GTEST_SKIP() << "built with FIXREP_DISABLE_METRICS";
+  }
   TravelExample example;
+  const uint64_t global_before =
+      GlobalCounterValue("fixrep.lrepair.tuples_examined");
   RepairSession session(&example.rules);
-  EXPECT_EQ(&session.metrics(), &MetricsRegistry::Global());
-  session.FlushMetrics();  // no-op without a scope
+  Table table = example.dirty;
+  ASSERT_TRUE(session.Repair(&table).ok());
+  EXPECT_EQ(GlobalCounterValue("fixrep.lrepair.tuples_examined"),
+            global_before + example.dirty.num_rows());
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -853,6 +854,119 @@ TEST_F(RecoveryTest, SigkilledChildResumesToIdenticalBytes) {
       EXPECT_EQ(ReadFileBytes(out_path), reference) << context;
     }
   }
+#endif
+}
+
+// What a resumed stream reports. The chunks it replays from the log
+// count once: in fixrep.wal.*_replayed and in one `resume` event that
+// comes before the first repaired chunk's `chunk` event. They emit no
+// `chunk` or `wal_commit` event themselves, the chunks after them number
+// on from the replayed count, and the run's totals (chunks, quarantined
+// tuples) cover both parts.
+TEST_F(RecoveryTest, ResumedRunReportsItsReplayOnce) {
+#ifndef FIXREP_CLI_PATH
+  GTEST_SKIP() << "built without FIXREP_CLI_PATH";
+#else
+  if (!kFaultInjectionEnabled) {
+    GTEST_SKIP() << "built without FIXREP_ENABLE_FAULT_INJECTION";
+  }
+  const std::string cli = FIXREP_CLI_PATH;
+  if (!std::ifstream(cli).good()) {
+    GTEST_SKIP() << "fixrep_cli not built at " << cli;
+  }
+  TravelExample example;
+  const std::string dirty_path = TempPath("report_dirty.csv");
+  const std::string rules_path = TempPath("report_rules.txt");
+  std::ofstream(dirty_path) << ToCsv(example.dirty);
+  ASSERT_TRUE(TryWriteRulesFile(example.rules, rules_path).ok());
+  const std::string ref_path = TempPath("report_ref.csv");
+  const std::string out_path = TempPath("report_out.csv");
+  const std::string wal_path = TempPath("report.wal");
+  const std::string journal_path = TempPath("report.jsonl");
+  const std::string metrics_path = TempPath("report.json");
+
+  // One row per chunk; a budget of one chase step quarantines the
+  // cascading tuple (row 1, chunk 2).
+  const auto run_cli = [&](const std::string& env, const std::string& flags) {
+    const std::string command =
+        env + " " + cli + " repair --rules " + rules_path + " --in " +
+        dirty_path + " --stream --chunk-rows 1 --on-error=quarantine" +
+        " --max-chase-steps 1 " + flags + " >/dev/null 2>&1";
+    return std::system(command.c_str());
+  };
+  ASSERT_EQ(run_cli("", "--out " + ref_path), 0);
+  const size_t total_chunks = example.dirty.num_rows();
+
+  // skip=2: chunks 1-3 commit, and the run dies before emitting chunk 3.
+  const int killed =
+      run_cli("FIXREP_FAULT=wal.crash_after_commit:skip=2:max=1",
+              "--out " + out_path + " --wal " + wal_path);
+  ASSERT_TRUE(WIFSIGNALED(killed) ||
+              (WIFEXITED(killed) && WEXITSTATUS(killed) != 0));
+  const StatusOr<RecoveredRun> durable = ScanWal(wal_path);
+  ASSERT_TRUE(durable.ok()) << durable.status();
+  const size_t durable_chunks = durable->chunks.size();
+  ASSERT_EQ(durable_chunks, 3u);
+  ASSERT_LT(durable_chunks, total_chunks);
+  uint64_t journaled_quarantined = 0;
+  for (const WalChunk& chunk : durable->chunks) {
+    journaled_quarantined += chunk.tuples_quarantined;
+  }
+  ASSERT_GT(journaled_quarantined, 0u);
+
+  ASSERT_EQ(run_cli("", "--out " + out_path + " --wal " + wal_path +
+                            " --resume --telemetry-out " + journal_path +
+                            " --metrics-out " + metrics_path),
+            0);
+  EXPECT_EQ(ReadFileBytes(out_path), ReadFileBytes(ref_path));
+
+  // The journal, one JSON object a line: {"event":"<type>",...}.
+  const auto field = [](const std::string& line, const std::string& key) {
+    const size_t at = line.find("\"" + key + "\":");
+    return at == std::string::npos
+               ? ~uint64_t{0}
+               : std::strtoull(line.c_str() + at + key.size() + 3, nullptr,
+                               10);
+  };
+  std::vector<std::string> events;
+  std::vector<uint64_t> chunk_indices;
+  std::vector<uint64_t> commit_indices;
+  std::istringstream journal(ReadFileBytes(journal_path));
+  for (std::string line; std::getline(journal, line);) {
+    const std::string prefix = "{\"event\":\"";
+    ASSERT_EQ(line.rfind(prefix, 0), 0u) << line;
+    const std::string type =
+        line.substr(prefix.size(), line.find('"', prefix.size()) -
+                                       prefix.size());
+    events.push_back(type);
+    if (type == "chunk") chunk_indices.push_back(field(line, "index"));
+    if (type == "wal_commit") commit_indices.push_back(field(line, "chunk"));
+    if (type == "resume") {
+      EXPECT_EQ(field(line, "chunks_replayed"), durable_chunks) << line;
+      EXPECT_EQ(field(line, "rows_replayed"), durable->rows_durable())
+          << line;
+    }
+  }
+  EXPECT_EQ(std::count(events.begin(), events.end(), "resume"), 1);
+  const auto resume = std::find(events.begin(), events.end(), "resume");
+  const auto first_chunk = std::find(events.begin(), events.end(), "chunk");
+  ASSERT_NE(first_chunk, events.end());
+  EXPECT_LT(resume, first_chunk);
+  std::vector<uint64_t> fresh;
+  for (size_t c = durable_chunks + 1; c <= total_chunks; ++c) {
+    fresh.push_back(c);
+  }
+  EXPECT_EQ(chunk_indices, fresh);
+  EXPECT_EQ(commit_indices, fresh);
+
+  const std::string metrics = ReadFileBytes(metrics_path);
+  const auto counter = [&](const std::string& name) {
+    return field(metrics, name);
+  };
+  EXPECT_EQ(counter("fixrep.wal.chunks_replayed"), durable_chunks);
+  EXPECT_EQ(counter("fixrep.wal.rows_replayed"), durable->rows_durable());
+  EXPECT_EQ(counter("fixrep.streaming.chunks"), total_chunks);
+  EXPECT_EQ(counter("fixrep.quarantine.tuples"), journaled_quarantined);
 #endif
 }
 

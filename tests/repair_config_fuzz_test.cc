@@ -26,10 +26,9 @@ namespace {
 
 const std::vector<std::string>& KnownKeys() {
   static const std::vector<std::string> keys = {
-      "engine",          "threads",    "shards",        "rules-dict",
-      "memo",            "no-memo",    "memo-capacity", "on-error",
-      "max-chase-steps", "chunk-rows", "memory-budget", "wal",
-      "resume",          "scoped-metrics"};
+      "engine",     "threads",       "shards",   "memo",
+      "no-memo",    "memo-capacity", "on-error", "max-chase-steps",
+      "chunk-rows", "memory-budget", "wal",      "resume"};
   return keys;
 }
 

@@ -36,7 +36,6 @@ void ExpectSameConfig(const RepairConfig& got, const RepairConfig& want,
   EXPECT_EQ(got.engine, want.engine) << context;
   EXPECT_EQ(got.threads, want.threads) << context;
   EXPECT_EQ(got.shards, want.shards) << context;
-  EXPECT_EQ(got.rules_dict, want.rules_dict) << context;
   EXPECT_EQ(got.use_memo, want.use_memo) << context;
   EXPECT_EQ(got.memo_capacity, want.memo_capacity) << context;
   EXPECT_EQ(got.on_error, want.on_error) << context;
@@ -45,14 +44,12 @@ void ExpectSameConfig(const RepairConfig& got, const RepairConfig& want,
   EXPECT_EQ(got.memory_budget_bytes, want.memory_budget_bytes) << context;
   EXPECT_EQ(got.wal_path, want.wal_path) << context;
   EXPECT_EQ(got.resume, want.resume) << context;
-  EXPECT_EQ(got.scoped_metrics, want.scoped_metrics) << context;
 }
 
 TEST(RepairConfigTest, EveryKeyParses) {
   const RepairConfig config = Parsed({{"engine", "crepair"},
                                       {"threads", "4"},
                                       {"shards", "3"},
-                                      {"rules-dict", "/tmp/d.frd"},
                                       {"memo", "false"},
                                       {"memo-capacity", "123"},
                                       {"on-error", "quarantine"},
@@ -60,12 +57,10 @@ TEST(RepairConfigTest, EveryKeyParses) {
                                       {"chunk-rows", "77"},
                                       {"memory-budget", "64MB"},
                                       {"wal", "/tmp/w.wal"},
-                                      {"resume", "on"},
-                                      {"scoped-metrics", "1"}});
+                                      {"resume", "on"}});
   EXPECT_EQ(config.engine, RepairEngine::kCRepair);
   EXPECT_EQ(config.threads, 4u);
   EXPECT_EQ(config.shards, 3u);
-  EXPECT_EQ(config.rules_dict, "/tmp/d.frd");
   EXPECT_FALSE(config.use_memo);
   EXPECT_EQ(config.memo_capacity, 123u);
   EXPECT_EQ(config.on_error, OnErrorPolicy::kQuarantine);
@@ -74,7 +69,6 @@ TEST(RepairConfigTest, EveryKeyParses) {
   EXPECT_EQ(config.memory_budget_bytes, size_t{64} << 20);
   EXPECT_EQ(config.wal_path, "/tmp/w.wal");
   EXPECT_TRUE(config.resume);
-  EXPECT_TRUE(config.scoped_metrics);
 }
 
 TEST(RepairConfigTest, NoMemoIsTheFlagSpellingOfMemoFalse) {
@@ -90,22 +84,29 @@ TEST(RepairConfigTest, WholeFileChunkRows) {
 }
 
 TEST(RepairConfigTest, UnknownKeyIsInvalidArgument) {
-  RepairConfig config;
-  const Status status = ParseRepairConfig("frobnicate", "1", &config);
-  EXPECT_EQ(status.code(), StatusCode::kMalformedInput);
-  ExpectSameConfig(config, RepairConfig{}, "unknown key left a mark");
+  // The rules and the metric scope are objects the caller passes, not
+  // config keys.
+  for (const char* key : {"frobnicate", "rules-dict", "scoped-metrics"}) {
+    RepairConfig config;
+    const Status status = ParseRepairConfig(key, "1", &config);
+    EXPECT_EQ(status.code(), StatusCode::kMalformedInput) << key;
+    EXPECT_NE(status.message().find("unknown repair config key"),
+              std::string::npos)
+        << key << ": " << status;
+    ExpectSameConfig(config, RepairConfig{}, "unknown key left a mark");
+  }
 }
 
 TEST(RepairConfigTest, BadValuesAreInvalidArgumentAndLeaveNoTrace) {
   const std::vector<std::pair<std::string, std::string>> bad = {
       {"engine", "turbo"},       {"threads", ""},
       {"threads", "4x"},         {"shards", "-1"},
-      {"rules-dict", ""},        {"memo", "maybe"},
-      {"memo-capacity", "0"},    {"on-error", "explode"},
+      {"memo", "maybe"},         {"memo-capacity", "0"},
+      {"on-error", "explode"},
       {"max-chase-steps", "ten"}, {"chunk-rows", "0"},
       {"chunk-rows", "half"},    {"memory-budget", "lots"},
       {"memory-budget", "0"},    {"wal", ""},
-      {"resume", "nah"},         {"scoped-metrics", "si"}};
+      {"resume", "nah"}};
   for (const auto& [key, value] : bad) {
     RepairConfig config;
     const Status status = ParseRepairConfig(key, value, &config);
@@ -131,8 +132,7 @@ TEST(RepairConfigTest, ByteSizesParseWithSuffixes) {
 }
 
 TEST(RepairConfigTest, SessionLocalKeysAreExactlyTheDurabilityAndLayoutOnes) {
-  for (const char* key : {"rules-dict", "chunk-rows", "memory-budget", "wal",
-                          "resume", "scoped-metrics"}) {
+  for (const char* key : {"chunk-rows", "memory-budget", "wal", "resume"}) {
     EXPECT_TRUE(RepairConfigKeyIsSessionLocal(key)) << key;
   }
   for (const char* key : {"engine", "threads", "shards", "memo", "no-memo",
@@ -152,7 +152,6 @@ TEST(RepairConfigPropertyTest, FormatThenParseRoundTripsRandomConfigs) {
         pick(2) == 0 ? RepairEngine::kLRepair : RepairEngine::kCRepair;
     config.threads = pick(9);
     config.shards = pick(5);
-    if (pick(3) == 0) config.rules_dict = "/tmp/dict.frd";
     config.use_memo = pick(2) == 0;
     config.memo_capacity = 1 + pick(1 << 16);
     config.on_error = std::vector<OnErrorPolicy>{
@@ -164,7 +163,6 @@ TEST(RepairConfigPropertyTest, FormatThenParseRoundTripsRandomConfigs) {
     config.memory_budget_bytes = pick(2) == 0 ? 0 : 1 + pick(1 << 28);
     if (pick(3) == 0) config.wal_path = "/tmp/run.wal";
     config.resume = pick(4) == 0;
-    config.scoped_metrics = pick(2) == 0;
 
     RepairConfig replayed;
     for (const auto& [key, value] : FormatRepairConfig(config)) {

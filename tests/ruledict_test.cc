@@ -676,12 +676,14 @@ TEST(RuleDictResume, WalRefusesAMismatchedDictionary) {
     StatusOr<CsvChunkReader> reader =
         CsvChunkReader::Open(in, "stream", pool, {});
     if (!reader.ok()) return reader.status();
+    StatusOr<std::unique_ptr<RuleDict>> dict = RuleDict::Open(dict_path);
+    if (!dict.ok()) return dict.status();
+    FIXREP_RETURN_IF_ERROR((*dict)->Bind(*reader->schema(), pool));
     RepairConfig config;
-    config.rules_dict = dict_path;
     config.chunk_rows = 2;
     config.wal_path = wal;
     config.resume = resume;
-    RepairSession session(config);
+    RepairSession session(dict->get(), config);
     std::ostringstream out;
     StatusOr<RepairReport> report =
         session.RepairStream(&reader.value(), out);

@@ -723,11 +723,25 @@ TEST_F(ServeDaemonTest, UnknownTenantAndSessionLocalKeysAreRejected) {
   ASSERT_FALSE(unknown.ok());
   EXPECT_EQ(unknown.status().code(), StatusCode::kMalformedInput);
 
-  for (const char* key : {"wal", "rules-dict", "chunk-rows"}) {
+  for (const char* key : {"wal", "chunk-rows"}) {
     StatusOr<RepairResult> local = client->Submit(
         travel.name, {{key, "whatever"}}, travel.csv);
     ASSERT_FALSE(local.ok()) << key;
     EXPECT_EQ(local.status().code(), StatusCode::kMalformedInput) << key;
+    EXPECT_NE(local.status().message().find("session-local"),
+              std::string::npos)
+        << key << ": " << local.status();
+  }
+  // The rules and the metric scope are no config keys at all.
+  for (const char* key : {"rules-dict", "scoped-metrics"}) {
+    StatusOr<RepairResult> unknown_key =
+        client->Submit(travel.name, {{key, "whatever"}}, travel.csv);
+    ASSERT_FALSE(unknown_key.ok()) << key;
+    EXPECT_EQ(unknown_key.status().code(), StatusCode::kMalformedInput)
+        << key;
+    EXPECT_NE(unknown_key.status().message().find("unknown repair config key"),
+              std::string::npos)
+        << key << ": " << unknown_key.status();
   }
 
   StatusOr<RepairResult> bad_key =

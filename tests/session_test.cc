@@ -70,7 +70,6 @@ TEST(RepairSessionTest, DefaultConfigMatchesFastRepairer) {
   EXPECT_EQ(report->rows, example.dirty.num_rows());
   EXPECT_EQ(report->cells_changed, repairer.stats().cells_changed);
   EXPECT_EQ(report->tuples_quarantined, 0u);
-  ASSERT_NE(session.dict(), nullptr);  // compiled once in the ctor
 }
 
 TEST(RepairSessionTest, CRepairEngineMatchesChaseRepairer) {
@@ -86,7 +85,6 @@ TEST(RepairSessionTest, CRepairEngineMatchesChaseRepairer) {
   const StatusOr<RepairReport> report = session.Repair(&via_session);
   ASSERT_TRUE(report.ok()) << report.status().message();
   ExpectSameRows(via_session, direct, "crepair");
-  EXPECT_NE(session.dict(), nullptr);  // the chase reads the same image
 }
 
 TEST(RepairSessionTest, ThreadedConfigsMatchSerialOnGeneratedData) {

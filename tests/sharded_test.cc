@@ -35,10 +35,6 @@ namespace {
 
 using ::fixrep::testing::RandomRuleUniverse;
 
-std::string TestPath(const std::string& name) {
-  return testing::TestTempPath(name);
-}
-
 std::string ToCsv(const Table& table) {
   std::ostringstream out;
   WriteCsv(table, out);
@@ -277,7 +273,16 @@ struct MatrixRun {
   std::vector<Diagnostic> diagnostics;
 };
 
-MatrixRun RunMatrix(const Dataset& data, const std::string& dict_path,
+// A session over `dict` (opened from a file and bound), or over an image
+// of the dataset's rules compiled in memory when `dict` is null.
+std::unique_ptr<RepairSession> MakeSession(const Dataset& data,
+                                           const RuleDict* dict,
+                                           const RepairConfig& config) {
+  return dict != nullptr ? std::make_unique<RepairSession>(dict, config)
+                         : std::make_unique<RepairSession>(&data.rules, config);
+}
+
+MatrixRun RunMatrix(const Dataset& data, const RuleDict* dict,
                     size_t threads, size_t shards, bool use_memo,
                     OnErrorPolicy policy) {
   MatrixRun run{data.dirty, {}, {}};
@@ -289,9 +294,8 @@ MatrixRun RunMatrix(const Dataset& data, const std::string& dict_path,
   config.on_error = policy;
   config.max_chase_steps = policy == OnErrorPolicy::kAbort ? 0 : 1;
   if (policy == OnErrorPolicy::kQuarantine) config.quarantine = &sink;
-  config.rules_dict = dict_path;  // empty = an image compiled in memory
-  RepairSession session(&data.rules, config);
-  StatusOr<RepairReport> report = session.Repair(&run.table);
+  StatusOr<RepairReport> report =
+      MakeSession(data, dict, config)->Repair(&run.table);
   EXPECT_TRUE(report.ok()) << report.status();
   if (report.ok()) run.report = report.value();
   run.diagnostics = sink.diagnostics();
@@ -302,18 +306,19 @@ TEST(ShardedSessionMatrix, DictAndShardsByteIdenticalAcrossDatasets) {
   for (Dataset (*make)() : {TravelDataset, HospDataset, UisDataset}) {
     const Dataset data = make();
     ASSERT_GT(data.rules.size(), 0u) << data.name;
-    const std::string dict_path = TestPath(data.name + "_matrix.frd");
-    ASSERT_TRUE(CompileRuleDict(data.rules, dict_path).ok()) << data.name;
+    const std::unique_ptr<RuleDict> mapped =
+        testing::ReopenedImage(data.rules, data.name + "_matrix.frd");
+    ASSERT_NE(mapped, nullptr) << data.name;
 
     for (const OnErrorPolicy policy :
          {OnErrorPolicy::kAbort, OnErrorPolicy::kSkip,
           OnErrorPolicy::kQuarantine}) {
       // Reference: serial, image compiled in memory.
       const MatrixRun reference =
-          RunMatrix(data, "", /*threads=*/1, /*shards=*/0, true, policy);
+          RunMatrix(data, nullptr, /*threads=*/1, /*shards=*/0, true, policy);
 
       for (const bool dict_backed : {false, true}) {
-        const std::string dict = dict_backed ? dict_path : "";
+        const RuleDict* dict = dict_backed ? mapped.get() : nullptr;
         struct Mode {
           const char* tag;
           size_t threads;
@@ -344,7 +349,7 @@ TEST(ShardedSessionMatrix, DictAndShardsByteIdenticalAcrossDatasets) {
 
 // One streaming run through the facade; output as a string for exact
 // byte comparison.
-std::string RunStreamMatrix(const Dataset& data, const std::string& dict_path,
+std::string RunStreamMatrix(const Dataset& data, const RuleDict* dict,
                             size_t shards, size_t chunk_rows,
                             size_t memory_budget, OnErrorPolicy policy) {
   std::istringstream in(ToCsv(data.dirty));
@@ -358,12 +363,11 @@ std::string RunStreamMatrix(const Dataset& data, const std::string& dict_path,
   config.on_error = policy;
   config.max_chase_steps = policy == OnErrorPolicy::kAbort ? 0 : 1;
   if (policy == OnErrorPolicy::kQuarantine) config.quarantine = &sink;
-  config.rules_dict = dict_path;
   config.chunk_rows = chunk_rows;
   config.memory_budget_bytes = memory_budget;
-  RepairSession session(&data.rules, config);
   std::ostringstream out;
-  StatusOr<RepairReport> report = session.RepairStream(&reader.value(), out);
+  StatusOr<RepairReport> report =
+      MakeSession(data, dict, config)->RepairStream(&reader.value(), out);
   EXPECT_TRUE(report.ok()) << report.status();
   return out.str();
 }
@@ -372,14 +376,15 @@ TEST(ShardedSessionMatrix, StreamAndSpillByteIdenticalAcrossBackends) {
   for (Dataset (*make)() : {TravelDataset, HospDataset, UisDataset}) {
     const Dataset data = make();
     ASSERT_GT(data.rules.size(), 0u) << data.name;
-    const std::string dict_path = TestPath(data.name + "_stream.frd");
-    ASSERT_TRUE(CompileRuleDict(data.rules, dict_path).ok()) << data.name;
+    const std::unique_ptr<RuleDict> mapped =
+        testing::ReopenedImage(data.rules, data.name + "_stream.frd");
+    ASSERT_NE(mapped, nullptr) << data.name;
 
     for (const OnErrorPolicy policy :
          {OnErrorPolicy::kAbort, OnErrorPolicy::kQuarantine}) {
       // Reference: serial whole-table repair, image compiled in memory.
       const MatrixRun reference =
-          RunMatrix(data, "", /*threads=*/1, /*shards=*/0, true, policy);
+          RunMatrix(data, nullptr, /*threads=*/1, /*shards=*/0, true, policy);
       const std::string want = ToCsv(reference.table);
 
       struct StreamMode {
@@ -399,8 +404,9 @@ TEST(ShardedSessionMatrix, StreamAndSpillByteIdenticalAcrossBackends) {
               data.name + " " + OnErrorPolicyName(policy) + " " + mode.tag +
               (dict_backed ? " file" : " heap");
           const std::string got =
-              RunStreamMatrix(data, dict_backed ? dict_path : "", mode.shards,
-                              mode.chunk_rows, mode.memory_budget, policy);
+              RunStreamMatrix(data, dict_backed ? mapped.get() : nullptr,
+                              mode.shards, mode.chunk_rows,
+                              mode.memory_budget, policy);
           EXPECT_EQ(got, want) << context;
         }
       }
