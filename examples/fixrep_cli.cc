@@ -746,7 +746,7 @@ int Repair(const Args& args) {
       session.emplace(&*rules, config);
     }
     StatusOr<RepairReport> result_or = session->RepairStream(
-        &reader, out->stream(), log ? &log->repairs : nullptr);
+        &reader, &out.value(), log ? &log->repairs : nullptr);
     if (!result_or.ok()) {
       std::cerr << "error repairing --in: " << result_or.status() << "\n";
       return 1;

@@ -156,8 +156,8 @@ class CsvEmitter {
     EndRow();
   }
 
-  void Rows(const Table& table, size_t begin_row) {
-    for (size_t r = begin_row; r < table.num_rows(); ++r) Row(table, r);
+  void Rows(const Table& table) {
+    for (size_t r = 0; r < table.num_rows(); ++r) Row(table, r);
   }
 
   void Row(const Table& table, size_t r) {
@@ -296,27 +296,47 @@ StatusOr<CsvChunkReader> CsvChunkReader::OpenImpl(
   return reader;
 }
 
-void CsvChunkReader::Refill() {
+void CsvChunkReader::Refill(size_t chunk_bytes) {
   FIXREP_CHECK(refilled() && !input_done_);
-  const size_t pending = end_ - pos_;
-  // The buffer holds one block; a record longer than half of it doubles
-  // the buffer, so every refill reads at least as many new bytes as it
-  // re-tokenizes and a long record stays linear.
-  const size_t size = std::max(block_bytes_, 2 * pending);
-  if (buffer_size_ < size) {
-    auto grown = std::make_unique_for_overwrite<char[]>(size);
-    if (pending > 0) std::memcpy(grown.get(), buffer_.get() + pos_, pending);
-    buffer_ = std::move(grown);
-    buffer_size_ = size;
-  } else if (pos_ > 0 && pending > 0) {
-    std::memmove(buffer_.get(), buffer_.get() + pos_, pending);
+  if (keeping_ && end_ - chunk_begin_ > kKeepBytes) LetChunkGo();
+  // What stays: the kept chunk from its first byte, or else the pending
+  // record. Every refill reads at least a block, and at least as many
+  // bytes as the pending record holds, so a long record stays linear.
+  const size_t from = keeping_ ? chunk_begin_ : pos_;
+  const size_t pending = end_ - from;
+  const size_t step = std::max(block_bytes_, end_ - pos_);
+  // A kept chunk reads a block at a time into the room after it, so
+  // the scan walks cache-sized blocks, and moves to the front only when
+  // that room runs out; the buffer then grows to hold the chunk (all
+  // `chunk_bytes` of it) and a block. Otherwise the buffer holds one
+  // block, doubles for a pending record longer than half of it, and
+  // each refill fills it.
+  if (!keeping_ || buffer_size_ - end_ < step) {
+    const size_t size = keeping_ ? std::max(pending, chunk_bytes) + step
+                                 : std::max(block_bytes_, 2 * pending);
+    if (buffer_size_ < size) {
+      // realloc can move a large buffer's pages rather than copy them
+      // into fresh ones that each fault in.
+      buffer_.reset(static_cast<char*>(std::realloc(buffer_.release(), size)));
+      FIXREP_CHECK(buffer_ != nullptr) << "out of memory growing the CSV buffer";
+      buffer_size_ = size;
+    }
+    if (from > 0 && pending > 0) {
+      std::memmove(buffer_.get(), buffer_.get() + from, pending);
+    }
+    pos_ -= from;
+    if (keeping_) chunk_begin_ = 0;
+    end_ = pending;
   }
-  pos_ = 0;
-  end_ = pending;
-  const size_t want = buffer_size_ - pending;
+  const size_t want = keeping_ ? step : buffer_size_ - end_;
   const size_t got = ReadInput(buffer_.get() + end_, want);
   end_ += got;
   if (got < want) input_done_ = true;
+}
+
+void CsvChunkReader::LetChunkGo() {
+  keeping_ = false;
+  spans_ = nullptr;
 }
 
 size_t CsvChunkReader::ReadInput(char* out, size_t n) {
@@ -473,13 +493,18 @@ CsvChunkReader::FieldEnd CsvChunkReader::UnescapeField(const char* p,
 
 void CsvChunkReader::RecordSpansInto(CsvRecordSpans* spans) {
   spans_ = spans;
-  if (spans_ != nullptr) *spans_ = CsvRecordSpans{header_span_, {}, 0};
+  if (spans_ == nullptr) return;
+  spans_->header = header_span_;
+  spans_->rows.clear();
+  spans_->dropped = 0;
 }
 
 StatusOr<size_t> CsvChunkReader::ReadChunk(Table* chunk, size_t max_rows) {
   FIXREP_CHECK(chunk != nullptr);
   FIXREP_CHECK_EQ(chunk->num_columns(), schema_->arity());
-  const uint64_t consumed_before = consumed_;
+  keeping_ = true;
+  chunk_begin_ = pos_;
+  chunk_offset_ = consumed_;
   size_t appended = 0;
   uint64_t fallback = 0;
   Status problem = Status::Ok();
@@ -487,7 +512,21 @@ StatusOr<size_t> CsvChunkReader::ReadChunk(Table* chunk, size_t max_rows) {
     const Scan scan =
         ScanPlainRecords(chunk, max_rows, &appended, &problem);
     if (scan == Scan::kNeedMore) {
-      Refill();
+      // The chunk's size as its rows so far project it at max_rows: past
+      // the bound it is let go before the buffer grows for it, within it
+      // the buffer grows for all of it at once.
+      size_t projected = 0;
+      if (keeping_ && appended > 0) {
+        const double bytes = static_cast<double>(pos_ - chunk_begin_) /
+                             static_cast<double>(appended) *
+                             static_cast<double>(max_rows);
+        if (bytes > static_cast<double>(kKeepBytes)) {
+          LetChunkGo();
+        } else {
+          projected = static_cast<size_t>(bytes);
+        }
+      }
+      Refill(projected);
     } else if (scan == Scan::kHandOff) {
       ++fallback;
       problem = ReadGeneralRecord(chunk, &appended);
@@ -496,7 +535,7 @@ StatusOr<size_t> CsvChunkReader::ReadChunk(Table* chunk, size_t max_rows) {
       break;
     }
   }
-  TickCounter("fixrep.csv.bytes_parsed", consumed_ - consumed_before);
+  TickCounter("fixrep.csv.bytes_parsed", consumed_ - chunk_offset_);
   CurrentMetrics().GetCounter("fixrep.csv.records_fallback")->Add(fallback);
   if (!problem.ok()) return problem;
   return appended;
@@ -694,16 +733,18 @@ void WriteCsvHeader(const Schema& schema, std::ostream& out) {
   CsvEmitter(&out).Header(schema);
 }
 
-void WriteCsvRows(const Table& table, std::ostream& out, size_t begin_row) {
-  CsvEmitter(&out).Rows(table, begin_row);
-}
+namespace {
 
-CsvSplice SpliceCsv(std::string_view input, const CsvRecordSpans& spans,
-                    const Table& repaired, const std::vector<CellRepair>& log) {
+// The splice walker behind SpliceCsv and WriteCsvChunk: fills the empty
+// *splice and returns the number of rows it rendered.
+size_t SpliceRecords(std::string_view input, const CsvRecordSpans& spans,
+                     const Table& repaired, const std::vector<CellRepair>& log,
+                     CsvSplice* splice) {
   FIXREP_CHECK_EQ(spans.rows.size(), repaired.num_rows());
-  CsvSplice splice;
+  const uint64_t base = spans.header.begin;  // input offset of input[0]
+  size_t rows_rendered = 0;
   {
-    CsvEmitter emitter(&splice.inserts);
+    CsvEmitter emitter(&splice->inserts);
     // Records are numbered from -1, the header, to `records`, past the
     // last row. Records [kept, r) lie between the last edit and record r.
     const auto records = static_cast<ptrdiff_t>(repaired.num_rows());
@@ -714,6 +755,7 @@ CsvSplice SpliceCsv(std::string_view input, const CsvRecordSpans& spans,
         emitter.Header(repaired.schema());
       } else {
         emitter.Row(repaired, static_cast<size_t>(r));
+        ++rows_rendered;
       }
     };
     // Opens an edit at input offset `begin`, before record r, or extends
@@ -721,29 +763,30 @@ CsvSplice SpliceCsv(std::string_view input, const CsvRecordSpans& spans,
     // rendering them gives their bytes) when they are shorter than an
     // edit.
     auto open_edit = [&](uint64_t begin, ptrdiff_t r) {
-      if (!splice.edits.empty()) {
-        const CsvEdit& last = splice.edits.back();
-        if (begin - (last.begin + last.erase) < sizeof(CsvEdit)) {
+      if (!splice->edits.empty()) {
+        const CsvEdit& last = splice->edits.back();
+        if (begin - base - (last.begin + last.erase) < sizeof(CsvEdit)) {
           for (ptrdiff_t k = kept; k < r; ++k) render(k);
           return;
         }
       }
-      splice.edits.push_back({begin, 0, 0});
+      splice->edits.push_back({begin - base, 0, 0});
       insert_begin = emitter.size();
     };
     auto close_edit = [&](uint64_t end) {
-      CsvEdit& open = splice.edits.back();
-      open.erase = end - open.begin;
+      CsvEdit& open = splice->edits.back();
+      open.erase = end - base - open.begin;
       open.insert = emitter.size() - insert_begin;
     };
-    uint64_t at = 0;  // end of the previous record
+    uint64_t at = base;  // end of the previous record
+    const uint64_t input_end = base + input.size();
     auto logged = log.begin();  // the first write not yet passed
     for (ptrdiff_t r = -1; r <= records; ++r) {
       const auto row = static_cast<size_t>(r);  // used once r >= 0
       const CsvRecordSpan next =
           r < 0         ? spans.header
           : r < records ? spans.rows[row]
-                        : CsvRecordSpan{input.size(), input.size()};
+                        : CsvRecordSpan{input_end, input_end};
       if (next.begin > at) {  // records dropped before this one
         open_edit(at, r);
         close_edit(next.begin);
@@ -763,8 +806,17 @@ CsvSplice SpliceCsv(std::string_view input, const CsvRecordSpans& spans,
     FIXREP_CHECK(logged == log.end()) << "write log rows out of order";
   }
   uint64_t erased = 0;
-  for (const CsvEdit& e : splice.edits) erased += e.erase;
-  splice.output_size = input.size() - erased + splice.inserts.size();
+  for (const CsvEdit& e : splice->edits) erased += e.erase;
+  splice->output_size = input.size() - erased + splice->inserts.size();
+  return rows_rendered;
+}
+
+}  // namespace
+
+CsvSplice SpliceCsv(std::string_view input, const CsvRecordSpans& spans,
+                    const Table& repaired, const std::vector<CellRepair>& log) {
+  CsvSplice splice;
+  SpliceRecords(input, spans, repaired, log, &splice);
   return splice;
 }
 
@@ -820,6 +872,19 @@ void ForEachSplicePiece(std::string_view input, const CsvSplice& splice,
   piece(input.substr(at));
 }
 
+// WriteCsvSplice of a splice known to fit `input`.
+Status WriteSplicePieces(std::string_view input, const CsvSplice& splice,
+                         CsvOutput out) {
+  std::vector<std::string_view> pieces;
+  pieces.reserve(2 * splice.edits.size() + 1);
+  ForEachSplicePiece(input, splice, [&pieces](std::string_view bytes) {
+    pieces.push_back(bytes);
+  });
+  TickCounter("fixrep.csv.bytes_copied",
+              splice.output_size - splice.inserts.size());
+  return out.Write(pieces);
+}
+
 }  // namespace
 
 Status ApplyCsvSplice(std::string_view input, const CsvSplice& splice,
@@ -832,27 +897,52 @@ Status ApplyCsvSplice(std::string_view input, const CsvSplice& splice,
   return Status::Ok();
 }
 
+CsvOutput::CsvOutput(AtomicFile* file)
+    : stream_(&file->stream()), file_(file) {}
+
+Status CsvOutput::Write(std::span<const std::string_view> pieces) const {
+  if (file_ != nullptr) return file_->Append(pieces);
+  for (const std::string_view piece : pieces) {
+    stream_->write(piece.data(), static_cast<std::streamsize>(piece.size()));
+  }
+  if (!stream_->good()) return Status::IoError("CSV output write failed");
+  return Status::Ok();
+}
+
 Status WriteCsvSplice(std::string_view input, const CsvSplice& splice,
-                      AtomicFile* out) {
+                      CsvOutput out) {
   FIXREP_RETURN_IF_ERROR(CheckCsvSplice(input, splice));
-  std::vector<std::string_view> pieces;
-  pieces.reserve(2 * splice.edits.size() + 1);
-  ForEachSplicePiece(input, splice, [&pieces](std::string_view bytes) {
-    pieces.push_back(bytes);
-  });
-  return out->Append(pieces);
+  return WriteSplicePieces(input, splice, out);
+}
+
+StatusOr<CsvChunkEmit> WriteCsvChunk(std::string_view input,
+                                     const CsvRecordSpans& spans,
+                                     const Table& chunk,
+                                     const std::vector<CellRepair>& log,
+                                     CsvOutput out) {
+  CsvChunkEmit emit;
+  if (input.empty()) {
+    CsvEmitter(&out.stream()).Rows(chunk);
+    emit.rows_rendered = chunk.num_rows();
+    return emit;
+  }
+  CsvSplice splice;
+  emit.rows_rendered = SpliceRecords(input, spans, chunk, log, &splice);
+  emit.bytes_copied = splice.output_size - splice.inserts.size();
+  FIXREP_RETURN_IF_ERROR(WriteSplicePieces(input, splice, out));
+  return emit;
 }
 
 void WriteCsv(const Table& table, std::ostream& out) {
   CsvEmitter emitter(&out);
   emitter.Header(table.schema());
-  emitter.Rows(table, 0);
+  emitter.Rows(table);
 }
 
 void AppendCsv(const Table& table, std::string* out) {
   CsvEmitter emitter(out);
   emitter.Header(table.schema());
-  emitter.Rows(table, 0);
+  emitter.Rows(table);
 }
 
 Status TryWriteCsvFile(const Table& table, const std::string& path) {

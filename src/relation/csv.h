@@ -2,9 +2,11 @@
 #define FIXREP_RELATION_CSV_H_
 
 #include <cstdint>
+#include <cstdlib>
 #include <deque>
 #include <iosfwd>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -78,7 +80,11 @@ struct CsvRecordSpans {
 //
 // The reader tokenizes contiguous bytes: a stream or a file is pulled
 // through one refill buffer of kReadBlockBytes (grown only to hold a
-// record longer than half of it), an in-memory payload is read in place.
+// record longer than half of it, or a kept chunk), an in-memory payload
+// is read in place. A refill keeps the bytes of the chunk being read,
+// not just its pending record, while the chunk stays within
+// kKeepBytes, so a writer can copy its unchanged records
+// (chunk_bytes).
 // Data records are read by one fused scan: a 64-byte window at a time,
 // it finds the structural bytes (',' '"' '\r' '\n') and resolves each
 // plain field in the pool straight from its view into those bytes. The
@@ -91,6 +97,11 @@ class CsvChunkReader {
   // hosp rows, blocks of 64 KiB to 1 MiB read within 1.5 ms of each
   // other, and 256 KiB was the fastest.
   static constexpr size_t kReadBlockBytes = size_t{256} << 10;
+  // The most bytes of one chunk a refill keeps. A chunk that outgrows
+  // it, or whose rows so far project past it at `max_rows`, is let go
+  // at its next refill: a 4096-row hosp chunk (about 0.9 MB) is kept, a
+  // whole-file chunk is let go before the buffer grows for it.
+  static constexpr size_t kKeepBytes = 8 * kReadBlockBytes;
 
   // Reads and validates the header. Header problems are fatal (same
   // policy as ReadCsvLenient). The stream must outlive the reader, which
@@ -138,10 +149,23 @@ class CsvChunkReader {
   // goes back to interning). Only the resolve step changes: tokenizing,
   // error policy and diagnostics are the same either way.
   void ResolveThrough(ValueOverlay* overlay) { overlay_ = overlay; }
-  // Records the header's span into *spans and, from here on, a span per
-  // record ReadChunk keeps and a count of the records it drops (null
-  // stops recording).
+  // Records the header's span into *spans (keeping its rows' capacity)
+  // and, from here on, a span per record ReadChunk keeps and a count of
+  // the records it drops (null stops recording). A refilled read stops
+  // recording when it lets a chunk's bytes go (kKeepBytes): spans are for
+  // splicing over bytes still in memory.
   void RecordSpansInto(CsvRecordSpans* spans);
+  // The input bytes of every record (kept or dropped) the last ReadChunk
+  // consumed, when all of them are still in memory: always for an
+  // in-memory payload, and for a stream or file while the chunk stayed
+  // within kKeepBytes. Empty otherwise. Valid until the next read; the
+  // first byte is at input offset chunk_offset().
+  std::string_view chunk_bytes() const {
+    if (!keeping_) return {};
+    return {data() + chunk_begin_,
+            static_cast<size_t>(consumed_ - chunk_offset_)};
+  }
+  uint64_t chunk_offset() const { return chunk_offset_; }
   // Input bytes consumed by the records read so far (header included),
   // for input-progress reporting.
   uint64_t bytes_read() const { return consumed_; }
@@ -204,7 +228,13 @@ class CsvChunkReader {
   bool NextRecord();
   Tokenized Tokenize();
   FieldEnd UnescapeField(const char* p, const char* end, const char** next);
-  void Refill();
+  // Moves what must stay (the kept chunk, or the pending record) to the
+  // buffer's front, growing the buffer to fit it, and reads more input
+  // after it. `chunk_bytes` is the kept chunk's projected size (0 when
+  // unknown).
+  void Refill(size_t chunk_bytes = 0);
+  // Stops keeping the current chunk's bytes and recording spans.
+  void LetChunkGo();
   // Reads up to `n` bytes from the stream or fd into `out`; fewer only at
   // the end of input (a read error counts as the end).
   size_t ReadInput(char* out, size_t n);
@@ -216,14 +246,23 @@ class CsvChunkReader {
   std::istream* in_;          // the stream source, or null
   int fd_;                    // the file source, or -1
   std::string_view bytes_;    // the in-memory payload
-  // Refill buffer (stream and file input), never zero-filled.
-  std::unique_ptr<char[]> buffer_;
+  // Refill buffer (stream and file input), never zero-filled; malloc'd,
+  // so it grows with realloc.
+  struct FreeBytes {
+    void operator()(char* p) const { std::free(p); }
+  };
+  std::unique_ptr<char, FreeBytes> buffer_;
   size_t buffer_size_ = 0;
   size_t block_bytes_;
   size_t pos_ = 0;            // first unconsumed byte of data()
   size_t end_ = 0;            // end of the bytes available in data()
   bool input_done_ = false;   // nothing left past end_
   uint64_t consumed_ = 0;
+  // The chunk ReadChunk is reading: whether its bytes are still kept,
+  // from data() offset chunk_begin_, input offset chunk_offset_.
+  bool keeping_ = false;
+  size_t chunk_begin_ = 0;
+  uint64_t chunk_offset_ = 0;
   std::shared_ptr<const Schema> schema_;
   std::shared_ptr<ValuePool> pool_;
   CsvReadOptions options_;
@@ -317,7 +356,9 @@ struct CsvSplice {
 
 // AppendCsv of `repaired` as a splice over `input`, which it was read
 // from with layout `spans` before a repair rewrote cells in place and
-// recorded every write in `log` (rows ascending). Only the rows the log
+// recorded every write in `log` (rows ascending). `input` starts at
+// input offset spans.header.begin: 0 for a whole read, a chunk's offset
+// (with an empty header span) for one chunk. Only the rows the log
 // names and records that are not verbatim are rendered; dropped records
 // become deletions. Edits closer than sizeof(CsvEdit) bytes are merged (the
 // verbatim rows between them rendered too), so a splice never spends
@@ -337,18 +378,59 @@ Status CheckCsvSplice(std::string_view input, const CsvSplice& splice);
 Status ApplyCsvSplice(std::string_view input, const CsvSplice& splice,
                       std::string* out);
 
-// Appends `input` with `splice` applied to `out` as gathered writes of
-// input ranges and replacement bytes (AtomicFile::Append), after
-// CheckCsvSplice: the spliced output is never built in memory.
-Status WriteCsvSplice(std::string_view input, const CsvSplice& splice,
-                      AtomicFile* out);
+// Where CSV output goes: a std::ostream, or an AtomicFile that takes
+// runs of bytes already in memory as gathered writes (AtomicFile::Append,
+// up to IOV_MAX pieces per writev) after what its stream() holds.
+// Converts implicitly from either, so a caller passes what it writes to.
+class CsvOutput {
+ public:
+  CsvOutput(std::ostream& out) : stream_(&out) {}  // NOLINT(runtime/explicit)
+  CsvOutput(AtomicFile* file);                     // NOLINT(runtime/explicit)
 
-// Streaming-friendly pieces of WriteCsv: the header line alone, and a
-// row range [begin_row, table.num_rows()) with no header. WriteCsv ==
-// WriteCsvHeader + WriteCsvRows, byte for byte.
+  // For rendered CSV.
+  std::ostream& stream() const { return *stream_; }
+  // Writes `pieces` in order: one writev per IOV_MAX pieces to an
+  // AtomicFile, one ostream::write each to a stream. kIoError when the
+  // output takes them short.
+  Status Write(std::span<const std::string_view> pieces) const;
+
+ private:
+  std::ostream* stream_;
+  AtomicFile* file_ = nullptr;
+};
+
+// Appends `input` with `splice` applied to `out` as pieces: the input
+// ranges between edits and the replacement bytes, after CheckCsvSplice,
+// so the spliced output is never built in memory. Ticks
+// fixrep.csv.bytes_copied by the input bytes written.
+Status WriteCsvSplice(std::string_view input, const CsvSplice& splice,
+                      CsvOutput out);
+
+// What WriteCsvChunk wrote: bytes copied from the input, rows rendered.
+struct CsvChunkEmit {
+  uint64_t bytes_copied = 0;
+  size_t rows_rendered = 0;
+};
+
+// Writes the rows of `chunk` (no header) to `out`, after a repair
+// rewrote cells in place and recorded every write in `log` (chunk rows,
+// ascending). When `input` holds the bytes the chunk was read from
+// (CsvChunkReader::chunk_bytes) and `spans` their layout, with
+// spans.header an empty span at the chunk's input offset, the rows go
+// out as WriteCsvSplice of SpliceCsv: unchanged verbatim records are
+// copied from `input` and only the rows `log` names and records that
+// are not verbatim are rendered. With an empty `input` every row is
+// rendered. Either way the bytes are those WriteCsv renders for the
+// chunk's rows.
+StatusOr<CsvChunkEmit> WriteCsvChunk(std::string_view input,
+                                     const CsvRecordSpans& spans,
+                                     const Table& chunk,
+                                     const std::vector<CellRepair>& log,
+                                     CsvOutput out);
+
+// The header line of WriteCsv alone; a stream follows it with each
+// chunk's WriteCsvChunk.
 void WriteCsvHeader(const Schema& schema, std::ostream& out);
-void WriteCsvRows(const Table& table, std::ostream& out,
-                  size_t begin_row = 0);
 
 // Writes, flushes, and verifies the stream so short writes (disk full,
 // revoked mount) surface as kIoError instead of silently truncating.

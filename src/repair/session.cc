@@ -52,7 +52,7 @@ StatusOr<RepairReport> RepairSession::Repair(Table* table,
 }
 
 StatusOr<RepairReport> RepairSession::RepairStream(
-    CsvChunkReader* reader, std::ostream& out, std::vector<CellRepair>* log) {
+    CsvChunkReader* reader, CsvOutput out, std::vector<CellRepair>* log) {
   FIXREP_CHECK(reader != nullptr);
   if (config_.engine == RepairEngine::kCRepair && !config_.wal_path.empty()) {
     // A resume must chase with the engine that wrote the log.

@@ -2,7 +2,6 @@
 #define FIXREP_REPAIR_SESSION_H_
 
 #include <cstddef>
-#include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
@@ -123,11 +122,12 @@ class RepairSession {
                                 std::vector<CellRepair>* log = nullptr);
 
   // Streams `reader` through chunked repair into `out` (CSV header +
-  // repaired rows). A non-null `log` receives the writes of the chunks
-  // this call repairs, at global output-row indices. Returns
-  // kMalformedInput for a cRepair stream with a WAL.
-  StatusOr<RepairReport> RepairStream(CsvChunkReader* reader,
-                                      std::ostream& out,
+  // repaired rows; a std::ostream, or an AtomicFile that takes copied
+  // input as gathered writes: repair/streaming.h). A non-null `log`
+  // receives the writes of the chunks this call repairs, at global
+  // output-row indices. Returns kMalformedInput for a cRepair stream
+  // with a WAL.
+  StatusOr<RepairReport> RepairStream(CsvChunkReader* reader, CsvOutput out,
                                       std::vector<CellRepair>* log = nullptr);
 
  private:

@@ -71,19 +71,26 @@ struct LiveProgress {
 };
 
 // Writes a durable chunk's journaled deltas into the re-read `chunk` by
-// interning the recorded strings: the chunk's repair without a chase.
-Status ApplyJournaledDeltas(const WalChunk& durable, Table* chunk) {
+// interning the recorded strings, the chunk's repair without a chase,
+// and records each write in *log (the chunk's write log for its splice).
+Status ApplyJournaledDeltas(const WalChunk& durable, Table* chunk,
+                            std::vector<CellRepair>* log) {
   ValuePool& pool = *chunk->pool_ptr();
   for (const WalCellDelta& delta : durable.deltas) {
-    if (delta.row >= chunk->num_rows() || delta.attr >= chunk->num_columns()) {
+    if (delta.row >= chunk->num_rows() || delta.attr >= chunk->num_columns() ||
+        (!log->empty() && delta.row < log->back().row)) {
       return Status::MalformedInput(
           "resume divergence: journaled delta addresses row " +
           std::to_string(delta.row) + " attr " + std::to_string(delta.attr) +
-          " outside chunk " + std::to_string(durable.chunk_index));
+          " outside chunk " + std::to_string(durable.chunk_index) +
+          " or out of row order");
     }
-    chunk->WriteCell(static_cast<size_t>(delta.row),
-                     static_cast<AttrId>(delta.attr),
-                     pool.Intern(delta.new_value));
+    const auto row = static_cast<size_t>(delta.row);
+    const auto attr = static_cast<AttrId>(delta.attr);
+    const ValueId value = pool.Intern(delta.new_value);
+    log->push_back({row, attr, chunk->cell(row, attr), value,
+                    delta.rule_index});
+    chunk->WriteCell(row, attr, value);
   }
   return Status::Ok();
 }
@@ -115,7 +122,7 @@ StatusOr<RepairReport> StreamRepair(const RuleDict& dict,
                                     ChunkJournal* journal,
                                     const RecoveredRun* resume,
                                     CsvChunkReader* reader,
-                                    std::ostream& out,
+                                    CsvOutput out,
                                     std::vector<CellRepair>* log) {
   FIXREP_CHECK(reader != nullptr);
   FIXREP_CHECK_GT(config.chunk_rows, 0u);
@@ -140,14 +147,24 @@ StatusOr<RepairReport> StreamRepair(const RuleDict& dict,
   RepairDriver driver(dict, driver_config);
   const bool multi_slot = config.threads != 1 || config.shards > 0;
 
-  // The chunk's rule-attributed deltas (chunk-local rows, from the
-  // driver's write log) and its tuple diagnostics, both cleared per
-  // chunk: written to the WAL at commit time, the deltas also rebased
-  // onto the caller's log.
+  // The chunk's write log (chunk-local rows: the driver's for a
+  // repaired chunk, the journaled deltas for a replayed one) and its
+  // tuple diagnostics, both cleared per chunk. The log names the rows
+  // the chunk's splice renders; a repaired chunk also writes it to the
+  // WAL at commit time and rebases it onto the caller's log.
   const bool journaling = journal != nullptr;
   std::vector<CellRepair> chunk_deltas;
   std::vector<Diagnostic> chunk_diags;
-  if (journaling || log != nullptr) driver.set_write_log(&chunk_deltas);
+  driver.set_write_log(&chunk_deltas);
+
+  // Each chunk's record spans, for splicing its output over the bytes
+  // the reader kept (CsvChunkReader::chunk_bytes). The reader stops
+  // recording into them when the stream ends, whichever way.
+  CsvRecordSpans spans;
+  struct StopRecording {
+    CsvChunkReader* reader;
+    ~StopRecording() { reader->RecordSpansInto(nullptr); }
+  } stop_recording{reader};
 
   // CSV-level quarantine journaling (WAL version >= 2): a capture sink
   // interposed around each ReadChunk sees exactly the reader
@@ -162,7 +179,7 @@ StatusOr<RepairReport> StreamRepair(const RuleDict& dict,
       (resume == nullptr || resume->header.version >= kCsvQuarantineWalVersion);
   VectorQuarantineSink csv_capture;
 
-  WriteCsvHeader(*reader->schema(), out);
+  WriteCsvHeader(*reader->schema(), out.stream());
 
   RepairReport result;
   Table chunk = reader->MakeChunkTable();
@@ -217,6 +234,7 @@ StatusOr<RepairReport> StreamRepair(const RuleDict& dict,
     chunk.Clear();
     chunk_deltas.clear();
     chunk_diags.clear();
+    reader->RecordSpansInto(&spans);
     QuarantineSink* live_sink = nullptr;
     if (journal_csv) {
       csv_capture.Clear();
@@ -265,7 +283,8 @@ StatusOr<RepairReport> StreamRepair(const RuleDict& dict,
     progress.input_bytes->Set(static_cast<int64_t>(reader->bytes_read()));
 
     if (durable != nullptr) {
-      FIXREP_RETURN_IF_ERROR(ApplyJournaledDeltas(*durable, &chunk));
+      FIXREP_RETURN_IF_ERROR(
+          ApplyJournaledDeltas(*durable, &chunk, &chunk_deltas));
       if (quarantining) {
         for (const Diagnostic& diagnostic : durable->quarantined) {
           config.quarantine->Add(diagnostic);
@@ -350,8 +369,18 @@ StatusOr<RepairReport> StreamRepair(const RuleDict& dict,
       }
     }
 
-    WriteCsvRows(chunk, out);
-    if (log != nullptr) {
+    // Unchanged verbatim records are copied from the kept input; the
+    // rest is rendered. The chunk's bytes start at its offset, with no
+    // header of their own.
+    const uint64_t emit_start_ns = TraceNowNanos();
+    spans.header = {reader->chunk_offset(), reader->chunk_offset(), true};
+    StatusOr<CsvChunkEmit> emitted = WriteCsvChunk(
+        reader->chunk_bytes(), spans, chunk, chunk_deltas, out);
+    if (!emitted.ok()) {
+      return emitted.status().WithContext("writing the repaired stream");
+    }
+    const uint64_t emit_ns = TraceNowNanos() - emit_start_ns;
+    if (log != nullptr && durable == nullptr) {
       for (CellRepair repair : chunk_deltas) {
         repair.row += result.rows;
         log->push_back(repair);
@@ -373,6 +402,9 @@ StatusOr<RepairReport> StreamRepair(const RuleDict& dict,
           .Set("cells_changed_total",
                static_cast<uint64_t>(result.cells_changed))
           .Set("duration_ns", duration_ns)
+          .Set("emit_ns", emit_ns)
+          .Set("bytes_copied", emitted->bytes_copied)
+          .Set("rows_rendered", static_cast<uint64_t>(emitted->rows_rendered))
           .Set("resident_bytes",
                static_cast<uint64_t>(chunk.store().resident_bytes()))
           .Set("peak_resident_bytes",

@@ -1,7 +1,6 @@
 #ifndef FIXREP_REPAIR_STREAMING_H_
 #define FIXREP_REPAIR_STREAMING_H_
 
-#include <iosfwd>
 #include <vector>
 
 #include "common/status.h"
@@ -18,14 +17,24 @@ namespace fixrep {
 //
 // The pipeline (docs/storage.md) is
 //
-//   CsvChunkReader --chunk--> repair in place --rows--> std::ostream
+//   CsvChunkReader --chunk--> repair in place --splice--> CsvOutput
 //
 // One chunk Table (its flat RowStore reused across chunks via Clear())
 // holds at most config.chunk_rows rows at a time; repaired rows are
 // emitted before the next chunk is read. Because fixing-rule repair is
 // per tuple, chunking cannot change the output: the repaired stream is
 // bit-identical to repairing the whole table in memory and writing it
-// out, for every chunk size, width, routing and error policy.
+// out (WriteCsv), for every chunk size, width, routing and error policy.
+//
+// The output contract: the header is rendered, then each chunk's rows
+// go out through WriteCsvChunk. While the reader keeps the chunk's
+// input bytes (CsvChunkReader::chunk_bytes, at most kKeepBytes) they
+// form a splice: runs of unchanged verbatim records are copied from the
+// input, dropped records are skipped, and only records that are not
+// verbatim and the rows the chunk's write log names are rendered (the
+// driver's log for a repaired chunk, the journaled deltas for a
+// replayed one). A chunk past the bound is rendered whole. An
+// AtomicFile output takes the pieces as gathered writes.
 //
 // One RepairDriver (repair/driver.h) repairs every chunk, so its slots —
 // and, in abort mode, their memos — live across chunk boundaries, and
@@ -64,7 +73,7 @@ StatusOr<RepairReport> StreamRepair(const RuleDict& dict,
                                     ChunkJournal* journal,
                                     const RecoveredRun* resume,
                                     CsvChunkReader* reader,
-                                    std::ostream& out,
+                                    CsvOutput out,
                                     std::vector<CellRepair>* log = nullptr);
 
 }  // namespace fixrep

@@ -80,7 +80,7 @@ class ValueTranslator {
   ValueId Translate(ValueId live) {
     if (live < 0) return live;  // kNullValue passes through
     const auto i = static_cast<size_t>(live);
-    if (i >= memo_.size()) memo_.resize(i + 1024, kUnresolved);
+    if (i >= memo_.size()) Grow(i);
     ValueId mapped = memo_[i];
     if (mapped == kUnresolved) mapped = memo_[i] = Resolve(live);
     return mapped;
@@ -90,6 +90,12 @@ class ValueTranslator {
   // Maps one live id to its image id, or kAbsentValue
   // (rules/rule_dict.cc).
   ValueId Resolve(ValueId live) const;
+  // Makes room for id `i`, at least doubling the memo, so N distinct
+  // live values reallocate it O(log N) times.
+  void Grow(size_t i) {
+    memo_.resize(std::max({i + 1, 2 * memo_.size(), size_t{1024}}),
+                 kUnresolved);
+  }
 
   static constexpr ValueId kUnresolved = INT32_MIN;
   const RuleDict* dict_;

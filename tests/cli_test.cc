@@ -17,6 +17,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -176,12 +177,14 @@ TEST_F(CliRepairTest, EveryRouteWritesTheSameBytes) {
   ASSERT_NE(want, ReadFile(dirty));  // the rules changed something
 
   const std::string quarantine = TestTempPath("q.csv");
+  const std::string wal = TestTempPath("repair.wal");
   for (const std::string& flags : std::vector<std::string>{
-           "--stream --chunk-rows 7", "--engine crepair", "--threads 2",
-           "--shards 2",
+           "--stream --chunk-rows 7", "--chunk-rows 4096 --wal " + wal,
+           "--engine crepair", "--threads 2", "--shards 2",
            "--on-error=quarantine --quarantine-out " + quarantine,
            "--rules-dict " + dict}) {
     const std::string out = TestTempPath("out.csv");
+    std::remove(wal.c_str());
     const CliRun run = Run("repair --rules " + rules + " --in " + dirty +
                            " --out " + out + " " + flags);
     ASSERT_TRUE(run.ExitedWith(0)) << flags << ": " << run.err;
@@ -189,6 +192,30 @@ TEST_F(CliRepairTest, EveryRouteWritesTheSameBytes) {
   }
   // Nothing failed, so the dead-letter file is its header alone.
   EXPECT_EQ(ReadFile(quarantine).find('\n') + 1, ReadFile(quarantine).size());
+
+  // An input past the reader's keep bound: the default route's one chunk
+  // is rendered whole, 4096-row chunks are spliced over the kept input.
+  const std::string big = TestTempPath("big.csv");
+  std::string bytes = ReadFile(dirty);
+  const std::string body = bytes.substr(bytes.find('\n') + 1);
+  while (bytes.size() <= CsvChunkReader::kKeepBytes) bytes += body;
+  WriteFile(big, bytes);
+  const std::string big_reference = TestTempPath("big_reference.csv");
+  ASSERT_TRUE(Run("repair --rules " + rules + " --in " + big + " --out " +
+                  big_reference)
+                  .ExitedWith(0));
+  const std::string big_want = ReadFile(big_reference);
+  ASSERT_NE(big_want, bytes);
+  for (const std::string& flags : std::vector<std::string>{
+           "--chunk-rows 4096 --wal " + wal, "--chunk-rows 7 --threads 2",
+           "--memory-budget 1048576"}) {
+    const std::string out = TestTempPath("big_out.csv");
+    std::remove(wal.c_str());
+    const CliRun run = Run("repair --rules " + rules + " --in " + big +
+                           " --out " + out + " " + flags);
+    ASSERT_TRUE(run.ExitedWith(0)) << flags << ": " << run.err;
+    EXPECT_EQ(ReadFile(out), big_want) << flags;
+  }
 }
 
 TEST_F(CliRepairTest, QuarantineFilesMatchOnEveryRoute) {

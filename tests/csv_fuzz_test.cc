@@ -256,10 +256,14 @@ ReadResult FromTable(StatusOr<Table> table, VectorQuarantineSink* sink) {
   return result;
 }
 
-// A chunked read through CsvChunkReader, rendered chunk by chunk as the
-// streaming driver does.
+// A chunked read through CsvChunkReader, written chunk by chunk as the
+// streaming driver does: each chunk spliced over the bytes the reader
+// kept for it (WriteCsvChunk, every verbatim record copied), or rendered
+// when it was let go. A non-null `spans` receives the record spans of
+// the whole read, gathered chunk by chunk.
 ReadResult FromReader(StatusOr<CsvChunkReader> reader_or, size_t chunk_rows,
-                      VectorQuarantineSink* sink) {
+                      VectorQuarantineSink* sink,
+                      CsvRecordSpans* spans = nullptr) {
   ReadResult result;
   if (!reader_or.ok()) {
     result.status = reader_or.status();
@@ -270,8 +274,14 @@ ReadResult FromReader(StatusOr<CsvChunkReader> reader_or, size_t chunk_rows,
   std::ostringstream out;
   WriteCsvHeader(*reader.schema(), out);
   Table chunk = reader.MakeChunkTable();
+  CsvRecordSpans chunk_spans;
+  if (spans != nullptr) {  // takes the header's span, no rows yet
+    reader.RecordSpansInto(spans);
+    reader.RecordSpansInto(nullptr);
+  }
   while (true) {
     chunk.Clear();
+    reader.RecordSpansInto(&chunk_spans);
     StatusOr<size_t> read = reader.ReadChunk(&chunk, chunk_rows);
     if (!read.ok()) {
       result.status = read.status();
@@ -279,10 +289,19 @@ ReadResult FromReader(StatusOr<CsvChunkReader> reader_or, size_t chunk_rows,
     }
     EXPECT_EQ(read.value(), chunk.num_rows());
     EXPECT_LE(read.value(), chunk_rows);
+    if (spans != nullptr) {
+      spans->rows.insert(spans->rows.end(), chunk_spans.rows.begin(),
+                         chunk_spans.rows.end());
+      spans->dropped += chunk_spans.dropped;
+    }
     if (read.value() == 0 && reader.at_end()) break;
-    WriteCsvRows(chunk, out);
+    chunk_spans.header = {reader.chunk_offset(), reader.chunk_offset(), true};
+    const StatusOr<CsvChunkEmit> written = WriteCsvChunk(
+        reader.chunk_bytes(), chunk_spans, chunk, {}, out);
+    EXPECT_TRUE(written.ok()) << written.status();
     CollectRows(chunk, &result);
   }
+  reader.RecordSpansInto(nullptr);
   result.diagnostics = sink->diagnostics();
   result.rendered = out.str();
   result.bytes_read = reader.bytes_read();
@@ -492,9 +511,8 @@ class CsvFuzz : public ::testing::Test {
         StatusOr<CsvChunkReader> reader = CsvReaderTestPeer::Open(
             in, block, std::make_shared<ValuePool>(), {policy, &sink});
         CsvRecordSpans spans;
-        if (reader.ok()) reader->RecordSpansInto(&spans);
-        ExpectSame(want, FromReader(std::move(reader), 7, &sink), true,
-                   context);
+        ExpectSame(want, FromReader(std::move(reader), 7, &sink, &spans),
+                   true, context);
         if (!want.status.ok()) continue;
         SCOPED_TRACE(context);
         ExpectSameSpan(want_spans.header, spans.header);

@@ -857,6 +857,99 @@ TEST_F(RecoveryTest, SigkilledChildResumesToIdenticalBytes) {
 #endif
 }
 
+// The same crashes over spliced output: a hosp input with quoted fields
+// and CRLF records, in chunks of 7 and 64 rows, killed at each crash
+// site on the first, a middle and the last chunk. A resume replays the
+// durable chunks from their journaled deltas and splices their rows
+// like any other chunk's, so it writes the uninterrupted run's bytes.
+TEST_F(RecoveryTest, SigkilledSplicedRunsResumeToIdenticalBytes) {
+#ifndef FIXREP_CLI_PATH
+  GTEST_SKIP() << "built without FIXREP_CLI_PATH";
+#else
+  if (!kFaultInjectionEnabled) {
+    GTEST_SKIP() << "built without FIXREP_ENABLE_FAULT_INJECTION";
+  }
+  const std::string cli = FIXREP_CLI_PATH;
+  if (!std::ifstream(cli).good()) {
+    GTEST_SKIP() << "fixrep_cli not built at " << cli;
+  }
+  HospOptions options;
+  options.rows = 600;
+  options.num_hospitals = 40;
+  const GeneratedData data = GenerateHosp(options);
+  Table dirty = data.clean;
+  InjectNoise(&dirty, ConstraintAttributes(*data.schema, data.fds), {});
+  RuleGenOptions rulegen;
+  rulegen.max_rules = 150;
+  const RuleSet rules = GenerateRules(data.clean, dirty, data.fds, rulegen);
+  // Every 13th record ends in CRLF, every 17th quotes its first field:
+  // records the splice must render, not copy.
+  std::string csv;
+  {
+    const std::string plain = ToCsv(dirty);
+    size_t record = 0;
+    for (size_t at = 0; at < plain.size(); ++record) {
+      const size_t nl = plain.find('\n', at);
+      std::string line = plain.substr(at, nl - at);
+      at = nl + 1;
+      if (record > 0 && record % 17 == 0) {
+        line.insert(line.find(','), "\"");
+        line.insert(0, "\"");
+      }
+      if (record > 0 && record % 13 == 0) line += '\r';
+      csv += line + '\n';
+    }
+  }
+  const std::string dirty_path = TempPath("splice_dirty.csv");
+  const std::string rules_path = TempPath("splice_rules.txt");
+  std::ofstream(dirty_path, std::ios::binary) << csv;
+  ASSERT_TRUE(TryWriteRulesFile(rules, rules_path).ok());
+  const std::string ref_path = TempPath("splice_ref.csv");
+  const std::string out_path = TempPath("splice_out.csv");
+  const std::string wal_path = TempPath("splice.wal");
+
+  for (const size_t chunk_rows : {size_t{7}, size_t{64}}) {
+    const auto run_cli = [&](const std::string& env,
+                             const std::string& flags) {
+      const std::string command =
+          env + " " + cli + " repair --rules " + rules_path + " --in " +
+          dirty_path + " --chunk-rows " + std::to_string(chunk_rows) + " " +
+          flags + " >/dev/null 2>&1";
+      return std::system(command.c_str());
+    };
+    std::remove(wal_path.c_str());
+    ASSERT_EQ(run_cli("", "--out " + ref_path + " --wal " + wal_path), 0);
+    const std::string reference = ReadFileBytes(ref_path);
+    ASSERT_NE(reference, csv);
+    const size_t last = (600 + chunk_rows - 1) / chunk_rows - 1;
+    for (const char* site : {"wal.crash_after_append",
+                             "wal.crash_before_commit",
+                             "wal.crash_after_commit"}) {
+      for (const size_t skip : {size_t{0}, last / 2, last}) {
+        const std::string context = std::string(site) +
+                                    " chunk_rows=" +
+                                    std::to_string(chunk_rows) +
+                                    " skip=" + std::to_string(skip);
+        std::remove(out_path.c_str());
+        std::remove(wal_path.c_str());
+        const int killed = run_cli("FIXREP_FAULT=" + std::string(site) +
+                                       ":skip=" + std::to_string(skip) +
+                                       ":max=1",
+                                   "--out " + out_path + " --wal " + wal_path);
+        ASSERT_TRUE(WIFSIGNALED(killed) ||
+                    (WIFEXITED(killed) && WEXITSTATUS(killed) != 0))
+            << context << ": child survived (" << killed << ")";
+        ASSERT_EQ(run_cli("", "--out " + out_path + " --wal " + wal_path +
+                                  " --resume"),
+                  0)
+            << context;
+        EXPECT_EQ(ReadFileBytes(out_path), reference) << context;
+      }
+    }
+  }
+#endif
+}
+
 // What a resumed stream reports. The chunks it replays from the log
 // count once: in fixrep.wal.*_replayed and in one `resume` event that
 // comes before the first repaired chunk's `chunk` event. They emit no

@@ -499,6 +499,38 @@ TEST(RuleDictHandleTest, HandlesAreIndependentScratch) {
   EXPECT_NE(h1->source().translator(), h2->source().translator());
 }
 
+// The translator memo grows as live ids climb past it. Growing it must
+// keep every translation: a translator that meets ids in ascending order
+// (many growths) and one that meets the top id first (one growth) agree
+// with each other, with themselves after growing, and with the image's
+// own string lookup.
+TEST(RuleDictHandleTest, TranslationsSurviveMemoGrowth) {
+  SmallCorpus corpus;
+  for (int i = 0; i < 5000; ++i) {
+    corpus.pool->Intern("filler" + std::to_string(i));
+  }
+  const std::unique_ptr<RuleDict> dict = RuleDict::CompileOrDie(corpus.rules);
+  const auto live = static_cast<ValueId>(corpus.pool->size());
+  auto ascending = dict->MakeHandle();
+  auto top_first = dict->MakeHandle();
+  ValueTranslator* many = ascending->source().translator();
+  ValueTranslator* once = top_first->source().translator();
+
+  std::vector<ValueId> first;
+  for (ValueId id = 0; id < live; ++id) first.push_back(many->Translate(id));
+  EXPECT_EQ(once->Translate(live - 1), first.back());
+  size_t absent = 0;
+  for (ValueId id = 0; id < live; ++id) {
+    const auto i = static_cast<size_t>(id);
+    EXPECT_EQ(many->Translate(id), first[i]) << id;
+    EXPECT_EQ(once->Translate(id), first[i]) << id;
+    EXPECT_EQ(first[i], dict->FindString(corpus.pool->GetString(id))) << id;
+    absent += first[i] == kAbsentValue;
+  }
+  EXPECT_EQ(absent, 5000u);  // the fillers; every rule constant resolves
+  EXPECT_EQ(many->Translate(kNullValue), kNullValue);
+}
+
 // ---------------------------------------------------------------------
 // Robustness: every invalid file shape is refused with a Status.
 

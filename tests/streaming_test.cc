@@ -256,6 +256,206 @@ TEST_F(StreamingTest, UisGeneratedDataStreamsBitIdentically) {
   ExpectStreamingMatchesWholeTable(data, dirty, rules);
 }
 
+// --------------------------------------------------------- splice output --
+
+// Rewrites the data records of `csv` at random so the stream's splice
+// meets every record shape the reader has: quoted fields, "" escapes, a
+// quoted ',', CRLF and bare '\r' terminators, empty fields, a missing
+// final newline and (with `arity_errors`) records with a field too many
+// or too few. The header stays intact.
+std::string MutateRecords(const std::string& csv, Rng* rng,
+                          bool arity_errors) {
+  std::vector<std::string> lines;
+  for (size_t at = 0; at < csv.size();) {
+    const size_t nl = csv.find('\n', at);
+    lines.push_back(csv.substr(at, nl - at));
+    at = nl + 1;
+  }
+  for (size_t i = 1; i < lines.size(); ++i) {
+    if (!rng->Bernoulli(0.08)) continue;
+    std::string& line = lines[i];
+    std::vector<size_t> commas;
+    for (size_t c = 0; c < line.size(); ++c) {
+      if (line[c] == ',') commas.push_back(c);
+    }
+    // Field f spans [begin, end) of the line.
+    const size_t f = rng->Uniform(commas.size() + 1);
+    const size_t begin = f == 0 ? 0 : commas[f - 1] + 1;
+    const size_t end = f == commas.size() ? line.size() : commas[f];
+    const std::string field = line.substr(begin, end - begin);
+    switch (rng->Uniform(arity_errors ? 8 : 6)) {
+      case 0:  // the same value, quoted
+        line.replace(begin, end - begin, "\"" + field + "\"");
+        break;
+      case 1:  // an escaped quote inside
+        line.replace(begin, end - begin, "\"" + field + "\"\"q\"");
+        break;
+      case 2:  // a quoted comma
+        line.replace(begin, end - begin, "\"" + field + ",c\"");
+        break;
+      case 3:
+        line += '\r';  // CRLF
+        break;
+      case 4:  // a bare '\r', which the reader drops
+        line.insert(begin, "\r");
+        break;
+      case 5:
+        line.replace(begin, end - begin, "");
+        break;
+      case 6:
+        line += ",extra";
+        break;
+      default:
+        if (!commas.empty()) line.erase(commas.back());
+        break;
+    }
+  }
+  std::string out;
+  for (const std::string& line : lines) out += line + '\n';
+  if (rng->Bernoulli(0.5)) out.pop_back();  // no final newline
+  return out;
+}
+
+// The stream of `csv` against the whole-table path: read it all with the
+// same CSV policy, repair it with the same config and write it with
+// WriteCsv. Bytes and both kinds of diagnostics must match.
+void ExpectStreamMatchesWholeTableWrite(const std::string& csv,
+                                        std::shared_ptr<ValuePool> pool,
+                                        const RuleDict& dict,
+                                        const StreamConfig& config,
+                                        const std::string& context) {
+  VectorQuarantineSink want_rows;
+  VectorQuarantineSink want_tuples;
+  std::istringstream in(csv);
+  StatusOr<Table> table = ReadCsvLenient(
+      in, "stream", pool,
+      {config.csv_policy, config.csv_policy == OnErrorPolicy::kQuarantine
+                              ? &want_rows
+                              : nullptr});
+  ASSERT_TRUE(table.ok()) << context << ": " << table.status();
+  RepairConfig repair;
+  repair.on_error = config.on_error;
+  repair.quarantine = config.on_error == OnErrorPolicy::kQuarantine
+                          ? &want_tuples
+                          : nullptr;
+  repair.max_chase_steps = config.max_chase_steps;
+  RepairSession session(&dict, repair);
+  ASSERT_TRUE(session.Repair(&table.value()).ok()) << context;
+  const std::string want = ToCsv(table.value());
+
+  const StatusOr<StreamRun> run = RunStream(csv, pool, dict, config);
+  ASSERT_TRUE(run.ok()) << context << ": " << run.status().message();
+  ASSERT_EQ(run->csv, want) << context;
+  ExpectSameDiagnostics(run->row_diagnostics, want_rows.diagnostics(),
+                        context + " csv");
+  ExpectSameDiagnostics(run->tuple_diagnostics, want_tuples.diagnostics(),
+                        context + " tuples");
+}
+
+struct SpliceCorpus {
+  GeneratedData data;
+  std::string csv;
+  std::unique_ptr<RuleDict> dict;
+};
+
+// Noisy hosp rows with their mined rules; `copies` > 1 repeats the data
+// records to make a larger input.
+SpliceCorpus MakeSpliceCorpus(size_t copies) {
+  HospOptions options;
+  options.rows = 600;
+  options.num_hospitals = 40;
+  SpliceCorpus corpus{GenerateHosp(options), {}, nullptr};
+  Table dirty = corpus.data.clean;
+  InjectNoise(&dirty, ConstraintAttributes(*corpus.data.schema,
+                                           corpus.data.fds), {});
+  RuleGenOptions rulegen;
+  rulegen.max_rules = 150;
+  corpus.dict = RuleDict::CompileOrDie(
+      GenerateRules(corpus.data.clean, dirty, corpus.data.fds, rulegen));
+  const std::string csv = ToCsv(dirty);
+  const size_t body = csv.find('\n') + 1;
+  corpus.csv = csv;
+  for (size_t c = 1; c < copies; ++c) corpus.csv += csv.substr(body);
+  return corpus;
+}
+
+// Spliced stream output is WriteCsv of the repaired table, byte for
+// byte, over mutated records under every policy, at chunks of 1, 7 and
+// 4096 rows and under spill.
+TEST_F(StreamingTest, SplicedOutputMatchesWholeTableWriteOnMutatedCsv) {
+  const SpliceCorpus corpus = MakeSpliceCorpus(1);
+  Rng rng(0x5911ce);
+  const size_t block_bytes =
+      RowStore::kRowsPerBlock * corpus.dict->arity() * sizeof(ValueId);
+  for (int round = 0; round < 6; ++round) {
+    for (const OnErrorPolicy policy :
+         {OnErrorPolicy::kAbort, OnErrorPolicy::kSkip,
+          OnErrorPolicy::kQuarantine}) {
+      const std::string csv = MutateRecords(
+          corpus.csv, &rng, policy != OnErrorPolicy::kAbort);
+      for (const size_t steps : {size_t{0}, size_t{1}}) {
+        if (policy == OnErrorPolicy::kAbort && steps > 0) continue;
+        for (const size_t chunk_rows : {size_t{1}, size_t{7}, size_t{4096}}) {
+          for (const size_t budget : {size_t{0}, block_bytes}) {
+            const std::string context =
+                "round=" + std::to_string(round) + " policy=" +
+                OnErrorPolicyName(policy) + " steps=" + std::to_string(steps) +
+                " chunk_rows=" + std::to_string(chunk_rows) +
+                " budget=" + std::to_string(budget);
+            ExpectStreamMatchesWholeTableWrite(
+                csv, corpus.data.pool, *corpus.dict,
+                {.chunk_rows = chunk_rows,
+                 .on_error = policy,
+                 .max_chase_steps = steps,
+                 .csv_policy = policy,
+                 .memory_budget_bytes = budget},
+                context);
+            if (HasFatalFailure()) return;
+          }
+        }
+      }
+    }
+  }
+}
+
+// An input past the keep bound: 4096-row chunks are kept and mostly
+// copied, a whole-file chunk (with or without spill) is let go and
+// rendered, and all of them write the whole-table bytes.
+TEST_F(StreamingTest, ChunksPastTheKeepBoundAreRenderedWhole) {
+  const SpliceCorpus corpus = MakeSpliceCorpus(18);
+  ASSERT_GT(corpus.csv.size(), CsvChunkReader::kKeepBytes);
+  Rng rng(0xb0b);
+  const std::string csv =
+      MutateRecords(corpus.csv, &rng, /*arity_errors=*/true);
+  struct Case {
+    size_t chunk_rows;
+    size_t budget;
+    bool copies;
+  };
+  for (const Case& c : {Case{4096, 0, true},
+                        Case{RepairConfig::kWholeFile, 0, false},
+                        Case{RepairConfig::kWholeFile, size_t{1} << 20, false}}) {
+    const std::string context = "chunk_rows=" + std::to_string(c.chunk_rows) +
+                                " budget=" + std::to_string(c.budget);
+    const uint64_t copied_before = CounterValue("fixrep.csv.bytes_copied");
+    ExpectStreamMatchesWholeTableWrite(
+        csv, corpus.data.pool, *corpus.dict,
+        {.chunk_rows = c.chunk_rows,
+         .on_error = OnErrorPolicy::kQuarantine,
+         .csv_policy = OnErrorPolicy::kQuarantine,
+         .memory_budget_bytes = c.budget},
+        context);
+    if (!kMetricsEnabled) continue;
+    const uint64_t copied =
+        CounterValue("fixrep.csv.bytes_copied") - copied_before;
+    if (c.copies) {
+      EXPECT_GT(copied, csv.size() / 2) << context;
+    } else {
+      EXPECT_EQ(copied, 0u) << context;
+    }
+  }
+}
+
 // ---------------------------------------------------- quarantine ordering --
 
 // Cascading pair from the quarantine suite: (name = flag) tuples need two
