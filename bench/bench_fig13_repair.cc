@@ -342,8 +342,12 @@ void WriteRepairJson() {
       const uint64_t allocs_before = AllocationCount();
       RepairReport run_result;
       const double ms = TimedMs(label, [&] {
+        // A stream's chunks end at the reader's keep bound (1 MiB), so a
+        // whole-input chunk is read from the in-memory payload.
         StatusOr<CsvChunkReader> reader =
-            CsvChunkReader::Open(in, "bench", workload.data.pool, {});
+            options.chunk_rows == RepairConfig::kWholeFile
+                ? CsvChunkReader::OpenBytes(csv, "bench", workload.data.pool)
+                : CsvChunkReader::Open(in, "bench", workload.data.pool);
         const auto result = StreamRepair(run_image, options, nullptr, nullptr,
                                          &reader.value(), out);
         if (!result.ok() || result.value().rows != rows) {
@@ -453,7 +457,7 @@ void WriteRepairJson() {
       RowStore::kRowsPerBlock * dup.num_columns() * sizeof(ValueId);
   const size_t spill_budget = 8 * block_bytes;
   RepairConfig spill_options;
-  spill_options.chunk_rows = ~size_t{0};  // whole file; the budget rules
+  spill_options.chunk_rows = RepairConfig::kWholeFile;  // the budget rules
   spill_options.memory_budget_bytes = spill_budget;
   const StreamCost spill_run =
       stream_best_of("fig13_streaming_spill", input_csv, *image, spill_options);
@@ -606,6 +610,8 @@ void WriteRepairJson() {
         CsvChunkReader::Open(scale_in, "bench", scale_pool, {});
     if (!reader.ok()) std::abort();
     RepairConfig scale_config;
+    // No row limit: read from the file, chunks end at the reader's 1 MiB
+    // keep bound, so resident cells stay under the budget.
     scale_config.chunk_rows = RepairConfig::kWholeFile;
     scale_config.memory_budget_bytes = scale_budget_bytes;
     std::ofstream scale_out(scale_out_path,

@@ -56,7 +56,8 @@
 //                        skip/quarantine mode; a tuple exceeding it is
 //                        quarantined with its original values intact.
 //                        The input streams through the repair in
-//                        fixed-size chunks (--chunk-rows, default 65536)
+//                        chunks of at most --chunk-rows rows (default
+//                        65536) and 1 MiB of input, whichever ends first,
 //                        with peak memory proportional to one chunk; the
 //                        output CSV and quarantine file are byte-identical
 //                        for every chunk size, engine, width and routing.
@@ -68,12 +69,13 @@
 //                        rule #0" (not with --wal).
 //                        --memory-budget=64MB (K/M/G suffixes) spills
 //                        chunk cell blocks past the budget to a
-//                        temp-backed mmap file; without --chunk-rows the
-//                        whole input becomes one spilling chunk, so the
-//                        budget alone bounds resident cell memory.
+//                        temp-backed mmap file; without --chunk-rows a
+//                        chunk has no row limit and ends only at 1 MiB of
+//                        input.
 //                        --wal journals every committed chunk to a
 //                        write-ahead log (lrepair only), fsynced before
-//                        the chunk's rows are emitted; after a crash,
+//                        the chunk's rows are emitted, so it commits at
+//                        least once per MiB of input; after a crash,
 //                        rerunning with --resume fast-forwards past the
 //                        durable chunks and produces output
 //                        byte-identical to an uninterrupted run
@@ -712,7 +714,8 @@ int Repair(const Args& args) {
   }
   if (!args.Has("chunk-rows") && config.memory_budget_bytes > 0) {
     // A budget with no explicit chunking means "let the spill file, not
-    // the chunk size, bound memory": one whole-file chunk.
+    // the chunk size, bound memory": no row limit, so chunks end only at
+    // the reader's keep bound.
     config.chunk_rows = RepairConfig::kWholeFile;
   }
   if (config.resume && config.wal_path.empty()) {

@@ -15,10 +15,17 @@
 
 #include "common/fault.h"
 #include "common/logging.h"
+#include "common/trace.h"
 
 namespace fixrep {
 
 namespace {
+
+// Whole pages that pile up past the last writeback start before Append
+// starts writeback on them: about one kept stream chunk of output, so a
+// chunked write reaches disk while the next chunk is read and Commit's
+// fsync finds little left to write.
+constexpr off_t kWritebackBytes = off_t{1} << 20;
 
 // The directory holding `path`, for the post-rename fsync.
 std::string ParentDir(const std::string& path) {
@@ -76,6 +83,7 @@ AtomicFile& AtomicFile::operator=(AtomicFile&& other) noexcept {
     tmp_path_ = std::move(other.tmp_path_);
     stream_ = std::move(other.stream_);
     fd_ = std::exchange(other.fd_, -1);
+    writeback_ = other.writeback_;
     committed_ = other.committed_;
     active_ = std::exchange(other.active_, false);
   }
@@ -106,7 +114,7 @@ Status AtomicFile::Append(std::span<const std::string_view> pieces) {
       iov[count++] = {const_cast<char*>(pieces[i].data()) + skip,
                       pieces[i].size() - skip};
     }
-    if (count == 0) return Status::Ok();
+    if (count == 0) break;
     const ssize_t written = ::writev(fd_, iov, static_cast<int>(count));
     if (written < 0 && errno == EINTR) continue;
     if (written <= 0) {
@@ -123,6 +131,24 @@ Status AtomicFile::Append(std::span<const std::string_view> pieces) {
     }
     done = taken;
   }
+  StartWriteback();
+  return Status::Ok();
+}
+
+void AtomicFile::StartWriteback() {
+  static const off_t page = ::sysconf(_SC_PAGESIZE);
+  // fd_ is O_APPEND and the stream was flushed first, so the file ends
+  // where the last write left its offset. Only whole pages are started:
+  // a partly written last page would be written again once it fills.
+  const off_t end = ::lseek(fd_, 0, SEEK_END);
+  if (end < 0) return;
+  const off_t pages_end = end - end % page;
+  if (pages_end - writeback_ < kWritebackBytes) return;
+  // Advisory: an error here leaves the pages to Commit's fsync, which
+  // reports it.
+  ::sync_file_range(fd_, writeback_, pages_end - writeback_,
+                    SYNC_FILE_RANGE_WRITE);
+  writeback_ = pages_end;
 }
 
 Status AtomicFile::Commit() {
@@ -130,29 +156,29 @@ Status AtomicFile::Commit() {
   stream_.flush();
   const bool stream_ok = stream_.good() && !FIXREP_FAULT("atomic_file.write");
   stream_.close();
-  ::close(std::exchange(fd_, -1));
   if (!stream_ok) {
-    std::remove(tmp_path_.c_str());
-    active_ = false;
+    Discard();
     return Status::IoError("write to '" + tmp_path_ + "' failed");
   }
   // fsync the data before the rename publishes it: otherwise the rename
   // can hit disk first and a power cut exposes an empty file under the
-  // final name.
-  const int fd = ::open(tmp_path_.c_str(), O_RDONLY);
-  if (fd < 0 || ::fsync(fd) != 0 || FIXREP_FAULT("atomic_file.fsync")) {
-    const std::string error =
-        fd < 0 ? std::strerror(errno) : "fsync failed";
-    if (fd >= 0) ::close(fd);
-    std::remove(tmp_path_.c_str());
-    active_ = false;
-    return Status::IoError("cannot sync '" + tmp_path_ + "': " + error);
+  // final name. fd_ is the file every write went to.
+  {
+    FIXREP_TRACE_SPAN("atomic_file.sync");
+    const int error = ::fsync(fd_) != 0                 ? errno
+                      : FIXREP_FAULT("atomic_file.fsync") ? EIO
+                                                          : 0;
+    if (error != 0) {
+      Discard();
+      return Status::IoError("cannot sync '" + tmp_path_ +
+                             "': " + std::strerror(error));
+    }
   }
-  ::close(fd);
+  ::close(std::exchange(fd_, -1));
+  FIXREP_TRACE_SPAN("atomic_file.publish");
   if (std::rename(tmp_path_.c_str(), path_.c_str()) != 0) {
     const std::string error = std::strerror(errno);
-    std::remove(tmp_path_.c_str());
-    active_ = false;
+    Discard();
     return Status::IoError("cannot rename '" + tmp_path_ + "' to '" + path_ +
                            "': " + error);
   }

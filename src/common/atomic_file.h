@@ -1,6 +1,8 @@
 #ifndef FIXREP_COMMON_ATOMIC_FILE_H_
 #define FIXREP_COMMON_ATOMIC_FILE_H_
 
+#include <sys/types.h>
+
 #include <fstream>
 #include <span>
 #include <string>
@@ -49,23 +51,32 @@ class AtomicFile {
   // Appends `pieces` in order with gathered writes (up to IOV_MAX
   // pieces per writev), after flushing stream(). kIoError on a failed
   // write, which also marks stream() bad so Commit refuses to publish.
+  // Once a megabyte or more of whole pages has been written since the
+  // last start, starts their writeback (sync_file_range), so a file
+  // written in pieces is mostly on its way to disk by Commit.
   Status Append(std::span<const std::string_view> pieces);
 
   // Flushes, fsyncs, and renames the temp file onto `path`, then fsyncs
   // the parent directory so the rename itself survives a power cut.
   // After a failed write, fsync or rename the temp file is removed and
-  // `path` is unchanged.
+  // `path` is unchanged. Spans atomic_file.sync (the data fsync) and
+  // atomic_file.publish (the rename and the directory fsync).
   Status Commit();
 
  private:
   AtomicFile() = default;
   void Discard();
+  // Starts writeback of the whole pages written since the last start,
+  // once there are kWritebackBytes of them.
+  void StartWriteback();
 
   std::string path_;
   std::string tmp_path_;
   std::ofstream stream_;
   // The staging file opened O_APPEND (stream_ appends too), for Append.
   int fd_ = -1;
+  // The file offset writeback has been started up to (page-aligned).
+  off_t writeback_ = 0;
   bool committed_ = false;
   bool active_ = false;
 };

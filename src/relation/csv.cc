@@ -296,9 +296,8 @@ StatusOr<CsvChunkReader> CsvChunkReader::OpenImpl(
   return reader;
 }
 
-void CsvChunkReader::Refill(size_t chunk_bytes) {
+void CsvChunkReader::Refill() {
   FIXREP_CHECK(refilled() && !input_done_);
-  if (keeping_ && end_ - chunk_begin_ > kKeepBytes) LetChunkGo();
   // What stays: the kept chunk from its first byte, or else the pending
   // record. Every refill reads at least a block, and at least as many
   // bytes as the pending record holds, so a long record stays linear.
@@ -307,12 +306,12 @@ void CsvChunkReader::Refill(size_t chunk_bytes) {
   const size_t step = std::max(block_bytes_, end_ - pos_);
   // A kept chunk reads a block at a time into the room after it, so
   // the scan walks cache-sized blocks, and moves to the front only when
-  // that room runs out; the buffer then grows to hold the chunk (all
-  // `chunk_bytes` of it) and a block. Otherwise the buffer holds one
-  // block, doubles for a pending record longer than half of it, and
-  // each refill fills it.
+  // that room runs out; the buffer then grows once to hold a whole kept
+  // chunk and a block (its pages fault in only as they are read into).
+  // Otherwise the buffer holds one block, doubles for a pending record
+  // longer than half of it, and each refill fills it.
   if (!keeping_ || buffer_size_ - end_ < step) {
-    const size_t size = keeping_ ? std::max(pending, chunk_bytes) + step
+    const size_t size = keeping_ ? std::max(pending, kKeepBytes) + step
                                  : std::max(block_bytes_, 2 * pending);
     if (buffer_size_ < size) {
       // realloc can move a large buffer's pages rather than copy them
@@ -332,11 +331,6 @@ void CsvChunkReader::Refill(size_t chunk_bytes) {
   const size_t got = ReadInput(buffer_.get() + end_, want);
   end_ += got;
   if (got < want) input_done_ = true;
-}
-
-void CsvChunkReader::LetChunkGo() {
-  keeping_ = false;
-  spans_ = nullptr;
 }
 
 size_t CsvChunkReader::ReadInput(char* out, size_t n) {
@@ -502,34 +496,22 @@ void CsvChunkReader::RecordSpansInto(CsvRecordSpans* spans) {
 StatusOr<size_t> CsvChunkReader::ReadChunk(Table* chunk, size_t max_rows) {
   FIXREP_CHECK(chunk != nullptr);
   FIXREP_CHECK_EQ(chunk->num_columns(), schema_->arity());
-  keeping_ = true;
+  keeping_ = refilled() && spans_ != nullptr;
   chunk_begin_ = pos_;
   chunk_offset_ = consumed_;
   size_t appended = 0;
   uint64_t fallback = 0;
   Status problem = Status::Ok();
   while (problem.ok() && appended < max_rows) {
-    const Scan scan =
-        ScanPlainRecords(chunk, max_rows, &appended, &problem);
-    if (scan == Scan::kNeedMore) {
-      // The chunk's size as its rows so far project it at max_rows: past
-      // the bound it is let go before the buffer grows for it, within it
-      // the buffer grows for all of it at once.
-      size_t projected = 0;
-      if (keeping_ && appended > 0) {
-        const double bytes = static_cast<double>(pos_ - chunk_begin_) /
-                             static_cast<double>(appended) *
-                             static_cast<double>(max_rows);
-        if (bytes > static_cast<double>(kKeepBytes)) {
-          LetChunkGo();
-        } else {
-          projected = static_cast<size_t>(bytes);
-        }
-      }
-      Refill(projected);
-    } else if (scan == Scan::kHandOff) {
+    Scan scan = ScanPlainRecords(chunk, max_rows, &appended, &problem);
+    if (scan == Scan::kHandOff) {
       ++fallback;
-      problem = ReadGeneralRecord(chunk, &appended);
+      scan = ReadGeneralRecord(chunk, &appended, &problem);
+    }
+    if (scan == Scan::kNeedMore) {
+      Refill();
+    } else if (scan == Scan::kFull) {
+      break;
     } else if (scan == Scan::kEnd) {
       at_end_ = true;
       break;
@@ -575,10 +557,11 @@ CsvChunkReader::Scan CsvChunkReader::ScanPlainRecords(Table* chunk,
       return Scan::kHandOff;  // a '"' or a bare '\r'
     }
     if (attr + 1 != arity) return Scan::kHandOff;  // too few fields
+    record_size_ = static_cast<size_t>(terminator - begin);
+    if (!Fits(consumed_, consumed_ + record_size_ + 1)) return Scan::kFull;
     Resolve(pool, attr, {field, static_cast<size_t>(q - field)});
     record_begin_ = pos_;
     record_offset_ = consumed_;
-    record_size_ = static_cast<size_t>(terminator - begin);
     verbatim_ = terminator == q;
     pos_ += record_size_ + 1;
     consumed_ += record_size_ + 1;
@@ -588,28 +571,37 @@ CsvChunkReader::Scan CsvChunkReader::ScanPlainRecords(Table* chunk,
   return Scan::kDone;
 }
 
-Status CsvChunkReader::ReadGeneralRecord(Table* chunk, size_t* appended) {
+CsvChunkReader::Scan CsvChunkReader::ReadGeneralRecord(Table* chunk,
+                                                       size_t* appended,
+                                                       Status* problem) {
   const bool read = NextRecord();
   FIXREP_CHECK(read) << "the scan hands off only a record it saw";
+  if (!Fits(record_offset_, consumed_)) {  // unread it for the next chunk
+    pos_ = record_begin_;
+    consumed_ = record_offset_;
+    return Scan::kFull;
+  }
   deferred_.clear();
   if (unterminated_) {
-    return Settle(Status::MalformedInput("unterminated quoted field at EOF"),
-                  chunk, appended);
+    *problem = Settle(
+        Status::MalformedInput("unterminated quoted field at EOF"), chunk,
+        appended);
+  } else if (fields_.size() != row_.size()) {
+    *problem = Settle(Status::MalformedInput(
+                          "CSV record arity mismatch at row " +
+                          std::to_string(record_) + " (got " +
+                          std::to_string(fields_.size()) + ", want " +
+                          std::to_string(row_.size()) + ")"),
+                      chunk, appended);
+  } else {
+    const ValuePool& pool =
+        overlay_ != nullptr ? overlay_->pool() : chunk->pool();
+    for (size_t a = 0; a < fields_.size(); ++a) {
+      Resolve(pool, a, fields_[a]);
+    }
+    *problem = Settle(Status::Ok(), chunk, appended);
   }
-  if (fields_.size() != row_.size()) {
-    return Settle(Status::MalformedInput(
-                      "CSV record arity mismatch at row " +
-                      std::to_string(record_) + " (got " +
-                      std::to_string(fields_.size()) + ", want " +
-                      std::to_string(row_.size()) + ")"),
-                  chunk, appended);
-  }
-  const ValuePool& pool =
-      overlay_ != nullptr ? overlay_->pool() : chunk->pool();
-  for (size_t a = 0; a < fields_.size(); ++a) {
-    Resolve(pool, a, fields_[a]);
-  }
-  return Settle(Status::Ok(), chunk, appended);
+  return Scan::kDone;
 }
 
 Status CsvChunkReader::Settle(Status problem, Table* chunk,
@@ -921,11 +913,6 @@ StatusOr<CsvChunkEmit> WriteCsvChunk(std::string_view input,
                                      const std::vector<CellRepair>& log,
                                      CsvOutput out) {
   CsvChunkEmit emit;
-  if (input.empty()) {
-    CsvEmitter(&out.stream()).Rows(chunk);
-    emit.rows_rendered = chunk.num_rows();
-    return emit;
-  }
   CsvSplice splice;
   emit.rows_rendered = SpliceRecords(input, spans, chunk, log, &splice);
   emit.bytes_copied = splice.output_size - splice.inserts.size();

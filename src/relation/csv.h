@@ -81,10 +81,10 @@ struct CsvRecordSpans {
 // The reader tokenizes contiguous bytes: a stream or a file is pulled
 // through one refill buffer of kReadBlockBytes (grown only to hold a
 // record longer than half of it, or a kept chunk), an in-memory payload
-// is read in place. A refill keeps the bytes of the chunk being read,
-// not just its pending record, while the chunk stays within
-// kKeepBytes, so a writer can copy its unchanged records
-// (chunk_bytes).
+// is read in place. While it records spans (RecordSpansInto), a refilled
+// read keeps the bytes of the chunk being read, not just its pending
+// record, and ends each chunk within kKeepBytes of input, so a writer
+// can copy its unchanged records (chunk_bytes).
 // Data records are read by one fused scan: a 64-byte window at a time,
 // it finds the structural bytes (',' '"' '\r' '\n') and resolves each
 // plain field in the pool straight from its view into those bytes. The
@@ -97,11 +97,10 @@ class CsvChunkReader {
   // hosp rows, blocks of 64 KiB to 1 MiB read within 1.5 ms of each
   // other, and 256 KiB was the fastest.
   static constexpr size_t kReadBlockBytes = size_t{256} << 10;
-  // The most bytes of one chunk a refill keeps. A chunk that outgrows
-  // it, or whose rows so far project past it at `max_rows`, is let go
-  // at its next refill: a 4096-row hosp chunk (about 0.9 MB) is kept, a
-  // whole-file chunk is let go before the buffer grows for it.
-  static constexpr size_t kKeepBytes = 8 * kReadBlockBytes;
+  // The most input bytes of a kept chunk of more than one record. A
+  // 4096-row hosp chunk is about 0.9 MB; on 20K hosp rows 1 MiB chunks
+  // took less CPU than 2 MiB ones, whose buffer faults in more pages.
+  static constexpr size_t kKeepBytes = 4 * kReadBlockBytes;
 
   // Reads and validates the header. Header problems are fatal (same
   // policy as ReadCsvLenient). The stream must outlive the reader, which
@@ -125,10 +124,13 @@ class CsvChunkReader {
   Table MakeChunkTable() const { return Table(schema_, pool_); }
 
   // Appends up to `max_rows` data records to *chunk (which must use the
-  // reader's schema). Returns the number appended — 0 exactly at end of
-  // input. Malformed records follow the open options: kAbort returns
-  // their error, kSkip/kQuarantine drop them (they count toward the
-  // record ordinal but not toward the returned row count).
+  // reader's schema) and returns the number appended; a kept chunk also
+  // ends before a record past kKeepBytes (Fits), so chunks end where
+  // record lengths and `max_rows` say, however the input arrives.
+  // Malformed records follow the open options: kAbort returns their
+  // error, kSkip/kQuarantine drop them (they count toward the record
+  // ordinal but not toward the returned row count), so a chunk may
+  // return 0 before the end of input, which at_end() tells.
   StatusOr<size_t> ReadChunk(Table* chunk, size_t max_rows);
 
   bool at_end() const { return at_end_; }
@@ -151,17 +153,16 @@ class CsvChunkReader {
   void ResolveThrough(ValueOverlay* overlay) { overlay_ = overlay; }
   // Records the header's span into *spans (keeping its rows' capacity)
   // and, from here on, a span per record ReadChunk keeps and a count of
-  // the records it drops (null stops recording). A refilled read stops
-  // recording when it lets a chunk's bytes go (kKeepBytes): spans are for
-  // splicing over bytes still in memory.
+  // the records it drops (null stops recording). Spans are for splicing
+  // over bytes in memory, so a refilled read that records them keeps
+  // each chunk's bytes.
   void RecordSpansInto(CsvRecordSpans* spans);
   // The input bytes of every record (kept or dropped) the last ReadChunk
-  // consumed, when all of them are still in memory: always for an
-  // in-memory payload, and for a stream or file while the chunk stayed
-  // within kKeepBytes. Empty otherwise. Valid until the next read; the
-  // first byte is at input offset chunk_offset().
+  // consumed: always for an in-memory payload, for a stream or file when
+  // that read recorded spans, and empty otherwise. Valid until the next
+  // read; the first byte is at input offset chunk_offset().
   std::string_view chunk_bytes() const {
-    if (!keeping_) return {};
+    if (refilled() && !keeping_) return {};
     return {data() + chunk_begin_,
             static_cast<size_t>(consumed_ - chunk_offset_)};
   }
@@ -175,10 +176,10 @@ class CsvChunkReader {
 
   enum class Tokenized { kRecord, kNeedMore, kEnd };
   enum class FieldEnd { kComma, kRecord, kNeedMore };
-  // Why ScanPlainRecords stopped: max_rows reached or a kAbort problem
-  // (kDone), a record for the general tokenizer, a record past the
-  // buffered bytes, or the end of input.
-  enum class Scan { kDone, kHandOff, kNeedMore, kEnd };
+  // Why a read stopped: max_rows reached or a kAbort problem (kDone), a
+  // record for the general tokenizer, a record past the buffered bytes,
+  // a record past the kept chunk's bound (Fits), or the end of input.
+  enum class Scan { kDone, kHandOff, kNeedMore, kFull, kEnd };
 
   friend StatusOr<Table> ReadCsvFileLenient(const std::string& path,
                                             const std::string& relation_name,
@@ -204,8 +205,16 @@ class CsvChunkReader {
   // stop (Scan), leaving pos_ at the first record it did not take.
   Scan ScanPlainRecords(Table* chunk, size_t max_rows, size_t* appended,
                         Status* problem);
-  // Reads the record at pos_ through Tokenize (a scan hand-off).
-  Status ReadGeneralRecord(Table* chunk, size_t* appended);
+  // Reads the record at pos_ through Tokenize (a scan hand-off): kFull
+  // leaves it unread, kDone settles it (*problem as in Settle).
+  Scan ReadGeneralRecord(Table* chunk, size_t* appended, Status* problem);
+  // Whether the record at input offsets [begin, end) belongs to the
+  // chunk being read: its first record always does, any record of a
+  // chunk that is not kept does, and others end within kKeepBytes.
+  bool Fits(uint64_t begin, uint64_t end) const {
+    return !keeping_ || begin == chunk_offset_ ||
+           end - chunk_offset_ <= kKeepBytes;
+  }
   // Field `attr` of the record being read: a value `pool` holds gets its
   // id in row_ now; a new value waits in deferred_ for Settle, so a
   // dropped record leaves the pool untouched.
@@ -230,11 +239,8 @@ class CsvChunkReader {
   FieldEnd UnescapeField(const char* p, const char* end, const char** next);
   // Moves what must stay (the kept chunk, or the pending record) to the
   // buffer's front, growing the buffer to fit it, and reads more input
-  // after it. `chunk_bytes` is the kept chunk's projected size (0 when
-  // unknown).
-  void Refill(size_t chunk_bytes = 0);
-  // Stops keeping the current chunk's bytes and recording spans.
-  void LetChunkGo();
+  // after it.
+  void Refill();
   // Reads up to `n` bytes from the stream or fd into `out`; fewer only at
   // the end of input (a read error counts as the end).
   size_t ReadInput(char* out, size_t n);
@@ -258,7 +264,7 @@ class CsvChunkReader {
   size_t end_ = 0;            // end of the bytes available in data()
   bool input_done_ = false;   // nothing left past end_
   uint64_t consumed_ = 0;
-  // The chunk ReadChunk is reading: whether its bytes are still kept,
+  // The chunk ReadChunk is reading: whether a refill keeps its bytes,
   // from data() offset chunk_begin_, input offset chunk_offset_.
   bool keeping_ = false;
   size_t chunk_begin_ = 0;
@@ -414,14 +420,13 @@ struct CsvChunkEmit {
 
 // Writes the rows of `chunk` (no header) to `out`, after a repair
 // rewrote cells in place and recorded every write in `log` (chunk rows,
-// ascending). When `input` holds the bytes the chunk was read from
+// ascending). `input` holds the bytes the chunk was read from
 // (CsvChunkReader::chunk_bytes) and `spans` their layout, with
-// spans.header an empty span at the chunk's input offset, the rows go
+// spans.header an empty span at the chunk's input offset. The rows go
 // out as WriteCsvSplice of SpliceCsv: unchanged verbatim records are
 // copied from `input` and only the rows `log` names and records that
-// are not verbatim are rendered. With an empty `input` every row is
-// rendered. Either way the bytes are those WriteCsv renders for the
-// chunk's rows.
+// are not verbatim are rendered, so the bytes are those WriteCsv
+// renders for the chunk's rows.
 StatusOr<CsvChunkEmit> WriteCsvChunk(std::string_view input,
                                      const CsvRecordSpans& spans,
                                      const Table& chunk,

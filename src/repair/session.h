@@ -65,8 +65,10 @@ struct RepairConfig {
   size_t max_chase_steps = 0;
 
   // --- streaming-only knobs (RepairStream) ---
-  // Rows per chunk. kWholeFile reads the entire input as one chunk
-  // (useful with a memory budget: spilling, not chunking, bounds RAM).
+  // Rows per chunk. kWholeFile sets no row limit: a chunk read from a
+  // stream or file then ends only at the reader's keep bound
+  // (CsvChunkReader::kKeepBytes of input), an in-memory payload is one
+  // chunk (with a memory budget, spilling, not chunking, bounds RAM).
   static constexpr size_t kWholeFile = ~size_t{0};
   size_t chunk_rows = size_t{64} * 1024;
   // > 0: chunk cell blocks past this many resident bytes spill to a

@@ -21,9 +21,9 @@ namespace fixrep {
 namespace {
 
 // Rows between live fixrep.progress.rows publications. Small enough that
-// an endpoint scrape mid-chunk sees movement even in whole-file spill
-// mode (where one "chunk" is the entire input), large enough to keep the
-// counter off the per-tuple path.
+// an endpoint scrape mid-chunk sees movement even in a large chunk (an
+// in-memory payload read with no row limit is one chunk), large enough
+// to keep the counter off the per-tuple path.
 constexpr size_t kProgressStride = 2048;
 
 // Live progress state, published from the calling thread only. Counters
@@ -187,9 +187,10 @@ StatusOr<RepairReport> StreamRepair(const RuleDict& dict,
     const Status enabled = chunk.EnableSpill(config.memory_budget_bytes);
     if (!enabled.ok()) return enabled;
   } else {
-    // Pre-size only sensible chunk sizes; a whole-file sentinel like
-    // SIZE_MAX must not try to reserve.
-    chunk.Reserve(std::min(config.chunk_rows, size_t{1} << 20));
+    // No more rows than a kept chunk can hold: a record is at least
+    // `arity` bytes (its separators and terminator).
+    chunk.Reserve(std::min(config.chunk_rows,
+                           CsvChunkReader::kKeepBytes / dict.arity()));
   }
 
   auto& registry = CurrentMetrics();
@@ -240,7 +241,9 @@ StatusOr<RepairReport> StreamRepair(const RuleDict& dict,
       csv_capture.Clear();
       live_sink = reader->SwapQuarantine(&csv_capture);
     }
+    const uint64_t read_start_ns = TraceNowNanos();
     StatusOr<size_t> read = reader->ReadChunk(&chunk, config.chunk_rows);
+    const uint64_t read_ns = TraceNowNanos() - read_start_ns;
     if (journal_csv) {
       reader->SwapQuarantine(live_sink);
       if (durable != nullptr && read.ok() &&
@@ -309,8 +312,8 @@ StatusOr<RepairReport> StreamRepair(const RuleDict& dict,
         const size_t begin = b * RowStore::kRowsPerBlock;
         repair_range(begin, begin + store.rows_in_block(b), result.rows);
         store.UnpinBlock(b);
-        // Block-granularity residency so a scrape mid-chunk (one chunk
-        // may be the whole input in spill mode) sees live values.
+        // Block-granularity residency so a scrape mid-chunk (a chunk
+        // may span many blocks in spill mode) sees live values.
         progress.FlushRows();
         progress.PublishResidency(store);
       }
@@ -402,6 +405,7 @@ StatusOr<RepairReport> StreamRepair(const RuleDict& dict,
           .Set("cells_changed_total",
                static_cast<uint64_t>(result.cells_changed))
           .Set("duration_ns", duration_ns)
+          .Set("read_ns", read_ns)
           .Set("emit_ns", emit_ns)
           .Set("bytes_copied", emitted->bytes_copied)
           .Set("rows_rendered", static_cast<uint64_t>(emitted->rows_rendered))

@@ -27,14 +27,15 @@ namespace fixrep {
 // out (WriteCsv), for every chunk size, width, routing and error policy.
 //
 // The output contract: the header is rendered, then each chunk's rows
-// go out through WriteCsvChunk. While the reader keeps the chunk's
-// input bytes (CsvChunkReader::chunk_bytes, at most kKeepBytes) they
-// form a splice: runs of unchanged verbatim records are copied from the
-// input, dropped records are skipped, and only records that are not
-// verbatim and the rows the chunk's write log names are rendered (the
-// driver's log for a repaired chunk, the journaled deltas for a
-// replayed one). A chunk past the bound is rendered whole. An
-// AtomicFile output takes the pieces as gathered writes.
+// go out through WriteCsvChunk as a splice over the chunk's input bytes,
+// which the reader keeps (CsvChunkReader::chunk_bytes; a chunk read
+// from a stream or file ends within kKeepBytes of input): runs of
+// unchanged verbatim records are copied from the input, dropped records
+// are skipped, and only records that are not verbatim and the rows the
+// chunk's write log names are rendered (the driver's log for a repaired
+// chunk, the journaled deltas for a replayed one). An AtomicFile output
+// takes the pieces as gathered writes and starts their writeback as
+// they pile up.
 //
 // One RepairDriver (repair/driver.h) repairs every chunk, so its slots —
 // and, in abort mode, their memos — live across chunk boundaries, and

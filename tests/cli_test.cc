@@ -32,6 +32,7 @@
 #include "datagen/noise.h"
 #include "datagen/travel.h"
 #include "relation/csv.h"
+#include "repair/session.h"
 #include "rulegen/rulegen.h"
 #include "rules/rule_io.h"
 #include "testing_util.h"
@@ -193,22 +194,26 @@ TEST_F(CliRepairTest, EveryRouteWritesTheSameBytes) {
   // Nothing failed, so the dead-letter file is its header alone.
   EXPECT_EQ(ReadFile(quarantine).find('\n') + 1, ReadFile(quarantine).size());
 
-  // An input past the reader's keep bound: the default route's one chunk
-  // is rendered whole, 4096-row chunks are spliced over the kept input.
+  // An input past the reader's keep bound, so every route splices
+  // several kept chunks: the reference is the whole table read, repaired
+  // and rendered in process.
   const std::string big = TestTempPath("big.csv");
   std::string bytes = ReadFile(dirty);
   const std::string body = bytes.substr(bytes.find('\n') + 1);
-  while (bytes.size() <= CsvChunkReader::kKeepBytes) bytes += body;
+  while (bytes.size() <= 2 * CsvChunkReader::kKeepBytes) bytes += body;
   WriteFile(big, bytes);
-  const std::string big_reference = TestTempPath("big_reference.csv");
-  ASSERT_TRUE(Run("repair --rules " + rules + " --in " + big + " --out " +
-                  big_reference)
-                  .ExitedWith(0));
-  const std::string big_want = ReadFile(big_reference);
+  std::string big_want;
+  {
+    auto pool = std::make_shared<ValuePool>();
+    Table table = ReadCsvFile(big, "data", pool);
+    const RuleSet rule_set = ParseRulesFile(rules, table.schema_ptr(), pool);
+    ASSERT_TRUE(RepairSession(&rule_set).Repair(&table).ok());
+    big_want = ToCsv(table);
+  }
   ASSERT_NE(big_want, bytes);
   for (const std::string& flags : std::vector<std::string>{
-           "--chunk-rows 4096 --wal " + wal, "--chunk-rows 7 --threads 2",
-           "--memory-budget 1048576"}) {
+           "", "--wal " + wal, "--chunk-rows 4096 --wal " + wal,
+           "--chunk-rows 7 --threads 2", "--memory-budget 1048576"}) {
     const std::string out = TestTempPath("big_out.csv");
     std::remove(wal.c_str());
     const CliRun run = Run("repair --rules " + rules + " --in " + big +

@@ -258,9 +258,9 @@ ReadResult FromTable(StatusOr<Table> table, VectorQuarantineSink* sink) {
 
 // A chunked read through CsvChunkReader, written chunk by chunk as the
 // streaming driver does: each chunk spliced over the bytes the reader
-// kept for it (WriteCsvChunk, every verbatim record copied), or rendered
-// when it was let go. A non-null `spans` receives the record spans of
-// the whole read, gathered chunk by chunk.
+// kept for it (WriteCsvChunk, every verbatim record copied). A non-null
+// `spans` receives the record spans of the whole read, gathered chunk
+// by chunk.
 ReadResult FromReader(StatusOr<CsvChunkReader> reader_or, size_t chunk_rows,
                       VectorQuarantineSink* sink,
                       CsvRecordSpans* spans = nullptr) {
@@ -1020,6 +1020,113 @@ TEST_F(FileIngest, RecordsStraddlingEveryRefillBoundaryMatchInMemoryRead) {
             *file_pool, &file_sink);
         ExpectSameRead(want, got);
         if (HasFailure()) return;
+      }
+    }
+  }
+}
+
+// Where one chunk of a read lies: its kept rows, its input offset and
+// its size in bytes.
+struct ChunkEnd {
+  size_t rows = 0;
+  uint64_t offset = 0;
+  size_t bytes = 0;
+};
+
+// Reads `text` from a stream through refill blocks of `block` bytes in
+// chunks of at most `max_rows` rows, recording spans as a stream repair
+// does (so every chunk is kept and ends within the keep bound), and
+// writes each chunk through WriteCsvChunk after the header into *out.
+std::vector<ChunkEnd> ReadChunkEnds(const std::string& text, size_t block,
+                                    OnErrorPolicy policy, size_t max_rows,
+                                    std::string* out) {
+  std::istringstream in(text);
+  VectorQuarantineSink sink;
+  StatusOr<CsvChunkReader> reader = CsvReaderTestPeer::Open(
+      in, block, std::make_shared<ValuePool>(), {policy, &sink});
+  EXPECT_TRUE(reader.ok()) << reader.status();
+  if (!reader.ok()) return {};
+  std::ostringstream rendered;
+  WriteCsvHeader(*reader->schema(), rendered);
+  std::vector<ChunkEnd> ends;
+  Table chunk = reader->MakeChunkTable();
+  CsvRecordSpans spans;
+  while (true) {
+    chunk.Clear();
+    reader->RecordSpansInto(&spans);
+    const size_t records_before = reader->records_read();
+    const StatusOr<size_t> read = reader->ReadChunk(&chunk, max_rows);
+    EXPECT_TRUE(read.ok()) << read.status();
+    if (!read.ok() || (read.value() == 0 && reader->at_end())) break;
+    const std::string_view bytes = reader->chunk_bytes();
+    EXPECT_EQ(bytes, std::string_view(text).substr(reader->chunk_offset(),
+                                                   bytes.size()));
+    // Past the bound only a chunk of one record, which always fits.
+    if (bytes.size() > CsvChunkReader::kKeepBytes) {
+      EXPECT_EQ(reader->records_read() - records_before, 1u)
+          << "chunk at " << reader->chunk_offset();
+    }
+    ends.push_back({read.value(), reader->chunk_offset(), bytes.size()});
+    spans.header = {reader->chunk_offset(), reader->chunk_offset(), true};
+    const StatusOr<CsvChunkEmit> written =
+        WriteCsvChunk(bytes, spans, chunk, {}, rendered);
+    EXPECT_TRUE(written.ok()) << written.status();
+  }
+  reader->RecordSpansInto(nullptr);
+  *out = rendered.str();
+  return ends;
+}
+
+// Byte-bounded chunks end at the same records however the input arrives:
+// refill blocks of every size from 1 to 80 bytes and the production
+// block cut a mutated 2.5 MB input (short records, a record longer than
+// the keep bound, hostile quoting) into the same chunks under skip and
+// quarantine, and every read splices to the whole-table rendering.
+TEST_F(FileIngest, ByteBoundedChunksEndAtTheSameRecordsAtEveryRefillBlock) {
+  const std::string& hosp = HospText();
+  std::string text = hosp.substr(0, hosp.find("\nPN", 2400000) + 1);
+  for (size_t at = text.size() / 7; at < text.size(); at += text.size() / 7) {
+    const size_t line = text.find("\nPN", at);
+    if (line == std::string::npos) break;
+    text.insert(line + 1, ",\nshort,record\n");
+  }
+  {
+    const size_t line = text.find("\nPN", text.size() / 2);
+    const std::string huge =
+        "\"" + std::string(CsvChunkReader::kKeepBytes, 'h') + "\"\n";
+    text.insert(line + 1, huge);
+  }
+  ASSERT_GT(text.size(), 3 * CsvChunkReader::kKeepBytes);
+  for (const OnErrorPolicy policy :
+       {OnErrorPolicy::kSkip, OnErrorPolicy::kQuarantine}) {
+    std::string want_csv;
+    {
+      StatusOr<Table> table = ReadCsvBytesLenient(
+          text, "fuzz", std::make_shared<ValuePool>(), {policy, nullptr});
+      ASSERT_TRUE(table.ok()) << table.status();
+      std::ostringstream rendered;
+      WriteCsv(table.value(), rendered);
+      want_csv = rendered.str();
+    }
+    for (const size_t max_rows : {size_t{4096}, ~size_t{0}}) {
+      std::string got_csv;
+      const std::vector<ChunkEnd> want = ReadChunkEnds(
+          text, CsvChunkReader::kReadBlockBytes, policy, max_rows, &got_csv);
+      ASSERT_GE(want.size(), 4u);
+      ASSERT_EQ(got_csv, want_csv);
+      for (size_t block = 1; block <= 80; ++block) {
+        SCOPED_TRACE(std::string("policy=") + OnErrorPolicyName(policy) +
+                     " max_rows=" + std::to_string(max_rows) +
+                     " block=" + std::to_string(block));
+        const std::vector<ChunkEnd> got =
+            ReadChunkEnds(text, block, policy, max_rows, &got_csv);
+        ASSERT_EQ(got.size(), want.size());
+        for (size_t c = 0; c < got.size(); ++c) {
+          EXPECT_EQ(got[c].rows, want[c].rows) << "chunk " << c;
+          EXPECT_EQ(got[c].offset, want[c].offset) << "chunk " << c;
+          EXPECT_EQ(got[c].bytes, want[c].bytes) << "chunk " << c;
+        }
+        ASSERT_EQ(got_csv, want_csv);
       }
     }
   }

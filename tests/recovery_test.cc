@@ -789,6 +789,88 @@ TEST_F(RecoveryTest, ResumeRefusesWhenCsvDiagnosticsDiverge) {
   EXPECT_NE(resumed.status().message().find("CSV-level"), std::string::npos);
 }
 
+// More than twice the keep bound of malformed records between good
+// ones. Under skip and quarantine the stream cuts the run into
+// byte-bounded chunks, at least one of which keeps no row (so only
+// at_end() ends the stream), journals them, and resumes after a failed
+// commit at each of them to the whole-table bytes and diagnostics.
+TEST_F(RecoveryTest, MalformedRunPastTheKeepBoundResumesToWholeTableBytes) {
+  if (!kFaultInjectionEnabled) {
+    GTEST_SKIP() << "built without FIXREP_ENABLE_FAULT_INJECTION";
+  }
+  TravelExample example;
+  std::string malformed;
+  const std::string record = std::string(120, 'x') + "\n";  // arity 1
+  while (malformed.size() <= 2 * CsvChunkReader::kKeepBytes + 1000) {
+    malformed += record;
+  }
+  std::string csv = ToCsv(example.dirty);
+  const size_t third_line =
+      csv.find('\n', csv.find('\n', csv.find('\n') + 1) + 1) + 1;
+  csv.insert(third_line, malformed);
+  const std::string wal = TempPath("malformed_run.wal");
+  for (const OnErrorPolicy policy :
+       {OnErrorPolicy::kSkip, OnErrorPolicy::kQuarantine}) {
+    const std::string context = OnErrorPolicyName(policy);
+    // The whole-table reference.
+    VectorQuarantineSink want_csv;
+    VectorQuarantineSink want_tuples;
+    std::istringstream in(csv);
+    StatusOr<Table> table = ReadCsvLenient(
+        in, "stream", example.pool,
+        {policy, policy == OnErrorPolicy::kQuarantine ? &want_csv : nullptr});
+    ASSERT_TRUE(table.ok()) << context << ": " << table.status();
+    ASSERT_EQ(table->num_rows(), example.dirty.num_rows());
+    RepairConfig repair;
+    repair.on_error = policy;
+    repair.quarantine = &want_tuples;
+    ASSERT_TRUE(RepairSession(&example.rules, repair).Repair(&*table).ok());
+    const std::string want = ToCsv(table.value());
+
+    DurableConfig config{.chunk_rows = RepairConfig{}.chunk_rows,
+                         .on_error = policy,
+                         .wal_path = wal};
+    std::remove(wal.c_str());
+    std::vector<Diagnostic> csv_diags;
+    const StatusOr<DurableRun> full = RunDurableCsvQuarantine(
+        csv, example.pool, example.rules, config, &csv_diags);
+    ASSERT_TRUE(full.ok()) << context << ": " << full.status().message();
+    EXPECT_EQ(full->csv, want) << context;
+    ExpectSameDiagnostics(csv_diags, want_csv.diagnostics(), context);
+    const StatusOr<RecoveredRun> scanned = ScanWal(wal);
+    ASSERT_TRUE(scanned.ok()) << context;
+    const size_t chunks = scanned->chunks.size();
+    ASSERT_GE(chunks, 3u) << context;
+    EXPECT_TRUE(std::any_of(scanned->chunks.begin(), scanned->chunks.end(),
+                            [](const WalChunk& c) { return c.rows == 0; }))
+        << context;
+
+    // Hit 0 of wal.fsync is the header sync; skipping `kill` hits fails
+    // the kill-th chunk commit.
+    for (size_t kill = 1; kill <= chunks; ++kill) {
+      const std::string kill_context =
+          context + " kill=" + std::to_string(kill);
+      FaultRegistry::Global().Arm("wal.fsync", {.skip_hits = kill,
+                                                .max_fires = 1});
+      config.resume = false;
+      const StatusOr<DurableRun> crashed = RunDurableCsvQuarantine(
+          csv, example.pool, example.rules, config, &csv_diags);
+      FaultRegistry::Global().DisarmAll();
+      ASSERT_FALSE(crashed.ok()) << kill_context;
+      config.resume = true;
+      const StatusOr<DurableRun> resumed = RunDurableCsvQuarantine(
+          csv, example.pool, example.rules, config, &csv_diags);
+      ASSERT_TRUE(resumed.ok())
+          << kill_context << ": " << resumed.status().message();
+      EXPECT_EQ(resumed->csv, want) << kill_context;
+      ExpectSameDiagnostics(csv_diags, want_csv.diagnostics(), kill_context);
+      ExpectSameDiagnostics(resumed->tuple_diagnostics,
+                            want_tuples.diagnostics(), kill_context);
+    }
+  }
+  std::remove(wal.c_str());
+}
+
 // ------------------------------------------------- kill-and-resume harness --
 
 // The end-to-end version of the property above: a real fixrep_cli child
@@ -857,11 +939,96 @@ TEST_F(RecoveryTest, SigkilledChildResumesToIdenticalBytes) {
 #endif
 }
 
+#ifdef FIXREP_CLI_PATH
+// Noisy hosp rows (600, repeated `copies` times) and rules mined from
+// them. Every 13th record ends in CRLF, every 17th quotes its first
+// field: records a splice must render, not copy.
+struct SpliceInput {
+  std::string csv;
+  RuleSet rules;
+};
+
+SpliceInput MakeSpliceInput(size_t copies) {
+  HospOptions options;
+  options.rows = 600;
+  options.num_hospitals = 40;
+  const GeneratedData data = GenerateHosp(options);
+  Table dirty = data.clean;
+  InjectNoise(&dirty, ConstraintAttributes(*data.schema, data.fds), {});
+  RuleGenOptions rulegen;
+  rulegen.max_rules = 150;
+  SpliceInput input{"", GenerateRules(data.clean, dirty, data.fds, rulegen)};
+  const std::string plain = ToCsv(dirty);
+  const size_t body = plain.find('\n') + 1;
+  size_t record = 0;  // the header is record 0
+  for (size_t c = 0; c < copies; ++c) {
+    for (size_t at = c == 0 ? 0 : body; at < plain.size(); ++record) {
+      const size_t nl = plain.find('\n', at);
+      std::string line = plain.substr(at, nl - at);
+      at = nl + 1;
+      if (record > 0 && record % 17 == 0) {
+        line.insert(line.find(','), "\"");
+        line.insert(0, "\"");
+      }
+      if (record > 0 && record % 13 == 0) line += '\r';
+      input.csv += line + '\n';
+    }
+  }
+  return input;
+}
+
+// Kills a fixrep_cli `repair` (with `flags`, --wal) at each crash site on
+// the first, a middle and the last chunk, resumes it, and requires the
+// uninterrupted run's bytes. A resume replays the durable chunks from
+// their journaled deltas and splices their rows like any other chunk's.
+void ExpectKilledRunsResume(const std::string& cli, const std::string& csv,
+                            const RuleSet& rules, const std::string& flags) {
+  const std::string dirty_path = testing::TestTempPath("splice_dirty.csv");
+  const std::string rules_path = testing::TestTempPath("splice_rules.txt");
+  std::ofstream(dirty_path, std::ios::binary) << csv;
+  ASSERT_TRUE(TryWriteRulesFile(rules, rules_path).ok());
+  const std::string ref_path = testing::TestTempPath("splice_ref.csv");
+  const std::string out_path = testing::TestTempPath("splice_out.csv");
+  const std::string wal_path = testing::TestTempPath("splice.wal");
+  const auto run_cli = [&](const std::string& env, const std::string& more) {
+    const std::string command = env + " " + cli + " repair --rules " +
+                                rules_path + " --in " + dirty_path + " " +
+                                flags + " " + more + " >/dev/null 2>&1";
+    return std::system(command.c_str());
+  };
+  std::remove(wal_path.c_str());
+  ASSERT_EQ(run_cli("", "--out " + ref_path + " --wal " + wal_path), 0);
+  const std::string reference = ReadFileBytes(ref_path);
+  ASSERT_NE(reference, csv);
+  const StatusOr<RecoveredRun> scanned = ScanWal(wal_path);
+  ASSERT_TRUE(scanned.ok()) << scanned.status();
+  const size_t last = scanned->chunks.size() - 1;
+  for (const char* site : {"wal.crash_after_append", "wal.crash_before_commit",
+                           "wal.crash_after_commit"}) {
+    for (const size_t skip : {size_t{0}, last / 2, last}) {
+      const std::string context = std::string(site) + " " + flags +
+                                  " skip=" + std::to_string(skip);
+      std::remove(out_path.c_str());
+      std::remove(wal_path.c_str());
+      const int killed = run_cli("FIXREP_FAULT=" + std::string(site) +
+                                     ":skip=" + std::to_string(skip) +
+                                     ":max=1",
+                                 "--out " + out_path + " --wal " + wal_path);
+      ASSERT_TRUE(WIFSIGNALED(killed) ||
+                  (WIFEXITED(killed) && WEXITSTATUS(killed) != 0))
+          << context << ": child survived (" << killed << ")";
+      ASSERT_EQ(run_cli("", "--out " + out_path + " --wal " + wal_path +
+                                " --resume"),
+                0)
+          << context;
+      EXPECT_EQ(ReadFileBytes(out_path), reference) << context;
+    }
+  }
+}
+#endif
+
 // The same crashes over spliced output: a hosp input with quoted fields
-// and CRLF records, in chunks of 7 and 64 rows, killed at each crash
-// site on the first, a middle and the last chunk. A resume replays the
-// durable chunks from their journaled deltas and splices their rows
-// like any other chunk's, so it writes the uninterrupted run's bytes.
+// and CRLF records, in chunks of 7 and 64 rows.
 TEST_F(RecoveryTest, SigkilledSplicedRunsResumeToIdenticalBytes) {
 #ifndef FIXREP_CLI_PATH
   GTEST_SKIP() << "built without FIXREP_CLI_PATH";
@@ -873,80 +1040,31 @@ TEST_F(RecoveryTest, SigkilledSplicedRunsResumeToIdenticalBytes) {
   if (!std::ifstream(cli).good()) {
     GTEST_SKIP() << "fixrep_cli not built at " << cli;
   }
-  HospOptions options;
-  options.rows = 600;
-  options.num_hospitals = 40;
-  const GeneratedData data = GenerateHosp(options);
-  Table dirty = data.clean;
-  InjectNoise(&dirty, ConstraintAttributes(*data.schema, data.fds), {});
-  RuleGenOptions rulegen;
-  rulegen.max_rules = 150;
-  const RuleSet rules = GenerateRules(data.clean, dirty, data.fds, rulegen);
-  // Every 13th record ends in CRLF, every 17th quotes its first field:
-  // records the splice must render, not copy.
-  std::string csv;
-  {
-    const std::string plain = ToCsv(dirty);
-    size_t record = 0;
-    for (size_t at = 0; at < plain.size(); ++record) {
-      const size_t nl = plain.find('\n', at);
-      std::string line = plain.substr(at, nl - at);
-      at = nl + 1;
-      if (record > 0 && record % 17 == 0) {
-        line.insert(line.find(','), "\"");
-        line.insert(0, "\"");
-      }
-      if (record > 0 && record % 13 == 0) line += '\r';
-      csv += line + '\n';
-    }
+  const SpliceInput input = MakeSpliceInput(1);
+  for (const char* flags : {"--chunk-rows 7", "--chunk-rows 64"}) {
+    ExpectKilledRunsResume(cli, input.csv, input.rules, flags);
+    if (HasFatalFailure()) return;
   }
-  const std::string dirty_path = TempPath("splice_dirty.csv");
-  const std::string rules_path = TempPath("splice_rules.txt");
-  std::ofstream(dirty_path, std::ios::binary) << csv;
-  ASSERT_TRUE(TryWriteRulesFile(rules, rules_path).ok());
-  const std::string ref_path = TempPath("splice_ref.csv");
-  const std::string out_path = TempPath("splice_out.csv");
-  const std::string wal_path = TempPath("splice.wal");
+#endif
+}
 
-  for (const size_t chunk_rows : {size_t{7}, size_t{64}}) {
-    const auto run_cli = [&](const std::string& env,
-                             const std::string& flags) {
-      const std::string command =
-          env + " " + cli + " repair --rules " + rules_path + " --in " +
-          dirty_path + " --chunk-rows " + std::to_string(chunk_rows) + " " +
-          flags + " >/dev/null 2>&1";
-      return std::system(command.c_str());
-    };
-    std::remove(wal_path.c_str());
-    ASSERT_EQ(run_cli("", "--out " + ref_path + " --wal " + wal_path), 0);
-    const std::string reference = ReadFileBytes(ref_path);
-    ASSERT_NE(reference, csv);
-    const size_t last = (600 + chunk_rows - 1) / chunk_rows - 1;
-    for (const char* site : {"wal.crash_after_append",
-                             "wal.crash_before_commit",
-                             "wal.crash_after_commit"}) {
-      for (const size_t skip : {size_t{0}, last / 2, last}) {
-        const std::string context = std::string(site) +
-                                    " chunk_rows=" +
-                                    std::to_string(chunk_rows) +
-                                    " skip=" + std::to_string(skip);
-        std::remove(out_path.c_str());
-        std::remove(wal_path.c_str());
-        const int killed = run_cli("FIXREP_FAULT=" + std::string(site) +
-                                       ":skip=" + std::to_string(skip) +
-                                       ":max=1",
-                                   "--out " + out_path + " --wal " + wal_path);
-        ASSERT_TRUE(WIFSIGNALED(killed) ||
-                    (WIFEXITED(killed) && WEXITSTATUS(killed) != 0))
-            << context << ": child survived (" << killed << ")";
-        ASSERT_EQ(run_cli("", "--out " + out_path + " --wal " + wal_path +
-                                  " --resume"),
-                  0)
-            << context;
-        EXPECT_EQ(ReadFileBytes(out_path), reference) << context;
-      }
-    }
+// The default route (no --chunk-rows) on an input past twice the keep
+// bound: its chunks end at the reader's byte bound, not at a row count,
+// and a killed run still resumes to the uninterrupted bytes.
+TEST_F(RecoveryTest, SigkilledDefaultRouteResumesToIdenticalBytes) {
+#ifndef FIXREP_CLI_PATH
+  GTEST_SKIP() << "built without FIXREP_CLI_PATH";
+#else
+  if (!kFaultInjectionEnabled) {
+    GTEST_SKIP() << "built without FIXREP_ENABLE_FAULT_INJECTION";
   }
+  const std::string cli = FIXREP_CLI_PATH;
+  if (!std::ifstream(cli).good()) {
+    GTEST_SKIP() << "fixrep_cli not built at " << cli;
+  }
+  const SpliceInput input = MakeSpliceInput(18);
+  ASSERT_GT(input.csv.size(), 2 * CsvChunkReader::kKeepBytes);
+  ExpectKilledRunsResume(cli, input.csv, input.rules, "");
 #endif
 }
 

@@ -11,6 +11,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -397,6 +398,33 @@ TEST_F(WalTest, AtomicFileConcurrentWritersEachCommitOneWholeFile) {
         << "round " << round << ": " << published.size() << " bytes";
     EXPECT_EQ(DirEntries(), std::vector<std::string>{"shared.csv"});
   }
+}
+
+TEST_F(WalTest, AtomicFileAppendsPastSeveralWritebackStartsPublishInOrder) {
+  // Thousands of small gathered appends of odd sizes, so writeback starts
+  // land mid-piece and a last page is often partly written, interleaved
+  // with stream() writes: the published file is exactly the concatenation.
+  const std::string path = TempPath("appended.csv");
+  StatusOr<AtomicFile> out = AtomicFile::Create(path);
+  ASSERT_TRUE(out.ok()) << out.status().message();
+  std::string want;
+  std::string piece;
+  for (size_t i = 0; want.size() < (size_t{5} << 20) + 123; ++i) {
+    piece.assign(1 + (i * 7919) % 3001, static_cast<char>('a' + i % 26));
+    const std::string tail = std::to_string(i) + "\n";
+    const std::string_view pieces[] = {piece, "", tail};
+    ASSERT_TRUE(out->Append(pieces).ok()) << i;
+    want += piece + tail;
+    if (i % 97 == 0) {
+      out->stream() << "stream " << i << "\n";
+      want += "stream " + std::to_string(i) + "\n";
+    }
+  }
+  out->stream() << "last";
+  want += "last";
+  ASSERT_TRUE(out->Commit().ok());
+  EXPECT_EQ(ReadFileBytes(path), want);
+  EXPECT_EQ(DirEntries(), std::vector<std::string>{"appended.csv"});
 }
 
 TEST_F(WalTest, AtomicFileFaultsLeaveTheTargetUntouched) {
