@@ -342,12 +342,8 @@ void WriteRepairJson() {
       const uint64_t allocs_before = AllocationCount();
       RepairReport run_result;
       const double ms = TimedMs(label, [&] {
-        // A stream's chunks end at the reader's keep bound (1 MiB), so a
-        // whole-input chunk is read from the in-memory payload.
         StatusOr<CsvChunkReader> reader =
-            options.chunk_rows == RepairConfig::kWholeFile
-                ? CsvChunkReader::OpenBytes(csv, "bench", workload.data.pool)
-                : CsvChunkReader::Open(in, "bench", workload.data.pool);
+            CsvChunkReader::Open(in, "bench", workload.data.pool);
         const auto result = StreamRepair(run_image, options, nullptr, nullptr,
                                          &reader.value(), out);
         if (!result.ok() || result.value().rows != rows) {
@@ -449,18 +445,14 @@ void WriteRepairJson() {
   }
   std::remove(wal_path.c_str());
 
-  // Out-of-core spill: the whole input as one chunk whose cell blocks
-  // obey a resident budget of 8 blocks (comfortably above the 2-block
-  // working-set floor, so requested == effective and the regression
-  // gate's peak-vs-budget comparison is meaningful).
-  const size_t block_bytes =
-      RowStore::kRowsPerBlock * dup.num_columns() * sizeof(ValueId);
-  const size_t spill_budget = 8 * block_bytes;
-  RepairConfig spill_options;
-  spill_options.chunk_rows = RepairConfig::kWholeFile;  // the budget rules
-  spill_options.memory_budget_bytes = spill_budget;
-  const StreamCost spill_run =
-      stream_best_of("fig13_streaming_spill", input_csv, *image, spill_options);
+  // The most a stream's chunk cell block can take: a chunk read from a
+  // stream or file ends within kKeepBytes of input and a record is at
+  // least `arity` bytes. check_regression.py --journal holds every
+  // journaled chunk's cell_bytes to it.
+  const size_t chunk_cell_bound =
+      (CsvChunkReader::kKeepBytes +
+       RowStore::kRowsPerBlock * dup.num_columns()) *
+      sizeof(ValueId);
 
   // On-disk rule dictionary (rules/rule_dict.h): the same serial chase
   // through the image mapped from its file instead of compiled into
@@ -534,16 +526,15 @@ void WriteRepairJson() {
                 static_cast<double>(hot_hits + hot_misses);
   std::remove(dict_path.c_str());
 
-  // Corpus-scale dictionary under a memory budget: hosp data streamed
-  // in spill mode against a dictionary far larger than the budget —
-  // the working-set claim of docs/rules.md. Reduced scale by default;
-  // FIXREP_FULL_SCALE=1 (or FIXREP_RULEDICT_ROWS/_RULES) runs the
-  // 1M-row x 1M-rule version. The data, corpus, and CSV text are built
-  // and dropped before the measured region, and VmHWM is reset going
-  // in, so rss_delta_bytes is what the dictionary-backed spill run
-  // itself keeps resident — gated by check_regression.py --ruledict
-  // against dict_bytes (the corpus must NOT become resident) while the
-  // existing budget audit gates peak_resident_bytes.
+  // Corpus-scale dictionary, bounded memory: hosp data streamed from a
+  // file in byte-bounded chunks against a dictionary far larger than
+  // one chunk — the working-set claim of docs/rules.md. Reduced scale
+  // by default; FIXREP_FULL_SCALE=1 (or FIXREP_RULEDICT_ROWS/_RULES)
+  // runs the 1M-row x 1M-rule version. The data, corpus, and CSV text
+  // are built and dropped before the measured region, and VmHWM is
+  // reset going in, so rss_delta_bytes is what the dictionary-backed
+  // stream itself keeps resident — gated by check_regression.py
+  // --ruledict against dict_bytes (the corpus must NOT become resident).
   const ExperimentScale exp_scale = GetExperimentScale();
   const size_t budget_rows = EnvSizeT("FIXREP_RULEDICT_ROWS",
                                       exp_scale.full ? 1'000'000 : 60'000);
@@ -589,20 +580,13 @@ void WriteRepairJson() {
     if (!TryWriteCsvFile(dirty, scale_csv_path).ok()) std::abort();
   }
   const uint64_t scale_dict_bytes = FileBytes(scale_dict_path);
-  const size_t scale_block_bytes =
-      RowStore::kRowsPerBlock * dup.num_columns() * sizeof(ValueId);
-  // ~1/8 of the table stays resident, with a small floor above the
-  // 2-block working-set minimum so requested == effective.
-  const size_t scale_budget_bytes =
-      std::max(8 * scale_block_bytes,
-               budget_rows * dup.num_columns() * sizeof(ValueId) / 8);
   const bool rss_reset = ResetPeakRss();
   const uint64_t rss_before = ProcStatusBytes("VmRSS:");
   RepairReport budget_report;
   double budget_ms = 0;
-  // Best-of-3 (single spill-heavy runs swing double-digit percentages
-  // on a shared machine); the RSS window spans all three, which only
-  // tightens the resident-set claim.
+  // Best-of-3 (single runs swing double-digit percentages on a shared
+  // machine); the RSS window spans all three, which only tightens the
+  // resident-set claim.
   for (int i = 0; i < 3; ++i) {
     std::ifstream scale_in(scale_csv_path);
     auto scale_pool = std::make_shared<ValuePool>();
@@ -611,9 +595,8 @@ void WriteRepairJson() {
     if (!reader.ok()) std::abort();
     RepairConfig scale_config;
     // No row limit: read from the file, chunks end at the reader's 1 MiB
-    // keep bound, so resident cells stay under the budget.
+    // keep bound, so one chunk's cells are all that is resident.
     scale_config.chunk_rows = RepairConfig::kWholeFile;
-    scale_config.memory_budget_bytes = scale_budget_bytes;
     std::ofstream scale_out(scale_out_path,
                             std::ios::binary | std::ios::trunc);
     const double ms = TimedMs("fig13_dict_budget", [&] {
@@ -766,13 +749,8 @@ void WriteRepairJson() {
            static_cast<double>(wal_fsyncs) /
                std::max<double>(1.0, static_cast<double>(wal_run.result.chunks)));
   json.Set("streaming_wal", "wal_bytes", static_cast<double>(wal_bytes));
-  json.Set("streaming_spill", "ms", spill_run.cost.ms);
-  json.Set("streaming_spill", "rows_per_sec",
-           rows / (spill_run.cost.ms / 1e3));
-  json.Set("streaming_spill", "budget_bytes",
-           static_cast<double>(spill_budget));
-  json.Set("streaming_spill", "peak_resident_bytes",
-           static_cast<double>(spill_run.result.peak_resident_bytes));
+  json.Set("streaming_chunked", "chunk_cell_bound_bytes",
+           static_cast<double>(chunk_cell_bound));
   json.Set("ruledict_inram", "ms", dict_inram.ms);
   json.Set("ruledict_inram", "rows_per_sec", rows / (dict_inram.ms / 1e3));
   json.Set("ruledict_inram", "allocations", dict_inram.allocations);
@@ -795,10 +773,8 @@ void WriteRepairJson() {
            static_cast<double>(budget_report.cells_changed));
   json.Set("ruledict_budget", "dict_bytes",
            static_cast<double>(scale_dict_bytes));
-  json.Set("ruledict_budget", "budget_bytes",
-           static_cast<double>(scale_budget_bytes));
-  json.Set("ruledict_budget", "peak_resident_bytes",
-           static_cast<double>(budget_report.peak_resident_bytes));
+  json.Set("ruledict_budget", "peak_chunk_bytes",
+           static_cast<double>(budget_report.peak_chunk_bytes));
   json.Set("ruledict_budget", "hot_cache_bytes",
            static_cast<double>(hot_cache_bytes));
   json.Set("ruledict_budget", "rss_reset", rss_reset ? 1.0 : 0.0);

@@ -11,13 +11,6 @@ scheduler noise between runs, while the regressions this guards against
 the same file), but finding *no* comparable entry at all is an error —
 that means the check compared the wrong files.
 
-Additionally audits the out-of-core sections of the *current* run: any
-section reporting both budget_bytes and peak_resident_bytes (the
-streaming_spill workload) fails the check when the peak resident set
-exceeds the requested budget by more than --rss-tolerance (default 15%)
-— the spill machinery must actually honor its memory budget, not just
-stay fast.
-
 With --wal, additionally audits the durable-streaming section of the
 *current* run: streaming_wal (the chunked pipeline journaling every
 committed chunk to a write-ahead log, docs/durability.md) must keep its
@@ -35,11 +28,10 @@ of ruledict_inram, the same chase over the heap image (the same
 FXRDICT bytes compiled into memory) measured seconds earlier in the
 same process — mapping the image from a file must cost (nearly)
 nothing once warm. And ruledict_budget (corpus-scale
-dictionary streamed under a spill budget) must keep the RSS the run
-itself added (rss_delta_bytes, measured from a reset VmHWM) below its
-dictionary's file size — the corpus must stay on disk, not become
-resident; its peak_resident_bytes/budget_bytes pair is gated by the
-standing memory-budget audit like any spilled section.
+dictionary, hosp data streamed from a file in byte-bounded chunks) must
+keep the RSS the run itself added (rss_delta_bytes, measured from a
+reset VmHWM) below its dictionary's file size — the corpus must stay on
+disk, not become resident.
 
 With --daemon, additionally audits the daemon_overhead section of the
 *current* run (docs/serving.md): daemon_rows_per_sec (the hosp batch
@@ -56,15 +48,21 @@ run wrote (FIXREP_TELEMETRY_OUT, see docs/observability.md): every line
 must be a JSON object carrying "event" and "t_ms", the journal must open
 with journal_open and contain at least one heartbeat, t_ms and the
 heartbeat rows counter must be nondecreasing, chunk rows_total must be
-nondecreasing within each streaming section, and any sample reporting a
-spill budget must keep peak_resident_bytes within the same
---rss-tolerance gate as the BENCH_repair.json audit.
+nondecreasing within each streaming section, and every chunk's
+cell_bytes (its cell block, RowStore::bytes) must stay within the
+current run's streaming_chunked.chunk_cell_bound_bytes: a chunk read
+from a stream or file ends within CsvChunkReader::kKeepBytes of input
+and a record is at least `arity` bytes, so its cell block holds at most
+(kKeepBytes + kRowsPerBlock * arity) cells however long the input is.
+Every bench section streams from an istream or a file; a payload read
+with CsvChunkReader::OpenBytes and no row limit is one chunk, O(payload),
+and must not be journaled into this audit.
 
 Usage:
   check_regression.py --baseline BENCH_repair.json \
                       --current build/BENCH_repair.json \
                       [--journal build/BENCH_telemetry.jsonl] \
-                      [--tolerance 0.25] [--rss-tolerance 0.15]
+                      [--tolerance 0.25]
 
 Or via the CMake target, which regenerates the current file first:
   cmake --build build --target check_perf_regression
@@ -85,9 +83,11 @@ def load(path):
         sys.exit(f"check_regression: {path} is not valid JSON: {e}")
 
 
-def check_journal(path, rss_tolerance):
-    """Schema/monotonicity audit of a telemetry journal. Returns a list
-    of failure strings (empty = pass)."""
+def check_journal(path, cell_bound):
+    """Schema/monotonicity/chunk-bound audit of a telemetry journal.
+    `cell_bound` is the largest allowed chunk cell_bytes (None: not
+    reported by the current run, so unchecked). Returns a list of
+    failure strings (empty = pass)."""
     failures = []
     events = []
     try:
@@ -118,6 +118,7 @@ def check_journal(path, rss_tolerance):
     last_rows = 0
     last_chunk_index = 0
     last_rows_total = 0
+    peak_cell_bytes = 0
     for lineno, event in events:
         t_ms = event["t_ms"]
         if t_ms < last_t_ms:
@@ -136,7 +137,7 @@ def check_journal(path, rss_tolerance):
                                 f"backwards ({rows} < {last_rows})")
             last_rows = rows
         elif kind == "chunk":
-            for key in ("index", "rows", "rows_total"):
+            for key in ("index", "rows", "rows_total", "cell_bytes"):
                 if key not in event:
                     failures.append(f"line {lineno}: chunk lacks {key}")
             index = event.get("index", 0)
@@ -149,22 +150,21 @@ def check_journal(path, rss_tolerance):
                                 f"({rows_total} < {last_rows_total})")
             last_chunk_index = index
             last_rows_total = rows_total
-        # Any sample reporting a spill budget must honor it — the same
-        # gate the BENCH_repair.json audit applies.
-        budget = event.get("budget_bytes", 0)
-        peak = event.get("peak_resident_bytes")
-        if budget > 0 and peak is not None:
-            if peak / budget > 1.0 + rss_tolerance:
-                over = (peak / budget - 1.0) * 100.0
-                failures.append(f"line {lineno}: peak resident "
-                                f"{peak:,.0f} B exceeds budget "
-                                f"{budget:,.0f} B ({over:+.1f}%)")
+            cell_bytes = event.get("cell_bytes", 0)
+            peak_cell_bytes = max(peak_cell_bytes, cell_bytes)
+            if cell_bound is not None and cell_bytes > cell_bound:
+                failures.append(f"line {lineno}: chunk cell block "
+                                f"{cell_bytes:,.0f} B exceeds the keep "
+                                f"bound's {cell_bound:,.0f} B")
     if heartbeats == 0:
         failures.append("journal contains no heartbeat events — was the "
                         "sampler running?")
     if not failures:
+        bound_note = ("chunk bound not reported" if cell_bound is None else
+                      f"chunk cell blocks <= {peak_cell_bytes:,.0f} B "
+                      f"(bound {cell_bound:,.0f} B)")
         print(f"   journal  {path}: {len(events)} events, "
-              f"{heartbeats} heartbeats, monotone, budgets honored")
+              f"{heartbeats} heartbeats, monotone, {bound_note}")
     return failures
 
 
@@ -176,10 +176,6 @@ def main():
                         help="freshly generated BENCH_repair.json")
     parser.add_argument("--tolerance", type=float, default=0.25,
                         help="allowed fractional rows/s drop (default 0.25)")
-    parser.add_argument("--rss-tolerance", type=float, default=0.15,
-                        help="allowed fractional overshoot of "
-                             "peak_resident_bytes over budget_bytes "
-                             "(default 0.15)")
     parser.add_argument("--wal", action="store_true",
                         help="audit the streaming_wal section: rows/s "
                              "within --wal-tolerance of "
@@ -211,7 +207,7 @@ def main():
     parser.add_argument("--journal", default=None,
                         help="telemetry journal (JSONL) written by the "
                              "current bench run; checked for schema, "
-                             "monotonicity, and the budget gate")
+                             "monotonicity, and the chunk cell bound")
     args = parser.parse_args()
 
     baseline = load(args.baseline)
@@ -241,26 +237,6 @@ def main():
             print(f"{status:>10}  {section}.{key}: "
                   f"baseline {base_value:,.0f} rows/s, "
                   f"current {cur_value:,.0f} rows/s ({delta:+.1f}%)")
-
-    # Memory-budget audit: the current run's spilled workloads must keep
-    # their peak resident set within the budget they were asked to honor.
-    rss_failures = []
-    for section in sorted(current):
-        entries = current[section]
-        if not isinstance(entries, dict):
-            continue
-        budget = entries.get("budget_bytes")
-        peak = entries.get("peak_resident_bytes")
-        if budget is None or peak is None or budget <= 0:
-            continue
-        ratio = peak / budget
-        over = (ratio - 1.0) * 100.0
-        status = "ok"
-        if ratio > 1.0 + args.rss_tolerance:
-            status = "RSS OVER BUDGET"
-            rss_failures.append((section, budget, peak, over))
-        print(f"{status:>10}  {section}: budget {budget:,.0f} B, "
-              f"peak resident {peak:,.0f} B ({over:+.1f}%)")
 
     # WAL-overhead audit: durable streaming must stay within
     # --wal-tolerance of the no-WAL stream, and each chunk must cost one
@@ -353,9 +329,8 @@ def main():
                     f"into memory")
             print(f"{status:>10}  ruledict_budget: rss delta "
                   f"{rss_delta:,.0f} B vs dictionary "
-                  f"{dict_bytes:,.0f} B ({ratio:.2f}x), table peak "
-                  f"{budget.get('peak_resident_bytes', 0):,.0f} B "
-                  f"under budget {budget.get('budget_bytes', 0):,.0f} B")
+                  f"{dict_bytes:,.0f} B ({ratio:.2f}x), chunk cell "
+                  f"block {budget.get('peak_chunk_bytes', 0):,.0f} B")
 
     # Daemon audit: the serve stack (socket round trip, framing, CSV
     # re-parse) must stay a thin veneer over the direct repair path and
@@ -388,7 +363,9 @@ def main():
 
     journal_failures = []
     if args.journal is not None:
-        journal_failures = check_journal(args.journal, args.rss_tolerance)
+        cell_bound = current.get("streaming_chunked", {}).get(
+            "chunk_cell_bound_bytes")
+        journal_failures = check_journal(args.journal, cell_bound)
 
     if checked == 0:
         sys.exit("check_regression: no rows_per_sec entries in common — "
@@ -428,17 +405,6 @@ def main():
             print(f"  {failure}")
         print("=" * 64)
         sys.exit(1)
-    if rss_failures:
-        print()
-        print("=" * 64)
-        print(f"MEMORY BUDGET VIOLATION: {len(rss_failures)} spilled "
-              f"workload(s) exceeded their resident budget by more than "
-              f"{args.rss_tolerance:.0%}:")
-        for section, budget, peak, over in rss_failures:
-            print(f"  {section}: budget {budget:,.0f} B, peak "
-                  f"{peak:,.0f} B ({over:+.1f}%)")
-        print("=" * 64)
-        sys.exit(1)
     if failures:
         print()
         print("=" * 64)
@@ -456,8 +422,7 @@ def main():
     wal_note = "" if not args.wal else (
         f"; WAL overhead within {args.wal_tolerance:.0%}")
     print(f"perf check passed: {checked} throughput entries within "
-          f"{args.tolerance:.0%} of baseline; memory budgets within "
-          f"{args.rss_tolerance:.0%}{wal_note}{journal_note}")
+          f"{args.tolerance:.0%} of baseline{wal_note}{journal_note}")
 
 
 if __name__ == "__main__":

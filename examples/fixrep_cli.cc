@@ -28,7 +28,6 @@
 //   fixrep_cli repair    --rules rules.txt --in dirty.csv --out fixed.csv
 //                        [--engine lrepair|crepair] [--threads N]
 //                        [--no-memo] [--log] [--chunk-rows N]
-//                        [--memory-budget SIZE]
 //                        [--on-error=abort|skip|quarantine]
 //                        [--quarantine-out q.csv] [--max-chase-steps N]
 //                        [--wal wal.bin] [--resume]
@@ -67,11 +66,6 @@
 //                        one line per cell write before the report, e.g.
 //                        "row 1 capital: 'Shanghai' -> 'Beijing' by
 //                        rule #0" (not with --wal).
-//                        --memory-budget=64MB (K/M/G suffixes) spills
-//                        chunk cell blocks past the budget to a
-//                        temp-backed mmap file; without --chunk-rows a
-//                        chunk has no row limit and ends only at 1 MiB of
-//                        input.
 //                        --wal journals every committed chunk to a
 //                        write-ahead log (lrepair only), fsynced before
 //                        the chunk's rows are emitted, so it commits at
@@ -709,14 +703,8 @@ int Repair(const Args& args) {
 
   RepairConfig config = ConfigFromArgs(args, policy);
   config.quarantine = quarantining ? &tuple_sink : nullptr;
-  for (const char* key : {"memory-budget", "chunk-rows", "wal", "resume"}) {
+  for (const char* key : {"chunk-rows", "wal", "resume"}) {
     if (args.Has(key)) ApplyConfigFlag(args, key, &config);
-  }
-  if (!args.Has("chunk-rows") && config.memory_budget_bytes > 0) {
-    // A budget with no explicit chunking means "let the spill file, not
-    // the chunk size, bound memory": no row limit, so chunks end only at
-    // the reader's keep bound.
-    config.chunk_rows = RepairConfig::kWholeFile;
   }
   if (config.resume && config.wal_path.empty()) {
     std::cerr << "--resume requires --wal=PATH\n";
@@ -781,11 +769,6 @@ int Repair(const Args& args) {
     std::cout << (config.resume ? "resumed via" : "journaled to") << " WAL "
               << config.wal_path << " (" << result.chunks
               << " durable chunks)\n";
-  }
-  if (config.memory_budget_bytes > 0) {
-    std::cout << "memory budget " << config.memory_budget_bytes
-              << " bytes: peak resident cell blocks "
-              << result.peak_resident_bytes << " bytes\n";
   }
   if (policy != OnErrorPolicy::kAbort) {
     const auto* rows_counter =
@@ -1282,8 +1265,8 @@ const std::vector<Command>& Commands() {
       {"repair", Repair,
        {"rules", "rules-dict", "in", "out", "engine", "threads", "shards",
         "no-memo", "memo-capacity", "max-chase-steps", "on-error",
-        "quarantine-out", "chunk-rows", "memory-budget", "wal", "resume",
-        "log", "stream"}},
+        "quarantine-out", "chunk-rows", "wal", "resume", "log",
+        "stream"}},
       {"audit", Audit, {"wal", "rules"}},
       {"rollback", Rollback, {"wal", "rules", "rule", "in", "out"}},
       {"eval", Eval, {"truth", "dirty", "repaired"}},

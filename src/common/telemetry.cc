@@ -189,11 +189,6 @@ void HeartbeatSampler::Sample(bool final_sample) {
   const int64_t chunk = gauge("fixrep.progress.chunk");
   const int64_t input_read = gauge("fixrep.progress.input_bytes_read");
   const int64_t input_total = gauge("fixrep.progress.input_bytes_total");
-  const int64_t resident = gauge("fixrep.progress.resident_bytes");
-  const int64_t peak_resident = gauge("fixrep.progress.peak_resident_bytes");
-  const int64_t budget = gauge("fixrep.progress.budget_bytes");
-  const int64_t spilled_blocks = gauge("fixrep.progress.spilled_blocks");
-  const int64_t spill_file = gauge("fixrep.progress.spill_file_bytes");
 
   if (options_.journal != nullptr) {
     TelemetryEvent event("heartbeat");
@@ -205,13 +200,6 @@ void HeartbeatSampler::Sample(bool final_sample) {
     if (chunk > 0) event.Set("chunk", chunk);
     if (input_read > 0) event.Set("input_bytes_read", input_read);
     if (input_total > 0) event.Set("input_bytes_total", input_total);
-    if (budget > 0 || resident > 0) {
-      event.Set("resident_bytes", resident)
-          .Set("peak_resident_bytes", peak_resident)
-          .Set("budget_bytes", budget)
-          .Set("spilled_blocks", spilled_blocks)
-          .Set("spill_file_bytes", spill_file);
-    }
     // Registry delta: counters that moved since the previous heartbeat,
     // namespaced so replay tools can ignore or aggregate them.
     for (const auto& [name, value] : counters) {
@@ -242,19 +230,11 @@ void HeartbeatSampler::Sample(bool final_sample) {
                       static_cast<long long>(chunk));
       }
     }
-    char residency[96] = "";
-    if (budget > 0) {
-      std::snprintf(residency, sizeof(residency),
-                    " | resident %.1f/%.1f MB",
-                    static_cast<double>(resident) / (1024.0 * 1024.0),
-                    static_cast<double>(budget) / (1024.0 * 1024.0));
-    }
     char line[256];
     std::snprintf(line, sizeof(line),
-                  "\r[fixrep] %s | rows %llu (%.1fk rows/s)%s",
+                  "\r[fixrep] %s | rows %llu (%.1fk rows/s)",
                   chunk_part[0] != '\0' ? chunk_part : "starting",
-                  static_cast<unsigned long long>(rows), rows_per_s / 1000.0,
-                  residency);
+                  static_cast<unsigned long long>(rows), rows_per_s / 1000.0);
     out << line;
     progress_line_open_ = true;
     if (final_sample) {

@@ -21,7 +21,7 @@
 // carrying {"event": <type>, "t_ms": <ms since journal open>}; the
 // journal interleaves heartbeat samples with span_open/span_close and
 // per-chunk events so a finished run replays offline into per-chunk
-// rows/s and peak-resident curves (see docs/observability.md for the
+// rows/s and peak-RSS curves (see docs/observability.md for the
 // schema and bench/check_regression.py --journal for the checker).
 
 namespace fixrep {

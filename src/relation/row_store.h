@@ -3,16 +3,12 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <memory>
 #include <vector>
 
-#include "common/status.h"
 #include "relation/tuple_ref.h"
 #include "relation/value_pool.h"
 
 namespace fixrep {
-
-struct RowStoreSpill;
 
 // Flat columnar-friendly row store: every cell of every row lives in one
 // contiguous std::vector<ValueId>, row-major and arity-strided — row i
@@ -29,78 +25,38 @@ struct RowStoreSpill;
 // Views handed out by row()/WriteRow() point into the cell vector; an
 // append may reallocate and invalidate them (see tuple_ref.h lifetime
 // rules). In-place cell writes never invalidate anything.
-//
-// Out-of-core mode (EnableSpill, docs/storage.md): cells live in
-// kRowsPerBlock-row heap blocks instead of one vector; full blocks past
-// a resident byte budget are written to a temp-backed BlockFile and
-// mmap'd read-only back in on demand, with LRU eviction of unpinned
-// blocks. Reads are transparent (a read of a spilled row maps its
-// block); writes require the block to be resident-writable — sequential
-// writers get that automatically (the first write to a block loads it
-// back), and block-wise drivers use MakeBlockWritable/PinBlock to hold a
-// block in place for the duration of a chase. Spill-mode view lifetime:
-// a row view stays valid until the next *state transition* of its block
-// (eviction, load-for-write); transitions only happen inside this
-// class's slow paths, never during plain reads/writes of an addressable
-// block.
 class RowStore {
  public:
   // Rows per allocation block. 4096 rows * arity cells keeps growth
-  // infrequent without over-reserving small tables, and makes every
-  // spill block a page-aligned arity*16KiB.
+  // infrequent without over-reserving small tables.
   static constexpr size_t kRowsPerBlock = 4096;
 
-  explicit RowStore(size_t arity);
-  ~RowStore();
-
-  // Copying an out-of-core store is disallowed (it would defeat the
-  // budget); flat stores copy as before.
-  RowStore(const RowStore& other);
-  RowStore& operator=(const RowStore& other);
-  RowStore(RowStore&&) noexcept;
-  RowStore& operator=(RowStore&&) noexcept;
+  explicit RowStore(size_t arity) : arity_(arity) {}
 
   size_t arity() const { return arity_; }
   size_t num_rows() const { return num_rows_; }
   // Rows the store can hold before the next (block-aligned) reallocation.
   size_t capacity_rows() const {
-    if (spill_ != nullptr) return RoundUpToBlock(num_rows_);
     return arity_ == 0 ? 0 : cells_.capacity() / arity_;
   }
 
   TupleRef row(size_t i) const {
-    if (spill_ == nullptr) {
-      return TupleRef(cells_.data() + i * arity_, arity_);
-    }
-    return TupleRef(SpillReadPtr(i), arity_);
+    return TupleRef(cells_.data() + i * arity_, arity_);
   }
   TupleSpan WriteRow(size_t i) {
-    if (spill_ == nullptr) {
-      return TupleSpan(cells_.data() + i * arity_, arity_);
-    }
-    return TupleSpan(SpillWritePtr(i), arity_);
+    return TupleSpan(cells_.data() + i * arity_, arity_);
   }
 
   ValueId cell(size_t row, size_t attr) const {
-    if (spill_ == nullptr) return cells_[row * arity_ + attr];
-    return SpillReadPtr(row)[attr];
+    return cells_[row * arity_ + attr];
   }
   void WriteCell(size_t row, size_t attr, ValueId value) {
-    if (spill_ == nullptr) {
-      cells_[row * arity_ + attr] = value;
-      return;
-    }
-    SpillWritePtr(row)[attr] = value;
+    cells_[row * arity_ + attr] = value;
   }
 
   // Copies `row` (size must equal arity — checked by the caller) onto the
   // end of the store.
   void AppendRow(TupleRef row) {
-    if (spill_ != nullptr) {
-      TupleSpan dst = SpillAppendUninit();
-      dst.CopyFrom(row);
-      return;
-    }
     GrowForAppend();
     cells_.insert(cells_.end(), row.begin(), row.end());
     ++num_rows_;
@@ -109,67 +65,26 @@ class RowStore {
   // Appends an uninitialized row and returns a span to fill in. The span
   // is valid until the next append.
   TupleSpan AppendRowUninit() {
-    if (spill_ != nullptr) return SpillAppendUninit();
     GrowForAppend();
     cells_.resize(cells_.size() + arity_, kNullValue);
     ++num_rows_;
     return WriteRow(num_rows_ - 1);
   }
 
-  // Pre-sizes for `rows` rows, rounded up to a whole block. No-op in
-  // spill mode (blocks are allocated one at a time by design).
+  // Pre-sizes for `rows` rows, rounded up to a whole block.
   void Reserve(size_t rows) {
-    if (spill_ != nullptr) return;
     cells_.reserve(RoundUpToBlock(rows) * arity_);
   }
 
   // Drops all rows but keeps the allocation — the streaming pipeline
-  // reuses one chunk store (and, in spill mode, one spill file) across
-  // chunks.
-  void Clear();
-
-  // Heap footprint of the cell storage in bytes (spill mode: resident
-  // blocks only — the number the budget governs).
-  size_t bytes() const;
-
-  // ------------------------------------------------------- spill mode --
-  // Switches this (empty) store out-of-core: appends fill one writable
-  // tail block at a time, and completed blocks beyond
-  // `resident_budget_bytes` of resident cells spill to a temp-backed
-  // mmap file. A budget of 0 keeps every block resident (spill machinery
-  // on, eviction off). The effective budget never drops below the
-  // working-set floor (tail + one in-flight block + pinned blocks), so
-  // tiny budgets degrade to "spill everything else" rather than
-  // deadlock.
-  Status EnableSpill(size_t resident_budget_bytes);
-  bool spilling() const { return spill_ != nullptr; }
-
-  // Blocks covering num_rows(); the last one may be partial.
-  size_t num_blocks() const {
-    return (num_rows_ + kRowsPerBlock - 1) / kRowsPerBlock;
-  }
-  size_t rows_in_block(size_t block) const {
-    return std::min(kRowsPerBlock, num_rows_ - block * kRowsPerBlock);
+  // reuses one chunk store across chunks.
+  void Clear() {
+    num_rows_ = 0;
+    cells_.clear();
   }
 
-  // Pins make a block addressable and exempt from eviction until the
-  // matching UnpinBlock — how a chase keeps its TupleRef/TupleSpan views
-  // valid while other blocks page in and out. Pins nest.
-  void PinBlock(size_t block);
-  void UnpinBlock(size_t block);
-
-  // Loads `block` into writable heap memory (reading it back from the
-  // spill file if needed) so row writes in it are plain stores. Implied
-  // by the first WriteRow/WriteCell touching the block; block-wise
-  // drivers call it up front so the per-row path never transitions.
-  void MakeBlockWritable(size_t block);
-
-  // Spill-mode telemetry (all 0 for flat stores).
-  size_t resident_bytes() const;
-  size_t peak_resident_bytes() const;
-  size_t effective_budget_bytes() const;
-  size_t spilled_blocks() const;   // blocks currently on disk only
-  size_t spill_file_bytes() const;
+  // Heap footprint of the cell storage in bytes.
+  size_t bytes() const { return cells_.capacity() * sizeof(ValueId); }
 
  private:
   static size_t RoundUpToBlock(size_t rows) {
@@ -187,17 +102,9 @@ class RowStore {
     cells_.reserve((want + align - 1) / align * align * arity_);
   }
 
-  // Out-of-line spill paths (row_store.cc). Read/Write fast-path on an
-  // addressable block without touching shared state; the slow paths
-  // (map, load-for-write, evict) serialize on the spill mutex.
-  const ValueId* SpillReadPtr(size_t row) const;
-  ValueId* SpillWritePtr(size_t row);
-  TupleSpan SpillAppendUninit();
-
   size_t arity_;
   size_t num_rows_ = 0;
   std::vector<ValueId> cells_;
-  std::unique_ptr<RowStoreSpill> spill_;
 };
 
 }  // namespace fixrep

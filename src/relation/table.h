@@ -76,13 +76,7 @@ class Table {
   // Drops all rows, keeping the allocation (streaming chunk reuse).
   void Clear() { store_.Clear(); }
 
-  // Switches this (empty) table's row store out-of-core with the given
-  // resident budget; see RowStore::EnableSpill.
-  Status EnableSpill(size_t resident_budget_bytes) {
-    return store_.EnableSpill(resident_budget_bytes);
-  }
-  // Direct store access for block-wise drivers (pinning, telemetry).
-  RowStore& store() { return store_; }
+  // Direct store access (telemetry reads the cell block's size).
   const RowStore& store() const { return store_; }
 
   // True when both tables hold identical cells in identical order

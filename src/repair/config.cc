@@ -3,7 +3,6 @@
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
-#include <limits>
 #include <optional>
 
 #include "common/quarantine.h"
@@ -46,34 +45,6 @@ Status BadValue(const std::string& key, const std::string& value,
 }
 
 }  // namespace
-
-bool ParseByteSize(const std::string& text, size_t* bytes) {
-  // Digits first: strtoull would skip blanks and wrap "-1".
-  if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0]))) {
-    return false;
-  }
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  if (errno == ERANGE) return false;
-  std::string suffix(end);
-  if (!suffix.empty() && (suffix.back() == 'B' || suffix.back() == 'b')) {
-    suffix.pop_back();
-  }
-  size_t scale = 1;
-  if (suffix == "K" || suffix == "k") {
-    scale = size_t{1} << 10;
-  } else if (suffix == "M" || suffix == "m") {
-    scale = size_t{1} << 20;
-  } else if (suffix == "G" || suffix == "g") {
-    scale = size_t{1} << 30;
-  } else if (!suffix.empty()) {
-    return false;
-  }
-  if (value > std::numeric_limits<size_t>::max() / scale) return false;
-  *bytes = static_cast<size_t>(value) * scale;
-  return true;
-}
 
 Status ParseRepairConfig(const std::string& key, const std::string& value,
                          RepairConfig* config) {
@@ -154,14 +125,6 @@ Status ParseRepairConfig(const std::string& key, const std::string& value,
     config->chunk_rows = rows;
     return Status::Ok();
   }
-  if (key == "memory-budget") {
-    size_t bytes = 0;
-    if (!ParseByteSize(value, &bytes) || bytes == 0) {
-      return BadValue(key, value, "e.g. 64MB, 512K, 1G");
-    }
-    config->memory_budget_bytes = bytes;
-    return Status::Ok();
-  }
   if (key == "wal") {
     if (value.empty()) return BadValue(key, value, "a log path");
     config->wal_path = value;
@@ -208,18 +171,13 @@ std::vector<std::pair<std::string, std::string>> FormatRepairConfig(
                          ? "whole-file"
                          : std::to_string(config.chunk_rows));
   }
-  if (config.memory_budget_bytes != defaults.memory_budget_bytes) {
-    out.emplace_back("memory-budget",
-                     std::to_string(config.memory_budget_bytes));
-  }
   if (!config.wal_path.empty()) out.emplace_back("wal", config.wal_path);
   if (config.resume) out.emplace_back("resume", "true");
   return out;
 }
 
 bool RepairConfigKeyIsSessionLocal(const std::string& key) {
-  return key == "chunk-rows" || key == "memory-budget" || key == "wal" ||
-         key == "resume";
+  return key == "chunk-rows" || key == "wal" || key == "resume";
 }
 
 }  // namespace fixrep

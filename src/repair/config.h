@@ -12,14 +12,10 @@
 // `repair` verb and the daemon's wire-request config headers, so a knob
 // behaves identically no matter which surface set it (docs/api.md).
 // Keys mirror the CLI flag names (engine, threads, shards, memo,
-// no-memo, memo-capacity, on-error, max-chase-steps, chunk-rows,
-// memory-budget, wal, resume).
+// no-memo, memo-capacity, on-error, max-chase-steps, chunk-rows, wal,
+// resume).
 
 namespace fixrep {
-
-// Parses "64MB" / "512K" / "1G" / plain bytes into a byte count.
-// Returns false on garbage.
-bool ParseByteSize(const std::string& text, size_t* bytes);
 
 // Applies one key=value setting to `config`. Boolean keys accept an
 // empty value (flag style) or true/false/1/0/on/off/yes/no. Unknown
@@ -38,8 +34,8 @@ std::vector<std::pair<std::string, std::string>> FormatRepairConfig(
     const RepairConfig& config);
 
 // True for keys that only make sense for a local stream and are
-// rejected by the daemon (the server owns durability and memory
-// policy): chunk-rows, memory-budget, wal, resume.
+// rejected by the daemon (the server owns durability and chunking):
+// chunk-rows, wal, resume.
 bool RepairConfigKeyIsSessionLocal(const std::string& key);
 
 }  // namespace fixrep

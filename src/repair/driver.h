@@ -45,8 +45,6 @@ namespace fixrep {
 // config.quarantine, and the write captures are appended to the write
 // log in row order. Every width and routing therefore yields the bytes,
 // diagnostics, write log and chase counters of a one-slot run.
-// Multi-slot runs need the rows' blocks resident: the stream pins a
-// spilling table's blocks one at a time.
 class RepairDriver {
  public:
   // `dict` is borrowed, bound, and must outlive the driver.

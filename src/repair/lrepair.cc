@@ -367,9 +367,6 @@ void FastRepairer::RepairRows(Table* table, size_t begin, size_t end) {
       const TupleRef t = table->row(r);
       FIXREP_CHECK_EQ(t.size(), arity);
       for (const AttrId a : ev_attrs) {
-        // The value is packed into the key right here — row views must
-        // not be held across later row() / WriteRow() calls, which can
-        // recycle spilled blocks.
         const ValueId v = t[a];
         if (v == kNullValue) continue;
         probe_keys_.push_back(source_.ProbeKey(a, v));

@@ -68,12 +68,9 @@ struct RepairConfig {
   // Rows per chunk. kWholeFile sets no row limit: a chunk read from a
   // stream or file then ends only at the reader's keep bound
   // (CsvChunkReader::kKeepBytes of input), an in-memory payload is one
-  // chunk (with a memory budget, spilling, not chunking, bounds RAM).
+  // chunk (so its RAM is O(payload)).
   static constexpr size_t kWholeFile = ~size_t{0};
   size_t chunk_rows = size_t{64} * 1024;
-  // > 0: chunk cell blocks past this many resident bytes spill to a
-  // temp-backed mmap file (relation/row_store.h).
-  size_t memory_budget_bytes = 0;
 
   // --- durability (docs/durability.md) ---
   // Non-empty: journal every committed chunk of RepairStream to this
@@ -95,7 +92,8 @@ struct RepairReport {
   size_t tuples_quarantined = 0;
   // Streaming only:
   size_t chunks = 0;
-  size_t peak_resident_bytes = 0;  // spill mode high-water mark
+  // The largest chunk cell block (RowStore::bytes) the stream held.
+  size_t peak_chunk_bytes = 0;
 };
 
 class RepairSession {

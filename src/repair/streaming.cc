@@ -31,22 +31,12 @@ constexpr size_t kProgressStride = 2048;
 struct LiveProgress {
   Counter* rows = nullptr;
   Gauge* chunk = nullptr;
-  Gauge* resident = nullptr;
-  Gauge* peak_resident = nullptr;
-  Gauge* budget = nullptr;
-  Gauge* spilled_blocks = nullptr;
-  Gauge* spill_file = nullptr;
   Gauge* input_bytes = nullptr;
   size_t pending_rows = 0;
 
   explicit LiveProgress(MetricsRegistry* registry) {
     rows = registry->GetCounter("fixrep.progress.rows");
     chunk = registry->GetGauge("fixrep.progress.chunk");
-    resident = registry->GetGauge("fixrep.progress.resident_bytes");
-    peak_resident = registry->GetGauge("fixrep.progress.peak_resident_bytes");
-    budget = registry->GetGauge("fixrep.progress.budget_bytes");
-    spilled_blocks = registry->GetGauge("fixrep.progress.spilled_blocks");
-    spill_file = registry->GetGauge("fixrep.progress.spill_file_bytes");
     input_bytes = registry->GetGauge("fixrep.progress.input_bytes_read");
   }
 
@@ -59,14 +49,6 @@ struct LiveProgress {
     if (pending_rows == 0) return;
     rows->Add(pending_rows);
     pending_rows = 0;
-  }
-
-  void PublishResidency(const RowStore& store) {
-    resident->Set(static_cast<int64_t>(store.resident_bytes()));
-    peak_resident->Set(static_cast<int64_t>(store.peak_resident_bytes()));
-    budget->Set(static_cast<int64_t>(store.effective_budget_bytes()));
-    spilled_blocks->Set(static_cast<int64_t>(store.spilled_blocks()));
-    spill_file->Set(static_cast<int64_t>(store.spill_file_bytes()));
   }
 };
 
@@ -137,15 +119,13 @@ StatusOr<RepairReport> StreamRepair(const RuleDict& dict,
   FIXREP_LOG(Debug) << "streaming repair" << Kv("chunk_rows", config.chunk_rows)
                     << Kv("threads", config.threads)
                     << Kv("shards", config.shards)
-                    << Kv("rules", dict.num_rules())
-                    << Kv("budget_bytes", config.memory_budget_bytes);
+                    << Kv("rules", dict.num_rules());
 
   // One driver for the whole stream. Its failures come back at
   // chunk-local rows and are rebased here, so it forwards none itself.
   RepairConfig driver_config = config;
   driver_config.quarantine = nullptr;
   RepairDriver driver(dict, driver_config);
-  const bool multi_slot = config.threads != 1 || config.shards > 0;
 
   // The chunk's write log (chunk-local rows: the driver's for a
   // repaired chunk, the journaled deltas for a replayed one) and its
@@ -183,37 +163,13 @@ StatusOr<RepairReport> StreamRepair(const RuleDict& dict,
 
   RepairReport result;
   Table chunk = reader->MakeChunkTable();
-  if (config.memory_budget_bytes > 0) {
-    const Status enabled = chunk.EnableSpill(config.memory_budget_bytes);
-    if (!enabled.ok()) return enabled;
-  } else {
-    // No more rows than a kept chunk can hold: a record is at least
-    // `arity` bytes (its separators and terminator).
-    chunk.Reserve(std::min(config.chunk_rows,
-                           CsvChunkReader::kKeepBytes / dict.arity()));
-  }
+  // No more rows than a kept chunk can hold: a record is at least
+  // `arity` bytes (its separators and terminator).
+  chunk.Reserve(std::min(config.chunk_rows,
+                         CsvChunkReader::kKeepBytes / dict.arity()));
 
   auto& registry = CurrentMetrics();
   LiveProgress progress(&registry);
-
-  // Repairs chunk rows [begin, end) in progress-stride runs (live
-  // fixrep.progress.rows updates between), accumulating totals into
-  // `result` and forwarding diagnostics at global row indices.
-  // `base_row` is the global index of chunk row 0.
-  auto repair_range = [&](size_t begin, size_t end, size_t base_row) {
-    for (size_t sub = begin; sub < end; sub += kProgressStride) {
-      const size_t sub_end = std::min(end, sub + kProgressStride);
-      result.cells_changed += driver.Run(&chunk, sub, sub_end).cells_changed;
-      progress.AddRows(sub_end - sub);
-      result.tuples_quarantined += driver.failures().size();
-      if (!quarantining) continue;
-      for (const Diagnostic& d : driver.failures()) {
-        Diagnostic rebased{base_row + d.line, d.code, d.message, d.raw_text};
-        config.quarantine->Add(rebased);
-        if (journaling) chunk_diags.push_back(std::move(rebased));
-      }
-    }
-  };
 
   // Crash recovery: the first resume->chunks.size() chunks are durable
   // in the log of a previous run. Each is re-read from the input and
@@ -300,25 +256,24 @@ StatusOr<RepairReport> StreamRepair(const RuleDict& dict,
       result.cells_changed += durable->cells_changed;
       result.tuples_quarantined += durable->tuples_quarantined;
       progress.AddRows(chunk.num_rows());
-    } else if (multi_slot && chunk.store().spilling()) {
-      // Pooled workers must never race a block state transition, so a
-      // spilling chunk is repaired block-wise: pin a block, make it
-      // writable once, repair exactly its rows, unpin. Worker row views
-      // then live entirely inside an addressable, pinned block.
-      RowStore& store = chunk.store();
-      for (size_t b = 0; b < store.num_blocks(); ++b) {
-        store.PinBlock(b);
-        store.MakeBlockWritable(b);
-        const size_t begin = b * RowStore::kRowsPerBlock;
-        repair_range(begin, begin + store.rows_in_block(b), result.rows);
-        store.UnpinBlock(b);
-        // Block-granularity residency so a scrape mid-chunk (a chunk
-        // may span many blocks in spill mode) sees live values.
-        progress.FlushRows();
-        progress.PublishResidency(store);
-      }
     } else {
-      repair_range(0, chunk.num_rows(), result.rows);
+      // Progress-stride runs, so live fixrep.progress.rows moves within
+      // a large chunk; diagnostics go out at global row indices.
+      const size_t end = chunk.num_rows();
+      for (size_t sub = 0; sub < end; sub += kProgressStride) {
+        const size_t sub_end = std::min(end, sub + kProgressStride);
+        result.cells_changed +=
+            driver.Run(&chunk, sub, sub_end).cells_changed;
+        progress.AddRows(sub_end - sub);
+        result.tuples_quarantined += driver.failures().size();
+        if (!quarantining) continue;
+        for (const Diagnostic& d : driver.failures()) {
+          Diagnostic rebased{result.rows + d.line, d.code, d.message,
+                             d.raw_text};
+          config.quarantine->Add(rebased);
+          if (journaling) chunk_diags.push_back(std::move(rebased));
+        }
+      }
     }
 
     // Commit a repaired chunk to the WAL BEFORE emitting its rows: once
@@ -390,11 +345,9 @@ StatusOr<RepairReport> StreamRepair(const RuleDict& dict,
       }
     }
     result.rows += chunk.num_rows();
-    result.peak_resident_bytes =
-        std::max(result.peak_resident_bytes,
-                 chunk.store().peak_resident_bytes());
+    result.peak_chunk_bytes =
+        std::max(result.peak_chunk_bytes, chunk.store().bytes());
     progress.FlushRows();
-    progress.PublishResidency(chunk.store());
     TelemetryJournal* telemetry = GetGlobalJournal();
     if (durable == nullptr && telemetry != nullptr) {
       const uint64_t duration_ns = TraceNowNanos() - chunk_start_ns;
@@ -409,14 +362,7 @@ StatusOr<RepairReport> StreamRepair(const RuleDict& dict,
           .Set("emit_ns", emit_ns)
           .Set("bytes_copied", emitted->bytes_copied)
           .Set("rows_rendered", static_cast<uint64_t>(emitted->rows_rendered))
-          .Set("resident_bytes",
-               static_cast<uint64_t>(chunk.store().resident_bytes()))
-          .Set("peak_resident_bytes",
-               static_cast<uint64_t>(chunk.store().peak_resident_bytes()))
-          .Set("budget_bytes",
-               static_cast<uint64_t>(chunk.store().effective_budget_bytes()))
-          .Set("spilled_blocks",
-               static_cast<uint64_t>(chunk.store().spilled_blocks()));
+          .Set("cell_bytes", static_cast<uint64_t>(chunk.store().bytes()));
       if (duration_ns > 0) {
         event.Set("rows_per_s", static_cast<double>(chunk.num_rows()) * 1e9 /
                                     static_cast<double>(duration_ns));
@@ -433,7 +379,7 @@ StatusOr<RepairReport> StreamRepair(const RuleDict& dict,
                     << Kv("chunks", result.chunks)
                     << Kv("cells_changed", result.cells_changed)
                     << Kv("quarantined", result.tuples_quarantined)
-                    << Kv("peak_resident", result.peak_resident_bytes);
+                    << Kv("peak_chunk_bytes", result.peak_chunk_bytes);
   return result;
 }
 

@@ -43,12 +43,11 @@ namespace fixrep {
 // whole-table run. The driver publishes its metrics per run, so a stream
 // that fails part way keeps the counts of the chunks it repaired.
 //
-// config.memory_budget_bytes > 0 stacks an out-of-core knob on top of
-// chunking: it puts the chunk table's RowStore in spill mode
-// (relation/row_store.h), where cell blocks past the resident budget live
-// in a temp-backed mmap file. Multi-slot runs then repair block-wise —
-// pin a block, repair exactly its rows, unpin — so worker views never see
-// a block transition.
+// Memory: a chunk read from a stream or file holds at most
+// kKeepBytes / arity rows (a record is at least arity bytes), so the
+// chunk's cell block, reserved once for that many rows, never grows:
+// its size (RepairReport::peak_chunk_bytes) is at most about
+// kKeepBytes * sizeof(ValueId) whatever the input's length.
 //
 // Durability (docs/durability.md): a non-null `journal` receives each
 // chunk as chunk_begin / cell_delta* / quarantine* / chunk_commit,

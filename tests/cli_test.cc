@@ -213,7 +213,7 @@ TEST_F(CliRepairTest, EveryRouteWritesTheSameBytes) {
   ASSERT_NE(big_want, bytes);
   for (const std::string& flags : std::vector<std::string>{
            "", "--wal " + wal, "--chunk-rows 4096 --wal " + wal,
-           "--chunk-rows 7 --threads 2", "--memory-budget 1048576"}) {
+           "--chunk-rows 7 --threads 2", "--chunk-rows whole-file"}) {
     const std::string out = TestTempPath("big_out.csv");
     std::remove(wal.c_str());
     const CliRun run = Run("repair --rules " + rules + " --in " + big +
@@ -354,6 +354,9 @@ TEST_F(CliRepairTest, UnknownFlagExitsTwoBeforeAnyFile) {
        "--chunk-row"},
       {"repair --rules " + rules + " --in " + dirty + " --prune",
        "--prune"},
+      // No memory budget: byte-bounded chunks bound a stream's memory.
+      {"repair --rules " + rules + " --in " + dirty + " --memory-budget 1MB",
+       "--memory-budget"},
       // Valid for `repair`, not for `submit`.
       {"submit --port 1 --tenant hosp --in " + dirty + " --wal w.bin",
        "--wal"},

@@ -7,8 +7,8 @@
 // noisy hosp and uis must give the
 // output bytes, row-ordered diagnostics, write log and merged chase
 // counters of a serial FastRepairer run, and that run must agree with the
-// cRepair reference chase. Streams add chunk sizes 1, 7 and 4096, a spill
-// budget, and WAL-journaled runs at every width and routing.
+// cRepair reference chase. Streams add chunk sizes 1, 7, 4096 and
+// whole-file, and WAL-journaled runs at every width and routing.
 //
 // cRepair axis: driver slots holding the reference chase, at widths 1, 2
 // and the pool's, sharded, under every policy, on whole tables and on
@@ -40,7 +40,6 @@
 #include "datagen/travel.h"
 #include "datagen/uis.h"
 #include "relation/csv.h"
-#include "relation/row_store.h"
 #include "relation/table.h"
 #include "repair/crepair.h"
 #include "repair/driver.h"
@@ -364,19 +363,12 @@ void RunStreamMatrix(const Dataset& data) {
   const Images images(data);
   ASSERT_NE(images.mapped, nullptr) << data.name;
   const std::string input = ToCsv(data.dirty);
-  const size_t block_bytes =
-      RowStore::kRowsPerBlock * data.dirty.num_columns() * sizeof(ValueId);
   struct Route {
     size_t threads;
     size_t shards;
   };
   const Route routes[] = {{1, 0}, {PoolWidth(), 0}, {1, 3}};
-  struct Chunking {
-    size_t chunk_rows;
-    size_t budget;
-  };
-  const Chunking chunkings[] = {
-      {1, 0}, {7, 0}, {4096, 0}, {RepairConfig::kWholeFile, block_bytes}};
+  const size_t chunkings[] = {1, 7, 4096, RepairConfig::kWholeFile};
 
   int wal_runs = 0;
   for (const bool from_file : {false, true}) {
@@ -396,12 +388,10 @@ void RunStreamMatrix(const Dataset& data) {
             " threads=" + std::to_string(route.threads) +
             " shards=" + std::to_string(route.shards) +
             (from_file ? " file" : " heap");
-        for (const Chunking& chunking : chunkings) {
-          config.chunk_rows = chunking.chunk_rows;
-          config.memory_budget_bytes = chunking.budget;
+        for (const size_t chunk_rows : chunkings) {
+          config.chunk_rows = chunk_rows;
           const std::string context =
-              base + " chunk_rows=" + std::to_string(chunking.chunk_rows) +
-              " budget=" + std::to_string(chunking.budget);
+              base + " chunk_rows=" + std::to_string(chunk_rows);
           const StreamResult run = RunStream(data, config, input, file_dict);
           EXPECT_EQ(run.csv, ref.csv) << context;
           EXPECT_EQ(run.log, ref.log) << context;
@@ -417,7 +407,6 @@ void RunStreamMatrix(const Dataset& data) {
         // Journaled: the WAL's deltas, rebased to global rows, are the
         // serial write log, and its diagnostics the serial ones.
         config.chunk_rows = 64;
-        config.memory_budget_bytes = 0;
         config.wal_path = testing::TestTempPath(
             data.name + "_" + std::to_string(wal_runs++) + ".wal");
         const std::string context = base + " wal";
@@ -459,19 +448,12 @@ void RunCRepairMatrix(const Dataset& data) {
   Table crepaired = data.dirty;
   ChaseRepairer(&data.rules).RepairTable(&crepaired);
   const std::string input = ToCsv(data.dirty);
-  const size_t block_bytes =
-      RowStore::kRowsPerBlock * data.dirty.num_columns() * sizeof(ValueId);
   struct Route {
     size_t threads;
     size_t shards;
   };
   const Route routes[] = {{1, 0}, {2, 0}, {PoolWidth(), 0}, {1, 3}};
-  struct Chunking {
-    size_t chunk_rows;
-    size_t budget;
-  };
-  const Chunking chunkings[] = {
-      {1, 0}, {7, 0}, {4096, 0}, {RepairConfig::kWholeFile, block_bytes}};
+  const size_t chunkings[] = {1, 7, 4096, RepairConfig::kWholeFile};
 
   size_t lenient_failures = 0;
   for (const OnErrorPolicy policy : kPolicies) {
@@ -529,12 +511,10 @@ void RunCRepairMatrix(const Dataset& data) {
           EXPECT_EQ(CounterValue("fixrep.memo.misses"), 0u) << base;
         }
       }
-      for (const Chunking& chunking : chunkings) {
-        config.chunk_rows = chunking.chunk_rows;
-        config.memory_budget_bytes = chunking.budget;
+      for (const size_t chunk_rows : chunkings) {
+        config.chunk_rows = chunk_rows;
         const std::string context =
-            base + " chunk_rows=" + std::to_string(chunking.chunk_rows) +
-            " budget=" + std::to_string(chunking.budget);
+            base + " chunk_rows=" + std::to_string(chunk_rows);
         const StreamResult run = RunStream(data, config, input);
         EXPECT_EQ(run.csv, ref.csv) << context;
         EXPECT_EQ(run.log, ref.log) << context;

@@ -41,7 +41,6 @@ void ExpectSameConfig(const RepairConfig& got, const RepairConfig& want,
   EXPECT_EQ(got.on_error, want.on_error) << context;
   EXPECT_EQ(got.max_chase_steps, want.max_chase_steps) << context;
   EXPECT_EQ(got.chunk_rows, want.chunk_rows) << context;
-  EXPECT_EQ(got.memory_budget_bytes, want.memory_budget_bytes) << context;
   EXPECT_EQ(got.wal_path, want.wal_path) << context;
   EXPECT_EQ(got.resume, want.resume) << context;
 }
@@ -55,7 +54,6 @@ TEST(RepairConfigTest, EveryKeyParses) {
                                       {"on-error", "quarantine"},
                                       {"max-chase-steps", "9"},
                                       {"chunk-rows", "77"},
-                                      {"memory-budget", "64MB"},
                                       {"wal", "/tmp/w.wal"},
                                       {"resume", "on"}});
   EXPECT_EQ(config.engine, RepairEngine::kCRepair);
@@ -66,7 +64,6 @@ TEST(RepairConfigTest, EveryKeyParses) {
   EXPECT_EQ(config.on_error, OnErrorPolicy::kQuarantine);
   EXPECT_EQ(config.max_chase_steps, 9u);
   EXPECT_EQ(config.chunk_rows, 77u);
-  EXPECT_EQ(config.memory_budget_bytes, size_t{64} << 20);
   EXPECT_EQ(config.wal_path, "/tmp/w.wal");
   EXPECT_TRUE(config.resume);
 }
@@ -85,8 +82,10 @@ TEST(RepairConfigTest, WholeFileChunkRows) {
 
 TEST(RepairConfigTest, UnknownKeyIsInvalidArgument) {
   // The rules and the metric scope are objects the caller passes, not
-  // config keys.
-  for (const char* key : {"frobnicate", "rules-dict", "scoped-metrics"}) {
+  // config keys; byte-bounded chunks bound a stream's memory, so there
+  // is no memory-budget key.
+  for (const char* key :
+       {"frobnicate", "rules-dict", "scoped-metrics", "memory-budget"}) {
     RepairConfig config;
     const Status status = ParseRepairConfig(key, "1", &config);
     EXPECT_EQ(status.code(), StatusCode::kMalformedInput) << key;
@@ -104,8 +103,7 @@ TEST(RepairConfigTest, BadValuesAreInvalidArgumentAndLeaveNoTrace) {
       {"memo", "maybe"},         {"memo-capacity", "0"},
       {"on-error", "explode"},
       {"max-chase-steps", "ten"}, {"chunk-rows", "0"},
-      {"chunk-rows", "half"},    {"memory-budget", "lots"},
-      {"memory-budget", "0"},    {"wal", ""},
+      {"chunk-rows", "half"},    {"wal", ""},
       {"resume", "nah"}};
   for (const auto& [key, value] : bad) {
     RepairConfig config;
@@ -116,27 +114,13 @@ TEST(RepairConfigTest, BadValuesAreInvalidArgumentAndLeaveNoTrace) {
   }
 }
 
-TEST(RepairConfigTest, ByteSizesParseWithSuffixes) {
-  size_t bytes = 0;
-  EXPECT_TRUE(ParseByteSize("512", &bytes));
-  EXPECT_EQ(bytes, 512u);
-  EXPECT_TRUE(ParseByteSize("512K", &bytes));
-  EXPECT_EQ(bytes, size_t{512} << 10);
-  EXPECT_TRUE(ParseByteSize("64MB", &bytes));
-  EXPECT_EQ(bytes, size_t{64} << 20);
-  EXPECT_TRUE(ParseByteSize("2g", &bytes));
-  EXPECT_EQ(bytes, size_t{2} << 30);
-  EXPECT_FALSE(ParseByteSize("", &bytes));
-  EXPECT_FALSE(ParseByteSize("MB", &bytes));
-  EXPECT_FALSE(ParseByteSize("12Q", &bytes));
-}
-
 TEST(RepairConfigTest, SessionLocalKeysAreExactlyTheDurabilityAndLayoutOnes) {
-  for (const char* key : {"chunk-rows", "memory-budget", "wal", "resume"}) {
+  for (const char* key : {"chunk-rows", "wal", "resume"}) {
     EXPECT_TRUE(RepairConfigKeyIsSessionLocal(key)) << key;
   }
-  for (const char* key : {"engine", "threads", "shards", "memo", "no-memo",
-                          "memo-capacity", "on-error", "max-chase-steps"}) {
+  for (const char* key :
+       {"engine", "threads", "shards", "memo", "no-memo", "memo-capacity",
+        "on-error", "max-chase-steps", "memory-budget"}) {
     EXPECT_FALSE(RepairConfigKeyIsSessionLocal(key)) << key;
   }
 }
@@ -160,7 +144,6 @@ TEST(RepairConfigPropertyTest, FormatThenParseRoundTripsRandomConfigs) {
     config.max_chase_steps = pick(100);
     config.chunk_rows =
         pick(4) == 0 ? RepairConfig::kWholeFile : 1 + pick(1 << 20);
-    config.memory_budget_bytes = pick(2) == 0 ? 0 : 1 + pick(1 << 28);
     if (pick(3) == 0) config.wal_path = "/tmp/run.wal";
     config.resume = pick(4) == 0;
 

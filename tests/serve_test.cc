@@ -732,8 +732,9 @@ TEST_F(ServeDaemonTest, UnknownTenantAndSessionLocalKeysAreRejected) {
               std::string::npos)
         << key << ": " << local.status();
   }
-  // The rules and the metric scope are no config keys at all.
-  for (const char* key : {"rules-dict", "scoped-metrics"}) {
+  // The rules, the metric scope and a memory budget are no config keys
+  // at all: a request naming one is refused, not ignored.
+  for (const char* key : {"rules-dict", "scoped-metrics", "memory-budget"}) {
     StatusOr<RepairResult> unknown_key =
         client->Submit(travel.name, {{key, "whatever"}}, travel.csv);
     ASSERT_FALSE(unknown_key.ok()) << key;

@@ -335,25 +335,21 @@ TEST(RepairSessionTest, StreamMatchesInMemoryRepairBytes) {
 
   for (const RepairEngine engine :
        {RepairEngine::kLRepair, RepairEngine::kCRepair}) {
-    for (const size_t budget : {size_t{0}, size_t{1}}) {
-      std::istringstream in(dirty_csv.str());
-      StatusOr<CsvChunkReader> reader =
-          CsvChunkReader::Open(in, "stream", example.pool);
-      ASSERT_TRUE(reader.ok());
-      RepairConfig config;
-      config.engine = engine;
-      config.chunk_rows = 2;
-      config.memory_budget_bytes = budget;
-      RepairSession session(&example.rules, config);
-      std::ostringstream out;
-      const StatusOr<RepairReport> report =
-          session.RepairStream(&reader.value(), out);
-      ASSERT_TRUE(report.ok()) << report.status().message();
-      EXPECT_EQ(out.str(), want.str())
-          << "engine=" << static_cast<int>(engine) << " budget=" << budget;
-      EXPECT_EQ(report->rows, example.dirty.num_rows());
-      EXPECT_EQ(report->chunks, 2u);
-    }
+    std::istringstream in(dirty_csv.str());
+    StatusOr<CsvChunkReader> reader =
+        CsvChunkReader::Open(in, "stream", example.pool);
+    ASSERT_TRUE(reader.ok());
+    RepairConfig config;
+    config.engine = engine;
+    config.chunk_rows = 2;
+    RepairSession session(&example.rules, config);
+    std::ostringstream out;
+    const StatusOr<RepairReport> report =
+        session.RepairStream(&reader.value(), out);
+    ASSERT_TRUE(report.ok()) << report.status().message();
+    EXPECT_EQ(out.str(), want.str()) << "engine=" << static_cast<int>(engine);
+    EXPECT_EQ(report->rows, example.dirty.num_rows());
+    EXPECT_EQ(report->chunks, 2u);
   }
 }
 

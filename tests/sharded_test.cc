@@ -3,7 +3,7 @@
 // compiled in memory and the same image opened from a dictionary file
 // across datasets (travel/hosp/uis) × engines (serial, memo-off,
 // pooled, sharded) × error policies (abort/skip/quarantine) ×
-// whole-table/stream/spill.
+// whole-table/chunked stream/whole-file stream.
 
 #include <memory>
 #include <sstream>
@@ -351,7 +351,7 @@ TEST(ShardedSessionMatrix, DictAndShardsByteIdenticalAcrossDatasets) {
 // byte comparison.
 std::string RunStreamMatrix(const Dataset& data, const RuleDict* dict,
                             size_t shards, size_t chunk_rows,
-                            size_t memory_budget, OnErrorPolicy policy) {
+                            OnErrorPolicy policy) {
   std::istringstream in(ToCsv(data.dirty));
   StatusOr<CsvChunkReader> reader =
       CsvChunkReader::Open(in, "stream", data.pool, {});
@@ -364,7 +364,6 @@ std::string RunStreamMatrix(const Dataset& data, const RuleDict* dict,
   config.max_chase_steps = policy == OnErrorPolicy::kAbort ? 0 : 1;
   if (policy == OnErrorPolicy::kQuarantine) config.quarantine = &sink;
   config.chunk_rows = chunk_rows;
-  config.memory_budget_bytes = memory_budget;
   std::ostringstream out;
   StatusOr<RepairReport> report =
       MakeSession(data, dict, config)->RepairStream(&reader.value(), out);
@@ -372,7 +371,7 @@ std::string RunStreamMatrix(const Dataset& data, const RuleDict* dict,
   return out.str();
 }
 
-TEST(ShardedSessionMatrix, StreamAndSpillByteIdenticalAcrossBackends) {
+TEST(ShardedSessionMatrix, StreamAndWholeFileByteIdenticalAcrossBackends) {
   for (Dataset (*make)() : {TravelDataset, HospDataset, UisDataset}) {
     const Dataset data = make();
     ASSERT_GT(data.rules.size(), 0u) << data.name;
@@ -391,22 +390,18 @@ TEST(ShardedSessionMatrix, StreamAndSpillByteIdenticalAcrossBackends) {
         const char* tag;
         size_t shards;
         size_t chunk_rows;
-        size_t memory_budget;
       };
       for (const StreamMode& mode :
-           {StreamMode{"chunked", 0, 97, 0},
-            StreamMode{"chunked_sharded", 3, 97, 0},
-            StreamMode{"spill", 0, RepairConfig::kWholeFile, 16 * 1024},
-            StreamMode{"spill_sharded", 3, RepairConfig::kWholeFile,
-                       16 * 1024}}) {
+           {StreamMode{"chunked", 0, 97}, StreamMode{"chunked_sharded", 3, 97},
+            StreamMode{"whole_file", 0, RepairConfig::kWholeFile},
+            StreamMode{"whole_file_sharded", 3, RepairConfig::kWholeFile}}) {
         for (const bool dict_backed : {false, true}) {
           const std::string context =
               data.name + " " + OnErrorPolicyName(policy) + " " + mode.tag +
               (dict_backed ? " file" : " heap");
           const std::string got =
               RunStreamMatrix(data, dict_backed ? mapped.get() : nullptr,
-                              mode.shards, mode.chunk_rows,
-                              mode.memory_budget, policy);
+                              mode.shards, mode.chunk_rows, policy);
           EXPECT_EQ(got, want) << context;
         }
       }

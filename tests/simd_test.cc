@@ -243,12 +243,11 @@ EngineRun RunLenientBudget(const Table& dirty, const RuleSet& rules) {
 }
 
 EngineRun StreamRun(const Table& dirty, const RuleSet& rules,
-                    size_t budget_bytes) {
+                    size_t chunk_rows) {
   const std::string input = TableCsv(dirty);
   const std::unique_ptr<RuleDict> dict = RuleDict::CompileOrDie(rules);
   RepairConfig config;
-  config.chunk_rows = budget_bytes > 0 ? ~size_t{0} : 512;
-  config.memory_budget_bytes = budget_bytes;
+  config.chunk_rows = chunk_rows;
   std::istringstream in(input);
   std::ostringstream out;
   StatusOr<CsvChunkReader> reader =
@@ -262,16 +261,12 @@ EngineRun StreamRun(const Table& dirty, const RuleSet& rules,
 }
 
 EngineRun RunStreamChunked(const Table& dirty, const RuleSet& rules) {
-  return StreamRun(dirty, rules, 0);
+  return StreamRun(dirty, rules, 512);
 }
 
-EngineRun RunStreamBudget(const Table& dirty, const RuleSet& rules) {
-  // A few blocks of budget: the whole-file chunk must spill and the
-  // row-group gather must survive block eviction between probe and
-  // chase.
-  const size_t block_bytes =
-      RowStore::kRowsPerBlock * dirty.num_columns() * sizeof(ValueId);
-  return StreamRun(dirty, rules, 4 * block_bytes);
+EngineRun RunStreamWholeFile(const Table& dirty, const RuleSet& rules) {
+  // No row limit: chunks end only at the reader's keep bound.
+  return StreamRun(dirty, rules, RepairConfig::kWholeFile);
 }
 
 void ExpectKernelIndependent(const Table& dirty, const RuleSet& rules,
@@ -283,7 +278,7 @@ void ExpectKernelIndependent(const Table& dirty, const RuleSet& rules,
   } engines[] = {
       {"serial", RunSerial},           {"serial_memo", RunSerialMemo},
       {"pooled", RunPooled},           {"lenient_budget", RunLenientBudget},
-      {"stream", RunStreamChunked},    {"stream_budget", RunStreamBudget},
+      {"stream", RunStreamChunked},    {"stream_whole_file", RunStreamWholeFile},
   };
   for (const auto& engine : engines) {
     SetSimdKernel(SimdKernel::kScalar);

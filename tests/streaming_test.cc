@@ -57,7 +57,6 @@ struct StreamConfig {
   OnErrorPolicy on_error = OnErrorPolicy::kAbort;
   size_t max_chase_steps = 0;
   OnErrorPolicy csv_policy = OnErrorPolicy::kAbort;
-  size_t memory_budget_bytes = 0;  // > 0: spill chunk blocks to disk
 };
 
 StatusOr<StreamRun> RunStream(const std::string& csv_text,
@@ -84,7 +83,6 @@ StatusOr<StreamRun> RunStream(const std::string& csv_text,
     repair.quarantine = &tuple_sink;
   }
   repair.max_chase_steps = config.max_chase_steps;
-  repair.memory_budget_bytes = config.memory_budget_bytes;
   RepairSession session(&dict, repair);
   std::ostringstream out;
   StatusOr<RepairReport> result = session.RepairStream(&reader.value(), out);
@@ -381,12 +379,10 @@ SpliceCorpus MakeSpliceCorpus(size_t copies) {
 
 // Spliced stream output is WriteCsv of the repaired table, byte for
 // byte, over mutated records under every policy, at chunks of 1, 7 and
-// 4096 rows and under spill.
+// 4096 rows and with no row limit.
 TEST_F(StreamingTest, SplicedOutputMatchesWholeTableWriteOnMutatedCsv) {
   const SpliceCorpus corpus = MakeSpliceCorpus(1);
   Rng rng(0x5911ce);
-  const size_t block_bytes =
-      RowStore::kRowsPerBlock * corpus.dict->arity() * sizeof(ValueId);
   for (int round = 0; round < 6; ++round) {
     for (const OnErrorPolicy policy :
          {OnErrorPolicy::kAbort, OnErrorPolicy::kSkip,
@@ -395,23 +391,20 @@ TEST_F(StreamingTest, SplicedOutputMatchesWholeTableWriteOnMutatedCsv) {
           corpus.csv, &rng, policy != OnErrorPolicy::kAbort);
       for (const size_t steps : {size_t{0}, size_t{1}}) {
         if (policy == OnErrorPolicy::kAbort && steps > 0) continue;
-        for (const size_t chunk_rows : {size_t{1}, size_t{7}, size_t{4096}}) {
-          for (const size_t budget : {size_t{0}, block_bytes}) {
-            const std::string context =
-                "round=" + std::to_string(round) + " policy=" +
-                OnErrorPolicyName(policy) + " steps=" + std::to_string(steps) +
-                " chunk_rows=" + std::to_string(chunk_rows) +
-                " budget=" + std::to_string(budget);
-            ExpectStreamMatchesWholeTableWrite(
-                csv, corpus.data.pool, *corpus.dict,
-                {.chunk_rows = chunk_rows,
-                 .on_error = policy,
-                 .max_chase_steps = steps,
-                 .csv_policy = policy,
-                 .memory_budget_bytes = budget},
-                context);
-            if (HasFatalFailure()) return;
-          }
+        for (const size_t chunk_rows : {size_t{1}, size_t{7}, size_t{4096},
+                                        RepairConfig::kWholeFile}) {
+          const std::string context =
+              "round=" + std::to_string(round) + " policy=" +
+              OnErrorPolicyName(policy) + " steps=" + std::to_string(steps) +
+              " chunk_rows=" + std::to_string(chunk_rows);
+          ExpectStreamMatchesWholeTableWrite(
+              csv, corpus.data.pool, *corpus.dict,
+              {.chunk_rows = chunk_rows,
+               .on_error = policy,
+               .max_chase_steps = steps,
+               .csv_policy = policy},
+              context);
+          if (HasFatalFailure()) return;
         }
       }
     }
@@ -419,27 +412,22 @@ TEST_F(StreamingTest, SplicedOutputMatchesWholeTableWriteOnMutatedCsv) {
 }
 
 // An input past the keep bound: every chunk is kept and spliced, so
-// 4096-row chunks and chunks with no row limit (with or without spill)
-// all copy most of the input's bytes and write the whole-table bytes.
+// 4096-row chunks and chunks with no row limit both copy most of the
+// input's bytes and write the whole-table bytes.
 TEST_F(StreamingTest, EveryChunkSplicesPastTheKeepBound) {
   const SpliceCorpus corpus = MakeSpliceCorpus(18);
   ASSERT_GT(corpus.csv.size(), 2 * CsvChunkReader::kKeepBytes);
   Rng rng(0xb0b);
   const std::string csv =
       MutateRecords(corpus.csv, &rng, /*arity_errors=*/true);
-  for (const auto& [chunk_rows, budget] :
-       {std::pair{size_t{4096}, size_t{0}},
-        std::pair{RepairConfig::kWholeFile, size_t{0}},
-        std::pair{RepairConfig::kWholeFile, size_t{1} << 20}}) {
-    const std::string context = "chunk_rows=" + std::to_string(chunk_rows) +
-                                " budget=" + std::to_string(budget);
+  for (const size_t chunk_rows : {size_t{4096}, RepairConfig::kWholeFile}) {
+    const std::string context = "chunk_rows=" + std::to_string(chunk_rows);
     const uint64_t copied_before = CounterValue("fixrep.csv.bytes_copied");
     ExpectStreamMatchesWholeTableWrite(
         csv, corpus.data.pool, *corpus.dict,
         {.chunk_rows = chunk_rows,
          .on_error = OnErrorPolicy::kQuarantine,
-         .csv_policy = OnErrorPolicy::kQuarantine,
-         .memory_budget_bytes = budget},
+         .csv_policy = OnErrorPolicy::kQuarantine},
         context);
     if (!kMetricsEnabled) continue;
     const uint64_t copied =
@@ -652,98 +640,43 @@ TEST_F(StreamingQuarantineTest, FailedStreamKeepsMetricsOfRepairedChunks) {
   }
 }
 
-// ------------------------------------------------------- out-of-core spill --
+// ------------------------------------------------------------ memory bound --
 
-// Property: with the whole input as one chunk, every spill budget — tiny
-// (degrades to the working-set floor), a few blocks, unlimited — emits
-// exactly the bytes of an in-memory run, serial and pooled.
-void ExpectSpillConfigsMatch(const std::string& input_csv,
-                             std::shared_ptr<ValuePool> pool,
-                             const RuleDict& dict,
-                             const std::string& want, size_t num_rows) {
-  const size_t block_bytes =
-      RowStore::kRowsPerBlock * dict.arity() * sizeof(ValueId);
-  for (const size_t budget : {size_t{1}, 4 * block_bytes, size_t{0}}) {
-    for (const size_t threads : {size_t{1}, size_t{4}}) {
-      const std::string context = "budget=" + std::to_string(budget) +
-                                  " threads=" + std::to_string(threads);
-      const StatusOr<StreamRun> run =
-          RunStream(input_csv, pool, dict,
-                    {.chunk_rows = ~size_t{0},  // spilling, not chunking,
-                     .threads = threads,        // bounds resident memory
-                     .memory_budget_bytes = budget});
-      ASSERT_TRUE(run.ok()) << context << ": " << run.status().message();
-      ASSERT_EQ(run->csv, want) << context;
-      EXPECT_EQ(run->result.rows, num_rows) << context;
-      if (budget == 1) {
-        // Floor: tail + in-flight + (parallel) one pinned block, plus one
-        // transient block between NoteResident and eviction.
-        EXPECT_LE(run->result.peak_resident_bytes, 4 * block_bytes)
-            << context;
-      } else if (budget > 0) {
-        EXPECT_LE(run->result.peak_resident_bytes, budget + block_bytes)
-            << context;
-      }
-    }
+// A chunk read from a stream ends within kKeepBytes of input and a
+// record is at least `arity` bytes, so the chunk's cell block, reserved
+// once for kKeepBytes / arity rows, never grows: with no row limit, an
+// input four times longer takes more chunks, not a larger one.
+TEST_F(StreamingTest, PeakChunkBytesIsBoundedWhateverTheInputLength) {
+  const SpliceCorpus corpus = MakeSpliceCorpus(1);
+  const size_t arity = corpus.dict->arity();
+  const size_t bound =
+      CsvChunkReader::kKeepBytes * sizeof(ValueId) +
+      RowStore::kRowsPerBlock * arity * sizeof(ValueId);
+  const std::string body = corpus.csv.substr(corpus.csv.find('\n') + 1);
+  std::vector<RepairReport> reports;
+  for (const size_t bytes : {size_t{2} << 20, size_t{8} << 20}) {
+    std::string csv = corpus.csv;
+    while (csv.size() < bytes) csv += body;
+    const StatusOr<StreamRun> run =
+        RunStream(csv, corpus.data.pool, *corpus.dict,
+                  {.chunk_rows = RepairConfig::kWholeFile});
+    ASSERT_TRUE(run.ok()) << bytes << ": " << run.status().message();
+    reports.push_back(run->result);
   }
+  const RepairReport& small = reports[0];
+  const RepairReport& large = reports[1];
+  EXPECT_GT(small.peak_chunk_bytes, 0u);
+  EXPECT_EQ(small.peak_chunk_bytes, large.peak_chunk_bytes);
+  EXPECT_LE(large.peak_chunk_bytes, bound);
+  EXPECT_GE(small.chunks, 2u);
+  EXPECT_GT(large.chunks, small.chunks);
+  EXPECT_GT(large.rows, 3 * small.rows);
 }
 
-TEST_F(StreamingTest, SpillBudgetsBitIdenticalOnTravelExample) {
-  // Single-block table: exercises the spill machinery (budget floor, file
-  // lifecycle) without eviction pressure.
-  TravelExample example;
-  const std::unique_ptr<RuleDict> dict = RuleDict::CompileOrDie(example.rules);
-  ExpectSpillConfigsMatch(ToCsv(example.dirty), example.pool, *dict,
-                          ToCsv(example.clean), example.dirty.num_rows());
-}
-
-TEST_F(StreamingTest, SpillBudgetsBitIdenticalOnGeneratedHosp) {
-  // Five blocks of rows: a tiny budget forces real eviction and mmap
-  // read-back mid-repair.
-  HospOptions options;
-  options.rows = 4 * RowStore::kRowsPerBlock + 1500;
-  options.num_hospitals = 120;
-  const GeneratedData data = GenerateHosp(options);
-  Table dirty = data.clean;
-  InjectNoise(&dirty, ConstraintAttributes(*data.schema, data.fds), {});
-  RuleGenOptions rulegen;
-  rulegen.max_rules = 150;
-  const RuleSet rules = GenerateRules(data.clean, dirty, data.fds, rulegen);
-  ASSERT_GT(rules.size(), 0u);
-
-  Table reference = dirty;
-  FastRepairer repairer(&rules);
-  repairer.RepairTable(&reference);
-  const std::unique_ptr<RuleDict> dict = RuleDict::CompileOrDie(rules);
-  ExpectSpillConfigsMatch(ToCsv(dirty), data.pool, *dict, ToCsv(reference),
-                          dirty.num_rows());
-}
-
-TEST_F(StreamingTest, SpillBudgetsBitIdenticalOnGeneratedUis) {
-  UisOptions options;
-  options.rows = 600;
-  options.duplicate_ratio = 0.4;
-  options.num_zips = 40;
-  const GeneratedData data = GenerateUis(options);
-  Table dirty = data.clean;
-  InjectNoise(&dirty, ConstraintAttributes(*data.schema, data.fds), {});
-  RuleGenOptions rulegen;
-  rulegen.max_rules = 100;
-  const RuleSet rules = GenerateRules(data.clean, dirty, data.fds, rulegen);
-  ASSERT_GT(rules.size(), 0u);
-
-  Table reference = dirty;
-  FastRepairer repairer(&rules);
-  repairer.RepairTable(&reference);
-  const std::unique_ptr<RuleDict> dict = RuleDict::CompileOrDie(rules);
-  ExpectSpillConfigsMatch(ToCsv(dirty), data.pool, *dict, ToCsv(reference),
-                          dirty.num_rows());
-}
-
-// Spilled blocks under the lenient block-wise driver: quarantine
-// diagnostics and bytes still match the in-memory lenient run, with
-// failing tuples scattered across block boundaries.
-TEST_F(StreamingQuarantineTest, SpillWithQuarantineMatchesInMemory) {
+// A whole-file chunk under the lenient multi-slot driver: quarantine
+// diagnostics and bytes match the in-memory lenient run, with failing
+// tuples scattered across the pool workers' row ranges.
+TEST_F(StreamingQuarantineTest, WholeFileWithQuarantineMatchesInMemory) {
   const size_t rows = 2 * RowStore::kRowsPerBlock + 700;
   Table table(schema_, pool_);
   for (size_t r = 0; r < rows; ++r) {
@@ -776,8 +709,7 @@ TEST_F(StreamingQuarantineTest, SpillWithQuarantineMatchesInMemory) {
                   {.chunk_rows = ~size_t{0},
                    .threads = threads,
                    .on_error = OnErrorPolicy::kQuarantine,
-                   .max_chase_steps = 1,
-                   .memory_budget_bytes = 1});
+                   .max_chase_steps = 1});
     ASSERT_TRUE(run.ok()) << context << ": " << run.status().message();
     ASSERT_EQ(run->csv, want) << context;
     EXPECT_EQ(run->result.tuples_quarantined,

@@ -10,6 +10,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
@@ -123,8 +124,6 @@ TEST(HeartbeatSamplerTest, StopEmitsFinalSampleWithRegistryState) {
   MetricsRegistry registry;
   registry.GetCounter("fixrep.progress.rows")->Add(42);
   registry.GetGauge("fixrep.progress.chunk")->Set(3);
-  registry.GetGauge("fixrep.progress.resident_bytes")->Set(1 << 20);
-  registry.GetGauge("fixrep.progress.budget_bytes")->Set(4 << 20);
 
   std::ostringstream sink;
   TelemetryJournal journal(&sink);
@@ -147,20 +146,17 @@ TEST(HeartbeatSamplerTest, StopEmitsFinalSampleWithRegistryState) {
   EXPECT_EQ(FieldUint(beat, "final"), 1u);
   EXPECT_EQ(FieldUint(beat, "rows"), 42u);
   EXPECT_EQ(FieldUint(beat, "chunk"), 3u);
-  EXPECT_EQ(FieldUint(beat, "budget_bytes"), uint64_t{4} << 20);
   EXPECT_GT(FieldUint(beat, "rss_peak_bytes"), 0u);
   // The counter moved since the (virtual) previous sample, so its delta
   // is journaled under the d. namespace.
   EXPECT_EQ(FieldUint(beat, "d.fixrep.progress.rows"), 42u);
 }
 
-TEST(HeartbeatSamplerTest, ProgressLineRendersRowsAndResidency) {
+TEST(HeartbeatSamplerTest, ProgressLineRendersChunkAndRows) {
   if (!kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   MetricsRegistry registry;
   registry.GetCounter("fixrep.progress.rows")->Add(1234);
   registry.GetGauge("fixrep.progress.chunk")->Set(2);
-  registry.GetGauge("fixrep.progress.resident_bytes")->Set(1 << 20);
-  registry.GetGauge("fixrep.progress.budget_bytes")->Set(8 << 20);
 
   std::ostringstream progress;
   HeartbeatOptions options;
@@ -176,7 +172,6 @@ TEST(HeartbeatSamplerTest, ProgressLineRendersRowsAndResidency) {
   EXPECT_NE(line.find("[fixrep]"), std::string::npos) << line;
   EXPECT_NE(line.find("chunk 2"), std::string::npos) << line;
   EXPECT_NE(line.find("rows 1234"), std::string::npos) << line;
-  EXPECT_NE(line.find("resident 1.0/8.0 MB"), std::string::npos) << line;
   EXPECT_EQ(line.back(), '\n');  // the final sample closes the line
 }
 
@@ -255,6 +250,7 @@ TEST(TelemetryJournalTest, GoldenTravelStreamRun) {
   size_t span_opens = 0;
   size_t span_closes = 0;
   uint64_t last_rows_total = 0;
+  uint64_t max_cell_bytes = 0;
   uint64_t last_t_ms = 0;
   for (const std::string& line : lines) {
     EXPECT_TRUE(testing::JsonChecker::IsValid(line)) << line;
@@ -271,15 +267,17 @@ TEST(TelemetryJournalTest, GoldenTravelStreamRun) {
     // Stable fields only: presence and monotonicity, never timings.
     for (const char* key :
          {"index", "rows", "rows_total", "cells_changed_total",
-          "duration_ns", "resident_bytes", "peak_resident_bytes"}) {
+          "duration_ns", "bytes_copied", "rows_rendered", "cell_bytes"}) {
       EXPECT_TRUE(HasField(line, key)) << key << " missing in: " << line;
     }
     EXPECT_EQ(FieldUint(line, "index"), chunk_events);
     const uint64_t rows_total = FieldUint(line, "rows_total");
     EXPECT_GT(rows_total, last_rows_total);  // every chunk emits rows here
     last_rows_total = rows_total;
+    max_cell_bytes = std::max(max_cell_bytes, FieldUint(line, "cell_bytes"));
   }
   EXPECT_EQ(chunk_events, report->chunks);
+  EXPECT_EQ(max_cell_bytes, report->peak_chunk_bytes);
   EXPECT_EQ(last_rows_total, report->rows);
   // Spans balance: whatever opened inside the journaled window closed.
   EXPECT_EQ(span_opens, span_closes);
