@@ -23,8 +23,8 @@ namespace {
 
 // Whole pages that pile up past the last writeback start before Append
 // starts writeback on them: about one kept stream chunk of output, so a
-// chunked write reaches disk while the next chunk is read and Commit's
-// fsync finds little left to write.
+// chunked write reaches disk while later chunks are processed and
+// Commit's fsync finds little left to write.
 constexpr off_t kWritebackBytes = off_t{1} << 20;
 
 // The directory holding `path`, for the post-rename fsync.

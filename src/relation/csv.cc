@@ -306,7 +306,8 @@ void CsvChunkReader::Refill() {
   const size_t step = std::max(block_bytes_, end_ - pos_);
   // A kept chunk reads a block at a time into the room after it, so
   // the scan walks cache-sized blocks, and moves to the front only when
-  // that room runs out; the buffer then grows once to hold a whole kept
+  // that room runs out (one that follows a kept chunk starts there:
+  // SwitchBuffers); the buffer then grows once to hold a whole kept
   // chunk and a block (its pages fault in only as they are read into).
   // Otherwise the buffer holds one block, doubles for a pending record
   // longer than half of it, and each refill fills it.
@@ -331,6 +332,21 @@ void CsvChunkReader::Refill() {
   const size_t got = ReadInput(buffer_.get() + end_, want);
   end_ += got;
   if (got < want) input_done_ = true;
+}
+
+void CsvChunkReader::SwitchBuffers() {
+  const size_t tail = end_ - pos_;
+  const size_t size = std::max(tail, block_bytes_);
+  if (spare_size_ < size) {
+    spare_.reset(static_cast<char*>(std::realloc(spare_.release(), size)));
+    FIXREP_CHECK(spare_ != nullptr) << "out of memory growing the CSV buffer";
+    spare_size_ = size;
+  }
+  if (tail > 0) std::memcpy(spare_.get(), buffer_.get() + pos_, tail);
+  std::swap(buffer_, spare_);
+  std::swap(buffer_size_, spare_size_);
+  pos_ = 0;
+  end_ = tail;
 }
 
 size_t CsvChunkReader::ReadInput(char* out, size_t n) {
@@ -496,6 +512,9 @@ void CsvChunkReader::RecordSpansInto(CsvRecordSpans* spans) {
 StatusOr<size_t> CsvChunkReader::ReadChunk(Table* chunk, size_t max_rows) {
   FIXREP_CHECK(chunk != nullptr);
   FIXREP_CHECK_EQ(chunk->num_columns(), schema_->arity());
+  // A read that follows a kept chunk goes on in the other buffer, so the
+  // kept chunk's bytes outlive it.
+  if (keeping_) SwitchBuffers();
   keeping_ = refilled() && spans_ != nullptr;
   chunk_begin_ = pos_;
   chunk_offset_ = consumed_;

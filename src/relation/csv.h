@@ -84,7 +84,9 @@ struct CsvRecordSpans {
 // is read in place. While it records spans (RecordSpansInto), a refilled
 // read keeps the bytes of the chunk being read, not just its pending
 // record, and ends each chunk within kKeepBytes of input, so a writer
-// can copy its unchanged records (chunk_bytes).
+// can copy its unchanged records (chunk_bytes). Kept chunks alternate
+// between two buffers, so a chunk's bytes outlive the read of the next
+// one: a writer can splice chunk k while chunk k+1 is read.
 // Data records are read by one fused scan: a 64-byte window at a time,
 // it finds the structural bytes (',' '"' '\r' '\n') and resolves each
 // plain field in the pool straight from its view into those bytes. The
@@ -159,8 +161,9 @@ class CsvChunkReader {
   void RecordSpansInto(CsvRecordSpans* spans);
   // The input bytes of every record (kept or dropped) the last ReadChunk
   // consumed: always for an in-memory payload, for a stream or file when
-  // that read recorded spans, and empty otherwise. Valid until the next
-  // read; the first byte is at input offset chunk_offset().
+  // that read recorded spans, and empty otherwise. Valid until the read
+  // after the next one starts (for a payload, as long as the payload);
+  // the first byte is at input offset chunk_offset().
   std::string_view chunk_bytes() const {
     if (refilled() && !keeping_) return {};
     return {data() + chunk_begin_,
@@ -241,6 +244,10 @@ class CsvChunkReader {
   // buffer's front, growing the buffer to fit it, and reads more input
   // after it.
   void Refill();
+  // Carries the unconsumed bytes [pos_, end_) over to the front of the
+  // other buffer and reads on there, so the kept chunk read last stays
+  // where chunk_bytes() showed it.
+  void SwitchBuffers();
   // Reads up to `n` bytes from the stream or fd into `out`; fewer only at
   // the end of input (a read error counts as the end).
   size_t ReadInput(char* out, size_t n);
@@ -259,6 +266,9 @@ class CsvChunkReader {
   };
   std::unique_ptr<char, FreeBytes> buffer_;
   size_t buffer_size_ = 0;
+  // The other buffer: the previous kept chunk's (SwitchBuffers).
+  std::unique_ptr<char, FreeBytes> spare_;
+  size_t spare_size_ = 0;
   size_t block_bytes_;
   size_t pos_ = 0;            // first unconsumed byte of data()
   size_t end_ = 0;            // end of the bytes available in data()

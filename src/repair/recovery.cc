@@ -11,6 +11,7 @@
 #include "common/logging.h"
 #include "relation/csv.h"
 #include "relation/table.h"
+#include "repair/session.h"
 #include "rules/rule_io.h"
 
 namespace fixrep {
@@ -335,11 +336,16 @@ Status ValidateWalHeader(const WalRunHeader& header,
         std::to_string(attribute_names.size()) + " in the input)");
   }
   if (header.chunk_rows != chunk_rows) {
+    // As --chunk-rows takes it: a row count, or whole-file.
+    const auto flag_value = [](uint64_t rows) {
+      return rows == RepairConfig::kWholeFile ? std::string("whole-file")
+                                              : std::to_string(rows);
+    };
     return Status::MalformedInput(
-        "WAL was written with chunk_rows=" +
-        std::to_string(header.chunk_rows) + ", this run uses " +
-        std::to_string(chunk_rows) +
-        "; chunk boundaries must match to resume");
+        "WAL was written with --chunk-rows " + flag_value(header.chunk_rows) +
+        ", this run uses " + flag_value(chunk_rows) +
+        "; chunk boundaries must match to resume (pass --chunk-rows " +
+        flag_value(header.chunk_rows) + ")");
   }
   if (header.on_error != static_cast<uint8_t>(on_error)) {
     return Status::MalformedInput(

@@ -1,10 +1,17 @@
 #include "repair/streaming.h"
 
+#include <pthread.h>
+#include <sched.h>
+
 #include <algorithm>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <ostream>
 #include <string>
+#include <string_view>
+#include <thread>
 #include <utility>
 
 #include "common/log.h"
@@ -52,12 +59,186 @@ struct LiveProgress {
   }
 };
 
-// Writes a durable chunk's journaled deltas into the re-read `chunk` by
-// interning the recorded strings, the chunk's repair without a chase,
-// and records each write in *log (the chunk's write log for its splice).
+// One chunk's read: the reader thread fills it, the calling thread takes
+// it at the hand-off. It holds the rows, their record spans and CSV
+// diagnostics, the overlay the chunk's new values wait in, and the
+// reader state the chunk's turn needs.
+struct ChunkSlot {
+  explicit ChunkSlot(Table empty) : table(std::move(empty)) {}
+
+  Table table;
+  CsvRecordSpans spans;
+  VectorQuarantineSink csv_capture;
+  // Set when the reader thread read the chunk; none when the calling
+  // thread read it.
+  std::optional<ValueOverlay> overlay;
+  StatusOr<size_t> read = size_t{0};
+  uint64_t read_ns = 0;
+  uint64_t chunk_offset = 0;
+  // CsvChunkReader::chunk_bytes: valid until the read after the next.
+  std::string_view bytes;
+  uint64_t bytes_read = 0;
+  bool at_end = false;
+};
+
+// The stream's reader thread. The calling thread posts the next read
+// (Read) and later takes its slot (Take). The reader thread claims a
+// posted read and resolves the chunk's values through the slot's
+// overlay, so the shared pool is only read while the calling thread
+// repairs, journals and emits the previous chunk. A read the reader
+// thread has not claimed by the time the calling thread comes to take
+// it (the first chunk, which the calling thread only waits for, or any
+// chunk when the reader thread is short of CPU) is read by the calling
+// thread itself, interning straight into the pool: nothing else runs
+// then. Between reads the reader thread is idle, and the calling thread
+// may commit an overlay (write the pool) and reuse a slot. The reader
+// thread's counters (bytes parsed, fallback records, quarantined rows)
+// accumulate in a private scope that Take flushes from the calling
+// thread, so they land in the caller's registry; a chunk read but never
+// taken publishes nothing.
+class ChunkReaderThread {
+ public:
+  ChunkReaderThread(CsvChunkReader* reader, size_t max_rows,
+                    MetricsRegistry* registry)
+      : reader_(reader),
+        max_rows_(max_rows),
+        registry_(registry),
+        scope_(&untaken_),
+        thread_([this] { Loop(); }) {
+    // ReadChunk registers it even when it counts nothing, and a flush
+    // carries only nonzero counts.
+    registry_->GetCounter("fixrep.csv.records_fallback");
+  }
+
+  // Waits for a read in progress, then stops the thread.
+  ~ChunkReaderThread() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stop_ = true;
+    }
+    cv_.notify_all();
+    thread_.join();
+  }
+
+  ChunkReaderThread(const ChunkReaderThread&) = delete;
+  ChunkReaderThread& operator=(const ChunkReaderThread&) = delete;
+
+  // Posts a read of the next chunk into *slot; the last one posted must
+  // have been taken.
+  void Read(ChunkSlot* slot) {
+    StayOffCallersCpu();
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      FIXREP_CHECK(next_ == nullptr && done_ == nullptr);
+      next_ = slot;
+    }
+    cv_.notify_all();
+  }
+
+  // Returns the slot of the read Read posted once it is read, with the
+  // reader thread idle. *wait_ns is the time this took: waiting for the
+  // reader thread, or reading the chunk here.
+  ChunkSlot* Take(uint64_t* wait_ns) {
+    const uint64_t start_ns = TraceNowNanos();
+    ChunkSlot* slot = nullptr;
+    bool read_here = false;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      if (next_ != nullptr) {
+        slot = std::exchange(next_, nullptr);
+        read_here = true;
+      } else {
+        cv_.wait(lock, [this] { return done_ != nullptr; });
+        slot = std::exchange(done_, nullptr);
+      }
+    }
+    if (read_here) {
+      ReadInto(slot, /*staged=*/false);
+    } else {
+      scope_.registry().FlushInto(registry_);
+    }
+    *wait_ns = TraceNowNanos() - start_ns;
+    return slot;
+  }
+
+ private:
+  // Keeps the reader thread off the CPU the calling thread is on, when
+  // the caller may run on another, so the two run side by side even
+  // where the kernel leaves a new thread on its creator's CPU: on a
+  // 4-vCPU VM every thread of a process stayed on one CPU, and two busy
+  // threads each took twice as long as one. Checked at each posted
+  // read, since a busy host moves the calling thread.
+  void StayOffCallersCpu() {
+    const int here = sched_getcpu();
+    if (here < 0 || here == avoided_cpu_) return;
+    cpu_set_t allowed;
+    if (sched_getaffinity(0, sizeof(allowed), &allowed) != 0) return;
+    CPU_CLR(here, &allowed);
+    if (CPU_COUNT(&allowed) == 0) return;
+    pthread_setaffinity_np(thread_.native_handle(), sizeof(allowed), &allowed);
+    avoided_cpu_ = here;
+  }
+
+  void Loop() {
+    MetricScope::Activation active(&scope_);
+    std::unique_lock<std::mutex> lock(mu_);
+    while (true) {
+      cv_.wait(lock, [this] { return stop_ || next_ != nullptr; });
+      if (stop_) return;
+      ChunkSlot* slot = std::exchange(next_, nullptr);
+      lock.unlock();
+      ReadInto(slot, /*staged=*/true);
+      lock.lock();
+      done_ = slot;
+      cv_.notify_all();
+    }
+  }
+
+  // Reads the next chunk into *slot, staging its new values in the
+  // slot's overlay or interning them.
+  void ReadInto(ChunkSlot* slot, bool staged) {
+    slot->table.Clear();
+    slot->csv_capture.Clear();
+    if (staged) {
+      slot->overlay.emplace(reader_->pool().get());
+    } else {
+      slot->overlay.reset();
+    }
+    reader_->RecordSpansInto(&slot->spans);
+    reader_->SwapQuarantine(&slot->csv_capture);
+    reader_->ResolveThrough(slot->overlay ? &*slot->overlay : nullptr);
+    const uint64_t start_ns = TraceNowNanos();
+    slot->read = reader_->ReadChunk(&slot->table, max_rows_);
+    slot->read_ns = TraceNowNanos() - start_ns;
+    slot->chunk_offset = reader_->chunk_offset();
+    slot->bytes = reader_->chunk_bytes();
+    slot->bytes_read = reader_->bytes_read();
+    slot->at_end = reader_->at_end();
+  }
+
+  CsvChunkReader* const reader_;
+  const size_t max_rows_;
+  MetricsRegistry* const registry_;
+  MetricsRegistry untaken_;  // where a chunk never taken leaves its counts
+  MetricScope scope_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  ChunkSlot* next_ = nullptr;  // a read requested, not started
+  ChunkSlot* done_ = nullptr;  // a read finished, not taken
+  bool stop_ = false;
+  int avoided_cpu_ = -1;  // the CPU StayOffCallersCpu last kept it off
+  std::thread thread_;  // last: starts once the members above exist
+};
+
+// Writes a durable chunk's journaled deltas into the re-read `chunk`, the
+// chunk's repair without a chase, and records each write in *log (the
+// chunk's write log for its splice). Every value a rule writes is in the
+// pool once the rules are bound, so a delta value is looked up, never
+// interned: the pool stays read-only while the reader thread reads the
+// next chunk, and a value it lacks is a divergence.
 Status ApplyJournaledDeltas(const WalChunk& durable, Table* chunk,
                             std::vector<CellRepair>* log) {
-  ValuePool& pool = *chunk->pool_ptr();
+  const ValuePool& pool = chunk->pool();
   for (const WalCellDelta& delta : durable.deltas) {
     if (delta.row >= chunk->num_rows() || delta.attr >= chunk->num_columns() ||
         (!log->empty() && delta.row < log->back().row)) {
@@ -69,7 +250,13 @@ Status ApplyJournaledDeltas(const WalChunk& durable, Table* chunk,
     }
     const auto row = static_cast<size_t>(delta.row);
     const auto attr = static_cast<AttrId>(delta.attr);
-    const ValueId value = pool.Intern(delta.new_value);
+    const ValueId value = pool.Find(delta.new_value);
+    if (value == kNullValue) {
+      return Status::MalformedInput(
+          "resume divergence: chunk " + std::to_string(durable.chunk_index) +
+          " journaled the value '" + delta.new_value +
+          "', which no rule writes");
+    }
     log->push_back({row, attr, chunk->cell(row, attr), value,
                     delta.rule_index});
     chunk->WriteCell(row, attr, value);
@@ -137,39 +324,50 @@ StatusOr<RepairReport> StreamRepair(const RuleDict& dict,
   std::vector<Diagnostic> chunk_diags;
   driver.set_write_log(&chunk_deltas);
 
-  // Each chunk's record spans, for splicing its output over the bytes
-  // the reader kept (CsvChunkReader::chunk_bytes). The reader stops
-  // recording into them when the stream ends, whichever way.
-  CsvRecordSpans spans;
-  struct StopRecording {
-    CsvChunkReader* reader;
-    ~StopRecording() { reader->RecordSpansInto(nullptr); }
-  } stop_recording{reader};
-
-  // CSV-level quarantine journaling (WAL version >= 2): a capture sink
-  // interposed around each ReadChunk sees exactly the reader
-  // diagnostics one chunk produced. A repaired chunk journals them; a
-  // replayed chunk must reproduce the ones its log holds, so resume
-  // validates the re-read input against the log instead of silently
-  // trusting it. Appending to a resumed version-1 log keeps the old
-  // record set (old scanners refuse the new type), and its replayed
-  // diagnostics flow straight through.
+  // CSV-level quarantine journaling (WAL version >= 2): each slot's
+  // capture sink sees exactly the reader diagnostics one chunk produced.
+  // A repaired chunk journals them; a replayed chunk must reproduce the
+  // ones its log holds, so resume validates the re-read input against
+  // the log instead of silently trusting it. Appending to a resumed
+  // version-1 log keeps the old record set (old scanners refuse the new
+  // type), and its replayed diagnostics are only forwarded.
   const bool journal_csv =
       journaling &&
       (resume == nullptr || resume->header.version >= kCsvQuarantineWalVersion);
-  VectorQuarantineSink csv_capture;
 
   WriteCsvHeader(*reader->schema(), out.stream());
 
   RepairReport result;
-  Table chunk = reader->MakeChunkTable();
-  // No more rows than a kept chunk can hold: a record is at least
-  // `arity` bytes (its separators and terminator).
-  chunk.Reserve(std::min(config.chunk_rows,
-                         CsvChunkReader::kKeepBytes / dict.arity()));
+  // Two chunks in flight: the reader thread fills one slot while this
+  // thread repairs, journals and emits the other. No more rows than a
+  // kept chunk can hold: a record is at least `arity` bytes (its
+  // separators and terminator).
+  ChunkSlot slots[2] = {ChunkSlot(reader->MakeChunkTable()),
+                        ChunkSlot(reader->MakeChunkTable())};
+  for (ChunkSlot& slot : slots) {
+    slot.table.Reserve(std::min(config.chunk_rows,
+                                CsvChunkReader::kKeepBytes / dict.arity()));
+  }
 
   auto& registry = CurrentMetrics();
   LiveProgress progress(&registry);
+
+  // The caller's CSV sink gets each chunk's diagnostics at that chunk's
+  // turn, just before its tuple diagnostics. When the stream ends,
+  // whichever way, the reader thread is joined first and then the
+  // reader's sink, span recording and interning are restored.
+  QuarantineSink* const live_sink = reader->quarantine();
+  struct RestoreReader {
+    CsvChunkReader* reader;
+    QuarantineSink* sink;
+    ~RestoreReader() {
+      reader->SwapQuarantine(sink);
+      reader->RecordSpansInto(nullptr);
+      reader->ResolveThrough(nullptr);
+    }
+  } restore_reader{reader, live_sink};
+  ChunkReaderThread reader_thread(reader, config.chunk_rows, &registry);
+  reader_thread.Read(&slots[0]);
 
   // Crash recovery: the first resume->chunks.size() chunks are durable
   // in the log of a previous run. Each is re-read from the input and
@@ -188,41 +386,38 @@ StatusOr<RepairReport> StreamRepair(const RuleDict& dict,
     }
     const WalChunk* durable =
         replaying ? &resume->chunks[result.chunks] : nullptr;
-    chunk.Clear();
     chunk_deltas.clear();
     chunk_diags.clear();
-    reader->RecordSpansInto(&spans);
-    QuarantineSink* live_sink = nullptr;
-    if (journal_csv) {
-      csv_capture.Clear();
-      live_sink = reader->SwapQuarantine(&csv_capture);
+
+    // The hand-off, with the reader idle: the chunk's new values are
+    // interned in first-occurrence order, chunk after chunk, so every
+    // value gets the id a serial read would give it.
+    uint64_t read_wait_ns = 0;
+    ChunkSlot& slot = *reader_thread.Take(&read_wait_ns);
+    Table& chunk = slot.table;
+    if (slot.overlay && !slot.overlay->empty()) {
+      slot.overlay->Commit();
+      chunk.ApplyOverlay(*slot.overlay);
     }
-    const uint64_t read_start_ns = TraceNowNanos();
-    StatusOr<size_t> read = reader->ReadChunk(&chunk, config.chunk_rows);
-    const uint64_t read_ns = TraceNowNanos() - read_start_ns;
-    if (journal_csv) {
-      reader->SwapQuarantine(live_sink);
-      if (durable != nullptr && read.ok() &&
-          csv_capture.diagnostics() != durable->csv_quarantined) {
-        return Status::MalformedInput(
-            "resume divergence at chunk " +
-            std::to_string(durable->chunk_index) + ": WAL journaled " +
-            std::to_string(durable->csv_quarantined.size()) +
-            " CSV-level diagnostics, re-reading the input rendered " +
-            std::to_string(csv_capture.size()) +
-            " (or their contents differ) — was the input modified since "
-            "the journaled run?");
-      }
-      // The capture must be invisible to the caller's sink. On a
-      // replayed chunk it equals the journaled records, checked above.
-      if (live_sink != nullptr) {
-        for (const Diagnostic& diagnostic : csv_capture.diagnostics()) {
-          live_sink->Add(diagnostic);
-        }
+    const StatusOr<size_t>& read = slot.read;
+    if (journal_csv && durable != nullptr && read.ok() &&
+        slot.csv_capture.diagnostics() != durable->csv_quarantined) {
+      return Status::MalformedInput(
+          "resume divergence at chunk " +
+          std::to_string(durable->chunk_index) + ": WAL journaled " +
+          std::to_string(durable->csv_quarantined.size()) +
+          " CSV-level diagnostics, re-reading the input rendered " +
+          std::to_string(slot.csv_capture.size()) +
+          " (or their contents differ) — was the input modified since "
+          "the journaled run?");
+    }
+    if (live_sink != nullptr) {
+      for (const Diagnostic& diagnostic : slot.csv_capture.diagnostics()) {
+        live_sink->Add(diagnostic);
       }
     }
     if (!read.ok()) return read.status();
-    if (durable == nullptr && read.value() == 0 && reader->at_end()) break;
+    if (durable == nullptr && read.value() == 0 && slot.at_end) break;
     if (durable != nullptr &&
         (read.value() != durable->rows || durable->base_row != result.rows)) {
       return Status::MalformedInput(
@@ -234,12 +429,14 @@ StatusOr<RepairReport> StreamRepair(const RuleDict& dict,
           std::to_string(result.rows) +
           " — was the input modified since the journaled run?");
     }
+    // Read the next chunk while this one is repaired and written.
+    reader_thread.Read(&slot == &slots[0] ? &slots[1] : &slots[0]);
     ++result.chunks;
     const size_t cells_before = result.cells_changed;
     const size_t quarantined_before = result.tuples_quarantined;
     const uint64_t chunk_start_ns = TraceNowNanos();
     progress.chunk->Set(static_cast<int64_t>(result.chunks));
-    progress.input_bytes->Set(static_cast<int64_t>(reader->bytes_read()));
+    progress.input_bytes->Set(static_cast<int64_t>(slot.bytes_read));
 
     if (durable != nullptr) {
       FIXREP_RETURN_IF_ERROR(
@@ -297,7 +494,7 @@ StatusOr<RepairReport> StreamRepair(const RuleDict& dict,
         journaled = journal->AddDelta(delta);
       }
       if (journal_csv) {
-        for (const Diagnostic& diagnostic : csv_capture.diagnostics()) {
+        for (const Diagnostic& diagnostic : slot.csv_capture.diagnostics()) {
           if (!journaled.ok()) break;
           journaled = journal->AddCsvQuarantine(diagnostic);
         }
@@ -331,9 +528,9 @@ StatusOr<RepairReport> StreamRepair(const RuleDict& dict,
     // rest is rendered. The chunk's bytes start at its offset, with no
     // header of their own.
     const uint64_t emit_start_ns = TraceNowNanos();
-    spans.header = {reader->chunk_offset(), reader->chunk_offset(), true};
+    slot.spans.header = {slot.chunk_offset, slot.chunk_offset, true};
     StatusOr<CsvChunkEmit> emitted = WriteCsvChunk(
-        reader->chunk_bytes(), spans, chunk, chunk_deltas, out);
+        slot.bytes, slot.spans, chunk, chunk_deltas, out);
     if (!emitted.ok()) {
       return emitted.status().WithContext("writing the repaired stream");
     }
@@ -358,7 +555,8 @@ StatusOr<RepairReport> StreamRepair(const RuleDict& dict,
           .Set("cells_changed_total",
                static_cast<uint64_t>(result.cells_changed))
           .Set("duration_ns", duration_ns)
-          .Set("read_ns", read_ns)
+          .Set("read_ns", slot.read_ns)
+          .Set("read_wait_ns", read_wait_ns)
           .Set("emit_ns", emit_ns)
           .Set("bytes_copied", emitted->bytes_copied)
           .Set("rows_rendered", static_cast<uint64_t>(emitted->rows_rendered))

@@ -15,16 +15,29 @@ namespace fixrep {
 // loop behind RepairSession::RepairStream (repair/session.h), which opens
 // the WAL and calls it; call sites go through the session.
 //
-// The pipeline (docs/storage.md) is
+// The pipeline (docs/storage.md) has two stages:
 //
-//   CsvChunkReader --chunk--> repair in place --splice--> CsvOutput
+//   reader thread:   CsvChunkReader --chunk k+1 (ValueOverlay)--> hand-off
+//   calling thread:  chunk k: repair in place -> WAL commit -> splice
+//                    --> CsvOutput
 //
-// One chunk Table (its flat RowStore reused across chunks via Clear())
-// holds at most config.chunk_rows rows at a time; repaired rows are
-// emitted before the next chunk is read. Because fixing-rule repair is
-// per tuple, chunking cannot change the output: the repaired stream is
-// bit-identical to repairing the whole table in memory and writing it
-// out (WriteCsv), for every chunk size, width, routing and error policy.
+// One reader thread, started per call, reads chunk k+1 while the calling
+// thread repairs (or replays), journals and emits chunk k; at most two
+// chunk Tables (flat RowStores reused via Clear()) of at most
+// config.chunk_rows rows are in flight. While both threads run the pool
+// is only read: the reader resolves new values through a chunk-local
+// ValueOverlay, which the calling thread commits at the hand-off, with
+// the reader idle and in chunk order, so every value gets the ValueId a
+// serial read gives it. The hand-off also forwards the chunk's CSV
+// diagnostics to the reader's sink and publishes the reader's counters
+// to the calling thread's CurrentMetrics(), so sinks, registries and
+// the memo see what a serial read -> repair -> emit loop showed them. A
+// read error in chunk k+1 comes back after chunk k is journaled and
+// emitted; the reader thread never outlives the call. Because
+// fixing-rule repair is per tuple, chunking cannot change the output:
+// the repaired stream is bit-identical to repairing the whole table in
+// memory and writing it out (WriteCsv), for every chunk size, width,
+// routing and error policy.
 //
 // The output contract: the header is rendered, then each chunk's rows
 // go out through WriteCsvChunk as a splice over the chunk's input bytes,
@@ -44,10 +57,12 @@ namespace fixrep {
 // that fails part way keeps the counts of the chunks it repaired.
 //
 // Memory: a chunk read from a stream or file holds at most
-// kKeepBytes / arity rows (a record is at least arity bytes), so the
+// kKeepBytes / arity rows (a record is at least arity bytes), so a
 // chunk's cell block, reserved once for that many rows, never grows:
 // its size (RepairReport::peak_chunk_bytes) is at most about
-// kKeepBytes * sizeof(ValueId) whatever the input's length.
+// kKeepBytes * sizeof(ValueId) whatever the input's length. Two chunks
+// are in flight, so the stream holds two such blocks and the reader's
+// two refill buffers, about 2 MiB of kept input.
 //
 // Durability (docs/durability.md): a non-null `journal` receives each
 // chunk as chunk_begin / cell_delta* / quarantine* / chunk_commit,
@@ -55,7 +70,8 @@ namespace fixrep {
 // anywhere leaves every emitted row covered by a durable chunk. A
 // non-null `resume` makes that scanned run's committed chunks the first
 // chunks of the loop: each is re-read and checked against the log, its
-// recorded deltas and diagnostics are replayed instead of a chase, and
+// recorded deltas and diagnostics are replayed instead of a chase (a
+// delta's value must be one a rule writes, already in the pool), and
 // its rows are emitted like any other chunk's, so resumed output is
 // byte-identical to an uninterrupted run. Replayed chunks journal
 // nothing and emit no `chunk` or `wal_commit` telemetry; one `resume`
@@ -65,9 +81,10 @@ namespace fixrep {
 // Tuple diagnostics carry the global output-row index (what a
 // whole-table run reports), and so do the entries a non-null `log`
 // receives (the chunks repaired here; replayed chunks add none);
-// malformed CSV records flow through the reader's own sink. Returns the
-// totals, or the first error in abort mode. The reader's schema must
-// match the rules' arity.
+// malformed CSV records reach the reader's own sink at their chunk's
+// hand-off. Returns the totals, or the first error in abort mode. The
+// reader's schema must match the rules' arity; the reader belongs to
+// the stream until the call returns.
 StatusOr<RepairReport> StreamRepair(const RuleDict& dict,
                                     const RepairConfig& config,
                                     ChunkJournal* journal,

@@ -1132,6 +1132,133 @@ TEST_F(FileIngest, ByteBoundedChunksEndAtTheSameRecordsAtEveryRefillBlock) {
   }
 }
 
+// Reads `text` from a stream through refill blocks of `block` bytes the
+// way the stream pipeline does: chunk k is written only after chunk k+1
+// has been read, from the view chunk_bytes() gave for chunk k, which must
+// still hold chunk k's input slice. Returns the header and every chunk.
+std::string WriteEachChunkAfterTheNextRead(const std::string& text,
+                                           size_t block, OnErrorPolicy policy,
+                                           size_t max_rows) {
+  std::istringstream in(text);
+  VectorQuarantineSink sink;
+  StatusOr<CsvChunkReader> reader = CsvReaderTestPeer::Open(
+      in, block, std::make_shared<ValuePool>(), {policy, &sink});
+  EXPECT_TRUE(reader.ok()) << reader.status();
+  if (!reader.ok()) return {};
+  std::ostringstream rendered;
+  WriteCsvHeader(*reader->schema(), rendered);
+  struct Held {
+    Table chunk;
+    CsvRecordSpans spans;
+    std::string_view bytes;
+    uint64_t offset = 0;
+  };
+  Held held[2] = {{reader->MakeChunkTable()}, {reader->MakeChunkTable()}};
+  Held* previous = nullptr;
+  for (size_t k = 0;; ++k) {
+    Held& current = held[k % 2];
+    current.chunk.Clear();
+    reader->RecordSpansInto(&current.spans);
+    const StatusOr<size_t> read = reader->ReadChunk(&current.chunk, max_rows);
+    EXPECT_TRUE(read.ok()) << read.status();
+    const bool done = !read.ok() || (read.value() == 0 && reader->at_end());
+    if (previous != nullptr) {
+      EXPECT_EQ(previous->bytes,
+                std::string_view(text).substr(previous->offset,
+                                              previous->bytes.size()))
+          << "chunk " << k - 1 << " at " << previous->offset;
+      previous->spans.header = {previous->offset, previous->offset, true};
+      const StatusOr<CsvChunkEmit> written = WriteCsvChunk(
+          previous->bytes, previous->spans, previous->chunk, {}, rendered);
+      EXPECT_TRUE(written.ok()) << written.status();
+    }
+    if (done) break;
+    current.bytes = reader->chunk_bytes();
+    current.offset = reader->chunk_offset();
+    previous = &current;
+  }
+  reader->RecordSpansInto(nullptr);
+  return rendered.str();
+}
+
+// A chunk's bytes outlive the next read: with refill blocks of 1 to 80
+// bytes, quoted records that straddle refills, records longer than a
+// block and dropped records, each chunk spliced after the next read
+// gives WriteCsv's bytes.
+TEST(CsvChunkBytes, PreviousChunkOutlivesTheNextReadAtEveryRefillBlock) {
+  std::string text = "id,name,note\n";
+  for (int i = 0; i < 48; ++i) {
+    const std::string id = std::to_string(i);
+    switch (i % 6) {
+      case 0:
+        text += id + ",plain " + id + ",x\n";
+        break;
+      case 1:
+        text += id + ",\"quoted, " + id + "\",y\n";
+        break;
+      case 2:
+        text += id + ",\"multi\nline \"\"" + id + "\"\"\",z\r\n";
+        break;
+      case 3:
+        text += id + "," + std::string(100 + i, static_cast<char>('a' + i % 26)) +
+                ",long\n";
+        break;
+      case 4:
+        text += id + ",too few fields\n";  // dropped
+        break;
+      default:
+        text += id + ",bare\rcr,\"" + std::string(90, 'q') + "\"\n";
+        break;
+    }
+  }
+  for (const OnErrorPolicy policy :
+       {OnErrorPolicy::kSkip, OnErrorPolicy::kQuarantine}) {
+    std::string want;
+    {
+      StatusOr<Table> table = ReadCsvBytesLenient(
+          text, "fuzz", std::make_shared<ValuePool>(), {policy, nullptr});
+      ASSERT_TRUE(table.ok()) << table.status();
+      std::ostringstream rendered;
+      WriteCsv(table.value(), rendered);
+      want = rendered.str();
+    }
+    for (const size_t max_rows : {size_t{1}, size_t{2}, size_t{3}, size_t{7},
+                                  ~size_t{0}}) {
+      for (size_t block = 1; block <= 80; ++block) {
+        SCOPED_TRACE(std::string("policy=") + OnErrorPolicyName(policy) +
+                     " max_rows=" + std::to_string(max_rows) +
+                     " block=" + std::to_string(block));
+        ASSERT_EQ(WriteEachChunkAfterTheNextRead(text, block, policy, max_rows),
+                  want);
+      }
+    }
+  }
+}
+
+// The same over byte-bounded chunks of a multi-MiB input at the default
+// refill block: every chunk but the first goes on in the other buffer.
+TEST_F(FileIngest, PreviousByteBoundedChunkOutlivesTheNextRead) {
+  const std::string& hosp = HospText();
+  const std::string text = hosp.substr(0, hosp.find("\nPN", 3000000) + 1);
+  ASSERT_GT(text.size(), 2 * CsvChunkReader::kKeepBytes);
+  std::string want;
+  {
+    StatusOr<Table> table =
+        ReadCsvBytesLenient(text, "fuzz", std::make_shared<ValuePool>());
+    ASSERT_TRUE(table.ok()) << table.status();
+    std::ostringstream rendered;
+    WriteCsv(table.value(), rendered);
+    want = rendered.str();
+  }
+  for (const size_t max_rows : {size_t{4096}, ~size_t{0}}) {
+    SCOPED_TRACE("max_rows=" + std::to_string(max_rows));
+    EXPECT_EQ(WriteEachChunkAfterTheNextRead(text,
+                                             CsvChunkReader::kReadBlockBytes,
+                                             OnErrorPolicy::kAbort, max_rows),
+              want);
+  }
+}
+
 TEST_F(FileIngest, OpenReadFaultFailsTheFileReadOnly) {
   if (!kFaultInjectionEnabled) GTEST_SKIP() << "needs fault injection";
   const std::string text = "a,b\n1,2\n";

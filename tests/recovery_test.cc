@@ -299,6 +299,33 @@ TEST_F(RecoveryTest, ValidateWalHeaderRefusesEveryMismatch) {
             StatusCode::kMalformedInput);
 }
 
+// A chunk-size mismatch names both sizes as --chunk-rows takes them and
+// the flag that resumes the WAL, whole-file included, on either side.
+TEST_F(RecoveryTest, ChunkSizeMismatchNamesTheFlagToPass) {
+  WalRunHeader header;
+  header.rule_fingerprint = 11;
+  header.attribute_names = {"a", "b"};
+  header.chunk_rows = RepairConfig::kWholeFile;
+  header.on_error = static_cast<uint8_t>(OnErrorPolicy::kAbort);
+  const std::vector<std::string> attrs = {"a", "b"};
+  Status status =
+      ValidateWalHeader(header, 11, attrs, 65536, OnErrorPolicy::kAbort);
+  EXPECT_EQ(status.code(), StatusCode::kMalformedInput);
+  EXPECT_EQ(status.message(),
+            "WAL was written with --chunk-rows whole-file, this run uses "
+            "65536; chunk boundaries must match to resume (pass "
+            "--chunk-rows whole-file)");
+
+  header.chunk_rows = 4096;
+  status = ValidateWalHeader(header, 11, attrs, RepairConfig::kWholeFile,
+                             OnErrorPolicy::kAbort);
+  EXPECT_EQ(status.code(), StatusCode::kMalformedInput);
+  EXPECT_EQ(status.message(),
+            "WAL was written with --chunk-rows 4096, this run uses "
+            "whole-file; chunk boundaries must match to resume (pass "
+            "--chunk-rows 4096)");
+}
+
 // ------------------------------------------------------------------ audit --
 
 TEST_F(RecoveryTest, AuditRendersGlobalRowsFromTheLogAlone) {
@@ -634,6 +661,56 @@ TEST_F(RecoveryTest, ResumeDetectsADivergentInput) {
   EXPECT_EQ(resumed.status().code(), StatusCode::kMalformedInput);
   EXPECT_NE(resumed.status().message().find("divergence"),
             std::string::npos);
+}
+
+// Every value a rule writes is in the pool once the rules are bound, so
+// resume looks a journaled value up instead of interning it (the pool
+// stays read-only while the next chunk is read), and refuses a value no
+// rule writes as a divergence.
+TEST_F(RecoveryTest, ResumeRefusesAJournaledValueNoRuleWrites) {
+  TravelExample example;
+  const std::string wal = TempPath("foreign_value.wal");
+  const std::string dirty_csv = ToCsv(example.dirty);
+  const StatusOr<DurableRun> full = RunDurable(
+      dirty_csv, example.pool, example.rules,
+      {.chunk_rows = 2, .wal_path = wal});
+  ASSERT_TRUE(full.ok()) << full.status().message();
+  StatusOr<RecoveredRun> scanned = ScanWal(wal);
+  ASSERT_TRUE(scanned.ok()) << scanned.status().message();
+
+  // The same log with its first delta's value replaced.
+  bool replaced = false;
+  {
+    StatusOr<ChunkJournal> journal = ChunkJournal::Create(wal, scanned->header);
+    ASSERT_TRUE(journal.ok()) << journal.status().message();
+    for (const WalChunk& chunk : scanned->chunks) {
+      ASSERT_TRUE(
+          journal->BeginChunk(chunk.chunk_index, chunk.base_row, chunk.rows)
+              .ok());
+      for (WalCellDelta delta : chunk.deltas) {
+        if (!replaced) delta.new_value = "Atlantis";
+        replaced = true;
+        ASSERT_TRUE(journal->AddDelta(delta).ok());
+      }
+      ASSERT_TRUE(journal
+                      ->Commit(chunk.chunk_index, chunk.rows,
+                               chunk.cells_changed, chunk.tuples_quarantined)
+                      .ok());
+    }
+    ASSERT_TRUE(journal->Close().ok());
+  }
+  ASSERT_TRUE(replaced);
+  ASSERT_EQ(example.pool->Find("Atlantis"), kNullValue);
+
+  const StatusOr<DurableRun> resumed = RunDurable(
+      dirty_csv, example.pool, example.rules,
+      {.chunk_rows = 2, .wal_path = wal, .resume = true});
+  ASSERT_FALSE(resumed.ok());
+  EXPECT_EQ(resumed.status().code(), StatusCode::kMalformedInput);
+  EXPECT_NE(resumed.status().message().find("'Atlantis', which no rule writes"),
+            std::string::npos)
+      << resumed.status().message();
+  EXPECT_EQ(example.pool->Find("Atlantis"), kNullValue);
 }
 
 // -------------------------------------- CSV-level quarantine journaling --

@@ -5,12 +5,14 @@
 // repairing the whole table in memory and writing it out.
 
 #include <memory>
+#include <utility>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/metric_scope.h"
 #include "common/metrics.h"
 #include "common/quarantine.h"
 #include "common/random.h"
@@ -24,6 +26,7 @@
 #include "relation/table.h"
 #include "repair/driver.h"
 #include "repair/lrepair.h"
+#include "repair/recovery.h"
 #include "repair/session.h"
 #include "rulegen/rulegen.h"
 #include "rules/rule_io.h"
@@ -354,6 +357,7 @@ struct SpliceCorpus {
   GeneratedData data;
   std::string csv;
   std::unique_ptr<RuleDict> dict;
+  std::string rule_text;  // the mined rules, as WriteRules writes them
 };
 
 // Noisy hosp rows with their mined rules; `copies` > 1 repeats the data
@@ -368,8 +372,12 @@ SpliceCorpus MakeSpliceCorpus(size_t copies) {
                                            corpus.data.fds), {});
   RuleGenOptions rulegen;
   rulegen.max_rules = 150;
-  corpus.dict = RuleDict::CompileOrDie(
-      GenerateRules(corpus.data.clean, dirty, corpus.data.fds, rulegen));
+  const RuleSet rules =
+      GenerateRules(corpus.data.clean, dirty, corpus.data.fds, rulegen);
+  corpus.dict = RuleDict::CompileOrDie(rules);
+  std::ostringstream rule_text;
+  WriteRules(rules, rule_text);
+  corpus.rule_text = rule_text.str();
   const std::string csv = ToCsv(dirty);
   const size_t body = csv.find('\n') + 1;
   corpus.csv = csv;
@@ -717,6 +725,211 @@ TEST_F(StreamingQuarantineTest, WholeFileWithQuarantineMatchesInMemory) {
         << context;
     ExpectSameDiagnostics(run->tuple_diagnostics,
                           reference_sink.diagnostics(), context);
+  }
+}
+
+
+// ------------------------------------------------- pipelined hand-off --
+//
+// The reader thread reads chunk k+1 while chunk k is repaired, journaled
+// and emitted. Everything a caller can see must stay as the serial
+// read -> repair -> emit loop left it.
+
+// One sink for CSV and tuple diagnostics sees, per chunk, the chunk's
+// CSV diagnostics and then its tuple diagnostics: never a later chunk's
+// CSV diagnostics before an earlier chunk's tuple ones.
+TEST_F(StreamingQuarantineTest, OneSinkSeesEachChunksCsvThenTupleDiagnostics) {
+  const std::string input_csv =
+      "country,capital,name\n"
+      "China,Shanghai,x\n"       // record 0 -> row 0
+      "bad,row,with,too,many\n"  // record 1: arity mismatch
+      "Chn,Shanghai,flag\n"      // record 2 -> row 1, budget fail
+      "France,Paris\n"           // record 3: arity mismatch
+      "Chn,Hongkong,flag\n"      // record 4 -> row 2, budget fail
+      "France,Paris,y\n";        // record 5 -> row 3
+  VectorQuarantineSink csv_reference;
+  std::istringstream reference_in(input_csv);
+  StatusOr<Table> reference = ReadCsvLenient(
+      reference_in, "R", pool_, {OnErrorPolicy::kQuarantine, &csv_reference});
+  ASSERT_TRUE(reference.ok());
+  const std::unique_ptr<RuleDict> dict = RuleDict::CompileOrDie(rules_);
+  VectorQuarantineSink tuple_reference;
+  RepairDriver(*dict, LenientConfig(&tuple_reference)).Run(&reference.value());
+  const std::vector<Diagnostic>& csv = csv_reference.diagnostics();
+  const std::vector<Diagnostic>& tuples = tuple_reference.diagnostics();
+  ASSERT_EQ(csv.size(), 2u);
+  ASSERT_EQ(tuples.size(), 2u);
+
+  // Chunks of 1 or 2 rows put records 1-2 in one chunk and 3-4 in a
+  // later one; a chunk of 3 rows holds records 0-4.
+  const std::vector<Diagnostic> interleaved = {csv[0], tuples[0], csv[1],
+                                               tuples[1]};
+  const std::vector<Diagnostic> one_chunk = {csv[0], csv[1], tuples[0],
+                                             tuples[1]};
+  for (const size_t chunk_rows : {size_t{1}, size_t{2}, size_t{3}}) {
+    for (const size_t threads : {size_t{1}, size_t{4}}) {
+      const std::string context = "chunk_rows=" + std::to_string(chunk_rows) +
+                                  " threads=" + std::to_string(threads);
+      VectorQuarantineSink sink;
+      std::istringstream in(input_csv);
+      StatusOr<CsvChunkReader> reader = CsvChunkReader::Open(
+          in, "stream", pool_, {OnErrorPolicy::kQuarantine, &sink});
+      ASSERT_TRUE(reader.ok());
+      RepairConfig config = LenientConfig(&sink);
+      config.chunk_rows = chunk_rows;
+      config.threads = threads;
+      RepairSession session(dict.get(), config);
+      std::ostringstream out;
+      ASSERT_TRUE(session.RepairStream(&reader.value(), out).ok()) << context;
+      EXPECT_EQ(out.str(), ToCsv(reference.value())) << context;
+      EXPECT_EQ(reader->quarantine(), &sink) << context;  // handed back
+      ExpectSameDiagnostics(sink.diagnostics(),
+                            chunk_rows == 3 ? one_chunk : interleaved,
+                            context);
+    }
+  }
+}
+
+// Values new to the pool are interned chunk by chunk in first-occurrence
+// order at each hand-off, so after a stream the pool holds the strings a
+// whole-table read gives, at the same ids, and the memo (which hashes
+// ids) hits and misses exactly as often.
+TEST_F(StreamingTest, PoolIdsAndMemoCountsMatchAWholeTableRead) {
+  if (!kMetricsEnabled) GTEST_SKIP() << "built with FIXREP_DISABLE_METRICS";
+  const SpliceCorpus corpus = MakeSpliceCorpus(3);
+
+  auto memo_counts = [] {
+    return std::pair(CounterValue("fixrep.memo.hits"),
+                     CounterValue("fixrep.memo.misses"));
+  };
+  // Whole-table reference: rules parsed into a fresh pool, then the
+  // table read into it and repaired.
+  auto want_pool = std::make_shared<ValuePool>();
+  const RuleSet want_rules =
+      ParseRulesFromString(corpus.rule_text, corpus.data.schema, want_pool);
+  std::istringstream want_in(corpus.csv);
+  StatusOr<Table> table = ReadCsvLenient(want_in, "stream", want_pool);
+  ASSERT_TRUE(table.ok());
+  MetricsRegistry::Global().ResetAllForTest();
+  RepairSession want_session(&want_rules, RepairConfig{});
+  ASSERT_TRUE(want_session.Repair(&table.value()).ok());
+  const auto want_memo = memo_counts();
+  EXPECT_GT(want_memo.first, 0u);
+  EXPECT_GT(want_pool->size(), want_rules.size());
+
+  for (const size_t chunk_rows :
+       {size_t{1}, size_t{7}, size_t{4096}, RepairConfig::kWholeFile}) {
+    const std::string context = "chunk_rows=" + std::to_string(chunk_rows);
+    auto pool = std::make_shared<ValuePool>();
+    const RuleSet rules =
+        ParseRulesFromString(corpus.rule_text, corpus.data.schema, pool);
+    const std::unique_ptr<RuleDict> dict = RuleDict::CompileOrDie(rules);
+    MetricsRegistry::Global().ResetAllForTest();
+    const StatusOr<StreamRun> run =
+        RunStream(corpus.csv, pool, *dict, {.chunk_rows = chunk_rows});
+    ASSERT_TRUE(run.ok()) << context << ": " << run.status().message();
+    EXPECT_EQ(run->csv, ToCsv(table.value())) << context;
+    EXPECT_EQ(memo_counts(), want_memo) << context;
+    ASSERT_EQ(pool->size(), want_pool->size()) << context;
+    for (size_t id = 0; id < pool->size(); ++id) {
+      ASSERT_EQ(pool->GetString(static_cast<ValueId>(id)),
+                want_pool->GetString(static_cast<ValueId>(id)))
+          << context << " id " << id;
+    }
+  }
+}
+
+// The reader thread's counters (bytes parsed, fallback records, dropped
+// rows) land in the registry of the calling thread's MetricScope, as a
+// serial read's would, and none reach the global registry.
+TEST_F(StreamingQuarantineTest, ReaderCountersLandInTheCallersScope) {
+  if (!kMetricsEnabled) GTEST_SKIP() << "built with FIXREP_DISABLE_METRICS";
+  const std::string input_csv =
+      "country,capital,name\n"
+      "China,Shanghai,x\n"
+      "bad,row,with,too,many\n"
+      "\"China\",Hongkong,y\n"
+      "France,Paris\n"
+      "France,Paris,z\n";
+  const std::unique_ptr<RuleDict> dict = RuleDict::CompileOrDie(rules_);
+  for (const size_t chunk_rows : {size_t{1}, size_t{2}, size_t{10}}) {
+    const std::string context = "chunk_rows=" + std::to_string(chunk_rows);
+    MetricsRegistry::Global().ResetAllForTest();
+    MetricScope scope;
+    {
+      MetricScope::Activation active(&scope);
+      const StatusOr<StreamRun> run =
+          RunStream(input_csv, pool_, *dict,
+                    {.chunk_rows = chunk_rows,
+                     .csv_policy = OnErrorPolicy::kSkip});
+      ASSERT_TRUE(run.ok()) << context << ": " << run.status().message();
+    }
+    const MetricsRegistry& local = scope.registry();
+    auto local_value = [&](const char* name) {
+      const Counter* counter = local.FindCounter(name);
+      return counter == nullptr ? uint64_t{0} : counter->Value();
+    };
+    EXPECT_EQ(local_value("fixrep.csv.bytes_parsed"), input_csv.size())
+        << context;
+    // Both dropped records and the quoted one go to the tokenizer.
+    EXPECT_EQ(local_value("fixrep.csv.records_fallback"), 3u) << context;
+    EXPECT_EQ(local_value("fixrep.quarantine.rows"), 2u) << context;
+    EXPECT_EQ(local_value("fixrep.streaming.rows"), 3u) << context;
+    for (const char* name :
+         {"fixrep.csv.bytes_parsed", "fixrep.csv.records_fallback",
+          "fixrep.quarantine.rows", "fixrep.streaming.rows"}) {
+      EXPECT_EQ(CounterValue(name), 0u) << context << " " << name;
+    }
+  }
+}
+
+// A malformed record in chunk k+1 under kAbort is read while chunk k is
+// processed, but its error comes back only after chunk k has been
+// journaled and emitted: the same Status a whole-table read returns, and
+// the WAL and output a serial loop would leave.
+TEST_F(StreamingQuarantineTest, NextChunksReadErrorLeavesThisChunkCommitted) {
+  const std::string input_csv =
+      "country,capital,name\n"
+      "China,Shanghai,a\n"  // chunk 1
+      "China,Hongkong,b\n"
+      "France,Paris,c\n"    // chunk 2
+      "China,Shanghai,d\n"
+      "China,Shanghai\n";   // chunk 3: arity mismatch
+  std::istringstream want_in(input_csv);
+  const StatusOr<Table> want = ReadCsvLenient(want_in, "stream", pool_);
+  ASSERT_FALSE(want.ok());
+  const std::unique_ptr<RuleDict> dict = RuleDict::CompileOrDie(rules_);
+  for (const size_t threads : {size_t{1}, size_t{4}}) {
+    const std::string context = "threads=" + std::to_string(threads);
+    const std::string wal = testing::TestTempPath(
+        "next_chunk_error_" + std::to_string(threads) + ".wal");
+    std::istringstream in(input_csv);
+    StatusOr<CsvChunkReader> reader =
+        CsvChunkReader::Open(in, "stream", pool_, {});
+    ASSERT_TRUE(reader.ok());
+    RepairConfig config;
+    config.chunk_rows = 2;
+    config.threads = threads;
+    config.wal_path = wal;
+    RepairSession session(dict.get(), config);
+    std::ostringstream out;
+    const StatusOr<RepairReport> report =
+        session.RepairStream(&reader.value(), out);
+    ASSERT_FALSE(report.ok()) << context;
+    EXPECT_EQ(report.status(), want.status()) << context;
+    EXPECT_EQ(out.str(),
+              "country,capital,name\n"
+              "China,Beijing,a\n"
+              "China,Beijing,b\n"
+              "France,Paris,c\n"
+              "China,Beijing,d\n")
+        << context;
+    const StatusOr<RecoveredRun> scanned = ScanWal(wal);
+    ASSERT_TRUE(scanned.ok()) << context << ": " << scanned.status();
+    ASSERT_EQ(scanned->chunks.size(), 2u) << context;
+    EXPECT_EQ(scanned->chunks[1].base_row, 2u) << context;
+    EXPECT_EQ(scanned->chunks[1].rows, 2u) << context;
+    EXPECT_EQ(scanned->rows_durable(), 4u) << context;
   }
 }
 

@@ -267,7 +267,8 @@ TEST(TelemetryJournalTest, GoldenTravelStreamRun) {
     // Stable fields only: presence and monotonicity, never timings.
     for (const char* key :
          {"index", "rows", "rows_total", "cells_changed_total",
-          "duration_ns", "bytes_copied", "rows_rendered", "cell_bytes"}) {
+          "duration_ns", "read_ns", "read_wait_ns", "emit_ns",
+          "bytes_copied", "rows_rendered", "cell_bytes"}) {
       EXPECT_TRUE(HasField(line, key)) << key << " missing in: " << line;
     }
     EXPECT_EQ(FieldUint(line, "index"), chunk_events);
