@@ -351,10 +351,19 @@ void CsvChunkReader::SwitchBuffers() {
 
 size_t CsvChunkReader::ReadInput(char* out, size_t n) {
   if (in_ != nullptr) {
-    // istream::read comes back short only at end of input (or on a read
-    // error, which the char-at-a-time reader also treated as the end).
-    in_->read(out, static_cast<std::streamsize>(n));
-    return static_cast<size_t>(in_->gcount());
+    // Straight from the stream's buffer: istream::read would flush a
+    // tied output stream (std::cin's std::cout), which a stream's
+    // calling thread may be writing while its reader thread reads. Short
+    // only at end of input; a read error (a filebuf throws one) counts
+    // as the end, as istream::read's badbit did.
+    std::streambuf* buffer = in_->rdbuf();
+    if (buffer == nullptr) return 0;
+    try {
+      return static_cast<size_t>(
+          buffer->sgetn(out, static_cast<std::streamsize>(n)));
+    } catch (const std::ios_base::failure&) {
+      return 0;
+    }
   }
   // read(2) may come back short on a pipe before its end: loop to EOF.
   size_t got = 0;

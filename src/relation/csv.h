@@ -106,7 +106,8 @@ class CsvChunkReader {
 
   // Reads and validates the header. Header problems are fatal (same
   // policy as ReadCsvLenient). The stream must outlive the reader, which
-  // reads ahead of the records it has handed out.
+  // reads ahead of the records it has handed out, straight from the
+  // stream's buffer: a stream tied to `in` is never flushed.
   static StatusOr<CsvChunkReader> Open(std::istream& in,
                                        const std::string& relation_name,
                                        std::shared_ptr<ValuePool> pool,

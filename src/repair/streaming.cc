@@ -69,8 +69,7 @@ struct ChunkSlot {
   Table table;
   CsvRecordSpans spans;
   VectorQuarantineSink csv_capture;
-  // Set when the reader thread read the chunk; none when the calling
-  // thread read it.
+  // Set when the reader thread read the chunk.
   std::optional<ValueOverlay> overlay;
   StatusOr<size_t> read = size_t{0};
   uint64_t read_ns = 0;
@@ -82,20 +81,23 @@ struct ChunkSlot {
 };
 
 // The stream's reader thread. The calling thread posts the next read
-// (Read) and later takes its slot (Take). The reader thread claims a
-// posted read and resolves the chunk's values through the slot's
-// overlay, so the shared pool is only read while the calling thread
-// repairs, journals and emits the previous chunk. A read the reader
-// thread has not claimed by the time the calling thread comes to take
-// it (the first chunk, which the calling thread only waits for, or any
-// chunk when the reader thread is short of CPU) is read by the calling
-// thread itself, interning straight into the pool: nothing else runs
-// then. Between reads the reader thread is idle, and the calling thread
-// may commit an overlay (write the pool) and reuse a slot. The reader
-// thread's counters (bytes parsed, fallback records, quarantined rows)
-// accumulate in a private scope that Take flushes from the calling
-// thread, so they land in the caller's registry; a chunk read but never
-// taken publishes nothing.
+// (Read) and later takes its slot (Take). The reader thread resolves
+// every chunk's values through the slot's overlay, so the shared pool is
+// only read while the calling thread repairs, journals and emits the
+// previous chunk. Between reads the reader thread is idle, and the
+// calling thread may commit an overlay (write the pool) and reuse a
+// slot. The reader thread's counters (bytes parsed, fallback records,
+// quarantined rows) accumulate in a private scope that Take flushes from
+// the calling thread, so they land in the caller's registry; a chunk
+// read but never taken publishes nothing.
+//
+// When the calling thread's affinity allows one CPU only, there is no
+// reader thread: the two threads could only take turns on that CPU, and
+// the overlay's staging, commit and id rewrite would be pure cost
+// (under `taskset -c 0` on a 4-vCPU VM a perfbench stream took 36.3 ms
+// with the thread against 34.1 ms serially). Take then reads the chunk
+// on the calling thread, interning straight into the pool, as the
+// serial loop did.
 class ChunkReaderThread {
  public:
   ChunkReaderThread(CsvChunkReader* reader, size_t max_rows,
@@ -103,15 +105,17 @@ class ChunkReaderThread {
       : reader_(reader),
         max_rows_(max_rows),
         registry_(registry),
-        scope_(&untaken_),
-        thread_([this] { Loop(); }) {
+        scope_(&untaken_) {
+    if (!CallerMayUseAnotherCpu()) return;
     // ReadChunk registers it even when it counts nothing, and a flush
     // carries only nonzero counts.
     registry_->GetCounter("fixrep.csv.records_fallback");
+    thread_ = std::thread([this] { Loop(); });
   }
 
   // Waits for a read in progress, then stops the thread.
   ~ChunkReaderThread() {
+    if (!thread_.joinable()) return;
     {
       std::lock_guard<std::mutex> lock(mu_);
       stop_ = true;
@@ -126,6 +130,10 @@ class ChunkReaderThread {
   // Posts a read of the next chunk into *slot; the last one posted must
   // have been taken.
   void Read(ChunkSlot* slot) {
+    if (!thread_.joinable()) {
+      next_ = slot;
+      return;
+    }
     StayOffCallersCpu();
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -137,24 +145,19 @@ class ChunkReaderThread {
 
   // Returns the slot of the read Read posted once it is read, with the
   // reader thread idle. *wait_ns is the time this took: waiting for the
-  // reader thread, or reading the chunk here.
+  // reader thread, or, with no thread, reading the chunk.
   ChunkSlot* Take(uint64_t* wait_ns) {
     const uint64_t start_ns = TraceNowNanos();
     ChunkSlot* slot = nullptr;
-    bool read_here = false;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      if (next_ != nullptr) {
-        slot = std::exchange(next_, nullptr);
-        read_here = true;
-      } else {
+    if (!thread_.joinable()) {
+      slot = std::exchange(next_, nullptr);
+      ReadInto(slot, /*staged=*/false);
+    } else {
+      {
+        std::unique_lock<std::mutex> lock(mu_);
         cv_.wait(lock, [this] { return done_ != nullptr; });
         slot = std::exchange(done_, nullptr);
       }
-    }
-    if (read_here) {
-      ReadInto(slot, /*staged=*/false);
-    } else {
       scope_.registry().FlushInto(registry_);
     }
     *wait_ns = TraceNowNanos() - start_ns;
@@ -162,6 +165,12 @@ class ChunkReaderThread {
   }
 
  private:
+  static bool CallerMayUseAnotherCpu() {
+    cpu_set_t allowed;
+    return sched_getaffinity(0, sizeof(allowed), &allowed) != 0 ||
+           CPU_COUNT(&allowed) > 1;
+  }
+
   // Keeps the reader thread off the CPU the calling thread is on, when
   // the caller may run on another, so the two run side by side even
   // where the kernel leaves a new thread on its creator's CPU: on a
@@ -227,7 +236,7 @@ class ChunkReaderThread {
   ChunkSlot* done_ = nullptr;  // a read finished, not taken
   bool stop_ = false;
   int avoided_cpu_ = -1;  // the CPU StayOffCallersCpu last kept it off
-  std::thread thread_;  // last: starts once the members above exist
+  std::thread thread_;  // none for a caller limited to one CPU
 };
 
 // Writes a durable chunk's journaled deltas into the re-read `chunk`, the
@@ -429,7 +438,8 @@ StatusOr<RepairReport> StreamRepair(const RuleDict& dict,
           std::to_string(result.rows) +
           " — was the input modified since the journaled run?");
     }
-    // Read the next chunk while this one is repaired and written.
+    // The reader thread reads the next chunk while this one is repaired
+    // and written.
     reader_thread.Read(&slot == &slots[0] ? &slots[1] : &slots[0]);
     ++result.chunks;
     const size_t cells_before = result.cells_changed;

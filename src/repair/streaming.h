@@ -28,12 +28,19 @@ namespace fixrep {
 // is only read: the reader resolves new values through a chunk-local
 // ValueOverlay, which the calling thread commits at the hand-off, with
 // the reader idle and in chunk order, so every value gets the ValueId a
-// serial read gives it. The hand-off also forwards the chunk's CSV
+// serial read gives it. A caller whose CPU affinity allows one CPU
+// only gets no reader thread (the two could only take turns there): it
+// reads each chunk itself at the hand-off, interning directly, as a
+// serial loop does. The hand-off also forwards the chunk's CSV
 // diagnostics to the reader's sink and publishes the reader's counters
 // to the calling thread's CurrentMetrics(), so sinks, registries and
 // the memo see what a serial read -> repair -> emit loop showed them. A
 // read error in chunk k+1 comes back after chunk k is journaled and
-// emitted; the reader thread never outlives the call. Because
+// emitted; the reader thread never outlives the call. A read cannot be
+// cancelled, so an error in chunk k (journaling, writing, a resume
+// divergence) comes back once the read of chunk k+1 ends: at once from
+// a file, but from a pipe whose writer stalls only when the writer
+// delivers the rest of that read or closes the input. Because
 // fixing-rule repair is per tuple, chunking cannot change the output:
 // the repaired stream is bit-identical to repairing the whole table in
 // memory and writing it out (WriteCsv), for every chunk size, width,
@@ -84,7 +91,9 @@ namespace fixrep {
 // malformed CSV records reach the reader's own sink at their chunk's
 // hand-off. Returns the totals, or the first error in abort mode. The
 // reader's schema must match the rules' arity; the reader belongs to
-// the stream until the call returns.
+// the stream until the call returns. Its input stream is read straight
+// from the stream's buffer, so an input tied to `out` (std::cin to
+// std::cout) is never flushed from the reader thread.
 StatusOr<RepairReport> StreamRepair(const RuleDict& dict,
                                     const RepairConfig& config,
                                     ChunkJournal* journal,

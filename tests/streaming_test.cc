@@ -4,14 +4,25 @@
 // repaired CSV bytes AND quarantine diagnostics — is bit-identical to
 // repairing the whole table in memory and writing it out.
 
+#include <sched.h>
+
+#include <chrono>
+#include <condition_variable>
+#include <istream>
 #include <memory>
-#include <utility>
+#include <mutex>
+#include <optional>
+#include <ostream>
 #include <sstream>
+#include <streambuf>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/logging.h"
 #include "common/metric_scope.h"
 #include "common/metrics.h"
 #include "common/quarantine.h"
@@ -109,6 +120,33 @@ void ExpectSameDiagnostics(const std::vector<Diagnostic>& got,
     EXPECT_EQ(got[i].message, want[i].message) << context << " #" << i;
     EXPECT_EQ(got[i].raw_text, want[i].raw_text) << context << " #" << i;
   }
+}
+
+// Limits the calling thread to the CPU it is on while in scope, as
+// `taskset -c` limits a process; a stream started here reads its chunks
+// on the calling thread.
+class OneCpuForThisThread {
+ public:
+  OneCpuForThisThread() {
+    FIXREP_CHECK(sched_getaffinity(0, sizeof(saved_), &saved_) == 0);
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(sched_getcpu(), &one);
+    FIXREP_CHECK(sched_setaffinity(0, sizeof(one), &one) == 0);
+  }
+  ~OneCpuForThisThread() { sched_setaffinity(0, sizeof(saved_), &saved_); }
+
+  OneCpuForThisThread(const OneCpuForThisThread&) = delete;
+  OneCpuForThisThread& operator=(const OneCpuForThisThread&) = delete;
+
+ private:
+  cpu_set_t saved_;
+};
+
+bool ThisThreadMayUseSeveralCpus() {
+  cpu_set_t allowed;
+  return sched_getaffinity(0, sizeof(allowed), &allowed) == 0 &&
+         CPU_COUNT(&allowed) > 1;
 }
 
 class StreamingTest : public ::testing::Test {
@@ -817,24 +855,106 @@ TEST_F(StreamingTest, PoolIdsAndMemoCountsMatchAWholeTableRead) {
   EXPECT_GT(want_memo.first, 0u);
   EXPECT_GT(want_pool->size(), want_rules.size());
 
-  for (const size_t chunk_rows :
-       {size_t{1}, size_t{7}, size_t{4096}, RepairConfig::kWholeFile}) {
-    const std::string context = "chunk_rows=" + std::to_string(chunk_rows);
-    auto pool = std::make_shared<ValuePool>();
-    const RuleSet rules =
-        ParseRulesFromString(corpus.rule_text, corpus.data.schema, pool);
-    const std::unique_ptr<RuleDict> dict = RuleDict::CompileOrDie(rules);
-    MetricsRegistry::Global().ResetAllForTest();
-    const StatusOr<StreamRun> run =
-        RunStream(corpus.csv, pool, *dict, {.chunk_rows = chunk_rows});
-    ASSERT_TRUE(run.ok()) << context << ": " << run.status().message();
-    EXPECT_EQ(run->csv, ToCsv(table.value())) << context;
-    EXPECT_EQ(memo_counts(), want_memo) << context;
-    ASSERT_EQ(pool->size(), want_pool->size()) << context;
-    for (size_t id = 0; id < pool->size(); ++id) {
-      ASSERT_EQ(pool->GetString(static_cast<ValueId>(id)),
-                want_pool->GetString(static_cast<ValueId>(id)))
-          << context << " id " << id;
+  // On one CPU the chunks are read on the calling thread instead.
+  for (const bool one_cpu : {false, true}) {
+    for (const size_t chunk_rows :
+         {size_t{1}, size_t{7}, size_t{4096}, RepairConfig::kWholeFile}) {
+      const std::string context = "chunk_rows=" + std::to_string(chunk_rows) +
+                                  (one_cpu ? " one CPU" : "");
+      auto pool = std::make_shared<ValuePool>();
+      const RuleSet rules =
+          ParseRulesFromString(corpus.rule_text, corpus.data.schema, pool);
+      const std::unique_ptr<RuleDict> dict = RuleDict::CompileOrDie(rules);
+      MetricsRegistry::Global().ResetAllForTest();
+      std::optional<OneCpuForThisThread> pinned;
+      if (one_cpu) pinned.emplace();
+      const StatusOr<StreamRun> run =
+          RunStream(corpus.csv, pool, *dict, {.chunk_rows = chunk_rows});
+      pinned.reset();
+      ASSERT_TRUE(run.ok()) << context << ": " << run.status().message();
+      EXPECT_EQ(run->csv, ToCsv(table.value())) << context;
+      EXPECT_EQ(memo_counts(), want_memo) << context;
+      ASSERT_EQ(pool->size(), want_pool->size()) << context;
+      for (size_t id = 0; id < pool->size(); ++id) {
+        ASSERT_EQ(pool->GetString(static_cast<ValueId>(id)),
+                  want_pool->GetString(static_cast<ValueId>(id)))
+            << context << " id " << id;
+      }
+    }
+  }
+}
+
+// Where chunks are read follows only from the caller's CPU affinity: a
+// caller limited to one CPU reads every chunk itself, one that may use
+// more has every data chunk read on the reader thread. The output is the
+// same either way.
+TEST_F(StreamingQuarantineTest, ReadsOnTheCallingThreadExactlyOnOneCpu) {
+  // Records the threads that read from it.
+  class ReaderRecorder : public std::stringbuf {
+   public:
+    explicit ReaderRecorder(const std::string& bytes)
+        : std::stringbuf(bytes, std::ios::in) {}
+    std::vector<std::thread::id> readers() {
+      std::lock_guard<std::mutex> lock(mu_);
+      return readers_;
+    }
+
+   protected:
+    std::streamsize xsgetn(char* out, std::streamsize n) override {
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        readers_.push_back(std::this_thread::get_id());
+      }
+      return std::stringbuf::xsgetn(out, n);
+    }
+
+   private:
+    std::mutex mu_;
+    std::vector<std::thread::id> readers_;
+  };
+
+  // Longer than a refill block, so data chunks read from the stream.
+  std::string input_csv = "country,capital,name\n";
+  while (input_csv.size() < 3 * CsvChunkReader::kReadBlockBytes) {
+    input_csv += "China,Shanghai,x\nFrance,Paris,y\n";
+  }
+  std::istringstream want_in(input_csv);
+  StatusOr<Table> want = ReadCsvLenient(want_in, "stream", pool_);
+  ASSERT_TRUE(want.ok());
+  const std::unique_ptr<RuleDict> dict = RuleDict::CompileOrDie(rules_);
+  RepairDriver(*dict, RepairConfig{}).Run(&want.value());
+
+  for (const bool one_cpu : {true, false}) {
+    if (!one_cpu && !ThisThreadMayUseSeveralCpus()) {
+      GTEST_SKIP() << "the test process may use one CPU only";
+    }
+    const std::string context = one_cpu ? "one CPU" : "several CPUs";
+    ReaderRecorder input(input_csv);
+    std::istream in(&input);
+    std::optional<OneCpuForThisThread> pinned;
+    if (one_cpu) pinned.emplace();
+    StatusOr<CsvChunkReader> reader =
+        CsvChunkReader::Open(in, "stream", pool_);
+    ASSERT_TRUE(reader.ok()) << context;
+    RepairConfig config;
+    config.chunk_rows = 4096;
+    RepairSession session(dict.get(), config);
+    std::ostringstream out;
+    const StatusOr<RepairReport> report =
+        session.RepairStream(&reader.value(), out);
+    pinned.reset();
+    ASSERT_TRUE(report.ok()) << context << ": " << report.status();
+    EXPECT_EQ(out.str(), ToCsv(want.value())) << context;
+    const std::vector<std::thread::id> readers = input.readers();
+    // The first read is Open's, on the calling thread.
+    ASSERT_GT(readers.size(), 2u) << context;
+    EXPECT_EQ(readers[0], std::this_thread::get_id()) << context;
+    for (size_t i = 1; i < readers.size(); ++i) {
+      if (one_cpu) {
+        EXPECT_EQ(readers[i], std::this_thread::get_id()) << context;
+      } else {
+        EXPECT_NE(readers[i], std::this_thread::get_id()) << context;
+      }
     }
   }
 }
@@ -931,6 +1051,150 @@ TEST_F(StreamingQuarantineTest, NextChunksReadErrorLeavesThisChunkCommitted) {
     EXPECT_EQ(scanned->chunks[1].rows, 2u) << context;
     EXPECT_EQ(scanned->rows_durable(), 4u) << context;
   }
+}
+
+// An input stream tied to the output (std::cin to std::cout) is read on
+// the stream's reader thread without flushing the output: only the
+// calling thread touches the output stream.
+TEST_F(StreamingQuarantineTest, ReaderThreadNeverFlushesATiedOutput) {
+  // Records the threads that flush it; the bytes go to a string.
+  class SyncRecorder : public std::stringbuf {
+   public:
+    std::vector<std::thread::id> syncers() {
+      std::lock_guard<std::mutex> lock(mu_);
+      return syncers_;
+    }
+
+   protected:
+    int sync() override {
+      std::lock_guard<std::mutex> lock(mu_);
+      syncers_.push_back(std::this_thread::get_id());
+      return std::stringbuf::sync();
+    }
+
+   private:
+    std::mutex mu_;
+    std::vector<std::thread::id> syncers_;
+  };
+
+  // Longer than a refill block, so data chunks read from the stream.
+  std::string input_csv = "country,capital,name\n";
+  while (input_csv.size() < 3 * CsvChunkReader::kReadBlockBytes) {
+    input_csv += "China,Shanghai,x\nFrance,Paris,y\n";
+  }
+  std::istringstream want_in(input_csv);
+  StatusOr<Table> want = ReadCsvLenient(want_in, "stream", pool_);
+  ASSERT_TRUE(want.ok());
+  const std::unique_ptr<RuleDict> dict = RuleDict::CompileOrDie(rules_);
+  RepairDriver(*dict, RepairConfig{}).Run(&want.value());
+  for (const size_t chunk_rows : {size_t{1000}, RepairConfig::kWholeFile}) {
+    const std::string context = "chunk_rows=" + std::to_string(chunk_rows);
+    SyncRecorder recorder;
+    std::ostream out(&recorder);
+    std::istringstream in(input_csv);
+    in.tie(&out);
+    StatusOr<CsvChunkReader> reader = CsvChunkReader::Open(in, "stream", pool_);
+    ASSERT_TRUE(reader.ok()) << context;
+    RepairConfig config;
+    config.chunk_rows = chunk_rows;
+    RepairSession session(dict.get(), config);
+    const StatusOr<RepairReport> report =
+        session.RepairStream(&reader.value(), out);
+    ASSERT_TRUE(report.ok()) << context << ": " << report.status();
+    EXPECT_EQ(recorder.str(), ToCsv(want.value())) << context;
+    for (const std::thread::id syncer : recorder.syncers()) {
+      EXPECT_EQ(syncer, std::this_thread::get_id()) << context;
+    }
+  }
+}
+
+// The reader thread reads chunk k+1 while chunk k is written, and a
+// stream's reads cannot be cancelled: when writing chunk k fails while
+// the reader thread waits on a stalled input, the error comes back once
+// that read ends (here, the input is closed), never before, and the
+// reader thread is joined, not left behind.
+TEST_F(StreamingQuarantineTest, ErrorWaitsForAStalledNextRead) {
+  if (!ThisThreadMayUseSeveralCpus()) {
+    GTEST_SKIP() << "on one CPU the calling thread reads: nothing reads ahead";
+  }
+  // Serves `bytes`, then blocks a read past them until Close().
+  class StallingInput : public std::streambuf {
+   public:
+    explicit StallingInput(std::string bytes) : bytes_(std::move(bytes)) {
+      setg(bytes_.data(), bytes_.data(), bytes_.data() + bytes_.size());
+    }
+    // Waits up to `timeout` for a read to stall.
+    bool WaitForStall(std::chrono::milliseconds timeout) {
+      std::unique_lock<std::mutex> lock(mu_);
+      return cv_.wait_for(lock, timeout, [this] { return stalled_; });
+    }
+    void Close() {
+      std::lock_guard<std::mutex> lock(mu_);
+      closed_ = true;
+      cv_.notify_all();
+    }
+    bool closed() {
+      std::lock_guard<std::mutex> lock(mu_);
+      return closed_;
+    }
+
+   protected:
+    int_type underflow() override {
+      std::unique_lock<std::mutex> lock(mu_);
+      stalled_ = true;
+      cv_.notify_all();
+      cv_.wait(lock, [this] { return closed_; });
+      return traits_type::eof();
+    }
+
+   private:
+    std::string bytes_;
+    std::mutex mu_;
+    std::condition_variable cv_;
+    bool stalled_ = false;
+    bool closed_ = false;
+  };
+
+  // The first refill block holds chunk 1 whole; chunk 2 runs past the
+  // bytes served before the stall.
+  constexpr size_t kChunkRows = 4000;
+  const std::string header = "country,capital,name\n";
+  const std::string row = "China,Shanghai,abcdefghijklmnopqrstuvwxyz\n";
+  std::string input_csv = header;
+  while (input_csv.size() < CsvChunkReader::kReadBlockBytes + 4096) {
+    input_csv += row;
+  }
+  ASSERT_LT(header.size() + kChunkRows * row.size(),
+            CsvChunkReader::kReadBlockBytes);
+  ASSERT_LT(input_csv.size(), header.size() + 2 * kChunkRows * row.size());
+  StallingInput input(input_csv);
+  std::istream in(&input);
+  StatusOr<CsvChunkReader> reader = CsvChunkReader::Open(in, "stream", pool_);
+  ASSERT_TRUE(reader.ok());
+  const std::unique_ptr<RuleDict> dict = RuleDict::CompileOrDie(rules_);
+  RepairConfig config;
+  config.chunk_rows = kChunkRows;
+  RepairSession session(dict.get(), config);
+  std::ostringstream out;
+  out.setstate(std::ios::badbit);  // every write fails
+
+  bool stalled = false;
+  std::thread closer([&] {
+    stalled = input.WaitForStall(std::chrono::seconds(30));
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    input.Close();
+  });
+  const StatusOr<RepairReport> report =
+      session.RepairStream(&reader.value(), out);
+  const bool closed_before_return = input.closed();
+  closer.join();
+  EXPECT_TRUE(stalled);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kIoError) << report.status();
+  EXPECT_NE(report.status().message().find("writing the repaired stream"),
+            std::string::npos)
+      << report.status();
+  EXPECT_TRUE(closed_before_return);
 }
 
 }  // namespace
