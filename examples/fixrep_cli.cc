@@ -202,6 +202,7 @@
 #include "repair/provenance.h"
 #include "repair/recovery.h"
 #include "repair/session.h"
+#include "repair/streaming.h"
 #include "rulegen/discovery.h"
 #include "rulegen/rulegen.h"
 #include "rulegen/scale.h"
@@ -637,21 +638,44 @@ int Repair(const Args& args) {
     return 2;
   }
   const OnErrorPolicy policy = *parsed_policy;
-  auto pool = std::make_shared<ValuePool>();
   const bool quarantining = policy == OnErrorPolicy::kQuarantine;
+  // Every flag is checked before --in is opened: a usage error exits 2
+  // with nothing read, and never while the input's reader thread runs.
+  const std::string in_path = args.Require("in");
+  const std::string out_path = args.Require("out");
+  const bool use_dict = args.Has("rules-dict");
+  const std::string rules_path =
+      args.Require(use_dict ? "rules-dict" : "rules");
+  const std::string quarantine_path =
+      args.Has("quarantine-out") ? args.Require("quarantine-out") : "";
+  RepairConfig config = ConfigFromArgs(args, policy);
+  for (const char* key : {"chunk-rows", "wal", "resume"}) {
+    if (args.Has(key)) ApplyConfigFlag(args, key, &config);
+  }
+  if (config.resume && config.wal_path.empty()) {
+    std::cerr << "--resume requires --wal=PATH\n";
+    return 2;
+  }
+  // --log audits the reference chase: rule by rule, in Fig. 6 order.
+  std::optional<RepairLog> log;
+  if (args.Has("log")) {
+    config.engine = RepairEngine::kCRepair;
+    log.emplace();
+  }
+  auto pool = std::make_shared<ValuePool>();
   VectorQuarantineSink row_sink;
   VectorQuarantineSink rule_sink;
   VectorQuarantineSink tuple_sink;
+  config.quarantine = quarantining ? &tuple_sink : nullptr;
 
   auto load = std::make_unique<TraceSpan>("cli.load");
-  std::ifstream in(args.Require("in"));
+  std::ifstream in(in_path);
   if (!in.good()) {
-    std::cerr << "error reading --in: cannot open " << args.Get("in")
-              << "\n";
+    std::cerr << "error reading --in: cannot open " << in_path << "\n";
     return 1;
   }
   struct stat input_stat;
-  if (stat(args.Get("in").c_str(), &input_stat) == 0) {
+  if (stat(in_path.c_str(), &input_stat) == 0) {
     // Lets --progress and heartbeats report percent-done: the streaming
     // driver publishes input_bytes_read as it goes.
     MetricsRegistry::Global()
@@ -670,17 +694,19 @@ int Repair(const Args& args) {
     return 1;
   }
   CsvChunkReader reader = std::move(reader_or).value();
+  // The first chunk is read from here on, while the rules load, the
+  // session is built and --out and the WAL are created.
+  StreamInput input(&reader, config.chunk_rows);
   // The rules: a compiled dictionary opened and bound to the input's
   // schema and pool, or a text file parsed over them.
   std::unique_ptr<RuleDict> dict;
   std::optional<RuleSet> rules;
-  if (args.Has("rules-dict")) {
-    StatusOr<std::unique_ptr<RuleDict>> opened =
-        RuleDict::Open(args.Require("rules-dict"));
+  if (use_dict) {
+    StatusOr<std::unique_ptr<RuleDict>> opened = RuleDict::Open(rules_path);
     Status bound = opened.status();
     if (opened.ok()) {
       dict = std::move(opened).value();
-      bound = dict->Bind(*reader.schema(), pool);
+      bound = dict->Bind(*input.schema(), pool);
     }
     if (!bound.ok()) {
       std::cerr << "error reading --rules-dict: " << bound << "\n";
@@ -692,7 +718,7 @@ int Repair(const Args& args) {
     rule_options.on_error = policy;
     rule_options.quarantine = quarantining ? &rule_sink : nullptr;
     StatusOr<RuleSet> rules_or = ParseRulesFileLenient(
-        args.Require("rules"), reader.schema(), pool, rule_options);
+        rules_path, input.schema(), pool, rule_options);
     if (!rules_or.ok()) {
       std::cerr << "error reading --rules: " << rules_or.status() << "\n";
       return 1;
@@ -700,22 +726,6 @@ int Repair(const Args& args) {
     rules.emplace(std::move(rules_or).value());
   }
   load.reset();
-
-  RepairConfig config = ConfigFromArgs(args, policy);
-  config.quarantine = quarantining ? &tuple_sink : nullptr;
-  for (const char* key : {"chunk-rows", "wal", "resume"}) {
-    if (args.Has(key)) ApplyConfigFlag(args, key, &config);
-  }
-  if (config.resume && config.wal_path.empty()) {
-    std::cerr << "--resume requires --wal=PATH\n";
-    return 2;
-  }
-  // --log audits the reference chase: rule by rule, in Fig. 6 order.
-  std::optional<RepairLog> log;
-  if (args.Has("log")) {
-    config.engine = RepairEngine::kCRepair;
-    log.emplace();
-  }
 
   Timer timer;
   RepairReport result;
@@ -725,7 +735,7 @@ int Repair(const Args& args) {
     // resumed) stream is renamed into place, so a failure or a crash
     // mid-run leaves any previous --out intact (for the WAL to resume
     // against) and never a partial one.
-    StatusOr<AtomicFile> out = AtomicFile::Create(args.Require("out"));
+    StatusOr<AtomicFile> out = AtomicFile::Create(out_path);
     if (!out.ok()) {
       std::cerr << "error writing --out: " << out.status() << "\n";
       return 1;
@@ -737,7 +747,7 @@ int Repair(const Args& args) {
       session.emplace(&*rules, config);
     }
     StatusOr<RepairReport> result_or = session->RepairStream(
-        &reader, &out.value(), log ? &log->repairs : nullptr);
+        &input, &out.value(), log ? &log->repairs : nullptr);
     if (!result_or.ok()) {
       std::cerr << "error repairing --in: " << result_or.status() << "\n";
       return 1;
@@ -749,9 +759,9 @@ int Repair(const Args& args) {
       return 1;
     }
   }
-  if (args.Has("quarantine-out")) {
-    const int rc = WriteQuarantineFile(args.Require("quarantine-out"),
-                                       row_sink, rule_sink, tuple_sink);
+  if (!quarantine_path.empty()) {
+    const int rc =
+        WriteQuarantineFile(quarantine_path, row_sink, rule_sink, tuple_sink);
     if (rc != 0) return rc;
   }
 
@@ -764,7 +774,7 @@ int Repair(const Args& args) {
             << result.cells_changed << " cells changed, "
             << result.chunks << " chunks) in "
             << FormatDouble(timer.ElapsedMillis(), 1) << " ms -> "
-            << args.Get("out") << "\n";
+            << out_path << "\n";
   if (!config.wal_path.empty()) {
     std::cout << (config.resume ? "resumed via" : "journaled to") << " WAL "
               << config.wal_path << " (" << result.chunks
@@ -781,9 +791,7 @@ int Repair(const Args& args) {
               << (rules_counter == nullptr ? 0 : rules_counter->Value())
               << " malformed rule blocks, quarantined "
               << result.tuples_quarantined << " tuples";
-    if (args.Has("quarantine-out")) {
-      std::cout << " -> " << args.Get("quarantine-out");
-    }
+    if (!quarantine_path.empty()) std::cout << " -> " << quarantine_path;
     std::cout << "\n";
   }
   return 0;

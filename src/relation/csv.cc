@@ -555,8 +555,8 @@ CsvChunkReader::Scan CsvChunkReader::ScanPlainRecords(Table* chunk,
                                                       size_t max_rows,
                                                       size_t* appended,
                                                       Status* problem) {
-  const ValuePool& pool =
-      overlay_ != nullptr ? overlay_->pool() : chunk->pool();
+  const ValuePool* const pool =
+      overlay_ != nullptr ? overlay_->lookup() : &chunk->pool();
   const size_t arity = row_.size();
   const char* const end = data() + end_;
   StructuralScanner scanner(data() + pos_, end);
@@ -622,8 +622,8 @@ CsvChunkReader::Scan CsvChunkReader::ReadGeneralRecord(Table* chunk,
                           std::to_string(row_.size()) + ")"),
                       chunk, appended);
   } else {
-    const ValuePool& pool =
-        overlay_ != nullptr ? overlay_->pool() : chunk->pool();
+    const ValuePool* const pool =
+        overlay_ != nullptr ? overlay_->lookup() : &chunk->pool();
     for (size_t a = 0; a < fields_.size(); ++a) {
       Resolve(pool, a, fields_[a]);
     }
@@ -640,7 +640,7 @@ Status CsvChunkReader::Settle(Status problem, Table* chunk,
   }
   if (problem.ok()) {
     for (const auto& [attr, field] : deferred_) {
-      row_[attr] = overlay_ != nullptr ? overlay_->Resolve(field)
+      row_[attr] = overlay_ != nullptr ? overlay_->Stage(field)
                                        : chunk->pool().Intern(field);
     }
     chunk->AppendRow(TupleRef(row_));

@@ -220,10 +220,11 @@ class CsvChunkReader {
            end - chunk_offset_ <= kKeepBytes;
   }
   // Field `attr` of the record being read: a value `pool` holds gets its
-  // id in row_ now; a new value waits in deferred_ for Settle, so a
+  // id in row_ now; a new value (any value, when `pool` is null: an
+  // overlay that looks nothing up) waits in deferred_ for Settle, so a
   // dropped record leaves the pool untouched.
-  void Resolve(const ValuePool& pool, size_t attr, std::string_view field) {
-    const ValueId id = pool.Find(field);
+  void Resolve(const ValuePool* pool, size_t attr, std::string_view field) {
+    const ValueId id = pool != nullptr ? pool->Find(field) : kNullValue;
     row_[attr] = id;
     if (id == kNullValue) deferred_.emplace_back(attr, field);
   }

@@ -224,27 +224,42 @@ class ValuePool {
 // first sight would have given (docs/serving.md, "Pool lock discipline").
 class ValueOverlay {
  public:
-  explicit ValueOverlay(ValuePool* pool) : pool_(pool) {}
+  explicit ValueOverlay(ValuePool* pool) : ValueOverlay(pool, pool) {}
+  // Looks values up in `lookup` and commits them to `pool`. A null
+  // `lookup` looks nothing up and stages every value: nothing reads
+  // `pool` before Commit, so another thread may still intern into it
+  // while Resolve runs (a stream's first chunk is read while the rules
+  // intern their constants), and Commit gives each value the id
+  // interning it after those writes would have.
+  ValueOverlay(const ValuePool* lookup, ValuePool* pool)
+      : lookup_(lookup), pool_(pool) {}
 
   ValueOverlay(const ValueOverlay&) = delete;
   ValueOverlay& operator=(const ValueOverlay&) = delete;
 
   ValueId Resolve(std::string_view s) {
-    const ValueId id = pool_->Find(s);
-    return id != kNullValue ? id : kNullValue - 1 - staged_.Intern(s);
+    const ValueId id = lookup_ != nullptr ? lookup_->Find(s) : kNullValue;
+    return id != kNullValue ? id : Stage(s);
   }
 
-  // The pool Resolve looks values up in (read access only).
-  const ValuePool& pool() const { return *pool_; }
+  // The provisional id of a value the caller found missing from
+  // lookup(): Resolve without the lookup.
+  ValueId Stage(std::string_view s) {
+    return kNullValue - 1 - staged_.Intern(s);
+  }
 
-  // Distinct values Resolve found missing from the pool.
+  // The pool Resolve looks values up in (read access only), or null.
+  const ValuePool* lookup() const { return lookup_; }
+
+  // Distinct values staged: those Resolve found missing from lookup().
   size_t size() const { return staged_.size(); }
   bool empty() const { return size() == 0; }
 
   // Interns every staged value into the pool, in first-occurrence order.
   // Needs exclusive access to the pool. Returns how many values were new
-  // to it (fewer than size() when another writer interned some of them
-  // after Resolve saw them missing).
+  // to it (fewer than size() when the pool held some of them already:
+  // another writer interned them after Resolve saw them missing, or
+  // Resolve looked nothing up).
   size_t Commit();
 
   // The committed id of a provisional id; any other id is returned as is.
@@ -257,6 +272,7 @@ class ValueOverlay {
  private:
   static bool IsProvisional(ValueId id) { return id < kNullValue; }
 
+  const ValuePool* lookup_;
   ValuePool* pool_;
   ValuePool staged_;
   std::vector<ValueId> committed_;

@@ -52,14 +52,19 @@ StatusOr<RepairReport> RepairSession::Repair(Table* table,
 }
 
 StatusOr<RepairReport> RepairSession::RepairStream(
-    CsvChunkReader* reader, CsvOutput out, std::vector<CellRepair>* log) {
-  FIXREP_CHECK(reader != nullptr);
+    StreamInput* input, CsvOutput out, std::vector<CellRepair>* log) {
+  FIXREP_CHECK(input != nullptr);
+  // The stream closes the input; so does every return before it.
+  struct CloseInput {
+    StreamInput* input;
+    ~CloseInput() { input->Close(); }
+  } close_input{input};
   if (config_.engine == RepairEngine::kCRepair && !config_.wal_path.empty()) {
     // A resume must chase with the engine that wrote the log.
     return Status::MalformedInput(
         "a WAL does not record the engine; journal lRepair streams only");
   }
-  StatusOr<const RuleDict*> image = Image(*reader->schema(), reader->pool());
+  StatusOr<const RuleDict*> image = Image(*input->schema(), input->pool());
   if (!image.ok()) return image.status();
   const RuleDict& dict = *image.value();
 
@@ -78,7 +83,7 @@ StatusOr<RepairReport> RepairSession::RepairStream(
       if (!scanned.ok()) return scanned.status();
       recovered = std::move(scanned.value());
       FIXREP_RETURN_IF_ERROR(ValidateWalHeader(
-          recovered.header, fingerprint, reader->schema()->attribute_names(),
+          recovered.header, fingerprint, input->schema()->attribute_names(),
           config_.chunk_rows, config_.on_error));
       StatusOr<ChunkJournal> resumed =
           ChunkJournal::Resume(config_.wal_path, recovered.durable_bytes);
@@ -88,7 +93,7 @@ StatusOr<RepairReport> RepairSession::RepairStream(
     } else {
       WalRunHeader header;
       header.rule_fingerprint = fingerprint;
-      header.attribute_names = reader->schema()->attribute_names();
+      header.attribute_names = input->schema()->attribute_names();
       header.chunk_rows = config_.chunk_rows;
       header.on_error = static_cast<uint8_t>(config_.on_error);
       StatusOr<ChunkJournal> created =
@@ -99,7 +104,7 @@ StatusOr<RepairReport> RepairSession::RepairStream(
   }
 
   StatusOr<RepairReport> report =
-      StreamRepair(dict, config_, journal.get(), resume, reader, out, log);
+      StreamRepair(dict, config_, journal.get(), resume, input, out, log);
   if (!report.ok()) return report.status();
   if (journal != nullptr) FIXREP_RETURN_IF_ERROR(journal->Close());
   return report;

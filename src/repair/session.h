@@ -16,6 +16,8 @@
 
 namespace fixrep {
 
+class StreamInput;  // repair/streaming.h
+
 // The unified repair entry point (docs/api.md).
 //
 // One RepairConfig picks an engine, a width or shard count, an error
@@ -68,7 +70,8 @@ struct RepairConfig {
   // Rows per chunk. kWholeFile sets no row limit: a chunk read from a
   // stream or file then ends only at the reader's keep bound
   // (CsvChunkReader::kKeepBytes of input), an in-memory payload is one
-  // chunk (so its RAM is O(payload)).
+  // chunk (so its RAM is O(payload)). The stream's StreamInput is
+  // started with the same count, since it reads the first chunk early.
   static constexpr size_t kWholeFile = ~size_t{0};
   size_t chunk_rows = size_t{64} * 1024;
 
@@ -121,13 +124,16 @@ class RepairSession {
   StatusOr<RepairReport> Repair(Table* table,
                                 std::vector<CellRepair>* log = nullptr);
 
-  // Streams `reader` through chunked repair into `out` (CSV header +
+  // Streams `input` through chunked repair into `out` (CSV header +
   // repaired rows; a std::ostream, or an AtomicFile that takes copied
-  // input as gathered writes: repair/streaming.h). A non-null `log`
-  // receives the writes of the chunks this call repairs, at global
-  // output-row indices. Returns kMalformedInput for a cRepair stream
-  // with a WAL.
-  StatusOr<RepairReport> RepairStream(CsvChunkReader* reader, CsvOutput out,
+  // input as gathered writes: repair/streaming.h). The input was started
+  // (StreamInput, repair/streaming.h) right after its reader opened, with
+  // this config's chunk_rows, so its first chunk was read while the
+  // caller loaded the rules and built this session; the call spends it,
+  // closing it on every return. A non-null `log` receives the writes of
+  // the chunks this call repairs, at global output-row indices. Returns
+  // kMalformedInput for a cRepair stream with a WAL.
+  StatusOr<RepairReport> RepairStream(StreamInput* input, CsvOutput out,
                                       std::vector<CellRepair>* log = nullptr);
 
  private:

@@ -80,16 +80,20 @@ struct ChunkSlot {
   bool at_end = false;
 };
 
-// The stream's reader thread. The calling thread posts the next read
-// (Read) and later takes its slot (Take). The reader thread resolves
-// every chunk's values through the slot's overlay, so the shared pool is
-// only read while the calling thread repairs, journals and emits the
-// previous chunk. Between reads the reader thread is idle, and the
-// calling thread may commit an overlay (write the pool) and reuse a
-// slot. The reader thread's counters (bytes parsed, fallback records,
-// quarantined rows) accumulate in a private scope that Take flushes from
-// the calling thread, so they land in the caller's registry; a chunk
-// read but never taken publishes nothing.
+}  // namespace
+
+// The stream's reader thread and its two chunk slots. The calling thread
+// posts the next read (Read) and later takes its slot (Take); the first
+// read is posted at construction. The reader thread resolves every
+// chunk's values through the slot's overlay: the first chunk's looks up
+// nothing in the pool, since the caller may still intern rules into it,
+// and the others only read it while the calling thread repairs,
+// journals and emits the previous chunk. Between reads the reader thread
+// is idle, and the calling thread may commit an overlay (write the pool)
+// and reuse a slot. The reader thread's counters (bytes parsed, fallback
+// records, quarantined rows) accumulate in a private scope that Take
+// flushes into the calling thread's registry; a chunk read but never
+// taken publishes nothing.
 //
 // When the calling thread's affinity allows one CPU only, there is no
 // reader thread: the two threads could only take turns on that CPU, and
@@ -98,34 +102,40 @@ struct ChunkSlot {
 // with the thread against 34.1 ms serially). Take then reads the chunk
 // on the calling thread, interning straight into the pool, as the
 // serial loop did.
-class ChunkReaderThread {
+class StreamInput::Reader {
  public:
-  ChunkReaderThread(CsvChunkReader* reader, size_t max_rows,
-                    MetricsRegistry* registry)
+  Reader(CsvChunkReader* reader, size_t max_rows)
       : reader_(reader),
+        live_sink_(reader->quarantine()),
         max_rows_(max_rows),
-        registry_(registry),
+        slots_{ChunkSlot(reader->MakeChunkTable()),
+               ChunkSlot(reader->MakeChunkTable())},
         scope_(&untaken_) {
-    if (!CallerMayUseAnotherCpu()) return;
-    // ReadChunk registers it even when it counts nothing, and a flush
-    // carries only nonzero counts.
-    registry_->GetCounter("fixrep.csv.records_fallback");
-    thread_ = std::thread([this] { Loop(); });
-  }
-
-  // Waits for a read in progress, then stops the thread.
-  ~ChunkReaderThread() {
-    if (!thread_.joinable()) return;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stop_ = true;
+    // No more rows than a kept chunk can hold: a record is at least
+    // `arity` bytes (its separators and terminator).
+    const size_t arity = std::max<size_t>(reader->schema()->arity(), 1);
+    for (ChunkSlot& slot : slots_) {
+      slot.table.Reserve(
+          std::min(max_rows, CsvChunkReader::kKeepBytes / arity));
     }
-    cv_.notify_all();
-    thread_.join();
+    if (CallerMayUseAnotherCpu()) thread_ = std::thread([this] { Loop(); });
+    Read(&slots_[0]);
   }
 
-  ChunkReaderThread(const ChunkReaderThread&) = delete;
-  ChunkReaderThread& operator=(const ChunkReaderThread&) = delete;
+  ~Reader() { Close(); }
+
+  Reader(const Reader&) = delete;
+  Reader& operator=(const Reader&) = delete;
+
+  CsvChunkReader& reader() const { return *reader_; }
+  size_t max_rows() const { return max_rows_; }
+  // The sink the reader had when the input started: the stream forwards
+  // each chunk's CSV diagnostics to it.
+  QuarantineSink* live_sink() const { return live_sink_; }
+  // The slot the stream reads into after `slot`.
+  ChunkSlot* Other(const ChunkSlot* slot) {
+    return slot == &slots_[0] ? &slots_[1] : &slots_[0];
+  }
 
   // Posts a read of the next chunk into *slot; the last one posted must
   // have been taken.
@@ -147,6 +157,7 @@ class ChunkReaderThread {
   // reader thread idle. *wait_ns is the time this took: waiting for the
   // reader thread, or, with no thread, reading the chunk.
   ChunkSlot* Take(uint64_t* wait_ns) {
+    FIXREP_CHECK(!closed_) << "a stream input is read by one stream";
     const uint64_t start_ns = TraceNowNanos();
     ChunkSlot* slot = nullptr;
     if (!thread_.joinable()) {
@@ -158,10 +169,28 @@ class ChunkReaderThread {
         cv_.wait(lock, [this] { return done_ != nullptr; });
         slot = std::exchange(done_, nullptr);
       }
-      scope_.registry().FlushInto(registry_);
+      scope_.registry().FlushInto(&CurrentMetrics());
     }
     *wait_ns = TraceNowNanos() - start_ns;
     return slot;
+  }
+
+  // Waits for the read posted last to end (it runs if it has not
+  // started), stops the thread and hands the reader back.
+  void Close() {
+    if (closed_) return;
+    closed_ = true;
+    if (thread_.joinable()) {
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        stop_ = true;
+      }
+      cv_.notify_all();
+      thread_.join();
+    }
+    reader_->SwapQuarantine(live_sink_);
+    reader_->RecordSpansInto(nullptr);
+    reader_->ResolveThrough(nullptr);
   }
 
  private:
@@ -193,7 +222,9 @@ class ChunkReaderThread {
     std::unique_lock<std::mutex> lock(mu_);
     while (true) {
       cv_.wait(lock, [this] { return stop_ || next_ != nullptr; });
-      if (stop_) return;
+      // A read posted before Close still runs, so Close always waits for
+      // the read it follows, however the threads were scheduled.
+      if (next_ == nullptr) return;
       ChunkSlot* slot = std::exchange(next_, nullptr);
       lock.unlock();
       ReadInto(slot, /*staged=*/true);
@@ -204,15 +235,18 @@ class ChunkReaderThread {
   }
 
   // Reads the next chunk into *slot, staging its new values in the
-  // slot's overlay or interning them.
+  // slot's overlay or interning them. The first chunk's overlay looks
+  // nothing up in the pool.
   void ReadInto(ChunkSlot* slot, bool staged) {
     slot->table.Clear();
     slot->csv_capture.Clear();
     if (staged) {
-      slot->overlay.emplace(reader_->pool().get());
+      ValuePool* const pool = reader_->pool().get();
+      slot->overlay.emplace(first_read_ ? nullptr : pool, pool);
     } else {
       slot->overlay.reset();
     }
+    first_read_ = false;
     reader_->RecordSpansInto(&slot->spans);
     reader_->SwapQuarantine(&slot->csv_capture);
     reader_->ResolveThrough(slot->overlay ? &*slot->overlay : nullptr);
@@ -226,8 +260,10 @@ class ChunkReaderThread {
   }
 
   CsvChunkReader* const reader_;
+  QuarantineSink* const live_sink_;
   const size_t max_rows_;
-  MetricsRegistry* const registry_;
+  ChunkSlot slots_[2];
+  bool first_read_ = true;   // touched by the reading thread only
   MetricsRegistry untaken_;  // where a chunk never taken leaves its counts
   MetricScope scope_;
   std::mutex mu_;
@@ -235,9 +271,30 @@ class ChunkReaderThread {
   ChunkSlot* next_ = nullptr;  // a read requested, not started
   ChunkSlot* done_ = nullptr;  // a read finished, not taken
   bool stop_ = false;
+  bool closed_ = false;
   int avoided_cpu_ = -1;  // the CPU StayOffCallersCpu last kept it off
   std::thread thread_;  // none for a caller limited to one CPU
 };
+
+StreamInput::StreamInput(CsvChunkReader* reader, size_t chunk_rows) {
+  FIXREP_CHECK(reader != nullptr);
+  FIXREP_CHECK_GT(chunk_rows, 0u);
+  reader_ = std::make_unique<Reader>(reader, chunk_rows);
+}
+
+StreamInput::~StreamInput() = default;
+
+const std::shared_ptr<const Schema>& StreamInput::schema() const {
+  return reader_->reader().schema();
+}
+
+const std::shared_ptr<ValuePool>& StreamInput::pool() const {
+  return reader_->reader().pool();
+}
+
+void StreamInput::Close() { reader_->Close(); }
+
+namespace {
 
 // Writes a durable chunk's journaled deltas into the re-read `chunk`, the
 // chunk's repair without a chase, and records each write in *log (the
@@ -299,14 +356,26 @@ StatusOr<RepairReport> StreamRepair(const RuleDict& dict,
                                     const RepairConfig& config,
                                     ChunkJournal* journal,
                                     const RecoveredRun* resume,
-                                    CsvChunkReader* reader,
-                                    CsvOutput out,
+                                    StreamInput* input, CsvOutput out,
                                     std::vector<CellRepair>* log) {
-  FIXREP_CHECK(reader != nullptr);
-  FIXREP_CHECK_GT(config.chunk_rows, 0u);
-  if (reader->schema()->arity() != dict.arity()) {
+  FIXREP_CHECK(input != nullptr);
+  // Whichever way the stream ends, the reader thread is joined and the
+  // reader's sink, span recording and interning are restored.
+  struct CloseInput {
+    StreamInput* input;
+    ~CloseInput() { input->Close(); }
+  } close_input{input};
+  StreamInput::Reader& reader_thread = *input->reader_;
+  const CsvChunkReader& reader = reader_thread.reader();
+  if (config.chunk_rows != reader_thread.max_rows()) {
     return Status::MalformedInput(
-        "stream arity " + std::to_string(reader->schema()->arity()) +
+        "stream input reads chunks of " +
+        std::to_string(reader_thread.max_rows()) + " rows, config asks for " +
+        std::to_string(config.chunk_rows));
+  }
+  if (reader.schema()->arity() != dict.arity()) {
+    return Status::MalformedInput(
+        "stream arity " + std::to_string(reader.schema()->arity()) +
         " does not match rule arity " + std::to_string(dict.arity()));
   }
   FIXREP_TRACE_SPAN("streaming.run");
@@ -344,39 +413,18 @@ StatusOr<RepairReport> StreamRepair(const RuleDict& dict,
       journaling &&
       (resume == nullptr || resume->header.version >= kCsvQuarantineWalVersion);
 
-  WriteCsvHeader(*reader->schema(), out.stream());
+  WriteCsvHeader(*reader.schema(), out.stream());
 
   RepairReport result;
-  // Two chunks in flight: the reader thread fills one slot while this
-  // thread repairs, journals and emits the other. No more rows than a
-  // kept chunk can hold: a record is at least `arity` bytes (its
-  // separators and terminator).
-  ChunkSlot slots[2] = {ChunkSlot(reader->MakeChunkTable()),
-                        ChunkSlot(reader->MakeChunkTable())};
-  for (ChunkSlot& slot : slots) {
-    slot.table.Reserve(std::min(config.chunk_rows,
-                                CsvChunkReader::kKeepBytes / dict.arity()));
-  }
-
   auto& registry = CurrentMetrics();
   LiveProgress progress(&registry);
+  // ReadChunk registers it even when it counts nothing, and the reader
+  // thread's flush carries only nonzero counts.
+  registry.GetCounter("fixrep.csv.records_fallback");
 
   // The caller's CSV sink gets each chunk's diagnostics at that chunk's
-  // turn, just before its tuple diagnostics. When the stream ends,
-  // whichever way, the reader thread is joined first and then the
-  // reader's sink, span recording and interning are restored.
-  QuarantineSink* const live_sink = reader->quarantine();
-  struct RestoreReader {
-    CsvChunkReader* reader;
-    QuarantineSink* sink;
-    ~RestoreReader() {
-      reader->SwapQuarantine(sink);
-      reader->RecordSpansInto(nullptr);
-      reader->ResolveThrough(nullptr);
-    }
-  } restore_reader{reader, live_sink};
-  ChunkReaderThread reader_thread(reader, config.chunk_rows, &registry);
-  reader_thread.Read(&slots[0]);
+  // turn, just before its tuple diagnostics.
+  QuarantineSink* const live_sink = reader_thread.live_sink();
 
   // Crash recovery: the first resume->chunks.size() chunks are durable
   // in the log of a previous run. Each is re-read from the input and
@@ -440,7 +488,7 @@ StatusOr<RepairReport> StreamRepair(const RuleDict& dict,
     }
     // The reader thread reads the next chunk while this one is repaired
     // and written.
-    reader_thread.Read(&slot == &slots[0] ? &slots[1] : &slots[0]);
+    reader_thread.Read(reader_thread.Other(&slot));
     ++result.chunks;
     const size_t cells_before = result.cells_changed;
     const size_t quarantined_before = result.tuples_quarantined;

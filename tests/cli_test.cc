@@ -12,10 +12,13 @@
 // * A flag the command does not read exits 2 before any file is opened,
 //   and every command line perfbench/run.py runs exits 0.
 
+#include <sched.h>
 #include <signal.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -370,6 +373,152 @@ TEST_F(CliRepairTest, UnknownFlagExitsTwoBeforeAnyFile) {
               std::string::npos)
         << c.args << ": " << run.err;
     EXPECT_TRUE(std::filesystem::is_empty(out_dir)) << c.args;
+  }
+}
+
+// `repair` checks every flag before it opens --in, so a usage error
+// exits 2 with nothing read and no output, even where --in and --rules
+// name no file (reading either first would exit 1 with an I/O error).
+TEST_F(CliRepairTest, RepairFlagErrorsExitTwoBeforeAnythingIsRead) {
+  const std::string out_dir = TestTempPath("out");
+  std::filesystem::create_directories(out_dir);
+  const std::string in = " --in " + TestTempPath("no_such.csv");
+  const std::string rules = " --rules " + TestTempPath("no_such_rules.txt");
+  const std::string out = " --out " + out_dir + "/fixed.csv";
+
+  struct Case {
+    std::string args;
+    const char* message;  // a phrase of stderr
+  };
+  const Case cases[] = {
+      {rules + in, "missing required --out"},
+      {in + out, "missing required --rules"},
+      {" --rules-dict=" + in + out, "missing required --rules-dict"},
+      {rules + in + out + " --quarantine-out=",
+       "missing required --quarantine-out"},
+      {rules + in + out + " --chunk-rows abc", "bad --chunk-rows"},
+      {rules + in + out + " --resume", "--resume requires --wal"},
+      {rules + in + out + " --threads abc", "bad --threads"},
+      {rules + in + out + " --engine nope", "bad --engine"},
+      {rules + in + out + " --memo-capacity abc", "bad --memo-capacity"},
+  };
+  for (const Case& c : cases) {
+    const CliRun run = Run("repair" + c.args);
+    EXPECT_TRUE(run.ExitedWith(2))
+        << c.args << ": status " << run.status << ", stderr: " << run.err;
+    EXPECT_NE(run.err.find(c.message), std::string::npos)
+        << c.args << ": " << run.err;
+    EXPECT_EQ(run.err.find("cannot open"), std::string::npos) << run.err;
+    EXPECT_TRUE(std::filesystem::is_empty(out_dir)) << c.args;
+  }
+}
+
+// The input's reader starts reading the first chunk as soon as --in is
+// open, before the rules load. A rules error then exits 1 with no --out
+// and no staging file, once that read ends: from a pipe whose writer
+// stalls, only when the writer closes it. The reader thread is joined,
+// never left running at exit. Both --in and the rules are pipes here,
+// so the rules arrive only once the first chunk's read has started.
+TEST_F(CliRepairTest, RulesErrorAfterTheInputStartedExitsOne) {
+  cpu_set_t allowed;
+  const bool reader_thread =
+      sched_getaffinity(0, sizeof(allowed), &allowed) == 0 &&
+      CPU_COUNT(&allowed) > 1;
+  // Past the header's refill block and a pipe's buffer, so writing it
+  // all ends only once the first chunk's read takes from the pipe, and
+  // short of a whole chunk, so that read then waits for more.
+  TravelExample example;
+  std::string input_csv = ToCsv(example.dirty);
+  while (input_csv.size() < (size_t{512} << 10)) {
+    input_csv += "Ian,China,Tokyo,Shanghai,VLDB\n";
+  }
+  const std::string out_dir = TestTempPath("out");
+  std::filesystem::create_directories(out_dir);
+  // On one CPU there is no reader thread: the CLI exits without reading
+  // the rest of --in, which must fail the write, not the test.
+  struct IgnorePipeSignal {
+    void (*saved)(int) = signal(SIGPIPE, SIG_IGN);
+    ~IgnorePipeSignal() { signal(SIGPIPE, saved); }
+  } ignore_pipe_signal;
+
+  struct Case {
+    const char* flag;
+    const char* message;
+  };
+  for (const Case& c : {Case{"--rules", "error reading --rules:"},
+                        Case{"--rules-dict", "error reading --rules-dict:"}}) {
+    const std::string in_fifo = TestTempPath("in.fifo");
+    const std::string rules_fifo = TestTempPath("rules.fifo");
+    for (const std::string& fifo : {in_fifo, rules_fifo}) {
+      std::filesystem::remove(fifo);
+      ASSERT_EQ(mkfifo(fifo.c_str(), 0600), 0) << c.flag;
+    }
+    const std::string err_path = TestTempPath("stderr.txt");
+    const std::string command = cli_ + " repair " + c.flag + " " +
+                                rules_fifo + " --in " + in_fifo + " --out " +
+                                out_dir + "/fixed.csv 2>" + err_path;
+    const pid_t child = fork();
+    ASSERT_GE(child, 0);
+    if (child == 0) {
+      execl("/bin/sh", "sh", "-c", command.c_str(),
+            static_cast<char*>(nullptr));
+      _exit(127);
+    }
+    struct Reaper {
+      pid_t pid;
+      ~Reaper() {
+        if (pid <= 0) return;
+        kill(pid, SIGKILL);
+        waitpid(pid, nullptr, 0);
+      }
+    } reaper{child};
+    FILE* input = std::fopen(in_fifo.c_str(), "w");  // once the CLI opens it
+    ASSERT_NE(input, nullptr) << c.flag;
+    std::atomic<bool> fed = false;
+    bool written = false;
+    std::thread feeder([&] {
+      written = std::fwrite(input_csv.data(), 1, input_csv.size(), input) ==
+                    input_csv.size() &&
+                std::fflush(input) == 0;
+      fed = true;
+    });
+    if (reader_thread) {
+      for (int i = 0; i < 1200 && !fed; ++i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(25));
+      }
+      EXPECT_TRUE(fed) << c.flag << ": the first chunk's read never took "
+                       << "the input";
+      if (!fed) kill(child, SIGKILL);  // ends the write
+      feeder.join();
+      EXPECT_TRUE(written) << c.flag;
+    }
+    // Malformed rules, or a dictionary that is no dictionary.
+    FILE* rules = std::fopen(rules_fifo.c_str(), "w");
+    ASSERT_NE(rules, nullptr) << c.flag;
+    std::fputs("RULE\n  IF no_such_attribute = x\n  THEN capital = y\nEND\n",
+               rules);
+    std::fclose(rules);
+    std::string err;
+    for (int i = 0; i < 1200 && err.find(c.message) == std::string::npos;
+         ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(25));
+      err = ReadFile(err_path);
+    }
+    EXPECT_NE(err.find(c.message), std::string::npos) << c.flag << ": " << err;
+    int wstatus = 0;
+    if (reader_thread) {
+      // The error is out, but the first chunk's read still waits.
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+      EXPECT_EQ(waitpid(child, &wstatus, WNOHANG), 0) << c.flag;
+    } else {
+      feeder.join();  // the CLI's exit ends the write
+    }
+    std::fclose(input);
+    ASSERT_EQ(waitpid(child, &wstatus, 0), child) << c.flag;
+    reaper.pid = 0;
+    EXPECT_TRUE(WIFEXITED(wstatus) && WEXITSTATUS(wstatus) == 1)
+        << c.flag << ": status " << wstatus << ", stderr: " << err;
+    EXPECT_TRUE(std::filesystem::is_empty(out_dir)) << c.flag;
   }
 }
 

@@ -47,6 +47,7 @@
 #include "repair/memo_cache.h"
 #include "repair/recovery.h"
 #include "repair/session.h"
+#include "repair/streaming.h"
 #include "rulegen/rulegen.h"
 #include "rules/consistency.h"
 #include "rules/rule_dict.h"
@@ -351,8 +352,8 @@ StreamResult RunStream(const Dataset& data, const RepairConfig& base,
                       : std::make_unique<RepairSession>(&data.rules, config);
   std::ostringstream out;
   std::vector<CellRepair> log;
-  StatusOr<RepairReport> report =
-      session->RepairStream(&reader.value(), out, &log);
+  StreamInput input(&reader.value(), config.chunk_rows);
+  StatusOr<RepairReport> report = session->RepairStream(&input, out, &log);
   EXPECT_TRUE(report.ok()) << report.status();
   if (!report.ok()) return {};
   return {out.str(), report.value(), sink.diagnostics(), std::move(log)};

@@ -31,6 +31,7 @@
 #include "repair/provenance.h"
 #include "repair/recovery.h"
 #include "repair/session.h"
+#include "repair/streaming.h"
 #include "rulegen/rulegen.h"
 #include "rules/rule_io.h"
 #include "testing_util.h"
@@ -90,7 +91,8 @@ StatusOr<DurableRun> RunDurable(const std::string& csv_text,
   repair.resume = config.resume;
   RepairSession session(&rules, repair);
   std::ostringstream out;
-  StatusOr<RepairReport> report = session.RepairStream(&reader.value(), out);
+  StreamInput input(&reader.value(), repair.chunk_rows);
+  StatusOr<RepairReport> report = session.RepairStream(&input, out);
   if (!report.ok()) return report.status();
   DurableRun run;
   run.csv = out.str();
@@ -789,7 +791,8 @@ StatusOr<DurableRun> RunDurableCsvQuarantine(
   repair.resume = config.resume;
   RepairSession session(&rules, repair);
   std::ostringstream out;
-  StatusOr<RepairReport> report = session.RepairStream(&reader.value(), out);
+  StreamInput input(&reader.value(), repair.chunk_rows);
+  StatusOr<RepairReport> report = session.RepairStream(&input, out);
   if (!report.ok()) return report.status();
   *csv_diagnostics = csv_sink.diagnostics();
   DurableRun run;

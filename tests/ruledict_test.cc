@@ -30,6 +30,7 @@
 #include "relation/csv.h"
 #include "relation/table.h"
 #include "repair/session.h"
+#include "repair/streaming.h"
 #include "repair/crepair.h"
 #include "repair/lrepair.h"
 #include "repair/memo_cache.h"
@@ -717,8 +718,8 @@ TEST(RuleDictResume, WalRefusesAMismatchedDictionary) {
     config.resume = resume;
     RepairSession session(dict->get(), config);
     std::ostringstream out;
-    StatusOr<RepairReport> report =
-        session.RepairStream(&reader.value(), out);
+    StreamInput input(&reader.value(), config.chunk_rows);
+    StatusOr<RepairReport> report = session.RepairStream(&input, out);
     if (!report.ok()) return report.status();
     return out.str();
   };

@@ -25,6 +25,7 @@
 #include "repair/driver.h"
 #include "repair/lrepair.h"
 #include "repair/session.h"
+#include "repair/streaming.h"
 #include "rulegen/rulegen.h"
 #include "rules/rule_io.h"
 #include "testing_util.h"
@@ -280,8 +281,8 @@ TEST(RepairSessionTest, RejectsUnroutableConfigs) {
         CsvChunkReader::Open(in, "stream", example.pool);
     ASSERT_TRUE(reader.ok());
     std::ostringstream out;
-    const StatusOr<RepairReport> streamed =
-        session.RepairStream(&reader.value(), out);
+    StreamInput input(&reader.value(), config.chunk_rows);
+    const StatusOr<RepairReport> streamed = session.RepairStream(&input, out);
     ASSERT_TRUE(streamed.ok()) << context << ": " << streamed.status();
     EXPECT_EQ(out.str(), want_csv.str()) << context;
   }
@@ -295,8 +296,8 @@ TEST(RepairSessionTest, RejectsUnroutableConfigs) {
         CsvChunkReader::Open(in, "stream", example.pool);
     ASSERT_TRUE(reader.ok());
     std::ostringstream out;
-    const StatusOr<RepairReport> report =
-        session.RepairStream(&reader.value(), out);
+    StreamInput input(&reader.value(), config.chunk_rows);
+    const StatusOr<RepairReport> report = session.RepairStream(&input, out);
     ASSERT_FALSE(report.ok());
     EXPECT_EQ(report.status().code(), StatusCode::kMalformedInput);
     EXPECT_FALSE(std::filesystem::exists(config.wal_path));
@@ -344,8 +345,8 @@ TEST(RepairSessionTest, StreamMatchesInMemoryRepairBytes) {
     config.chunk_rows = 2;
     RepairSession session(&example.rules, config);
     std::ostringstream out;
-    const StatusOr<RepairReport> report =
-        session.RepairStream(&reader.value(), out);
+    StreamInput input(&reader.value(), config.chunk_rows);
+    const StatusOr<RepairReport> report = session.RepairStream(&input, out);
     ASSERT_TRUE(report.ok()) << report.status().message();
     EXPECT_EQ(out.str(), want.str()) << "engine=" << static_cast<int>(engine);
     EXPECT_EQ(report->rows, example.dirty.num_rows());

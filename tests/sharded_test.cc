@@ -24,6 +24,7 @@
 #include "repair/driver.h"
 #include "repair/lrepair.h"
 #include "repair/session.h"
+#include "repair/streaming.h"
 #include "rulegen/rulegen.h"
 #include "rules/rule_dict.h"
 #include "rules/rule_io.h"
@@ -365,8 +366,9 @@ std::string RunStreamMatrix(const Dataset& data, const RuleDict* dict,
   if (policy == OnErrorPolicy::kQuarantine) config.quarantine = &sink;
   config.chunk_rows = chunk_rows;
   std::ostringstream out;
+  StreamInput input(&reader.value(), config.chunk_rows);
   StatusOr<RepairReport> report =
-      MakeSession(data, dict, config)->RepairStream(&reader.value(), out);
+      MakeSession(data, dict, config)->RepairStream(&input, out);
   EXPECT_TRUE(report.ok()) << report.status();
   return out.str();
 }

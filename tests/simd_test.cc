@@ -24,6 +24,7 @@
 #include "repair/driver.h"
 #include "repair/lrepair.h"
 #include "repair/session.h"
+#include "repair/streaming.h"
 #include "rulegen/rulegen.h"
 #include "testing_util.h"
 
@@ -254,8 +255,9 @@ EngineRun StreamRun(const Table& dirty, const RuleSet& rules,
       CsvChunkReader::Open(in, "simd_test", dirty.pool_ptr(), {});
   EXPECT_TRUE(reader.ok());
   RepairSession session(dict.get(), config);
+  StreamInput stream_input(&reader.value(), config.chunk_rows);
   const StatusOr<RepairReport> result =
-      session.RepairStream(&reader.value(), out);
+      session.RepairStream(&stream_input, out);
   EXPECT_TRUE(result.ok());
   return {out.str(), {result.value().rows, result.value().cells_changed}};
 }

@@ -8,7 +8,10 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <filesystem>
+#include <fstream>
 #include <istream>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -39,6 +42,7 @@
 #include "repair/lrepair.h"
 #include "repair/recovery.h"
 #include "repair/session.h"
+#include "repair/streaming.h"
 #include "rulegen/rulegen.h"
 #include "rules/rule_io.h"
 #include "testing_util.h"
@@ -99,7 +103,8 @@ StatusOr<StreamRun> RunStream(const std::string& csv_text,
   repair.max_chase_steps = config.max_chase_steps;
   RepairSession session(&dict, repair);
   std::ostringstream out;
-  StatusOr<RepairReport> result = session.RepairStream(&reader.value(), out);
+  StreamInput input(&reader.value(), repair.chunk_rows);
+  StatusOr<RepairReport> result = session.RepairStream(&input, out);
   if (!result.ok()) return result.status();
 
   StreamRun run;
@@ -190,6 +195,25 @@ TEST_F(StreamingTest, ArityMismatchWithRulesIsMalformedInput) {
       RunStream("a,b\n1,2\n", example.pool, *dict, {.chunk_rows = 1});
   ASSERT_FALSE(run.ok());
   EXPECT_EQ(run.status().code(), StatusCode::kMalformedInput);
+}
+
+// A stream takes only an input started with its config's chunk rows:
+// the input reads its first chunk before the stream sees the config.
+TEST_F(StreamingTest, InputStartedForOtherChunkRowsIsMalformedInput) {
+  TravelExample example;
+  std::ostringstream dirty;
+  WriteCsv(example.dirty, dirty);
+  std::istringstream in(dirty.str());
+  StatusOr<CsvChunkReader> reader =
+      CsvChunkReader::Open(in, "stream", example.pool);
+  ASSERT_TRUE(reader.ok());
+  StreamInput input(&reader.value(), 2);
+  RepairSession session(&example.rules, RepairConfig{.chunk_rows = 3});
+  std::ostringstream out;
+  const StatusOr<RepairReport> report = session.RepairStream(&input, out);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kMalformedInput);
+  EXPECT_EQ(out.str(), "");
 }
 
 // ------------------------------------------------------- random universe --
@@ -818,7 +842,8 @@ TEST_F(StreamingQuarantineTest, OneSinkSeesEachChunksCsvThenTupleDiagnostics) {
       config.threads = threads;
       RepairSession session(dict.get(), config);
       std::ostringstream out;
-      ASSERT_TRUE(session.RepairStream(&reader.value(), out).ok()) << context;
+      StreamInput input(&reader.value(), config.chunk_rows);
+      ASSERT_TRUE(session.RepairStream(&input, out).ok()) << context;
       EXPECT_EQ(out.str(), ToCsv(reference.value())) << context;
       EXPECT_EQ(reader->quarantine(), &sink) << context;  // handed back
       ExpectSameDiagnostics(sink.diagnostics(),
@@ -884,6 +909,117 @@ TEST_F(StreamingTest, PoolIdsAndMemoCountsMatchAWholeTableRead) {
   }
 }
 
+// The first chunk is read while the caller parses rules over the
+// input's pool, or binds a compiled dictionary to it (StreamInput). That
+// read looks nothing up in the pool and its values are committed after
+// the rules', so every value gets the id of a serial read (the rules,
+// then the whole table), and the counters, output and WAL are those of
+// a stream whose rules loaded before its input opened, on one CPU too.
+TEST_F(StreamingTest, RulesLoadWhileTheFirstChunkIsRead) {
+  if (!kMetricsEnabled) GTEST_SKIP() << "built with FIXREP_DISABLE_METRICS";
+  const SpliceCorpus corpus = MakeSpliceCorpus(3);
+  const std::string dict_path = testing::TestTempPath("corpus.frd");
+  {
+    auto pool = std::make_shared<ValuePool>();
+    ASSERT_TRUE(CompileRuleDict(ParseRulesFromString(corpus.rule_text,
+                                                     corpus.data.schema, pool),
+                                dict_path)
+                    .ok());
+  }
+  // The rules as a run loads them into `pool`: parsed text, or the
+  // compiled dictionary opened and bound.
+  struct LoadedRules {
+    std::optional<RuleSet> set;
+    std::unique_ptr<RuleDict> dict;
+  };
+  const auto load = [&](bool compiled,
+                        const std::shared_ptr<const Schema>& schema,
+                        const std::shared_ptr<ValuePool>& pool) {
+    LoadedRules loaded;
+    if (compiled) {
+      StatusOr<std::unique_ptr<RuleDict>> opened = RuleDict::Open(dict_path);
+      EXPECT_TRUE(opened.ok()) << opened.status();
+      loaded.dict = std::move(opened).value();
+      EXPECT_TRUE(loaded.dict->Bind(*schema, pool).ok());
+    } else {
+      loaded.set.emplace(ParseRulesFromString(corpus.rule_text, schema, pool));
+    }
+    return loaded;
+  };
+  struct Run {
+    std::string csv;
+    std::string wal;
+    std::vector<std::pair<std::string, uint64_t>> counters;  // nonzero
+  };
+  // One stream with a WAL; the rules load before the input opens, or
+  // while its first chunk is read.
+  const auto stream = [&](bool compiled, bool rules_first, size_t chunk_rows,
+                          const std::shared_ptr<ValuePool>& pool) {
+    MetricsRegistry::Global().ResetAllForTest();
+    const std::string wal = testing::TestTempPath("rules_load.wal");
+    std::filesystem::remove(wal);
+    LoadedRules rules;
+    if (rules_first) rules = load(compiled, corpus.data.schema, pool);
+    std::istringstream in(corpus.csv);
+    StatusOr<CsvChunkReader> reader = CsvChunkReader::Open(in, "stream", pool);
+    EXPECT_TRUE(reader.ok());
+    StreamInput input(&reader.value(), chunk_rows);
+    if (!rules_first) rules = load(compiled, input.schema(), pool);
+    RepairConfig config;
+    config.chunk_rows = chunk_rows;
+    config.wal_path = wal;
+    std::unique_ptr<RepairSession> session =
+        compiled ? std::make_unique<RepairSession>(rules.dict.get(), config)
+                 : std::make_unique<RepairSession>(&*rules.set, config);
+    std::ostringstream out;
+    const StatusOr<RepairReport> report = session->RepairStream(&input, out);
+    EXPECT_TRUE(report.ok()) << report.status();
+    Run run{out.str(), "", {}};
+    std::ifstream wal_in(wal, std::ios::binary);
+    run.wal.assign(std::istreambuf_iterator<char>(wal_in), {});
+    for (const auto& [name, value] :
+         MetricsRegistry::Global().SnapshotCounters()) {
+      if (value != 0) run.counters.emplace_back(name, value);
+    }
+    return run;
+  };
+
+  for (const bool compiled : {false, true}) {
+    // The serial read: the rules, then the whole table.
+    auto want_pool = std::make_shared<ValuePool>();
+    const LoadedRules want_rules =
+        load(compiled, corpus.data.schema, want_pool);
+    std::istringstream want_in(corpus.csv);
+    ASSERT_TRUE(ReadCsvLenient(want_in, "stream", want_pool).ok());
+    for (const size_t chunk_rows : {size_t{64}, size_t{4096}}) {
+      const Run want = stream(compiled, /*rules_first=*/true, chunk_rows,
+                              std::make_shared<ValuePool>());
+      EXPECT_GT(want.wal.size(), 0u);
+      for (const bool one_cpu : {false, true}) {
+        const std::string context =
+            std::string(compiled ? "dictionary" : "text rules") +
+            " chunk_rows=" + std::to_string(chunk_rows) +
+            (one_cpu ? " one CPU" : "");
+        auto pool = std::make_shared<ValuePool>();
+        std::optional<OneCpuForThisThread> pinned;
+        if (one_cpu) pinned.emplace();
+        const Run got = stream(compiled, /*rules_first=*/false, chunk_rows,
+                               pool);
+        pinned.reset();
+        EXPECT_EQ(got.csv, want.csv) << context;
+        EXPECT_TRUE(got.wal == want.wal) << context;
+        EXPECT_EQ(got.counters, want.counters) << context;
+        ASSERT_EQ(pool->size(), want_pool->size()) << context;
+        for (size_t id = 0; id < pool->size(); ++id) {
+          ASSERT_EQ(pool->GetString(static_cast<ValueId>(id)),
+                    want_pool->GetString(static_cast<ValueId>(id)))
+              << context << " id " << id;
+        }
+      }
+    }
+  }
+}
+
 // Where chunks are read follows only from the caller's CPU affinity: a
 // caller limited to one CPU reads every chunk itself, one that may use
 // more has every data chunk read on the reader thread. The output is the
@@ -940,8 +1076,9 @@ TEST_F(StreamingQuarantineTest, ReadsOnTheCallingThreadExactlyOnOneCpu) {
     config.chunk_rows = 4096;
     RepairSession session(dict.get(), config);
     std::ostringstream out;
+    StreamInput stream_input(&reader.value(), config.chunk_rows);
     const StatusOr<RepairReport> report =
-        session.RepairStream(&reader.value(), out);
+        session.RepairStream(&stream_input, out);
     pinned.reset();
     ASSERT_TRUE(report.ok()) << context << ": " << report.status();
     EXPECT_EQ(out.str(), ToCsv(want.value())) << context;
@@ -1033,8 +1170,8 @@ TEST_F(StreamingQuarantineTest, NextChunksReadErrorLeavesThisChunkCommitted) {
     config.wal_path = wal;
     RepairSession session(dict.get(), config);
     std::ostringstream out;
-    const StatusOr<RepairReport> report =
-        session.RepairStream(&reader.value(), out);
+    StreamInput input(&reader.value(), config.chunk_rows);
+    const StatusOr<RepairReport> report = session.RepairStream(&input, out);
     ASSERT_FALSE(report.ok()) << context;
     EXPECT_EQ(report.status(), want.status()) << context;
     EXPECT_EQ(out.str(),
@@ -1098,8 +1235,8 @@ TEST_F(StreamingQuarantineTest, ReaderThreadNeverFlushesATiedOutput) {
     RepairConfig config;
     config.chunk_rows = chunk_rows;
     RepairSession session(dict.get(), config);
-    const StatusOr<RepairReport> report =
-        session.RepairStream(&reader.value(), out);
+    StreamInput input(&reader.value(), config.chunk_rows);
+    const StatusOr<RepairReport> report = session.RepairStream(&input, out);
     ASSERT_TRUE(report.ok()) << context << ": " << report.status();
     EXPECT_EQ(recorder.str(), ToCsv(want.value())) << context;
     for (const std::thread::id syncer : recorder.syncers()) {
@@ -1107,6 +1244,44 @@ TEST_F(StreamingQuarantineTest, ReaderThreadNeverFlushesATiedOutput) {
     }
   }
 }
+
+// Serves `bytes`, then blocks a read past them until Close().
+class StallingInput : public std::streambuf {
+ public:
+  explicit StallingInput(std::string bytes) : bytes_(std::move(bytes)) {
+    setg(bytes_.data(), bytes_.data(), bytes_.data() + bytes_.size());
+  }
+  // Waits up to `timeout` for a read to stall.
+  bool WaitForStall(std::chrono::milliseconds timeout) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, timeout, [this] { return stalled_; });
+  }
+  void Close() {
+    std::lock_guard<std::mutex> lock(mu_);
+    closed_ = true;
+    cv_.notify_all();
+  }
+  bool closed() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return closed_;
+  }
+
+ protected:
+  int_type underflow() override {
+    std::unique_lock<std::mutex> lock(mu_);
+    stalled_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return closed_; });
+    return traits_type::eof();
+  }
+
+ private:
+  std::string bytes_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool stalled_ = false;
+  bool closed_ = false;
+};
 
 // The reader thread reads chunk k+1 while chunk k is written, and a
 // stream's reads cannot be cancelled: when writing chunk k fails while
@@ -1117,44 +1292,6 @@ TEST_F(StreamingQuarantineTest, ErrorWaitsForAStalledNextRead) {
   if (!ThisThreadMayUseSeveralCpus()) {
     GTEST_SKIP() << "on one CPU the calling thread reads: nothing reads ahead";
   }
-  // Serves `bytes`, then blocks a read past them until Close().
-  class StallingInput : public std::streambuf {
-   public:
-    explicit StallingInput(std::string bytes) : bytes_(std::move(bytes)) {
-      setg(bytes_.data(), bytes_.data(), bytes_.data() + bytes_.size());
-    }
-    // Waits up to `timeout` for a read to stall.
-    bool WaitForStall(std::chrono::milliseconds timeout) {
-      std::unique_lock<std::mutex> lock(mu_);
-      return cv_.wait_for(lock, timeout, [this] { return stalled_; });
-    }
-    void Close() {
-      std::lock_guard<std::mutex> lock(mu_);
-      closed_ = true;
-      cv_.notify_all();
-    }
-    bool closed() {
-      std::lock_guard<std::mutex> lock(mu_);
-      return closed_;
-    }
-
-   protected:
-    int_type underflow() override {
-      std::unique_lock<std::mutex> lock(mu_);
-      stalled_ = true;
-      cv_.notify_all();
-      cv_.wait(lock, [this] { return closed_; });
-      return traits_type::eof();
-    }
-
-   private:
-    std::string bytes_;
-    std::mutex mu_;
-    std::condition_variable cv_;
-    bool stalled_ = false;
-    bool closed_ = false;
-  };
-
   // The first refill block holds chunk 1 whole; chunk 2 runs past the
   // bytes served before the stall.
   constexpr size_t kChunkRows = 4000;
@@ -1184,8 +1321,9 @@ TEST_F(StreamingQuarantineTest, ErrorWaitsForAStalledNextRead) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     input.Close();
   });
+  StreamInput stream_input(&reader.value(), config.chunk_rows);
   const StatusOr<RepairReport> report =
-      session.RepairStream(&reader.value(), out);
+      session.RepairStream(&stream_input, out);
   const bool closed_before_return = input.closed();
   closer.join();
   EXPECT_TRUE(stalled);
@@ -1195,6 +1333,40 @@ TEST_F(StreamingQuarantineTest, ErrorWaitsForAStalledNextRead) {
             std::string::npos)
       << report.status();
   EXPECT_TRUE(closed_before_return);
+}
+
+// A started input no stream takes (the caller's rules failed to load,
+// say) is closed when it is dropped, which waits for the first chunk's
+// read: from a stalled pipe, until the pipe closes. The chunk is never
+// taken, so the pool is left as it was.
+TEST_F(StreamingQuarantineTest, DroppedInputReturnsOnceItsPipeCloses) {
+  if (!ThisThreadMayUseSeveralCpus()) {
+    GTEST_SKIP() << "on one CPU nothing reads before the stream";
+  }
+  // The first refill block holds the header; the first chunk, with no
+  // row limit, runs past the bytes served before the stall.
+  std::string input_csv = "country,capital,name\n";
+  while (input_csv.size() < CsvChunkReader::kReadBlockBytes + 4096) {
+    input_csv += "Chile,Santiago,abcdefghijklmnopqrstuvwxyz\n";
+  }
+  StallingInput input(input_csv);
+  std::istream in(&input);
+  StatusOr<CsvChunkReader> reader = CsvChunkReader::Open(in, "stream", pool_);
+  ASSERT_TRUE(reader.ok());
+  const size_t pool_size = pool_->size();
+  std::optional<StreamInput> started;
+  started.emplace(&reader.value(), RepairConfig::kWholeFile);
+  ASSERT_TRUE(input.WaitForStall(std::chrono::seconds(30)));
+  std::thread closer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    input.Close();
+  });
+  started.reset();
+  const bool closed_before_return = input.closed();
+  closer.join();
+  EXPECT_TRUE(closed_before_return);
+  EXPECT_EQ(pool_->size(), pool_size);
+  EXPECT_EQ(reader->quarantine(), nullptr);  // handed back
 }
 
 }  // namespace

@@ -28,6 +28,7 @@
 #include "relation/table.h"
 #include "repair/lrepair.h"
 #include "repair/session.h"
+#include "repair/streaming.h"
 #include "testing_util.h"
 
 namespace fixrep {
@@ -229,7 +230,8 @@ TEST(TelemetryJournalTest, GoldenTravelStreamRun) {
     RepairConfig config;
     config.chunk_rows = 2;
     RepairSession session(&example.rules, config);
-    report = session.RepairStream(&reader.value(), repaired);
+    StreamInput input(&reader.value(), config.chunk_rows);
+    report = session.RepairStream(&input, repaired);
     SetGlobalJournal(nullptr);
   }
   ASSERT_TRUE(report.ok()) << report.status().message();
