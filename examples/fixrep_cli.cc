@@ -9,14 +9,18 @@
 //                        --out rules.txt [--seed S]
 //                        emits N synthetic CFD-derived rules (rule-unique
 //                        constants, consistent by construction) for
-//                        dictionary-scale benches and tests
+//                        dictionary-scale benches and tests; --clean
+//                        borrows only the CSV header for the schema
 //   fixrep_cli rules compile --rules rules.txt --attrs a,b,c|--data d.csv
 //                        --out dict.frd [--scale N --seed S]
 //                        compiles the rule set into the mmap-able
 //                        dictionary artifact (rules/rule_dict.h);
-//                        --scale appends N synthetic rules before
-//                        compiling, so a million-rule corpus needs no
-//                        intermediate text file
+//                        --data borrows only the CSV header (no row is
+//                        read), so it compiles the same bytes as --attrs
+//                        naming the same columns; --scale appends N
+//                        synthetic rules before compiling, so a
+//                        million-rule corpus needs no intermediate text
+//                        file
 //   fixrep_cli rules inspect --dict dict.frd
 //                        prints the validated header (version,
 //                        fingerprint, rule/string counts) and the
@@ -356,7 +360,9 @@ std::vector<std::string> SplitCommaList(const std::string& text) {
 }
 
 // Schema for schema-less commands (gen-rules --scale, rules compile):
-// --attrs a,b,c names it directly; --data file.csv borrows a CSV header.
+// --attrs a,b,c names it directly; --data file.csv borrows only the CSV
+// header (no row is read or interned), so both give the same schema and
+// the same compiled bytes.
 std::shared_ptr<const Schema> SchemaFromArgs(
     const Args& args, const std::string& csv_flag,
     const std::shared_ptr<ValuePool>& pool) {
@@ -365,8 +371,18 @@ std::shared_ptr<const Schema> SchemaFromArgs(
                                           SplitCommaList(args.Require("attrs")));
   }
   if (args.Has(csv_flag)) {
-    const Table data = ReadCsvFile(args.Require(csv_flag), "data", pool);
-    return data.schema_ptr();
+    const std::string path = args.Require(csv_flag);
+    std::ifstream in(path, std::ios::binary);
+    if (!in) {
+      std::cerr << "cannot open " << path << "\n";
+      std::exit(1);
+    }
+    StatusOr<CsvChunkReader> reader = CsvChunkReader::Open(in, "data", pool);
+    if (!reader.ok()) {
+      std::cerr << path << ": " << reader.status() << "\n";
+      std::exit(1);
+    }
+    return reader->schema();
   }
   std::cerr << "need --attrs a,b,c or --" << csv_flag
             << " file.csv for the schema\n";
@@ -456,8 +472,10 @@ int GenRules(const Args& args) {
     return 0;
   }
   auto pool = std::make_shared<ValuePool>();
+  auto load = std::make_unique<TraceSpan>("cli.load");
   const Table clean = ReadCsvFile(args.Require("clean"), "data", pool);
   const Table dirty = ReadCsvFile(args.Require("dirty"), "data", pool);
+  load.reset();
   const auto fds = ParseFdListFile(clean.schema(), args.Require("fds"));
   RuleGenOptions options;
   options.max_rules = args.GetSizeT("max", 1000);

@@ -1,7 +1,8 @@
 #include "rules/consistency.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <cstdint>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/metric_scope.h"
@@ -287,46 +288,270 @@ namespace {
 using PairChecker = bool (*)(const FixingRule&, const FixingRule&, size_t,
                              Conflict*);
 
+// Runs a pair checker over pairs handed to it in (i, j) order, collects
+// the conflicts and publishes the consistency counters once, when it goes
+// out of scope (so also after an early return).
+class PairRun {
+ public:
+  PairRun(const RuleSet& rules, std::vector<Conflict>* conflicts,
+          bool find_all, PairChecker checker)
+      : rules_(rules),
+        conflicts_(conflicts),
+        find_all_(find_all),
+        checker_(checker) {}
+  PairRun(const PairRun&) = delete;
+  PairRun& operator=(const PairRun&) = delete;
+  ~PairRun() {
+    auto& registry = CurrentMetrics();
+    registry.GetCounter("fixrep.consistency.pairs_checked")
+        ->Add(pairs_checked_);
+    registry.GetCounter("fixrep.consistency.conflicts_detected")
+        ->Add(conflicts_detected_);
+  }
+
+  // Checks rules i < j; false once the run should stop (the first
+  // conflict when not finding all).
+  bool Check(size_t i, size_t j) {
+    ++pairs_checked_;
+    Conflict conflict;
+    if (checker_(rules_.rule(i), rules_.rule(j), rules_.schema().arity(),
+                 &conflict)) {
+      return true;
+    }
+    ++conflicts_detected_;
+    conflict.rule_i = i;
+    conflict.rule_j = j;
+    if (conflicts_ != nullptr) conflicts_->push_back(std::move(conflict));
+    return find_all_;
+  }
+
+  bool consistent() const { return conflicts_detected_ == 0; }
+
+ private:
+  const RuleSet& rules_;
+  std::vector<Conflict>* conflicts_;
+  const bool find_all_;
+  const PairChecker checker_;
+  size_t pairs_checked_ = 0;
+  size_t conflicts_detected_ = 0;
+};
+
 bool CheckAllPairs(const RuleSet& rules, std::vector<Conflict>* conflicts,
                    bool find_all, PairChecker checker) {
   FIXREP_TRACE_SPAN("consistency.check");
-  const size_t arity = rules.schema().arity();
-  bool consistent = true;
-  size_t pairs_checked = 0;
-  size_t conflicts_detected = 0;
-  // Publish once on every exit path, including the early return.
-  const auto publish = [&]() {
-    auto& registry = CurrentMetrics();
-    registry.GetCounter("fixrep.consistency.pairs_checked")
-        ->Add(pairs_checked);
-    registry.GetCounter("fixrep.consistency.conflicts_detected")
-        ->Add(conflicts_detected);
-  };
+  PairRun run(rules, conflicts, find_all, checker);
   for (size_t i = 0; i < rules.size(); ++i) {
     for (size_t j = i + 1; j < rules.size(); ++j) {
-      ++pairs_checked;
-      Conflict conflict;
-      if (checker(rules.rule(i), rules.rule(j), arity, &conflict)) continue;
-      consistent = false;
-      ++conflicts_detected;
-      conflict.rule_i = i;
-      conflict.rule_j = j;
-      if (conflicts != nullptr) conflicts->push_back(std::move(conflict));
-      if (!find_all) {
-        publish();
-        return false;
-      }
+      if (!run.Check(i, j)) return false;
     }
   }
-  publish();
-  return consistent;
+  return run.consistent();
+}
+
+// --- The Prop. 3 candidate join ---
+//
+// PairConsistentChar and PairConsistentStrictChar can only fail on a pair
+// whose evidence patterns agree on their common attributes and that
+// shares a key (B, v) in one of two ways: both rules target B with v
+// among their negative patterns (case 1 and the strict case), or one
+// rule targets B with v among its negatives while the other has the
+// evidence constant tp[B] = v (case 2). Every other pair is consistent.
+
+// A rule's posting under a key packed by PostingKey.
+struct Posting {
+  uint64_t key;
+  uint32_t rule;
+  bool operator<(const Posting& other) const {
+    return key != other.key ? key < other.key : rule < other.rule;
+  }
+};
+
+// (attr, value) in the high bits; the low bit is 1 for an evidence
+// constant tp[attr] = value and 0 for a negative pattern of target attr,
+// so a key's negative postings sort before its evidence postings.
+uint64_t PostingKey(AttrId attr, ValueId value, bool evidence) {
+  return (uint64_t{static_cast<uint32_t>(attr)} << 33) |
+         (uint64_t{static_cast<uint32_t>(value)} << 1) |
+         (evidence ? 1u : 0u);
+}
+
+// Above this many pairs, a key's rules are grouped by evidence pattern
+// before they are paired, so one constant shared by very many rules
+// costs the evidence-compatible pairs it holds, not all pairs.
+constexpr size_t kHotKeyPairs = 1024;
+
+void EmitPair(uint32_t a, uint32_t b, std::vector<uint64_t>* pairs) {
+  if (a > b) std::swap(a, b);
+  pairs->push_back((uint64_t{a} << 32) | b);
+}
+
+// Hash of a rule's evidence constants on the attributes in `mask`.
+uint64_t ProjectionHash(const FixingRule& rule, uint64_t mask) {
+  uint64_t h = 0x9e3779b97f4a7c15ULL;
+  for (size_t k = 0; k < rule.evidence_attrs.size(); ++k) {
+    if ((mask >> rule.evidence_attrs[k]) & 1) {
+      h = (h ^ static_cast<uint32_t>(rule.evidence_values[k])) *
+          0xff51afd7ed558ccdULL;
+      h ^= h >> 32;
+    }
+  }
+  return h;
+}
+
+// Rules of one key side that share an evidence attribute set.
+struct EvidenceGroup {
+  uint64_t mask;
+  std::vector<uint32_t> rules;
+};
+
+std::vector<EvidenceGroup> GroupByEvidenceAttrs(
+    const RuleSet& rules, const std::vector<uint32_t>& members) {
+  std::vector<std::pair<uint64_t, uint32_t>> by_mask;
+  by_mask.reserve(members.size());
+  for (const uint32_t r : members) {
+    by_mask.emplace_back(rules.rule(r).EvidenceSet().bits(), r);
+  }
+  std::sort(by_mask.begin(), by_mask.end());
+  std::vector<EvidenceGroup> groups;
+  for (const auto& [mask, r] : by_mask) {
+    if (groups.empty() || groups.back().mask != mask) {
+      groups.push_back({mask, {}});
+    }
+    groups.back().rules.push_back(r);
+  }
+  return groups;
+}
+
+// Emits the evidence-compatible pairs of p x q (of p's distinct pairs when
+// `same`): their constants agree on the shared attributes `common`, so
+// they are found by hashing q on that projection and probing with p.
+void JoinGroups(const RuleSet& rules, const std::vector<uint32_t>& p,
+                const std::vector<uint32_t>& q, uint64_t common, bool same,
+                std::vector<uint64_t>* pairs) {
+  std::vector<std::pair<uint64_t, uint32_t>> hashed;
+  hashed.reserve(q.size());
+  for (const uint32_t r : q) {
+    hashed.emplace_back(ProjectionHash(rules.rule(r), common), r);
+  }
+  std::sort(hashed.begin(), hashed.end());
+  auto emit_if_compatible = [&](uint32_t a, uint32_t b) {
+    if (EvidenceCompatible(rules.rule(a), rules.rule(b))) {
+      EmitPair(a, b, pairs);
+    }
+  };
+  if (same) {
+    for (size_t x = 0; x < hashed.size();) {
+      size_t end = x + 1;
+      while (end < hashed.size() && hashed[end].first == hashed[x].first) {
+        ++end;
+      }
+      for (size_t a = x; a < end; ++a) {
+        for (size_t b = a + 1; b < end; ++b) {
+          emit_if_compatible(hashed[a].second, hashed[b].second);
+        }
+      }
+      x = end;
+    }
+    return;
+  }
+  for (const uint32_t a : p) {
+    const uint64_t h = ProjectionHash(rules.rule(a), common);
+    auto it = std::lower_bound(hashed.begin(), hashed.end(),
+                               std::make_pair(h, uint32_t{0}));
+    for (; it != hashed.end() && it->first == h; ++it) {
+      emit_if_compatible(a, it->second);
+    }
+  }
+}
+
+// Emits every evidence-compatible pair of left x right, or of left's
+// distinct pairs when `same` (left and right are then the same list).
+void JoinKey(const RuleSet& rules, const std::vector<uint32_t>& left,
+             const std::vector<uint32_t>& right, bool same,
+             std::vector<uint64_t>* pairs) {
+  const size_t all_pairs = same ? left.size() * (left.size() - 1) / 2
+                                : left.size() * right.size();
+  if (all_pairs <= kHotKeyPairs) {
+    for (size_t x = 0; x < left.size(); ++x) {
+      for (size_t y = same ? x + 1 : 0; y < right.size(); ++y) {
+        if (EvidenceCompatible(rules.rule(left[x]), rules.rule(right[y]))) {
+          EmitPair(left[x], right[y], pairs);
+        }
+      }
+    }
+    return;
+  }
+  const std::vector<EvidenceGroup> left_groups =
+      GroupByEvidenceAttrs(rules, left);
+  const std::vector<EvidenceGroup> right_groups =
+      same ? std::vector<EvidenceGroup>{} : GroupByEvidenceAttrs(rules, right);
+  const std::vector<EvidenceGroup>& rhs = same ? left_groups : right_groups;
+  for (size_t g = 0; g < left_groups.size(); ++g) {
+    for (size_t h = same ? g : 0; h < rhs.size(); ++h) {
+      JoinGroups(rules, left_groups[g].rules, rhs[h].rules,
+                 left_groups[g].mask & rhs[h].mask, same && g == h, pairs);
+    }
+  }
+}
+
+// The pairs (i < j, packed as i << 32 | j) that Prop. 3 lets conflict and
+// whose evidence patterns are compatible, sorted and distinct: the order
+// in which the all-pairs loop would reach them.
+std::vector<uint64_t> CandidatePairs(const RuleSet& rules) {
+  FIXREP_CHECK_LT(rules.size(), size_t{1} << 32);
+  std::vector<Posting> postings;
+  for (size_t i = 0; i < rules.size(); ++i) {
+    const FixingRule& rule = rules.rule(i);
+    const auto r = static_cast<uint32_t>(i);
+    for (const ValueId v : rule.negative_patterns) {
+      postings.push_back({PostingKey(rule.target, v, false), r});
+    }
+    for (size_t k = 0; k < rule.evidence_attrs.size(); ++k) {
+      postings.push_back(
+          {PostingKey(rule.evidence_attrs[k], rule.evidence_values[k], true),
+           r});
+    }
+  }
+  std::sort(postings.begin(), postings.end());
+
+  std::vector<uint64_t> pairs;
+  std::vector<uint32_t> negatives;
+  std::vector<uint32_t> evidence;
+  for (size_t x = 0; x < postings.size();) {
+    const uint64_t key = postings[x].key >> 1;
+    negatives.clear();
+    evidence.clear();
+    for (; x < postings.size() && postings[x].key >> 1 == key; ++x) {
+      (postings[x].key & 1 ? evidence : negatives).push_back(postings[x].rule);
+    }
+    if (negatives.empty()) continue;
+    JoinKey(rules, negatives, negatives, /*same=*/true, &pairs);   // case 1
+    JoinKey(rules, negatives, evidence, /*same=*/false, &pairs);   // case 2
+  }
+  std::sort(pairs.begin(), pairs.end());
+  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+  return pairs;
+}
+
+// Runs `checker` on the candidate pairs only. Every other pair passes
+// both characterizations, and candidates come in all-pairs order, so the
+// conflicts (and the first one) equal CheckAllPairs's.
+bool CheckCandidatePairs(const RuleSet& rules,
+                         std::vector<Conflict>* conflicts, bool find_all,
+                         PairChecker checker) {
+  FIXREP_TRACE_SPAN("consistency.check");
+  PairRun run(rules, conflicts, find_all, checker);
+  for (const uint64_t pair : CandidatePairs(rules)) {
+    if (!run.Check(pair >> 32, pair & 0xffffffffu)) return false;
+  }
+  return run.consistent();
 }
 
 }  // namespace
 
 bool IsConsistentChar(const RuleSet& rules, std::vector<Conflict>* conflicts,
                       bool find_all) {
-  return CheckAllPairs(rules, conflicts, find_all, &PairConsistentChar);
+  return CheckCandidatePairs(rules, conflicts, find_all, &PairConsistentChar);
 }
 
 bool IsConsistentEnum(const RuleSet& rules, std::vector<Conflict>* conflicts,
@@ -336,8 +561,8 @@ bool IsConsistentEnum(const RuleSet& rules, std::vector<Conflict>* conflicts,
 
 bool IsConsistentStrict(const RuleSet& rules,
                         std::vector<Conflict>* conflicts, bool find_all) {
-  return CheckAllPairs(rules, conflicts, find_all,
-                       &PairConsistentStrictChar);
+  return CheckCandidatePairs(rules, conflicts, find_all,
+                             &PairConsistentStrictChar);
 }
 
 }  // namespace fixrep

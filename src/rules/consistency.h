@@ -78,21 +78,31 @@ bool PairConsistentStrictChar(const FixingRule& a, const FixingRule& b,
 
 // --- Whole-set checks ---
 
-// isConsist_r over all pairs. Early-exits on the first conflict unless
+// isConsist_r over the set. Early-exits on the first conflict unless
 // `find_all` is set. `conflicts` may be null.
+//
+// Only candidate pairs are checked: by Prop. 3 a pair can conflict only
+// if the rules share a target and a negative value, or one rule's target
+// is the other's evidence attribute with that evidence constant among
+// its negatives, and only if their evidence patterns agree where both
+// are defined. A join over (attribute, value) postings finds those
+// pairs; PairConsistentChar runs on them in (i, j) order, so the
+// conflicts, their order and the first conflict equal those of checking
+// every pair. `fixrep.consistency.pairs_checked` counts the candidates.
 bool IsConsistentChar(const RuleSet& rules,
                       std::vector<Conflict>* conflicts = nullptr,
                       bool find_all = false);
 
-// isConsist_t over all pairs.
+// isConsist_t over all pairs (the paper's baseline; no candidate join).
 bool IsConsistentEnum(const RuleSet& rules,
                       std::vector<Conflict>* conflicts = nullptr,
                       bool find_all = false);
 
-// Strict variant of IsConsistentChar; a set passing this check has
-// provably unique fixes for every tuple. Used by rule generation and the
-// resolution workflow so the repaired data is deterministic even in the
-// Proposition-3 corner case.
+// Strict variant of IsConsistentChar, over the same candidate pairs (a
+// strict conflict also shares a target and a negative value); a set
+// passing this check has provably unique fixes for every tuple. Used by
+// rule generation and the resolution workflow so the repaired data is
+// deterministic even in the Proposition-3 corner case.
 bool IsConsistentStrict(const RuleSet& rules,
                         std::vector<Conflict>* conflicts = nullptr,
                         bool find_all = false);

@@ -527,6 +527,46 @@ TEST_F(CliRepairTest, RulesErrorAfterTheInputStartedExitsOne) {
 // the file and stream workloads, and a daemon brought up, pinged,
 // submitted to and drained, with the metrics and telemetry outputs the
 // traced runs ask for.
+// `--data` (rules compile) and `--clean` (gen-rules --scale) borrow only
+// the CSV header, so they write the same bytes as `--attrs` naming the
+// same columns: no data value is interned ahead of the rules' constants.
+TEST_F(CliRepairTest, DataFlagBorrowsOnlyTheHeader) {
+  const std::string dir = TestTempPath("header");
+  std::filesystem::create_directories(dir);
+  const auto path = [&](const std::string& name) { return dir + "/" + name; };
+  const auto ok = [&](const std::string& args) {
+    const CliRun run = Run(args);
+    EXPECT_TRUE(run.ExitedWith(0)) << args << ": " << run.err;
+    return run.ExitedWith(0);
+  };
+  WriteHosp(path("dirty.csv"), path("rules.txt"));
+  const std::string csv = ReadFile(path("dirty.csv"));
+  const std::string attrs = csv.substr(0, csv.find('\n'));
+
+  ASSERT_TRUE(ok("rules compile --rules " + path("rules.txt") + " --data " +
+                 path("dirty.csv") + " --out " + path("data.frd")));
+  ASSERT_TRUE(ok("rules compile --rules " + path("rules.txt") + " --attrs " +
+                 attrs + " --out " + path("attrs.frd")));
+  const std::string from_data = ReadFile(path("data.frd"));
+  EXPECT_FALSE(from_data.empty());
+  EXPECT_EQ(from_data, ReadFile(path("attrs.frd")));
+
+  ASSERT_TRUE(ok("gen-rules --scale 300 --clean " + path("dirty.csv") +
+                 " --out " + path("scale_data.txt")));
+  ASSERT_TRUE(ok("gen-rules --scale 300 --attrs " + attrs + " --out " +
+                 path("scale_attrs.txt")));
+  EXPECT_EQ(ReadFile(path("scale_data.txt")),
+            ReadFile(path("scale_attrs.txt")));
+
+  const CliRun missing = Run("rules compile --rules " + path("rules.txt") +
+                             " --data " + path("missing.csv") + " --out " +
+                             path("missing.frd"));
+  EXPECT_TRUE(missing.ExitedWith(1)) << missing.err;
+  EXPECT_NE(missing.err.find("cannot open"), std::string::npos)
+      << missing.err;
+  EXPECT_FALSE(std::filesystem::exists(path("missing.frd")));
+}
+
 TEST_F(CliRepairTest, BenchmarkCommandLinesExitZero) {
   const std::string dir = TestTempPath("bench");
   std::filesystem::create_directories(dir);

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <sstream>
 #include <utility>
 
 #include <gtest/gtest.h>
@@ -8,11 +9,13 @@
 #include "datagen/noise.h"
 #include "datagen/uis.h"
 #include "eval/metrics.h"
+#include "relation/csv.h"
 #include "repair/lrepair.h"
 #include "rulegen/rulegen.h"
 #include "rulegen/scale.h"
 #include "rules/consistency.h"
 #include "rules/fingerprint.h"
+#include "rules/resolution.h"
 
 namespace fixrep {
 namespace {
@@ -144,6 +147,87 @@ TEST(RuleGenTest, WorksOnUis) {
                                       pipeline.data.fds, options);
   EXPECT_GT(rules.size(), 0u);
   EXPECT_TRUE(IsConsistentChar(rules));
+}
+
+// ------------------------------------------------------ pinned output --
+
+// The (clean, dirty) pair `fixrep_cli gen-data` writes, read back the way
+// `gen-rules` reads it: both CSVs into one fresh pool, clean first, so
+// ValueIds (and with them the enrichment draws over out-of-domain
+// values) are the CLI's.
+Pipeline CliPipeline(GeneratedData generated, uint64_t seed) {
+  Table dirty = generated.clean;
+  NoiseOptions noise;
+  noise.noise_rate = 0.10;
+  noise.typo_share = 0.5;
+  noise.seed = seed ^ 0xd1e7;
+  InjectNoise(&dirty, ConstraintAttributes(*generated.schema, generated.fds),
+              noise);
+  std::stringstream clean_csv;
+  std::stringstream dirty_csv;
+  WriteCsv(generated.clean, clean_csv);
+  WriteCsv(dirty, dirty_csv);
+  auto pool = std::make_shared<ValuePool>();
+  GeneratedData reread(pool, generated.schema);
+  reread.clean = ReadCsv(clean_csv, "data", pool);
+  reread.schema = reread.clean.schema_ptr();
+  reread.fds = generated.fds;
+  Pipeline pipeline(std::move(reread));
+  pipeline.dirty = ReadCsv(dirty_csv, "data", pool);
+  return pipeline;
+}
+
+Pipeline CliHosp(uint64_t seed) {
+  HospOptions options;
+  options.rows = 20000;
+  options.num_hospitals = options.rows / 30;
+  options.seed = seed;
+  return CliPipeline(GenerateHosp(options), seed);
+}
+
+Pipeline CliUis() {
+  UisOptions options;
+  options.seed = 1;
+  return CliPipeline(GenerateUis(options), 1);
+}
+
+struct MinedPin {
+  uint64_t fingerprint;
+  size_t rules;
+  size_t patterns_removed;
+  size_t rules_dropped;
+};
+
+// Mines with the CLI's default options and checks the result against
+// values recorded before rule mining and the consistency check were
+// optimized. Moving a pin is a change to the mined rules, not a
+// refactor: it changes every `gen-rules` output on that data.
+void ExpectMinedPin(const Pipeline& pipeline, const MinedPin& pin) {
+  RuleGenOptions options;
+  const RuleSet rules = GenerateRules(pipeline.data.clean, pipeline.dirty,
+                                      pipeline.data.fds, options);
+  EXPECT_EQ(RuleSetFingerprint(rules), pin.fingerprint);
+  EXPECT_EQ(rules.size(), pin.rules);
+
+  options.resolve_conflicts = false;
+  RuleSet unresolved = GenerateRules(pipeline.data.clean, pipeline.dirty,
+                                     pipeline.data.fds, options);
+  const ResolutionReport report = ResolveByPruning(&unresolved);
+  EXPECT_EQ(report.patterns_removed, pin.patterns_removed);
+  EXPECT_EQ(report.dropped_rules.size(), pin.rules_dropped);
+  EXPECT_EQ(RuleSetFingerprint(unresolved), pin.fingerprint);
+}
+
+TEST(RuleGenPinTest, Hosp20kSeed1) {
+  ExpectMinedPin(CliHosp(1), {0x02f93d8b348c1a37, 992, 1037, 8});
+}
+
+TEST(RuleGenPinTest, Hosp20kSeed7) {
+  ExpectMinedPin(CliHosp(7), {0x53161954cf1592f5, 991, 1043, 9});
+}
+
+TEST(RuleGenPinTest, Uis) {
+  ExpectMinedPin(CliUis(), {0x8f2bbdfe1181f596, 998, 74, 2});
 }
 
 // ----------------------------------------------- scale rule generator --
