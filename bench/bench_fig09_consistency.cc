@@ -11,8 +11,9 @@
 // or below their worst case; 1000 rules check in seconds.
 //
 // A scale section then checks synthetic corpora (rulegen/scale.h) of 5K,
-// 20K and 1M rules with the join and reports its candidate pairs; the
-// all-pairs isConsist_r is timed up to 20K rules only.
+// 20K and 1M rules, and hot-key sets of 5K, 20K and 200K rules that all
+// share one target and negative value, with the join and reports its
+// candidate pairs; the all-pairs isConsist_r is timed up to 20K rules.
 
 #include <algorithm>
 #include <cstdint>
@@ -129,41 +130,88 @@ void RunDataset(const char* name, const Workload& workload,
   table.Print(std::cout);
 }
 
-// The synthetic corpora of `gen-rules --scale`, consistent by
-// construction: the join's time and candidate pairs at 5K, 20K and 1M
-// rules, against all pairs up to 20K.
+// Adds a row for a set that is consistent by construction: the join's
+// time and candidate pairs, against all pairs timed up to 20K rules.
+void AddScaleRow(const RuleSet& rules, TextTable* table) {
+  MetricScope scope;
+  double join_ms;
+  {
+    MetricScope::Activation active(&scope);
+    join_ms = TimeChecker(&IsConsistentChar, rules, true);
+  }
+  const uint64_t candidates =
+      scope.registry()
+          .FindCounter("fixrep.consistency.pairs_checked")
+          ->Value();
+  const uint64_t n = rules.size();
+  const std::string all_pairs_ms =
+      n <= 20'000 ? FormatDouble(TimeChecker(&AllPairsChar, rules, true), 1)
+                  : "-";
+  table->AddRow({std::to_string(n), FormatDouble(join_ms, 1),
+                 std::to_string(candidates), std::to_string(n * (n - 1) / 2),
+                 all_pairs_ms});
+}
+
+// A constant such as "a42".
+std::string Named(char prefix, size_t i) {
+  std::string name(1, prefix);
+  name += std::to_string(i);
+  return name;
+}
+
+// n rules under one hot key: all target h and share the negative value
+// "hot". Every evidence set holds a, with {a}, {a, b} and {a, c} in
+// turn, and rules 2k and 2k+1 share a's constant, so only those n/2
+// pairs are evidence-compatible. One fact keeps the set consistent.
+RuleSet HotKeyRules(const std::shared_ptr<const Schema>& schema, size_t n) {
+  auto pool = std::make_shared<ValuePool>();
+  RuleSet rules(schema, pool);
+  const ValueId hot = pool->Intern("hot");
+  const ValueId fact = pool->Intern("fact");
+  for (size_t i = 0; i < n; ++i) {
+    FixingRule rule;
+    rule.evidence_attrs = {0};
+    rule.evidence_values = {pool->Intern(Named('a', i / 2))};
+    if (i % 3 != 0) {
+      rule.evidence_attrs.push_back(static_cast<AttrId>(i % 3));
+      rule.evidence_values.push_back(pool->Intern(Named('x', i)));
+    }
+    rule.target = 7;
+    rule.negative_patterns = {hot, pool->Intern(Named('n', i))};
+    std::sort(rule.negative_patterns.begin(), rule.negative_patterns.end());
+    rule.fact = fact;
+    rules.Add(std::move(rule));
+  }
+  return rules;
+}
+
+// The synthetic corpora of `gen-rules --scale` at 5K, 20K and 1M rules
+// (rule-unique constants, so no key is shared), then hot-key sets where
+// one key holds every rule.
 void RunScale() {
-  std::cout << "\n-- consistency at scale (gen-rules --scale corpora) --\n";
-  TextTable table({"rules", "join (ms)", "candidate pairs", "all pairs",
-                   "isConsist_r all pairs (ms)"});
   const auto schema = std::make_shared<const Schema>(
       "S", std::vector<std::string>{"a", "b", "c", "d", "e", "f", "g", "h"});
+  const std::vector<std::string> columns = {
+      "rules", "join (ms)", "candidate pairs", "all pairs",
+      "isConsist_r all pairs (ms)"};
+  std::cout << "\n-- consistency at scale (gen-rules --scale corpora) --\n";
+  TextTable corpora(columns);
   for (const size_t scale : {size_t{5'000}, size_t{20'000},
                              size_t{1'000'000}}) {
     ScaleRuleGenOptions options;
     options.scale = scale;
-    const RuleSet rules =
-        GenerateScaleRules(schema, std::make_shared<ValuePool>(), options);
-    MetricScope scope;
-    double join_ms;
-    {
-      MetricScope::Activation active(&scope);
-      join_ms = TimeChecker(&IsConsistentChar, rules, true);
-    }
-    const uint64_t candidates =
-        scope.registry()
-            .FindCounter("fixrep.consistency.pairs_checked")
-            ->Value();
-    const std::string all_pairs_ms =
-        scale <= 20'000
-            ? FormatDouble(TimeChecker(&AllPairsChar, rules, true), 1)
-            : "-";
-    table.AddRow({std::to_string(scale), FormatDouble(join_ms, 1),
-                  std::to_string(candidates),
-                  std::to_string(uint64_t{scale} * (scale - 1) / 2),
-                  all_pairs_ms});
+    AddScaleRow(
+        GenerateScaleRules(schema, std::make_shared<ValuePool>(), options),
+        &corpora);
   }
-  table.Print(std::cout);
+  corpora.Print(std::cout);
+
+  std::cout << "\n-- consistency at scale (one hot key) --\n";
+  TextTable hot(columns);
+  for (const size_t n : {size_t{5'000}, size_t{20'000}, size_t{200'000}}) {
+    AddScaleRow(HotKeyRules(schema, n), &hot);
+  }
+  hot.Print(std::cout);
 }
 
 void Run() {

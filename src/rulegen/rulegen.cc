@@ -115,6 +115,8 @@ RuleSet GenerateRules(const Table& clean, const Table& dirty,
 
     std::vector<Candidate> candidates;
     std::vector<ValueId> negatives;
+    // Dense marks over pool ids for the negatives of the group being mined.
+    std::vector<uint8_t> collected(clean.pool().size(), 0);
     for (size_t fd_index = 0; fd_index < normalized.size(); ++fd_index) {
       const auto& fd = normalized[fd_index];
       const AttrId target = fd.rhs[0];
@@ -127,9 +129,11 @@ RuleSet GenerateRules(const Table& clean, const Table& dirty,
         // unique: it becomes the rule's fact.
         const ValueId fact = clean.cell(clean_rows[0], target);
         const size_t begin = negatives.size();
-        const auto is_new = [&](ValueId v) {
-          return v != fact && std::find(negatives.begin() + begin,
-                                        negatives.end(), v) == negatives.end();
+        const auto add_if_new = [&](ValueId v) {
+          if (v == fact || collected[static_cast<size_t>(v)] != 0) return false;
+          collected[static_cast<size_t>(v)] = 1;
+          negatives.push_back(v);
+          return true;
         };
 
         // Observed wrong values: what the dirty data carries for this
@@ -145,7 +149,7 @@ RuleSet GenerateRules(const Table& clean, const Table& dirty,
         for (const size_t row : clean_rows) {
           if (groups.evidence_intact[row] == 0) continue;
           const ValueId v = values.dirty[row];
-          if (v != kNullValue && is_new(v)) negatives.push_back(v);
+          if (v != kNullValue) add_if_new(v);
         }
 
         // Enrichment (Section 7.1 "rule enrichment"): enlarge the negative
@@ -159,12 +163,11 @@ RuleSet GenerateRules(const Table& clean, const Table& dirty,
                                    : values.out_of_domain;
           if (source.size() < 2) continue;
           for (int attempt = 0; attempt < 8; ++attempt) {
-            const ValueId v = source[rng.Uniform(source.size())];
-            if (is_new(v)) {
-              negatives.push_back(v);
-              break;
-            }
+            if (add_if_new(source[rng.Uniform(source.size())])) break;
           }
+        }
+        for (size_t k = begin; k < negatives.size(); ++k) {
+          collected[static_cast<size_t>(negatives[k])] = 0;
         }
         if (negatives.size() == begin) continue;
         candidates.push_back({clean_rows.size(), fd_index, &lhs_values, fact,

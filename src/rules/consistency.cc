@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <utility>
 
 #include "common/logging.h"
@@ -375,11 +376,6 @@ uint64_t PostingKey(AttrId attr, ValueId value, bool evidence) {
          (evidence ? 1u : 0u);
 }
 
-// Above this many pairs, a key's rules are grouped by evidence pattern
-// before they are paired, so one constant shared by very many rules
-// costs the evidence-compatible pairs it holds, not all pairs.
-constexpr size_t kHotKeyPairs = 1024;
-
 void EmitPair(uint32_t a, uint32_t b, std::vector<uint64_t>* pairs) {
   if (a > b) std::swap(a, b);
   pairs->push_back((uint64_t{a} << 32) | b);
@@ -398,101 +394,101 @@ uint64_t ProjectionHash(const FixingRule& rule, uint64_t mask) {
   return h;
 }
 
-// Rules of one key side that share an evidence attribute set.
-struct EvidenceGroup {
-  uint64_t mask;
-  std::vector<uint32_t> rules;
+// Finds the evidence-compatible pairs among the rules of one key. Each
+// side is grouped by evidence attribute set, and each pair of groups is
+// joined by hashing one on the constants of the attributes both sets
+// hold, so one constant shared by very many rules costs the compatible
+// pairs it holds, not all pairs. The buffers are reused from key to key.
+class KeyJoin {
+ public:
+  KeyJoin(const RuleSet& rules, std::vector<uint64_t>* pairs)
+      : rules_(rules), pairs_(pairs) {}
+
+  // Emits every evidence-compatible pair of left x right, or of left's
+  // distinct pairs when `same` (left and right are then the same list).
+  void Join(const std::vector<uint32_t>& left,
+            const std::vector<uint32_t>& right, bool same) {
+    if (same ? left.size() < 2 : right.empty()) return;
+    SortByEvidenceAttrs(left, &left_);
+    if (!same) SortByEvidenceAttrs(right, &right_);
+    const std::vector<Keyed>& rhs = same ? left_ : right_;
+    for (size_t g = 0, g_end; g < left_.size(); g = g_end) {
+      g_end = RunEnd(left_, g);
+      for (size_t h = same ? g : 0, h_end; h < rhs.size(); h = h_end) {
+        h_end = RunEnd(rhs, h);
+        JoinGroups({left_.data() + g, g_end - g},
+                   {rhs.data() + h, h_end - h},
+                   left_[g].first & rhs[h].first, same && g == h);
+      }
+    }
+  }
+
+ private:
+  // A rule keyed by its evidence attribute set or by a projection hash.
+  using Keyed = std::pair<uint64_t, uint32_t>;
+
+  void SortByEvidenceAttrs(const std::vector<uint32_t>& members,
+                           std::vector<Keyed>* out) const {
+    out->clear();
+    for (const uint32_t r : members) {
+      out->emplace_back(rules_.rule(r).EvidenceSet().bits(), r);
+    }
+    std::sort(out->begin(), out->end());
+  }
+
+  // End of the run of equal keys that starts at `begin`.
+  static size_t RunEnd(const std::vector<Keyed>& sorted, size_t begin) {
+    size_t end = begin + 1;
+    while (end < sorted.size() && sorted[end].first == sorted[begin].first) {
+      ++end;
+    }
+    return end;
+  }
+
+  void EmitIfCompatible(uint32_t a, uint32_t b) {
+    if (EvidenceCompatible(rules_.rule(a), rules_.rule(b))) {
+      EmitPair(a, b, pairs_);
+    }
+  }
+
+  // Emits the evidence-compatible pairs of p x q (of p's distinct pairs
+  // when `same`): their constants agree on the shared attributes
+  // `common`, so they are found by hashing q on that projection and
+  // probing with p.
+  void JoinGroups(std::span<const Keyed> p, std::span<const Keyed> q,
+                  uint64_t common, bool same) {
+    hashed_.clear();
+    for (const auto& [mask, r] : q) {
+      hashed_.emplace_back(ProjectionHash(rules_.rule(r), common), r);
+    }
+    std::sort(hashed_.begin(), hashed_.end());
+    if (same) {
+      for (size_t x = 0, end; x < hashed_.size(); x = end) {
+        end = RunEnd(hashed_, x);
+        for (size_t a = x; a < end; ++a) {
+          for (size_t b = a + 1; b < end; ++b) {
+            EmitIfCompatible(hashed_[a].second, hashed_[b].second);
+          }
+        }
+      }
+      return;
+    }
+    for (const auto& [mask, a] : p) {
+      const uint64_t h = ProjectionHash(rules_.rule(a), common);
+      auto it = std::lower_bound(hashed_.begin(), hashed_.end(),
+                                 Keyed{h, 0});
+      for (; it != hashed_.end() && it->first == h; ++it) {
+        EmitIfCompatible(a, it->second);
+      }
+    }
+  }
+
+  const RuleSet& rules_;
+  std::vector<uint64_t>* pairs_;
+  std::vector<Keyed> left_;
+  std::vector<Keyed> right_;
+  std::vector<Keyed> hashed_;
 };
-
-std::vector<EvidenceGroup> GroupByEvidenceAttrs(
-    const RuleSet& rules, const std::vector<uint32_t>& members) {
-  std::vector<std::pair<uint64_t, uint32_t>> by_mask;
-  by_mask.reserve(members.size());
-  for (const uint32_t r : members) {
-    by_mask.emplace_back(rules.rule(r).EvidenceSet().bits(), r);
-  }
-  std::sort(by_mask.begin(), by_mask.end());
-  std::vector<EvidenceGroup> groups;
-  for (const auto& [mask, r] : by_mask) {
-    if (groups.empty() || groups.back().mask != mask) {
-      groups.push_back({mask, {}});
-    }
-    groups.back().rules.push_back(r);
-  }
-  return groups;
-}
-
-// Emits the evidence-compatible pairs of p x q (of p's distinct pairs when
-// `same`): their constants agree on the shared attributes `common`, so
-// they are found by hashing q on that projection and probing with p.
-void JoinGroups(const RuleSet& rules, const std::vector<uint32_t>& p,
-                const std::vector<uint32_t>& q, uint64_t common, bool same,
-                std::vector<uint64_t>* pairs) {
-  std::vector<std::pair<uint64_t, uint32_t>> hashed;
-  hashed.reserve(q.size());
-  for (const uint32_t r : q) {
-    hashed.emplace_back(ProjectionHash(rules.rule(r), common), r);
-  }
-  std::sort(hashed.begin(), hashed.end());
-  auto emit_if_compatible = [&](uint32_t a, uint32_t b) {
-    if (EvidenceCompatible(rules.rule(a), rules.rule(b))) {
-      EmitPair(a, b, pairs);
-    }
-  };
-  if (same) {
-    for (size_t x = 0; x < hashed.size();) {
-      size_t end = x + 1;
-      while (end < hashed.size() && hashed[end].first == hashed[x].first) {
-        ++end;
-      }
-      for (size_t a = x; a < end; ++a) {
-        for (size_t b = a + 1; b < end; ++b) {
-          emit_if_compatible(hashed[a].second, hashed[b].second);
-        }
-      }
-      x = end;
-    }
-    return;
-  }
-  for (const uint32_t a : p) {
-    const uint64_t h = ProjectionHash(rules.rule(a), common);
-    auto it = std::lower_bound(hashed.begin(), hashed.end(),
-                               std::make_pair(h, uint32_t{0}));
-    for (; it != hashed.end() && it->first == h; ++it) {
-      emit_if_compatible(a, it->second);
-    }
-  }
-}
-
-// Emits every evidence-compatible pair of left x right, or of left's
-// distinct pairs when `same` (left and right are then the same list).
-void JoinKey(const RuleSet& rules, const std::vector<uint32_t>& left,
-             const std::vector<uint32_t>& right, bool same,
-             std::vector<uint64_t>* pairs) {
-  const size_t all_pairs = same ? left.size() * (left.size() - 1) / 2
-                                : left.size() * right.size();
-  if (all_pairs <= kHotKeyPairs) {
-    for (size_t x = 0; x < left.size(); ++x) {
-      for (size_t y = same ? x + 1 : 0; y < right.size(); ++y) {
-        if (EvidenceCompatible(rules.rule(left[x]), rules.rule(right[y]))) {
-          EmitPair(left[x], right[y], pairs);
-        }
-      }
-    }
-    return;
-  }
-  const std::vector<EvidenceGroup> left_groups =
-      GroupByEvidenceAttrs(rules, left);
-  const std::vector<EvidenceGroup> right_groups =
-      same ? std::vector<EvidenceGroup>{} : GroupByEvidenceAttrs(rules, right);
-  const std::vector<EvidenceGroup>& rhs = same ? left_groups : right_groups;
-  for (size_t g = 0; g < left_groups.size(); ++g) {
-    for (size_t h = same ? g : 0; h < rhs.size(); ++h) {
-      JoinGroups(rules, left_groups[g].rules, rhs[h].rules,
-                 left_groups[g].mask & rhs[h].mask, same && g == h, pairs);
-    }
-  }
-}
 
 // The pairs (i < j, packed as i << 32 | j) that Prop. 3 lets conflict and
 // whose evidence patterns are compatible, sorted and distinct: the order
@@ -515,6 +511,7 @@ std::vector<uint64_t> CandidatePairs(const RuleSet& rules) {
   std::sort(postings.begin(), postings.end());
 
   std::vector<uint64_t> pairs;
+  KeyJoin join(rules, &pairs);
   std::vector<uint32_t> negatives;
   std::vector<uint32_t> evidence;
   for (size_t x = 0; x < postings.size();) {
@@ -525,8 +522,8 @@ std::vector<uint64_t> CandidatePairs(const RuleSet& rules) {
       (postings[x].key & 1 ? evidence : negatives).push_back(postings[x].rule);
     }
     if (negatives.empty()) continue;
-    JoinKey(rules, negatives, negatives, /*same=*/true, &pairs);   // case 1
-    JoinKey(rules, negatives, evidence, /*same=*/false, &pairs);   // case 2
+    join.Join(negatives, negatives, /*same=*/true);   // case 1
+    join.Join(negatives, evidence, /*same=*/false);   // case 2
   }
   std::sort(pairs.begin(), pairs.end());
   pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());

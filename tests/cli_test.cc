@@ -522,11 +522,6 @@ TEST_F(CliRepairTest, RulesErrorAfterTheInputStartedExitsOne) {
   }
 }
 
-// Every command line perfbench/run.py runs, at a smaller scale: data
-// and rule generation, the dictionary compile, the reference repair,
-// the file and stream workloads, and a daemon brought up, pinged,
-// submitted to and drained, with the metrics and telemetry outputs the
-// traced runs ask for.
 // `--data` (rules compile) and `--clean` (gen-rules --scale) borrow only
 // the CSV header, so they write the same bytes as `--attrs` naming the
 // same columns: no data value is interned ahead of the rules' constants.
@@ -567,6 +562,11 @@ TEST_F(CliRepairTest, DataFlagBorrowsOnlyTheHeader) {
   EXPECT_FALSE(std::filesystem::exists(path("missing.frd")));
 }
 
+// Every command line perfbench/run.py runs, at a smaller scale: data
+// and rule generation, the dictionary compile, the reference repair,
+// the file and stream workloads, and a daemon brought up, pinged,
+// submitted to and drained, with the metrics and telemetry outputs the
+// traced runs ask for.
 TEST_F(CliRepairTest, BenchmarkCommandLinesExitZero) {
   const std::string dir = TestTempPath("bench");
   std::filesystem::create_directories(dir);

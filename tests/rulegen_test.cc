@@ -1,6 +1,9 @@
 #include <algorithm>
+#include <memory>
 #include <sstream>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -91,6 +94,24 @@ TEST(RuleGenTest, FactsComeFromCleanData) {
     EXPECT_NE(std::find(domain.begin(), domain.end(), rule.fact),
               domain.end());
   }
+}
+
+// The dense value marks of GenerateRules are indexed by the clean pool's
+// ids, so a dirty table on another pool is refused, not read.
+TEST(RuleGenDeathTest, TablesOnDifferentPoolsAbort) {
+  Pipeline pipeline = SmallHospPipeline();
+  Table dirty(pipeline.data.schema, std::make_shared<ValuePool>());
+  for (size_t r = 0; r < pipeline.dirty.num_rows(); ++r) {
+    std::vector<std::string> fields;
+    for (size_t a = 0; a < pipeline.dirty.num_columns(); ++a) {
+      fields.push_back(pipeline.data.clean.pool().GetString(
+          pipeline.dirty.cell(r, static_cast<AttrId>(a))));
+    }
+    dirty.AppendRowStrings(fields);
+  }
+  EXPECT_DEATH(GenerateRules(pipeline.data.clean, dirty, pipeline.data.fds,
+                             RuleGenOptions{}),
+               "share a value pool");
 }
 
 TEST(RuleGenTest, DeterministicForSameSeed) {
